@@ -44,6 +44,15 @@ const Layer& Network::layer(std::size_t i) const {
   return layers_[i];
 }
 
+std::size_t Network::first_chain_break() const noexcept {
+  Shape3 produced = input_;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (layers_[i].in != produced) return i;
+    produced = layers_[i].out;
+  }
+  return layers_.size();
+}
+
 std::vector<std::size_t> Network::conv_indices() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < layers_.size(); ++i) {

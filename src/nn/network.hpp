@@ -43,6 +43,12 @@ class Network {
   [[nodiscard]] std::size_t size() const noexcept { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const;
 
+  /// Index of the first layer whose input volume is not its producer's
+  /// output (layer 0: the network input), or size() when every layer
+  /// chains. Flattened branching topologies (GoogLeNet) break the chain, so
+  /// they are analytic-only: the functional engine cannot execute them.
+  [[nodiscard]] std::size_t first_chain_break() const noexcept;
+
   /// Indices of conv / fully-connected layers, in order.
   [[nodiscard]] std::vector<std::size_t> conv_indices() const;
   [[nodiscard]] std::vector<std::size_t> fc_indices() const;

@@ -19,6 +19,31 @@ std::size_t weighted_layers(const nn::Network& net) {
   return n;
 }
 
+/// Reject weights that do not fit the network: one tensor per weighted
+/// layer, each holding exactly that layer's weight_count() values (a short
+/// tensor would otherwise be read out of bounds by every engine run).
+void check_weights(const std::string& name, const nn::Network& net,
+                   const std::vector<nn::Tensor>& weights) {
+  if (weights.size() != weighted_layers(net)) {
+    throw ConfigError("model '" + name + "': " + std::to_string(weights.size()) +
+                      " weight tensors for " +
+                      std::to_string(weighted_layers(net)) +
+                      " weighted layers");
+  }
+  std::size_t wi = 0;
+  for (const auto& l : net.layers()) {
+    if (!l.has_weights()) continue;
+    if (weights[wi].elements() != l.weight_count()) {
+      throw ConfigError("model '" + name + "': weight tensor " +
+                        std::to_string(wi) + " has " +
+                        std::to_string(weights[wi].elements()) +
+                        " values, layer '" + l.name + "' needs " +
+                        std::to_string(l.weight_count()));
+    }
+    ++wi;
+  }
+}
+
 /// The input distribution of the network's first weighted layer, calibrated
 /// the same way LayerWorkload calibrates its synthetic activations (and
 /// through the same process-wide memo, so servers and simulators share the
@@ -48,12 +73,7 @@ nn::Tensor Model::make_input(std::uint64_t seed, std::uint64_t stream) const {
 std::shared_ptr<const Model> ModelRegistry::add(
     std::string name, nn::Network net, quant::PrecisionProfile profile,
     std::vector<nn::Tensor> weights) {
-  if (weights.size() != weighted_layers(net)) {
-    throw ConfigError("model '" + name + "': " + std::to_string(weights.size()) +
-                      " weight tensors for " +
-                      std::to_string(weighted_layers(net)) +
-                      " weighted layers");
-  }
+  check_weights(name, net, weights);
   const nn::SyntheticSpec input_spec = input_spec_for(net, profile);
   auto model = std::make_shared<Model>(
       Model{std::move(name), std::move(net), std::move(profile),
@@ -62,13 +82,7 @@ std::shared_ptr<const Model> ModelRegistry::add(
 }
 
 std::shared_ptr<const Model> ModelRegistry::add(Model model) {
-  if (model.weights.size() != weighted_layers(model.net)) {
-    throw ConfigError("model '" + model.name + "': " +
-                      std::to_string(model.weights.size()) +
-                      " weight tensors for " +
-                      std::to_string(weighted_layers(model.net)) +
-                      " weighted layers");
-  }
+  check_weights(model.name, model.net, model.weights);
   return insert(std::make_shared<Model>(std::move(model)));
 }
 

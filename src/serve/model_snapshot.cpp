@@ -221,6 +221,12 @@ void encode_network(Writer& w, const nn::Network& net) {
     }
     net.layers().push_back(std::move(l));
   }
+  // A well-formed but hostile file could otherwise hand the engine a layer
+  // that reads past its producer's output.
+  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
+    throw SnapshotError("snapshot layer '" + net.layer(i).name +
+                        "' does not consume its producer's output");
+  }
   net.set_current(current);
   return net;
 }

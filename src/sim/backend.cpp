@@ -13,7 +13,6 @@
 #include "arch/tile.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/functional.hpp"
 #include "sim/lut_engine.hpp"
 
 namespace loom::sim {
@@ -391,7 +390,10 @@ std::vector<std::string> BackendRegistry::tunable_names(
 
 std::string resolve_backend_name(std::string_view requested, bool force_scalar,
                                  const BackendContext& ctx) {
-  if (force_scalar || functional_scalar_env()) return "scalar";
+  // LOOM_FUNCTIONAL_SCALAR: any value other than empty or "0" forces it.
+  const char* scalar_env = std::getenv("LOOM_FUNCTIONAL_SCALAR");
+  const std::string_view scalar = scalar_env != nullptr ? scalar_env : "";
+  if (force_scalar || (!scalar.empty() && scalar != "0")) return "scalar";
   std::string name(requested);
   if (name.empty()) {
     const char* env = std::getenv("LOOM_FUNCTIONAL_BACKEND");

@@ -1,176 +1,72 @@
 #include "sim/dpnn_functional.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <vector>
 
+#include "arch/ip_unit.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/autotune_cache.hpp"
-#include "sim/bitslice_engine.hpp"
-#include "sim/functional.hpp"
 
 namespace loom::sim {
 
 namespace {
 
-Value window_value(const nn::Layer& layer, const nn::Tensor& input,
-                   std::int64_t g, std::int64_t window, std::int64_t flat) {
-  const std::int64_t idx = nn::im2col_input_index(layer, g, window, flat);
-  return idx < 0 ? 0 : input.flat(idx);
-}
+class IpUnitBackend final : public FunctionalBackend {
+ public:
+  explicit IpUnitBackend(const BackendContext& ctx) : ctx_(ctx) {}
 
-/// DPNN semantics for the word-parallel backends: every operand at full
-/// signed 16-bit precision, no dynamic trimming. `rows`/`cols` only shape
-/// the slab walk — the exact accumulators do not depend on them.
-constexpr BitsliceEngine::SliceSpec kDpnnSpec{.act_precision = kBasePrecision,
-                                              .weight_precision = kBasePrecision,
-                                              .act_signed = true,
-                                              .dynamic = false};
-
-/// Allocate one run per request (accumulators of `wide_shape`) and marshal
-/// the pointer views the word-parallel backends consume.
-std::vector<DpnnFunctionalRun> make_runs(
-    const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-    const nn::Shape& wide_shape, std::vector<const nn::Tensor*>& in_ptrs,
-    std::vector<nn::WideTensor*>& wide_ptrs) {
-  std::vector<DpnnFunctionalRun> runs;
-  runs.reserve(inputs.size());
-  in_ptrs.resize(inputs.size());
-  wide_ptrs.resize(inputs.size());
-  for (std::size_t r = 0; r < inputs.size(); ++r) {
-    DpnnFunctionalRun run;
-    run.name = layer.name;
-    run.wide = nn::WideTensor(wide_shape);
-    runs.push_back(std::move(run));
-    in_ptrs[r] = &inputs[r];
-    wide_ptrs[r] = &runs[r].wide;
+  BitsliceEngine::ConvStats run_conv_batch(
+      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& /*spec*/,
+      std::span<nn::WideTensor* const> wides) override {
+    LOOM_EXPECTS(inputs.size() == wides.size());
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      run_layer(layer, *inputs[r], weights, *wides[r]);
+    }
+    return {};
   }
-  return runs;
-}
 
-/// Stamp the data-independent schedule cycles and requantize per request
-/// (shift choice per request — identical to solo runs).
-void finalize_runs(std::vector<DpnnFunctionalRun>& runs, std::uint64_t cycles,
-                   int out_bits, bool relu) {
-  for (DpnnFunctionalRun& run : runs) {
-    run.cycles = cycles;
-    run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-    run.output = nn::requantize(run.wide, run.requant_shift, out_bits, relu);
+  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
+              const nn::Tensor& weights, int /*weight_precision*/,
+              nn::WideTensor& wide) override {
+    run_layer(layer, input, weights, wide);
   }
-}
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-}  // namespace
-
-FunctionalDpnnEngine::FunctionalDpnnEngine(DpnnFunctionalOptions opts)
-    : opts_(opts) {
-  LOOM_EXPECTS(opts.act_lanes >= 1 && opts.filters >= 1);
-  ctx_ = BackendContext{.rows = opts_.filters,
-                        .cols = 16,
-                        .lanes = opts_.act_lanes,
-                        .jobs = opts_.jobs};
-  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, ctx_);
-  if (resolved_ == "auto") {
-    candidates_ = BackendRegistry::instance().tunable_names(ctx_);
-    init_autotune_cache_from_env();
+  void run_fc_batch(const nn::Layer& layer,
+                    std::span<const nn::Tensor* const> inputs,
+                    const nn::Tensor& weights, int /*weight_precision*/,
+                    std::span<nn::WideTensor* const> wides) override {
+    // run_layer walks FC layers too.
+    (void)run_conv_batch(layer, inputs, weights, kDpnnSpec, wides);
   }
-}
 
-FunctionalBackend& FunctionalDpnnEngine::backend_for(const std::string& name) {
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
-    const BackendInfo* info = BackendRegistry::instance().find(name);
-    LOOM_EXPECTS(info != nullptr);
-    it = backends_.emplace(name, info->make(ctx_)).first;
-  }
-  return *it->second;
-}
-
-void FunctionalDpnnEngine::dispatch_conv(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides) {
-  if (resolved_ != "auto") {
-    (void)backend_for(resolved_).run_conv_batch(layer, inputs, weights,
-                                                kDpnnSpec, wides);
-    return;
-  }
-  const TuneKey key =
-      conv_tune_key(layer, kDpnnSpec, static_cast<int>(inputs.size()), ctx_);
-  const std::string used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)backend_for(used).run_conv_batch(layer, inputs, weights, kDpnnSpec,
-                                         wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
-}
-
-void FunctionalDpnnEngine::dispatch_fc(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides) {
-  if (resolved_ != "auto") {
-    backend_for(resolved_).run_fc_batch(layer, inputs, weights, kBasePrecision,
-                                        wides);
-    return;
-  }
-  const TuneKey key =
-      fc_tune_key(layer, kBasePrecision, static_cast<int>(inputs.size()), ctx_);
-  const std::string used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  backend_for(used).run_fc_batch(layer, inputs, weights, kBasePrecision, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
-}
-
-DpnnFunctionalRun FunctionalDpnnEngine::run_conv(const nn::Layer& layer,
-                                                 const nn::Tensor& input,
-                                                 const nn::Tensor& weights,
-                                                 int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  DpnnFunctionalRun run;
-  run.name = layer.name;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-
-  const int lanes = opts_.act_lanes;
-  const std::int64_t inner = layer.inner_length();
-  const std::int64_t windows = layer.windows();
-  const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t fb_count = ceil_div(cog, opts_.filters);
-  const std::int64_t ic_count = ceil_div(inner, lanes);
-
-  if (resolved_ != "scalar") {
-    const nn::Tensor* in_ptr = &input;
-    nn::WideTensor* wide_ptr = &run.wide;
-    dispatch_conv(layer, std::span<const nn::Tensor* const>(&in_ptr, 1),
-                  weights, std::span<nn::WideTensor* const>(&wide_ptr, 1));
-    // The baseline schedule is data-independent: one cycle per (filter
-    // block, window, input chunk).
-    run.cycles = static_cast<std::uint64_t>(layer.groups) *
-                 static_cast<std::uint64_t>(fb_count) *
-                 static_cast<std::uint64_t>(windows) *
-                 static_cast<std::uint64_t>(ic_count);
-  } else {
-    std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
+ private:
+  /// One request through the baseline schedule. An FC layer is a single
+  /// group and window whose inner vector is the flattened input.
+  void run_layer(const nn::Layer& layer, const nn::Tensor& input,
+                 const nn::Tensor& weights, nn::WideTensor& wide) const {
+    const bool conv = layer.kind == nn::LayerKind::kConv;
+    const int lanes = ctx_.lanes;
+    const std::int64_t filters = ctx_.rows;
+    const std::int64_t inner = layer.inner_length();
+    const std::int64_t cog = layer.group_out_channels();
+    std::vector<arch::IpUnit> ips(static_cast<std::size_t>(filters),
                                   arch::IpUnit(lanes));
     std::vector<Value> acts(static_cast<std::size_t>(lanes));
     std::vector<Value> wvals(static_cast<std::size_t>(lanes));
 
     for (std::int64_t g = 0; g < layer.groups; ++g) {
-      for (std::int64_t fb = 0; fb < fb_count; ++fb) {
-        const std::int64_t f0 = fb * opts_.filters;
-        const std::int64_t filters_used =
-            std::min<std::int64_t>(opts_.filters, cog - f0);
-        for (std::int64_t window = 0; window < windows; ++window) {
+      for (std::int64_t f0 = 0; f0 < cog; f0 += filters) {
+        const std::int64_t filters_used = std::min(filters, cog - f0);
+        for (std::int64_t window = 0; window < layer.windows(); ++window) {
           for (auto& ip : ips) ip.begin_output();
           for (std::int64_t base = 0; base < inner; base += lanes) {
             // One cycle: lanes activations broadcast to all IP units.
             const std::int64_t n = std::min<std::int64_t>(lanes, inner - base);
             for (std::int64_t l = 0; l < n; ++l) {
-              acts[static_cast<std::size_t>(l)] =
-                  window_value(layer, input, g, window, base + l);
+              std::int64_t idx = base + l;
+              if (conv) idx = nn::im2col_input_index(layer, g, window, idx);
+              acts[static_cast<std::size_t>(l)] = idx < 0 ? 0 : input.flat(idx);
             }
             std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
             for (std::int64_t f = 0; f < filters_used; ++f) {
@@ -182,11 +78,10 @@ DpnnFunctionalRun FunctionalDpnnEngine::run_conv(const nn::Layer& layer,
               std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
               ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
             }
-            ++run.cycles;
           }
           for (std::int64_t f = 0; f < filters_used; ++f) {
             const std::int64_t co = g * cog + f0 + f;
-            run.wide.at3(co, window / layer.out.w, window % layer.out.w) =
+            wide.at3(co, window / layer.out.w, window % layer.out.w) =
                 ips[static_cast<std::size_t>(f)].output();
           }
         }
@@ -194,138 +89,14 @@ DpnnFunctionalRun FunctionalDpnnEngine::run_conv(const nn::Layer& layer,
     }
   }
 
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
-}
+  BackendContext ctx_;
+};
 
-std::vector<DpnnFunctionalRun> FunctionalDpnnEngine::run_conv_batch(
-    const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-    const nn::Tensor& weights, int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  LOOM_EXPECTS(!inputs.empty());
-  const std::size_t batch = inputs.size();
-  std::vector<DpnnFunctionalRun> runs;
-  runs.reserve(batch);
+}  // namespace
 
-  if (resolved_ == "scalar") {
-    for (std::size_t r = 0; r < batch; ++r) {
-      runs.push_back(run_conv(layer, inputs[r], weights, out_bits));
-    }
-    return runs;
-  }
-
-  std::vector<const nn::Tensor*> in_ptrs;
-  std::vector<nn::WideTensor*> wide_ptrs;
-  runs = make_runs(layer, inputs,
-                   nn::Shape{layer.out.c, layer.out.h, layer.out.w}, in_ptrs,
-                   wide_ptrs);
-  dispatch_conv(layer, in_ptrs, weights, wide_ptrs);
-
-  const std::int64_t fb_count =
-      ceil_div(layer.group_out_channels(), opts_.filters);
-  const std::int64_t ic_count =
-      ceil_div(layer.inner_length(), static_cast<std::int64_t>(opts_.act_lanes));
-  finalize_runs(runs,
-                static_cast<std::uint64_t>(layer.groups) *
-                    static_cast<std::uint64_t>(fb_count) *
-                    static_cast<std::uint64_t>(layer.windows()) *
-                    static_cast<std::uint64_t>(ic_count),
-                out_bits, opts_.relu);
-  return runs;
-}
-
-std::vector<DpnnFunctionalRun> FunctionalDpnnEngine::run_fc_batch(
-    const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-    const nn::Tensor& weights, int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  LOOM_EXPECTS(!inputs.empty());
-  const std::size_t batch = inputs.size();
-  std::vector<DpnnFunctionalRun> runs;
-  runs.reserve(batch);
-
-  if (resolved_ == "scalar") {
-    for (std::size_t r = 0; r < batch; ++r) {
-      runs.push_back(run_fc(layer, inputs[r], weights, out_bits));
-    }
-    return runs;
-  }
-
-  std::vector<const nn::Tensor*> in_ptrs;
-  std::vector<nn::WideTensor*> wide_ptrs;
-  runs = make_runs(layer, inputs, nn::Shape{layer.out.c, 1, 1}, in_ptrs,
-                   wide_ptrs);
-  dispatch_fc(layer, in_ptrs, weights, wide_ptrs);
-
-  const std::int64_t fb_count =
-      ceil_div(static_cast<std::int64_t>(layer.out.c), opts_.filters);
-  const std::int64_t ic_count = ceil_div(
-      layer.in.elements(), static_cast<std::int64_t>(opts_.act_lanes));
-  finalize_runs(runs,
-                static_cast<std::uint64_t>(fb_count) *
-                    static_cast<std::uint64_t>(ic_count),
-                out_bits, opts_.relu);
-  return runs;
-}
-
-DpnnFunctionalRun FunctionalDpnnEngine::run_fc(const nn::Layer& layer,
-                                               const nn::Tensor& input,
-                                               const nn::Tensor& weights,
-                                               int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  DpnnFunctionalRun run;
-  run.name = layer.name;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, 1, 1});
-
-  const int lanes = opts_.act_lanes;
-  const std::int64_t ci = layer.in.elements();
-  const std::int64_t fb_count = ceil_div(static_cast<std::int64_t>(layer.out.c),
-                                         opts_.filters);
-  const std::int64_t ic_count = ceil_div(ci, static_cast<std::int64_t>(lanes));
-
-  if (resolved_ != "scalar") {
-    const nn::Tensor* in_ptr = &input;
-    nn::WideTensor* wide_ptr = &run.wide;
-    dispatch_fc(layer, std::span<const nn::Tensor* const>(&in_ptr, 1), weights,
-                std::span<nn::WideTensor* const>(&wide_ptr, 1));
-    run.cycles = static_cast<std::uint64_t>(fb_count) *
-                 static_cast<std::uint64_t>(ic_count);
-  } else {
-    std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
-                                  arch::IpUnit(lanes));
-    std::vector<Value> acts(static_cast<std::size_t>(lanes));
-    std::vector<Value> wvals(static_cast<std::size_t>(lanes));
-
-    for (std::int64_t fb = 0; fb < fb_count; ++fb) {
-      const std::int64_t f0 = fb * opts_.filters;
-      const std::int64_t filters_used =
-          std::min<std::int64_t>(opts_.filters, layer.out.c - f0);
-      for (auto& ip : ips) ip.begin_output();
-      for (std::int64_t base = 0; base < ci; base += lanes) {
-        const std::int64_t n = std::min<std::int64_t>(lanes, ci - base);
-        for (std::int64_t l = 0; l < n; ++l) {
-          acts[static_cast<std::size_t>(l)] = input.flat(base + l);
-        }
-        std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
-        for (std::int64_t f = 0; f < filters_used; ++f) {
-          for (std::int64_t l = 0; l < n; ++l) {
-            wvals[static_cast<std::size_t>(l)] =
-                weights.flat((f0 + f) * ci + base + l);
-          }
-          std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
-          ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
-        }
-        ++run.cycles;
-      }
-      for (std::int64_t f = 0; f < filters_used; ++f) {
-        run.wide.set_flat(f0 + f, ips[static_cast<std::size_t>(f)].output());
-      }
-    }
-  }
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
+std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
+    const BackendContext& ctx) {
+  return std::make_unique<IpUnitBackend>(ctx);
 }
 
 }  // namespace loom::sim

@@ -1,108 +1,47 @@
-// Functional DPNN engine: the bit-parallel twin of FunctionalLoomEngine.
-// Models the IP units (16 MACs + adder tree per filter) over real layers,
-// producing exact outputs and the wall-clock cycles of the baseline's
-// window-sequential schedule — the ground truth the DPNN cycle model is
-// cross-validated against.
+// Functional DPNN: the bit-parallel baseline on the shared functional
+// engine (sim/functional.hpp). Models the IP units (lanes MACs + adder tree
+// per filter) over real layers, producing exact outputs and the wall-clock
+// cycles of the baseline's window-sequential schedule — the ground truth
+// the DPNN cycle model is cross-validated against.
 //
-// Values are computed by a registry backend (sim/backend.hpp) at full
-// signed 16-bit precision for both operands (bit-identical to driving
-// arch::IpUnit cycle by cycle); cycle counts follow the exact chunk
-// schedule the scalar loop walks. Set DpnnFunctionalOptions::force_scalar
-// or LOOM_FUNCTIONAL_SCALAR to drive the scalar IP units instead; the
-// DpnnFunctionalOptions::backend / LOOM_FUNCTIONAL_BACKEND selection and
-// the "auto" autotuner work exactly as on the Loom engine.
+// Values come from a registry backend (sim/backend.hpp) at full signed
+// 16-bit precision for both operands (kDpnnSpec), bit-identical to driving
+// arch::IpUnit cycle by cycle; cycles follow the data-independent schedule,
+// one per (group, filter block, window, input chunk), so a batch of N costs
+// N x solo. The scalar route (force_scalar, LOOM_FUNCTIONAL_SCALAR, backend
+// "scalar", or an unpackable grid such as lanes > 32) drives the arch::IpUnit
+// loops below instead of the registry's SIP grid.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
-#include "arch/ip_unit.hpp"
-#include "nn/network.hpp"
-#include "nn/reference.hpp"
-#include "nn/tensor.hpp"
 #include "sim/backend.hpp"
+#include "sim/bitslice_engine.hpp"
+#include "sim/functional.hpp"
 
 namespace loom::sim {
 
-struct DpnnFunctionalOptions {
-  int act_lanes = 16;
-  int filters = 8;
-  bool relu = true;
-  /// Worker threads for the word-parallel backends (0 = all, 1 = serial).
-  int jobs = 0;
-  /// Force the scalar arch::IpUnit oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
-  bool force_scalar = false;
-  /// Kernel selection, as FunctionalOptions::backend: "" defers to
-  /// LOOM_FUNCTIONAL_BACKEND, then "auto". "scalar" selects the IpUnit
-  /// oracle (DPNN's own scalar semantics, not the registry's SIP grid).
-  std::string backend = {};
-};
+/// DPNN semantics for the word-parallel backends: every operand at full
+/// signed 16-bit precision, no dynamic trimming. `rows`/`cols` only shape
+/// the slab walk — the exact accumulators do not depend on them.
+inline constexpr BitsliceEngine::SliceSpec kDpnnSpec{
+    .act_precision = kBasePrecision,
+    .weight_precision = kBasePrecision,
+    .act_signed = true,
+    .dynamic = false};
 
-struct DpnnFunctionalRun {
-  std::string name;
-  nn::Tensor output;
-  nn::WideTensor wide;
-  std::uint64_t cycles = 0;
-  int requant_shift = 0;
-};
+/// DPNN's scalar oracle: `ctx.rows` arch::IpUnit filters of `ctx.lanes`
+/// lanes each, walking the baseline schedule. Reports no stats.
+[[nodiscard]] std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
+    const BackendContext& ctx);
 
-class FunctionalDpnnEngine {
+/// The DPNN baseline grid: `rows` IP units (filters) x `lanes` activation
+/// lanes, default 8 x 16. `cols` is fixed at 16; `dynamic_act_precision`
+/// and `cascading` are Loom-only and ignored.
+class FunctionalDpnnEngine final : public FunctionalEngine {
  public:
-  explicit FunctionalDpnnEngine(DpnnFunctionalOptions opts = {});
-
-  [[nodiscard]] DpnnFunctionalRun run_conv(const nn::Layer& layer,
-                                           const nn::Tensor& input,
-                                           const nn::Tensor& weights,
-                                           int out_bits);
-  [[nodiscard]] DpnnFunctionalRun run_fc(const nn::Layer& layer,
-                                         const nn::Tensor& input,
-                                         const nn::Tensor& weights,
-                                         int out_bits);
-
-  /// Batched variants: one coalesced word-parallel pass over N same-shape
-  /// requests (the scalar oracle falls back to N solo runs). Each returned
-  /// run is byte-identical to the corresponding solo run — the DPNN
-  /// baseline's window-sequential schedule is data-independent, so even the
-  /// per-request cycle counts match solo execution exactly.
-  [[nodiscard]] std::vector<DpnnFunctionalRun> run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-      const nn::Tensor& weights, int out_bits);
-  [[nodiscard]] std::vector<DpnnFunctionalRun> run_fc_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-      const nn::Tensor& weights, int out_bits);
-
-  [[nodiscard]] const DpnnFunctionalOptions& options() const noexcept {
-    return opts_;
-  }
-  /// "scalar", "auto", or a concrete registered backend name; resolved at
-  /// construction like FunctionalLoomEngine (force_scalar, the environment
-  /// hatches, or an unpackable configuration select the scalar oracle).
-  [[nodiscard]] const std::string& backend_name() const noexcept {
-    return resolved_;
-  }
-
- private:
-  FunctionalBackend& backend_for(const std::string& name);
-  /// Run one conv/fc batch on the selected kernel (never "scalar" — callers
-  /// branch to the IpUnit loops first); under "auto" consults the autotuner.
-  void dispatch_conv(const nn::Layer& layer,
-                     std::span<const nn::Tensor* const> inputs,
-                     const nn::Tensor& weights,
-                     std::span<nn::WideTensor* const> wides);
-  void dispatch_fc(const nn::Layer& layer,
-                   std::span<const nn::Tensor* const> inputs,
-                   const nn::Tensor& weights,
-                   std::span<nn::WideTensor* const> wides);
-
-  DpnnFunctionalOptions opts_;
-  BackendContext ctx_;
-  std::string resolved_;
-  std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
-  std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
+  explicit FunctionalDpnnEngine(FunctionalOptions opts = {.rows = 8})
+      : FunctionalEngine(std::move(opts), Arch::kDpnn) {}
 };
 
 }  // namespace loom::sim

@@ -1,12 +1,11 @@
 #include "sim/functional.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "sim/autotune_cache.hpp"
+#include "sim/dpnn_functional.hpp"
 #include "sim/loom_sim.hpp"
 
 namespace loom::sim {
@@ -14,9 +13,7 @@ namespace loom::sim {
 namespace {
 
 /// Output precision of weighted layer `i`: the next conv consumer's profile
-/// Pa (an FC consumer, or no consumer, stores at base precision). Shared by
-/// the solo and batched network walks so the propagation rule cannot drift
-/// between them.
+/// Pa (an FC consumer, or no consumer, stores at base precision).
 int consumer_out_bits(const nn::Network& net, std::size_t i) {
   for (std::size_t j = i + 1; j < net.size(); ++j) {
     if (net.layer(j).kind == nn::LayerKind::kConv) {
@@ -27,16 +24,22 @@ int consumer_out_bits(const nn::Network& net, std::size_t i) {
   return static_cast<int>(kBasePrecision);
 }
 
-/// Marshal a batch into the pointer views the backends consume.
-void batch_ptrs(std::span<const nn::Tensor> inputs,
-                std::vector<nn::WideTensor>& wides,
-                std::vector<const nn::Tensor*>& in_ptrs,
-                std::vector<nn::WideTensor*>& wide_ptrs) {
-  in_ptrs.resize(inputs.size());
-  wide_ptrs.resize(inputs.size());
-  for (std::size_t r = 0; r < inputs.size(); ++r) {
-    in_ptrs[r] = &inputs[r];
-    wide_ptrs[r] = &wides[r];
+/// Reject tensors the kernels would index out of bounds with the layer's
+/// geometry. FC layers flatten their input, so only its size must match.
+void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
+                    const nn::Tensor& weights) {
+  if (weights.elements() != layer.weight_count()) {
+    throw ConfigError("layer '" + layer.name + "': " +
+                      std::to_string(weights.elements()) + " weights, needs " +
+                      std::to_string(layer.weight_count()));
+  }
+  const nn::Shape in{layer.in.c, layer.in.h, layer.in.w};
+  for (const nn::Tensor& t : inputs) {
+    if (layer.kind == nn::LayerKind::kConv ? t.shape() != in
+                                           : t.elements() != in.elements()) {
+      throw ConfigError("layer '" + layer.name + "': input " +
+                        t.shape().to_string() + ", needs " + in.to_string());
+    }
   }
 }
 
@@ -52,24 +55,28 @@ void requantize_batch(FunctionalBatchLayerRun& run, int out_bits, bool relu) {
   }
 }
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+/// A batch of one, as the solo API reports it.
+FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
+  return FunctionalLayerRun{.name = std::move(b.name),
+                            .output = std::move(b.outputs[0]),
+                            .wide = std::move(b.wides[0]),
+                            .cycles = b.cycles,
+                            .requant_shift = b.requant_shifts[0],
+                            .out_bits = b.out_bits,
+                            .mean_streamed_precision = b.mean_streamed_precision,
+                            .backend = std::move(b.backend)};
 }
 
 }  // namespace
 
-bool functional_scalar_env() {
-  const char* v = std::getenv("LOOM_FUNCTIONAL_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-FunctionalLoomEngine::FunctionalLoomEngine(FunctionalOptions opts)
-    : opts_(opts), dispatcher_(opts.lanes) {
-  LOOM_EXPECTS(opts.rows >= 1 && opts.cols >= 1);
-  LOOM_EXPECTS(opts.lanes >= 1 && opts.lanes <= 32);
+FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
+    : opts_(std::move(opts)),
+      arch_(arch),
+      // DPNN streams nothing bit-serially, so its dispatcher stays idle and
+      // its lane count need not fit a dispatcher word.
+      dispatcher_(arch == Arch::kLoom ? opts_.lanes : 1) {
+  LOOM_EXPECTS(opts_.rows >= 1 && opts_.cols >= 1 && opts_.lanes >= 1);
+  if (arch_ == Arch::kDpnn) opts_.cols = 16;
   ctx_ = BackendContext{.rows = opts_.rows,
                         .cols = opts_.cols,
                         .lanes = opts_.lanes,
@@ -83,294 +90,208 @@ FunctionalLoomEngine::FunctionalLoomEngine(FunctionalOptions opts)
   }
 }
 
-FunctionalBackend& FunctionalLoomEngine::backend_for(const std::string& name) {
+BitsliceEngine::SliceSpec FunctionalEngine::slice_spec(
+    const nn::Layer& layer) const {
+  if (arch_ == Arch::kDpnn) return kDpnnSpec;
+  return {.act_precision = layer.act_precision,
+          .weight_precision = layer.weight_precision,
+          .act_signed = false,
+          .dynamic = opts_.dynamic_act_precision};
+}
+
+std::uint64_t FunctionalEngine::schedule_cycles(const nn::Layer& layer) const {
+  if (arch_ == Arch::kLoom) {
+    // FC: the same cascade-aware model as the analytic
+    // LoomSimulator::simulate_fc — best `ways` slicing plus the cols-1
+    // column-stagger initiation — excluding the analytic kPipelineFill.
+    const FcCascadePlan plan = plan_fc_cascade(
+        opts_.rows, opts_.cols, opts_.lanes, layer.out.c, layer.in.elements(),
+        static_cast<double>(layer.weight_precision),
+        static_cast<double>(kBasePrecision), opts_.cascading);
+    return static_cast<std::uint64_t>(
+        std::llround(plan.cycles + static_cast<double>(opts_.cols - 1)));
+  }
+  // DPNN: one cycle per (group, filter block, window, input chunk); an FC
+  // layer is one group and one window.
+  return static_cast<std::uint64_t>(
+      layer.groups * ceil_div(layer.group_out_channels(), opts_.rows) *
+      layer.windows() * ceil_div(layer.inner_length(), opts_.lanes));
+}
+
+FunctionalBackend& FunctionalEngine::backend_for(const std::string& name) {
   auto it = backends_.find(name);
   if (it == backends_.end()) {
-    const BackendInfo* info = BackendRegistry::instance().find(name);
-    LOOM_EXPECTS(info != nullptr);
-    it = backends_.emplace(name, info->make(ctx_)).first;
+    std::unique_ptr<FunctionalBackend> backend;
+    if (arch_ == Arch::kDpnn && name == "scalar") {
+      backend = make_ip_unit_backend(ctx_);
+    } else {
+      const BackendInfo* info = BackendRegistry::instance().find(name);
+      LOOM_EXPECTS(info != nullptr);
+      backend = info->make(ctx_);
+    }
+    it = backends_.emplace(name, std::move(backend)).first;
   }
   return *it->second;
 }
 
-BitsliceEngine::ConvStats FunctionalLoomEngine::dispatch_conv(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-    std::span<nn::WideTensor* const> wides, std::string& used) {
-  if (resolved_ != "auto") {
-    used = resolved_;
-    return backend_for(used).run_conv_batch(layer, inputs, weights, spec,
-                                            wides);
-  }
-  // Every candidate computes identical bytes, so exploration piggybacks on
-  // real layer runs: the tuner hands out whichever kernel it still needs a
-  // timing for, and the measurement is the run the caller wanted anyway.
-  const TuneKey key =
-      conv_tune_key(layer, spec, static_cast<int>(inputs.size()), ctx_);
-  used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  const BitsliceEngine::ConvStats st =
-      backend_for(used).run_conv_batch(layer, inputs, weights, spec, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
-  return st;
-}
-
-void FunctionalLoomEngine::dispatch_fc(
+BitsliceEngine::ConvStats FunctionalEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
     std::string& used) {
-  if (resolved_ != "auto") {
-    used = resolved_;
-    backend_for(used).run_fc_batch(layer, inputs, weights,
-                                   layer.weight_precision, wides);
-    return;
+  const bool conv = layer.kind == nn::LayerKind::kConv;
+  const BitsliceEngine::SliceSpec spec = slice_spec(layer);
+  const bool tuned = resolved_ == "auto";
+  TuneKey key;
+  used = resolved_;
+  if (tuned) {
+    // Every candidate computes identical bytes, so exploration piggybacks
+    // on real layer runs: the tuner hands out whichever kernel it still
+    // needs a timing for, and the measurement is the run the caller wanted.
+    const int batch = static_cast<int>(inputs.size());
+    key = conv ? conv_tune_key(layer, spec, batch, ctx_)
+               : fc_tune_key(layer, spec.weight_precision, batch, ctx_);
+    used = BackendAutotuner::instance().choose(key, candidates_);
   }
-  const TuneKey key = fc_tune_key(layer, layer.weight_precision,
-                                  static_cast<int>(inputs.size()), ctx_);
-  used = BackendAutotuner::instance().choose(key, candidates_);
   const auto t0 = std::chrono::steady_clock::now();
-  backend_for(used).run_fc_batch(layer, inputs, weights,
-                                 layer.weight_precision, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
+  FunctionalBackend& backend = backend_for(used);
+  BitsliceEngine::ConvStats st;
+  if (conv) {
+    st = backend.run_conv_batch(layer, inputs, weights, spec, wides);
+  } else {
+    backend.run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
+  }
+  if (tuned) {
+    BackendAutotuner::instance().record(
+        key, used,
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+  }
+  return st;
 }
 
-FunctionalLayerRun FunctionalLoomEngine::run_conv(const nn::Layer& layer,
-                                                  const nn::Tensor& input,
-                                                  const nn::Tensor& weights,
-                                                  int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  FunctionalLayerRun run;
-  run.name = layer.name;
-  run.out_bits = out_bits;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-
-  const BitsliceEngine::SliceSpec spec{
-      .act_precision = layer.act_precision,
-      .weight_precision = layer.weight_precision,
-      .act_signed = false,
-      .dynamic = opts_.dynamic_act_precision};
-  const nn::Tensor* in_ptr = &input;
-  nn::WideTensor* wide_ptr = &run.wide;
-  const BitsliceEngine::ConvStats st =
-      dispatch_conv(layer, std::span<const nn::Tensor* const>(&in_ptr, 1),
-                    weights, spec, std::span<nn::WideTensor* const>(&wide_ptr, 1),
-                    run.backend);
-  run.cycles = st.cycles;
-  run.mean_streamed_precision =
-      st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-  dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                            st.detect_invocations, st.detect_values);
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
-}
-
-FunctionalLayerRun FunctionalLoomEngine::run_fc(const nn::Layer& layer,
-                                                const nn::Tensor& input,
-                                                const nn::Tensor& weights,
-                                                int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  FunctionalLayerRun run;
-  run.name = layer.name;
-  run.out_bits = out_bits;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, 1, 1});
-
-  // FCLs stream the full 16 activation bits; the kernels' accumulators are
-  // exact, so every backend lands the same wide tensor.
-  const nn::Tensor* in_ptr = &input;
-  nn::WideTensor* wide_ptr = &run.wide;
-  dispatch_fc(layer, std::span<const nn::Tensor* const>(&in_ptr, 1), weights,
-              std::span<nn::WideTensor* const>(&wide_ptr, 1), run.backend);
-
-  // Wall-clock cycles: the same cascade-aware model as the analytic
-  // LoomSimulator::simulate_fc — best `ways` slicing plus the cols-1
-  // column-stagger initiation — excluding the analytic kPipelineFill.
-  const std::int64_t ci = layer.in.elements();
-  const FcCascadePlan plan = plan_fc_cascade(
-      opts_.rows, opts_.cols, opts_.lanes, layer.out.c, ci,
-      static_cast<double>(layer.weight_precision),
-      static_cast<double>(kBasePrecision), opts_.cascading);
-  run.cycles = static_cast<std::uint64_t>(
-      std::llround(plan.cycles + static_cast<double>(opts_.cols - 1)));
-  run.mean_streamed_precision = kBasePrecision;
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
-}
-
-FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
+FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   LOOM_EXPECTS(!inputs.empty());
+  check_layer_io(layer, inputs, weights);
+  const bool conv = layer.kind == nn::LayerKind::kConv;
   FunctionalBatchLayerRun run;
   run.name = layer.name;
   run.out_bits = out_bits;
   const std::size_t batch = inputs.size();
-  run.wides.reserve(batch);
+  const nn::Shape out_shape = conv ? nn::Shape{layer.out.c, layer.out.h, layer.out.w}
+                                   : nn::Shape{layer.out.c, 1, 1};
+  run.wides.reserve(batch);  // no reallocation: wide_ptrs stay valid
+  std::vector<const nn::Tensor*> in_ptrs(batch);
+  std::vector<nn::WideTensor*> wide_ptrs(batch);
   for (std::size_t r = 0; r < batch; ++r) {
-    run.wides.emplace_back(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
+    in_ptrs[r] = &inputs[r];
+    wide_ptrs[r] = &run.wides.emplace_back(out_shape);
   }
 
-  if (resolved_ == "scalar") {
-    // Scalar oracle: a batch *is* N solo runs — the semantics the lane-packed
-    // backends are pinned against. Requests have identical chunk geometry, so
-    // the plain mean over requests equals the chunk-weighted mean. The solo
-    // runs already requantized; keep their shifts and outputs.
-    run.backend = resolved_;
-    double mean_sum = 0.0;
-    for (std::size_t r = 0; r < batch; ++r) {
-      FunctionalLayerRun lr = run_conv(layer, inputs[r], weights, out_bits);
-      run.cycles += lr.cycles;
-      mean_sum += lr.mean_streamed_precision;
-      run.wides[r] = std::move(lr.wide);
-      run.requant_shifts.push_back(lr.requant_shift);
-      run.outputs.push_back(std::move(lr.output));
-    }
-    run.mean_streamed_precision = mean_sum / static_cast<double>(batch);
-  } else {
-    std::vector<const nn::Tensor*> in_ptrs;
-    std::vector<nn::WideTensor*> wide_ptrs;
-    batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
-    const BitsliceEngine::SliceSpec spec{
-        .act_precision = layer.act_precision,
-        .weight_precision = layer.weight_precision,
-        .act_signed = false,
-        .dynamic = opts_.dynamic_act_precision};
+  // The scalar oracle runs a batch as N solo runs — the semantics the
+  // lane-packed backends are pinned against. Requests have identical chunk
+  // geometry, so the plain mean over requests equals the chunk-weighted
+  // mean.
+  const std::size_t step = resolved_ == "scalar" ? 1 : batch;
+  double mean_sum = 0.0;
+  for (std::size_t r = 0; r < batch; r += step) {
     const BitsliceEngine::ConvStats st =
-        dispatch_conv(layer, in_ptrs, weights, spec, wide_ptrs, run.backend);
-    run.cycles = st.cycles;
-    run.mean_streamed_precision =
-        st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-    dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                              st.detect_invocations, st.detect_values);
-    requantize_batch(run, out_bits, opts_.relu);
+        dispatch(layer, std::span(in_ptrs).subspan(r, step), weights,
+                 std::span(wide_ptrs).subspan(r, step), run.backend);
+    run.cycles += st.cycles;
+    mean_sum += st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
+    if (arch_ == Arch::kLoom) {
+      dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
+                                st.detect_invocations, st.detect_values);
+    }
   }
+  run.mean_streamed_precision = mean_sum / static_cast<double>(batch / step);
+  if (arch_ == Arch::kDpnn || !conv) {
+    // Data-independent schedule: every request streams all 16 activation
+    // bits and costs the same cycles, so the batch costs N solo passes.
+    run.cycles = schedule_cycles(layer) * batch;
+    run.mean_streamed_precision = kBasePrecision;
+  }
+  requantize_batch(run, out_bits, opts_.relu);
   return run;
 }
 
-FunctionalBatchLayerRun FunctionalLoomEngine::run_fc_batch(
+FunctionalBatchLayerRun FunctionalEngine::run_conv_batch(
+    const nn::Layer& layer, std::span<const nn::Tensor> inputs,
+    const nn::Tensor& weights, int out_bits) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
+  return run_layer_batch(layer, inputs, weights, out_bits);
+}
+
+FunctionalBatchLayerRun FunctionalEngine::run_fc_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  LOOM_EXPECTS(!inputs.empty());
-  FunctionalBatchLayerRun run;
-  run.name = layer.name;
-  run.out_bits = out_bits;
-  const std::size_t batch = inputs.size();
-  run.wides.reserve(batch);
-  for (std::size_t r = 0; r < batch; ++r) {
-    run.wides.emplace_back(nn::Shape{layer.out.c, 1, 1});
-  }
-
-  if (resolved_ == "scalar") {
-    run.backend = resolved_;
-    for (std::size_t r = 0; r < batch; ++r) {
-      FunctionalLayerRun lr = run_fc(layer, inputs[r], weights, out_bits);
-      run.wides[r] = std::move(lr.wide);
-      run.requant_shifts.push_back(lr.requant_shift);
-      run.outputs.push_back(std::move(lr.output));
-    }
-  } else {
-    std::vector<const nn::Tensor*> in_ptrs;
-    std::vector<nn::WideTensor*> wide_ptrs;
-    batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
-    dispatch_fc(layer, in_ptrs, weights, wide_ptrs, run.backend);
-    requantize_batch(run, out_bits, opts_.relu);
-  }
-
-  // FC grid cycles have no batch dimension in the cascade model: every image
-  // streams its own full-precision activations, so the batch costs N solo
-  // passes. The request packing above is a software-throughput win only.
-  const std::int64_t ci = layer.in.elements();
-  const FcCascadePlan plan = plan_fc_cascade(
-      opts_.rows, opts_.cols, opts_.lanes, layer.out.c, ci,
-      static_cast<double>(layer.weight_precision),
-      static_cast<double>(kBasePrecision), opts_.cascading);
-  run.cycles = static_cast<std::uint64_t>(std::llround(
-                   plan.cycles + static_cast<double>(opts_.cols - 1))) *
-               static_cast<std::uint64_t>(batch);
-  run.mean_streamed_precision = kBasePrecision;
-  return run;
+  return run_layer_batch(layer, inputs, weights, out_bits);
 }
 
-FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
+FunctionalLayerRun FunctionalEngine::run_conv(const nn::Layer& layer,
+                                              const nn::Tensor& input,
+                                              const nn::Tensor& weights,
+                                              int out_bits) {
+  return solo_run(run_conv_batch(layer, std::span(&input, 1), weights, out_bits));
+}
+
+FunctionalLayerRun FunctionalEngine::run_fc(const nn::Layer& layer,
+                                            const nn::Tensor& input,
+                                            const nn::Tensor& weights,
+                                            int out_bits) {
+  return solo_run(run_fc_batch(layer, std::span(&input, 1), weights, out_bits));
+}
+
+FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
     const nn::Network& net, std::span<const nn::Tensor> inputs,
     std::span<const nn::Tensor> weights) {
   LOOM_EXPECTS(!inputs.empty());
   if (opts_.pre_run_hook) opts_.pre_run_hook();
+  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
+    throw ConfigError("network '" + net.name() + "': layer '" +
+                      net.layer(i).name +
+                      "' does not consume its producer's output; a "
+                      "flattened branching topology is analytic-only");
+  }
   FunctionalBatchNetworkRun run;
   std::vector<nn::Tensor> current(inputs.begin(), inputs.end());
   std::size_t weight_index = 0;
 
   for (std::size_t i = 0; i < net.size(); ++i) {
     const nn::Layer& layer = net.layer(i);
-    switch (layer.kind) {
-      case nn::LayerKind::kConv:
-      case nn::LayerKind::kFullyConnected: {
-        LOOM_EXPECTS(weight_index < weights.size());
-        FunctionalBatchLayerRun lr =
-            layer.kind == nn::LayerKind::kConv
-                ? run_conv_batch(layer, current, weights[weight_index++],
-                                 consumer_out_bits(net, i))
-                : run_fc_batch(layer, current, weights[weight_index++],
-                               consumer_out_bits(net, i));
-        current = lr.outputs;
-        run.total_cycles += lr.cycles;
-        run.layers.push_back(std::move(lr));
-        break;
-      }
-      case nn::LayerKind::kPool: {
-        for (nn::Tensor& t : current) t = nn::pool_forward(t, layer);
-        break;
-      }
+    if (!layer.has_weights()) {
+      for (nn::Tensor& t : current) t = nn::pool_forward(t, layer);
+      continue;
     }
+    LOOM_EXPECTS(weight_index < weights.size());
+    FunctionalBatchLayerRun lr = run_layer_batch(
+        layer, current, weights[weight_index++], consumer_out_bits(net, i));
+    current = lr.outputs;
+    run.total_cycles += lr.cycles;
+    run.layers.push_back(std::move(lr));
   }
   run.outputs = std::move(current);
   LOOM_ENSURES(weight_index == weights.size());
   return run;
 }
 
-FunctionalNetworkRun FunctionalLoomEngine::run_network(
+FunctionalNetworkRun FunctionalEngine::run_network(
     const nn::Network& net, const nn::Tensor& input,
     std::span<const nn::Tensor> weights) {
-  if (opts_.pre_run_hook) opts_.pre_run_hook();
-  FunctionalNetworkRun run;
-  nn::Tensor current = input;
-  std::size_t weight_index = 0;
-
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    const nn::Layer& layer = net.layer(i);
-    switch (layer.kind) {
-      case nn::LayerKind::kConv: {
-        LOOM_EXPECTS(weight_index < weights.size());
-        FunctionalLayerRun lr = run_conv(layer, current,
-                                         weights[weight_index++],
-                                         consumer_out_bits(net, i));
-        current = lr.output;
-        run.total_cycles += lr.cycles;
-        run.layers.push_back(std::move(lr));
-        break;
-      }
-      case nn::LayerKind::kFullyConnected: {
-        LOOM_EXPECTS(weight_index < weights.size());
-        FunctionalLayerRun lr = run_fc(layer, current, weights[weight_index++],
-                                       consumer_out_bits(net, i));
-        current = lr.output;
-        run.total_cycles += lr.cycles;
-        run.layers.push_back(std::move(lr));
-        break;
-      }
-      case nn::LayerKind::kPool: {
-        current = nn::pool_forward(current, layer);
-        break;
-      }
-    }
+  FunctionalBatchNetworkRun batch =
+      run_network_batch(net, std::span(&input, 1), weights);
+  FunctionalNetworkRun run{.layers = {},
+                           .output = std::move(batch.outputs[0]),
+                           .total_cycles = batch.total_cycles};
+  run.layers.reserve(batch.layers.size());
+  for (FunctionalBatchLayerRun& lr : batch.layers) {
+    run.layers.push_back(solo_run(std::move(lr)));
   }
-  run.output = current;
-  LOOM_ENSURES(weight_index == weights.size());
   return run;
 }
 

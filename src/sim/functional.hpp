@@ -1,26 +1,38 @@
-// Functional Loom engine: executes an entire (small) network through the
-// bit-serial datapath — dispatcher serialization, WR loads, per-cycle SIP
-// evaluation, cascade/OR accumulation, requantization and pooling between
-// layers — producing exact activations plus the wall-clock cycles the grid
-// spent.
+// Functional engine: executes an entire (small) network through an
+// accelerator datapath — Loom's bit-serial grid (dispatcher serialization,
+// WR loads, per-cycle SIP evaluation, cascade/OR accumulation) or the
+// bit-parallel DPNN baseline's IP units — with requantization and pooling
+// between layers, producing exact activations plus the wall-clock cycles
+// the grid spent.
 //
-// This is the ground-truth twin of the analytic cycle model in
-// loom_sim.cpp: tests assert that (a) the outputs equal the bit-parallel
-// golden reference through the whole network and (b) the cycle counts of
-// the two models agree (the functional counts exclude the analytic model's
-// per-layer kPipelineFill constant).
+// One engine serves both architectures; only a small policy differs:
+//   * the SliceSpec a layer streams — Loom: the profile Pa/Pw, unsigned
+//     activations, dynamic precision; DPNN: kDpnnSpec (16/16, signed,
+//     static);
+//   * the cycle formula — Loom conv cycles come from the kernel's ConvStats
+//     and Loom FC cycles from plan_fc_cascade; DPNN walks the
+//     data-independent filter-block x window x chunk schedule;
+//   * the scalar route — the registry's arch::Sip oracle for Loom, the
+//     arch::IpUnit loops (sim/dpnn_functional.hpp) for DPNN.
+// Every solo call is a batch of one.
+//
+// This is the ground-truth twin of the analytic cycle models in
+// loom_sim.cpp / dpnn_sim.cpp: tests assert that (a) the outputs equal the
+// bit-parallel golden reference through the whole network and (b) the cycle
+// counts of the two models agree (the functional counts exclude the
+// analytic model's per-layer kPipelineFill constant).
 //
 // Layer math runs on an interchangeable kernel from the backend registry
-// (sim/backend.hpp): the scalar arch::Sip oracle, the bit-sliced fast path,
-// or the LUT kernels — all byte-identical in outputs, cycle counts,
+// (sim/backend.hpp): the scalar oracle, the bit-sliced fast path, or the
+// LUT kernels — all byte-identical in outputs, cycle counts,
 // streamed-precision means and dispatcher/detector statistics (golden-
 // pinned in tests/test_bitslice_engine.cpp, swept by
 // tests/test_backend_differential.cpp). Selection: FunctionalOptions::
 // backend, then LOOM_FUNCTIONAL_BACKEND, then "auto" — which hands each
 // layer to the BackendAutotuner to memoize the empirically fastest kernel.
 // FunctionalOptions::force_scalar / LOOM_FUNCTIONAL_SCALAR still force the
-// scalar oracle, and configurations no fast kernel can pack (cols > 64)
-// fall back to it automatically.
+// scalar oracle, and configurations no fast kernel can pack (cols > 64;
+// DPNN lanes > 32) fall back to it automatically.
 //
 // Restriction: models the LM1b variant (one activation bit per cycle).
 #pragma once
@@ -31,6 +43,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/dispatcher.hpp"
@@ -43,17 +56,17 @@
 namespace loom::sim {
 
 struct FunctionalOptions {
-  int rows = 16;   ///< SIP rows (concurrent filters)
-  int cols = 16;   ///< SIP columns (concurrent windows)
-  int lanes = 16;  ///< products per SIP per cycle
-  bool dynamic_act_precision = true;
+  int rows = 16;   ///< SIP rows (concurrent filters; DPNN: IP units)
+  int cols = 16;   ///< SIP columns (concurrent windows; DPNN: fixed at 16)
+  int lanes = 16;  ///< products per SIP per cycle (DPNN: activation lanes)
+  bool dynamic_act_precision = true;  ///< Loom only
   bool relu = true;  ///< apply ReLU at requantization (hidden layers)
-  bool cascading = true;  ///< SIP daisy-chaining for FC layers (cycle model)
+  bool cascading = true;  ///< SIP daisy-chaining for FC layers (Loom only)
   /// Worker threads for the fast backends' fan-out over the shared pool;
   /// 0 = all hardware threads, 1 = serial. Results are byte-identical for
   /// every value.
   int jobs = 0;
-  /// Force the scalar arch::Sip oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
+  /// Force the scalar oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
   bool force_scalar = false;
   /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
   /// (per-layer autotuned); or a registered name ("scalar", "bitslice",
@@ -88,7 +101,7 @@ struct FunctionalNetworkRun {
 /// One layer of a batched (multi-request) run. Outputs, accumulators and
 /// requantization shifts are per request and byte-identical to running each
 /// request alone; `cycles` is the grid wall clock for the *coalesced* batch
-/// (conv windows of all requests share the SIP columns, so this is less
+/// (Loom conv windows of all requests share the SIP columns, so this is less
 /// than the sum of solo runs whenever a request leaves lanes empty).
 struct FunctionalBatchLayerRun {
   std::string name;
@@ -107,10 +120,10 @@ struct FunctionalBatchNetworkRun {
   std::uint64_t total_cycles = 0;
 };
 
-class FunctionalLoomEngine {
+/// The engine behind FunctionalLoomEngine and FunctionalDpnnEngine; build
+/// one of those to pick the architecture.
+class FunctionalEngine {
  public:
-  explicit FunctionalLoomEngine(FunctionalOptions opts = {});
-
   /// Execute one convolutional layer. `weights` is flat [Co][Ci/g][Kh][Kw].
   [[nodiscard]] FunctionalLayerRun run_conv(const nn::Layer& layer,
                                             const nn::Tensor& input,
@@ -118,7 +131,7 @@ class FunctionalLoomEngine {
                                             int out_bits);
 
   /// Execute one fully-connected layer. `weights` is flat [Co][Ci].
-  /// Cycle count follows the same cascade-aware model as
+  /// Loom cycles follow the same cascade-aware model as
   /// LoomSimulator::simulate_fc (plan_fc_cascade + column stagger), minus
   /// the analytic model's kPipelineFill constant.
   [[nodiscard]] FunctionalLayerRun run_fc(const nn::Layer& layer,
@@ -143,9 +156,14 @@ class FunctionalLoomEngine {
   // to N solo runs — pinned by tests/test_batch_properties.cpp and the
   // serving stress tests, not assumed. On the scalar oracle a batch is
   // executed as N solo runs (summed cycles), which is the batching
-  // semantics oracle. FC grid cycles stay per-image (batch = N x solo): the
-  // cascade model has no batch dimension; the lane packing is a software
-  // throughput win.
+  // semantics oracle. Data-independent schedules (Loom FC, every DPNN
+  // layer) cost N x solo cycles: the lane packing is a software throughput
+  // win, not a modelled one.
+  //
+  // Every layer call rejects, with ConfigError, weights whose size is not
+  // the layer's weight_count() and inputs whose shape is not the layer's
+  // input volume (FC layers flatten, so only their element count must
+  // match); run_network* also rejects networks whose layers do not chain.
 
   [[nodiscard]] FunctionalBatchLayerRun run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor> inputs,
@@ -164,7 +182,7 @@ class FunctionalLoomEngine {
   }
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
   /// True when layers run on a word-parallel fast path (false = scalar
-  /// oracle, via force_scalar / LOOM_FUNCTIONAL_SCALAR / unpackable cols).
+  /// oracle, via force_scalar / LOOM_FUNCTIONAL_SCALAR / unpackable grid).
   [[nodiscard]] bool bitsliced() const noexcept { return resolved_ != "scalar"; }
   /// The resolved kernel selection: "scalar", "auto" (per-layer autotuned),
   /// or a concrete registered backend name.
@@ -172,22 +190,34 @@ class FunctionalLoomEngine {
     return resolved_;
   }
 
+ protected:
+  enum class Arch { kLoom, kDpnn };
+  FunctionalEngine(FunctionalOptions opts, Arch arch);
+
  private:
+  /// The shared body of run_conv_batch and run_fc_batch.
+  FunctionalBatchLayerRun run_layer_batch(const nn::Layer& layer,
+                                          std::span<const nn::Tensor> inputs,
+                                          const nn::Tensor& weights,
+                                          int out_bits);
+  /// What the architecture streams for `layer`.
+  [[nodiscard]] BitsliceEngine::SliceSpec slice_spec(const nn::Layer& layer) const;
+  /// Per-image cycles of a data-independent schedule (Loom FC, any DPNN
+  /// layer).
+  [[nodiscard]] std::uint64_t schedule_cycles(const nn::Layer& layer) const;
   /// Lazily construct (and cache) the named backend for this grid.
   FunctionalBackend& backend_for(const std::string& name);
-  /// Run one conv batch on the selected kernel; under "auto" consults the
+  /// Run one conv/fc batch on the selected kernel; under "auto" consults the
   /// autotuner and feeds the measured wall clock back. `used` reports the
-  /// kernel that ran.
-  BitsliceEngine::ConvStats dispatch_conv(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides, std::string& used);
-  void dispatch_fc(const nn::Layer& layer,
-                   std::span<const nn::Tensor* const> inputs,
-                   const nn::Tensor& weights,
-                   std::span<nn::WideTensor* const> wides, std::string& used);
+  /// kernel that ran. FC kernels report no stats.
+  BitsliceEngine::ConvStats dispatch(const nn::Layer& layer,
+                                     std::span<const nn::Tensor* const> inputs,
+                                     const nn::Tensor& weights,
+                                     std::span<nn::WideTensor* const> wides,
+                                     std::string& used);
 
   FunctionalOptions opts_;
+  Arch arch_;
   arch::Dispatcher dispatcher_;
   BackendContext ctx_;
   std::string resolved_;  ///< "scalar", "auto", or a concrete backend name
@@ -195,8 +225,11 @@ class FunctionalLoomEngine {
   std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
 };
 
-/// True when the process-wide LOOM_FUNCTIONAL_SCALAR escape hatch is set
-/// (any value other than empty or "0").
-[[nodiscard]] bool functional_scalar_env();
+/// Loom's bit-serial SIP grid (rows x cols x lanes).
+class FunctionalLoomEngine final : public FunctionalEngine {
+ public:
+  explicit FunctionalLoomEngine(FunctionalOptions opts = {})
+      : FunctionalEngine(std::move(opts), Arch::kLoom) {}
+};
 
 }  // namespace loom::sim

@@ -236,30 +236,33 @@ TEST(BatchProperties, DpnnConvAndFcBatchedMatchSolo) {
     SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
     const Case conv = random_conv_case(seed);
     const Case fc = random_fc_case(seed);
-    FunctionalDpnnEngine eng(DpnnFunctionalOptions{.jobs = 1});
+    FunctionalDpnnEngine eng(FunctionalOptions{.rows = 8, .jobs = 1});
 
-    const auto conv_batch =
+    // The baseline schedule is data-independent: a batch costs N solo runs.
+    const FunctionalBatchLayerRun conv_batch =
         eng.run_conv_batch(conv.layer, conv.inputs, conv.weights,
                            kBasePrecision);
-    ASSERT_EQ(conv_batch.size(), conv.inputs.size());
+    ASSERT_EQ(conv_batch.outputs.size(), conv.inputs.size());
     for (std::size_t r = 0; r < conv.inputs.size(); ++r) {
-      const DpnnFunctionalRun solo =
+      const FunctionalLayerRun solo =
           eng.run_conv(conv.layer, conv.inputs[r], conv.weights,
                        kBasePrecision);
-      EXPECT_EQ(conv_batch[r].wide, solo.wide) << "conv request " << r;
-      EXPECT_EQ(conv_batch[r].output, solo.output) << "conv request " << r;
-      EXPECT_EQ(conv_batch[r].cycles, solo.cycles) << "conv request " << r;
-      EXPECT_EQ(conv_batch[r].wide,
+      EXPECT_EQ(conv_batch.wides[r], solo.wide) << "conv request " << r;
+      EXPECT_EQ(conv_batch.outputs[r], solo.output) << "conv request " << r;
+      EXPECT_EQ(conv_batch.cycles, solo.cycles * conv.inputs.size())
+          << "conv request " << r;
+      EXPECT_EQ(conv_batch.wides[r],
                 nn::conv_forward(conv.inputs[r], conv.weights, conv.layer));
     }
 
-    const auto fc_batch =
+    const FunctionalBatchLayerRun fc_batch =
         eng.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
     for (std::size_t r = 0; r < fc.inputs.size(); ++r) {
-      const DpnnFunctionalRun solo =
+      const FunctionalLayerRun solo =
           eng.run_fc(fc.layer, fc.inputs[r], fc.weights, kBasePrecision);
-      EXPECT_EQ(fc_batch[r].wide, solo.wide) << "fc request " << r;
-      EXPECT_EQ(fc_batch[r].cycles, solo.cycles) << "fc request " << r;
+      EXPECT_EQ(fc_batch.wides[r], solo.wide) << "fc request " << r;
+      EXPECT_EQ(fc_batch.cycles, solo.cycles * fc.inputs.size())
+          << "fc request " << r;
     }
   }
 }
@@ -281,11 +284,13 @@ TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   // DPNN: an unpackable lane count (> 32) forces the IpUnit oracle.
   const Case fc = random_fc_case(0xFA12);
   FunctionalDpnnEngine dpnn_scalar(
-      DpnnFunctionalOptions{.act_lanes = 40, .jobs = 1});
-  const auto runs =
+      FunctionalOptions{.rows = 8, .lanes = 40, .jobs = 1});
+  EXPECT_FALSE(dpnn_scalar.bitsliced());
+  const FunctionalBatchLayerRun runs =
       dpnn_scalar.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
   for (std::size_t r = 0; r < fc.inputs.size(); ++r) {
-    EXPECT_EQ(runs[r].wide, nn::fc_forward(fc.inputs[r], fc.weights, fc.layer))
+    EXPECT_EQ(runs.wides[r],
+              nn::fc_forward(fc.inputs[r], fc.weights, fc.layer))
         << "request " << r;
   }
 }
@@ -318,13 +323,13 @@ TEST(BatchDegenerate, AllZeroBatchesOnBothBackends) {
   FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
   const FunctionalBatchLayerRun batched =
       eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
-  FunctionalDpnnEngine dpnn(DpnnFunctionalOptions{.jobs = 1});
-  const auto dpnn_runs =
+  FunctionalDpnnEngine dpnn(FunctionalOptions{.rows = 8, .jobs = 1});
+  const FunctionalBatchLayerRun dpnn_runs =
       dpnn.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
   for (std::size_t r = 0; r < c.inputs.size(); ++r) {
     const nn::WideTensor zero(batched.wides[r].shape());
     EXPECT_EQ(batched.wides[r], zero) << "loom request " << r;
-    EXPECT_EQ(dpnn_runs[r].wide, zero) << "dpnn request " << r;
+    EXPECT_EQ(dpnn_runs.wides[r], zero) << "dpnn request " << r;
   }
   // Dynamic detection saw only zero groups; the detector clamps them to the
   // 1-plane minimum (needed_bits_unsigned(0) == 1), same as the scalar

@@ -97,24 +97,59 @@ TEST(DpnnFunctional, FcMatchesGoldenAndModel) {
 }
 
 TEST(CrossEngine, SerialAndParallelEnginesAgreeBitExactly) {
-  // The paper's equivalence claim, executed: both datapaths produce the
-  // same integers; Loom spends ~Pa*Pw/256 of the baseline's cycles scaled
-  // by the compute-bandwidth ratio of the two functional configs.
-  Case c = conv_case();
+  // The paper's equivalence claim, executed end to end on conv -> pool -> fc:
+  // both datapaths produce the same integers as the bit-parallel reference
+  // chain; Loom spends ~Pa*Pw/256 of the baseline's cycles scaled by the
+  // compute-bandwidth ratio of the two functional configs.
+  nn::Network net("t", nn::Shape3{8, 10, 10});
+  net.add_conv("c", 16, 3, 1, 1).precision_group = 0;
+  net.add_pool("p", nn::PoolKind::kMax, 2, 2);
+  net.add_fc("f", 10);
+  quant::PrecisionProfile p;
+  p.network = "t";
+  p.conv_act = {7};
+  p.conv_weight = 8;
+  p.fc_weight = {8};
+  quant::apply_profile(net, p);
+  nn::SyntheticSpec act{.precision = 7, .alpha = 2.0, .is_signed = false};
+  nn::SyntheticSpec wsp{.precision = 8, .alpha = 2.0, .is_signed = true};
+  const nn::Tensor input = nn::make_activation_tensor(net.layer(0).in, act, 1, 1);
+  const std::vector<nn::Tensor> weights{
+      nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 2, 2),
+      nn::make_weight_tensor(net.layer(2).weight_count(), wsp, 2, 3)};
+
   FunctionalDpnnEngine dpnn;  // 16 lanes x 8 filters
   FunctionalLoomEngine lm(FunctionalOptions{
       .rows = 8, .cols = 16, .dynamic_act_precision = false});
-  const auto rd = dpnn.run_conv(c.net.layer(0), c.input, c.weights, 16);
-  const auto rl = lm.run_conv(c.net.layer(0), c.input, c.weights, 16);
-  for (std::int64_t i = 0; i < rd.wide.elements(); ++i) {
-    ASSERT_EQ(rd.wide.flat(i), rl.wide.flat(i)) << i;
-  }
-  // Exact cycle accounting: DPNN walks 2 filter blocks x 100 windows x 5
-  // chunks = 1000 cycles; the 8x16 Loom grid spends 2 x ceil(100/16) x 5
-  // chunks x Pa(7) x Pw(8) = 3920 cycles (it has 16-window parallelism but
-  // 1/16 of the per-lane bit bandwidth -> ratio 3.92 = 7*8*[112/100]/16).
-  const double ratio =
-      static_cast<double>(rl.cycles) / static_cast<double>(rd.cycles);
+  const FunctionalNetworkRun rd = dpnn.run_network(net, input, weights);
+  const FunctionalNetworkRun rl = lm.run_network(net, input, weights);
+  ASSERT_EQ(rd.layers.size(), 2u);
+  ASSERT_EQ(rl.layers.size(), 2u);
+
+  // Reference chain: every layer's accumulators, byte for byte.
+  const nn::WideTensor c = nn::conv_forward(input, weights[0], net.layer(0));
+  nn::Tensor x = nn::requantize(c, nn::choose_requant_shift(c, 16), 16, true);
+  x = nn::pool_forward(x, net.layer(1));
+  const nn::WideTensor f = nn::fc_forward(x, weights[1], net.layer(2));
+  EXPECT_EQ(rd.layers[0].wide, c);
+  EXPECT_EQ(rl.layers[0].wide, c);
+  EXPECT_EQ(rd.layers[1].wide, f);
+  EXPECT_EQ(rl.layers[1].wide, f);
+  EXPECT_EQ(rd.output, rl.output);
+  EXPECT_EQ(rd.output,
+            nn::requantize(f, nn::choose_requant_shift(f, 16), 16, true));
+
+  // DPNN cycles follow its schedule: conv 2 filter blocks x 100 windows x
+  // ceil(72/16) = 5 chunks = 1000; fc 2 filter blocks x ceil(400/16) = 25
+  // chunks = 50.
+  EXPECT_EQ(rd.layers[0].cycles, 1000u);
+  EXPECT_EQ(rd.layers[1].cycles, 50u);
+  EXPECT_EQ(rd.total_cycles, 1050u);
+  // The 8x16 Loom grid spends 2 x ceil(100/16) x 5 chunks x Pa(7) x Pw(8) =
+  // 3920 conv cycles (it has 16-window parallelism but 1/16 of the per-lane
+  // bit bandwidth -> ratio 3.92 = 7*8*[112/100]/16).
+  const double ratio = static_cast<double>(rl.layers[0].cycles) /
+                       static_cast<double>(rd.layers[0].cycles);
   EXPECT_NEAR(ratio, 3.92, 0.05);
 }
 

@@ -3,6 +3,9 @@
 // and the wall-clock cycles must agree with the analytic cycle model.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+#include "nn/zoo/zoo.hpp"
+#include "quant/profiles.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/workload.hpp"
@@ -176,6 +179,49 @@ TEST(Functional, GroupedConvolutionSupported) {
   const nn::WideTensor golden = nn::conv_forward(input, weights, net.layer(0));
   for (std::int64_t i = 0; i < golden.elements(); ++i) {
     ASSERT_EQ(run.wide.flat(i), golden.flat(i)) << i;
+  }
+}
+
+TEST(Functional, LayerCallsRejectMismatchedTensors) {
+  // The kernels index inputs and weights with the layer's geometry, so
+  // every entry rejects a tensor that does not match it.
+  SmallNet s = make_small_net();
+  FunctionalLoomEngine engine(FunctionalOptions{.rows = 8, .cols = 8});
+  const nn::Tensor short_weights(nn::Shape{s.weights[0].elements() - 1});
+  EXPECT_THROW((void)engine.run_conv(s.net.layer(0), s.input, short_weights, 16),
+               ConfigError);
+  const nn::Tensor wrong_input(nn::Shape{4, 12, 11});
+  EXPECT_THROW((void)engine.run_conv(s.net.layer(0), wrong_input, s.weights[0], 16),
+               ConfigError);
+  EXPECT_THROW((void)engine.run_fc(s.net.layer(3), wrong_input, s.weights[2], 16),
+               ConfigError);
+  std::vector<nn::Tensor> truncated = s.weights;
+  truncated[2] = nn::Tensor(nn::Shape{truncated[2].elements() / 2});
+  EXPECT_THROW((void)engine.run_network(s.net, s.input, truncated), ConfigError);
+}
+
+TEST(Functional, GoogLeNetIsAnalyticOnly) {
+  // GoogLeNet's inception branches are flattened into one layer list, so
+  // its layers do not chain (inception_3a/3x3_reduce reads the 192-channel
+  // module input, not its 64-channel predecessor): the engine refuses it
+  // before any kernel runs.
+  nn::Network net = nn::zoo::make("googlenet");
+  quant::apply_profile(net, quant::profile_for("googlenet",
+                                               quant::AccuracyTarget::k100));
+  ASSERT_LT(net.first_chain_break(), net.size());
+  std::vector<nn::Tensor> weights;
+  for (const nn::Layer& l : net.layers()) {
+    if (l.has_weights()) weights.emplace_back(nn::Shape{l.weight_count()});
+  }
+  const nn::Tensor input(nn::Shape{3, 224, 224});
+  FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1});
+  EXPECT_THROW((void)engine.run_network(net, input, weights), ConfigError);
+}
+
+TEST(Functional, LinearZooNetworksChain) {
+  for (const char* name : {"alexnet", "nin", "vggs", "vggm", "vgg19"}) {
+    const nn::Network net = nn::zoo::make(name);
+    EXPECT_EQ(net.first_chain_break(), net.size()) << name;
   }
 }
 

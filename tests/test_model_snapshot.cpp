@@ -131,6 +131,24 @@ TEST(ModelSnapshot, RegistryAddRejectsWeightMismatch) {
   EXPECT_THROW(registry.add(std::move(model)), ConfigError);
 }
 
+TEST(ModelSnapshot, RegistryAddRejectsTruncatedWeightTensor) {
+  Model model = make_model();
+  model.weights[0] = nn::Tensor(nn::Shape{model.weights[0].elements() - 1});
+  ModelRegistry registry;
+  EXPECT_THROW(registry.add(model), ConfigError);
+  EXPECT_THROW(registry.add("convnet", model.net, model.profile, model.weights),
+               ConfigError);
+}
+
+TEST(ModelSnapshot, BrokenLayerChainIsRejected) {
+  // Well-formed and checksummed, but the pool no longer reads what the conv
+  // produced: decode must refuse it rather than hand the engine a layer
+  // that reads past its producer's output.
+  Model model = make_model();
+  model.net.layers()[1].in.h += 2;
+  EXPECT_THROW((void)decode_snapshot(encode_snapshot(model)), SnapshotError);
+}
+
 TEST(ModelSnapshot, TruncationAtEveryLengthFails) {
   const std::vector<std::uint8_t> bytes = encode_snapshot(make_model());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
