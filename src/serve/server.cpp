@@ -167,10 +167,13 @@ std::future<InferenceResult> InferenceServer::enqueue(
   LOOM_EXPECTS(sopts.deadline.count() >= 0);
   const auto cls = static_cast<std::size_t>(sopts.priority);
   LOOM_EXPECTS(cls < static_cast<std::size_t>(kPriorityClasses));
-  if (input.elements() != model->input_shape().elements()) {
-    throw ConfigError("model '" + model->name + "' expects " +
-                      std::to_string(model->input_shape().elements()) +
-                      " input values, got " + std::to_string(input.elements()));
+  // The engine's own input check, applied here so a misshapen request is
+  // refused alone instead of failing every request batched with it.
+  if (!sim::accepts_input(model->net.layer(0), input)) {
+    const nn::Shape3 in = model->input_shape();
+    throw ConfigError("model '" + model->name + "' expects input " +
+                      nn::Shape{in.c, in.h, in.w}.to_string() + ", got " +
+                      input.shape().to_string());
   }
   // Dead-on-arrival fast path: an already-expired absolute deadline is
   // rejected before admission ever runs — the request is never queued, so

@@ -35,12 +35,18 @@ inline constexpr BitsliceEngine::SliceSpec kDpnnSpec{
 [[nodiscard]] std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
     const BackendContext& ctx);
 
+/// IP units (filters) of the paper's DPNN baseline.
+inline constexpr int kDpnnFilters = 8;
+
 /// The DPNN baseline grid: `rows` IP units (filters) x `lanes` activation
-/// lanes, default 8 x 16. `cols` is fixed at 16; `dynamic_act_precision`
-/// and `cascading` are Loom-only and ignored.
+/// lanes, default kDpnnFilters x 16. `cols` is fixed at 16;
+/// `dynamic_act_precision` and `cascading` are Loom-only and ignored.
 class FunctionalDpnnEngine final : public FunctionalEngine {
  public:
-  explicit FunctionalDpnnEngine(FunctionalOptions opts = {.rows = 8})
+  /// Passed options replace the default whole, and FunctionalOptions'
+  /// own `rows` default is Loom's 16: set `.rows = kDpnnFilters` to keep
+  /// the baseline's filter count (it sets the filter block and the cycles).
+  explicit FunctionalDpnnEngine(FunctionalOptions opts = {.rows = kDpnnFilters})
       : FunctionalEngine(std::move(opts), Arch::kDpnn) {}
 };
 

@@ -25,7 +25,7 @@ int consumer_out_bits(const nn::Network& net, std::size_t i) {
 }
 
 /// Reject tensors the kernels would index out of bounds with the layer's
-/// geometry. FC layers flatten their input, so only its size must match.
+/// geometry.
 void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
                     const nn::Tensor& weights) {
   if (weights.elements() != layer.weight_count()) {
@@ -33,12 +33,11 @@ void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
                       std::to_string(weights.elements()) + " weights, needs " +
                       std::to_string(layer.weight_count()));
   }
-  const nn::Shape in{layer.in.c, layer.in.h, layer.in.w};
   for (const nn::Tensor& t : inputs) {
-    if (layer.kind == nn::LayerKind::kConv ? t.shape() != in
-                                           : t.elements() != in.elements()) {
+    if (!accepts_input(layer, t)) {
       throw ConfigError("layer '" + layer.name + "': input " +
-                        t.shape().to_string() + ", needs " + in.to_string());
+                        t.shape().to_string() + ", needs " +
+                        nn::Shape{layer.in.c, layer.in.h, layer.in.w}.to_string());
     }
   }
 }
@@ -68,6 +67,12 @@ FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
 }
 
 }  // namespace
+
+bool accepts_input(const nn::Layer& layer, const nn::Tensor& input) {
+  const nn::Shape in{layer.in.c, layer.in.h, layer.in.w};
+  return layer.kind == nn::LayerKind::kConv ? input.shape() == in
+                                            : input.elements() == in.elements();
+}
 
 FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
     : opts_(std::move(opts)),
@@ -191,24 +196,15 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
     wide_ptrs[r] = &run.wides.emplace_back(out_shape);
   }
 
-  // The scalar oracle runs a batch as N solo runs — the semantics the
-  // lane-packed backends are pinned against. Requests have identical chunk
-  // geometry, so the plain mean over requests equals the chunk-weighted
-  // mean.
-  const std::size_t step = resolved_ == "scalar" ? 1 : batch;
-  double mean_sum = 0.0;
-  for (std::size_t r = 0; r < batch; r += step) {
-    const BitsliceEngine::ConvStats st =
-        dispatch(layer, std::span(in_ptrs).subspan(r, step), weights,
-                 std::span(wide_ptrs).subspan(r, step), run.backend);
-    run.cycles += st.cycles;
-    mean_sum += st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-    if (arch_ == Arch::kLoom) {
-      dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                                st.detect_invocations, st.detect_values);
-    }
+  const BitsliceEngine::ConvStats st =
+      dispatch(layer, in_ptrs, weights, wide_ptrs, run.backend);
+  run.cycles = st.cycles;
+  run.mean_streamed_precision =
+      st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
+  if (arch_ == Arch::kLoom) {
+    dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
+                              st.detect_invocations, st.detect_values);
   }
-  run.mean_streamed_precision = mean_sum / static_cast<double>(batch / step);
   if (arch_ == Arch::kDpnn || !conv) {
     // Data-independent schedule: every request streams all 16 activation
     // bits and costs the same cycles, so the batch costs N solo passes.

@@ -120,6 +120,11 @@ struct FunctionalBatchNetworkRun {
   std::uint64_t total_cycles = 0;
 };
 
+/// True when `input` can feed `layer`: a conv input must have the layer's
+/// (c,h,w) shape; an FC layer flattens its input, so only the element
+/// count must match. Every engine layer call and serving admission apply it.
+[[nodiscard]] bool accepts_input(const nn::Layer& layer, const nn::Tensor& input);
+
 /// The engine behind FunctionalLoomEngine and FunctionalDpnnEngine; build
 /// one of those to pick the architecture.
 class FunctionalEngine {
@@ -161,9 +166,8 @@ class FunctionalEngine {
   // win, not a modelled one.
   //
   // Every layer call rejects, with ConfigError, weights whose size is not
-  // the layer's weight_count() and inputs whose shape is not the layer's
-  // input volume (FC layers flatten, so only their element count must
-  // match); run_network* also rejects networks whose layers do not chain.
+  // the layer's weight_count() and inputs accepts_input() refuses;
+  // run_network* also rejects networks whose layers do not chain.
 
   [[nodiscard]] FunctionalBatchLayerRun run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor> inputs,

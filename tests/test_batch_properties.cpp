@@ -236,7 +236,8 @@ TEST(BatchProperties, DpnnConvAndFcBatchedMatchSolo) {
     SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
     const Case conv = random_conv_case(seed);
     const Case fc = random_fc_case(seed);
-    FunctionalDpnnEngine eng(FunctionalOptions{.rows = 8, .jobs = 1});
+    FunctionalDpnnEngine eng(
+        FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
 
     // The baseline schedule is data-independent: a batch costs N solo runs.
     const FunctionalBatchLayerRun conv_batch =
@@ -284,7 +285,7 @@ TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   // DPNN: an unpackable lane count (> 32) forces the IpUnit oracle.
   const Case fc = random_fc_case(0xFA12);
   FunctionalDpnnEngine dpnn_scalar(
-      FunctionalOptions{.rows = 8, .lanes = 40, .jobs = 1});
+      FunctionalOptions{.rows = kDpnnFilters, .lanes = 40, .jobs = 1});
   EXPECT_FALSE(dpnn_scalar.bitsliced());
   const FunctionalBatchLayerRun runs =
       dpnn_scalar.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
@@ -323,7 +324,8 @@ TEST(BatchDegenerate, AllZeroBatchesOnBothBackends) {
   FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
   const FunctionalBatchLayerRun batched =
       eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
-  FunctionalDpnnEngine dpnn(FunctionalOptions{.rows = 8, .jobs = 1});
+  FunctionalDpnnEngine dpnn(
+      FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
   const FunctionalBatchLayerRun dpnn_runs =
       dpnn.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
   for (std::size_t r = 0; r < c.inputs.size(); ++r) {

@@ -338,8 +338,10 @@ TEST(BitsliceEquivalence, DpnnBackendsAgree) {
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 12, 2);
 
-  FunctionalDpnnEngine fast(FunctionalOptions{.rows = 8, .jobs = 1});
-  FunctionalDpnnEngine slow(FunctionalOptions{.rows = 8, .force_scalar = true});
+  FunctionalDpnnEngine fast(
+      FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
+  FunctionalDpnnEngine slow(
+      FunctionalOptions{.rows = kDpnnFilters, .force_scalar = true});
   const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
   EXPECT_EQ(rf.cycles, rs.cycles);

@@ -8,6 +8,7 @@
 // checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <map>
@@ -211,6 +212,42 @@ TEST(Serve, SubmissionErrors) {
   EXPECT_THROW((void)server.try_submit(model, model->make_input(kInputSeed, 1),
                                        std::chrono::milliseconds(5)),
                ShutdownError);
+}
+
+TEST(Serve, MisshapenInputIsRefusedAloneAtSubmit) {
+  // A conv model's input must have the first layer's (c,h,w) shape, as the
+  // engine requires; a flattened tensor of the right volume is refused at
+  // submit, so it never joins (and fails) a batch of valid requests. An FC
+  // model flattens its input, so a flattened request is valid there.
+  ModelRegistry registry;
+  populate(registry);
+  const auto expected = solo_outputs(registry, 2);
+  ServeOptions opts;
+  opts.max_batch = 4;
+  opts.batch_deadline = std::chrono::milliseconds(50);
+  opts.workers = 1;
+  opts.engine.jobs = 1;
+  InferenceServer server(registry, opts);
+
+  const auto flattened = [](const nn::Tensor& t) {
+    nn::Tensor flat(nn::Shape{t.elements()});
+    std::copy(t.data().begin(), t.data().end(), flat.data().begin());
+    return flat;
+  };
+  const auto conv = registry.find("convnet");
+  auto first = server.submit(conv, conv->make_input(kInputSeed, 0));
+  EXPECT_THROW(
+      (void)server.submit(conv, flattened(conv->make_input(kInputSeed, 1))),
+      ConfigError);
+  auto second = server.submit(conv, conv->make_input(kInputSeed, 1));
+  EXPECT_EQ(first.get().output, expected.at({"convnet", 0}));
+  EXPECT_EQ(second.get().output, expected.at({"convnet", 1}));
+
+  const auto mlp = registry.find("mlp");
+  EXPECT_EQ(server.submit(mlp, flattened(mlp->make_input(kInputSeed, 0)))
+                .get()
+                .output,
+            expected.at({"mlp", 0}));
 }
 
 // ---- Robustness: admission control, deadlines, degradation ----------------
