@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/layer.hpp"
@@ -212,6 +213,15 @@ TEST_F(AutotuneCacheTest, EncodeSkipsUndecidedAndPinnedCells) {
       current_autotune_cache_key());
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].key, good.key);
+}
+
+TEST_F(AutotuneCacheTest, EncodedImageIsByteStable) {
+  // Caches written by earlier builds must keep loading: pin the exact image
+  // under a fixed key (the process key varies with the host's SIMD tier).
+  const auto image = encode_autotune_cache(
+      {{sample_decision()}}, AutotuneCacheKey{"avx2", 0x0123456789abcdef});
+  EXPECT_EQ(image.size(), 257u);
+  EXPECT_EQ(fnv1a64(image), 0x9c051b59995c234full);
 }
 
 // ---- Corruption battery ----------------------------------------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "serve/fault_injector.hpp"
@@ -94,6 +95,15 @@ TEST(ModelSnapshot, EncodeDecodeRoundTripIsExact) {
   const nn::Tensor b =
       engine.run_network(decoded.net, input, decoded.weights).output;
   EXPECT_EQ(a, b);
+}
+
+TEST(ModelSnapshot, EncodedImageIsByteStable) {
+  // The on-disk layout is a compatibility promise: files written by earlier
+  // builds must keep loading. Round-trip tests alone would pass even if the
+  // layout drifted, so pin the exact image of the fixture model.
+  const std::vector<std::uint8_t> bytes = encode_snapshot(make_model());
+  EXPECT_EQ(bytes.size(), 9680u);
+  EXPECT_EQ(loom::fnv1a64(bytes), 0xc232f34ce2d00e9cull);
 }
 
 TEST(ModelSnapshot, SaveLoadRoundTripsThroughDisk) {
