@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 namespace loom {
 
@@ -92,8 +93,8 @@ struct NafDigits {
 [[nodiscard]] int naf_term_count(std::uint32_t mag) noexcept;
 
 /// FNV-1a over a byte range — the shared checksum/hash primitive behind
-/// the model-snapshot section checksums, the shard router's rendezvous
-/// hash, and the autotune cache framing.
+/// the section-file checksums (common/section_file.hpp), the shard router's
+/// rendezvous hash and the autotune cache's backend-roster hash.
 [[nodiscard]] inline std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -102,6 +103,12 @@ struct NafDigits {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// FNV-1a over the bytes of a string.
+[[nodiscard]] inline std::uint64_t fnv1a64(std::string_view s) noexcept {
+  return fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
 }  // namespace loom

@@ -19,11 +19,17 @@ std::size_t weighted_layers(const nn::Network& net) {
   return n;
 }
 
-/// Reject weights that do not fit the network: one tensor per weighted
-/// layer, each holding exactly that layer's weight_count() values (a short
-/// tensor would otherwise be read out of bounds by every engine run).
+/// Reject a network the engine cannot run, and weights that do not fit it:
+/// every layer must consume its producer's output, and there must be one
+/// tensor per weighted layer, each holding exactly that layer's
+/// weight_count() values (a broken chain or a short tensor would otherwise
+/// be read out of bounds by every engine run).
 void check_weights(const std::string& name, const nn::Network& net,
                    const std::vector<nn::Tensor>& weights) {
+  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
+    throw ConfigError("model '" + name + "': layer '" + net.layer(i).name +
+                      "' does not consume its producer's output");
+  }
   if (weights.size() != weighted_layers(net)) {
     throw ConfigError("model '" + name + "': " + std::to_string(weights.size()) +
                       " weight tensors for " +

@@ -51,8 +51,8 @@ class ModelRegistry {
  public:
   /// Register a model with explicit weights (one tensor per weighted
   /// layer). `net` must already carry profile precisions
-  /// (quant::apply_profile). Throws ConfigError on duplicate names or a
-  /// weight-count mismatch.
+  /// (quant::apply_profile). Throws ConfigError on duplicate names, a
+  /// network whose layers do not chain, or a weight-count mismatch.
   std::shared_ptr<const Model> add(std::string name, nn::Network net,
                                    quant::PrecisionProfile profile,
                                    std::vector<nn::Tensor> weights);
@@ -67,7 +67,8 @@ class ModelRegistry {
   /// Register a fully materialized model as-is — the snapshot-restore path:
   /// `model.input_spec` is trusted (no recalibration), so a registry built
   /// from load_snapshot serves byte-identical outputs to the one that saved
-  /// it. Throws ConfigError on duplicate names or a weight-count mismatch.
+  /// it. Throws ConfigError on duplicate names, a network whose layers do
+  /// not chain, or a weight-count mismatch.
   std::shared_ptr<const Model> add(Model model);
 
   /// Look up a registered model; throws ConfigError when unknown.

@@ -3,24 +3,14 @@
 // network + materialized weights + calibration spec from disk instead of
 // rebuilding (weight synthesis + calibration bisection) per process.
 //
-// Layout (all integers little-endian, no padding, no don't-care bytes):
-//
-//   header   magic "LOOMSNAP" (8) | version u32 | section_count u32
-//   section  id u32 | length u64 | fnv1a64(payload) u64 | payload bytes
-//   ...      sections in the exact order kName, kNetwork, kProfile,
-//            kInputSpec, kWeights; the last payload must end exactly at EOF
-//
-// Every byte of the file is covered: payload bytes by the per-section
-// FNV-1a checksum, structural bytes (magic, version, counts, ids, lengths,
-// checksums) by strict validation — so any truncation, trailing garbage,
-// bit flip or version skew fails decode with a typed SnapshotError
-// (common/error.hpp), never UB. Pinned by fuzz-style corruption tests in
-// tests/test_model_snapshot.cpp.
-//
-// Writes are crash-safe: save_snapshot writes to `<path>.tmp` and renames
-// over `path` only after a successful full write, so a crash mid-write
-// never leaves a half-written file at the published name (and a reader
-// racing the writer sees either the old complete file or the new one).
+// The file is a common/section_file.hpp image (magic "LOOMSNAP"), whose
+// framing, exact-EOF rule and tmp+rename save are documented there. Its
+// sections, in order: kName, kNetwork, kProfile, kInputSpec, kWeights.
+// Beyond the shared framing checks, decode bounds every count and tensor
+// dimension, and rejects a network whose layers do not chain and weights
+// that do not fit their layers. Every malformed input fails with a typed
+// SnapshotError (common/error.hpp), never UB; pinned by fuzz-style
+// corruption tests in tests/test_model_snapshot.cpp.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +28,6 @@ namespace loom::serve {
 /// decode rejects every other value with SnapshotError (version skew is a
 /// corruption mode, not a best-effort migration).
 inline constexpr std::uint32_t kSnapshotVersion = 1;
-
-/// FNV-1a over a byte range — the section checksum primitive (also reused
-/// by the shard router's rendezvous hash).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept;
-[[nodiscard]] std::uint64_t fnv1a64(const std::string& s) noexcept;
 
 /// Serialize a model to the snapshot byte image (exposed so the corruption
 /// tests can flip bits / truncate without touching disk).

@@ -4,9 +4,9 @@
 #include <exception>
 #include <utility>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "serve/model_snapshot.hpp"
 
 namespace loom::serve {
 

@@ -1,131 +1,49 @@
 #include "sim/autotune_cache.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/bitops.hpp"
 #include "common/cpuid.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/section_file.hpp"
 
 namespace loom::sim {
 
 namespace {
+
+using section_file::ByteReader;
+using section_file::ByteWriter;
 
 // Section ids, in the exact order they must appear in the file.
 enum SectionId : std::uint32_t {
   kKey = 1,
   kCells = 2,
 };
-constexpr SectionId kSectionOrder[] = {kKey, kCells};
-constexpr std::uint32_t kSectionCount = 2;
+constexpr std::uint32_t kSectionOrder[] = {kKey, kCells};
 
-constexpr char kMagic[8] = {'L', 'O', 'O', 'M', 'T', 'U', 'N', 'E'};
+constexpr section_file::Format kFormat{
+    .label = "autotune cache",
+    .magic = "LOOMTUNE",
+    .version = kAutotuneCacheVersion,
+    .sections = kSectionOrder,
+    .max_string = 1u << 10,
+    .raise = section_file::throw_as<AutotuneCacheError>,
+};
 
 // Decode-side sanity bounds: far above any real tuning run, tight enough
 // that a corrupted count field cannot drive a pathological allocation.
-constexpr std::uint64_t kMaxString = 1u << 10;
 constexpr std::uint64_t kMaxCells = 1u << 20;
 constexpr std::uint64_t kMaxSamples = 256;
 
-// ---- Little-endian encode into a growing byte buffer ----------------------
-
-struct Writer {
-  std::vector<std::uint8_t> out;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  }
-  void u8(std::uint8_t v) { out.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    if (s.size() > kMaxString) {
-      throw AutotuneCacheError("string too long for autotune cache: " +
-                               std::to_string(s.size()) + " bytes");
-    }
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-// ---- Bounds-checked little-endian decode ----------------------------------
-
-struct Reader {
-  std::span<const std::uint8_t> in;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return in.size() - pos;
-  }
-  void need(std::size_t n, const char* what) const {
-    if (remaining() < n) {
-      throw AutotuneCacheError(
-          std::string("autotune cache truncated reading ") + what + ": need " +
-          std::to_string(n) + " bytes, have " + std::to_string(remaining()));
-    }
-  }
-  [[nodiscard]] std::uint8_t u8(const char* what) {
-    need(1, what);
-    return in[pos++];
-  }
-  [[nodiscard]] std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(in[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(in[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  [[nodiscard]] std::int32_t i32(const char* what) {
-    return static_cast<std::int32_t>(u32(what));
-  }
-  [[nodiscard]] std::int64_t i64(const char* what) {
-    return static_cast<std::int64_t>(u64(what));
-  }
-  [[nodiscard]] std::string str(const char* what) {
-    const std::uint64_t n = u64(what);
-    if (n > kMaxString) {
-      throw AutotuneCacheError(
-          std::string("autotune cache string length for ") + what +
-          " out of range: " + std::to_string(n));
-    }
-    need(static_cast<std::size_t>(n), what);
-    std::string s(reinterpret_cast<const char*>(in.data() + pos),
-                  static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
-    return s;
-  }
-};
-
 // ---- Section payloads ------------------------------------------------------
 
-void encode_key(Writer& w, const AutotuneCacheKey& key) {
+void encode_key(ByteWriter& w, const AutotuneCacheKey& key) {
   w.str(key.simd);
   w.u64(key.backend_set_hash);
 }
 
-[[nodiscard]] AutotuneCacheKey decode_key(Reader& r) {
+[[nodiscard]] AutotuneCacheKey decode_key(ByteReader& r) {
   AutotuneCacheKey key;
   key.simd = r.str("simd tier");
   key.backend_set_hash = r.u64("backend set hash");
@@ -143,7 +61,7 @@ void encode_key(Writer& w, const AutotuneCacheKey& key) {
   return false;
 }
 
-void encode_cell(Writer& w, const BackendAutotuner::Decision& d) {
+void encode_cell(ByteWriter& w, const BackendAutotuner::Decision& d) {
   const TuneKey& k = d.key;
   w.i32(k.kind);
   w.i64(k.in_c);
@@ -172,14 +90,10 @@ void encode_cell(Writer& w, const BackendAutotuner::Decision& d) {
   }
 }
 
-[[nodiscard]] BackendAutotuner::Decision decode_cell(Reader& r) {
+[[nodiscard]] BackendAutotuner::Decision decode_cell(ByteReader& r) {
   BackendAutotuner::Decision d;
   TuneKey& k = d.key;
-  k.kind = r.i32("cell kind");
-  if (k.kind != 0 && k.kind != 1) {
-    throw AutotuneCacheError("autotune cache cell kind out of range: " +
-                             std::to_string(k.kind));
-  }
+  k.kind = r.i32_in("cell kind", 0, 1);
   k.in_c = r.i64("cell in_c");
   k.in_h = r.i64("cell in_h");
   k.in_w = r.i64("cell in_w");
@@ -201,8 +115,7 @@ void encode_cell(Writer& w, const BackendAutotuner::Decision& d) {
   d.winner = r.str("cell winner");
   const std::uint64_t n = r.u64("cell sample count");
   if (n == 0 || n > kMaxSamples) {
-    throw AutotuneCacheError(
-        "autotune cache cell sample count out of range: " + std::to_string(n));
+    r.fail("cell sample count out of range: " + std::to_string(n));
   }
   d.samples.reserve(static_cast<std::size_t>(n));
   bool winner_sampled = false;
@@ -214,9 +127,8 @@ void encode_cell(Writer& w, const BackendAutotuner::Decision& d) {
     d.samples.push_back(std::move(s));
   }
   if (d.winner.empty() || !winner_sampled) {
-    throw AutotuneCacheError(
-        "autotune cache cell winner '" + d.winner +
-        "' is not backed by a sample (invalid or tampered cell)");
+    r.fail("cell winner '" + d.winner +
+           "' is not backed by a sample (invalid or tampered cell)");
   }
   return d;
 }
@@ -242,176 +154,76 @@ AutotuneCacheKey current_autotune_cache_key() {
     roster += name;
     roster += '\n';
   }
-  key.backend_set_hash = fnv1a64(
-      {reinterpret_cast<const std::uint8_t*>(roster.data()), roster.size()});
+  key.backend_set_hash = fnv1a64(roster);
   return key;
 }
 
 std::vector<std::uint8_t> encode_autotune_cache(
     std::span<const BackendAutotuner::Decision> decisions,
     const AutotuneCacheKey& key) {
-  Writer w;
-  w.bytes(kMagic, sizeof kMagic);
-  w.u32(kAutotuneCacheVersion);
-  w.u32(kSectionCount);
-
-  for (const SectionId id : kSectionOrder) {
-    Writer payload;
-    switch (id) {
-      case kKey:
-        encode_key(payload, key);
-        break;
-      case kCells: {
-        std::uint64_t count = 0;
-        for (const auto& d : decisions) count += persistable(d) ? 1 : 0;
-        payload.u64(count);
-        for (const auto& d : decisions) {
-          if (persistable(d)) encode_cell(payload, d);
+  return section_file::encode_sections(
+      kFormat, [&](std::uint32_t id, ByteWriter& w) {
+        switch (id) {
+          case kKey:
+            encode_key(w, key);
+            break;
+          case kCells: {
+            std::uint64_t count = 0;
+            for (const auto& d : decisions) count += persistable(d) ? 1 : 0;
+            w.u64(count);
+            for (const auto& d : decisions) {
+              if (persistable(d)) encode_cell(w, d);
+            }
+            break;
+          }
         }
-        break;
-      }
-    }
-    w.u32(id);
-    w.u64(payload.out.size());
-    w.u64(fnv1a64(payload.out));
-    w.bytes(payload.out.data(), payload.out.size());
-  }
-  return std::move(w.out);
+      });
 }
 
 std::vector<BackendAutotuner::Decision> decode_autotune_cache(
     std::span<const std::uint8_t> bytes, const AutotuneCacheKey& expect) {
-  Reader r{bytes};
-  r.need(sizeof kMagic, "magic");
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    throw AutotuneCacheError(
-        "autotune cache magic mismatch: not a LOOMTUNE file");
-  }
-  r.pos = sizeof kMagic;
-  const std::uint32_t version = r.u32("version");
-  if (version != kAutotuneCacheVersion) {
-    throw AutotuneCacheError("autotune cache version skew: file has version " +
-                             std::to_string(version) + ", this build reads " +
-                             std::to_string(kAutotuneCacheVersion));
-  }
-  const std::uint32_t sections = r.u32("section count");
-  if (sections != kSectionCount) {
-    throw AutotuneCacheError("autotune cache section count mismatch: " +
-                             std::to_string(sections) + " != " +
-                             std::to_string(kSectionCount));
-  }
-
   std::vector<BackendAutotuner::Decision> decisions;
-  for (const SectionId expected : kSectionOrder) {
-    const std::uint32_t id = r.u32("section id");
-    if (id != expected) {
-      throw AutotuneCacheError(
-          "autotune cache section order violation: got id " +
-          std::to_string(id) + ", expected " + std::to_string(expected));
-    }
-    const std::uint64_t length = r.u64("section length");
-    const std::uint64_t checksum = r.u64("section checksum");
-    // Checked AFTER the checksum field is consumed: remaining() must cover
-    // the payload itself, or the subspan below would read past the buffer.
-    if (length > r.remaining()) {
-      throw AutotuneCacheError("autotune cache section " + std::to_string(id) +
-                               " length " + std::to_string(length) +
-                               " overruns the file (" +
-                               std::to_string(r.remaining()) + " bytes left)");
-    }
-    const std::span<const std::uint8_t> payload =
-        bytes.subspan(r.pos, static_cast<std::size_t>(length));
-    if (fnv1a64(payload) != checksum) {
-      throw AutotuneCacheError("autotune cache section " + std::to_string(id) +
-                               " checksum mismatch (corrupted payload)");
-    }
-    Reader section{payload};
-    switch (expected) {
-      case kKey: {
-        const AutotuneCacheKey key = decode_key(section);
-        if (!(key == expect)) {
-          throw AutotuneCacheError(
-              "autotune cache key mismatch: file tuned for simd='" + key.simd +
-              "' backend-set=" + std::to_string(key.backend_set_hash) +
-              ", this process is simd='" + expect.simd +
-              "' backend-set=" + std::to_string(expect.backend_set_hash) +
-              " (stale or foreign cache)");
+  section_file::decode_sections(
+      kFormat, bytes, [&](std::uint32_t id, ByteReader& r) {
+        switch (id) {
+          case kKey: {
+            const AutotuneCacheKey key = decode_key(r);
+            if (!(key == expect)) {
+              r.fail("key mismatch: file tuned for simd='" + key.simd +
+                     "' backend-set=" + std::to_string(key.backend_set_hash) +
+                     ", this process is simd='" + expect.simd +
+                     "' backend-set=" +
+                     std::to_string(expect.backend_set_hash) +
+                     " (stale or foreign cache)");
+            }
+            break;
+          }
+          case kCells: {
+            const std::uint64_t count = r.count("cell count", kMaxCells);
+            decisions.reserve(static_cast<std::size_t>(count));
+            for (std::uint64_t i = 0; i < count; ++i) {
+              decisions.push_back(decode_cell(r));
+            }
+            break;
+          }
         }
-        break;
-      }
-      case kCells: {
-        const std::uint64_t count = section.u64("cell count");
-        if (count > kMaxCells) {
-          throw AutotuneCacheError("autotune cache cell count out of range: " +
-                                   std::to_string(count));
-        }
-        decisions.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-          decisions.push_back(decode_cell(section));
-        }
-        break;
-      }
-    }
-    if (section.pos != payload.size()) {
-      throw AutotuneCacheError("autotune cache section " +
-                               std::to_string(expected) + " has " +
-                               std::to_string(payload.size() - section.pos) +
-                               " trailing bytes");
-    }
-    r.pos += static_cast<std::size_t>(length);
-  }
-  if (r.pos != bytes.size()) {
-    throw AutotuneCacheError("autotune cache has " +
-                             std::to_string(bytes.size() - r.pos) +
-                             " trailing bytes after the last section");
-  }
+      });
   return decisions;
 }
 
 void save_autotune_cache(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = encode_autotune_cache(
-      BackendAutotuner::instance().decisions(), current_autotune_cache_key());
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw AutotuneCacheError("cannot open '" + tmp + "' for writing");
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    throw AutotuneCacheError("short write saving autotune cache to '" + tmp +
-                             "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw AutotuneCacheError("cannot rename '" + tmp + "' to '" + path + "'");
-  }
+  section_file::save_file(
+      kFormat, path,
+      encode_autotune_cache(BackendAutotuner::instance().decisions(),
+                            current_autotune_cache_key()));
 }
 
 std::size_t load_autotune_cache(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw AutotuneCacheError("cannot open autotune cache '" + path + "'");
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-    bytes.insert(bytes.end(), buf, buf + n);
-    if (n < sizeof buf) break;
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw AutotuneCacheError("short read loading autotune cache '" + path +
-                             "'");
-  }
   // Decode fully (and throw) BEFORE touching autotuner state: a rejected
   // cache must never half-install.
   const std::vector<BackendAutotuner::Decision> decisions =
-      decode_autotune_cache(bytes, current_autotune_cache_key());
+      decode_autotune_cache(section_file::read_file(kFormat, path),
+                            current_autotune_cache_key());
   return BackendAutotuner::instance().install(decisions);
 }
 

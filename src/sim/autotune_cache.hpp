@@ -4,12 +4,9 @@
 // process starts with every previously-tuned (geometry, precision, batch,
 // grid, jobs) cell already decided.
 //
-// Layout mirrors serve/model_snapshot's framing conventions (all integers
-// little-endian, every payload byte checksummed, exact EOF):
-//
-//   header   magic "LOOMTUNE" (8) | version u32 | section_count u32 (= 2)
-//   section  id u32 | length u64 | fnv1a64(payload) u64 | payload bytes
-//   ...      sections in the exact order kKey, kCells
+// The file is a common/section_file.hpp image (magic "LOOMTUNE"), whose
+// framing, exact-EOF rule and crash-safe tmp+rename save are documented
+// there. Its sections, in order: kKey, kCells.
 //
 // The kKey section pins what the measurements meant: the effective SIMD
 // dispatch tier (common/cpuid) and an FNV hash of the registered tunable
@@ -20,9 +17,6 @@
 // rejected load leaves the in-memory autotuner untouched. Same story for
 // truncation, bit flips and version skew (fuzz-pinned by
 // tests/test_autotune_cache.cpp).
-//
-// Writes are crash-safe: save writes `<path>.tmp` and renames over `path`
-// only after a successful full write.
 //
 // Wiring: LOOM_AUTOTUNE_CACHE=<path> names the cache file. The functional
 // engines and the inference server call init_autotune_cache_from_env() at

@@ -572,8 +572,8 @@ LutEngine::LutEngine(Options opts) : opts_(opts), simd_(common::simd_level()) {
 
 void LutEngine::conv_slab(const nn::Layer& layer,
                           std::span<const nn::Tensor* const> inputs,
-                          const nn::Tensor& weights, const SliceSpec& spec,
-                          std::int64_t g, std::int64_t slab,
+                          const SliceSpec& spec, std::int64_t g,
+                          std::int64_t slab,
                           std::span<nn::WideTensor* const> wides,
                           std::span<const std::uint8_t> wpack,
                           Scratch& scratch, ConvStats& stats) const {
@@ -772,8 +772,8 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * (s + 1)) / stripes);
     for (std::int64_t t = lo; t < hi; ++t) {
-      conv_slab(layer, inputs, weights, spec, t / slab_count, t % slab_count,
-                wides, wpack, scratch, stripe_stats[s]);
+      conv_slab(layer, inputs, spec, t / slab_count, t % slab_count, wides,
+                wpack, scratch, stripe_stats[s]);
     }
   };
 

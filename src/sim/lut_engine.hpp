@@ -149,8 +149,7 @@ class LutEngine {
 
   void conv_slab(const nn::Layer& layer,
                  std::span<const nn::Tensor* const> inputs,
-                 const nn::Tensor& weights, const SliceSpec& spec,
-                 std::int64_t g, std::int64_t slab,
+                 const SliceSpec& spec, std::int64_t g, std::int64_t slab,
                  std::span<nn::WideTensor* const> wides,
                  std::span<const std::uint8_t> wpack, Scratch& scratch,
                  ConvStats& stats) const;

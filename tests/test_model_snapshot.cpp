@@ -14,6 +14,8 @@
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "nn/zoo/zoo.hpp"
+#include "quant/profiles.hpp"
 #include "serve/fault_injector.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
@@ -148,6 +150,21 @@ TEST(ModelSnapshot, RegistryAddRejectsTruncatedWeightTensor) {
   EXPECT_THROW(registry.add(model), ConfigError);
   EXPECT_THROW(registry.add("convnet", model.net, model.profile, model.weights),
                ConfigError);
+}
+
+TEST(ModelSnapshot, RegistryAddRejectsBrokenLayerChain) {
+  // GoogLeNet's flattened inception branches do not chain, so no engine can
+  // run it: the registry refuses it like snapshot decode does, rather than
+  // serving a model whose every request fails.
+  nn::Network net = nn::zoo::make("googlenet");
+  const quant::PrecisionProfile p =
+      quant::profile_for("googlenet", quant::AccuracyTarget::k100);
+  quant::apply_profile(net, p);
+  ASSERT_LT(net.first_chain_break(), net.size());
+  ModelRegistry registry;
+  EXPECT_THROW((void)registry.add_synthetic("googlenet", std::move(net), p, 1),
+               ConfigError);
+  EXPECT_TRUE(registry.names().empty());
 }
 
 TEST(ModelSnapshot, BrokenLayerChainIsRejected) {

@@ -533,7 +533,9 @@ TEST(ServeRobustness, QueueSnapshotTracksPendingAndDrains) {
   // popped some already — depth + inflight covers them either way).
   const QueueSnapshot busy = server.queue_snapshot();
   EXPECT_GE(busy.depth + busy.inflight, 1u);
-  if (busy.depth > 0) EXPECT_GE(busy.oldest_age.count(), 0);
+  if (busy.depth > 0) {
+    EXPECT_GE(busy.oldest_age.count(), 0);
+  }
 
   for (auto& fut : futures) EXPECT_NO_THROW((void)fut.get());
   server.stop();  // joins workers: all snapshot decrements have landed
