@@ -20,7 +20,6 @@
 #include "core/loom.hpp"
 #include "nn/im2col.hpp"
 #include "sim/autotune_cache.hpp"
-#include "sim/lut_engine.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/server.hpp"
 #include "serve/shard_router.hpp"
@@ -375,94 +374,122 @@ void BM_FunctionalConvLayerThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalConvLayerThreaded)->Unit(benchmark::kMillisecond);
 
-// ---- LUT backend ------------------------------------------------------------
-// The per-activation-group partial-sum LUT kernel against the bit-sliced
-// engine on a LUT-friendly shape: 2-bit weights (one 1-bit slice plus the
-// negated MSB slice), many output channels to amortize the 256-entry table
-// build, dense 9-bit activations so the bit-sliced plane loop has real work
-// per group. The ratio BM_BitsliceConvLayerLowPw / BM_LutConvLayer is the
-// table kernel's win; BM_AutotunerPick shows "auto" finding it by itself and
-// the ~ns steady-state cost of asking the memo afterwards.
+// ---- Dense-GEMM backend ------------------------------------------------------
+// The speed-of-light kernel on the shapes the zoo really runs: NiN conv2
+// (96ch 27x27 -> 256 filters 5x5, Pa 9 / Pw 11) and AlexNet fc7 (4096 ->
+// 4096, Pw 9). Each has a bitslice-pinned twin on the identical layer; the
+// twin / gemm ratio is the dense kernel's single-core win.
 
-/// LUT showcase geometry at a chosen weight precision: 64ch 14x14 -> 256
-/// filters 3x3, Pa 9, dense. Pw 2 is the headline case; the sweep bench
-/// walks Pw up to show where the per-slice table reuse stops paying.
-FunctionalBenchCase lut_case_pw(int pw) {
-  nn::Network net("lut-bench", nn::Shape3{64, 14, 14});
-  net.add_conv("c", 256, 3, 1, 1).precision_group = 0;
+/// NiN conv2 geometry, Pa 9 / Pw 11, ReLU-sparse synthetic activations.
+FunctionalBenchCase nin_conv2_case() {
+  nn::Network net("nin-conv2", nn::Shape3{96, 27, 27});
+  net.add_conv("conv2", 256, 5, 1, 2).precision_group = 0;
   quant::PrecisionProfile p;
-  p.network = "lut-bench";
+  p.network = "nin-conv2";
   p.conv_act = {9};
-  p.conv_weight = pw;
+  p.conv_weight = 11;
   quant::apply_profile(net, p);
-  nn::SyntheticSpec act{.precision = 9, .alpha = 1.2, .is_signed = false};
-  nn::SyntheticSpec wsp{.precision = pw, .alpha = 1.2, .is_signed = true};
+  nn::SyntheticSpec act{.precision = 9, .alpha = 3.0, .is_signed = false,
+                        .zero_fraction = 0.45};
+  nn::SyntheticSpec wsp{.precision = 11, .alpha = 2.0, .is_signed = true};
   FunctionalBenchCase c{std::move(net), {}, {}};
   c.input = nn::make_activation_tensor(c.net.layer(0).in, act, 1, 0);
   c.weights = nn::make_weight_tensor(c.net.layer(0).weight_count(), wsp, 2, 1);
   return c;
 }
 
-/// Low-Pw LUT showcase: 64ch 14x14 -> 256 filters 3x3, Pa 9 / Pw 2, dense.
-FunctionalBenchCase lut_case() { return lut_case_pw(2); }
-
-void BM_LutConvLayer(benchmark::State& state) {
-  const FunctionalBenchCase c = lut_case();
-  sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .backend = "lut"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
-}
-BENCHMARK(BM_LutConvLayer);
-
-void BM_BitsliceConvLayerLowPw(benchmark::State& state) {
-  // The bit-sliced engine on the identical layer: the head-to-head the
-  // autotuner decides per cell.
-  const FunctionalBenchCase c = lut_case();
-  sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .backend = "bitslice"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
-}
-BENCHMARK(BM_BitsliceConvLayerLowPw);
-
-void BM_LutFcLayer(benchmark::State& state) {
-  // FC through the LUT kernel: signed 16-bit activations, 2-bit weights,
-  // 1024 -> 512 (tables built once per input, reused by all 512 rows).
-  nn::Network net("lut-fc", nn::Shape3{1024, 1, 1});
-  net.add_fc("h", 512);
+/// AlexNet fc7 geometry: signed 16-bit activations, Pw 9 weights.
+FunctionalBenchCase alexnet_fc7_case() {
+  nn::Network net("alexnet-fc7", nn::Shape3{4096, 1, 1});
+  net.add_fc("fc7", 4096);
   quant::PrecisionProfile p;
-  p.network = "lut-fc";
-  p.conv_weight = 2;
-  p.fc_weight = {2};
+  p.network = "alexnet-fc7";
+  p.conv_weight = 9;
+  p.fc_weight = {9};
   quant::apply_profile(net, p);
   nn::SyntheticSpec act{.precision = 16, .alpha = 3.0, .is_signed = true};
-  nn::SyntheticSpec wsp{.precision = 2, .alpha = 1.2, .is_signed = true};
-  const nn::Tensor input = nn::make_activation_tensor(net.layer(0).in, act, 1, 0);
-  const nn::Tensor weights =
-      nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 2, 1);
+  nn::SyntheticSpec wsp{.precision = 9, .alpha = 2.0, .is_signed = true};
+  FunctionalBenchCase c{std::move(net), {}, {}};
+  c.input = nn::make_activation_tensor(c.net.layer(0).in, act, 1, 0);
+  c.weights = nn::make_weight_tensor(c.net.layer(0).weight_count(), wsp, 2, 1);
+  return c;
+}
+
+void run_conv_bench(benchmark::State& state, const FunctionalBenchCase& c,
+                    const char* backend) {
   sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .backend = "lut"});
+      sim::FunctionalOptions{.jobs = 1, .backend = backend});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.run_fc(net.layer(0), input, weights, 16));
+        engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
   }
-  state.SetItemsProcessed(state.iterations() * net.layer(0).macs());
+  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
 }
-BENCHMARK(BM_LutFcLayer);
+
+void run_fc_bench(benchmark::State& state, const FunctionalBenchCase& c,
+                  const char* backend) {
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = backend});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.run_fc(c.net.layer(0), c.input, c.weights, 16));
+  }
+  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
+}
+
+void BM_GemmConvLayer(benchmark::State& state) {
+  run_conv_bench(state, nin_conv2_case(), "gemm");
+}
+BENCHMARK(BM_GemmConvLayer)->Unit(benchmark::kMillisecond);
+
+void BM_GemmConvLayerBitslice(benchmark::State& state) {
+  run_conv_bench(state, nin_conv2_case(), "bitslice");
+}
+BENCHMARK(BM_GemmConvLayerBitslice)->Unit(benchmark::kMillisecond);
+
+void BM_GemmFcLayer(benchmark::State& state) {
+  run_fc_bench(state, alexnet_fc7_case(), "gemm");
+}
+BENCHMARK(BM_GemmFcLayer)->Unit(benchmark::kMillisecond);
+
+void BM_GemmFcLayerBitslice(benchmark::State& state) {
+  run_fc_bench(state, alexnet_fc7_case(), "bitslice");
+}
+BENCHMARK(BM_GemmFcLayerBitslice)->Unit(benchmark::kMillisecond);
+
+// ---- Autotuner ----------------------------------------------------------------
+// A low-Pw shape (2-bit weights), where the bit-sliced kernel's cost per
+// weight is smallest: BM_BitsliceConvLayerLowPw runs it pinned, and the
+// autotuner benches converge its cell and time the memo.
+
+/// Low-Pw geometry: 64ch 14x14 -> 256 filters 3x3, Pa 9 / Pw 2, dense.
+FunctionalBenchCase lowpw_case() {
+  nn::Network net("lowpw-bench", nn::Shape3{64, 14, 14});
+  net.add_conv("c", 256, 3, 1, 1).precision_group = 0;
+  quant::PrecisionProfile p;
+  p.network = "lowpw-bench";
+  p.conv_act = {9};
+  p.conv_weight = 2;
+  quant::apply_profile(net, p);
+  nn::SyntheticSpec act{.precision = 9, .alpha = 1.2, .is_signed = false};
+  nn::SyntheticSpec wsp{.precision = 2, .alpha = 1.2, .is_signed = true};
+  FunctionalBenchCase c{std::move(net), {}, {}};
+  c.input = nn::make_activation_tensor(c.net.layer(0).in, act, 1, 0);
+  c.weights = nn::make_weight_tensor(c.net.layer(0).weight_count(), wsp, 2, 1);
+  return c;
+}
+
+void BM_BitsliceConvLayerLowPw(benchmark::State& state) {
+  run_conv_bench(state, lowpw_case(), "bitslice");
+}
+BENCHMARK(BM_BitsliceConvLayerLowPw);
 
 void BM_AutotunerPick(benchmark::State& state) {
   // Converge the low-Pw cell by running the layer through an "auto" engine
   // (each run samples one candidate on real work), then time the memoized
   // choose() — the steady-state per-layer overhead of "auto". The label
   // reports the kernel the tuner picked on this machine.
-  const FunctionalBenchCase c = lut_case();
+  const FunctionalBenchCase c = lowpw_case();
   const nn::Layer& layer = c.net.layer(0);
   const sim::BackendContext ctx{.jobs = 1};
   const sim::BitsliceEngine::SliceSpec spec{
@@ -492,52 +519,6 @@ void BM_AutotunerPick(benchmark::State& state) {
 }
 BENCHMARK(BM_AutotunerPick);
 
-void BM_LutConvLayerPwSweep(benchmark::State& state) {
-  // The LUT kernel across weight precisions: each extra Pw bit adds one
-  // 1-bit slice lookup per group against the same 256-entry table, so cost
-  // should grow roughly linearly in Pw while the table build stays fixed.
-  const int pw = static_cast<int>(state.range(0));
-  const FunctionalBenchCase c = lut_case_pw(pw);
-  sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .backend = "lut"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
-}
-BENCHMARK(BM_LutConvLayerPwSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_LutTableBuild(benchmark::State& state) {
-  // The vector-doubling 256-entry table fill in isolation, per SIMD tier
-  // (arg 0 = scalar, 1 = avx2, 2 = avx512; clamped to what the host has —
-  // the label reports the tier that actually ran). The scalar-vs-best
-  // ratio is the table-build speedup the SIMD kernels contribute.
-  const auto requested = static_cast<common::SimdLevel>(state.range(0));
-  const common::SimdLevel level =
-      std::min(requested, common::hardware_simd_level());
-  constexpr std::size_t kGroups = 64;
-  std::vector<std::int32_t> acts(kGroups * 8);
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    acts[i] = static_cast<std::int32_t>((i * 37 + 11) % 256) - 128;
-  }
-  std::vector<std::int16_t> luts(kGroups * 256 +
-                                 sim::lut_kernels::kLutPadEntries);
-  for (auto _ : state) {
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      sim::lut_kernels::build_table_i16(level, acts.data() + g * 8,
-                                        luts.data() + g * 256);
-    }
-    benchmark::DoNotOptimize(luts.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(std::string("tier=") + common::simd_level_name(level));
-  // Entries filled per second.
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kGroups) * 256);
-}
-BENCHMARK(BM_LutTableBuild)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_AutotunerColdStart(benchmark::State& state) {
   // What LOOM_AUTOTUNE_CACHE buys at process start. Each iteration plays a
   // fresh "process" deciding the low-Pw cell: cold (arg 0) explores every
@@ -547,7 +528,7 @@ void BM_AutotunerColdStart(benchmark::State& state) {
   // mechanism visible: ~candidate-count cold, exactly 0 warm.
   const bool warm = state.range(0) != 0;
   const std::string path = "/tmp/loom_bench_autotune.bin";
-  const FunctionalBenchCase c = lut_case();
+  const FunctionalBenchCase c = lowpw_case();
   const nn::Layer& layer = c.net.layer(0);
   auto& tuner = sim::BackendAutotuner::instance();
 

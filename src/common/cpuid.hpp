@@ -1,12 +1,12 @@
 // Runtime CPU feature detection shared by every SIMD-dispatched kernel
-// (the bit-sliced Harley-Seal sweep, the LUT table build/lookup). One probe,
+// (the bit-sliced Harley-Seal sweep, the dense-GEMM multiply-add). One probe,
 // one policy: kernels ask for the process-wide SimdLevel instead of each
 // carrying a private __builtin_cpu_supports call, so a single environment
 // override can force every dispatch site down to a lower tier — the switch
 // the per-tier CI legs and the cross-tier byte-identity tests stand on.
 //
-// Tier semantics: kAvx512 implies AVX-512 F + BW (the 16-bit vector adds of
-// the LUT table build need BW); kAvx2 implies AVX2. Each tier includes the
+// Tier semantics: kAvx512 implies AVX-512 F + BW (the GEMM's 16-bit
+// multiply-adds and shifts need BW); kAvx2 implies AVX2. Each tier includes the
 // ones below it, so "supports at least X" is an ordinary >= compare.
 //
 // Overrides (read once, first use — set them before the process starts):

@@ -192,7 +192,7 @@ struct ServerStats {
   std::uint64_t fallbacks = 0;      ///< batches degraded to the scalar oracle
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_batch = 0;
-  /// Layer runs per functional kernel ("scalar", "bitslice", "lut", ...):
+  /// Layer runs per functional kernel ("scalar", "bitslice", "gemm", ...):
   /// which backend actually served each weighted layer, fallback runs
   /// included — the observable trace of autotuner + degradation decisions.
   std::map<std::string, std::uint64_t> backend_layer_runs;

@@ -13,7 +13,7 @@
 #include "arch/tile.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/lut_engine.hpp"
+#include "sim/gemm_engine.hpp"
 
 namespace loom::sim {
 
@@ -223,11 +223,13 @@ class ScalarBackend final : public FunctionalBackend {
 };
 
 // ---------------------------------------------------------------------------
-// Bit-sliced backend: thin adapter over BitsliceEngine.
+// Word-parallel backends: thin adapters over BitsliceEngine / GemmEngine,
+// which share the grid options and the layer-call surface.
 
-class BitsliceBackend final : public FunctionalBackend {
+template <typename Engine>
+class EngineBackend final : public FunctionalBackend {
  public:
-  explicit BitsliceBackend(const BackendContext& ctx)
+  explicit EngineBackend(const BackendContext& ctx)
       : engine_({.rows = ctx.rows,
                  .cols = ctx.cols,
                  .lanes = ctx.lanes,
@@ -254,44 +256,7 @@ class BitsliceBackend final : public FunctionalBackend {
   }
 
  private:
-  BitsliceEngine engine_;
-};
-
-// ---------------------------------------------------------------------------
-// LUT backends: the T-MAC-style table kernel, in the L1-tiled and the
-// build-everything-up-front ("outer") variants.
-
-class LutBackend final : public FunctionalBackend {
- public:
-  LutBackend(const BackendContext& ctx, int group_tile)
-      : engine_({.rows = ctx.rows,
-                 .cols = ctx.cols,
-                 .lanes = ctx.lanes,
-                 .jobs = ctx.jobs,
-                 .group_tile = group_tile}) {}
-
-  BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) override {
-    return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
-  }
-
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
-    engine_.run_fc(layer, input, weights, weight_precision, wide);
-  }
-
-  void run_fc_batch(const nn::Layer& layer,
-                    std::span<const nn::Tensor* const> inputs,
-                    const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides) override {
-    engine_.run_fc_batch(layer, inputs, weights, weight_precision, wides);
-  }
-
- private:
-  LutEngine engine_;
+  Engine engine_;
 };
 
 bool scalar_supports(const BackendContext&) { return true; }
@@ -308,15 +273,11 @@ bool grid_supports(const BackendContext& ctx) {
 }
 
 std::unique_ptr<FunctionalBackend> make_bitslice(const BackendContext& ctx) {
-  return std::make_unique<BitsliceBackend>(ctx);
+  return std::make_unique<EngineBackend<BitsliceEngine>>(ctx);
 }
 
-std::unique_ptr<FunctionalBackend> make_lut(const BackendContext& ctx) {
-  return std::make_unique<LutBackend>(ctx, /*group_tile=*/64);
-}
-
-std::unique_ptr<FunctionalBackend> make_lut_outer(const BackendContext& ctx) {
-  return std::make_unique<LutBackend>(ctx, /*group_tile=*/0);
+std::unique_ptr<FunctionalBackend> make_gemm(const BackendContext& ctx) {
+  return std::make_unique<EngineBackend<GemmEngine>>(ctx);
 }
 
 }  // namespace
@@ -337,11 +298,8 @@ BackendRegistry::BackendRegistry() : impl_(new Impl) {
       {.name = "bitslice", .tunable = true, .supports = grid_supports,
        .make = make_bitslice});
   impl_->entries.push_back(
-      {.name = "lut", .tunable = true, .supports = grid_supports,
-       .make = make_lut});
-  impl_->entries.push_back(
-      {.name = "lut-outer", .tunable = true, .supports = grid_supports,
-       .make = make_lut_outer});
+      {.name = "gemm", .tunable = true, .supports = grid_supports,
+       .make = make_gemm});
 }
 
 BackendRegistry& BackendRegistry::instance() {

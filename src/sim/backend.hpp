@@ -13,10 +13,8 @@
 //   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
 //                (ground truth; never an autotuner candidate)
 //   bitslice   — 64 SIP columns per machine word (sim/bitslice_engine.hpp)
-//   lut        — T-MAC-style per-activation-group partial-sum LUTs
-//                (sim/lut_engine.hpp), L1-tiled table working set
-//   lut-outer  — the LUT kernel with all tables built up front (one big
-//                working set; wins when the whole slab's tables fit cache)
+//   gemm       — dense int16 GEMM plus the shared streaming-statistics pass
+//                (sim/gemm_engine.hpp); the speed-of-light exact kernel
 //
 // Backend selection (resolve_backend_name): FunctionalOptions::force_scalar
 // or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise an explicit

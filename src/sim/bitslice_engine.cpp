@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/im2col.hpp"
+#include "sim/gemm_engine.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -392,19 +393,19 @@ void BitsliceEngine::conv_slab(const nn::Layer& layer,
   const int act_neg_plane = spec.act_signed ? profile - 1 : -1;
 
   // ---- Phase 1: transpose this slab's activations to dense bit-plane
-  // lists, one chunk at a time, computing each column-group's streamed
-  // precision (the dispatcher's OR detector) and the analytic accounting.
+  // lists, one chunk at a time, ORing each column group's raw values (the
+  // dispatcher's detector input) for the shared conv_stream_stats pass.
   scratch.plane_words.clear();
   scratch.plane_bits.clear();
   scratch.plane_begin.assign(static_cast<std::size_t>(ic_count * lanes) + 1, 0);
 
   const std::int64_t kh = layer.kernel_h;
   const std::int64_t kw = layer.kernel_w;
-  std::uint32_t group_or[64];
+  scratch.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0u);
   std::uint64_t planes[kBasePrecision];
   for (std::int64_t ic = 0; ic < ic_count; ++ic) {
     const std::int64_t n = std::min<std::int64_t>(lanes, inner - ic * lanes);
-    std::fill(group_or, group_or + n_groups, 0u);
+    std::uint32_t* group_or = scratch.group_or.data() + ic * n_groups;
     for (std::int64_t l = 0; l < n; ++l) {
       const std::int64_t flat = ic * lanes + l;
       // Hoist the kernel-position math: only the window varies below.
@@ -462,28 +463,8 @@ void BitsliceEngine::conv_slab(const nn::Layer& layer,
       scratch.plane_begin[static_cast<std::size_t>(ic * lanes + l) + 1] =
           static_cast<std::int32_t>(scratch.plane_words.size());
     }
-    for (std::int64_t j = 0; j < n_groups; ++j) {
-      const std::int64_t group_cols =
-          std::min<std::int64_t>(cols, cu - j * cols);
-      int pa = profile;
-      if (spec.dynamic) {
-        pa = std::min(needed_bits_unsigned(group_or[j]), profile);
-        stats.detect_invocations += static_cast<std::uint64_t>(fb_count);
-        stats.detect_values +=
-            static_cast<std::uint64_t>(fb_count * group_cols * n);
-      }
-      stats.cycles += static_cast<std::uint64_t>(fb_count) *
-                      static_cast<std::uint64_t>(pw) *
-                      static_cast<std::uint64_t>(pa);
-      stats.chunks += fb_count;
-      stats.streamed_pa += static_cast<double>(pa) * static_cast<double>(fb_count);
-      stats.act_bits_streamed +=
-          static_cast<std::uint64_t>(pa) *
-          static_cast<std::uint64_t>(fb_count * group_cols * n);
-      stats.weight_bits_streamed += static_cast<std::uint64_t>(pw) *
-                                    static_cast<std::uint64_t>(cog * n);
-    }
   }
+  conv_stream_stats(layer, spec, opts_, cu, scratch.group_or, stats);
 
   // ---- Phase 2: per filter row, every (plane word, weight magnitude bit)
   // pair is one partial-product addend at shift b + s; collect them into
@@ -621,15 +602,7 @@ BitsliceEngine::ConvStats BitsliceEngine::run_conv_batch(
   }
 
   ConvStats total;
-  for (const ConvStats& s : stripe_stats) {
-    total.cycles += s.cycles;
-    total.streamed_pa += s.streamed_pa;
-    total.chunks += s.chunks;
-    total.act_bits_streamed += s.act_bits_streamed;
-    total.weight_bits_streamed += s.weight_bits_streamed;
-    total.detect_invocations += s.detect_invocations;
-    total.detect_values += s.detect_values;
-  }
+  for (const ConvStats& s : stripe_stats) total += s;
   return total;
 }
 

@@ -24,12 +24,11 @@
 // per-column integers: output = pos - neg, bit-identical to driving the
 // scalar arch::Sip grid.
 //
-// FunctionalLoomEngine and FunctionalDpnnEngine run on this engine by
-// default; set LOOM_FUNCTIONAL_SCALAR=1 (or FunctionalOptions::force_scalar)
-// to fall back to the scalar oracle. All cycle counts, streamed-precision
-// means, and dispatcher/detector statistics are reproduced analytically and
-// are byte-identical to the scalar path (pinned by golden digests in
-// tests/test_bitslice_engine.cpp).
+// It is the "bitslice" entry of the functional backend registry
+// (sim/backend.hpp). All cycle counts, streamed-precision means, and
+// dispatcher/detector statistics come from the shared conv_stream_stats
+// pass (sim/gemm_engine.hpp) and are byte-identical to the scalar path
+// (pinned by golden digests in tests/test_bitslice_engine.cpp).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +78,19 @@ class BitsliceEngine {
     std::uint64_t weight_bits_streamed = 0;
     std::uint64_t detect_invocations = 0;
     std::uint64_t detect_values = 0;
+
+    /// Integer-valued fields (streamed_pa included), so sums are exact in
+    /// any order.
+    ConvStats& operator+=(const ConvStats& o) noexcept {
+      cycles += o.cycles;
+      streamed_pa += o.streamed_pa;
+      chunks += o.chunks;
+      act_bits_streamed += o.act_bits_streamed;
+      weight_bits_streamed += o.weight_bits_streamed;
+      detect_invocations += o.detect_invocations;
+      detect_values += o.detect_values;
+      return *this;
+    }
   };
 
   explicit BitsliceEngine(Options opts);
@@ -133,6 +145,8 @@ class BitsliceEngine {
     std::vector<std::uint64_t> plane_words;
     std::vector<std::uint8_t> plane_bits;
     std::vector<std::int32_t> plane_begin;  ///< [ic*lanes + l] .. +1 range
+    /// Raw activation OR per (chunk, column group): the detector's input.
+    std::vector<std::uint32_t> group_or;
     /// Addend arenas: per (sign, shift) pending one-bit-per-column words,
     /// reduced by carry-save adder sweeps (see bitslice_engine.cpp).
     std::vector<std::uint64_t> arena;

@@ -23,11 +23,12 @@
 // analytic model's per-layer kPipelineFill constant).
 //
 // Layer math runs on an interchangeable kernel from the backend registry
-// (sim/backend.hpp): the scalar oracle, the bit-sliced fast path, or the
-// LUT kernels — all byte-identical in outputs, cycle counts,
+// (sim/backend.hpp): the scalar oracle, the bit-sliced engine, or the dense
+// int16 GEMM — all byte-identical in outputs, cycle counts,
 // streamed-precision means and dispatcher/detector statistics (golden-
-// pinned in tests/test_bitslice_engine.cpp, swept by
-// tests/test_backend_differential.cpp). Selection: FunctionalOptions::
+// pinned in tests/test_bitslice_engine.cpp and tests/test_kernel_golden.cpp,
+// swept by tests/test_backend_differential.cpp, whole zoo networks in
+// tests/test_zoo_equivalence.cpp). Selection: FunctionalOptions::
 // backend, then LOOM_FUNCTIONAL_BACKEND, then "auto" — which hands each
 // layer to the BackendAutotuner to memoize the empirically fastest kernel.
 // FunctionalOptions::force_scalar / LOOM_FUNCTIONAL_SCALAR still force the
@@ -70,7 +71,7 @@ struct FunctionalOptions {
   bool force_scalar = false;
   /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
   /// (per-layer autotuned); or a registered name ("scalar", "bitslice",
-  /// "lut", "lut-outer"). Unknown names throw ConfigError at construction.
+  /// "gemm"). Unknown names throw ConfigError at construction.
   std::string backend = {};
   /// Invoked at the top of every run_network / run_network_batch call; may
   /// throw, in which case the run fails before touching any state. This is

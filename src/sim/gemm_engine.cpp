@@ -1,0 +1,641 @@
+#include "sim/gemm_engine.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "common/cpuid.hpp"
+#include "common/error.hpp"
+#include "common/thread_pool.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define LOOM_GEMM_X86 1
+#endif
+
+namespace loom::sim {
+
+namespace {
+
+/// Packed window columns per slab tile: the A tile is [pair][kTile][2]
+/// int16, so one 512-bit load covers 16 windows of one k-pair.
+constexpr int kTile = 64;
+/// Filter rows per register block; conv weight rows are zero-padded to it.
+constexpr int kMr = 6;
+/// Below this many int32 steps per K-block the widening would dominate, so
+/// the activation splits into bytes instead (see operand_plan).
+constexpr std::int64_t kMinBlockSteps = 16;
+/// FC streams (request x activation part) sharing one weight-row load.
+constexpr int kFcStreams = 4;
+
+/// Inner-length cap, the same as the bit-sliced engine's: |product| <=
+/// 2^30, so the int64 sums stay exact far beyond it.
+constexpr std::int64_t kMaxInner = std::int64_t{1} << 28;
+
+/// Steps one int32 lane may accumulate before it must be widened. Each
+/// step adds two products (one vpmaddwd pair), each of magnitude at most
+/// amax * wmax, so after n steps the lane holds at most 2n * amax * wmax —
+/// and every partial sum along the way is bounded the same — which must
+/// not exceed INT32_MAX. Zero means even one pair can wrap (e.g. the signed
+/// 16x16 DPNN spec: (-32768 * -32768) * 2 = 2^31).
+std::int64_t kblock_steps(std::int64_t amax, std::int64_t wmax) {
+  return (std::int64_t{INT32_MAX} / (amax * wmax)) / 2;
+}
+
+/// How one layer's activations enter the int16 GEMM.
+struct OperandPlan {
+  bool split = false;     ///< lo byte + high part, summed as lo + 256 * hi
+  std::int64_t steps = 0; ///< K-block length in int32 steps (kblock_steps)
+};
+
+/// `amax`: the largest activation magnitude the layer can stream. A value
+/// that does not fit int16 (unsigned Pa 16), or a bound too tight for a
+/// useful K-block, splits the activation: the low byte is in [0, 255] and
+/// the high part (value >> 8) in [-128, 255], so both parts fit int16 and
+/// the block bound uses 255.
+OperandPlan operand_plan(std::int64_t amax, int weight_precision) {
+  const std::int64_t wmax = std::int64_t{1} << (weight_precision - 1);
+  OperandPlan plan;
+  plan.steps = kblock_steps(amax, wmax);
+  if (amax > 32768 || plan.steps < kMinBlockSteps) {
+    plan.split = true;
+    plan.steps = kblock_steps(255, wmax);
+  }
+  LOOM_ENSURES(plan.steps >= kMinBlockSteps);
+  return plan;
+}
+
+/// Low `precision` bits of a raw 16-bit pattern, read as two's complement.
+inline std::int32_t sext(Value raw, int precision) noexcept {
+  const auto u = static_cast<std::uint32_t>(static_cast<std::uint16_t>(raw));
+  return static_cast<std::int32_t>(u << (32 - precision)) >> (32 - precision);
+}
+
+// ---------------------------------------------------------------------------
+// Kernels. conv_tile: c[r * kTile + x] += (sum over `steps` k-pairs p of
+//   w[r * ws + 2p] * a[p][x][0] + w[r * ws + 2p + 1] * a[p][x][1]) << shift
+// for rows r < kMr and windows x < 16 * nv, accumulating in int32 (the
+// caller keeps `steps` within the K-block bound) and widening once.
+// fc_row: out[s] += sum over k < n of sext_pw(row[k]) * acts[s][k] for
+// streams s < streams (acts zero-padded to a multiple of 32), widening
+// every `block` vector steps.
+
+void conv_tile_scalar(const std::int16_t* a, const std::int16_t* w,
+                      std::int64_t ws, std::int64_t steps, int nv,
+                      std::int64_t* c, int shift) {
+  const int nw = nv * 16;
+  std::int32_t acc[kMr][kTile] = {};
+  for (std::int64_t p = 0; p < steps; ++p) {
+    const std::int16_t* ap = a + p * 2 * kTile;
+    for (int r = 0; r < kMr; ++r) {
+      const std::int32_t w0 = w[r * ws + 2 * p];
+      const std::int32_t w1 = w[r * ws + 2 * p + 1];
+      for (int x = 0; x < nw; ++x) {
+        acc[r][x] += ap[2 * x] * w0 + ap[2 * x + 1] * w1;
+      }
+    }
+  }
+  for (int r = 0; r < kMr; ++r) {
+    for (int x = 0; x < nw; ++x) {
+      c[r * kTile + x] += static_cast<std::int64_t>(acc[r][x]) * (1 << shift);
+    }
+  }
+}
+
+void fc_row_scalar(const std::int16_t* row, std::int64_t n, int pw,
+                   const std::int16_t* const* acts, int streams,
+                   std::int64_t /*block*/, std::int64_t* out) {
+  // Every product widens straight to int64: no K-block needed.
+  for (std::int64_t k = 0; k < n; ++k) {
+    const std::int64_t wv = sext(row[k], pw);
+    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+  }
+}
+
+#if defined(LOOM_GEMM_X86)
+
+// GCC 12 reports spurious "'__Y' may be used uninitialized" against the
+// extract/convert intrinsics: their header definitions pass
+// _mm512_undefined_epi32() as a never-read operand (GCC PR 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+inline std::int32_t load_pair(const std::int16_t* p) noexcept {
+  std::int32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <int NV>
+__attribute__((target("avx512f,avx512bw"))) void conv_tile_avx512_nv(
+    const std::int16_t* a, const std::int16_t* w, std::int64_t ws,
+    std::int64_t steps, std::int64_t* c, int shift) {
+  __m512i acc[kMr][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_si512();
+  }
+  for (std::int64_t p = 0; p < steps; ++p) {
+    const std::int16_t* ap = a + p * 2 * kTile;
+    __m512i av[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) av[v] = _mm512_loadu_si512(ap + v * 32);
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const __m512i b = _mm512_set1_epi32(load_pair(w + r * ws + 2 * p));
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm512_add_epi32(acc[r][v], _mm512_madd_epi16(av[v], b));
+      }
+    }
+  }
+  const __m128i sh = _mm_cvtsi32_si128(shift);
+  for (int r = 0; r < kMr; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      std::int64_t* dst = c + r * kTile + v * 16;
+      const __m512i lo = _mm512_sll_epi64(
+          _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc[r][v])), sh);
+      const __m512i hi = _mm512_sll_epi64(
+          _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc[r][v], 1)), sh);
+      _mm512_storeu_si512(dst, _mm512_add_epi64(_mm512_loadu_si512(dst), lo));
+      _mm512_storeu_si512(dst + 8,
+                          _mm512_add_epi64(_mm512_loadu_si512(dst + 8), hi));
+    }
+  }
+}
+
+void conv_tile_avx512(const std::int16_t* a, const std::int16_t* w,
+                      std::int64_t ws, std::int64_t steps, int nv,
+                      std::int64_t* c, int shift) {
+  switch (nv) {
+    case 1: return conv_tile_avx512_nv<1>(a, w, ws, steps, c, shift);
+    case 2: return conv_tile_avx512_nv<2>(a, w, ws, steps, c, shift);
+    case 3: return conv_tile_avx512_nv<3>(a, w, ws, steps, c, shift);
+    default: return conv_tile_avx512_nv<4>(a, w, ws, steps, c, shift);
+  }
+}
+
+/// One 16-window column block (two ymm of 8 windows) x kMr rows: 12
+/// accumulators, so the whole block stays in the 16 AVX2 registers.
+__attribute__((target("avx2"))) void conv_block_avx2(
+    const std::int16_t* a, const std::int16_t* w, std::int64_t ws,
+    std::int64_t steps, std::int64_t* c, int shift) {
+  __m256i acc[kMr][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+    acc[r][0] = _mm256_setzero_si256();
+    acc[r][1] = _mm256_setzero_si256();
+  }
+  for (std::int64_t p = 0; p < steps; ++p) {
+    const std::int16_t* ap = a + p * 2 * kTile;
+    const __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap));
+    const __m256i a1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + 16));
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const __m256i b = _mm256_set1_epi32(load_pair(w + r * ws + 2 * p));
+      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(a0, b));
+      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(a1, b));
+    }
+  }
+  const __m128i sh = _mm_cvtsi32_si128(shift);
+  for (int r = 0; r < kMr; ++r) {
+    for (int v = 0; v < 2; ++v) {
+      for (int h = 0; h < 2; ++h) {
+        std::int64_t* dst = c + r * kTile + v * 8 + h * 4;
+        const __m128i part = h == 0 ? _mm256_castsi256_si128(acc[r][v])
+                                    : _mm256_extracti128_si256(acc[r][v], 1);
+        const __m256i wide = _mm256_sll_epi64(_mm256_cvtepi32_epi64(part), sh);
+        auto* d = reinterpret_cast<__m256i*>(dst);
+        _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), wide));
+      }
+    }
+  }
+}
+
+void conv_tile_avx2(const std::int16_t* a, const std::int16_t* w,
+                    std::int64_t ws, std::int64_t steps, int nv,
+                    std::int64_t* c, int shift) {
+  for (int b = 0; b < nv; ++b) {
+    conv_block_avx2(a + b * 32, w, ws, steps, c + b * 16, shift);
+  }
+}
+
+__attribute__((target("avx512f,avx512bw"))) inline std::int64_t hsum_avx512(
+    __m512i acc) {
+  const __m512i lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
+  const __m512i hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1));
+  return _mm512_reduce_add_epi64(_mm512_add_epi64(lo, hi));
+}
+
+__attribute__((target("avx512f,avx512bw"))) void fc_row_avx512(
+    const std::int16_t* row, std::int64_t n, int pw,
+    const std::int16_t* const* acts, int streams, std::int64_t block,
+    std::int64_t* out) {
+  const __m128i sh = _mm_cvtsi32_si128(16 - pw);
+  __m512i acc[kFcStreams];
+  for (int s = 0; s < kFcStreams; ++s) acc[s] = _mm512_setzero_si512();
+  const std::int64_t n32 = n & ~std::int64_t{31};
+  std::int64_t left = block;
+  for (std::int64_t k = 0; k < n32; k += 32) {
+    const __m512i wv =
+        _mm512_sra_epi16(_mm512_sll_epi16(_mm512_loadu_si512(row + k), sh), sh);
+    for (int s = 0; s < streams; ++s) {
+      acc[s] = _mm512_add_epi32(
+          acc[s], _mm512_madd_epi16(wv, _mm512_loadu_si512(acts[s] + k)));
+    }
+    if (--left == 0) {
+      for (int s = 0; s < streams; ++s) {
+        out[s] += hsum_avx512(acc[s]);
+        acc[s] = _mm512_setzero_si512();
+      }
+      left = block;
+    }
+  }
+  for (int s = 0; s < streams; ++s) out[s] += hsum_avx512(acc[s]);
+  for (std::int64_t k = n32; k < n; ++k) {
+    const std::int64_t wv = sext(row[k], pw);
+    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+  }
+}
+
+__attribute__((target("avx2"))) inline std::int64_t hsum_avx2(__m256i acc) {
+  const __m256i wide = _mm256_add_epi64(
+      _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)),
+      _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)));
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), wide);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+
+__attribute__((target("avx2"))) void fc_row_avx2(
+    const std::int16_t* row, std::int64_t n, int pw,
+    const std::int16_t* const* acts, int streams, std::int64_t block,
+    std::int64_t* out) {
+  const __m128i sh = _mm_cvtsi32_si128(16 - pw);
+  __m256i acc[kFcStreams];
+  for (int s = 0; s < kFcStreams; ++s) acc[s] = _mm256_setzero_si256();
+  const std::int64_t n16 = n & ~std::int64_t{15};
+  std::int64_t left = block;
+  for (std::int64_t k = 0; k < n16; k += 16) {
+    const __m256i raw =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + k));
+    const __m256i wv = _mm256_sra_epi16(_mm256_sll_epi16(raw, sh), sh);
+    for (int s = 0; s < streams; ++s) {
+      const __m256i av =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acts[s] + k));
+      acc[s] = _mm256_add_epi32(acc[s], _mm256_madd_epi16(wv, av));
+    }
+    if (--left == 0) {
+      for (int s = 0; s < streams; ++s) {
+        out[s] += hsum_avx2(acc[s]);
+        acc[s] = _mm256_setzero_si256();
+      }
+      left = block;
+    }
+  }
+  for (int s = 0; s < streams; ++s) out[s] += hsum_avx2(acc[s]);
+  for (std::int64_t k = n16; k < n; ++k) {
+    const std::int64_t wv = sext(row[k], pw);
+    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+#endif  // LOOM_GEMM_X86
+
+}  // namespace
+
+struct GemmEngine::Kernels {
+  void (*conv_tile)(const std::int16_t* a, const std::int16_t* w,
+                    std::int64_t ws, std::int64_t steps, int nv,
+                    std::int64_t* c, int shift);
+  void (*fc_row)(const std::int16_t* row, std::int64_t n, int pw,
+                 const std::int16_t* const* acts, int streams,
+                 std::int64_t block, std::int64_t* out);
+};
+
+namespace {
+
+constexpr GemmEngine::Kernels kScalarKernels{conv_tile_scalar, fc_row_scalar};
+#if defined(LOOM_GEMM_X86)
+constexpr GemmEngine::Kernels kAvx2Kernels{conv_tile_avx2, fc_row_avx2};
+constexpr GemmEngine::Kernels kAvx512Kernels{conv_tile_avx512, fc_row_avx512};
+#endif
+
+const GemmEngine::Kernels* select_kernels() {
+#if defined(LOOM_GEMM_X86)
+  if (common::have_avx512()) return &kAvx512Kernels;
+  if (common::have_avx2()) return &kAvx2Kernels;
+#endif
+  return &kScalarKernels;
+}
+
+/// Per-stripe scratch, sized to one slab tile.
+struct ConvScratch {
+  std::vector<std::int16_t> a;          ///< [part][pair][kTile][2]
+  std::vector<std::uint32_t> group_or;  ///< [chunk][column group]
+  std::int64_t c[kMr * kTile];          ///< one register block's int64 sums
+};
+
+}  // namespace
+
+void conv_stream_stats(const nn::Layer& layer,
+                       const BitsliceEngine::SliceSpec& spec,
+                       const BitsliceEngine::Options& grid,
+                       std::int64_t slab_cols,
+                       std::span<const std::uint32_t> group_or,
+                       BitsliceEngine::ConvStats& stats) {
+  const std::int64_t inner = layer.inner_length();
+  const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t fb_count = ceil_div(cog, grid.rows);
+  const std::int64_t ic_count = ceil_div(inner, grid.lanes);
+  const std::int64_t n_groups = ceil_div(slab_cols, grid.cols);
+  LOOM_EXPECTS(static_cast<std::int64_t>(group_or.size()) >= ic_count * n_groups);
+  const int profile = spec.act_precision;
+  const int pw = spec.weight_precision;
+  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
+    const std::int64_t n = std::min<std::int64_t>(grid.lanes, inner - ic * grid.lanes);
+    for (std::int64_t j = 0; j < n_groups; ++j) {
+      const std::int64_t group_cols =
+          std::min<std::int64_t>(grid.cols, slab_cols - j * grid.cols);
+      int pa = profile;
+      if (spec.dynamic) {
+        pa = std::min(
+            needed_bits_unsigned(group_or[static_cast<std::size_t>(ic * n_groups + j)]),
+            profile);
+        stats.detect_invocations += static_cast<std::uint64_t>(fb_count);
+        stats.detect_values +=
+            static_cast<std::uint64_t>(fb_count * group_cols * n);
+      }
+      stats.cycles += static_cast<std::uint64_t>(fb_count) *
+                      static_cast<std::uint64_t>(pw) *
+                      static_cast<std::uint64_t>(pa);
+      stats.chunks += fb_count;
+      stats.streamed_pa += static_cast<double>(pa) * static_cast<double>(fb_count);
+      stats.act_bits_streamed +=
+          static_cast<std::uint64_t>(pa) *
+          static_cast<std::uint64_t>(fb_count * group_cols * n);
+      stats.weight_bits_streamed += static_cast<std::uint64_t>(pw) *
+                                    static_cast<std::uint64_t>(cog * n);
+    }
+  }
+}
+
+GemmEngine::GemmEngine(Options opts)
+    : opts_(opts), kernels_(select_kernels()) {
+  LOOM_EXPECTS(supports(opts));
+  slab_windows_ = (kTile / opts_.cols) * opts_.cols;
+}
+
+GemmEngine::ConvStats GemmEngine::run_conv(const nn::Layer& layer,
+                                           const nn::Tensor& input,
+                                           const nn::Tensor& weights,
+                                           const SliceSpec& spec,
+                                           nn::WideTensor& wide) {
+  const nn::Tensor* const inputs[] = {&input};
+  nn::WideTensor* const wides[] = {&wide};
+  return run_conv_batch(layer, inputs, weights, spec, wides);
+}
+
+GemmEngine::ConvStats GemmEngine::run_conv_batch(
+    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+    const nn::Tensor& weights, const SliceSpec& spec,
+    std::span<nn::WideTensor* const> wides) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  LOOM_EXPECTS(spec.act_precision >= 1 && spec.act_precision <= kBasePrecision);
+  LOOM_EXPECTS(spec.weight_precision >= 1 &&
+               spec.weight_precision <= kBasePrecision);
+  LOOM_EXPECTS(!spec.act_signed || spec.act_precision == kBasePrecision);
+  LOOM_EXPECTS(!(spec.act_signed && spec.dynamic));
+  LOOM_EXPECTS(layer.inner_length() < kMaxInner);
+
+  const std::int64_t inner = layer.inner_length();
+  const std::int64_t pairs = ceil_div(inner, 2);
+  const std::int64_t kpad = 2 * pairs;
+  const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t cog_pad = ceil_div(cog, kMr) * kMr;
+  const std::int64_t windows = layer.windows();
+  const int pw = spec.weight_precision;
+  const std::uint32_t prof_mask = (std::uint32_t{1} << spec.act_precision) - 1;
+  const OperandPlan plan = operand_plan(
+      spec.act_signed ? 32768 : std::int64_t{prof_mask}, pw);
+  const int parts = plan.split ? 2 : 1;
+
+  // Pw-masked weights, zero-padded to whole k-pairs and register blocks:
+  // [group][cog_pad][kpad]. Shared read-only by every stripe.
+  std::vector<std::int16_t> wm(
+      static_cast<std::size_t>(layer.groups * cog_pad * kpad), 0);
+  for (std::int64_t co = 0; co < layer.out.c; ++co) {
+    std::int16_t* dst =
+        wm.data() + ((co / cog) * cog_pad + co % cog) * kpad;
+    const Value* src = weights.data().data() + co * inner;
+    for (std::int64_t k = 0; k < inner; ++k) {
+      dst[k] = static_cast<std::int16_t>(sext(src[k], pw));
+    }
+  }
+
+  const std::int64_t kh = layer.kernel_h;
+  const std::int64_t kw = layer.kernel_w;
+  const std::int64_t in_h = layer.in.h;
+  const std::int64_t in_w = layer.in.w;
+  const std::int64_t plane = in_h * in_w;
+  const std::int64_t ic_count = ceil_div(inner, opts_.lanes);
+  const std::int64_t part_stride = pairs * 2 * kTile;
+
+  const auto conv_slab = [&](std::int64_t g, std::int64_t slab,
+                             ConvScratch& sc, ConvStats& stats) {
+    const std::int64_t w0 = slab * slab_windows_;
+    const std::int64_t cu = std::min<std::int64_t>(
+        slab_windows_,
+        windows * static_cast<std::int64_t>(inputs.size()) - w0);
+    const std::int64_t n_groups = ceil_div(cu, opts_.cols);
+
+    // ---- Pack: im2col of the slab's windows into k-pair-interleaved
+    // int16 columns, ORing each (chunk, column group) of raw values.
+    const Value* src[kTile];
+    std::int64_t iy0[kTile], ix0[kTile];
+    for (std::int64_t c = 0; c < cu; ++c) {
+      const std::int64_t gw = w0 + c;
+      const std::int64_t window = gw % windows;
+      src[c] = inputs[static_cast<std::size_t>(gw / windows)]->data().data() +
+               g * layer.group_in_channels() * plane;
+      iy0[c] = (window / layer.out.w) * layer.stride - layer.pad;
+      ix0[c] = (window % layer.out.w) * layer.stride - layer.pad;
+    }
+    sc.a.assign(static_cast<std::size_t>(parts * part_stride), 0);
+    sc.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0);
+    for (std::int64_t k = 0; k < inner; ++k) {
+      const std::int64_t ci = k / (kh * kw);
+      const std::int64_t ky = (k % (kh * kw)) / kw;
+      const std::int64_t kx = k % kw;
+      std::uint32_t* ors = sc.group_or.data() + (k / opts_.lanes) * n_groups;
+      std::int16_t* dst = sc.a.data() + (k >> 1) * 2 * kTile + (k & 1);
+      for (std::int64_t j = 0; j < n_groups; ++j) {
+        const std::int64_t c_end = std::min(cu, (j + 1) * opts_.cols);
+        std::uint32_t group = 0;
+        for (std::int64_t c = j * opts_.cols; c < c_end; ++c) {
+          const std::int64_t iy = iy0[c] + ky;
+          const std::int64_t ix = ix0[c] + kx;
+          if (iy < 0 || iy >= in_h || ix < 0 || ix >= in_w) continue;
+          const Value v = src[c][ci * plane + iy * in_w + ix];
+          const auto raw = static_cast<std::uint32_t>(static_cast<std::uint16_t>(v));
+          group |= raw;
+          const std::int32_t a =
+              spec.act_signed ? std::int32_t{v}
+                              : static_cast<std::int32_t>(raw & prof_mask);
+          if (plan.split) {
+            dst[2 * c] = static_cast<std::int16_t>(a & 0xFF);
+            dst[part_stride + 2 * c] = static_cast<std::int16_t>(a >> 8);
+          } else {
+            dst[2 * c] = static_cast<std::int16_t>(a);
+          }
+        }
+        ors[j] |= group;
+      }
+    }
+    conv_stream_stats(layer, spec, opts_, cu, sc.group_or, stats);
+
+    // ---- GEMM: kMr filter rows x the slab's windows per register block,
+    // int32 over each K-block, widened into the int64 block sums.
+    const int nv = static_cast<int>(ceil_div(cu, 16));
+    for (std::int64_t rb = 0; rb < cog; rb += kMr) {
+      std::fill(sc.c, sc.c + kMr * kTile, std::int64_t{0});
+      const std::int16_t* wrow = wm.data() + (g * cog_pad + rb) * kpad;
+      for (int part = 0; part < parts; ++part) {
+        const std::int16_t* a = sc.a.data() + part * part_stride;
+        for (std::int64_t p0 = 0; p0 < pairs; p0 += plan.steps) {
+          kernels_->conv_tile(a + p0 * 2 * kTile, wrow + 2 * p0, kpad,
+                              std::min(plan.steps, pairs - p0), nv, sc.c,
+                              8 * part);
+        }
+      }
+      const std::int64_t rows = std::min<std::int64_t>(kMr, cog - rb);
+      for (std::int64_t c0 = 0; c0 < cu;) {
+        const std::int64_t gw = w0 + c0;
+        const std::int64_t win0 = gw % windows;
+        const std::int64_t seg = std::min(cu - c0, windows - win0);
+        Wide* out = wides[static_cast<std::size_t>(gw / windows)]->data().data();
+        for (std::int64_t r = 0; r < rows; ++r) {
+          std::copy_n(sc.c + r * kTile + c0, seg,
+                      out + (g * cog + rb + r) * windows + win0);
+        }
+        c0 += seg;
+      }
+    }
+  };
+
+  const std::int64_t slab_count = ceil_div(
+      windows * static_cast<std::int64_t>(inputs.size()), slab_windows_);
+  const std::int64_t tasks = layer.groups * slab_count;
+  const std::size_t stripes = std::min<std::size_t>(
+      resolve_jobs(opts_.jobs), static_cast<std::size_t>(tasks));
+  std::vector<ConvStats> stripe_stats(std::max<std::size_t>(stripes, 1));
+  const auto run_stripe = [&](std::size_t s) {
+    ConvScratch sc;
+    const auto lo = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(tasks) * s) / stripes);
+    const auto hi = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(tasks) * (s + 1)) / stripes);
+    for (std::int64_t t = lo; t < hi; ++t) {
+      conv_slab(t / slab_count, t % slab_count, sc, stripe_stats[s]);
+    }
+  };
+  if (stripes <= 1) {
+    run_stripe(0);
+  } else {
+    // (group, slab) tasks write disjoint outputs; the integer-valued stats
+    // sum exactly in any order.
+    shared_pool().parallel_for(stripes, run_stripe);
+  }
+
+  ConvStats total;
+  for (const ConvStats& s : stripe_stats) total += s;
+  return total;
+}
+
+void GemmEngine::run_fc(const nn::Layer& layer, const nn::Tensor& input,
+                        const nn::Tensor& weights, int weight_precision,
+                        nn::WideTensor& wide) {
+  const nn::Tensor* const inputs[] = {&input};
+  nn::WideTensor* const wides[] = {&wide};
+  run_fc_batch(layer, inputs, weights, weight_precision, wides);
+}
+
+void GemmEngine::run_fc_batch(const nn::Layer& layer,
+                              std::span<const nn::Tensor* const> inputs,
+                              const nn::Tensor& weights, int weight_precision,
+                              std::span<nn::WideTensor* const> wides) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  LOOM_EXPECTS(weight_precision >= 1 && weight_precision <= kBasePrecision);
+  LOOM_EXPECTS(layer.in.elements() < kMaxInner);
+
+  const std::int64_t inner = layer.in.elements();
+  const std::int64_t padded = ceil_div(inner, 32) * 32;
+  const OperandPlan plan = operand_plan(32768, weight_precision);
+  const int parts = plan.split ? 2 : 1;
+  const auto batch = static_cast<std::int64_t>(inputs.size());
+  const std::int64_t streams = batch * parts;
+
+  // Activation streams [request][part][padded], zero past `inner` so the
+  // vector loads may run over the end.
+  std::vector<std::int16_t> acts(static_cast<std::size_t>(streams * padded), 0);
+  std::vector<const std::int16_t*> act_ptrs(static_cast<std::size_t>(streams));
+  for (std::int64_t r = 0; r < batch; ++r) {
+    std::int16_t* lo = acts.data() + r * parts * padded;
+    const Value* in = inputs[static_cast<std::size_t>(r)]->data().data();
+    if (plan.split) {
+      for (std::int64_t k = 0; k < inner; ++k) {
+        lo[k] = static_cast<std::int16_t>(in[k] & 0xFF);
+        lo[padded + k] = static_cast<std::int16_t>(in[k] >> 8);
+      }
+    } else {
+      std::copy_n(in, inner, lo);
+    }
+    for (int part = 0; part < parts; ++part) {
+      act_ptrs[static_cast<std::size_t>(r * parts + part)] = lo + part * padded;
+    }
+  }
+
+  const std::size_t stripes = std::min<std::size_t>(
+      resolve_jobs(opts_.jobs), static_cast<std::size_t>(layer.out.c));
+  const auto run_stripe = [&](std::size_t s) {
+    const auto lo = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(layer.out.c) * s) / stripes);
+    const auto hi = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(layer.out.c) * (s + 1)) / stripes);
+    std::vector<std::int64_t> sums(static_cast<std::size_t>(streams));
+    for (std::int64_t co = lo; co < hi; ++co) {
+      std::fill(sums.begin(), sums.end(), std::int64_t{0});
+      const Value* row = weights.data().data() + co * inner;
+      for (std::int64_t s0 = 0; s0 < streams; s0 += kFcStreams) {
+        kernels_->fc_row(row, inner, weight_precision, act_ptrs.data() + s0,
+                         static_cast<int>(std::min<std::int64_t>(
+                             kFcStreams, streams - s0)),
+                         plan.steps, sums.data() + s0);
+      }
+      for (std::int64_t r = 0; r < batch; ++r) {
+        Wide v = sums[static_cast<std::size_t>(r * parts)];
+        if (plan.split) v += sums[static_cast<std::size_t>(r * parts + 1)] * 256;
+        wides[static_cast<std::size_t>(r)]->set_flat(co, v);
+      }
+    }
+  };
+  if (stripes <= 1) {
+    run_stripe(0);
+  } else {
+    shared_pool().parallel_for(stripes, run_stripe);
+  }
+}
+
+}  // namespace loom::sim

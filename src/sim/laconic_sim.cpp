@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/gemm_engine.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/or_planes.hpp"
 
@@ -300,16 +300,16 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
   LaconicFunctionalRun run;
   run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
 
-  // Exact values ride the bit-sliced engine (same dispatcher semantics as
-  // the scalar grid, byte-identical to nn::conv_forward).
-  BitsliceEngine::Options eng_opts;
+  // Exact values come from the dense-GEMM kernel (byte-identical to the
+  // scalar grid and nn::conv_forward); the cycles below never read them.
+  GemmEngine::Options eng_opts;
   eng_opts.rows = opts.rows;
   eng_opts.cols = opts.cols;
   eng_opts.lanes = opts.lanes;
   eng_opts.jobs = opts.jobs;
-  LOOM_EXPECTS(BitsliceEngine::supports(eng_opts));
-  BitsliceEngine engine(eng_opts);
-  BitsliceEngine::SliceSpec spec;
+  LOOM_EXPECTS(GemmEngine::supports(eng_opts));
+  GemmEngine engine(eng_opts);
+  GemmEngine::SliceSpec spec;
   spec.act_precision = layer.act_precision;
   spec.weight_precision = layer.weight_precision;
   spec.dynamic = true;

@@ -67,7 +67,7 @@ class LaconicSimulator final : public Simulator {
 };
 
 /// Functional term-serial run of one convolution layer: exact accumulators
-/// from the bit-sliced engine (byte-identical to nn::conv_forward) plus
+/// from the dense-GEMM engine (byte-identical to nn::conv_forward) plus
 /// *data-driven* term-serial grid cycles — per (filter block, window block,
 /// input chunk) the product of the chunk's activation term count and the
 /// slowest row's weight-group NAF union length. Unlike the analytic model,

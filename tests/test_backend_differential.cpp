@@ -26,8 +26,8 @@
 #include "common/rng.hpp"
 #include "nn/reference.hpp"
 #include "sim/backend.hpp"
+#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
-#include "sim/lut_engine.hpp"
 
 namespace loom::sim {
 namespace {
@@ -39,8 +39,8 @@ struct Case {
 };
 
 /// Uniform signed/unsigned values that fit the given streamed precision
-/// exactly, with a `zero_run` chance of zeroing stretches (exercises dead
-/// LUT groups, zero-precision detection groups and empty bit-planes).
+/// exactly, with a `zero_run` chance of zeroing stretches (exercises
+/// zero-precision detection groups and empty bit-planes).
 nn::Tensor random_tensor(const nn::Shape& shape, int precision, bool is_signed,
                          SequentialRng& base, std::uint64_t stream,
                          double zero_run_p) {
@@ -228,15 +228,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
       if (name == "scalar") {
         // The scalar backend's own batch is N solo runs by definition.
         BitsliceEngine::ConvStats sum;
-        for (const auto& s : oracle_stats) {
-          sum.cycles += s.cycles;
-          sum.chunks += s.chunks;
-          sum.streamed_pa += s.streamed_pa;
-          sum.act_bits_streamed += s.act_bits_streamed;
-          sum.weight_bits_streamed += s.weight_bits_streamed;
-          sum.detect_invocations += s.detect_invocations;
-          sum.detect_values += s.detect_values;
-        }
+        for (const auto& s : oracle_stats) sum += s;
         expect_stats_eq(st, sum);
         continue;
       }
@@ -306,6 +298,141 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
   }
 }
 
+// ---- Adversarial widths ------------------------------------------------------
+// Every accumulator-narrowing decision at its worst case: operands at their
+// largest magnitude with every product of one sign, so any int32 lane that
+// is not widened in time — or any operand squeezed into int16 that does not
+// fit — changes the result. Each registered backend runs the case as a
+// batch of two identical requests and solo.
+
+/// A tensor of one repeated raw 16-bit pattern.
+nn::Tensor filled(const nn::Shape& shape, std::uint16_t raw) {
+  return nn::Tensor(shape, static_cast<Value>(raw));
+}
+
+/// Every registered backend (bar `skip`) on `ctx`, batched and solo, must
+/// reproduce `want` exactly.
+void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
+                            const nn::Tensor& weights,
+                            const BitsliceEngine::SliceSpec& spec,
+                            const nn::WideTensor& want, const std::string& skip) {
+  const BackendContext ctx{.jobs = 1};
+  auto& reg = BackendRegistry::instance();
+  for (const std::string& name : reg.names()) {
+    if (name == skip || !reg.find(name)->supports(ctx)) continue;
+    SCOPED_TRACE("backend " + name);
+    auto backend = reg.find(name)->make(ctx);
+    std::vector<nn::WideTensor> wides = make_wides(want.shape(), 2);
+    const nn::Tensor* in_ptrs[] = {&input, &input};
+    nn::WideTensor* wide_ptrs[] = {&wides[0], &wides[1]};
+    (void)backend->run_conv_batch(layer, in_ptrs, weights, spec, wide_ptrs);
+    EXPECT_EQ(wides[0], want);
+    EXPECT_EQ(wides[1], want);
+    nn::WideTensor solo(want.shape());
+    nn::WideTensor* solo_ptr = &solo;
+    (void)backend->run_conv_batch(layer, std::span(in_ptrs, 1), weights, spec,
+                                  std::span(&solo_ptr, 1));
+    EXPECT_EQ(solo, want);
+  }
+}
+
+void expect_fc_everywhere(const nn::Layer& layer, const nn::Tensor& input,
+                          const nn::Tensor& weights, int pw,
+                          const nn::WideTensor& want) {
+  const BackendContext ctx{.jobs = 1};
+  auto& reg = BackendRegistry::instance();
+  for (const std::string& name : reg.names()) {
+    if (!reg.find(name)->supports(ctx)) continue;
+    SCOPED_TRACE("backend " + name);
+    auto backend = reg.find(name)->make(ctx);
+    std::vector<nn::WideTensor> wides = make_wides(want.shape(), 2);
+    const nn::Tensor* in_ptrs[] = {&input, &input};
+    nn::WideTensor* wide_ptrs[] = {&wides[0], &wides[1]};
+    backend->run_fc_batch(layer, in_ptrs, weights, pw, wide_ptrs);
+    EXPECT_EQ(wides[0], want);
+    EXPECT_EQ(wides[1], want);
+    nn::WideTensor solo(want.shape());
+    backend->run_fc(layer, input, weights, pw, solo);
+    EXPECT_EQ(solo, want);
+  }
+}
+
+TEST(BackendDifferential, SignedFcAtFullWidthMinValues) {
+  // Pa = Pw = 16, every input and weight -32768: each product is +2^30, so
+  // one multiply-add pair already reaches 2^31 and wraps int32.
+  const nn::Layer layer = nn::make_fc("fc_min", nn::Shape3{300, 1, 1}, 5);
+  const nn::Tensor input = filled(nn::Shape{300}, 0x8000);
+  const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, 0x8000);
+  const nn::WideTensor want = nn::fc_forward(input, weights, layer);
+  ASSERT_EQ(want.flat(0), Wide{300} << 30);
+  expect_fc_everywhere(layer, input, weights, kBasePrecision, want);
+}
+
+TEST(BackendDifferential, FcMaxMagnitudeOverLongInner) {
+  // Inputs -32768 and weights at their most negative Pw-bit value over an
+  // inner length of 2^16 — many int32 K-blocks on every tier. Pw 10 and 11
+  // run int16 operands (Pw 11 at the shortest K-block, 31 steps); Pw 12
+  // and 16 split the activation into bytes.
+  constexpr std::int64_t kInner = std::int64_t{1} << 16;
+  const nn::Layer layer = nn::make_fc("fc_long", nn::Shape3{kInner, 1, 1}, 3);
+  const nn::Tensor input = filled(nn::Shape{kInner}, 0x8000);
+  for (const int pw : {10, 11, 12, 16}) {
+    SCOPED_TRACE("pw " + std::to_string(pw));
+    const auto wmin = static_cast<std::uint16_t>(-(1 << (pw - 1)));
+    const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, wmin);
+    const nn::WideTensor want = nn::fc_forward(input, weights, layer);
+    ASSERT_EQ(want.flat(0), kInner << (15 + pw - 1));
+    expect_fc_everywhere(layer, input, weights, pw, want);
+  }
+}
+
+TEST(BackendDifferential, UnsignedPa16ConvAllOnes) {
+  // Unsigned 16-bit activations of 65535 do not fit int16, whatever the
+  // weight width (Pw 2 leaves the K-block bound wide open). The signed
+  // reference model reads that pattern as -1, so the expectation is the
+  // reference on an all-ones input scaled by 65535 (the conv is linear).
+  nn::Layer layer = nn::make_conv("pa16", nn::Shape3{8, 6, 6}, 4, 3, 1, 1);
+  layer.act_precision = kBasePrecision;
+  const nn::Tensor input = filled(nn::Shape{8, 6, 6}, 0xFFFF);
+  for (const int pw : {2, 16}) {
+    layer.weight_precision = pw;
+    const auto wmin = static_cast<std::uint16_t>(-(1 << (pw - 1)));
+    const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, wmin);
+    nn::WideTensor want =
+        nn::conv_forward(filled(nn::Shape{8, 6, 6}, 1), weights, layer);
+    for (Wide& v : want.data()) v *= 65535;
+    for (const bool dynamic : {false, true}) {
+      SCOPED_TRACE("pw " + std::to_string(pw) + (dynamic ? " dynamic" : " static"));
+      const BitsliceEngine::SliceSpec spec{.act_precision = kBasePrecision,
+                                           .weight_precision = pw,
+                                           .act_signed = false,
+                                           .dynamic = dynamic};
+      expect_conv_everywhere(layer, input, weights, spec, want, /*skip=*/"");
+    }
+  }
+}
+
+TEST(BackendDifferential, DpnnSpecConvMinValues) {
+  // The DPNN spec (signed 16 x 16) with every operand -32768. The registry's
+  // scalar grid is the unsigned Loom conv; the DPNN oracle is the IP-unit
+  // backend, checked here against the reference too.
+  const nn::Layer layer = nn::make_conv("dpnn", nn::Shape3{8, 6, 6}, 4, 3, 1, 1);
+  const nn::Tensor input = filled(nn::Shape{8, 6, 6}, 0x8000);
+  const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, 0x8000);
+  const nn::WideTensor want = nn::conv_forward(input, weights, layer);
+  ASSERT_EQ(want.at3(0, 2, 2), Wide{72} << 30);
+
+  nn::WideTensor oracle(want.shape());
+  const nn::Tensor* in_ptr = &input;
+  nn::WideTensor* out_ptr = &oracle;
+  (void)make_ip_unit_backend(BackendContext{.rows = kDpnnFilters, .jobs = 1})
+      ->run_conv_batch(layer, std::span(&in_ptr, 1), weights, kDpnnSpec,
+                       std::span(&out_ptr, 1));
+  EXPECT_EQ(oracle, want);
+  expect_conv_everywhere(layer, input, weights, kDpnnSpec, want,
+                         /*skip=*/"scalar");
+}
+
 // ---- Registration is the coverage mechanism -------------------------------
 
 // A backend registered by a test (or a future PR) is picked up by the same
@@ -315,26 +442,26 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
   auto& reg = BackendRegistry::instance();
   const auto before = reg.names().size();
   reg.register_backend(BackendInfo{
-      .name = "mirror-lut",
+      .name = "mirror-bitslice",
       .tunable = true,
       .supports = [](const BackendContext& ctx) {
-        return LutEngine::supports({.rows = ctx.rows,
-                                    .cols = ctx.cols,
-                                    .lanes = ctx.lanes,
-                                    .jobs = ctx.jobs});
+        return BitsliceEngine::supports({.rows = ctx.rows,
+                                         .cols = ctx.cols,
+                                         .lanes = ctx.lanes,
+                                         .jobs = ctx.jobs});
       },
       .make = [](const BackendContext& ctx)
           -> std::unique_ptr<FunctionalBackend> {
-        // A stand-in third-party kernel: LUT math under a new name. Being
-        // correct, it survives the same differential checks as built-ins.
+        // A stand-in third-party kernel: bit-sliced math under a new name.
+        // Being correct, it survives the same differential checks as
+        // built-ins.
         class Mirror final : public FunctionalBackend {
          public:
           explicit Mirror(const BackendContext& c)
               : eng_({.rows = c.rows,
                       .cols = c.cols,
                       .lanes = c.lanes,
-                      .jobs = c.jobs,
-                      .group_tile = 16}) {}
+                      .jobs = c.jobs}) {}
           BitsliceEngine::ConvStats run_conv_batch(
               const nn::Layer& l, std::span<const nn::Tensor* const> in,
               const nn::Tensor& w, const BitsliceEngine::SliceSpec& s,
@@ -354,30 +481,30 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
           }
 
          private:
-          LutEngine eng_;
+          BitsliceEngine eng_;
         };
         return std::make_unique<Mirror>(ctx);
       }});
   EXPECT_EQ(reg.names().size(), before + 1);
-  ASSERT_NE(reg.find("mirror-lut"), nullptr);
+  ASSERT_NE(reg.find("mirror-bitslice"), nullptr);
 
   const BackendContext ctx;  // default 16x16x16 grid
   const auto tunable = reg.tunable_names(ctx);
-  EXPECT_NE(std::find(tunable.begin(), tunable.end(), "mirror-lut"),
+  EXPECT_NE(std::find(tunable.begin(), tunable.end(), "mirror-bitslice"),
             tunable.end());
-  EXPECT_EQ(resolve_backend_name("mirror-lut", /*force_scalar=*/false, ctx),
-            "mirror-lut");
+  EXPECT_EQ(resolve_backend_name("mirror-bitslice", /*force_scalar=*/false, ctx),
+            "mirror-bitslice");
 
   // It runs a real case byte-identically (one spot check here — the sweep
   // tests above now exercise it on every iteration of this binary).
   const Case c = random_conv_case(0x3A3A);
   FunctionalLoomEngine eng(
-      FunctionalOptions{.jobs = 1, .backend = "mirror-lut"});
+      FunctionalOptions{.jobs = 1, .backend = "mirror-bitslice"});
   EXPECT_TRUE(eng.bitsliced());
-  EXPECT_EQ(eng.backend_name(), "mirror-lut");
+  EXPECT_EQ(eng.backend_name(), "mirror-bitslice");
   const FunctionalLayerRun run =
       eng.run_conv(c.layer, c.inputs[0], c.weights, kBasePrecision);
-  EXPECT_EQ(run.backend, "mirror-lut");
+  EXPECT_EQ(run.backend, "mirror-bitslice");
   EXPECT_EQ(run.wide, nn::conv_forward(c.inputs[0], c.weights, c.layer));
 }
 
@@ -391,36 +518,38 @@ TEST(BackendResolution, PrecedenceAndFallbacks) {
   deep.lanes = 40;                            // same, via the lane bound
 
   // force_scalar beats everything, explicit names included.
-  EXPECT_EQ(resolve_backend_name("lut", true, ok), "scalar");
+  EXPECT_EQ(resolve_backend_name("gemm", true, ok), "scalar");
   // Explicit registered names resolve to themselves on a packable grid...
   EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
-  EXPECT_EQ(resolve_backend_name("lut", false, ok), "lut");
-  EXPECT_EQ(resolve_backend_name("lut-outer", false, ok), "lut-outer");
+  EXPECT_EQ(resolve_backend_name("gemm", false, ok), "gemm");
   EXPECT_EQ(resolve_backend_name("scalar", false, ok), "scalar");
   // ...and fall back to the scalar oracle on an unpackable one (the
   // historical cols>64 behavior).
   EXPECT_EQ(resolve_backend_name("bitslice", false, wide), "scalar");
-  EXPECT_EQ(resolve_backend_name("lut", false, wide), "scalar");
+  EXPECT_EQ(resolve_backend_name("gemm", false, wide), "scalar");
   // "" defers to the environment, then "auto"; "auto" with no viable
   // candidate is the scalar oracle.
   EXPECT_EQ(resolve_backend_name("", false, ok), "auto");
   EXPECT_EQ(resolve_backend_name("auto", false, wide), "scalar");
   EXPECT_EQ(resolve_backend_name("auto", false, deep), "scalar");
-  // Unknown names are a configuration error, not a silent fallback.
+  // Unknown names are a configuration error, not a silent fallback — the
+  // retired table-lookup kernels included.
   EXPECT_THROW((void)resolve_backend_name("no-such-kernel", false, ok),
                ConfigError);
+  EXPECT_THROW((void)resolve_backend_name("lut", false, ok), ConfigError);
+  EXPECT_THROW((void)resolve_backend_name("lut-outer", false, ok), ConfigError);
 
   // LOOM_FUNCTIONAL_BACKEND fills an empty request only.
-  ASSERT_EQ(setenv("LOOM_FUNCTIONAL_BACKEND", "lut", 1), 0);
-  EXPECT_EQ(resolve_backend_name("", false, ok), "lut");
+  ASSERT_EQ(setenv("LOOM_FUNCTIONAL_BACKEND", "gemm", 1), 0);
+  EXPECT_EQ(resolve_backend_name("", false, ok), "gemm");
   EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
   ASSERT_EQ(unsetenv("LOOM_FUNCTIONAL_BACKEND"), 0);
 
   // Engine-level: the resolved name is observable, and unknown names throw
   // at construction.
-  FunctionalLoomEngine lut_eng(FunctionalOptions{.jobs = 1, .backend = "lut"});
-  EXPECT_TRUE(lut_eng.bitsliced());
-  EXPECT_EQ(lut_eng.backend_name(), "lut");
+  FunctionalLoomEngine gemm_eng(FunctionalOptions{.jobs = 1, .backend = "gemm"});
+  EXPECT_TRUE(gemm_eng.bitsliced());
+  EXPECT_EQ(gemm_eng.backend_name(), "gemm");
   FunctionalLoomEngine auto_eng(FunctionalOptions{.jobs = 1});
   EXPECT_EQ(auto_eng.backend_name(), "auto");
   EXPECT_THROW(FunctionalLoomEngine(FunctionalOptions{.backend = "bogus"}),

@@ -1,11 +1,11 @@
-// Golden digests for the LUT backend on real zoo geometry, plus autotuner
-// determinism. The digests pin the exact bytes (accumulators, requantized
-// outputs, cycles, streamed-precision mean) the LUT kernels produce on
-// profiled AlexNet and NiN layers — any change to the table build, the
-// slice decomposition, the dead-group skip or the stats replication shows
-// up as a digest break here before it can drift. Both LUT tilings and the
-// bit-sliced engine must produce the *same* digest: byte-identity is the
-// contract, the constant just anchors it to history.
+// Golden digests for every tunable kernel on real zoo geometry, plus
+// autotuner determinism. The digests pin the exact bytes (accumulators,
+// requantized outputs, cycles, streamed-precision mean) the kernels produce
+// on profiled AlexNet and NiN layers — any change to a kernel's operand
+// masking, accumulation or the shared streaming-statistics pass shows up as
+// a digest break here before it can drift. Every tunable backend must
+// produce the *same* digest: byte-identity is the contract, the constant
+// just anchors it to history.
 //
 // The autotuner tests drive the real choose/record path with a
 // deterministic timing override (and the LOOM_AUTOTUNE_PIN escape hatch)
@@ -78,8 +78,9 @@ struct GoldenCase {
   std::uint64_t want;
 };
 
-// FNV-1a digests captured from the LUT backend when it was introduced;
-// bitslice produced identical bytes (asserted below, not assumed).
+// FNV-1a digests captured from the table-lookup kernel when it was
+// introduced; every surviving kernel produces identical bytes (asserted
+// below, not assumed).
 constexpr GoldenCase kGoldenConv[] = {
     {"alexnet", "conv5", 0xe5724174fa286308ull},
     {"nin", "cccp3", 0x8b65031dd9e57c41ull},
@@ -87,7 +88,16 @@ constexpr GoldenCase kGoldenConv[] = {
 };
 constexpr std::uint64_t kGoldenAlexnetFc8 = 0x7b0e56705ac3b0e7ull;
 
-TEST(LutGolden, ConvDigestsOnZooLayers) {
+/// Every autotuner candidate on the default grid: the kernels "auto" can
+/// pick, so each one must hit the golden bytes.
+std::vector<std::string> tunable_backends() {
+  std::vector<std::string> names =
+      BackendRegistry::instance().tunable_names(BackendContext{.jobs = 1});
+  EXPECT_GE(names.size(), 2u);  // bitslice and gemm at least
+  return names;
+}
+
+TEST(KernelGolden, ConvDigestsOnZooLayers) {
   for (const GoldenCase& gc : kGoldenConv) {
     SCOPED_TRACE(std::string(gc.network) + "/" + gc.layer);
     const nn::Layer layer = zoo_layer(gc.network, gc.layer);
@@ -97,7 +107,7 @@ TEST(LutGolden, ConvDigestsOnZooLayers) {
     const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                      layer.weight_precision, true, 0x10CAu, 9);
     std::uint64_t first = 0;
-    for (const char* backend : {"lut", "lut-outer", "bitslice"}) {
+    for (const std::string& backend : tunable_backends()) {
       SCOPED_TRACE(backend);
       FunctionalLoomEngine eng(
           FunctionalOptions{.jobs = 1, .backend = backend});
@@ -112,14 +122,14 @@ TEST(LutGolden, ConvDigestsOnZooLayers) {
   }
 }
 
-TEST(LutGolden, FcDigestOnAlexnetFc8) {
+TEST(KernelGolden, FcDigestOnAlexnetFc8) {
   const nn::Layer layer = zoo_layer("alexnet", "fc8");
   const nn::Tensor input = synth(nn::Shape{layer.in.elements()},
                                  kBasePrecision, true, 0xFC8u, 7);
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 0xFC8u, 9);
   std::uint64_t first = 0;
-  for (const char* backend : {"lut", "lut-outer", "bitslice"}) {
+  for (const std::string& backend : tunable_backends()) {
     SCOPED_TRACE(backend);
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
     const FunctionalLayerRun run =
@@ -164,9 +174,7 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   tuner.reset_for_test();
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        if (backend == "lut") return 100;
-        if (backend == "bitslice") return 200;
-        return 300;  // lut-outer
+        return backend == "gemm" ? 100 : 200;
       });
 
   const nn::Layer layer = small_layer();
@@ -177,16 +185,16 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
 
   // With the override, the very first choose() samples every candidate and
   // decides — so even the first run uses the winner.
-  EXPECT_EQ(run_auto(layer, input, weights), "lut");
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
   // A fresh engine re-resolves against the registry and consults the same
   // memoized cell: same choice, no re-exploration.
-  EXPECT_EQ(run_auto(layer, input, weights), "lut");
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
 
   std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].winner, "lut");
+  EXPECT_EQ(ds[0].winner, "gemm");
   EXPECT_FALSE(ds[0].pinned);
-  EXPECT_EQ(ds[0].samples.size(), 3u);
+  EXPECT_EQ(ds[0].samples.size(), 2u);
 
   // Memoization beats new (different) timings: flipping the override does
   // not flip a decided cell...
@@ -194,7 +202,7 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
         return backend == "bitslice" ? 10 : 1000;
       });
-  EXPECT_EQ(run_auto(layer, input, weights), "lut");
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
   // ...but after a reset the new timings decide afresh.
   tuner.reset_for_test();
   EXPECT_EQ(run_auto(layer, input, weights), "bitslice");
@@ -204,10 +212,10 @@ TEST_F(AutotunerTest, PinOverridesMeasurementsAndSurvivesReResolution) {
   ASSERT_EQ(setenv("LOOM_AUTOTUNE_PIN", "bitslice", 1), 0);
   auto& tuner = BackendAutotuner::instance();
   tuner.reset_for_test();  // re-reads the pin
-  // Timings say "lut"; the pin must win anyway.
+  // Timings say "gemm"; the pin must win anyway.
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == "lut" ? 1 : 1000;
+        return backend == "gemm" ? 1 : 1000;
       });
 
   const nn::Layer layer = small_layer();
@@ -230,12 +238,11 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
   tuner.reset_for_test();
   tuner.set_timing_override_for_test(
       [](const TuneKey& key, const std::string& backend) -> std::uint64_t {
-        // Make the winner depend on the geometry: lut for low Pw, bitslice
+        // Make the winner depend on the geometry: gemm for low Pw, bitslice
         // otherwise — the autotuner must keep them apart per cell.
         const bool low_pw = key.pw <= 4;
-        if (backend == "lut") return low_pw ? 10 : 100;
-        if (backend == "bitslice") return low_pw ? 100 : 10;
-        return 200;
+        if (backend == "gemm") return low_pw ? 10 : 100;
+        return low_pw ? 100 : 10;
       });
 
   nn::Layer low = small_layer();  // pw = 3
@@ -248,7 +255,7 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
   const nn::Tensor w_high = synth(nn::Shape{high.weight_count()},
                                   high.weight_precision, true, 3, 11);
 
-  EXPECT_EQ(run_auto(low, input, w_low), "lut");
+  EXPECT_EQ(run_auto(low, input, w_low), "gemm");
   EXPECT_EQ(run_auto(high, input, w_high), "bitslice");
   EXPECT_EQ(tuner.decisions().size(), 2u);
 }

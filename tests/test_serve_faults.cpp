@@ -244,15 +244,15 @@ TEST(ServeFaultStress, OverloadWithInjectedFaultsKeepsEveryInvariant) {
   }
 }
 
-// ---- LUT-backend degradation ----------------------------------------------
-// The primary engine pinned to the LUT kernel, injected failures landing
+// ---- Fast-kernel degradation ----------------------------------------------
+// The primary engine pinned to the dense-GEMM kernel, injected failures landing
 // straight on the scalar-oracle fallback (no retries): every completed
 // request must be byte-identical to a solo run regardless of which engine
 // served it, and ServerStats::backend_layer_runs must show *both* kernels
 // doing real work — the observable trace that degradation crossed backends,
 // not just engines.
 
-TEST(ServeFaultStress, LutPrimaryDegradesToScalarByteIdentically) {
+TEST(ServeFaultStress, GemmPrimaryDegradesToScalarByteIdentically) {
   ModelRegistry registry;
   populate(registry);
   const auto expected = solo_outputs(registry, kPerProducer);
@@ -264,7 +264,7 @@ TEST(ServeFaultStress, LutPrimaryDegradesToScalarByteIdentically) {
   opts.workers = kWorkers;
   opts.engine_retries = 0;  // every injected failure lands on the fallback
   opts.engine.jobs = 1;
-  opts.engine.backend = "lut";
+  opts.engine.backend = "gemm";
   opts.faults.seed = 0xB10F;
   opts.faults.engine_failure_prob = 0.35;
   opts.faults.fallback_failure_prob = 0.0;
@@ -298,7 +298,7 @@ TEST(ServeFaultStress, LutPrimaryDegradesToScalarByteIdentically) {
                                            // nothing may throw
     EXPECT_EQ(res.output, expected.at({t.model, t.stream}))
         << t.model << " stream " << t.stream
-        << (res.via_fallback ? " (scalar fallback)" : " (lut)");
+        << (res.via_fallback ? " (scalar fallback)" : " (gemm)");
     if (res.via_fallback) ++fallback_results;
   }
 
@@ -307,10 +307,10 @@ TEST(ServeFaultStress, LutPrimaryDegradesToScalarByteIdentically) {
   EXPECT_GT(fallback_results, 0u);
 
   // Both kernels served weighted layers, and nothing else did: the primary
-  // resolves to "lut", the fallback engine is the scalar oracle.
-  ASSERT_TRUE(stats.backend_layer_runs.contains("lut"));
+  // resolves to "gemm", the fallback engine is the scalar oracle.
+  ASSERT_TRUE(stats.backend_layer_runs.contains("gemm"));
   ASSERT_TRUE(stats.backend_layer_runs.contains("scalar"));
-  EXPECT_GT(stats.backend_layer_runs.at("lut"), 0u);
+  EXPECT_GT(stats.backend_layer_runs.at("gemm"), 0u);
   EXPECT_GT(stats.backend_layer_runs.at("scalar"), 0u);
   EXPECT_EQ(stats.backend_layer_runs.size(), 2u);
 }
