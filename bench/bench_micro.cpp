@@ -24,7 +24,6 @@
 #include "serve/server.hpp"
 #include "serve/shard_router.hpp"
 #include "sim/backend.hpp"
-#include "sim/bitslice_engine.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/or_planes.hpp"
@@ -311,7 +310,7 @@ BENCHMARK(BM_WorkloadCalibration);
 /// The VGG-scale conv layer both functional benches run: 64ch 28x28 -> 128
 /// filters 3x3 (57.8M MACs), profile Pa 9 / Pw 11, ReLU-sparse synthetic
 /// activations. The ratio BM_FunctionalConvLayerScalar /
-/// BM_FunctionalConvLayer is the bit-sliced engine's single-core speedup.
+/// BM_FunctionalConvLayer is the word-parallel kernel's single-core speedup.
 struct FunctionalBenchCase {
   nn::Network net;
   nn::Tensor input;
@@ -363,7 +362,7 @@ BENCHMARK(BM_FunctionalConvLayerScalar)
     ->Iterations(1);
 
 void BM_FunctionalConvLayerThreaded(benchmark::State& state) {
-  // Same layer with the (group, slab) fan-out over the shared pool.
+  // Same layer with the kernel's stripe fan-out over the shared pool.
   const FunctionalBenchCase c = functional_case();
   sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 0});
   for (auto _ : state) {
@@ -377,8 +376,7 @@ BENCHMARK(BM_FunctionalConvLayerThreaded)->Unit(benchmark::kMillisecond);
 // ---- Dense-GEMM backend ------------------------------------------------------
 // The speed-of-light kernel on the shapes the zoo really runs: NiN conv2
 // (96ch 27x27 -> 256 filters 5x5, Pa 9 / Pw 11) and AlexNet fc7 (4096 ->
-// 4096, Pw 9). Each has a bitslice-pinned twin on the identical layer; the
-// twin / gemm ratio is the dense kernel's single-core win.
+// 4096, Pw 9).
 
 /// NiN conv2 geometry, Pa 9 / Pw 11, ReLU-sparse synthetic activations.
 FunctionalBenchCase nin_conv2_case() {
@@ -442,25 +440,14 @@ void BM_GemmConvLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmConvLayer)->Unit(benchmark::kMillisecond);
 
-void BM_GemmConvLayerBitslice(benchmark::State& state) {
-  run_conv_bench(state, nin_conv2_case(), "bitslice");
-}
-BENCHMARK(BM_GemmConvLayerBitslice)->Unit(benchmark::kMillisecond);
-
 void BM_GemmFcLayer(benchmark::State& state) {
   run_fc_bench(state, alexnet_fc7_case(), "gemm");
 }
 BENCHMARK(BM_GemmFcLayer)->Unit(benchmark::kMillisecond);
 
-void BM_GemmFcLayerBitslice(benchmark::State& state) {
-  run_fc_bench(state, alexnet_fc7_case(), "bitslice");
-}
-BENCHMARK(BM_GemmFcLayerBitslice)->Unit(benchmark::kMillisecond);
-
 // ---- Autotuner ----------------------------------------------------------------
-// A low-Pw shape (2-bit weights), where the bit-sliced kernel's cost per
-// weight is smallest: BM_BitsliceConvLayerLowPw runs it pinned, and the
-// autotuner benches converge its cell and time the memo.
+// A small low-Pw shape (2-bit weights, so cheap layer runs): the autotuner
+// benches converge its cell and time the memo.
 
 /// Low-Pw geometry: 64ch 14x14 -> 256 filters 3x3, Pa 9 / Pw 2, dense.
 FunctionalBenchCase lowpw_case() {
@@ -479,11 +466,6 @@ FunctionalBenchCase lowpw_case() {
   return c;
 }
 
-void BM_BitsliceConvLayerLowPw(benchmark::State& state) {
-  run_conv_bench(state, lowpw_case(), "bitslice");
-}
-BENCHMARK(BM_BitsliceConvLayerLowPw);
-
 void BM_AutotunerPick(benchmark::State& state) {
   // Converge the low-Pw cell by running the layer through an "auto" engine
   // (each run samples one candidate on real work), then time the memoized
@@ -491,8 +473,8 @@ void BM_AutotunerPick(benchmark::State& state) {
   // reports the kernel the tuner picked on this machine.
   const FunctionalBenchCase c = lowpw_case();
   const nn::Layer& layer = c.net.layer(0);
-  const sim::BackendContext ctx{.jobs = 1};
-  const sim::BitsliceEngine::SliceSpec spec{
+  const sim::GridOptions ctx{.jobs = 1};
+  const sim::SliceSpec spec{
       .act_precision = layer.act_precision,
       .weight_precision = layer.weight_precision,
       .act_signed = false,
@@ -841,21 +823,6 @@ void BM_MemoryBoundVggConv(benchmark::State& state) {
                           (112 * 112 / 16));  // window blocks per run
 }
 BENCHMARK(BM_MemoryBoundVggConv)->Unit(benchmark::kMillisecond);
-
-void BM_BitsliceTranspose(benchmark::State& state) {
-  // The 64x64 bit transpose that converts sliced accumulators back to
-  // per-column integers (two per filter row per slab).
-  std::uint64_t a[64];
-  for (int i = 0; i < 64; ++i) {
-    a[i] = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-  }
-  for (auto _ : state) {
-    sim::transpose64(a);
-    benchmark::DoNotOptimize(a[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_BitsliceTranspose);
 
 // ---- Sharded serving ------------------------------------------------------
 

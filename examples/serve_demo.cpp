@@ -32,8 +32,8 @@
 //   --inject-faults in sharded mode also arms the shard-scoped sites:
 //       shard kills, stalls, probe failures and snapshot corruption.
 //
-// The server coalesces concurrent requests per model into lane-packed
-// batches for the bit-sliced engine; outputs are byte-identical to running
+// The server coalesces concurrent requests per model into batches for the
+// functional engine's gemm kernel; outputs are byte-identical to running
 // each request alone (the demo spot-checks one request per model against a
 // solo run), no matter which degradation path a batch took.
 #include <chrono>

@@ -29,9 +29,10 @@ class DynamicPrecisionUnit {
   /// non-empty plane — exactly what the OR-tree hardware computes.
   [[nodiscard]] int detect_planes(const BitPlanes& planes) noexcept;
 
-  /// Fold externally-computed detections into the counters. The bit-sliced
-  /// functional engine evaluates the same OR groups word-parallel and
-  /// reports them here so detector statistics stay engine-agnostic.
+  /// Fold externally-computed detections into the counters. The
+  /// word-parallel functional kernel evaluates the same OR groups while it
+  /// packs and reports them here so detector statistics stay
+  /// engine-agnostic.
   void note_detections(std::uint64_t invocations, std::uint64_t values) noexcept {
     invocations_ += invocations;
     values_ += values;

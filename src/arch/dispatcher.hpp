@@ -73,8 +73,8 @@ class Dispatcher {
       const std::vector<std::vector<Value>>& rows, int precision);
 
   /// Fold externally-computed streaming totals into the counters: the
-  /// bit-sliced fast path moves the same bits word-parallel and reports
-  /// them here so dispatcher statistics stay engine-agnostic.
+  /// word-parallel kernel accounts for the same bits analytically and
+  /// reports them here so dispatcher statistics stay engine-agnostic.
   void note_streamed(std::uint64_t act_bits, std::uint64_t weight_bits,
                      std::uint64_t detect_invocations,
                      std::uint64_t detect_values) noexcept {

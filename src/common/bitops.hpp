@@ -72,9 +72,9 @@ inline constexpr int kBasePrecision = 16;
 }
 
 /// Bit positions of the positive (`+2^k`) and negative (`-2^k`) digits of
-/// the non-adjacent form of `mag` — the same dp/dm decomposition the
-/// bit-sliced engine's naf_decode applies when it enumerates effectual
-/// weight terms. Requires mag < 2^30 (one headroom bit for mag + 2*mag).
+/// the non-adjacent form of `mag` — the dp/dm decomposition a term-serial
+/// weight lane uses to enumerate effectual weight terms. Requires
+/// mag < 2^30 (one headroom bit for mag + 2*mag).
 struct NafDigits {
   std::uint32_t plus = 0;
   std::uint32_t minus = 0;

@@ -1,6 +1,5 @@
 // Runtime CPU feature detection shared by every SIMD-dispatched kernel
-// (the bit-sliced Harley-Seal sweep, the dense-GEMM multiply-add). One probe,
-// one policy: kernels ask for the process-wide SimdLevel instead of each
+// (today the dense-GEMM multiply-add). One probe, one policy: kernels ask for the process-wide SimdLevel instead of each
 // carrying a private __builtin_cpu_supports call, so a single environment
 // override can force every dispatch site down to a lower tier — the switch
 // the per-tier CI legs and the cross-tier byte-identity tests stand on.

@@ -62,8 +62,8 @@ class ThreadPool {
 };
 
 /// Process-wide pool (one worker per hardware thread) shared by the
-/// data-parallel kernels — OR-plane builds, the bit-sliced functional
-/// engine — so nested runner fan-outs queue stripes instead of spawning
+/// data-parallel kernels — OR-plane builds, the dense-GEMM functional
+/// kernel — so nested runner fan-outs queue stripes instead of spawning
 /// thread storms. Contract: tasks submitted to this pool must never call
 /// parallel_for/submit on it themselves (a worker blocking on its own pool
 /// can deadlock); dedicated pools (e.g. the runner's) may block on it
@@ -72,7 +72,7 @@ class ThreadPool {
 
 /// Resolve a user-facing `jobs` knob against the shared pool: values <= 0
 /// mean "one stripe per hardware thread" (the shared pool's size), anything
-/// else is taken literally. Shared by the bit-sliced engine, the OR-plane
+/// else is taken literally. Shared by the dense-GEMM kernel, the OR-plane
 /// builder and the inference server so every subsystem reads the knob the
 /// same way.
 [[nodiscard]] std::size_t resolve_jobs(int jobs);

@@ -12,7 +12,7 @@
 // LOOM_ROUTER_FAULT_SEED.
 //
 // Sites wired into InferenceServer:
-//   engine_failure   -- thrown as TransientEngineError from the bit-sliced
+//   engine_failure   -- thrown as TransientEngineError from the primary
 //                       engine's pre-run hook (primary attempts + retries;
 //                       the scalar fallback engine has no hook)
 //   fallback_failure -- same, but for the scalar-oracle fallback attempt,
@@ -51,7 +51,7 @@ namespace loom::serve {
 /// (the default) disables injection entirely.
 struct FaultPlan {
   std::uint64_t seed = 0;
-  /// Probability a bit-sliced engine run (initial attempt or retry) throws
+  /// Probability a primary engine run (initial attempt or retry) throws
   /// TransientEngineError before doing any work.
   double engine_failure_prob = 0.0;
   /// Probability the scalar-oracle fallback attempt throws too (exercises

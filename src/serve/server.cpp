@@ -359,7 +359,7 @@ InferenceServer::ModelQueue* InferenceServer::best_queue() {
 
 void InferenceServer::worker_loop() {
   // One engine per worker: engines carry dispatcher statistics and scratch
-  // state, so they are confined to their thread; the bit-sliced fan-out
+  // state, so they are confined to their thread; the kernel's fan-out
   // inside a run still stripes over the shared pool. The fault injector's
   // engine-failure site rides the engine's pre-run hook, so injected
   // failures hit the primary attempts and retries but never the scalar
@@ -374,7 +374,7 @@ void InferenceServer::worker_loop() {
   }
   sim::FunctionalLoomEngine engine(primary_opts);
   // Scalar-oracle fallback engine, built on first use: byte-identical
-  // outputs to the bit-sliced path (pinned by test), hook-free.
+  // outputs to the primary engine (pinned by test), hook-free.
   std::optional<sim::FunctionalLoomEngine> scalar;
   const auto scalar_engine = [&]() -> sim::FunctionalLoomEngine& {
     if (!scalar) {
@@ -474,7 +474,7 @@ void InferenceServer::worker_loop() {
     for (Pending& p : batch) inputs.push_back(std::move(p.input));
     const Model& model = *batch.front().model;
 
-    // Graceful degradation: bit-sliced attempts with exponential backoff,
+    // Graceful degradation: primary attempts with exponential backoff,
     // then the scalar oracle, then per-future failure. The worker itself
     // never dies on an engine error.
     const Clock::time_point t0 = Clock::now();

@@ -1,15 +1,17 @@
-// Batched inference serving over the bit-sliced functional engine, with an
+// Batched inference serving over the functional engine, with an
 // overload-resilience layer: admission control, priority classes, deadlines,
 // load shedding and graceful degradation.
 //
-// The Loom SIP grid amortizes bit-serial work across 64 concurrent windows
-// per machine word, but a single small image (or an FC tail, whose window
-// count is 1) leaves most of those lanes empty. The InferenceServer fills
-// them *across requests*: concurrent submissions for the same
-// (network, profile) pair coalesce into lane-packed batches that run
+// The engine's GEMM kernel works on slabs of up to 64 windows, and an FC
+// layer (one window) is a matrix-vector product that streams every weight
+// row once per call. A single small image leaves slabs part-empty, and a
+// lone FC request pays the whole weight stream for one output vector. The
+// InferenceServer amortizes both *across requests*: concurrent submissions
+// for the same (network, profile) pair coalesce into batches that run
 // through FunctionalLoomEngine::run_network_batch, where the im2col window
-// ranges of different requests concatenate into the same 64-lane slabs and
-// each request's outputs demux back out.
+// ranges of different requests concatenate into the same slabs, each FC
+// weight row is applied to every request, and each request's outputs demux
+// back out.
 //
 // Request lifecycle:
 //   submit(model, input, {priority, deadline})
@@ -25,7 +27,7 @@
 //     |  requests (DeadlineExceededError), then pops the batch in
 //     |  class-major FIFO order.
 //   engine run with graceful degradation
-//     |  a failed bit-sliced run retries with exponential backoff, then
+//     |  a failed primary run retries with exponential backoff, then
 //     |  falls back to the scalar-oracle engine (byte-identical outputs,
 //     |  pinned by test); if that fails too the batch's futures fail
 //     |  individually — the worker thread never crashes.
@@ -132,7 +134,7 @@ struct InferenceResult {
   std::chrono::nanoseconds run_time{0};    ///< engine wall clock of the batch
   Priority priority = Priority::kInteractive;
   /// True when the batch ran on the scalar-oracle fallback engine after the
-  /// bit-sliced attempts failed (outputs are byte-identical either way).
+  /// primary attempts failed (outputs are byte-identical either way).
   bool via_fallback = false;
   /// Engine runs attempted for the batch (1 = first try succeeded).
   int engine_attempts = 1;
@@ -188,11 +190,11 @@ struct ServerStats {
   std::uint64_t timed_out = 0;
   std::uint64_t batches = 0;        ///< engine runs that formed
   std::uint64_t batch_requests = 0; ///< requests across formed batches
-  std::uint64_t retries = 0;        ///< bit-sliced re-attempts
+  std::uint64_t retries = 0;        ///< primary-engine re-attempts
   std::uint64_t fallbacks = 0;      ///< batches degraded to the scalar oracle
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_batch = 0;
-  /// Layer runs per functional kernel ("scalar", "bitslice", "gemm", ...):
+  /// Layer runs per functional kernel ("scalar", "gemm", ...):
   /// which backend actually served each weighted layer, fallback runs
   /// included — the observable trace of autotuner + degradation decisions.
   std::map<std::string, std::uint64_t> backend_layer_runs;

@@ -50,11 +50,10 @@ void encode_key(ByteWriter& w, const AutotuneCacheKey& key) {
   return key;
 }
 
-/// Persist-worthy = decided (winner known), not pinned (a pin is a
-/// per-process override, not a measurement), and internally consistent
+/// Persist-worthy = decided (winner known) and internally consistent
 /// (winner backed by a sample) — exactly what install() will accept back.
 [[nodiscard]] bool persistable(const BackendAutotuner::Decision& d) {
-  if (d.winner.empty() || d.pinned || d.samples.empty()) return false;
+  if (d.winner.empty() || d.samples.empty()) return false;
   for (const auto& s : d.samples) {
     if (s.backend == d.winner) return true;
   }

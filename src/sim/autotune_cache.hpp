@@ -55,8 +55,7 @@ struct AutotuneCacheKey {
 
 /// Serialize decided cells to the cache byte image (exposed so the
 /// corruption tests can flip bits / truncate without touching disk).
-/// Undecided and pinned cells are skipped — a pin is a per-process
-/// override, not a measurement.
+/// Undecided cells, and cells whose winner has no sample, are skipped.
 [[nodiscard]] std::vector<std::uint8_t> encode_autotune_cache(
     std::span<const BackendAutotuner::Decision> decisions,
     const AutotuneCacheKey& key);
@@ -72,9 +71,9 @@ struct AutotuneCacheKey {
 void save_autotune_cache(const std::string& path);
 
 /// Read, validate and install a cache into the process autotuner. Returns
-/// the number of cells installed (already-known keys and pinned processes
-/// install nothing). Throws AutotuneCacheError on a missing file, any
-/// corruption, or a key mismatch — without touching autotuner state.
+/// the number of cells installed (already-known keys install nothing).
+/// Throws AutotuneCacheError on a missing file, any corruption, or a key
+/// mismatch — without touching autotuner state.
 std::size_t load_autotune_cache(const std::string& path);
 
 /// One-shot env wiring: when LOOM_AUTOTUNE_CACHE is set, load it

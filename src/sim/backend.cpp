@@ -29,16 +29,16 @@ namespace {
 
 class ScalarBackend final : public FunctionalBackend {
  public:
-  explicit ScalarBackend(const BackendContext& ctx)
+  explicit ScalarBackend(const GridOptions& ctx)
       : ctx_(ctx), dispatcher_(ctx.lanes) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
+  ConvStats run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+      const nn::Tensor& weights, const SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) override {
     LOOM_EXPECTS(!spec.act_signed);  // the scalar conv grid is unsigned-only
     LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-    BitsliceEngine::ConvStats st;
+    ConvStats st;
     const std::uint64_t act0 = dispatcher_.activation_bits_streamed();
     const std::uint64_t wgt0 = dispatcher_.weight_bits_streamed();
     const std::uint64_t inv0 = dispatcher_.detector().invocations();
@@ -128,7 +128,7 @@ class ScalarBackend final : public FunctionalBackend {
   /// One (filter-block, window-block) tile pass over all input chunks.
   std::uint64_t conv_block(const nn::Layer& layer, const nn::Tensor& input,
                            const nn::Tensor& weights,
-                           const BitsliceEngine::SliceSpec& spec,
+                           const SliceSpec& spec,
                            std::int64_t g, std::int64_t fb, std::int64_t wb,
                            nn::WideTensor& wide, double& streamed_pa,
                            std::int64_t& chunks) {
@@ -214,7 +214,7 @@ class ScalarBackend final : public FunctionalBackend {
     return block_cycles;
   }
 
-  BackendContext ctx_;
+  GridOptions ctx_;
   arch::Dispatcher dispatcher_;
   std::vector<Value> act_buf_, weight_buf_;
   std::vector<std::span<const Value>> act_spans_, weight_spans_;
@@ -223,22 +223,16 @@ class ScalarBackend final : public FunctionalBackend {
 };
 
 // ---------------------------------------------------------------------------
-// Word-parallel backends: thin adapters over BitsliceEngine / GemmEngine,
-// which share the grid options and the layer-call surface.
+// The word-parallel backend: a thin adapter over GemmEngine.
 
-template <typename Engine>
-class EngineBackend final : public FunctionalBackend {
+class GemmBackend final : public FunctionalBackend {
  public:
-  explicit EngineBackend(const BackendContext& ctx)
-      : engine_({.rows = ctx.rows,
-                 .cols = ctx.cols,
-                 .lanes = ctx.lanes,
-                 .jobs = ctx.jobs}) {}
+  explicit GemmBackend(const GridOptions& grid) : engine_(grid) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) override {
+  ConvStats run_conv_batch(const nn::Layer& layer,
+                           std::span<const nn::Tensor* const> inputs,
+                           const nn::Tensor& weights, const SliceSpec& spec,
+                           std::span<nn::WideTensor* const> wides) override {
     return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
   }
 
@@ -256,28 +250,17 @@ class EngineBackend final : public FunctionalBackend {
   }
 
  private:
-  Engine engine_;
+  GemmEngine engine_;
 };
 
-bool scalar_supports(const BackendContext&) { return true; }
+bool scalar_supports(const GridOptions&) { return true; }
 
-std::unique_ptr<FunctionalBackend> make_scalar(const BackendContext& ctx) {
+std::unique_ptr<FunctionalBackend> make_scalar(const GridOptions& ctx) {
   return std::make_unique<ScalarBackend>(ctx);
 }
 
-bool grid_supports(const BackendContext& ctx) {
-  return BitsliceEngine::supports({.rows = ctx.rows,
-                                   .cols = ctx.cols,
-                                   .lanes = ctx.lanes,
-                                   .jobs = ctx.jobs});
-}
-
-std::unique_ptr<FunctionalBackend> make_bitslice(const BackendContext& ctx) {
-  return std::make_unique<EngineBackend<BitsliceEngine>>(ctx);
-}
-
-std::unique_ptr<FunctionalBackend> make_gemm(const BackendContext& ctx) {
-  return std::make_unique<EngineBackend<GemmEngine>>(ctx);
+std::unique_ptr<FunctionalBackend> make_gemm(const GridOptions& grid) {
+  return std::make_unique<GemmBackend>(grid);
 }
 
 }  // namespace
@@ -295,10 +278,7 @@ BackendRegistry::BackendRegistry() : impl_(new Impl) {
       {.name = "scalar", .tunable = false, .supports = scalar_supports,
        .make = make_scalar});
   impl_->entries.push_back(
-      {.name = "bitslice", .tunable = true, .supports = grid_supports,
-       .make = make_bitslice});
-  impl_->entries.push_back(
-      {.name = "gemm", .tunable = true, .supports = grid_supports,
+      {.name = "gemm", .tunable = true, .supports = supports,
        .make = make_gemm});
 }
 
@@ -337,7 +317,7 @@ std::vector<std::string> BackendRegistry::names() const {
 }
 
 std::vector<std::string> BackendRegistry::tunable_names(
-    const BackendContext& ctx) const {
+    const GridOptions& ctx) const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<std::string> out;
   for (const BackendInfo& e : impl_->entries) {
@@ -347,17 +327,12 @@ std::vector<std::string> BackendRegistry::tunable_names(
 }
 
 std::string resolve_backend_name(std::string_view requested, bool force_scalar,
-                                 const BackendContext& ctx) {
+                                 const GridOptions& ctx) {
   // LOOM_FUNCTIONAL_SCALAR: any value other than empty or "0" forces it.
   const char* scalar_env = std::getenv("LOOM_FUNCTIONAL_SCALAR");
   const std::string_view scalar = scalar_env != nullptr ? scalar_env : "";
   if (force_scalar || (!scalar.empty() && scalar != "0")) return "scalar";
-  std::string name(requested);
-  if (name.empty()) {
-    const char* env = std::getenv("LOOM_FUNCTIONAL_BACKEND");
-    if (env != nullptr && env[0] != '\0') name = env;
-  }
-  if (name.empty()) name = "auto";
+  const std::string name = requested.empty() ? "auto" : std::string(requested);
   if (name == "auto") {
     return BackendRegistry::instance().tunable_names(ctx).empty() ? "scalar"
                                                                   : "auto";
@@ -390,8 +365,8 @@ std::string TuneKey::to_string() const {
 }
 
 TuneKey conv_tune_key(const nn::Layer& layer,
-                      const BitsliceEngine::SliceSpec& spec, int batch,
-                      const BackendContext& ctx) {
+                      const SliceSpec& spec, int batch,
+                      const GridOptions& ctx) {
   TuneKey k;
   k.kind = 0;
   k.in_c = layer.in.c;
@@ -416,7 +391,7 @@ TuneKey conv_tune_key(const nn::Layer& layer,
 }
 
 TuneKey fc_tune_key(const nn::Layer& layer, int weight_precision, int batch,
-                    const BackendContext& ctx) {
+                    const GridOptions& ctx) {
   TuneKey k;
   k.kind = 1;
   k.in_c = layer.in.elements();
@@ -443,20 +418,13 @@ struct BackendAutotuner::Impl {
     std::map<std::string, std::uint64_t> samples;  ///< best (min) ns seen
     std::set<std::string> claimed;  ///< handed out, measurement in flight
     std::string winner;
-    bool pinned = false;
     bool from_cache = false;  ///< winner installed from a persistent cache
   };
 
   mutable std::mutex mu;
   std::map<TuneKey, Cell> cells;
-  std::string pin;
   std::function<std::uint64_t(const TuneKey&, const std::string&)> override_fn;
   CacheStats cache_stats;
-
-  static void read_pin(std::string& pin) {
-    const char* v = std::getenv("LOOM_AUTOTUNE_PIN");
-    pin = (v != nullptr) ? v : "";
-  }
 
   /// All candidates sampled → the argmin (candidate order breaks ties).
   static void maybe_decide(Cell& cell) {
@@ -475,9 +443,7 @@ struct BackendAutotuner::Impl {
   }
 };
 
-BackendAutotuner::BackendAutotuner() : impl_(new Impl) {
-  Impl::read_pin(impl_->pin);
-}
+BackendAutotuner::BackendAutotuner() : impl_(new Impl) {}
 
 BackendAutotuner& BackendAutotuner::instance() {
   static BackendAutotuner* tuner = new BackendAutotuner;  // leaked singleton
@@ -491,13 +457,6 @@ std::string BackendAutotuner::choose(const TuneKey& key,
   Impl::Cell& cell = impl_->cells[key];
   if (cell.candidates.empty()) {
     cell.candidates.assign(candidates.begin(), candidates.end());
-  }
-  if (cell.winner.empty() && !impl_->pin.empty()) {
-    if (std::find(cell.candidates.begin(), cell.candidates.end(),
-                  impl_->pin) != cell.candidates.end()) {
-      cell.winner = impl_->pin;
-      cell.pinned = true;
-    }
   }
   if (cell.winner.empty() && impl_->override_fn) {
     for (const std::string& c : cell.candidates) {
@@ -557,7 +516,6 @@ std::vector<BackendAutotuner::Decision> BackendAutotuner::decisions() const {
     Decision d;
     d.key = key;
     d.winner = cell.winner;
-    d.pinned = cell.pinned;
     for (const std::string& c : cell.candidates) {
       auto it = cell.samples.find(c);
       if (it != cell.samples.end()) d.samples.push_back({c, it->second});
@@ -569,7 +527,6 @@ std::vector<BackendAutotuner::Decision> BackendAutotuner::decisions() const {
 
 std::size_t BackendAutotuner::install(std::span<const Decision> decisions) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (!impl_->pin.empty()) return 0;  // a pin outranks any persisted winner
   std::size_t installed = 0;
   for (const Decision& d : decisions) {
     if (d.winner.empty() || d.samples.empty()) continue;
@@ -608,7 +565,6 @@ void BackendAutotuner::reset_for_test() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->cells.clear();
   impl_->cache_stats = CacheStats{};
-  Impl::read_pin(impl_->pin);
 }
 
 }  // namespace loom::sim

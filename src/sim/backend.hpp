@@ -2,7 +2,7 @@
 //
 // A FunctionalBackend is one interchangeable kernel implementation of the
 // functional engines' layer math: exact integer conv/FC accumulators plus
-// the analytic streaming statistics (BitsliceEngine::ConvStats) the
+// the analytic streaming statistics (ConvStats, sim/gemm_engine.hpp) the
 // dispatcher-driven scalar grid would report. Every backend is held to the
 // same contract — byte-identical accumulators AND byte-identical stats —
 // so FunctionalLoomEngine can swap kernels per layer without any observable
@@ -12,19 +12,16 @@
 // Registered built-ins:
 //   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
 //                (ground truth; never an autotuner candidate)
-//   bitslice   — 64 SIP columns per machine word (sim/bitslice_engine.hpp)
 //   gemm       — dense int16 GEMM plus the shared streaming-statistics pass
-//                (sim/gemm_engine.hpp); the speed-of-light exact kernel
+//                (sim/gemm_engine.hpp); the word-parallel exact kernel
 //
 // Backend selection (resolve_backend_name): FunctionalOptions::force_scalar
-// or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise an explicit
-// FunctionalOptions::backend, then the LOOM_FUNCTIONAL_BACKEND environment
-// variable, then "auto". "auto" hands each (layer geometry, precision,
-// batch) cell to the BackendAutotuner, which samples every tunable backend
-// once on the real layer run, memoizes the fastest, and exposes its
-// decisions; LOOM_AUTOTUNE_PIN=<name> pins every cell for reproducible
-// runs. A named backend that cannot pack the grid falls back to "scalar",
-// matching the historical cols>64 behavior.
+// or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise FunctionalOptions::
+// backend, where "" means "auto". "auto" hands each (layer geometry,
+// precision, batch) cell to the BackendAutotuner, which samples every
+// tunable backend once on the real layer run, memoizes the fastest, and
+// exposes its decisions. A named backend that cannot pack the grid falls
+// back to "scalar", matching the historical cols>64 behavior.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +34,9 @@
 
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/gemm_engine.hpp"
 
 namespace loom::sim {
-
-/// The grid shape a backend instance is built for (mirrors the engine's
-/// FunctionalOptions rows/cols/lanes/jobs).
-struct BackendContext {
-  int rows = 16;
-  int cols = 16;
-  int lanes = 16;
-  int jobs = 1;
-};
 
 /// One functional kernel. Conv returns the analytic streaming stats; FC
 /// reports none (the FC cycle model is analytic in the engine). Instances
@@ -58,10 +46,11 @@ class FunctionalBackend {
  public:
   virtual ~FunctionalBackend() = default;
 
-  virtual BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) = 0;
+  virtual ConvStats run_conv_batch(const nn::Layer& layer,
+                                   std::span<const nn::Tensor* const> inputs,
+                                   const nn::Tensor& weights,
+                                   const SliceSpec& spec,
+                                   std::span<nn::WideTensor* const> wides) = 0;
 
   virtual void run_fc(const nn::Layer& layer, const nn::Tensor& input,
                       const nn::Tensor& weights, int weight_precision,
@@ -80,8 +69,8 @@ struct BackendInfo {
   /// Autotuner candidate? The scalar oracle is registered non-tunable: it
   /// exists for ground truth and fallback, and is never competitive.
   bool tunable = false;
-  bool (*supports)(const BackendContext&) = nullptr;
-  std::unique_ptr<FunctionalBackend> (*make)(const BackendContext&) = nullptr;
+  bool (*supports)(const GridOptions&) = nullptr;
+  std::unique_ptr<FunctionalBackend> (*make)(const GridOptions&) = nullptr;
 };
 
 /// Process-wide named-backend table. Built-ins self-register on first
@@ -100,7 +89,7 @@ class BackendRegistry {
   /// Tunable backends whose supports() accepts `ctx`, registration order —
   /// the autotuner candidate list (deterministic sampling order).
   [[nodiscard]] std::vector<std::string> tunable_names(
-      const BackendContext& ctx) const;
+      const GridOptions& ctx) const;
 
  private:
   BackendRegistry();
@@ -110,14 +99,13 @@ class BackendRegistry {
 
 /// Resolve the backend an engine will run: "scalar", "auto", or a concrete
 /// registered name. `requested` is FunctionalOptions::backend ("" = defer
-/// to LOOM_FUNCTIONAL_BACKEND, then "auto"). Precedence: force_scalar /
-/// LOOM_FUNCTIONAL_SCALAR first (preserved escape hatch), explicit request
-/// next, environment last. Unknown names throw ConfigError; a known name
+/// to "auto"). force_scalar / LOOM_FUNCTIONAL_SCALAR outrank any request
+/// (preserved escape hatch). Unknown names throw ConfigError; a known name
 /// (or "auto" with no viable candidate) that cannot pack `ctx` resolves to
 /// "scalar".
 [[nodiscard]] std::string resolve_backend_name(std::string_view requested,
                                                bool force_scalar,
-                                               const BackendContext& ctx);
+                                               const GridOptions& ctx);
 
 /// One autotuner memoization cell: a layer's geometry + streamed
 /// precisions + batch + grid + thread fan-out. Everything that changes
@@ -139,20 +127,18 @@ struct TuneKey {
 };
 
 [[nodiscard]] TuneKey conv_tune_key(const nn::Layer& layer,
-                                    const BitsliceEngine::SliceSpec& spec,
-                                    int batch, const BackendContext& ctx);
+                                    const SliceSpec& spec,
+                                    int batch, const GridOptions& ctx);
 [[nodiscard]] TuneKey fc_tune_key(const nn::Layer& layer, int weight_precision,
-                                  int batch, const BackendContext& ctx);
+                                  int batch, const GridOptions& ctx);
 
 /// Thread-safe process-wide winner memo. choose() hands back the memoized
 /// winner, or — while a cell is still being explored — the next unsampled
 /// candidate so the timing piggybacks on a real layer run (every candidate
 /// computes identical bytes, so exploration is free of rework). record()
 /// feeds the measured wall clock back; once every candidate has a sample
-/// the argmin wins (first-registered wins ties). LOOM_AUTOTUNE_PIN=<name>
-/// short-circuits every cell whose candidate list contains <name> — the
-/// reproducibility switch for tests and CI. Timing can be overridden with
-/// an injected function for deterministic autotuner tests.
+/// the argmin wins (first-registered wins ties). Timing can be overridden
+/// with an injected function for deterministic autotuner tests.
 class BackendAutotuner {
  public:
   static BackendAutotuner& instance();
@@ -168,7 +154,6 @@ class BackendAutotuner {
   struct Decision {
     TuneKey key;
     std::string winner;  ///< empty while the cell is still exploring
-    bool pinned = false;
     std::vector<Sample> samples;
   };
   /// Snapshot of every cell, deterministic (key-sorted) order.
@@ -178,8 +163,7 @@ class BackendAutotuner {
   /// (sim/autotune_cache.hpp): each becomes a memoized winner, so choose()
   /// answers immediately — no per-process re-measurement. Entries without a
   /// winner, whose winner is not among their samples, or whose key already
-  /// has a cell are skipped; when LOOM_AUTOTUNE_PIN is set nothing installs
-  /// (the pin outranks any cache). Returns the number installed.
+  /// has a cell are skipped. Returns the number installed.
   std::size_t install(std::span<const Decision> decisions);
 
   /// Cross-process memoization counters. hits/misses are per choose() call:
@@ -199,8 +183,7 @@ class BackendAutotuner {
   /// to wall-clock timing.
   void set_timing_override_for_test(
       std::function<std::uint64_t(const TuneKey&, const std::string&)> fn);
-  /// Drop all cells and re-read LOOM_AUTOTUNE_PIN (tests mutate the
-  /// environment between cases).
+  /// Drop all cells and zero the cache counters.
   void reset_for_test();
 
  private:

@@ -13,12 +13,12 @@ namespace {
 
 class IpUnitBackend final : public FunctionalBackend {
  public:
-  explicit IpUnitBackend(const BackendContext& ctx) : ctx_(ctx) {}
+  explicit IpUnitBackend(const GridOptions& grid) : grid_(grid) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& /*spec*/,
-      std::span<nn::WideTensor* const> wides) override {
+  ConvStats run_conv_batch(const nn::Layer& layer,
+                           std::span<const nn::Tensor* const> inputs,
+                           const nn::Tensor& weights, const SliceSpec& /*spec*/,
+                           std::span<nn::WideTensor* const> wides) override {
     LOOM_EXPECTS(inputs.size() == wides.size());
     for (std::size_t r = 0; r < inputs.size(); ++r) {
       run_layer(layer, *inputs[r], weights, *wides[r]);
@@ -46,8 +46,8 @@ class IpUnitBackend final : public FunctionalBackend {
   void run_layer(const nn::Layer& layer, const nn::Tensor& input,
                  const nn::Tensor& weights, nn::WideTensor& wide) const {
     const bool conv = layer.kind == nn::LayerKind::kConv;
-    const int lanes = ctx_.lanes;
-    const std::int64_t filters = ctx_.rows;
+    const int lanes = grid_.lanes;
+    const std::int64_t filters = grid_.rows;
     const std::int64_t inner = layer.inner_length();
     const std::int64_t cog = layer.group_out_channels();
     std::vector<arch::IpUnit> ips(static_cast<std::size_t>(filters),
@@ -89,14 +89,14 @@ class IpUnitBackend final : public FunctionalBackend {
     }
   }
 
-  BackendContext ctx_;
+  GridOptions grid_;
 };
 
 }  // namespace
 
 std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
-    const BackendContext& ctx) {
-  return std::make_unique<IpUnitBackend>(ctx);
+    const GridOptions& grid) {
+  return std::make_unique<IpUnitBackend>(grid);
 }
 
 }  // namespace loom::sim

@@ -16,24 +16,23 @@
 #include <memory>
 
 #include "sim/backend.hpp"
-#include "sim/bitslice_engine.hpp"
 #include "sim/functional.hpp"
 
 namespace loom::sim {
 
-/// DPNN semantics for the word-parallel backends: every operand at full
+/// DPNN semantics for the word-parallel backend: every operand at full
 /// signed 16-bit precision, no dynamic trimming. `rows`/`cols` only shape
 /// the slab walk — the exact accumulators do not depend on them.
-inline constexpr BitsliceEngine::SliceSpec kDpnnSpec{
+inline constexpr SliceSpec kDpnnSpec{
     .act_precision = kBasePrecision,
     .weight_precision = kBasePrecision,
     .act_signed = true,
     .dynamic = false};
 
-/// DPNN's scalar oracle: `ctx.rows` arch::IpUnit filters of `ctx.lanes`
+/// DPNN's scalar oracle: `grid.rows` arch::IpUnit filters of `grid.lanes`
 /// lanes each, walking the baseline schedule. Reports no stats.
 [[nodiscard]] std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
-    const BackendContext& ctx);
+    const GridOptions& grid);
 
 /// IP units (filters) of the paper's DPNN baseline.
 inline constexpr int kDpnnFilters = 8;

@@ -82,21 +82,20 @@ FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
       dispatcher_(arch == Arch::kLoom ? opts_.lanes : 1) {
   LOOM_EXPECTS(opts_.rows >= 1 && opts_.cols >= 1 && opts_.lanes >= 1);
   if (arch_ == Arch::kDpnn) opts_.cols = 16;
-  ctx_ = BackendContext{.rows = opts_.rows,
-                        .cols = opts_.cols,
-                        .lanes = opts_.lanes,
-                        .jobs = opts_.jobs};
-  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, ctx_);
+  grid_ = GridOptions{.rows = opts_.rows,
+                      .cols = opts_.cols,
+                      .lanes = opts_.lanes,
+                      .jobs = opts_.jobs};
+  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, grid_);
   if (resolved_ == "auto") {
-    candidates_ = BackendRegistry::instance().tunable_names(ctx_);
+    candidates_ = BackendRegistry::instance().tunable_names(grid_);
     // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
     // or already initialized) so tuned cells skip per-process exploration.
     init_autotune_cache_from_env();
   }
 }
 
-BitsliceEngine::SliceSpec FunctionalEngine::slice_spec(
-    const nn::Layer& layer) const {
+SliceSpec FunctionalEngine::slice_spec(const nn::Layer& layer) const {
   if (arch_ == Arch::kDpnn) return kDpnnSpec;
   return {.act_precision = layer.act_precision,
           .weight_precision = layer.weight_precision,
@@ -128,23 +127,23 @@ FunctionalBackend& FunctionalEngine::backend_for(const std::string& name) {
   if (it == backends_.end()) {
     std::unique_ptr<FunctionalBackend> backend;
     if (arch_ == Arch::kDpnn && name == "scalar") {
-      backend = make_ip_unit_backend(ctx_);
+      backend = make_ip_unit_backend(grid_);
     } else {
       const BackendInfo* info = BackendRegistry::instance().find(name);
       LOOM_EXPECTS(info != nullptr);
-      backend = info->make(ctx_);
+      backend = info->make(grid_);
     }
     it = backends_.emplace(name, std::move(backend)).first;
   }
   return *it->second;
 }
 
-BitsliceEngine::ConvStats FunctionalEngine::dispatch(
+ConvStats FunctionalEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
     std::string& used) {
   const bool conv = layer.kind == nn::LayerKind::kConv;
-  const BitsliceEngine::SliceSpec spec = slice_spec(layer);
+  const SliceSpec spec = slice_spec(layer);
   const bool tuned = resolved_ == "auto";
   TuneKey key;
   used = resolved_;
@@ -153,13 +152,13 @@ BitsliceEngine::ConvStats FunctionalEngine::dispatch(
     // on real layer runs: the tuner hands out whichever kernel it still
     // needs a timing for, and the measurement is the run the caller wanted.
     const int batch = static_cast<int>(inputs.size());
-    key = conv ? conv_tune_key(layer, spec, batch, ctx_)
-               : fc_tune_key(layer, spec.weight_precision, batch, ctx_);
+    key = conv ? conv_tune_key(layer, spec, batch, grid_)
+               : fc_tune_key(layer, spec.weight_precision, batch, grid_);
     used = BackendAutotuner::instance().choose(key, candidates_);
   }
   const auto t0 = std::chrono::steady_clock::now();
   FunctionalBackend& backend = backend_for(used);
-  BitsliceEngine::ConvStats st;
+  ConvStats st;
   if (conv) {
     st = backend.run_conv_batch(layer, inputs, weights, spec, wides);
   } else {
@@ -196,7 +195,7 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
     wide_ptrs[r] = &run.wides.emplace_back(out_shape);
   }
 
-  const BitsliceEngine::ConvStats st =
+  const ConvStats st =
       dispatch(layer, in_ptrs, weights, wide_ptrs, run.backend);
   run.cycles = st.cycles;
   run.mean_streamed_precision =

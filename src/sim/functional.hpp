@@ -22,18 +22,17 @@
 // counts of the two models agree (the functional counts exclude the
 // analytic model's per-layer kPipelineFill constant).
 //
-// Layer math runs on an interchangeable kernel from the backend registry
-// (sim/backend.hpp): the scalar oracle, the bit-sliced engine, or the dense
-// int16 GEMM — all byte-identical in outputs, cycle counts,
-// streamed-precision means and dispatcher/detector statistics (golden-
-// pinned in tests/test_bitslice_engine.cpp and tests/test_kernel_golden.cpp,
-// swept by tests/test_backend_differential.cpp, whole zoo networks in
-// tests/test_zoo_equivalence.cpp). Selection: FunctionalOptions::
-// backend, then LOOM_FUNCTIONAL_BACKEND, then "auto" — which hands each
-// layer to the BackendAutotuner to memoize the empirically fastest kernel.
-// FunctionalOptions::force_scalar / LOOM_FUNCTIONAL_SCALAR still force the
-// scalar oracle, and configurations no fast kernel can pack (cols > 64;
-// DPNN lanes > 32) fall back to it automatically.
+// Layer math runs on a kernel from the backend registry (sim/backend.hpp):
+// the scalar oracle or the dense int16 GEMM — byte-identical in outputs,
+// cycle counts, streamed-precision means and dispatcher/detector statistics
+// (golden-pinned in tests/test_functional_golden.cpp and
+// tests/test_kernel_golden.cpp, swept by tests/test_backend_differential.cpp,
+// whole zoo networks in tests/test_zoo_equivalence.cpp). Selection:
+// FunctionalOptions::backend, where "" means "auto" — which hands each layer
+// to the BackendAutotuner to memoize the empirically fastest tunable kernel.
+// FunctionalOptions::force_scalar / LOOM_FUNCTIONAL_SCALAR force the scalar
+// oracle, and configurations no fast kernel can pack (cols > 64; DPNN
+// lanes > 32) fall back to it automatically.
 //
 // Restriction: models the LM1b variant (one activation bit per cycle).
 #pragma once
@@ -52,7 +51,6 @@
 #include "nn/reference.hpp"
 #include "nn/tensor.hpp"
 #include "sim/backend.hpp"
-#include "sim/bitslice_engine.hpp"
 
 namespace loom::sim {
 
@@ -69,9 +67,9 @@ struct FunctionalOptions {
   int jobs = 0;
   /// Force the scalar oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
   bool force_scalar = false;
-  /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
-  /// (per-layer autotuned); or a registered name ("scalar", "bitslice",
-  /// "gemm"). Unknown names throw ConfigError at construction.
+  /// Kernel selection: "" or "auto" (per-layer autotuned), or a registered
+  /// name ("scalar", "gemm"). Unknown names throw ConfigError at
+  /// construction.
   std::string backend = {};
   /// Invoked at the top of every run_network / run_network_batch call; may
   /// throw, in which case the run fails before touching any state. This is
@@ -155,9 +153,9 @@ class FunctionalEngine {
 
   // ---- Batched (multi-request) execution ----------------------------------
   // N same-shape inputs run as one coalesced batch: conv im2col window
-  // ranges of different requests concatenate into the same 64-lane slabs of
-  // the word-parallel backends, FC batches pack requests into the word
-  // lanes, and every request's outputs demux back out. Requantization
+  // ranges of different requests concatenate into the same 64-window slabs
+  // of the word-parallel kernel, FC batches apply each weight row to every
+  // request, and every request's outputs demux back out. Requantization
   // (shift choice included) is per request, so outputs are byte-identical
   // to N solo runs — pinned by tests/test_batch_properties.cpp and the
   // serving stress tests, not assumed. On the scalar oracle a batch is
@@ -186,11 +184,9 @@ class FunctionalEngine {
     return dispatcher_;
   }
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
-  /// True when layers run on a word-parallel fast path (false = scalar
-  /// oracle, via force_scalar / LOOM_FUNCTIONAL_SCALAR / unpackable grid).
-  [[nodiscard]] bool bitsliced() const noexcept { return resolved_ != "scalar"; }
-  /// The resolved kernel selection: "scalar", "auto" (per-layer autotuned),
-  /// or a concrete registered backend name.
+  /// The resolved kernel selection: "scalar" (force_scalar /
+  /// LOOM_FUNCTIONAL_SCALAR / unpackable grid), "auto" (per-layer
+  /// autotuned), or a concrete registered backend name.
   [[nodiscard]] const std::string& backend_name() const noexcept {
     return resolved_;
   }
@@ -206,7 +202,7 @@ class FunctionalEngine {
                                           const nn::Tensor& weights,
                                           int out_bits);
   /// What the architecture streams for `layer`.
-  [[nodiscard]] BitsliceEngine::SliceSpec slice_spec(const nn::Layer& layer) const;
+  [[nodiscard]] SliceSpec slice_spec(const nn::Layer& layer) const;
   /// Per-image cycles of a data-independent schedule (Loom FC, any DPNN
   /// layer).
   [[nodiscard]] std::uint64_t schedule_cycles(const nn::Layer& layer) const;
@@ -215,16 +211,15 @@ class FunctionalEngine {
   /// Run one conv/fc batch on the selected kernel; under "auto" consults the
   /// autotuner and feeds the measured wall clock back. `used` reports the
   /// kernel that ran. FC kernels report no stats.
-  BitsliceEngine::ConvStats dispatch(const nn::Layer& layer,
-                                     std::span<const nn::Tensor* const> inputs,
-                                     const nn::Tensor& weights,
-                                     std::span<nn::WideTensor* const> wides,
-                                     std::string& used);
+  ConvStats dispatch(const nn::Layer& layer,
+                     std::span<const nn::Tensor* const> inputs,
+                     const nn::Tensor& weights,
+                     std::span<nn::WideTensor* const> wides, std::string& used);
 
   FunctionalOptions opts_;
   Arch arch_;
   arch::Dispatcher dispatcher_;
-  BackendContext ctx_;
+  GridOptions grid_;
   std::string resolved_;  ///< "scalar", "auto", or a concrete backend name
   std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
   std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;

@@ -29,8 +29,8 @@ constexpr std::int64_t kMinBlockSteps = 16;
 /// FC streams (request x activation part) sharing one weight-row load.
 constexpr int kFcStreams = 4;
 
-/// Inner-length cap, the same as the bit-sliced engine's: |product| <=
-/// 2^30, so the int64 sums stay exact far beyond it.
+/// Inner-length cap: |product| <= 2^30, so the int64 sums stay exact far
+/// beyond it.
 constexpr std::int64_t kMaxInner = std::int64_t{1} << 28;
 
 /// Steps one int32 lane may accumulate before it must be widened. Each
@@ -348,12 +348,10 @@ struct ConvScratch {
 
 }  // namespace
 
-void conv_stream_stats(const nn::Layer& layer,
-                       const BitsliceEngine::SliceSpec& spec,
-                       const BitsliceEngine::Options& grid,
-                       std::int64_t slab_cols,
+void conv_stream_stats(const nn::Layer& layer, const SliceSpec& spec,
+                       const GridOptions& grid, std::int64_t slab_cols,
                        std::span<const std::uint32_t> group_or,
-                       BitsliceEngine::ConvStats& stats) {
+                       ConvStats& stats) {
   const std::int64_t inner = layer.inner_length();
   const std::int64_t cog = layer.group_out_channels();
   const std::int64_t fb_count = ceil_div(cog, grid.rows);
@@ -390,23 +388,21 @@ void conv_stream_stats(const nn::Layer& layer,
   }
 }
 
-GemmEngine::GemmEngine(Options opts)
-    : opts_(opts), kernels_(select_kernels()) {
-  LOOM_EXPECTS(supports(opts));
+GemmEngine::GemmEngine(GridOptions grid)
+    : opts_(grid), kernels_(select_kernels()) {
+  LOOM_EXPECTS(supports(grid));
   slab_windows_ = (kTile / opts_.cols) * opts_.cols;
 }
 
-GemmEngine::ConvStats GemmEngine::run_conv(const nn::Layer& layer,
-                                           const nn::Tensor& input,
-                                           const nn::Tensor& weights,
-                                           const SliceSpec& spec,
-                                           nn::WideTensor& wide) {
+ConvStats GemmEngine::run_conv(const nn::Layer& layer, const nn::Tensor& input,
+                               const nn::Tensor& weights, const SliceSpec& spec,
+                               nn::WideTensor& wide) {
   const nn::Tensor* const inputs[] = {&input};
   nn::WideTensor* const wides[] = {&wide};
   return run_conv_batch(layer, inputs, weights, spec, wides);
 }
 
-GemmEngine::ConvStats GemmEngine::run_conv_batch(
+ConvStats GemmEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides) {

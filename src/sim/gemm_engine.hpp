@@ -13,7 +13,8 @@
 //     a low byte and a high part, summed exactly as lo + 256 * hi.
 //   * statistics: the same pack ORs each (input chunk, column group) of raw
 //     activations, and conv_stream_stats folds those ORs into ConvStats —
-//     the one statistics pass, shared with the bit-sliced engine.
+//     the one statistics pass, byte-identical to what the dispatcher-driven
+//     scalar grid reports.
 //
 // Operand semantics match the bit-serial grid exactly: unsigned conv
 // activations stream `raw & (2^Pa - 1)`, signed ones (FC, DPNN) the full
@@ -33,11 +34,65 @@
 #include <cstdint>
 #include <span>
 
+#include "common/bitops.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
 
 namespace loom::sim {
+
+/// The SIP grid a kernel instance is built for (FunctionalOptions'
+/// rows/cols/lanes/jobs).
+struct GridOptions {
+  int rows = 16;   ///< SIP rows (filter-block height; cycle accounting)
+  int cols = 16;   ///< SIP columns = dynamic-detection group width
+  int lanes = 16;  ///< products per SIP per cycle (max 32)
+  int jobs = 1;    ///< stripe fan-out over the shared pool; 0 = all
+};
+
+/// True when a word-parallel kernel can run `grid`: a slab of at most 64
+/// windows holds whole column groups, and a chunk at most 32 lanes.
+[[nodiscard]] inline bool supports(const GridOptions& grid) noexcept {
+  return grid.cols >= 1 && grid.cols <= 64 && grid.lanes >= 1 &&
+         grid.lanes <= 32 && grid.rows >= 1;
+}
+
+/// Streaming semantics of one layer run. Mirrors what the dispatcher +
+/// arch::Sip grid would do: activations serialized at `act_precision`
+/// planes (optionally trimmed per column-group by dynamic detection),
+/// weights at `weight_precision` two's-complement planes with a negated
+/// MSB pass. `act_signed` additionally negates the activation MSB plane
+/// (requires act_precision == 16; used by the FC and DPNN paths).
+struct SliceSpec {
+  int act_precision = kBasePrecision;
+  int weight_precision = kBasePrecision;
+  bool act_signed = false;
+  bool dynamic = false;
+};
+
+/// Cycle and data-movement accounting identical to what the scalar
+/// dispatcher-driven grid reports for the same layer.
+struct ConvStats {
+  std::uint64_t cycles = 0;
+  double streamed_pa = 0.0;  ///< sum of streamed Pa over chunks
+  std::int64_t chunks = 0;
+  std::uint64_t act_bits_streamed = 0;
+  std::uint64_t weight_bits_streamed = 0;
+  std::uint64_t detect_invocations = 0;
+  std::uint64_t detect_values = 0;
+
+  /// Integer-valued fields (streamed_pa included), so sums are exact in
+  /// any order.
+  ConvStats& operator+=(const ConvStats& o) noexcept {
+    cycles += o.cycles;
+    streamed_pa += o.streamed_pa;
+    chunks += o.chunks;
+    act_bits_streamed += o.act_bits_streamed;
+    weight_bits_streamed += o.weight_bits_streamed;
+    detect_invocations += o.detect_invocations;
+    detect_values += o.detect_values;
+    return *this;
+  }
+};
 
 /// Fold the raw activation ORs of one conv slab into the dispatcher's
 /// streaming accounting. The slab holds `slab_cols` consecutive columns of
@@ -47,36 +102,27 @@ namespace loom::sim {
 /// group `j` (grid.cols windows), padding excluded. Every chunk of every
 /// filter block streams the group's precision — the profile, or with
 /// dynamic detection the OR's leading one, clamped to the profile.
-void conv_stream_stats(const nn::Layer& layer,
-                       const BitsliceEngine::SliceSpec& spec,
-                       const BitsliceEngine::Options& grid,
-                       std::int64_t slab_cols,
+void conv_stream_stats(const nn::Layer& layer, const SliceSpec& spec,
+                       const GridOptions& grid, std::int64_t slab_cols,
                        std::span<const std::uint32_t> group_or,
-                       BitsliceEngine::ConvStats& stats);
+                       ConvStats& stats);
 
 class GemmEngine {
  public:
-  using Options = BitsliceEngine::Options;
-  using SliceSpec = BitsliceEngine::SliceSpec;
-  using ConvStats = BitsliceEngine::ConvStats;
-
-  /// Same grid envelope as the bit-sliced engine: a slab of at most 64
-  /// windows holds whole column groups, and a chunk at most 32 lanes.
-  [[nodiscard]] static bool supports(const Options& opts) noexcept {
-    return BitsliceEngine::supports(opts);
-  }
-
-  explicit GemmEngine(Options opts);
+  /// Requires supports(grid).
+  explicit GemmEngine(GridOptions grid);
 
   /// Single-request convolution (a batch of one).
   ConvStats run_conv(const nn::Layer& layer, const nn::Tensor& input,
                      const nn::Tensor& weights, const SliceSpec& spec,
                      nn::WideTensor& wide);
 
-  /// Batched convolution with BitsliceEngine::run_conv_batch's semantics:
-  /// the window axes of all requests concatenate into one global axis, so
-  /// slabs and column groups may span request boundaries; accumulators
-  /// demux into `wides[r]` (preallocated), stats are identical.
+  /// Batched convolution: the window axes of all requests concatenate into
+  /// one global axis, so slabs and column groups may span request
+  /// boundaries (dynamic detection then sees an upper bound of every value
+  /// in the group, so the exact accumulators are unchanged); accumulators
+  /// demux into `wides[r]` (preallocated, one per input). A batch of one is
+  /// stats-identical to the scalar grid.
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,
@@ -94,13 +140,13 @@ class GemmEngine {
                     const nn::Tensor& weights, int weight_precision,
                     std::span<nn::WideTensor* const> wides);
 
-  [[nodiscard]] const Options& options() const noexcept { return opts_; }
+  [[nodiscard]] const GridOptions& options() const noexcept { return opts_; }
 
   /// One SIMD tier's kernel table (opaque; defined in gemm_engine.cpp).
   struct Kernels;
 
  private:
-  Options opts_;
+  GridOptions opts_;
   std::int64_t slab_windows_;  ///< windows per slab (multiple of cols, <= 64)
   const Kernels* kernels_;     ///< SIMD tier, probed once at construction
 };

@@ -302,17 +302,15 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
 
   // Exact values come from the dense-GEMM kernel (byte-identical to the
   // scalar grid and nn::conv_forward); the cycles below never read them.
-  GemmEngine::Options eng_opts;
-  eng_opts.rows = opts.rows;
-  eng_opts.cols = opts.cols;
-  eng_opts.lanes = opts.lanes;
-  eng_opts.jobs = opts.jobs;
-  LOOM_EXPECTS(GemmEngine::supports(eng_opts));
-  GemmEngine engine(eng_opts);
-  GemmEngine::SliceSpec spec;
-  spec.act_precision = layer.act_precision;
-  spec.weight_precision = layer.weight_precision;
-  spec.dynamic = true;
+  const GridOptions grid{.rows = opts.rows,
+                         .cols = opts.cols,
+                         .lanes = opts.lanes,
+                         .jobs = opts.jobs};
+  LOOM_EXPECTS(supports(grid));
+  GemmEngine engine(grid);
+  const SliceSpec spec{.act_precision = layer.act_precision,
+                       .weight_precision = layer.weight_precision,
+                       .dynamic = true};
   (void)engine.run_conv(layer, input, weights, spec, run.wide);
 
   // Data-driven term-serial cycles over the actual tensors. Activation term

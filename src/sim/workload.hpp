@@ -118,8 +118,7 @@ class LayerWorkload {
 
   /// Weight-side NAF term statistics for the term-serial (Laconic-style)
   /// cycle model, measured by streaming the calibrated weight source once.
-  /// NAF is what the hardware (and the bit-sliced functional engine)
-  /// actually serializes — signed ±2^k digits, no separate sign pass —
+  /// NAF is what the hardware actually serializes — signed ±2^k digits, no separate sign pass —
   /// unlike essential_weight_planes' sign-magnitude planes.
   struct WeightTermStats {
     /// Mean nonzero NAF digits per weight: the linear-scaling estimate's
@@ -150,7 +149,7 @@ class LayerWorkload {
   /// weights occupy in storage, so it is what the memory core prices when
   /// LoomConfig::sparse_weight_skipping packs the WM/DRAM footprint (and
   /// what that flag's Loom timing estimate uses). The *compute* term counts
-  /// of the term-serial simulator and the bit-sliced engine instead follow
+  /// of the term-serial simulator instead follow
   /// the NAF digit serialization (naf_weight_terms) — fewer terms than
   /// essential planes, since NAF folds the sign pass into signed digits and
   /// needs no digit at runs of adjacent ones. test_laconic_sim.cpp pins

@@ -6,7 +6,9 @@
 // winner — and a rejected load leaves the in-memory autotuner exactly as it
 // was. The round-trip tests simulate two processes with reset_for_test():
 // converge, save, reset, load, and assert the second "process" answers every
-// choose() from the cache with zero exploration measurements.
+// choose() from the cache with zero exploration measurements. Every case
+// runs with two tunable candidates: gemm and a test-only mirror of it
+// (mirror_backend.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "mirror_backend.hpp"
 #include "nn/layer.hpp"
 #include "sim/autotune_cache.hpp"
 #include "sim/backend.hpp"
@@ -47,7 +50,7 @@ nn::Tensor synth(const nn::Shape& shape, int precision, bool is_signed,
 class AutotuneCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    unsetenv("LOOM_AUTOTUNE_PIN");
+    register_gemm_mirror();
     unsetenv("LOOM_AUTOTUNE_CACHE");
     auto& tuner = BackendAutotuner::instance();
     tuner.set_timing_override_for_test(nullptr);
@@ -144,7 +147,7 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
   // until the cell decides (one run per candidate suffices; the bound is
   // slack in case a claim is retimed).
   const std::size_t candidates =
-      BackendRegistry::instance().tunable_names(BackendContext{.jobs = 1}).size();
+      BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1}).size();
   ASSERT_GE(candidates, 2u);
   std::string winner;
   for (int i = 0; i < 10 && winner.empty(); ++i) {
@@ -198,19 +201,19 @@ TEST_F(AutotuneCacheTest, CellFieldsRoundTripExactly) {
   }
 }
 
-TEST_F(AutotuneCacheTest, EncodeSkipsUndecidedAndPinnedCells) {
+TEST_F(AutotuneCacheTest, EncodeSkipsUndecidedAndOrphanCells) {
   BackendAutotuner::Decision undecided = sample_decision();
   undecided.winner.clear();
-  BackendAutotuner::Decision pinned = sample_decision();
-  pinned.key.batch = 7;  // distinct cell
-  pinned.pinned = true;
+  BackendAutotuner::Decision unsampled = sample_decision();
+  unsampled.key.batch = 7;  // distinct cell
+  unsampled.samples.clear();
   BackendAutotuner::Decision orphan = sample_decision();
   orphan.key.batch = 8;
   orphan.winner = "not-sampled";
   const BackendAutotuner::Decision good = sample_decision();
 
   const auto decoded = decode_autotune_cache(
-      image_of({undecided, pinned, orphan, good}),
+      image_of({undecided, unsampled, orphan, good}),
       current_autotune_cache_key());
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].key, good.key);
@@ -323,17 +326,9 @@ TEST_F(AutotuneCacheTest, InstallNeverOverridesInProcessCells) {
   // A cache claiming a different winner for the same key must lose to the
   // cell this process measured itself.
   BackendAutotuner::Decision rival = ds[0];
-  rival.winner = "bitslice";
+  rival.winner = kMirrorBackend;
   EXPECT_EQ(tuner.install({{rival}}), 0u);
   EXPECT_EQ(tuner.decisions()[0].winner, "gemm");
-}
-
-TEST_F(AutotuneCacheTest, PinOutranksAnyCache) {
-  ASSERT_EQ(setenv("LOOM_AUTOTUNE_PIN", "bitslice", 1), 0);
-  auto& tuner = BackendAutotuner::instance();
-  tuner.reset_for_test();  // re-reads the pin
-  EXPECT_EQ(tuner.install({{sample_decision()}}), 0u);
-  EXPECT_EQ(tuner.decisions().size(), 0u);
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // BackendRegistry and skip nothing that claims to support the grid.
 //
 // Stats are part of the contract: every word-parallel backend must report
-// the same ConvStats as the bit-sliced engine for the same batched run
-// (the scalar oracle joins that comparison at batch == 1; for larger
+// the same ConvStats as the others for the same batched run (the scalar
+// oracle joins that comparison at batch == 1; for larger
 // batches its N-solo chunk structure legitimately differs from the
 // concatenated-window accounting).
 //
@@ -24,6 +24,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "mirror_backend.hpp"
 #include "nn/reference.hpp"
 #include "sim/backend.hpp"
 #include "sim/dpnn_functional.hpp"
@@ -126,9 +127,9 @@ Case random_fc_case(std::uint64_t seed) {
 
 /// Random grid, covering lane tails (lanes ∤ inner) and cols tails
 /// (cols ∤ windows) alongside the parallel fan-out.
-BackendContext random_ctx(std::uint64_t seed) {
+GridOptions random_ctx(std::uint64_t seed) {
   SequentialRng rng(seed, 3);
-  BackendContext ctx;
+  GridOptions ctx;
   ctx.rows = 1 + static_cast<int>(rng.next_below(12));
   ctx.cols = 1 + static_cast<int>(rng.next_below(20));
   ctx.lanes = 1 + static_cast<int>(rng.next_below(16));
@@ -158,8 +159,8 @@ std::vector<nn::WideTensor> make_wides(const nn::Shape& shape, std::size_t n) {
   return w;
 }
 
-void expect_stats_eq(const BitsliceEngine::ConvStats& a,
-                     const BitsliceEngine::ConvStats& b) {
+void expect_stats_eq(const ConvStats& a,
+                     const ConvStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.chunks, b.chunks);
   // streamed_pa is a sum of integers < 2^53, so the double is exact and
@@ -178,8 +179,8 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
   for (const std::uint64_t seed : iteration_seeds(0xD1FF, 30)) {
     SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
     const Case c = random_conv_case(seed);
-    const BackendContext ctx = random_ctx(seed);
-    const BitsliceEngine::SliceSpec spec{
+    const GridOptions ctx = random_ctx(seed);
+    const SliceSpec spec{
         .act_precision = c.layer.act_precision,
         .weight_precision = c.layer.weight_precision,
         .act_signed = false,
@@ -193,7 +194,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     ASSERT_NE(scalar_info, nullptr);
     auto scalar = scalar_info->make(ctx);
     std::vector<nn::WideTensor> oracle = make_wides(wide_shape, batch);
-    std::vector<BitsliceEngine::ConvStats> oracle_stats;
+    std::vector<ConvStats> oracle_stats;
     for (std::size_t r = 0; r < batch; ++r) {
       const nn::Tensor* in = &c.inputs[r];
       nn::WideTensor* out = &oracle[r];
@@ -205,7 +206,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     }
 
     bool have_parallel_stats = false;
-    BitsliceEngine::ConvStats parallel_stats;
+    ConvStats parallel_stats;
     for (const std::string& name : reg.names()) {
       SCOPED_TRACE("backend " + name);
       const BackendInfo* info = reg.find(name);
@@ -220,14 +221,14 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
         in_ptrs.push_back(&c.inputs[r]);
         wide_ptrs.push_back(&wides[r]);
       }
-      const BitsliceEngine::ConvStats st =
+      const ConvStats st =
           backend->run_conv_batch(c.layer, in_ptrs, c.weights, spec, wide_ptrs);
       for (std::size_t r = 0; r < batch; ++r) {
         EXPECT_EQ(wides[r], oracle[r]) << "request " << r;
       }
       if (name == "scalar") {
         // The scalar backend's own batch is N solo runs by definition.
-        BitsliceEngine::ConvStats sum;
+        ConvStats sum;
         for (const auto& s : oracle_stats) sum += s;
         expect_stats_eq(st, sum);
         continue;
@@ -243,7 +244,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
       }
       if (batch == 1) expect_stats_eq(st, oracle_stats[0]);
     }
-    EXPECT_TRUE(have_parallel_stats);  // bitslice at minimum supports 1..20 cols
+    EXPECT_TRUE(have_parallel_stats);  // gemm at minimum supports 1..20 cols
   }
 }
 
@@ -254,7 +255,7 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
   for (const std::uint64_t seed : iteration_seeds(0xFCD1FF, 30)) {
     SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
     const Case c = random_fc_case(seed);
-    const BackendContext ctx = random_ctx(seed);
+    const GridOptions ctx = random_ctx(seed);
     const std::size_t batch = c.inputs.size();
     const nn::Shape wide_shape{c.layer.out.c, 1, 1};
 
@@ -314,9 +315,9 @@ nn::Tensor filled(const nn::Shape& shape, std::uint16_t raw) {
 /// reproduce `want` exactly.
 void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                             const nn::Tensor& weights,
-                            const BitsliceEngine::SliceSpec& spec,
+                            const SliceSpec& spec,
                             const nn::WideTensor& want, const std::string& skip) {
-  const BackendContext ctx{.jobs = 1};
+  const GridOptions ctx{.jobs = 1};
   auto& reg = BackendRegistry::instance();
   for (const std::string& name : reg.names()) {
     if (name == skip || !reg.find(name)->supports(ctx)) continue;
@@ -339,7 +340,7 @@ void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
 void expect_fc_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                           const nn::Tensor& weights, int pw,
                           const nn::WideTensor& want) {
-  const BackendContext ctx{.jobs = 1};
+  const GridOptions ctx{.jobs = 1};
   auto& reg = BackendRegistry::instance();
   for (const std::string& name : reg.names()) {
     if (!reg.find(name)->supports(ctx)) continue;
@@ -403,7 +404,7 @@ TEST(BackendDifferential, UnsignedPa16ConvAllOnes) {
     for (Wide& v : want.data()) v *= 65535;
     for (const bool dynamic : {false, true}) {
       SCOPED_TRACE("pw " + std::to_string(pw) + (dynamic ? " dynamic" : " static"));
-      const BitsliceEngine::SliceSpec spec{.act_precision = kBasePrecision,
+      const SliceSpec spec{.act_precision = kBasePrecision,
                                            .weight_precision = pw,
                                            .act_signed = false,
                                            .dynamic = dynamic};
@@ -425,7 +426,7 @@ TEST(BackendDifferential, DpnnSpecConvMinValues) {
   nn::WideTensor oracle(want.shape());
   const nn::Tensor* in_ptr = &input;
   nn::WideTensor* out_ptr = &oracle;
-  (void)make_ip_unit_backend(BackendContext{.rows = kDpnnFilters, .jobs = 1})
+  (void)make_ip_unit_backend(GridOptions{.rows = kDpnnFilters, .jobs = 1})
       ->run_conv_batch(layer, std::span(&in_ptr, 1), weights, kDpnnSpec,
                        std::span(&out_ptr, 1));
   EXPECT_EQ(oracle, want);
@@ -441,94 +442,47 @@ TEST(BackendDifferential, DpnnSpecConvMinValues) {
 TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
   auto& reg = BackendRegistry::instance();
   const auto before = reg.names().size();
-  reg.register_backend(BackendInfo{
-      .name = "mirror-bitslice",
-      .tunable = true,
-      .supports = [](const BackendContext& ctx) {
-        return BitsliceEngine::supports({.rows = ctx.rows,
-                                         .cols = ctx.cols,
-                                         .lanes = ctx.lanes,
-                                         .jobs = ctx.jobs});
-      },
-      .make = [](const BackendContext& ctx)
-          -> std::unique_ptr<FunctionalBackend> {
-        // A stand-in third-party kernel: bit-sliced math under a new name.
-        // Being correct, it survives the same differential checks as
-        // built-ins.
-        class Mirror final : public FunctionalBackend {
-         public:
-          explicit Mirror(const BackendContext& c)
-              : eng_({.rows = c.rows,
-                      .cols = c.cols,
-                      .lanes = c.lanes,
-                      .jobs = c.jobs}) {}
-          BitsliceEngine::ConvStats run_conv_batch(
-              const nn::Layer& l, std::span<const nn::Tensor* const> in,
-              const nn::Tensor& w, const BitsliceEngine::SliceSpec& s,
-              std::span<nn::WideTensor* const> out) override {
-            return eng_.run_conv_batch(l, in, w, s, out);
-          }
-          void run_fc(const nn::Layer& l, const nn::Tensor& in,
-                      const nn::Tensor& w, int pw,
-                      nn::WideTensor& out) override {
-            eng_.run_fc(l, in, w, pw, out);
-          }
-          void run_fc_batch(const nn::Layer& l,
-                            std::span<const nn::Tensor* const> in,
-                            const nn::Tensor& w, int pw,
-                            std::span<nn::WideTensor* const> out) override {
-            eng_.run_fc_batch(l, in, w, pw, out);
-          }
-
-         private:
-          BitsliceEngine eng_;
-        };
-        return std::make_unique<Mirror>(ctx);
-      }});
+  register_gemm_mirror();
   EXPECT_EQ(reg.names().size(), before + 1);
-  ASSERT_NE(reg.find("mirror-bitslice"), nullptr);
+  ASSERT_NE(reg.find(kMirrorBackend), nullptr);
 
-  const BackendContext ctx;  // default 16x16x16 grid
+  const GridOptions ctx;  // default 16x16x16 grid
   const auto tunable = reg.tunable_names(ctx);
-  EXPECT_NE(std::find(tunable.begin(), tunable.end(), "mirror-bitslice"),
+  EXPECT_NE(std::find(tunable.begin(), tunable.end(), kMirrorBackend),
             tunable.end());
-  EXPECT_EQ(resolve_backend_name("mirror-bitslice", /*force_scalar=*/false, ctx),
-            "mirror-bitslice");
+  EXPECT_EQ(resolve_backend_name(kMirrorBackend, /*force_scalar=*/false, ctx),
+            kMirrorBackend);
 
   // It runs a real case byte-identically (one spot check here — the sweep
   // tests above now exercise it on every iteration of this binary).
   const Case c = random_conv_case(0x3A3A);
   FunctionalLoomEngine eng(
-      FunctionalOptions{.jobs = 1, .backend = "mirror-bitslice"});
-  EXPECT_TRUE(eng.bitsliced());
-  EXPECT_EQ(eng.backend_name(), "mirror-bitslice");
+      FunctionalOptions{.jobs = 1, .backend = kMirrorBackend});
+  EXPECT_EQ(eng.backend_name(), kMirrorBackend);
   const FunctionalLayerRun run =
       eng.run_conv(c.layer, c.inputs[0], c.weights, kBasePrecision);
-  EXPECT_EQ(run.backend, "mirror-bitslice");
+  EXPECT_EQ(run.backend, kMirrorBackend);
   EXPECT_EQ(run.wide, nn::conv_forward(c.inputs[0], c.weights, c.layer));
 }
 
 // ---- Resolution precedence ------------------------------------------------
 
 TEST(BackendResolution, PrecedenceAndFallbacks) {
-  const BackendContext ok;                    // 16x16x16: everything packs
-  BackendContext wide = ok;
+  const GridOptions ok;                    // 16x16x16: everything packs
+  GridOptions wide = ok;
   wide.cols = 80;                             // nothing word-parallel packs
-  BackendContext deep = ok;
+  GridOptions deep = ok;
   deep.lanes = 40;                            // same, via the lane bound
 
   // force_scalar beats everything, explicit names included.
   EXPECT_EQ(resolve_backend_name("gemm", true, ok), "scalar");
   // Explicit registered names resolve to themselves on a packable grid...
-  EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
   EXPECT_EQ(resolve_backend_name("gemm", false, ok), "gemm");
   EXPECT_EQ(resolve_backend_name("scalar", false, ok), "scalar");
   // ...and fall back to the scalar oracle on an unpackable one (the
   // historical cols>64 behavior).
-  EXPECT_EQ(resolve_backend_name("bitslice", false, wide), "scalar");
   EXPECT_EQ(resolve_backend_name("gemm", false, wide), "scalar");
-  // "" defers to the environment, then "auto"; "auto" with no viable
-  // candidate is the scalar oracle.
+  // "" means "auto"; "auto" with no viable candidate is the scalar oracle.
   EXPECT_EQ(resolve_backend_name("", false, ok), "auto");
   EXPECT_EQ(resolve_backend_name("auto", false, wide), "scalar");
   EXPECT_EQ(resolve_backend_name("auto", false, deep), "scalar");
@@ -539,16 +493,9 @@ TEST(BackendResolution, PrecedenceAndFallbacks) {
   EXPECT_THROW((void)resolve_backend_name("lut", false, ok), ConfigError);
   EXPECT_THROW((void)resolve_backend_name("lut-outer", false, ok), ConfigError);
 
-  // LOOM_FUNCTIONAL_BACKEND fills an empty request only.
-  ASSERT_EQ(setenv("LOOM_FUNCTIONAL_BACKEND", "gemm", 1), 0);
-  EXPECT_EQ(resolve_backend_name("", false, ok), "gemm");
-  EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
-  ASSERT_EQ(unsetenv("LOOM_FUNCTIONAL_BACKEND"), 0);
-
   // Engine-level: the resolved name is observable, and unknown names throw
   // at construction.
   FunctionalLoomEngine gemm_eng(FunctionalOptions{.jobs = 1, .backend = "gemm"});
-  EXPECT_TRUE(gemm_eng.bitsliced());
   EXPECT_EQ(gemm_eng.backend_name(), "gemm");
   FunctionalLoomEngine auto_eng(FunctionalOptions{.jobs = 1});
   EXPECT_EQ(auto_eng.backend_name(), "auto");

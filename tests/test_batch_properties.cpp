@@ -2,7 +2,7 @@
 // layer geometries, batch sizes 1-9 (crossing the FC request-packing
 // threshold), Pa/Pw in 1..16, pad/stride/groups/lane-tail cases. Every
 // iteration cross-checks three independent implementations —
-//   * the batched bit-sliced engine,
+//   * the batched word-parallel (gemm) kernel,
 //   * the scalar arch::Sip/IpUnit oracle run one request at a time, and
 //   * the nn::reference bit-parallel golden model —
 // plus deterministic coverage for the cols>64 auto-fallback and the
@@ -141,7 +141,7 @@ std::vector<std::uint64_t> iteration_seeds(std::uint64_t base, int count) {
   return seeds;
 }
 
-// ---- Conv: batched bit-sliced vs scalar oracle vs reference ---------------
+// ---- Conv: batched word-parallel vs scalar oracle vs reference -----------
 
 TEST(BatchProperties, ConvBatchedMatchesScalarOracleAndReference) {
   for (const std::uint64_t seed : iteration_seeds(0xC0111D, 40)) {
@@ -150,14 +150,14 @@ TEST(BatchProperties, ConvBatchedMatchesScalarOracleAndReference) {
     const FunctionalOptions opts = random_grid(seed);
 
     FunctionalLoomEngine sliced(opts);
-    ASSERT_TRUE(sliced.bitsliced());
+    ASSERT_NE(sliced.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
         sliced.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
     FunctionalOptions scalar_opts = opts;
     scalar_opts.force_scalar = true;
     FunctionalLoomEngine scalar(scalar_opts);
-    ASSERT_FALSE(scalar.bitsliced());
+    ASSERT_EQ(scalar.backend_name(), "scalar");
 
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
       SCOPED_TRACE("request " + std::to_string(r));
@@ -184,7 +184,7 @@ TEST(BatchProperties, FcBatchedMatchesScalarOracleAndReference) {
     const FunctionalOptions opts = random_grid(seed);
 
     FunctionalLoomEngine sliced(opts);
-    ASSERT_TRUE(sliced.bitsliced());
+    ASSERT_NE(sliced.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
         sliced.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
@@ -204,9 +204,9 @@ TEST(BatchProperties, FcBatchedMatchesScalarOracleAndReference) {
   }
 }
 
-// Deterministic lane-fill coverage: batches of 8..9 requests always take the
-// request-packed FC path (the <8 fallback is covered by the random sizes
-// above); this pins the packed layout against the solo engine directly.
+// Deterministic large-batch coverage: 8..9 requests fill several of the FC
+// kernel's shared-weight-row stream groups (9 leaves a tail group); this
+// pins the batched FC path against the solo engine directly.
 TEST(BatchProperties, FcPackedPathMatchesSoloBitsliced) {
   for (const std::uint64_t seed : iteration_seeds(0xFCAA, 10)) {
     SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
@@ -218,7 +218,7 @@ TEST(BatchProperties, FcPackedPathMatchesSoloBitsliced) {
           /*is_signed=*/true, rng, 300 + c.inputs.size(), 0.1));
     }
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
-    ASSERT_TRUE(eng.bitsliced());
+    ASSERT_NE(eng.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
         eng.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
@@ -273,7 +273,7 @@ TEST(BatchProperties, DpnnConvAndFcBatchedMatchSolo) {
 TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   const Case c = random_conv_case(0xFA11);
   FunctionalLoomEngine wide_grid(FunctionalOptions{.cols = 80, .jobs = 1});
-  EXPECT_FALSE(wide_grid.bitsliced());  // unpackable: auto-fallback
+  EXPECT_EQ(wide_grid.backend_name(), "scalar");  // unpackable: auto-fallback
   const FunctionalBatchLayerRun batched =
       wide_grid.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
   for (std::size_t r = 0; r < c.inputs.size(); ++r) {
@@ -286,7 +286,7 @@ TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   const Case fc = random_fc_case(0xFA12);
   FunctionalDpnnEngine dpnn_scalar(
       FunctionalOptions{.rows = kDpnnFilters, .lanes = 40, .jobs = 1});
-  EXPECT_FALSE(dpnn_scalar.bitsliced());
+  EXPECT_EQ(dpnn_scalar.backend_name(), "scalar");
   const FunctionalBatchLayerRun runs =
       dpnn_scalar.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
   for (std::size_t r = 0; r < fc.inputs.size(); ++r) {

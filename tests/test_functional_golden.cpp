@@ -1,12 +1,13 @@
-// Bit-sliced functional engine: byte-identity with the scalar arch::Sip
-// oracle across awkward geometries and precisions, golden FNV digests
-// captured on pre-change main, the 64x64 transpose primitive, thread-count
-// invariance, and the cascade-aware FC cycle model shared with the
-// analytic simulator.
+// Functional engine golden suite: byte-identity of the word-parallel kernel
+// with the scalar arch::Sip oracle across awkward geometries and
+// precisions, golden FNV digests captured before any word-parallel kernel
+// existed, thread-count invariance, the unpackable-grid fallback, and the
+// cascade-aware FC cycle model shared with the analytic simulator. (The
+// Bitslice* suite names date from the first word-parallel kernel, a
+// bit-sliced one; the digests they pin have not moved since.)
 #include <gtest/gtest.h>
 
 #include "golden.hpp"
-#include "sim/bitslice_engine.hpp"
 #include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
@@ -80,10 +81,11 @@ std::uint64_t digest(const TestNet& s, const FunctionalNetworkRun& run,
   return f.h;
 }
 
-// ---- Golden byte-identity vs pre-bit-slice main ---------------------------
-// FNV-1a digests captured on main immediately before the bit-sliced engine
-// landed, running the then-scalar functional engine on the net above. Both
-// backends must reproduce them bit for bit: outputs, wide accumulators,
+// ---- Golden byte-identity vs pre-word-parallel main -----------------------
+// FNV-1a digests captured on main immediately before the first word-parallel
+// kernel landed, running the then-scalar functional engine on the net
+// above. The word-parallel kernel and the scalar oracle must reproduce them
+// bit for bit: outputs, wide accumulators,
 // requant shifts, conv cycle counts, streamed-precision means, and the
 // dispatcher/detector statistics.
 
@@ -93,7 +95,7 @@ constexpr std::uint64_t kGoldenStatic = 0x52ca7ea52eaee0f7ull;
 TEST(BitsliceGolden, DynamicRunMatchesPreChangeMain) {
   TestNet s = make_golden_net();
   FunctionalLoomEngine eng(FunctionalOptions{.rows = 8, .cols = 16});
-  ASSERT_TRUE(eng.bitsliced());
+  ASSERT_NE(eng.backend_name(), "scalar");
   const auto run = eng.run_network(s.net, s.input, s.weights);
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
 }
@@ -102,7 +104,7 @@ TEST(BitsliceGolden, DynamicRunScalarOracleMatchesPreChangeMain) {
   TestNet s = make_golden_net();
   FunctionalLoomEngine eng(
       FunctionalOptions{.rows = 8, .cols = 16, .force_scalar = true});
-  ASSERT_FALSE(eng.bitsliced());
+  ASSERT_EQ(eng.backend_name(), "scalar");
   const auto run = eng.run_network(s.net, s.input, s.weights);
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
 }
@@ -169,7 +171,7 @@ void expect_conv_equivalent(const ConvCase& c) {
   FunctionalLoomEngine fast(fo);
   fo.force_scalar = true;
   FunctionalLoomEngine slow(fo);
-  ASSERT_TRUE(fast.bitsliced()) << c.name;
+  ASSERT_NE(fast.backend_name(), "scalar") << c.name;
   const auto rf = fast.run_conv(layer, input, weights, 16);
   const auto rs = slow.run_conv(layer, input, weights, 16);
 
@@ -390,28 +392,12 @@ TEST(BitsliceFcCycles, MatchCascadeAwareAnalyticModel) {
   EXPECT_LT(plan.cycles, flat.cycles);
 }
 
-// ---- Primitives -----------------------------------------------------------
-
-TEST(BitslicePrimitives, Transpose64RoundTripsAndMapsBits) {
-  std::uint64_t a[64] = {};
-  // Value 11 (bits 0, 1, 3) in column 5; value 1 in column 63.
-  a[0] = (std::uint64_t{1} << 5) | (std::uint64_t{1} << 63);
-  a[1] = std::uint64_t{1} << 5;
-  a[3] = std::uint64_t{1} << 5;
-  std::uint64_t t[64];
-  std::copy(std::begin(a), std::end(a), std::begin(t));
-  transpose64(t);
-  EXPECT_EQ(t[5], 11u);
-  EXPECT_EQ(t[63], 1u);
-  EXPECT_EQ(t[0], 0u);
-  transpose64(t);
-  for (int i = 0; i < 64; ++i) ASSERT_EQ(t[i], a[i]) << i;
-}
+// ---- Grid envelope --------------------------------------------------------
 
 TEST(BitslicePrimitives, UnsupportedColumnCountsFallBackToScalar) {
-  EXPECT_FALSE(BitsliceEngine::supports(BitsliceEngine::Options{.cols = 65}));
+  EXPECT_FALSE(supports(GridOptions{.cols = 65}));
   FunctionalLoomEngine eng(FunctionalOptions{.rows = 2, .cols = 65});
-  EXPECT_FALSE(eng.bitsliced());
+  EXPECT_EQ(eng.backend_name(), "scalar");
 
   // The fallback still computes correct results.
   nn::Network net("t", nn::Shape3{2, 5, 5});

@@ -8,18 +8,20 @@
 // just anchors it to history.
 //
 // The autotuner tests drive the real choose/record path with a
-// deterministic timing override (and the LOOM_AUTOTUNE_PIN escape hatch)
-// and assert that decisions are reproducible: pinned timings give the same
-// winner on every engine, memoized winners survive engine re-construction
-// and registry re-resolution, and a pin beats measurements.
+// deterministic timing override over two candidates — gemm and a test-only
+// mirror of it (mirror_backend.hpp) — and assert that decisions are
+// reproducible: pinned timings give the same winner on every engine,
+// memoized winners survive engine re-construction and registry
+// re-resolution, and distinct geometries keep distinct cells.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "golden.hpp"
+#include "mirror_backend.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
 #include "sim/backend.hpp"
@@ -92,8 +94,8 @@ constexpr std::uint64_t kGoldenAlexnetFc8 = 0x7b0e56705ac3b0e7ull;
 /// pick, so each one must hit the golden bytes.
 std::vector<std::string> tunable_backends() {
   std::vector<std::string> names =
-      BackendRegistry::instance().tunable_names(BackendContext{.jobs = 1});
-  EXPECT_GE(names.size(), 2u);  // bitslice and gemm at least
+      BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1});
+  EXPECT_NE(std::find(names.begin(), names.end(), "gemm"), names.end());
   return names;
 }
 
@@ -146,8 +148,13 @@ TEST(KernelGolden, FcDigestOnAlexnetFc8) {
 
 class AutotunerTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    register_gemm_mirror();
+    ASSERT_GE(
+        BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1}).size(),
+        2u);
+  }
   void TearDown() override {
-    unsetenv("LOOM_AUTOTUNE_PIN");
     BackendAutotuner::instance().set_timing_override_for_test(nullptr);
     BackendAutotuner::instance().reset_for_test();
   }
@@ -193,44 +200,18 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].winner, "gemm");
-  EXPECT_FALSE(ds[0].pinned);
   EXPECT_EQ(ds[0].samples.size(), 2u);
 
   // Memoization beats new (different) timings: flipping the override does
   // not flip a decided cell...
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == "bitslice" ? 10 : 1000;
+        return backend == kMirrorBackend ? 10 : 1000;
       });
   EXPECT_EQ(run_auto(layer, input, weights), "gemm");
   // ...but after a reset the new timings decide afresh.
   tuner.reset_for_test();
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");
-}
-
-TEST_F(AutotunerTest, PinOverridesMeasurementsAndSurvivesReResolution) {
-  ASSERT_EQ(setenv("LOOM_AUTOTUNE_PIN", "bitslice", 1), 0);
-  auto& tuner = BackendAutotuner::instance();
-  tuner.reset_for_test();  // re-reads the pin
-  // Timings say "gemm"; the pin must win anyway.
-  tuner.set_timing_override_for_test(
-      [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == "gemm" ? 1 : 1000;
-      });
-
-  const nn::Layer layer = small_layer();
-  const nn::Tensor input = synth(nn::Shape{layer.in.c, layer.in.h, layer.in.w},
-                                 layer.act_precision, false, 2, 7);
-  const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
-                                   layer.weight_precision, true, 2, 9);
-
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");  // re-resolution
-
-  std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
-  ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].winner, "bitslice");
-  EXPECT_TRUE(ds[0].pinned);
+  EXPECT_EQ(run_auto(layer, input, weights), kMirrorBackend);
 }
 
 TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
@@ -238,8 +219,8 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
   tuner.reset_for_test();
   tuner.set_timing_override_for_test(
       [](const TuneKey& key, const std::string& backend) -> std::uint64_t {
-        // Make the winner depend on the geometry: gemm for low Pw, bitslice
-        // otherwise — the autotuner must keep them apart per cell.
+        // Make the winner depend on the geometry: gemm for low Pw, the
+        // mirror otherwise — the autotuner must keep them apart per cell.
         const bool low_pw = key.pw <= 4;
         if (backend == "gemm") return low_pw ? 10 : 100;
         return low_pw ? 100 : 10;
@@ -256,7 +237,7 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
                                   high.weight_precision, true, 3, 11);
 
   EXPECT_EQ(run_auto(low, input, w_low), "gemm");
-  EXPECT_EQ(run_auto(high, input, w_high), "bitslice");
+  EXPECT_EQ(run_auto(high, input, w_high), kMirrorBackend);
   EXPECT_EQ(tuner.decisions().size(), 2u);
 }
 

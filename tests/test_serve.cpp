@@ -394,7 +394,7 @@ TEST(ServeRobustness, EngineFaultsFallBackToScalarOracleByteIdentically) {
   opts.engine.jobs = 1;
   opts.engine_retries = 1;
   opts.retry_backoff = std::chrono::microseconds(50);
-  // Every bit-sliced attempt (primary + retry) fails; every batch must
+  // Every primary attempt (first try + retry) fails; every batch must
   // degrade to the scalar oracle and still return byte-identical outputs.
   opts.faults.seed = 12;
   opts.faults.engine_failure_prob = 1.0;
