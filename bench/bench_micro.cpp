@@ -286,10 +286,11 @@ void BM_PrecisionTableSweep(benchmark::State& state) {
 BENCHMARK(BM_PrecisionTableSweep);
 
 void BM_WorkloadCalibration(benchmark::State& state) {
-  // prepare_network's per-layer cost: the group-calibration bisection plus
-  // tensor materialization and the plane build. The generic spec
-  // calibration is process-cached, so iterations measure the per-layer
-  // work the CalibrationPlanes fast path accelerates.
+  // prepare_network's per-layer cost: the group-calibration bisection on
+  // the layer's real detection groups (one max-draw pass, then one pow per
+  // sampled group per step) plus tensor materialization and the plane
+  // build. No spec calibration runs here: the layer sets its activation
+  // spec fields directly.
   quant::PrecisionProfile p;
   p.network = "bench";
   p.conv_act = {9};
@@ -304,6 +305,26 @@ void BM_WorkloadCalibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadCalibration);
+
+void BM_CalibrateToGroupPrecision(benchmark::State& state) {
+  // One uncached spec calibration, as calibrated_spec_cached runs it on a
+  // miss. Arg 0: a Table-3 weight key (signed 11 bits, group 16, target
+  // 8.36). Arg 1: a group-256 activation key (unsigned 9 bits, zero
+  // fraction 0.45, target 7.0), the model-registration input calibration.
+  const bool weights = state.range(0) == 0;
+  const nn::SyntheticSpec spec{.precision = weights ? 11 : 9,
+                               .is_signed = weights,
+                               .zero_fraction = weights ? 0.0 : 0.45};
+  quant::CalibrationOptions opts;
+  opts.group_size = weights ? 16 : 256;
+  const double target = weights ? 8.36 : 7.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        quant::calibrate_to_group_precision(spec, target, opts).alpha);
+  }
+  state.SetLabel(weights ? "signed-g16" : "unsigned-g256");
+}
+BENCHMARK(BM_CalibrateToGroupPrecision)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // ---- Functional fast path -------------------------------------------------
 

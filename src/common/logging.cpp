@@ -1,11 +1,13 @@
 #include "common/logging.hpp"
 
+#include <atomic>
 #include <iostream>
+#include <mutex>
 
 namespace loom {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -19,12 +21,18 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level = level; }
-LogLevel log_level() noexcept { return g_level; }
+void set_log_level(LogLevel level) noexcept {
+  g_level.store(level, std::memory_order_relaxed);
+}
+LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
 
 void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
-  std::cerr << "[loom " << level_name(level) << "] " << message << '\n';
+  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
+  const std::string line =
+      std::string("[loom ") + level_name(level) + "] " + message + '\n';
+  static std::mutex write_mutex;
+  const std::lock_guard<std::mutex> lock(write_mutex);
+  std::cerr.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace loom

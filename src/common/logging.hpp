@@ -13,8 +13,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level) noexcept;
 [[nodiscard]] LogLevel log_level() noexcept;
 
-/// Emit one log line (thread-unsafe by design: the simulators are
-/// single-threaded and benches log from the main thread only).
+/// Emit one log line. Thread-safe: the level is atomic and each line is
+/// formatted first, then written to std::cerr whole under a lock, so lines
+/// from concurrent threads never interleave.
 void log_message(LogLevel level, const std::string& message);
 
 namespace detail {

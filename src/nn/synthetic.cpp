@@ -31,11 +31,18 @@ Value SyntheticSource::at(std::uint64_t index) const noexcept {
   return static_cast<Value>(negative ? -mag : mag);
 }
 
-double SyntheticSource::uniform_draw(std::uint64_t index) const noexcept {
+SyntheticSource::Draw SyntheticSource::draw(std::uint64_t index) const noexcept {
   const std::uint64_t raw = rng_.bits(index);
   const double zgate = static_cast<double>((raw >> 1) & 0x3FF) * 0x1.0p-10;
-  if (zgate < spec_.zero_fraction) return -1.0;
-  return static_cast<double>(raw >> 11) * 0x1.0p-53;
+  // Branch-free: the gate fires at random on zero_fraction of the draws, so
+  // a branch here mispredicts and roughly doubles the cost of a draw.
+  // `live` is all ones for a live value; a dead one scales -2^53 to -1.0.
+  const std::int64_t live =
+      -static_cast<std::int64_t>(!(zgate < spec_.zero_fraction));
+  const std::int64_t scaled = (static_cast<std::int64_t>(raw >> 11) & live) |
+                              (-(std::int64_t{1} << 53) & ~live);
+  return {static_cast<double>(scaled) * 0x1.0p-53,
+          spec_.is_signed && (static_cast<std::int64_t>(raw) & live & 1) != 0};
 }
 
 Value SyntheticSource::magnitude_for_draw(double u) const noexcept {

@@ -41,16 +41,21 @@ class SyntheticSource {
   [[nodiscard]] Value at(std::uint64_t index) const noexcept;
   [[nodiscard]] const SyntheticSpec& spec() const noexcept { return spec_; }
 
-  /// Uniform draw behind element `index`, or -1.0 when the zero-gate fires
-  /// (the element is exactly zero). The draw depends only on (seed, stream,
-  /// index, zero_fraction) — not on alpha — and `at(index)` equals
-  /// `sign * magnitude_for_draw(uniform_draw(index))`.
-  [[nodiscard]] double uniform_draw(std::uint64_t index) const noexcept;
+  /// The random state behind one element, before alpha shapes it.
+  struct Draw {
+    double u = -1.0;        ///< uniform in [0, 1), or -1.0 when the zero gate fires
+    bool negative = false;  ///< sign of a live value (always false when unsigned)
+  };
+
+  /// Draw behind element `index`. It depends only on (seed, stream, index,
+  /// zero_fraction, is_signed) — not on alpha — and `at(index)` equals
+  /// `(negative ? -1 : 1) * magnitude_for_draw(u)`.
+  [[nodiscard]] Draw draw(std::uint64_t index) const noexcept;
 
   /// Magnitude the source emits for uniform draw `u` under the current
-  /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). The OR-plane
-  /// calibration fast path exploits this monotonicity: a detection group's
-  /// precision for *any* alpha is the magnitude of its maximum draw.
+  /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). Calibration
+  /// exploits this monotonicity: a group's precision for *any* alpha follows
+  /// from its maximum draws (quant::MaxDrawSample).
   [[nodiscard]] Value magnitude_for_draw(double u) const noexcept;
 
   /// Largest magnitude the source can emit.

@@ -51,9 +51,8 @@ void check_weights(const std::string& name, const nn::Network& net,
 }
 
 /// The input distribution of the network's first weighted layer, calibrated
-/// the same way LayerWorkload calibrates its synthetic activations (and
-/// through the same process-wide memo, so servers and simulators share the
-/// bisection results).
+/// to its activation trim over generic 256-value groups through the
+/// process-wide calibrated_spec_cached memo.
 nn::SyntheticSpec input_spec_for(const nn::Network& net,
                                  const quant::PrecisionProfile& profile) {
   for (const auto& l : net.layers()) {

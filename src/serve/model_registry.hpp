@@ -3,8 +3,9 @@
 // referenced by every session and batch that serves them. Weight tensors
 // and the calibrated input distribution are memoized at registration (the
 // calibration itself goes through the process-wide
-// quant::calibrated_spec_cached memo shared with the workload machinery),
-// so concurrent requests never rebuild per-model state.
+// quant::calibrated_spec_cached memo: one group-256 max-draw bisection,
+// tens of milliseconds, so weight synthesis dominates registration), so
+// concurrent requests never rebuild per-model state.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,8 @@ struct Model {
   /// (what FunctionalLoomEngine::run_network_batch consumes).
   std::vector<nn::Tensor> weights;
   /// Distribution the first layer's input activations are drawn from —
-  /// calibrated like LayerWorkload calibrates its synthetic inputs, via the
-  /// shared calibrated_spec_cached memo.
+  /// calibrated to the first conv layer's activation trim over generic
+  /// 256-value groups, via the shared calibrated_spec_cached memo.
   nn::SyntheticSpec input_spec;
 
   /// Input activation volume (the first layer's input shape).

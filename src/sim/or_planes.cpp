@@ -92,9 +92,9 @@ void ActOrPlanes::build(const nn::Tensor& input) {
   });
 }
 
-CalibrationPlanes::CalibrationPlanes(const nn::Layer& layer, int lanes,
-                                     int cols, int max_groups,
-                                     const nn::SyntheticSource& draws) {
+quant::MaxDrawSample calibration_sample(const nn::Layer& layer, int lanes,
+                                        int cols, int max_groups,
+                                        const nn::SyntheticSource& draws) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   // The max-draw reduction only matches the OR scan for unsigned sources:
   // a signed value would sign-extend through the uint16 cast in the scan.
@@ -107,7 +107,8 @@ CalibrationPlanes::CalibrationPlanes(const nn::Layer& layer, int lanes,
       static_cast<std::int64_t>(layer.groups) * wb_count * ic_count;
   const std::int64_t stride = std::max<std::int64_t>(1, total / max_groups);
 
-  group_max_draw_.reserve(static_cast<std::size_t>(total / stride + 1));
+  quant::MaxDrawSample sample(/*is_signed=*/false);
+  sample.reserve(static_cast<std::size_t>(total / stride + 1));
   for (std::int64_t t = 0; t < total; t += stride) {
     const std::int64_t g = t / (wb_count * ic_count);
     const std::int64_t rem = t % (wb_count * ic_count);
@@ -115,33 +116,16 @@ CalibrationPlanes::CalibrationPlanes(const nn::Layer& layer, int lanes,
     const std::int64_t ic = rem % ic_count;
     const std::int64_t w_end = std::min((wb + 1) * cols, windows);
     const std::int64_t f_end = std::min((ic + 1) * lanes, inner);
-    double max_draw = -1.0;
+    sample.open_group();
     for (std::int64_t w = wb * cols; w < w_end; ++w) {
       for (std::int64_t f = ic * lanes; f < f_end; ++f) {
         const std::int64_t idx = nn::im2col_input_index(layer, g, w, f);
         if (idx < 0) continue;  // zero padding
-        max_draw = std::max(
-            max_draw, draws.uniform_draw(static_cast<std::uint64_t>(idx)));
+        sample.add(draws.draw(static_cast<std::uint64_t>(idx)));
       }
     }
-    group_max_draw_.push_back(max_draw);
   }
-}
-
-double CalibrationPlanes::mean_precision(const nn::SyntheticSource& src,
-                                         int act_precision) const {
-  // needed_bits(OR of a group) == needed_bits(group max): the OR and the
-  // maximum share their most significant bit. The group max is the
-  // magnitude of the maximum draw because the magnitude map is monotone.
-  double sum = 0.0;
-  for (const double d : group_max_draw_) {
-    const auto mag =
-        static_cast<std::uint16_t>(src.magnitude_for_draw(d));
-    sum += std::min(needed_bits_unsigned(mag), act_precision);
-  }
-  return group_max_draw_.empty()
-             ? 0.0
-             : sum / static_cast<double>(group_max_draw_.size());
+  return sample;
 }
 
 }  // namespace loom::sim

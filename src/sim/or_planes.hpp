@@ -13,13 +13,14 @@
 // `cols` then reduces to OR-ing `cols` contiguous entries of one row and a
 // leading-one detection, byte-identical to the scattered scan it replaces.
 //
-// CalibrationPlanes is the SyntheticSource-backed companion used before the
-// input tensor exists: it reduces each sampled detection group to the
-// maximum uniform draw behind its live activations. The synthetic magnitude
-// is monotone in the draw and the OR of a group shares its most significant
-// bit with the group maximum, so one raw-RNG pass warm-starts every
-// measurement of the calibration bisection — each iteration costs one
-// pow per sampled group instead of a fresh 256-value source scan.
+// calibration_sample() is the SyntheticSource-backed companion used before
+// the input tensor exists: it reduces each sampled detection group to the
+// maximum uniform draw behind its live activations (a quant::MaxDrawSample).
+// The synthetic magnitude is monotone in the draw and the OR of a group
+// shares its most significant bit with the group maximum, so one raw-RNG
+// pass warm-starts every measurement of the calibration bisection — each
+// iteration costs one pow per sampled group instead of a fresh 256-value
+// source scan.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "nn/layer.hpp"
 #include "nn/synthetic.hpp"
 #include "nn/tensor.hpp"
+#include "quant/calibration.hpp"
 
 namespace loom::sim {
 
@@ -96,24 +98,12 @@ class ActOrPlanes {
 };
 
 /// Source-backed reduction used by the group-calibration bisection: one
-/// max-uniform-draw entry per sampled detection group (see file comment).
-/// Sampling replicates the strided enumeration of the scan it replaces, so
-/// the measured means are byte-identical.
-class CalibrationPlanes {
- public:
-  /// Streams the raw draws behind every sampled group of `layer` once.
-  /// `draws` must share seed/stream/zero_fraction with the sources later
-  /// passed to `mean_precision` (alpha may differ — draws ignore it).
-  CalibrationPlanes(const nn::Layer& layer, int lanes, int cols,
-                    int max_groups, const nn::SyntheticSource& draws);
-
-  /// Mean detected precision over the sampled groups under `src`'s spec,
-  /// clipped per group to `act_precision`.
-  [[nodiscard]] double mean_precision(const nn::SyntheticSource& src,
-                                      int act_precision) const;
-
- private:
-  std::vector<double> group_max_draw_;  ///< -1 when a group has no live value
-};
+/// max-draw group per sampled detection group of `layer` (`cols` windows x
+/// `lanes` inner positions; at most about `max_groups`, strided evenly).
+/// `draws` must be unsigned and share seed/stream/zero_fraction with the
+/// sources later measured against the sample (alpha may differ).
+[[nodiscard]] quant::MaxDrawSample calibration_sample(
+    const nn::Layer& layer, int lanes, int cols, int max_groups,
+    const nn::SyntheticSource& draws);
 
 }  // namespace loom::sim

@@ -53,11 +53,11 @@ LayerWorkload::LayerWorkload(const nn::Layer& layer, std::size_t layer_index,
     // re-run the shape arithmetic.
     windows_ = layer.windows();
     ic_count_ = ceil_div(layer.inner_length(), opts.lanes);
-    // Calibrate the activation distribution so groups of 256 concurrent
-    // values (the LM1b/Stripes detection group) average the target trim.
-    act_spec_ = quant::calibrated_spec_cached(
-        layer.act_precision, /*is_signed=*/false, opts.act_zero_fraction,
-        /*group_size=*/256, act_target_precision_);
+    // ensure_group_calibrated() bisects alpha on the layer's real group
+    // structure; these are the fields it starts from.
+    act_spec_.precision = layer.act_precision;
+    act_spec_.is_signed = false;
+    act_spec_.zero_fraction = opts.act_zero_fraction;
   }
 }
 
@@ -99,12 +99,11 @@ void LayerWorkload::ensure_group_calibrated() {
   // iteration below costs one pow per group instead of a full 256-value
   // source scan. The measured means are byte-identical to the scan's, so
   // the bisection path — and the final spec — are unchanged.
-  const CalibrationPlanes planes(
+  const quant::MaxDrawSample sample = calibration_sample(
       layer_, opts_.lanes, kCols, kMaxGroups,
       nn::SyntheticSource(opts_.seed, stream, spec));
   const auto measure = [&](const nn::SyntheticSpec& s) {
-    return planes.mean_precision(nn::SyntheticSource(opts_.seed, stream, s),
-                                 layer_.act_precision);
+    return sample.mean_precision(nn::SyntheticSource(opts_.seed, stream, s));
   };
 
   const double at_min = measure(spec);

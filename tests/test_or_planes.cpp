@@ -169,14 +169,15 @@ TEST(OrPlanes, CalibrationPlanesMeasureByteIdenticalMeans) {
     spec.precision = layer.act_precision;
     spec.zero_fraction = 0.45;
     spec.alpha = 1.0;
-    const CalibrationPlanes planes(layer, kLanes, kCols, kMaxGroups,
-                                   nn::SyntheticSource(1, 42, spec));
+    const quant::MaxDrawSample sample =
+        calibration_sample(layer, kLanes, kCols, kMaxGroups,
+                           nn::SyntheticSource(1, 42, spec));
     for (const double alpha : {1.0, 2.5, 17.0, 803.0}) {
       spec.alpha = alpha;
       const nn::SyntheticSource src(1, 42, spec);
       // Exact equality: the fast path must reproduce the brute scan's sum
       // bit for bit so the calibration bisection path is unchanged.
-      EXPECT_EQ(planes.mean_precision(src, layer.act_precision),
+      EXPECT_EQ(sample.mean_precision(src),
                 brute_group_mean(layer, src, kCols, kLanes, kMaxGroups))
           << "alpha=" << alpha << " k=" << geo.kernel << " s=" << geo.stride;
     }
