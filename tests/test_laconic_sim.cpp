@@ -2,8 +2,8 @@
 // oracle vs the popcount fast path (same padding / stride / grouped-conv /
 // tail geometries as test_or_planes), the NAF-vs-sign-magnitude term
 // reconciliation pins, functional byte-identity against the scalar oracle,
-// golden FNV digests on two zoo networks, and the compute-callbacks-sum-
-// exactly invariant under constrained memory.
+// and the compute-callbacks-sum-exactly invariant under constrained
+// memory. The zoo golden digests live in test_sim_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "arch/config.hpp"
 #include "common/bitops.hpp"
 #include "common/error.hpp"
-#include "golden.hpp"
 #include "nn/reference.hpp"
 #include "nn/synthetic.hpp"
 #include "quant/profiles.hpp"
@@ -247,61 +246,6 @@ TEST(LaconicSim, FunctionalConvMatchesScalarOracle) {
     EXPECT_GE(run.mean_act_terms, 1.0);
     EXPECT_LE(run.mean_act_terms, static_cast<double>(layer.act_precision));
     EXPECT_GE(run.mean_weight_terms, 1.0);
-  }
-}
-
-// ---- Golden digests on two zoo networks -----------------------------------
-// FNV-1a digests of full term-serial RunResults captured when the simulator
-// landed (same seeds, same profiles, default LaconicConfig, unconstrained
-// §4.3 memory). Any digest change is a model change and must be explained.
-// Values assume IEEE-754 doubles and glibc's correctly-rounded pow/exp.
-
-using golden::Fnv;
-
-std::uint64_t digest(const RunResult& r) {
-  Fnv f;
-  f.str(r.arch_name);
-  f.str(r.network);
-  f.u64(static_cast<std::uint64_t>(r.bits_per_cycle));
-  for (const auto& l : r.layers) {
-    f.str(l.name);
-    f.u64(static_cast<std::uint64_t>(l.kind));
-    f.u64(l.compute_cycles);
-    f.u64(l.stall_cycles);
-    f.i64(l.macs);
-    f.f64(l.utilization);
-    f.f64(l.mean_act_precision);
-    f.f64(l.mean_weight_precision);
-    const auto& a = l.activity;
-    f.u64(a.laconic_lane_term_ops);
-    f.u64(a.laconic_idle_lane_cycles);
-    f.u64(a.wr_bits_loaded);
-    f.u64(a.detector_values);
-    f.u64(a.transposer_bits);
-    f.u64(a.abin_read_bits);
-    f.u64(a.abin_write_bits);
-    f.u64(a.about_read_bits);
-    f.u64(a.about_write_bits);
-    f.u64(a.am_read_bits);
-    f.u64(a.am_write_bits);
-    f.u64(a.wm_read_bits);
-    f.u64(a.wm_write_bits);
-    f.u64(a.dram_read_bits);
-    f.u64(a.dram_write_bits);
-    f.u64(a.cycles);
-  }
-  return f.h;
-}
-
-TEST(LaconicSim, GoldenRunResultsOnZooNetworks) {
-  auto sim = make_laconic_simulator(arch::LaconicConfig{}, {});
-  {
-    auto wl = prepare_network("alexnet", quant::AccuracyTarget::k100);
-    EXPECT_EQ(digest(sim->run(*wl)), 0x10190b3f19115f6bull);
-  }
-  {
-    auto wl = prepare_network("nin", quant::AccuracyTarget::k100);
-    EXPECT_EQ(digest(sim->run(*wl)), 0xe20f6cce4847c40bull);
   }
 }
 
