@@ -140,10 +140,11 @@ void BM_WorkloadGroupPrecision(benchmark::State& state) {
   const std::int64_t wb_count = ceil_div(net.layer(0).windows(), 16);
   sim::NetworkWorkload wl(std::move(net), p);
   sim::LayerWorkload& lw = wl.layer(0);
-  (void)lw.act_group_precision(0, 0, 0, 16);  // pay calibration once
+  (void)lw.act_group_precision_table(16);  // pay calibration and fill once
   std::int64_t wb = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lw.act_group_precision(0, wb, 0, 16));
+    // The memoized table lookup plus one chunk read.
+    benchmark::DoNotOptimize(lw.act_group_precision_table(16).at(0, wb, 0));
     wb = (wb + 1) % wb_count;
   }
 }
@@ -183,9 +184,8 @@ void BM_OrPlaneBuild(benchmark::State& state) {
 BENCHMARK(BM_OrPlaneBuild);
 
 void BM_GroupPrecisionColdQuery(benchmark::State& state) {
-  // The post-refactor miss path of act_group_precision: OR `cols`
-  // contiguous plane entries + leading-one detection. Cycles over blocks so
-  // every query is "cold" (no memo slot involved).
+  // What the table fill pays per chunk: OR `cols` contiguous plane entries
+  // + leading-one detection. Cycles over blocks so every query is "cold".
   const nn::Layer layer = plane_layer();
   const nn::Tensor input = plane_input(layer);
   sim::ActOrPlanes planes(layer, 16);
@@ -301,7 +301,7 @@ void BM_WorkloadCalibration(benchmark::State& state) {
     net.add_conv("c", 128, 3, 1, 1).precision_group = 0;
     quant::apply_profile(net, p);
     sim::NetworkWorkload wl(std::move(net), p);
-    benchmark::DoNotOptimize(wl.layer(0).act_group_precision(0, 0, 0, 16));
+    benchmark::DoNotOptimize(wl.layer(0).act_group_precision_table(16));
   }
 }
 BENCHMARK(BM_WorkloadCalibration);

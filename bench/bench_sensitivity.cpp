@@ -60,13 +60,14 @@ void detector_granularity(const std::string& network) {
     sim::LayerWorkload& lw = wl->layer(li);
     std::vector<std::string> row{layer.name, std::to_string(layer.act_precision)};
     for (const int cols : {4, 8, 16}) {
-      const std::int64_t wb_count = ceil_div(layer.windows(), cols);
-      const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
+      const sim::ActPrecisionTable table = lw.act_group_precision_table(cols);
+      const std::int64_t wb_count = table.wb_count();
+      const std::int64_t ic_count = table.ic_count();
       double sum = 0.0;
       std::int64_t n = 0;
       const std::int64_t stride = std::max<std::int64_t>(1, wb_count * ic_count / 512);
       for (std::int64_t k = 0; k < wb_count * ic_count; k += stride) {
-        sum += lw.act_group_precision(0, k / ic_count, k % ic_count, cols);
+        sum += table.at(0, k / ic_count, k % ic_count);
         ++n;
       }
       row.push_back(TextTable::num(sum / static_cast<double>(n)));

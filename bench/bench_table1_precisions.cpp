@@ -33,15 +33,14 @@ int main(int argc, char** argv) {
       sim::LayerWorkload& lw = wl->layer(convs[i]);
 
       // Measure the dynamic mean over all real groups (16 columns).
-      const std::int64_t wb_count = ceil_div(layer.windows(), 16);
-      const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
+      const sim::ActPrecisionTable table = lw.act_group_precision_table(16);
       double mean_pa = 0.0;
       std::int64_t n = 0;
       int tight = 1;
       for (std::int64_t g = 0; g < layer.groups; ++g) {
-        for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-          for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-            const int p = lw.act_group_precision(g, wb, ic, 16);
+        for (std::int64_t wb = 0; wb < table.wb_count(); ++wb) {
+          for (std::int64_t ic = 0; ic < table.ic_count(); ++ic) {
+            const int p = table.at(g, wb, ic);
             tight = std::max(tight, p);
             mean_pa += p;
             ++n;

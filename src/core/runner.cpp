@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <thread>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -12,76 +12,59 @@ namespace loom::core {
 
 ExperimentRunner::ExperimentRunner(RunnerOptions opts) : opts_(std::move(opts)) {}
 
-sim::SimOptions ExperimentRunner::sim_options() const {
+std::vector<std::string> ExperimentRunner::roster_keys() const {
+  std::vector<std::string> keys;
+  if (opts_.include_stripes) keys.emplace_back("stripes");
+  if (opts_.include_dstripes) keys.emplace_back("dstripes");
+  for (const int bits : opts_.loom_bits) {
+    keys.push_back("lm" + std::to_string(bits) + "b");
+  }
+  // Laconic rides last so the Stripes/Loom roster indices are unchanged.
+  if (opts_.include_laconic) keys.emplace_back("laconic");
+  return keys;
+}
+
+std::unique_ptr<sim::Simulator> ExperimentRunner::make_simulator(
+    const std::string& key) const {
   sim::SimOptions sim_opts;
   sim_opts.model_offchip = opts_.model_offchip;
   sim_opts.am_bytes = opts_.am_bytes;
   sim_opts.wm_bytes = opts_.wm_bytes;
   sim_opts.dram = opts_.dram;
-  return sim_opts;
-}
 
-std::unique_ptr<sim::Simulator> ExperimentRunner::make_baseline() const {
-  arch::DpnnConfig cfg;
-  cfg.equiv_macs = opts_.equiv_macs;
-  return sim::make_dpnn_simulator(cfg, sim_options());
-}
-
-std::size_t ExperimentRunner::roster_size() const noexcept {
-  return static_cast<std::size_t>(opts_.include_stripes) +
-         static_cast<std::size_t>(opts_.include_dstripes) +
-         opts_.loom_bits.size() +
-         static_cast<std::size_t>(opts_.include_laconic);
-}
-
-std::unique_ptr<sim::Simulator> ExperimentRunner::make_roster_entry(
-    std::size_t index) const {
-  LOOM_EXPECTS(index < roster_size());
-  const sim::SimOptions sim_opts = sim_options();
-
-  if (opts_.include_stripes) {
-    if (index == 0) {
-      arch::StripesConfig s;
-      s.equiv_macs = opts_.equiv_macs;
-      s.dynamic_act_precision = false;
-      return sim::make_stripes_simulator(s, sim_opts);
-    }
-    --index;
+  if (key == "dpnn") {
+    arch::DpnnConfig cfg;
+    cfg.equiv_macs = opts_.equiv_macs;
+    return sim::make_dpnn_simulator(cfg, sim_opts);
   }
-  if (opts_.include_dstripes) {
-    if (index == 0) {
-      arch::StripesConfig s;
-      s.equiv_macs = opts_.equiv_macs;
-      s.dynamic_act_precision = true;
-      return sim::make_stripes_simulator(s, sim_opts);
-    }
-    --index;
+  if (key == "stripes" || key == "dstripes") {
+    arch::StripesConfig cfg;
+    cfg.equiv_macs = opts_.equiv_macs;
+    cfg.dynamic_act_precision = key == "dstripes";
+    return sim::make_stripes_simulator(cfg, sim_opts);
   }
-  if (index < opts_.loom_bits.size()) {
-    arch::LoomConfig l;
-    l.equiv_macs = opts_.equiv_macs;
-    l.bits_per_cycle = opts_.loom_bits[index];
-    l.per_group_weights = opts_.per_group_weights;
-    return sim::make_loom_simulator(l, sim_opts);
+  // "lm<bits>b"; LoomConfig::validate rejects unsupported bit widths.
+  if (key.size() == 4 && key.starts_with("lm") && key[3] == 'b' &&
+      key[2] >= '0' && key[2] <= '9') {
+    arch::LoomConfig cfg;
+    cfg.equiv_macs = opts_.equiv_macs;
+    cfg.bits_per_cycle = key[2] - '0';
+    cfg.per_group_weights = opts_.per_group_weights;
+    return sim::make_loom_simulator(cfg, sim_opts);
   }
-  // Laconic rides last so the Stripes/Loom roster indices are unchanged.
-  arch::LaconicConfig lc;
-  lc.equiv_macs = opts_.equiv_macs;
-  return sim::make_laconic_simulator(lc, sim_opts);
-}
-
-std::vector<std::unique_ptr<sim::Simulator>> ExperimentRunner::make_roster() const {
-  std::vector<std::unique_ptr<sim::Simulator>> roster;
-  roster.reserve(roster_size());
-  for (std::size_t i = 0; i < roster_size(); ++i) {
-    roster.push_back(make_roster_entry(i));
+  if (key == "laconic") {
+    arch::LaconicConfig cfg;
+    cfg.equiv_macs = opts_.equiv_macs;
+    return sim::make_laconic_simulator(cfg, sim_opts);
   }
-  return roster;
+  throw ConfigError("unknown architecture key: " + key);
 }
 
 std::vector<std::string> ExperimentRunner::roster_names() const {
   std::vector<std::string> names;
-  for (const auto& sim : make_roster()) names.push_back(sim->name());
+  for (const std::string& key : roster_keys()) {
+    names.push_back(make_simulator(key)->name());
+  }
   return names;
 }
 
@@ -97,91 +80,39 @@ sim::NetworkWorkload& ExperimentRunner::workload_for(const std::string& network)
   return *workloads_.back().second;
 }
 
-int ExperimentRunner::effective_jobs() const {
-  if (opts_.jobs > 0) return opts_.jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 sim::Comparison ExperimentRunner::compare(const std::vector<std::string>& networks) {
   const std::vector<std::string>& names =
       networks.empty() ? nn::zoo::paper_networks() : networks;
 
-  const int jobs = effective_jobs();
-  if (jobs > 1) return compare_parallel(names, jobs);
-
-  auto baseline = make_baseline();
-  auto roster = make_roster();
-  std::vector<sim::Simulator*> roster_ptrs;
-  roster_ptrs.reserve(roster.size());
-  for (const auto& sim : roster) roster_ptrs.push_back(sim.get());
-
-  sim::Comparison cmp;
-  for (const std::string& net : names) {
-    cmp.add_network(workload_for(net), *baseline, roster_ptrs);
-  }
-  return cmp;
-}
-
-sim::Comparison ExperimentRunner::compare_parallel(
-    const std::vector<std::string>& names, int jobs) {
-  // One cell per (network, arch slot); slot 0 is the DPNN baseline, slots
-  // 1..R the roster in run order. Every cell gets a fresh simulator (they
-  // carry per-run state) but cells of the same network share one workload,
-  // whose memoized caches are internally synchronized. All cell outputs are
-  // deterministic, so the assembly below matches the serial path exactly.
-  const std::size_t slots = 1 + roster_size();
+  // One cell per (network, architecture): the DPNN baseline first, then the
+  // roster in run order. Every cell builds its own simulator, but cells of
+  // the same network share one workload, whose memoized tables are
+  // internally synchronized. Cells are deterministic and assembled in
+  // order, so every `jobs` value yields the same table.
+  std::vector<std::string> keys = roster_keys();
+  keys.insert(keys.begin(), "dpnn");
+  const std::size_t slots = keys.size();
   std::vector<sim::RunResult> cells(names.size() * slots);
 
-  ThreadPool pool(std::min(static_cast<std::size_t>(jobs), cells.size()));
+  ThreadPool pool(std::min(resolve_jobs(opts_.jobs), cells.size()));
   pool.parallel_for(cells.size(), [&](std::size_t idx) {
-    const std::size_t ni = idx / slots;
-    const std::size_t ai = idx % slots;
-    sim::NetworkWorkload& wl = workload_for(names[ni]);
-    std::unique_ptr<sim::Simulator> sim =
-        ai == 0 ? make_baseline() : make_roster_entry(ai - 1);
-    cells[idx] = sim->run(wl);
+    cells[idx] = run_single(keys[idx % slots], names[idx / slots]);
   });
 
   sim::Comparison cmp;
   for (std::size_t ni = 0; ni < names.size(); ++ni) {
+    const auto first = cells.begin() + static_cast<std::ptrdiff_t>(ni * slots);
     std::vector<sim::RunResult> runs(
-        std::make_move_iterator(cells.begin() + static_cast<std::ptrdiff_t>(ni * slots + 1)),
-        std::make_move_iterator(cells.begin() + static_cast<std::ptrdiff_t>((ni + 1) * slots)));
-    cmp.add_network_results(names[ni], std::move(cells[ni * slots]),
-                            std::move(runs));
+        std::make_move_iterator(first + 1),
+        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(slots)));
+    cmp.add_network_results(names[ni], std::move(*first), std::move(runs));
   }
   return cmp;
 }
 
 sim::RunResult ExperimentRunner::run_single(const std::string& arch_key,
                                             const std::string& network) {
-  const sim::SimOptions sim_opts = sim_options();
-
-  std::unique_ptr<sim::Simulator> sim;
-  if (arch_key == "dpnn") {
-    arch::DpnnConfig cfg;
-    cfg.equiv_macs = opts_.equiv_macs;
-    sim = sim::make_dpnn_simulator(cfg, sim_opts);
-  } else if (arch_key == "stripes" || arch_key == "dstripes") {
-    arch::StripesConfig cfg;
-    cfg.equiv_macs = opts_.equiv_macs;
-    cfg.dynamic_act_precision = (arch_key == "dstripes");
-    sim = sim::make_stripes_simulator(cfg, sim_opts);
-  } else if (arch_key == "lm1b" || arch_key == "lm2b" || arch_key == "lm4b") {
-    arch::LoomConfig cfg;
-    cfg.equiv_macs = opts_.equiv_macs;
-    cfg.bits_per_cycle = arch_key[2] - '0';
-    cfg.per_group_weights = opts_.per_group_weights;
-    sim = sim::make_loom_simulator(cfg, sim_opts);
-  } else if (arch_key == "laconic") {
-    arch::LaconicConfig cfg;
-    cfg.equiv_macs = opts_.equiv_macs;
-    sim = sim::make_laconic_simulator(cfg, sim_opts);
-  } else {
-    throw ConfigError("unknown architecture key: " + arch_key);
-  }
-  return sim->run(workload_for(network));
+  return make_simulator(arch_key)->run(workload_for(network));
 }
 
 RunnerOptions runner_options_from_cli(const Options& cli) {

@@ -40,10 +40,10 @@ struct RunnerOptions {
   bool include_laconic = true;
 
   /// Worker threads used by compare() to simulate (arch × network) cells
-  /// concurrently. 1 runs serially; values <= 0 use
-  /// std::thread::hardware_concurrency(). The comparison table is
-  /// bit-identical to the serial one regardless of the value — cells are
-  /// deterministic and results are assembled in roster order.
+  /// concurrently. 1 runs them one at a time, in order; values <= 0 use
+  /// one worker per hardware thread. The comparison table is bit-identical
+  /// for every value — cells are deterministic and results are assembled in
+  /// roster order.
   int jobs = 1;
 };
 
@@ -56,9 +56,9 @@ class ExperimentRunner {
   [[nodiscard]] sim::Comparison compare(
       const std::vector<std::string>& networks = {});
 
-  /// Run one architecture by display key ("dpnn", "stripes", "dstripes",
-  /// "lm1b", "lm2b", "lm4b", "laconic") over one network; used by
-  /// examples/benches needing raw RunResults.
+  /// Run one architecture by key ("dpnn", "stripes", "dstripes", "lm1b",
+  /// "lm2b", "lm4b", "laconic") over one network; used by examples/benches
+  /// needing raw RunResults. Any other key throws ConfigError.
   [[nodiscard]] sim::RunResult run_single(const std::string& arch_key,
                                           const std::string& network);
 
@@ -68,24 +68,16 @@ class ExperimentRunner {
   [[nodiscard]] const RunnerOptions& options() const noexcept { return opts_; }
 
  private:
-  [[nodiscard]] std::unique_ptr<sim::Simulator> make_baseline() const;
-  [[nodiscard]] std::vector<std::unique_ptr<sim::Simulator>> make_roster() const;
-  /// Number of roster architectures implied by the options.
-  [[nodiscard]] std::size_t roster_size() const noexcept;
-  /// Build just the index-th roster simulator (same order as make_roster).
-  [[nodiscard]] std::unique_ptr<sim::Simulator> make_roster_entry(
-      std::size_t index) const;
+  /// Keys of the roster architectures, in run order.
+  [[nodiscard]] std::vector<std::string> roster_keys() const;
+  /// The simulator an architecture key names, at this runner's scale and
+  /// memory options.
+  [[nodiscard]] std::unique_ptr<sim::Simulator> make_simulator(
+      const std::string& key) const;
   /// Lazily builds (and caches) the workload for `network`. Thread-safe:
   /// the cache lookup/insert is mutex-guarded so concurrent cells of the
-  /// same network share one workload (and its group-precision caches).
+  /// same network share one workload (and its group-precision tables).
   [[nodiscard]] sim::NetworkWorkload& workload_for(const std::string& network);
-  [[nodiscard]] int effective_jobs() const;
-  [[nodiscard]] sim::Comparison compare_parallel(
-      const std::vector<std::string>& names, int jobs);
-
-  /// SimOptions every simulator of this runner receives (offchip mode,
-  /// capacity overrides, DRAM channel).
-  [[nodiscard]] sim::SimOptions sim_options() const;
 
   RunnerOptions opts_;
   std::mutex workloads_mutex_;

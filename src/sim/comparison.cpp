@@ -1,22 +1,8 @@
 #include "sim/comparison.hpp"
 
-#include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace loom::sim {
-
-void Comparison::add_network(NetworkWorkload& workload, Simulator& baseline,
-                             std::vector<Simulator*> archs) {
-  RunResult base = baseline.run(workload);
-  std::vector<RunResult> runs;
-  runs.reserve(archs.size());
-  for (Simulator* sim : archs) {
-    LOOM_EXPECTS(sim != nullptr);
-    runs.push_back(sim->run(workload));
-  }
-  add_network_results(workload.network().name(), std::move(base),
-                      std::move(runs));
-}
 
 void Comparison::add_network_results(const std::string& network, RunResult base,
                                      std::vector<RunResult> runs) {

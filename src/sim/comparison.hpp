@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/result.hpp"
-#include "sim/simulator.hpp"
 
 namespace loom::sim {
 
@@ -22,15 +21,10 @@ struct ComparisonEntry {
 
 class Comparison {
  public:
-  /// Run `baseline` and all `archs` over the workload, recording relative
-  /// metrics per filter.
-  void add_network(NetworkWorkload& workload, Simulator& baseline,
-                   std::vector<Simulator*> archs);
-
-  /// Record pre-computed runs for one network (baseline first, then the
-  /// roster in run order). Produces exactly the entries add_network would,
-  /// letting callers simulate cells out of order (e.g. on a thread pool)
-  /// and still assemble a deterministically ordered table.
+  /// Record the runs of one network (baseline first, then the roster in
+  /// run order) as metrics relative to the baseline, per filter. Callers
+  /// may simulate cells out of order (e.g. on a thread pool) and still
+  /// assemble a deterministically ordered table.
   void add_network_results(const std::string& network, RunResult base,
                            std::vector<RunResult> runs);
 

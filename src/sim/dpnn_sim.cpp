@@ -1,69 +1,46 @@
 #include "sim/dpnn_sim.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace loom::sim {
 
-namespace {
-/// Multiplier + adder-tree pipeline fill charged once per layer.
-constexpr std::uint64_t kDpnnPipelineFill = 6;
-}  // namespace
-
 DpnnSimulator::DpnnSimulator(const arch::DpnnConfig& cfg, const SimOptions& opts)
-    : cfg_(cfg), opts_(opts) {
+    : Simulator(opts, cfg.equiv_macs, /*bits_per_cycle=*/1,
+                /*bit_packed=*/false),
+      cfg_(cfg) {
   cfg_.validate();
 }
 
-LayerResult DpnnSimulator::simulate_compute(LayerWorkload& lw) const {
+LayerModel DpnnSimulator::model_layer(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
   r.mean_act_precision = kBasePrecision;
   r.mean_weight_precision = kBasePrecision;
 
   const int lanes = cfg_.act_lanes;
   const int k = cfg_.filters();
-  std::uint64_t cycles = 0;
+  const std::int64_t ic_count = ceil_div(layer.inner_length(), lanes);
+  // One cycle per (window, input chunk, filter block).
+  const auto schedule_cycles = [ic_count](std::int64_t windows,
+                                          std::int64_t filter_blocks) {
+    return static_cast<std::uint64_t>(windows * ic_count * filter_blocks);
+  };
+  const std::int64_t filter_blocks =
+      layer.groups * ceil_div(layer.group_out_channels(), k);
+  std::uint64_t cycles = schedule_cycles(layer.windows(), filter_blocks);
 
-  if (layer.kind == nn::LayerKind::kConv) {
-    const std::int64_t windows = layer.windows();
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), lanes);
-    std::uint64_t fb_total = 0;
-    for (int g = 0; g < layer.groups; ++g) {
-      fb_total += static_cast<std::uint64_t>(
-          ceil_div(layer.group_out_channels(), k));
-    }
-    cycles = static_cast<std::uint64_t>(windows) *
-             static_cast<std::uint64_t>(ic_count) * fb_total;
-    // Every cycle: 16 activations broadcast from ABin and k x 16 weights
-    // streamed over the weight bus from WM.
-    r.activity.abin_read_bits = cycles * static_cast<std::uint64_t>(lanes) * 16;
-    r.activity.wm_read_bits =
-        cycles * static_cast<std::uint64_t>(k) * lanes * 16;
-    // Each input activation is refetched from AM into ABin once per filter
-    // block of its conv group.
-    const std::uint64_t am_fetch =
-        static_cast<std::uint64_t>(layer.in.elements() / layer.groups) * 16 *
-        fb_total;
-    r.activity.am_read_bits = am_fetch;
-    r.activity.abin_write_bits = am_fetch;
-  } else {  // fully connected
-    const std::int64_t ic_count = ceil_div(layer.in.elements(), lanes);
-    const std::int64_t fb = ceil_div(static_cast<std::int64_t>(layer.out.c), k);
-    cycles = static_cast<std::uint64_t>(ic_count) * static_cast<std::uint64_t>(fb);
-    r.activity.abin_read_bits = cycles * static_cast<std::uint64_t>(lanes) * 16;
-    r.activity.wm_read_bits =
-        cycles * static_cast<std::uint64_t>(k) * lanes * 16;
-    const std::uint64_t am_fetch =
-        static_cast<std::uint64_t>(layer.in.elements()) * 16 *
-        static_cast<std::uint64_t>(fb);
-    r.activity.am_read_bits = am_fetch;
-    r.activity.abin_write_bits = am_fetch;
-  }
+  // Every cycle: 16 activations broadcast from ABin and k x 16 weights
+  // streamed over the weight bus from WM.
+  r.activity.abin_read_bits = cycles * static_cast<std::uint64_t>(lanes) * 16;
+  r.activity.wm_read_bits = cycles * static_cast<std::uint64_t>(k) * lanes * 16;
+  // Each input activation is refetched from AM into ABin once per filter
+  // block of its conv group.
+  const std::uint64_t am_fetch =
+      static_cast<std::uint64_t>(layer.in.elements() / layer.groups) * 16 *
+      static_cast<std::uint64_t>(filter_blocks);
+  r.activity.am_read_bits = am_fetch;
+  r.activity.abin_write_bits = am_fetch;
 
   cycles += kDpnnPipelineFill;
   r.compute_cycles = cycles;
@@ -83,67 +60,16 @@ LayerResult DpnnSimulator::simulate_compute(LayerWorkload& lw) const {
   r.activity.about_write_bits = out_bits;
   r.activity.about_read_bits = out_bits;
   r.activity.am_write_bits = out_bits;
-  return r;
-}
 
-void DpnnSimulator::apply_memory(LayerResult& r, LayerWorkload& lw,
-                                 engine::TimingCore& core) const {
-  // The bit-parallel baseline stores everything at the full 16 bits —
-  // weights in 16-bit rows, activations unpacked.
-  const nn::Layer& layer = lw.layer();
-  engine::LayerStorage st;  // all precisions default to kBasePrecision
-  const int k = cfg_.filters();
-  const int lanes = cfg_.act_lanes;
-  st.filter_quantum = k;
-  st.window_quantum = layer.kind == nn::LayerKind::kConv ? 16 : 1;
-
-  const std::int64_t ic_count = ceil_div(layer.inner_length(), lanes);
-  core.apply(r, lw, st, [k, ic_count](const mem::TileExtent& t) {
-    // windows x input chunks x filter blocks, restricted to the tile.
-    return static_cast<double>(t.window_count()) *
-           static_cast<double>(ic_count) *
-           static_cast<double>(ceil_div(t.filter_count(), k));
-  });
-}
-
-LayerResult DpnnSimulator::simulate_layer(LayerWorkload& lw,
-                                          engine::TimingCore& core) const {
-  LayerResult r = simulate_compute(lw);
-  if (opts_.model_offchip) apply_memory(r, lw, core);
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-LayerResult DpnnSimulator::simulate_layer(LayerWorkload& lw,
-                                          mem::MemorySystem& mem) const {
-  engine::TimingCore core(mem);
-  LayerResult r = simulate_layer(lw, core);
-  const std::uint64_t tail = core.finish();
-  r.stall_cycles += tail;
-  r.activity.dram_stall_cycles += tail;
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-RunResult DpnnSimulator::run(NetworkWorkload& workload) {
-  RunResult result;
-  result.arch_name = name();
-  result.network = workload.network().name();
-  result.bits_per_cycle = 1;
-
-  const mem::MemorySystemConfig mem_cfg = engine::resolve_memory_config(
-      cfg_.equiv_macs, /*bit_packed=*/false, opts_);
-  mem::MemorySystem mem(mem_cfg);
-  engine::TimingCore core(mem);
-
-  result.area = energy::dpnn_area(cfg_, mem_cfg);
-
-  for (std::size_t i = 0; i < workload.network().size(); ++i) {
-    if (!workload.network().layer(i).has_weights()) continue;
-    result.layers.push_back(simulate_layer(workload.layer(i), core));
-  }
-  engine::finish_run(result, core);
-  return result;
+  // The baseline stores everything at the full 16 bits — weights in 16-bit
+  // rows, activations unpacked (the LayerStorage defaults).
+  m.storage.filter_quantum = k;
+  m.storage.window_quantum = layer.kind == nn::LayerKind::kConv ? 16 : 1;
+  m.block_compute = [=](const mem::TileExtent& t) {
+    return static_cast<double>(
+        schedule_cycles(t.window_count(), ceil_div(t.filter_count(), k)));
+  };
+  return m;
 }
 
 }  // namespace loom::sim

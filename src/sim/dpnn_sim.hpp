@@ -1,10 +1,9 @@
 // Cycle model of the bit-parallel baseline (DPNN, Figure 2a): per cycle,
 // `act_lanes` 16-bit activations broadcast to filters() inner-product
-// units. Convolutional layers walk windows sequentially; fully-connected
-// layers walk input chunks x filter blocks.
+// units. Every weighted layer walks windows x input chunks x filter blocks,
+// one cycle each; a fully-connected layer is one group of one window.
 #pragma once
 
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -14,20 +13,15 @@ class DpnnSimulator final : public Simulator {
   DpnnSimulator(const arch::DpnnConfig& cfg, const SimOptions& opts);
 
   [[nodiscard]] std::string name() const override { return cfg_.to_string(); }
-  [[nodiscard]] RunResult run(NetworkWorkload& workload) override;
-
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           engine::TimingCore& core) const;
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           mem::MemorySystem& mem) const;
 
  private:
-  [[nodiscard]] LayerResult simulate_compute(LayerWorkload& lw) const;
-  void apply_memory(LayerResult& r, LayerWorkload& lw,
-                    engine::TimingCore& core) const;
+  [[nodiscard]] LayerModel model_layer(LayerWorkload& lw) const override;
+  [[nodiscard]] energy::AreaBreakdown area(
+      const mem::MemorySystemConfig& mem) const override {
+    return energy::dpnn_area(cfg_, mem);
+  }
 
   arch::DpnnConfig cfg_;
-  SimOptions opts_;
 };
 
 }  // namespace loom::sim

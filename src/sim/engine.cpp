@@ -38,17 +38,6 @@ std::vector<int> detected_block_precisions(LayerWorkload& lw,
 
 }  // namespace
 
-mem::MemorySystemConfig resolve_memory_config(int equiv_macs, bool bit_packed,
-                                              const SimOptions& opts) {
-  mem::MemorySystemConfig cfg =
-      mem::default_memory_config(equiv_macs, bit_packed);
-  if (opts.am_bytes > 0) cfg.am_bytes = opts.am_bytes;
-  if (opts.wm_bytes > 0) cfg.wm_bytes = opts.wm_bytes;
-  cfg.model_offchip = opts.model_offchip;
-  cfg.dram = opts.dram;
-  return cfg;
-}
-
 void TimingCore::apply(LayerResult& r, LayerWorkload& lw,
                        const LayerStorage& storage,
                        const BlockCompute& block_compute) {
@@ -168,16 +157,6 @@ void TimingCore::apply(LayerResult& r, LayerWorkload& lw,
   r.memory.acts_resident = plan.acts_resident;
   r.memory.weights_resident = plan.weights_resident;
   r.memory.dataflow = static_cast<std::uint8_t>(plan.dataflow);
-}
-
-void finish_run(RunResult& result, TimingCore& core) {
-  const std::uint64_t tail = core.finish();
-  if (tail == 0 || result.layers.empty()) return;
-  LayerResult& last = result.layers.back();
-  last.stall_cycles += tail;
-  last.activity.dram_stall_cycles += tail;
-  last.memory.stall_cycles += tail;
-  last.activity.cycles = last.cycles();
 }
 
 }  // namespace loom::sim::engine

@@ -1,23 +1,25 @@
-// Shared memory-timing core for the three cycle simulators (§4.5 /
+// Shared memory-timing core for the analytic cycle simulators (§4.5 /
 // Figure 5 constrained mode).
 //
-// Each simulator owns its compute model; what they previously *also* owned
-// — three diverging copies of whole-layer DRAM accounting — lives here
-// once. TimingCore builds a LayerTilePlan (mem/tile_plan) from the layer
-// geometry and the architecture's storage precisions, prices every tile's
-// fills on the LPDDR4 channel, and runs the double-buffered MemoryTimeline
-// so compute and transfers overlap per tile. The simulator contributes one
-// callback: the compute cycles of a (conv group, window range, filter
-// range) block under its own cycle model. Tile quanta are chosen so the
-// blocks sum *exactly* to the layer's unconstrained compute cycles — the
-// constrained mode changes stalls and traffic, never compute.
+// Each simulator owns its compute model; the whole-layer DRAM accounting
+// lives here once. TimingCore builds a LayerTilePlan (mem/tile_plan) from
+// the layer geometry and the architecture's storage precisions, prices
+// every tile's fills on the LPDDR4 channel, and runs the double-buffered
+// MemoryTimeline so compute and transfers overlap per tile. The simulator
+// contributes one callback: the compute cycles of a (conv group, window
+// range, filter range) block under its own cycle model. Tile quanta are
+// chosen so the blocks sum *exactly* to the layer's unconstrained compute
+// cycles — the constrained mode changes stalls and traffic, never compute.
 #pragma once
 
 #include <functional>
 
+#include "common/bitops.hpp"
+#include "mem/hierarchy.hpp"
 #include "mem/tile_plan.hpp"
 #include "mem/timeline.hpp"
-#include "sim/simulator.hpp"
+#include "sim/result.hpp"
+#include "sim/workload.hpp"
 
 namespace loom::sim::engine {
 
@@ -65,15 +67,26 @@ class TimingCore {
   mem::MemoryTimeline timeline_;
 };
 
-/// The §4.5 memory configuration for an architecture at `equiv_macs`, with
-/// the SimOptions capacity overrides and DRAM channel applied — shared by
-/// the three simulators' run() methods.
-[[nodiscard]] mem::MemorySystemConfig resolve_memory_config(
-    int equiv_macs, bool bit_packed, const SimOptions& opts);
-
-/// Close a run's timeline: any drain tail still on the channel past the
-/// final compute is charged to the last layer so RunResult::cycles()
-/// covers the whole execution. No-op on unconstrained runs.
-void finish_run(RunResult& result, TimingCore& core);
+/// Block callback of a convolutional chunk model: the tile's window blocks
+/// (`window_par` windows each) times every input chunk, summing
+/// `chunk_cycles(conv group, window block, input chunk)` — the same
+/// per-chunk cost the model's layer loop sums — once per block of
+/// `filter_par` filters.
+template <class ChunkCycles>
+[[nodiscard]] BlockCompute conv_block_compute(std::int64_t window_par,
+                                              std::int64_t filter_par,
+                                              std::int64_t ic_count,
+                                              ChunkCycles chunk_cycles) {
+  return [=](const mem::TileExtent& t) {
+    double cyc = 0.0;
+    for (std::int64_t wb = t.window_begin / window_par;
+         wb * window_par < t.window_end; ++wb) {
+      for (std::int64_t ic = 0; ic < ic_count; ++ic) {
+        cyc += chunk_cycles(t.conv_group, wb, ic);
+      }
+    }
+    return cyc * static_cast<double>(ceil_div(t.filter_count(), filter_par));
+  };
+}
 
 }  // namespace loom::sim::engine

@@ -106,7 +106,7 @@ SliceSpec FunctionalEngine::slice_spec(const nn::Layer& layer) const {
 std::uint64_t FunctionalEngine::schedule_cycles(const nn::Layer& layer) const {
   if (arch_ == Arch::kLoom) {
     // FC: the same cascade-aware model as the analytic
-    // LoomSimulator::simulate_fc — best `ways` slicing plus the cols-1
+    // LoomSimulator — best `ways` slicing plus the cols-1
     // column-stagger initiation — excluding the analytic kPipelineFill.
     const FcCascadePlan plan = plan_fc_cascade(
         opts_.rows, opts_.cols, opts_.lanes, layer.out.c, layer.in.elements(),

@@ -135,8 +135,8 @@ class FunctionalEngine {
                                             int out_bits);
 
   /// Execute one fully-connected layer. `weights` is flat [Co][Ci].
-  /// Loom cycles follow the same cascade-aware model as
-  /// LoomSimulator::simulate_fc (plan_fc_cascade + column stagger), minus
+  /// Loom cycles follow the same cascade-aware FC model as
+  /// the analytic LoomSimulator (plan_fc_cascade + column stagger), minus
   /// the analytic model's kPipelineFill constant.
   [[nodiscard]] FunctionalLayerRun run_fc(const nn::Layer& layer,
                                           const nn::Tensor& input,

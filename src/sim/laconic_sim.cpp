@@ -11,9 +11,35 @@
 
 namespace loom::sim {
 
+namespace {
+
+/// The term-serial convolutional chunk model for one layer: chunk (g, wb,
+/// ic) costs Ta x Tw cycles, Ta being the term count of its 16-window
+/// detection group.
+struct ConvChunks {
+  ActTermTable term_table{};
+  int cols = 0;
+  double wt = 0.0;
+
+  [[nodiscard]] int ta(std::int64_t g, std::int64_t wb, std::int64_t ic) const {
+    return term_table.at(g, (wb * cols) / 16, ic);
+  }
+  [[nodiscard]] double cycles(int ta) const {
+    return static_cast<double>(ta) * wt;
+  }
+  [[nodiscard]] double operator()(std::int64_t g, std::int64_t wb,
+                                  std::int64_t ic) const {
+    return cycles(ta(g, wb, ic));
+  }
+};
+
+}  // namespace
+
 LaconicSimulator::LaconicSimulator(const arch::LaconicConfig& cfg,
                                    const SimOptions& opts)
-    : cfg_(cfg), opts_(opts) {
+    : Simulator(opts, cfg.equiv_macs, /*bits_per_cycle=*/1,
+                /*bit_packed=*/true),
+      cfg_(cfg) {
   cfg_.validate();
 }
 
@@ -28,12 +54,21 @@ double LaconicSimulator::timing_weight_terms(LayerWorkload& lw) const {
                                   : stats.synced_per_group;
 }
 
-LayerResult LaconicSimulator::simulate_conv(LayerWorkload& lw) const {
+LayerModel LaconicSimulator::model_layer(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m = layer.kind == nn::LayerKind::kConv ? model_conv(lw)
+                                                    : model_fc(lw);
+  // Weights lay out dense bit-packed at the profile precision — the PE
+  // extracts terms, storage stays positional (addressable offsets).
+  m.storage.weights_bit_packed = true;
+  m.storage.weight_precision = layer.weight_precision;
+  return m;
+}
+
+LayerModel LaconicSimulator::model_conv(LayerWorkload& lw) const {
+  const nn::Layer& layer = lw.layer();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
 
   const int rows = cfg_.rows();
   const int cols = cfg_.cols();
@@ -51,9 +86,11 @@ LayerResult LaconicSimulator::simulate_conv(LayerWorkload& lw) const {
   // Both tables come from the same OR planes at the same 16-window detector
   // granularity: term counts drive the cycles, detected precisions drive
   // the positional AM/ABin accounting (storage cannot address terms).
-  const ActTermTable term_table = lw.act_group_term_table(16);
+  const ConvChunks model{.term_table = lw.act_group_term_table(16),
+                         .cols = cols,
+                         .wt = wt};
   const ActPrecisionTable pa_table = lw.act_group_precision_table(16);
-  LOOM_EXPECTS(ic_count <= term_table.ic_count());
+  LOOM_EXPECTS(ic_count <= model.term_table.ic_count());
 
   double cycles = 0.0;
   double term_ops = 0.0;
@@ -83,9 +120,9 @@ LayerResult LaconicSimulator::simulate_conv(LayerWorkload& lw) const {
       for (std::int64_t ic = 0; ic < ic_count; ++ic) {
         const std::int64_t lanes_used =
             std::min<std::int64_t>(lanes, inner - ic * lanes);
-        const int ta = term_table.at(g, (wb * cols) / 16, ic);
+        const int ta = model.ta(g, wb, ic);
         const int pa = pa_table.at(g, (wb * cols) / 16, ic);
-        const double chunk_cycles = static_cast<double>(ta) * wt;
+        const double chunk_cycles = model.cycles(ta);
 
         cycles += chunk_cycles * static_cast<double>(fb);
         ta_weighted += ta;
@@ -133,15 +170,22 @@ LayerResult LaconicSimulator::simulate_conv(LayerWorkload& lw) const {
       static_cast<std::uint64_t>(layer.out.elements() * lw.out_precision);
   r.activity.am_write_bits = packed_out;
   r.activity.transposer_bits = packed_out;
-  return r;
+
+  // Activations lay out positionally at the detected precision, exactly
+  // like LM1b's; only compute follows the term tables.
+  m.storage.act_precision = layer.act_precision;
+  m.storage.act_dynamic = true;
+  m.storage.out_precision = lw.out_precision;
+  m.storage.window_quantum = 16;
+  m.storage.filter_quantum = rows;
+  m.block_compute = engine::conv_block_compute(cols, rows, ic_count, model);
+  return m;
 }
 
-LayerResult LaconicSimulator::simulate_fc(LayerWorkload& lw) const {
+LayerModel LaconicSimulator::model_fc(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
 
   const int rows = cfg_.rows();
   const int cols = cfg_.cols();
@@ -195,100 +239,8 @@ LayerResult LaconicSimulator::simulate_fc(LayerWorkload& lw) const {
   r.utilization = lane_slots > 0.0 ? std::min(1.0, term_ops / lane_slots) : 0.0;
   r.activity.laconic_idle_lane_cycles =
       static_cast<std::uint64_t>(std::max(0.0, lane_slots - term_ops));
-  return r;
-}
-
-void LaconicSimulator::apply_memory(LayerResult& r, LayerWorkload& lw,
-                                    engine::TimingCore& core) const {
-  const nn::Layer& layer = lw.layer();
-  engine::LayerStorage st;
-  // Weights lay out dense bit-packed at the profile precision — the PE
-  // extracts terms, storage stays positional (addressable offsets).
-  st.weights_bit_packed = true;
-  st.weight_precision = layer.weight_precision;
-
-  const int rows = cfg_.rows();
-  const double wt = timing_weight_terms(lw);
-
-  if (layer.kind == nn::LayerKind::kConv) {
-    st.act_precision = layer.act_precision;
-    st.act_dynamic = true;
-    st.out_precision = lw.out_precision;
-    st.window_quantum = 16;
-    st.filter_quantum = rows;
-
-    const int cols = cfg_.cols();
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), cfg_.lanes);
-    const ActTermTable term_table = lw.act_group_term_table(16);
-    core.apply(r, lw, st, [&, term_table](const mem::TileExtent& t) {
-      // Mirrors simulate_conv's chunk loop over the tile's window blocks so
-      // the blocks sum exactly to the unconstrained cycle count.
-      double cyc = 0.0;
-      for (std::int64_t wb = t.window_begin / cols; wb * cols < t.window_end;
-           ++wb) {
-        for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-          const int ta = term_table.at(t.conv_group, (wb * cols) / 16, ic);
-          cyc += static_cast<double>(ta) * wt;
-        }
-      }
-      return cyc * static_cast<double>(ceil_div(t.filter_count(), rows));
-    });
-  } else {
-    st.window_quantum = 1;
-    const double act_passes = static_cast<double>(kBasePrecision);
-    const FcCascadePlan plan =
-        plan_fc_cascade(rows, cfg_.cols(), cfg_.lanes, layer.out.c,
-                        layer.in.elements(), wt, act_passes, cfg_.cascading);
-    const std::int64_t opb =
-        static_cast<std::int64_t>(rows) * cfg_.cols() / plan.ways;
-    st.filter_quantum = opb;
-    core.apply(r, lw, st, [=](const mem::TileExtent& t) {
-      const auto blocks = static_cast<double>(ceil_div(t.filter_count(), opb));
-      return blocks * (static_cast<double>(plan.rounds) * act_passes * wt +
-                       static_cast<double>(plan.ways - 1));
-    });
-  }
-}
-
-LayerResult LaconicSimulator::simulate_layer(LayerWorkload& lw,
-                                             engine::TimingCore& core) const {
-  LayerResult r = lw.layer().kind == nn::LayerKind::kConv ? simulate_conv(lw)
-                                                          : simulate_fc(lw);
-  if (opts_.model_offchip) apply_memory(r, lw, core);
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-LayerResult LaconicSimulator::simulate_layer(LayerWorkload& lw,
-                                             mem::MemorySystem& mem) const {
-  engine::TimingCore core(mem);
-  LayerResult r = simulate_layer(lw, core);
-  const std::uint64_t tail = core.finish();
-  r.stall_cycles += tail;
-  r.activity.dram_stall_cycles += tail;
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-RunResult LaconicSimulator::run(NetworkWorkload& workload) {
-  RunResult result;
-  result.arch_name = name();
-  result.network = workload.network().name();
-  result.bits_per_cycle = 1;
-
-  const mem::MemorySystemConfig mem_cfg =
-      engine::resolve_memory_config(cfg_.equiv_macs, /*bit_packed=*/true, opts_);
-  mem::MemorySystem mem(mem_cfg);
-  engine::TimingCore core(mem);
-
-  result.area = energy::laconic_area(cfg_, mem_cfg);
-
-  for (std::size_t i = 0; i < workload.network().size(); ++i) {
-    if (!workload.network().layer(i).has_weights()) continue;
-    result.layers.push_back(simulate_layer(workload.layer(i), core));
-  }
-  engine::finish_run(result, core);
-  return result;
+  set_fc_timing(m, plan);
+  return m;
 }
 
 LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
@@ -373,11 +325,6 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
   run.mean_weight_terms =
       blocks ? static_cast<double>(tw_sum) / static_cast<double>(blocks) : 0.0;
   return run;
-}
-
-std::unique_ptr<Simulator> make_laconic_simulator(
-    const arch::LaconicConfig& cfg, const SimOptions& opts) {
-  return std::make_unique<LaconicSimulator>(cfg, opts);
 }
 
 }  // namespace loom::sim

@@ -33,7 +33,6 @@
 #include <cstdint>
 
 #include "nn/tensor.hpp"
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -43,27 +42,19 @@ class LaconicSimulator final : public Simulator {
   LaconicSimulator(const arch::LaconicConfig& cfg, const SimOptions& opts);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] RunResult run(NetworkWorkload& workload) override;
-
-  /// Simulate one layer against a run-wide timing core (shared tile
-  /// scheduler + memory timeline; see sim/engine.hpp).
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           engine::TimingCore& core) const;
-  /// Convenience overload for single-layer callers: a transient per-layer
-  /// timeline (no cross-layer prefetch), drain tail included.
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           mem::MemorySystem& mem) const;
 
  private:
-  [[nodiscard]] LayerResult simulate_conv(LayerWorkload& lw) const;
-  [[nodiscard]] LayerResult simulate_fc(LayerWorkload& lw) const;
-  void apply_memory(LayerResult& r, LayerWorkload& lw,
-                    engine::TimingCore& core) const;
+  [[nodiscard]] LayerModel model_layer(LayerWorkload& lw) const override;
+  [[nodiscard]] LayerModel model_conv(LayerWorkload& lw) const;
+  [[nodiscard]] LayerModel model_fc(LayerWorkload& lw) const;
+  [[nodiscard]] energy::AreaBreakdown area(
+      const mem::MemorySystemConfig& mem) const override {
+    return energy::laconic_area(cfg_, mem);
+  }
   /// Weight-side term count (possibly fractional) used for timing.
   [[nodiscard]] double timing_weight_terms(LayerWorkload& lw) const;
 
   arch::LaconicConfig cfg_;
-  SimOptions opts_;
 };
 
 /// Functional term-serial run of one convolution layer: exact accumulators

@@ -7,6 +7,35 @@
 
 namespace loom::sim {
 
+namespace {
+
+/// Loom's convolutional chunk model for one layer: the activation precision
+/// of chunk (g, wb, ic) and its ceil(Pa/bpc) x Pw serial cycles.
+struct ConvChunks {
+  ActPrecisionTable pa_table{};  ///< detected precisions; unused when static
+  bool dynamic = false;
+  int profile_pa = 0;
+  int cols = 0;
+  int bpc = 1;
+  double pw = 0.0;
+
+  /// Detection runs on 16-window groups whatever the column count, so
+  /// window block wb of `cols` windows reads group (wb * cols) / 16.
+  [[nodiscard]] int pa(std::int64_t g, std::int64_t wb, std::int64_t ic) const {
+    return dynamic ? pa_table.at(g, (wb * cols) / 16, ic) : profile_pa;
+  }
+  [[nodiscard]] double serial_passes(int pa) const {
+    return static_cast<double>(ceil_div(pa, bpc));
+  }
+  [[nodiscard]] double cycles(int pa) const { return serial_passes(pa) * pw; }
+  [[nodiscard]] double operator()(std::int64_t g, std::int64_t wb,
+                                  std::int64_t ic) const {
+    return cycles(pa(g, wb, ic));
+  }
+};
+
+}  // namespace
+
 FcCascadePlan plan_fc_cascade(std::int64_t rows, std::int64_t cols,
                               std::int64_t lanes, std::int64_t out_channels,
                               std::int64_t in_elements,
@@ -16,26 +45,31 @@ FcCascadePlan plan_fc_cascade(std::int64_t rows, std::int64_t cols,
   FcCascadePlan best;
   const std::int64_t max_ways = cascading ? cols : 1;
   for (std::int64_t ways = 1; ways <= max_ways; ways *= 2) {
-    const std::int64_t outputs_per_block = concurrent / ways;
-    if (outputs_per_block == 0) break;
-    const std::int64_t fb = ceil_div(out_channels, outputs_per_block);
-    const std::int64_t rounds = ceil_div(in_elements, lanes * ways);
-    const double cyc =
-        static_cast<double>(fb) *
-        (static_cast<double>(rounds) * act_passes * weight_precision +
-         static_cast<double>(ways - 1));
-    if (best.blocks == 0 || cyc < best.cycles) {
-      best.cycles = cyc;
-      best.ways = ways;
-      best.blocks = fb;
-      best.rounds = rounds;
-    }
+    FcCascadePlan plan{.ways = ways,
+                       .outputs_per_block = concurrent / ways,
+                       .act_passes = act_passes,
+                       .weight_precision = weight_precision};
+    if (plan.outputs_per_block == 0) break;
+    plan.blocks = ceil_div(out_channels, plan.outputs_per_block);
+    plan.rounds = ceil_div(in_elements, lanes * ways);
+    plan.cycles = plan.block_cycles(plan.blocks);
+    if (best.blocks == 0 || plan.cycles < best.cycles) best = plan;
   }
   return best;
 }
 
+void set_fc_timing(LayerModel& m, const FcCascadePlan& plan) {
+  m.storage.window_quantum = 1;
+  m.storage.filter_quantum = plan.outputs_per_block;
+  m.block_compute = [plan](const mem::TileExtent& t) {
+    return plan.block_cycles(
+        ceil_div(t.filter_count(), plan.outputs_per_block));
+  };
+}
+
 LoomSimulator::LoomSimulator(const arch::LoomConfig& cfg, const SimOptions& opts)
-    : cfg_(cfg), opts_(opts) {
+    : Simulator(opts, cfg.equiv_macs, cfg.bits_per_cycle, /*bit_packed=*/true),
+      cfg_(cfg) {
   cfg_.validate();
 }
 
@@ -67,12 +101,31 @@ double LoomSimulator::timing_weight_precision(LayerWorkload& lw) const {
   return lw.effective_weight_precision();
 }
 
-LayerResult LoomSimulator::simulate_conv(LayerWorkload& lw) const {
+LayerModel LoomSimulator::model_layer(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m = layer.kind == nn::LayerKind::kConv ? model_conv(lw)
+                                                    : model_fc(lw);
+  // Weights lay out bit-packed at the static profile precision (per-group
+  // packing would need per-group metadata; the static profile is what the
+  // memory layout uses).
+  m.storage.weights_bit_packed = true;
+  m.storage.weight_precision = layer.weight_precision;
+  if (cfg_.sparse_weight_skipping) {
+    // Essential-plane packing: groups store only the sign-magnitude planes
+    // in which some weight has a one, plus a Pw-bit plane-presence bitmap
+    // per 16-weight group, so DRAM/WM footprints shrink along with the
+    // compute estimate instead of the flag being priced nowhere.
+    m.storage.weight_mean_plane_bits =
+        lw.essential_weight_planes() +
+        static_cast<double>(layer.weight_precision) / 16.0;
+  }
+  return m;
+}
+
+LayerModel LoomSimulator::model_conv(LayerWorkload& lw) const {
+  const nn::Layer& layer = lw.layer();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
 
   const int rows = cfg_.rows();
   const int cols = cfg_.cols();
@@ -90,16 +143,19 @@ LayerResult LoomSimulator::simulate_conv(LayerWorkload& lw) const {
   // column count, so the LM2b/4b variants see the same per-group
   // precisions as LM1b (paper §3.2). The whole per-layer table is filled
   // from the OR planes up front; the loops below are plain array reads.
-  ActPrecisionTable pa_table;
-  if (cfg_.dynamic_act_precision) {
-    pa_table = lw.act_group_precision_table(16);
-    // One-time loop-bound contract for the whole layer (replaces the old
-    // per-query argument checks): a config with *finer* lanes than the
-    // workload table would read past it, so it must fail loudly here. (A
-    // coarser-lanes config passes, reading sub-chunk precisions — the same
-    // silent semantics as before. The wb index (wb*cols)/16 is in bounds
-    // by construction for a cols=16 table of the same layer.)
-    LOOM_EXPECTS(ic_count <= pa_table.ic_count());
+  ConvChunks model{.dynamic = cfg_.dynamic_act_precision,
+                   .profile_pa = layer.act_precision,
+                   .cols = cols,
+                   .bpc = bpc,
+                   .pw = pw};
+  if (model.dynamic) {
+    model.pa_table = lw.act_group_precision_table(16);
+    // One-time loop-bound contract for the whole layer: a config with
+    // *finer* lanes than the workload table would read past it, so it must
+    // fail loudly here. (A coarser-lanes config passes, reading sub-chunk
+    // precisions. The wb index (wb*cols)/16 is in bounds by construction
+    // for a cols=16 table of the same layer.)
+    LOOM_EXPECTS(ic_count <= model.pa_table.ic_count());
   }
 
   double cycles = 0.0;
@@ -133,11 +189,9 @@ LayerResult LoomSimulator::simulate_conv(LayerWorkload& lw) const {
       for (std::int64_t ic = 0; ic < ic_count; ++ic) {
         const std::int64_t lanes_used =
             std::min<std::int64_t>(lanes, inner - ic * lanes);
-        const int pa = cfg_.dynamic_act_precision
-                           ? pa_table.at(g, (wb * cols) / 16, ic)
-                           : layer.act_precision;
-        const auto pa_serial = static_cast<double>(ceil_div(pa, bpc));
-        const double chunk_cycles = pa_serial * pw;
+        const int pa = model.pa(g, wb, ic);
+        const double pa_serial = model.serial_passes(pa);
+        const double chunk_cycles = model.cycles(pa);
 
         cycles += chunk_cycles * static_cast<double>(fb);
         pa_weighted += pa;
@@ -188,15 +242,20 @@ LayerResult LoomSimulator::simulate_conv(LayerWorkload& lw) const {
       layer.out.elements() * lw.out_precision);
   r.activity.am_write_bits = packed_out;
   r.activity.transposer_bits = packed_out;
-  return r;
+
+  m.storage.act_precision = layer.act_precision;
+  m.storage.act_dynamic = cfg_.dynamic_act_precision;
+  m.storage.out_precision = lw.out_precision;
+  m.storage.window_quantum = 16;
+  m.storage.filter_quantum = rows;
+  m.block_compute = engine::conv_block_compute(cols, rows, ic_count, model);
+  return m;
 }
 
-LayerResult LoomSimulator::simulate_fc(LayerWorkload& lw) const {
+LayerModel LoomSimulator::model_fc(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
 
   const int rows = cfg_.rows();
   const int cols = cfg_.cols();
@@ -213,15 +272,11 @@ LayerResult LoomSimulator::simulate_fc(LayerWorkload& lw) const {
   // SIPs at a reduction cost of ways-1 cycles per block).
   const FcCascadePlan plan = plan_fc_cascade(rows, cols, lanes, co, ci, pw,
                                              act_passes, cfg_.cascading);
-  const double best_cycles = plan.cycles;
-  const std::int64_t best_ways = plan.ways;
-  const std::int64_t best_fb = plan.blocks;
-  const std::int64_t best_rounds = plan.rounds;
 
   // Column-staggered weight loading: cols-1 cycles of initiation per layer
   // (§3.2 "after the first 15 cycles all SIPs are fully utilized").
   const double stagger = static_cast<double>(cols - 1);
-  r.compute_cycles = static_cast<std::uint64_t>(std::llround(best_cycles + stagger)) +
+  r.compute_cycles = static_cast<std::uint64_t>(std::llround(plan.cycles + stagger)) +
                      kPipelineFill;
   r.mean_act_precision = kBasePrecision;
   r.mean_weight_precision = pw;
@@ -230,8 +285,8 @@ LayerResult LoomSimulator::simulate_fc(LayerWorkload& lw) const {
   // SIPs loads `lanes` fresh weights (pw bits each, no bus sharing — all
   // weights are distinct) and ANDs lanes x 16 x pw lane-bit products.
   const double sip_rounds = static_cast<double>(co) *
-                            static_cast<double>(best_ways) *
-                            static_cast<double>(best_rounds);
+                            static_cast<double>(plan.ways) *
+                            static_cast<double>(plan.rounds);
   r.activity.wr_bits_loaded =
       static_cast<std::uint64_t>(sip_rounds * static_cast<double>(lanes) * pw);
   r.activity.wm_read_bits = r.activity.wr_bits_loaded;
@@ -240,9 +295,9 @@ LayerResult LoomSimulator::simulate_fc(LayerWorkload& lw) const {
       static_cast<std::uint64_t>(static_cast<double>(r.macs) * 16.0 * pw);
   // Activation bus: lanes x cols x bpc bits per cycle while computing.
   r.activity.abin_read_bits = static_cast<std::uint64_t>(
-      best_cycles * static_cast<double>(lanes * cols * bpc));
+      plan.cycles * static_cast<double>(lanes * cols * bpc));
   const std::uint64_t am_fetch =
-      static_cast<std::uint64_t>(ci) * 16 * static_cast<std::uint64_t>(best_fb);
+      static_cast<std::uint64_t>(ci) * 16 * static_cast<std::uint64_t>(plan.blocks);
   r.activity.am_read_bits = am_fetch;
   r.activity.abin_write_bits = am_fetch;
 
@@ -253,124 +308,15 @@ LayerResult LoomSimulator::simulate_fc(LayerWorkload& lw) const {
 
   // Busy SIP-cycles: each output's `ways` SIPs run for its block's serial
   // cycles.
-  const double busy = static_cast<double>(co) * static_cast<double>(best_ways) *
-                      static_cast<double>(best_rounds) * act_passes * pw;
+  const double busy = static_cast<double>(co) * static_cast<double>(plan.ways) *
+                      static_cast<double>(plan.rounds) * act_passes * pw;
   const double slots = static_cast<double>(r.compute_cycles) *
                        static_cast<double>(concurrent);
   r.utilization = slots > 0.0 ? std::min(1.0, busy / slots) : 0.0;
   r.activity.sip_idle_lane_cycles = static_cast<std::uint64_t>(
       std::max(0.0, (slots - busy) * static_cast<double>(lanes)));
-  return r;
-}
-
-void LoomSimulator::apply_memory(LayerResult& r, LayerWorkload& lw,
-                                 engine::TimingCore& core) const {
-  const nn::Layer& layer = lw.layer();
-  engine::LayerStorage st;
-  // Weights lay out bit-packed at the static profile precision (per-group
-  // packing would need per-group metadata; the static profile is what the
-  // memory layout uses).
-  st.weights_bit_packed = true;
-  st.weight_precision = layer.weight_precision;
-  if (cfg_.sparse_weight_skipping) {
-    // Essential-plane packing: groups store only the sign-magnitude planes
-    // in which some weight has a one, plus a Pw-bit plane-presence bitmap
-    // per 16-weight group, so DRAM/WM footprints shrink along with the
-    // compute estimate instead of the flag being priced nowhere.
-    st.weight_mean_plane_bits =
-        lw.essential_weight_planes() +
-        static_cast<double>(layer.weight_precision) / 16.0;
-  }
-
-  const int rows = cfg_.rows();
-  const double pw = timing_weight_precision(lw);
-
-  if (layer.kind == nn::LayerKind::kConv) {
-    st.act_precision = layer.act_precision;
-    st.act_dynamic = cfg_.dynamic_act_precision;
-    st.out_precision = lw.out_precision;
-    st.window_quantum = 16;
-    st.filter_quantum = rows;
-
-    const int cols = cfg_.cols();
-    const int bpc = cfg_.bits_per_cycle;
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), cfg_.lanes);
-    ActPrecisionTable pa_table;
-    if (cfg_.dynamic_act_precision) {
-      pa_table = lw.act_group_precision_table(16);
-    }
-    core.apply(r, lw, st, [&, pa_table](const mem::TileExtent& t) {
-      // Mirrors simulate_conv's chunk loop over the tile's window blocks,
-      // so the blocks sum exactly to the unconstrained cycle count.
-      double cyc = 0.0;
-      for (std::int64_t wb = t.window_begin / cols; wb * cols < t.window_end;
-           ++wb) {
-        for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-          const int pa = cfg_.dynamic_act_precision
-                             ? pa_table.at(t.conv_group, (wb * cols) / 16, ic)
-                             : layer.act_precision;
-          cyc += static_cast<double>(ceil_div(pa, bpc)) * pw;
-        }
-      }
-      return cyc * static_cast<double>(ceil_div(t.filter_count(), rows));
-    });
-  } else {
-    st.window_quantum = 1;
-    const double act_passes =
-        static_cast<double>(kBasePrecision / cfg_.bits_per_cycle);
-    const FcCascadePlan plan =
-        plan_fc_cascade(rows, cfg_.cols(), cfg_.lanes, layer.out.c,
-                        layer.in.elements(), pw, act_passes, cfg_.cascading);
-    const std::int64_t opb =
-        static_cast<std::int64_t>(rows) * cfg_.cols() / plan.ways;
-    st.filter_quantum = opb;
-    core.apply(r, lw, st, [=](const mem::TileExtent& t) {
-      const auto blocks = static_cast<double>(ceil_div(t.filter_count(), opb));
-      return blocks * (static_cast<double>(plan.rounds) * act_passes * pw +
-                       static_cast<double>(plan.ways - 1));
-    });
-  }
-}
-
-LayerResult LoomSimulator::simulate_layer(LayerWorkload& lw,
-                                          engine::TimingCore& core) const {
-  LayerResult r = lw.layer().kind == nn::LayerKind::kConv ? simulate_conv(lw)
-                                                          : simulate_fc(lw);
-  if (opts_.model_offchip) apply_memory(r, lw, core);
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-LayerResult LoomSimulator::simulate_layer(LayerWorkload& lw,
-                                          mem::MemorySystem& mem) const {
-  engine::TimingCore core(mem);
-  LayerResult r = simulate_layer(lw, core);
-  const std::uint64_t tail = core.finish();
-  r.stall_cycles += tail;
-  r.activity.dram_stall_cycles += tail;
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-RunResult LoomSimulator::run(NetworkWorkload& workload) {
-  RunResult result;
-  result.arch_name = name();
-  result.network = workload.network().name();
-  result.bits_per_cycle = cfg_.bits_per_cycle;
-
-  const mem::MemorySystemConfig mem_cfg =
-      engine::resolve_memory_config(cfg_.equiv_macs, /*bit_packed=*/true, opts_);
-  mem::MemorySystem mem(mem_cfg);
-  engine::TimingCore core(mem);
-
-  result.area = energy::loom_area(cfg_, mem_cfg);
-
-  for (std::size_t i = 0; i < workload.network().size(); ++i) {
-    if (!workload.network().layer(i).has_weights()) continue;
-    result.layers.push_back(simulate_layer(workload.layer(i), core));
-  }
-  engine::finish_run(result, core);
-  return result;
+  set_fc_timing(m, plan);
+  return m;
 }
 
 }  // namespace loom::sim

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -26,13 +25,24 @@ namespace loom::sim {
 /// counts minimizing cycles when an output's inner dimension is split over
 /// `ways` adjacent SIPs at a reduction cost of ways-1 cycles per block
 /// (§3.2 "Processing Layers with Few Outputs"). Shared by the analytic
-/// model (LoomSimulator::simulate_fc) and the functional engine
-/// (FunctionalLoomEngine::run_fc) so their FC cycle counts cannot drift.
+/// models (Loom and Laconic FC layers) and the functional engine
+/// (FunctionalEngine::run_fc) so their FC cycle counts cannot drift.
 struct FcCascadePlan {
   std::int64_t ways = 1;
+  std::int64_t outputs_per_block = 0;  ///< rows * cols / ways
   std::int64_t blocks = 0;   ///< output blocks (fb)
   std::int64_t rounds = 0;   ///< input chunks per block at the chosen ways
-  double cycles = 0.0;       ///< blocks * (rounds * act_passes * pw + ways-1)
+  double act_passes = 0.0;
+  double weight_precision = 0.0;
+  double cycles = 0.0;       ///< block_cycles(blocks)
+
+  /// Cycles of `n` output blocks: `rounds` input chunks of act_passes x Pw
+  /// serial cycles each, then the ways-1 cascade reduction.
+  [[nodiscard]] double block_cycles(std::int64_t n) const {
+    return static_cast<double>(n) *
+           (static_cast<double>(rounds) * act_passes * weight_precision +
+            static_cast<double>(ways - 1));
+  }
 };
 
 [[nodiscard]] FcCascadePlan plan_fc_cascade(std::int64_t rows,
@@ -43,32 +53,28 @@ struct FcCascadePlan {
                                             double weight_precision,
                                             double act_passes, bool cascading);
 
+/// FC tiling of a cascade plan: one tile filter quantum per output block,
+/// each block priced by the plan's block formula.
+void set_fc_timing(LayerModel& m, const FcCascadePlan& plan);
+
 class LoomSimulator final : public Simulator {
  public:
   LoomSimulator(const arch::LoomConfig& cfg, const SimOptions& opts);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] RunResult run(NetworkWorkload& workload) override;
-
-  /// Simulate one layer against a run-wide timing core (the shared tile
-  /// scheduler + memory timeline; see sim/engine.hpp).
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           engine::TimingCore& core) const;
-  /// Convenience overload for single-layer callers: a transient per-layer
-  /// timeline (no cross-layer prefetch), drain tail included.
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           mem::MemorySystem& mem) const;
 
  private:
-  [[nodiscard]] LayerResult simulate_conv(LayerWorkload& lw) const;
-  [[nodiscard]] LayerResult simulate_fc(LayerWorkload& lw) const;
-  void apply_memory(LayerResult& r, LayerWorkload& lw,
-                    engine::TimingCore& core) const;
+  [[nodiscard]] LayerModel model_layer(LayerWorkload& lw) const override;
+  [[nodiscard]] LayerModel model_conv(LayerWorkload& lw) const;
+  [[nodiscard]] LayerModel model_fc(LayerWorkload& lw) const;
+  [[nodiscard]] energy::AreaBreakdown area(
+      const mem::MemorySystemConfig& mem) const override {
+    return energy::loom_area(cfg_, mem);
+  }
   /// Weight precision (possibly fractional) used for timing this layer.
   [[nodiscard]] double timing_weight_precision(LayerWorkload& lw) const;
 
   arch::LoomConfig cfg_;
-  SimOptions opts_;
 };
 
 }  // namespace loom::sim

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -66,15 +65,6 @@ class ActOrPlanes {
     std::uint16_t ored = 0;
     for (std::int64_t w = w0; w < w1; ++w) ored |= r[w];
     return ored;
-  }
-
-  /// Term count of the same detection group: the popcount of its OR mask —
-  /// how many essential activation bit-planes a term-serial sequencer that
-  /// synchronizes the group at its slowest lane must walk. An all-zero
-  /// group still costs one cycle (same convention as needed_bits).
-  [[nodiscard]] int group_term_count(std::int64_t g, std::int64_t ic,
-                                     std::int64_t wb, int cols) const noexcept {
-    return std::max(1, std::popcount(group_or(g, ic, wb, cols)));
   }
 
  private:

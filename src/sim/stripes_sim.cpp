@@ -7,18 +7,40 @@
 
 namespace loom::sim {
 
+namespace {
+
+/// Stripes' convolutional chunk model for one layer: chunk (g, wb, ic)
+/// streams its activations bit-serially at Pa — detected per window block
+/// for DStripes, the profile Pa otherwise — for Pa cycles.
+struct ConvChunks {
+  ActPrecisionTable pa_table{};  ///< detected precisions (DStripes only)
+  bool dynamic = false;
+  int profile_pa = 0;
+
+  [[nodiscard]] int pa(std::int64_t g, std::int64_t wb, std::int64_t ic) const {
+    return dynamic ? pa_table.at(g, wb, ic) : profile_pa;
+  }
+  [[nodiscard]] static double cycles(int pa) { return static_cast<double>(pa); }
+  [[nodiscard]] double operator()(std::int64_t g, std::int64_t wb,
+                                  std::int64_t ic) const {
+    return cycles(pa(g, wb, ic));
+  }
+};
+
+}  // namespace
+
 StripesSimulator::StripesSimulator(const arch::StripesConfig& cfg,
                                    const SimOptions& opts)
-    : cfg_(cfg), opts_(opts) {
+    : Simulator(opts, cfg.equiv_macs, /*bits_per_cycle=*/1,
+                /*bit_packed=*/true),
+      cfg_(cfg) {
   cfg_.validate();
 }
 
-LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
+LayerModel StripesSimulator::model_layer(LayerWorkload& lw) const {
   const nn::Layer& layer = lw.layer();
-  LayerResult r;
-  r.name = layer.name;
-  r.kind = layer.kind;
-  r.macs = layer.macs();
+  LayerModel m(layer);
+  LayerResult& r = m.result;
   r.mean_weight_precision = kBasePrecision;  // weights stay bit-parallel
 
   const int lanes = cfg_.lanes;
@@ -33,14 +55,14 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
 
     // Whole per-layer precision table from the OR planes; the loops below
     // are plain array reads.
-    ActPrecisionTable pa_table;
-    if (cfg_.dynamic_act_precision) {
-      pa_table = lw.act_group_precision_table(windows_par);
-      // One-time loop-bound contract for the whole layer (replaces the old
-      // per-query argument checks): looser loop bounds than the table's
-      // extents must fail loudly, not read past it.
-      LOOM_EXPECTS(ic_count <= pa_table.ic_count() &&
-                   wb_count <= pa_table.wb_count());
+    ConvChunks model{.dynamic = cfg_.dynamic_act_precision,
+                     .profile_pa = layer.act_precision};
+    if (model.dynamic) {
+      model.pa_table = lw.act_group_precision_table(windows_par);
+      // One-time loop-bound contract for the whole layer: looser loop
+      // bounds than the table's extents must fail loudly, not read past it.
+      LOOM_EXPECTS(ic_count <= model.pa_table.ic_count() &&
+                   wb_count <= model.pa_table.wb_count());
     }
 
     double cycles = 0.0;
@@ -77,10 +99,8 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
         for (std::int64_t ic = 0; ic < ic_count; ++ic) {
           const std::int64_t lanes_used =
               std::min<std::int64_t>(lanes, inner - ic * lanes);
-          const int pa = cfg_.dynamic_act_precision
-                             ? pa_table.at(g, wb, ic)
-                             : layer.act_precision;
-          cycles += static_cast<double>(pa) * static_cast<double>(fb);
+          const int pa = model.pa(g, wb, ic);
+          cycles += ConvChunks::cycles(pa) * static_cast<double>(fb);
           pa_weighted += pa;
           ++chunks;
 
@@ -109,6 +129,17 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
                               static_cast<double>(lanes);
     r.activity.stripes_idle_lane_cycles = static_cast<std::uint64_t>(
         std::max(0.0, lane_slots - busy * static_cast<double>(lanes)));
+
+    // Stripes packs activations (not weights): the AM/DRAM activation
+    // layout follows the profile (or detected) precision, weights stay
+    // 16-bit rows.
+    m.storage.act_precision = layer.act_precision;
+    m.storage.act_dynamic = cfg_.dynamic_act_precision;
+    m.storage.out_precision = lw.out_precision;
+    m.storage.window_quantum = windows_par;
+    m.storage.filter_quantum = k;
+    m.block_compute =
+        engine::conv_block_compute(windows_par, k, ic_count, model);
   } else {
     // FCL: one "window" of data; outputs map across the filter x window
     // units; 16 serial cycles per 16-activation chunk — no speedup over the
@@ -118,9 +149,11 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
     const std::int64_t concurrent = static_cast<std::int64_t>(k) * windows_par;
     const std::int64_t fb = ceil_div(co, concurrent);
     const std::int64_t ic_count = ceil_div(ci, lanes);
-    r.compute_cycles = static_cast<std::uint64_t>(ic_count) *
-                           static_cast<std::uint64_t>(fb) * 16 +
-                       kPipelineFill;
+    const auto block_cycles = [ic_count](std::int64_t blocks) {
+      return static_cast<double>(blocks) * static_cast<double>(ic_count) * 16.0;
+    };
+    r.compute_cycles =
+        static_cast<std::uint64_t>(block_cycles(fb)) + kPipelineFill;
     r.mean_act_precision = kBasePrecision;
     r.activity.stripes_lane_ops =
         static_cast<std::uint64_t>(r.macs) * 16;
@@ -141,6 +174,14 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
                               static_cast<double>(lanes);
     r.activity.stripes_idle_lane_cycles = static_cast<std::uint64_t>(
         std::max(0.0, lane_slots - static_cast<double>(r.macs) * 16.0));
+
+    // Weights and activations stay 16-bit; tiles are blocks of the
+    // concurrent filter x window units.
+    m.storage.window_quantum = 1;
+    m.storage.filter_quantum = concurrent;
+    m.block_compute = [=](const mem::TileExtent& t) {
+      return block_cycles(ceil_div(t.filter_count(), concurrent));
+    };
   }
 
   const std::uint64_t out_bits =
@@ -153,98 +194,7 @@ LayerResult StripesSimulator::simulate_compute(LayerWorkload& lw) const {
   r.activity.am_write_bits =
       static_cast<std::uint64_t>(layer.out.elements() * out_prec);
   r.activity.transposer_bits = r.activity.am_write_bits;
-  return r;
-}
-
-void StripesSimulator::apply_memory(LayerResult& r, LayerWorkload& lw,
-                                    engine::TimingCore& core) const {
-  // Stripes packs activations (not weights): the AM/DRAM activation layout
-  // follows the profile (or detected) precision, weights stay 16-bit rows.
-  const nn::Layer& layer = lw.layer();
-  engine::LayerStorage st;
-  const int k = cfg_.filters();
-  const int lanes = cfg_.lanes;
-  const int windows_par = cfg_.windows;
-
-  if (layer.kind == nn::LayerKind::kConv) {
-    st.act_precision = layer.act_precision;
-    st.act_dynamic = cfg_.dynamic_act_precision;
-    st.out_precision = lw.out_precision;
-    st.window_quantum = windows_par;
-    st.filter_quantum = k;
-
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), lanes);
-    ActPrecisionTable pa_table;
-    if (cfg_.dynamic_act_precision) {
-      pa_table = lw.act_group_precision_table(windows_par);
-    }
-    core.apply(r, lw, st, [&, pa_table](const mem::TileExtent& t) {
-      // Mirrors simulate_compute's chunk loop restricted to the tile.
-      double cyc = 0.0;
-      for (std::int64_t wb = t.window_begin / windows_par;
-           wb * windows_par < t.window_end; ++wb) {
-        for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-          const int pa = cfg_.dynamic_act_precision
-                             ? pa_table.at(t.conv_group, wb, ic)
-                             : layer.act_precision;
-          cyc += static_cast<double>(pa);
-        }
-      }
-      return cyc * static_cast<double>(ceil_div(t.filter_count(), k));
-    });
-  } else {
-    // FCL: 16 serial cycles per 16-activation chunk over the concurrent
-    // filter x window units; weights and activations stay 16-bit.
-    st.window_quantum = 1;
-    const std::int64_t concurrent =
-        static_cast<std::int64_t>(k) * windows_par;
-    st.filter_quantum = concurrent;
-    const std::int64_t ic_count = ceil_div(layer.in.elements(), lanes);
-    core.apply(r, lw, st, [=](const mem::TileExtent& t) {
-      return static_cast<double>(ceil_div(t.filter_count(), concurrent)) *
-             static_cast<double>(ic_count) * 16.0;
-    });
-  }
-}
-
-LayerResult StripesSimulator::simulate_layer(LayerWorkload& lw,
-                                             engine::TimingCore& core) const {
-  LayerResult r = simulate_compute(lw);
-  if (opts_.model_offchip) apply_memory(r, lw, core);
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-LayerResult StripesSimulator::simulate_layer(LayerWorkload& lw,
-                                             mem::MemorySystem& mem) const {
-  engine::TimingCore core(mem);
-  LayerResult r = simulate_layer(lw, core);
-  const std::uint64_t tail = core.finish();
-  r.stall_cycles += tail;
-  r.activity.dram_stall_cycles += tail;
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
-RunResult StripesSimulator::run(NetworkWorkload& workload) {
-  RunResult result;
-  result.arch_name = name();
-  result.network = workload.network().name();
-  result.bits_per_cycle = 1;
-
-  const mem::MemorySystemConfig mem_cfg =
-      engine::resolve_memory_config(cfg_.equiv_macs, /*bit_packed=*/true, opts_);
-  mem::MemorySystem mem(mem_cfg);
-  engine::TimingCore core(mem);
-
-  result.area = energy::stripes_area(cfg_, mem_cfg);
-
-  for (std::size_t i = 0; i < workload.network().size(); ++i) {
-    if (!workload.network().layer(i).has_weights()) continue;
-    result.layers.push_back(simulate_layer(workload.layer(i), core));
-  }
-  engine::finish_run(result, core);
-  return result;
+  return m;
 }
 
 }  // namespace loom::sim

@@ -5,7 +5,6 @@
 // nothing over the baseline because weights stay bit-parallel.
 #pragma once
 
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -15,20 +14,15 @@ class StripesSimulator final : public Simulator {
   StripesSimulator(const arch::StripesConfig& cfg, const SimOptions& opts);
 
   [[nodiscard]] std::string name() const override { return cfg_.to_string(); }
-  [[nodiscard]] RunResult run(NetworkWorkload& workload) override;
-
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           engine::TimingCore& core) const;
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           mem::MemorySystem& mem) const;
 
  private:
-  [[nodiscard]] LayerResult simulate_compute(LayerWorkload& lw) const;
-  void apply_memory(LayerResult& r, LayerWorkload& lw,
-                    engine::TimingCore& core) const;
+  [[nodiscard]] LayerModel model_layer(LayerWorkload& lw) const override;
+  [[nodiscard]] energy::AreaBreakdown area(
+      const mem::MemorySystemConfig& mem) const override {
+    return energy::stripes_area(cfg_, mem);
+  }
 
   arch::StripesConfig cfg_;
-  SimOptions opts_;
 };
 
 }  // namespace loom::sim

@@ -127,159 +127,54 @@ void LayerWorkload::ensure_group_calibrated() {
   act_spec_ = spec;
 }
 
-LayerWorkload::ColsCache& LayerWorkload::ensure_cols_cache(int cols) {
-  LOOM_EXPECTS(layer_.kind == nn::LayerKind::kConv);
-  LOOM_EXPECTS(cols >= 1);
-  ensure_planes();
-  if (const auto it = group_precision_cache_.find(cols);
-      it != group_precision_cache_.end()) {
-    return it->second;
-  }
-  // Allocate the slots before inserting the map entry so a failed
-  // allocation leaves the cache untouched (no half-built entry with null
-  // slots for a later shared-lock lookup to dereference).
-  const std::int64_t wb_count = ceil_div(windows_, cols);
-  const auto slot_count =
-      static_cast<std::size_t>(layer_.groups * wb_count * ic_count_);
-  auto slots = std::make_unique<std::atomic<std::uint8_t>[]>(slot_count);
-  auto term_slots = std::make_unique<std::atomic<std::uint8_t>[]>(slot_count);
-  ColsCache& cache = group_precision_cache_.try_emplace(cols).first->second;
-  cache.cols = cols;
-  cache.wb_count = wb_count;
-  cache.slots = std::move(slots);
-  cache.term_slots = std::move(term_slots);
-  return cache;
-}
-
-int LayerWorkload::cached_precision(const ColsCache& cache, std::int64_t g,
-                                    std::int64_t wb, std::int64_t ic) const {
-  // One folded bounds check instead of re-deriving the layer geometry on
-  // every call (negative arguments wrap to huge unsigned values and fail).
-  LOOM_EXPECTS(static_cast<std::uint64_t>(g) <
-                   static_cast<std::uint64_t>(layer_.groups) &&
-               static_cast<std::uint64_t>(wb) <
-                   static_cast<std::uint64_t>(cache.wb_count) &&
-               static_cast<std::uint64_t>(ic) <
-                   static_cast<std::uint64_t>(ic_count_));
-  const std::size_t key =
-      static_cast<std::size_t>((g * cache.wb_count + wb) * ic_count_ + ic);
-  // Slots are biased by +1 (0 = "not yet computed"), so an all-zero group
-  // still caches. A raced duplicate compute stores the same byte — the
-  // value is a pure function of the key over the immutable OR planes.
-  const std::uint8_t cached = cache.slots[key].load(std::memory_order_relaxed);
-  if (cached != 0) return cached - 1;
-  const int detected = needed_bits_unsigned(planes_->group_or(g, ic, wb, cache.cols));
-  const int clipped = std::min(detected, layer_.act_precision);
-  cache.slots[key].store(static_cast<std::uint8_t>(clipped + 1),
-                         std::memory_order_relaxed);
-  return clipped;
-}
-
-int LayerWorkload::cached_term_count(const ColsCache& cache, std::int64_t g,
-                                     std::int64_t wb, std::int64_t ic) const {
-  LOOM_EXPECTS(static_cast<std::uint64_t>(g) <
-                   static_cast<std::uint64_t>(layer_.groups) &&
-               static_cast<std::uint64_t>(wb) <
-                   static_cast<std::uint64_t>(cache.wb_count) &&
-               static_cast<std::uint64_t>(ic) <
-                   static_cast<std::uint64_t>(ic_count_));
-  const std::size_t key =
-      static_cast<std::size_t>((g * cache.wb_count + wb) * ic_count_ + ic);
-  const std::uint8_t cached =
-      cache.term_slots[key].load(std::memory_order_relaxed);
-  if (cached != 0) return cached - 1;
-  // Mask to the layer Pa before counting, mirroring cached_precision's clip:
-  // planes above the profile precision don't exist in the serialized stream.
-  const auto masked = static_cast<std::uint32_t>(
-      planes_->group_or(g, ic, wb, cache.cols) &
-      ((std::uint32_t{1} << layer_.act_precision) - 1u));
-  const int terms = std::max(1, std::popcount(masked));
-  cache.term_slots[key].store(static_cast<std::uint8_t>(terms + 1),
-                              std::memory_order_relaxed);
-  return terms;
-}
-
-int LayerWorkload::act_group_precision(std::int64_t g, std::int64_t wb,
-                                       std::int64_t ic, int cols) {
-  // Steady state runs under the shared lock: once the OR planes and this
-  // cols' cache exist, hits read the atomic slot and misses OR a handful of
-  // contiguous plane entries and publish lock-free.
+const LayerWorkload::ColsTables& LayerWorkload::tables_for(int cols) {
   {
     const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
-    const auto it = group_precision_cache_.find(cols);
-    if (it != group_precision_cache_.end()) {
-      return cached_precision(it->second, g, wb, ic);
+    const auto it = group_tables_.find(cols);
+    if (it != group_tables_.end()) return it->second;
+  }
+  LOOM_EXPECTS(layer_.kind == nn::LayerKind::kConv);
+  LOOM_EXPECTS(cols >= 1);
+  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
+  if (const auto it = group_tables_.find(cols); it != group_tables_.end()) {
+    return it->second;
+  }
+  ensure_planes();
+  ColsTables tables;
+  tables.wb_count = ceil_div(windows_, cols);
+  const auto size =
+      static_cast<std::size_t>(layer_.groups * tables.wb_count * ic_count_);
+  tables.precision.resize(size);
+  tables.terms.resize(size);
+  // Planes above the profile precision don't exist in the serialized
+  // stream: precisions clip to Pa and term counts mask to it.
+  const std::uint32_t pa_mask = (std::uint32_t{1} << layer_.act_precision) - 1u;
+  // For a fixed (g, ic) the window blocks OR contiguous segments of one
+  // plane row, so the pass streams each row exactly once.
+  for (std::int64_t g = 0; g < layer_.groups; ++g) {
+    for (std::int64_t ic = 0; ic < ic_count_; ++ic) {
+      for (std::int64_t wb = 0; wb < tables.wb_count; ++wb) {
+        const std::uint32_t ored = planes_->group_or(g, ic, wb, cols);
+        const auto key = static_cast<std::size_t>(
+            (g * tables.wb_count + wb) * ic_count_ + ic);
+        tables.precision[key] = static_cast<std::uint8_t>(
+            std::min(needed_bits_unsigned(ored), layer_.act_precision));
+        tables.terms[key] = static_cast<std::uint8_t>(
+            std::max(1, std::popcount(ored & pa_mask)));
+      }
     }
   }
-  // First call for this cols: build the planes and size the cache under the
-  // exclusive lock.
-  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
-  return cached_precision(ensure_cols_cache(cols), g, wb, ic);
+  return group_tables_.emplace(cols, std::move(tables)).first->second;
 }
 
 ActPrecisionTable LayerWorkload::act_group_precision_table(int cols) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
-    const auto it = group_precision_cache_.find(cols);
-    if (it != group_precision_cache_.end() &&
-        it->second.table_filled.load(std::memory_order_acquire)) {
-      return {it->second.slots.get(), it->second.wb_count, ic_count_};
-    }
-  }
-  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
-  ColsCache& cache = ensure_cols_cache(cols);
-  if (!cache.table_filled.load(std::memory_order_relaxed)) {
-    // Fill from whole plane rows: for a fixed (g, ic) the window blocks OR
-    // contiguous segments of one row, so the pass streams each row exactly
-    // once. cached_precision keeps the detect/clip/bias contract in one
-    // place for both bulk fill and single queries.
-    for (std::int64_t g = 0; g < layer_.groups; ++g) {
-      for (std::int64_t ic = 0; ic < ic_count_; ++ic) {
-        for (std::int64_t wb = 0; wb < cache.wb_count; ++wb) {
-          (void)cached_precision(cache, g, wb, ic);
-        }
-      }
-    }
-    cache.table_filled.store(true, std::memory_order_release);
-  }
-  return {cache.slots.get(), cache.wb_count, ic_count_};
-}
-
-int LayerWorkload::act_group_term_count(std::int64_t g, std::int64_t wb,
-                                        std::int64_t ic, int cols) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
-    const auto it = group_precision_cache_.find(cols);
-    if (it != group_precision_cache_.end()) {
-      return cached_term_count(it->second, g, wb, ic);
-    }
-  }
-  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
-  return cached_term_count(ensure_cols_cache(cols), g, wb, ic);
+  const ColsTables& t = tables_for(cols);
+  return {t.precision.data(), t.wb_count, ic_count_};
 }
 
 ActTermTable LayerWorkload::act_group_term_table(int cols) {
-  {
-    const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
-    const auto it = group_precision_cache_.find(cols);
-    if (it != group_precision_cache_.end() &&
-        it->second.term_table_filled.load(std::memory_order_acquire)) {
-      return {it->second.term_slots.get(), it->second.wb_count, ic_count_};
-    }
-  }
-  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
-  ColsCache& cache = ensure_cols_cache(cols);
-  if (!cache.term_table_filled.load(std::memory_order_relaxed)) {
-    for (std::int64_t g = 0; g < layer_.groups; ++g) {
-      for (std::int64_t ic = 0; ic < ic_count_; ++ic) {
-        for (std::int64_t wb = 0; wb < cache.wb_count; ++wb) {
-          (void)cached_term_count(cache, g, wb, ic);
-        }
-      }
-    }
-    cache.term_table_filled.store(true, std::memory_order_release);
-  }
-  return {cache.term_slots.get(), cache.wb_count, ic_count_};
+  const ColsTables& t = tables_for(cols);
+  return {t.terms.data(), t.wb_count, ic_count_};
 }
 
 double LayerWorkload::effective_weight_precision() {

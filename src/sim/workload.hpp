@@ -4,19 +4,17 @@
 //  * Per layer, a synthetic input-activation tensor is materialized from a
 //    distribution calibrated so per-group dynamic precision detection
 //    reproduces the paper-implied trims (quant/calibration).
-//  * act_group_precision(g, wb, ic, cols) returns the precision the dynamic
-//    detector would find for the activations processed concurrently in
-//    window-block `wb`, input-chunk `ic` of conv group `g` when `cols`
-//    windows run in parallel. Queries are answered from the layer's
-//    OR-plane table (sim/or_planes.hpp) — built in one padding-aware pass —
-//    and memoized; act_group_precision_table() bulk-fills a whole `cols`
-//    table so the simulators' steady state is a plain array read.
+//  * act_group_precision_table(cols) holds, for every window block `wb`,
+//    input chunk `ic` and conv group `g`, the precision the dynamic
+//    detector would find for the activations processed concurrently when
+//    `cols` windows run in parallel; act_group_term_table(cols) holds their
+//    essential bit-plane counts. Both come from one pass over the layer's
+//    OR planes (sim/or_planes.hpp), so the simulators read plain arrays.
 //  * Weight tensors are streamed (never materialized) from sources
 //    calibrated to Table 3's effective per-group precisions; the measured
 //    mean effective precision feeds the §4.6 performance estimate.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -45,43 +43,39 @@ struct WorkloadOptions {
 
 /// Immutable dense view of one layer's detected per-chunk activation
 /// precisions for a fixed `cols`, returned by
-/// LayerWorkload::act_group_precision_table. `at` is a single relaxed byte
-/// load — the simulators' steady-state path. Valid for the lifetime of the
-/// owning LayerWorkload.
+/// LayerWorkload::act_group_precision_table. `at` is a single byte load —
+/// the simulators' steady-state path. Valid for the lifetime of the owning
+/// LayerWorkload.
 class ActPrecisionTable {
  public:
   ActPrecisionTable() = default;
 
   [[nodiscard]] int at(std::int64_t g, std::int64_t wb,
                        std::int64_t ic) const noexcept {
-    assert(slots_ != nullptr && g >= 0 && wb >= 0 && wb < wb_count_ &&
+    assert(values_ != nullptr && g >= 0 && wb >= 0 && wb < wb_count_ &&
            ic >= 0 && ic < ic_count_);
-    return static_cast<int>(
-               slots_[static_cast<std::size_t>((g * wb_count_ + wb) * ic_count_ +
-                                               ic)]
-                   .load(std::memory_order_relaxed)) -
-           1;
+    return values_[static_cast<std::size_t>((g * wb_count_ + wb) * ic_count_ +
+                                            ic)];
   }
 
   /// Table extents, so consumers can contract-check their loop bounds once
-  /// instead of per query (a lanes/cols mismatch would otherwise read out
-  /// of bounds).
+  /// per layer (a lanes/cols mismatch would otherwise read out of bounds).
   [[nodiscard]] std::int64_t wb_count() const noexcept { return wb_count_; }
   [[nodiscard]] std::int64_t ic_count() const noexcept { return ic_count_; }
 
  private:
   friend class LayerWorkload;
-  ActPrecisionTable(const std::atomic<std::uint8_t>* slots,
-                    std::int64_t wb_count, std::int64_t ic_count) noexcept
-      : slots_(slots), wb_count_(wb_count), ic_count_(ic_count) {}
+  ActPrecisionTable(const std::uint8_t* values, std::int64_t wb_count,
+                    std::int64_t ic_count) noexcept
+      : values_(values), wb_count_(wb_count), ic_count_(ic_count) {}
 
-  const std::atomic<std::uint8_t>* slots_ = nullptr;
+  const std::uint8_t* values_ = nullptr;
   std::int64_t wb_count_ = 0;
   std::int64_t ic_count_ = 0;
 };
 
 /// Per-chunk activation *term counts* (popcount of the detection group's OR
-/// mask) share the precision table's layout, bias and extents exactly — the
+/// mask) share the precision table's layout and extents exactly — the
 /// values are just popcounts instead of leading-one positions.
 using ActTermTable = ActPrecisionTable;
 
@@ -93,27 +87,17 @@ class LayerWorkload {
 
   [[nodiscard]] const nn::Layer& layer() const noexcept { return layer_; }
 
-  /// Detected precision for the activation group at (conv group g,
-  /// window block wb, input chunk ic) with `cols` concurrent windows.
-  /// Result is clipped to the layer Pa. Conv layers only. Thread-safe.
-  [[nodiscard]] int act_group_precision(std::int64_t g, std::int64_t wb,
-                                        std::int64_t ic, int cols);
-
-  /// Bulk variant: detected precisions for *every* (g, wb, ic) chunk at
-  /// `cols`, filled from whole OR-plane rows in one pass on first use.
-  /// Thread-safe; the view stays valid for this workload's lifetime.
+  /// Detected precision of every activation group (conv group g, window
+  /// block wb, input chunk ic) with `cols` concurrent windows, clipped to
+  /// the layer Pa. Conv layers only, `cols` >= 1. Thread-safe; the view
+  /// stays valid for this workload's lifetime.
   [[nodiscard]] ActPrecisionTable act_group_precision_table(int cols);
 
-  /// Term-count analog of act_group_precision: the number of *essential*
-  /// activation bit-planes of the detection group (popcount of its OR
-  /// mask) — the cycles a term-serial sequencer synchronizing the group at
-  /// its slowest lane spends on the activation side. Always <= the detected
-  /// precision; clipped to [1, Pa]. Conv layers only. Thread-safe.
-  [[nodiscard]] int act_group_term_count(std::int64_t g, std::int64_t wb,
-                                         std::int64_t ic, int cols);
-
-  /// Bulk variant of act_group_term_count (same contract as
-  /// act_group_precision_table; both tables of one `cols` share geometry).
+  /// The number of *essential* activation bit-planes of every detection
+  /// group (popcount of its OR mask) — the cycles a term-serial sequencer
+  /// synchronizing the group at its slowest lane spends on the activation
+  /// side. Never above the detected precision; clipped to [1, Pa]. Same
+  /// contract and geometry as act_group_precision_table.
   [[nodiscard]] ActTermTable act_group_term_table(int cols);
 
   /// Weight-side NAF term statistics for the term-serial (Laconic-style)
@@ -169,35 +153,21 @@ class LayerWorkload {
   int out_precision = kBasePrecision;
 
  private:
-  /// Per-cols memo: geometry derived once at creation (steady-state calls
-  /// no longer re-derive wb/ic counts or re-run the full argument
-  /// contract), plus the precision slots. Slots are atomic so concurrent
-  /// misses on disjoint keys can compute under the *shared* lock (the OR
-  /// planes are immutable once published) and publish lock-free. Stored
-  /// values are biased by +1: 0 means "not yet computed".
-  struct ColsCache {
-    int cols = 0;
+  /// Both per-chunk tables of one `cols`, [g][wb][ic] row-major. Built
+  /// whole before publication and never modified after.
+  struct ColsTables {
     std::int64_t wb_count = 0;
-    std::unique_ptr<std::atomic<std::uint8_t>[]> slots;
-    std::atomic<bool> table_filled{false};
-    /// Same layout/bias for the per-chunk term counts (popcounts <= 16, so
-    /// the +1-biased byte never overflows).
-    std::unique_ptr<std::atomic<std::uint8_t>[]> term_slots;
-    std::atomic<bool> term_table_filled{false};
+    std::vector<std::uint8_t> precision;
+    std::vector<std::uint8_t> terms;
   };
 
   void ensure_input_tensor();
   /// Materializes the input tensor and builds the activation OR planes
   /// (requires the exclusive memo lock).
   void ensure_planes();
-  /// Creates (or returns) the memo for `cols` under the exclusive lock.
-  [[nodiscard]] ColsCache& ensure_cols_cache(int cols);
-  /// Cache lookup; computes a missing entry from the OR planes.
-  [[nodiscard]] int cached_precision(const ColsCache& cache, std::int64_t g,
-                                     std::int64_t wb, std::int64_t ic) const;
-  /// Term-count twin of cached_precision over the same cache geometry.
-  [[nodiscard]] int cached_term_count(const ColsCache& cache, std::int64_t g,
-                                      std::int64_t wb, std::int64_t ic) const;
+  /// The tables for `cols`; the first call per `cols` fills both in one
+  /// pass over the OR planes under the exclusive lock.
+  [[nodiscard]] const ColsTables& tables_for(int cols);
   /// Refine the activation distribution so the mean detected precision over
   /// the layer's *actual* (window-block, input-chunk) groups — which share
   /// values between overlapping windows — hits the calibration target.
@@ -207,10 +177,10 @@ class LayerWorkload {
   std::size_t layer_index_;
   WorkloadOptions opts_;
   /// Guards the activation-side memo state (input tensor + OR planes +
-  /// group caches) so one workload can serve several simulator threads
-  /// (core runner `jobs` fan-out). Steady-state act_group_precision calls
-  /// take it shared — concurrent simulators of one network don't
-  /// serialize — and only first-call-per-cols setup takes it exclusive.
+  /// group tables) so one workload can serve several simulator threads
+  /// (core runner `jobs` fan-out). Table lookups take it shared —
+  /// concurrent simulators of one network don't serialize — and only the
+  /// first call per `cols` takes it exclusive.
   std::shared_mutex memo_mutex_;
   /// Guards the weight-side memos. Separate from memo_mutex_ so the long
   /// weight streams never block activation lookups; computing *under* the
@@ -229,7 +199,7 @@ class LayerWorkload {
   std::optional<double> measured_weight_precision_;
   std::optional<double> essential_planes_;
   std::optional<WeightTermStats> naf_terms_;
-  std::unordered_map<int, ColsCache> group_precision_cache_;
+  std::unordered_map<int, ColsTables> group_tables_;
   std::unordered_map<int, double> honest_cache_;
 };
 

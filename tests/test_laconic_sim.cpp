@@ -138,7 +138,7 @@ quant::PrecisionProfile workload_profile() {
   return p;
 }
 
-TEST(LaconicSim, WorkloadTermTableMatchesSingleQueries) {
+TEST(LaconicSim, WorkloadTermTableBoundedByPrecisionTable) {
   auto profile = workload_profile();
   nn::Network net("laconic-wl", nn::Shape3{8, 12, 12});
   net.add_conv("c1", 16, 3, 1, 1).precision_group = 0;
@@ -148,17 +148,18 @@ TEST(LaconicSim, WorkloadTermTableMatchesSingleQueries) {
   const nn::Layer& layer = lw.layer();
 
   for (const int cols : {4, 16}) {
-    const ActTermTable table = lw.act_group_term_table(cols);
-    const std::int64_t wb_count = ceil_div(layer.windows(), cols);
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
-    for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-      for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-        const int terms = lw.act_group_term_count(0, wb, ic, cols);
-        EXPECT_EQ(table.at(0, wb, ic), terms);
+    const ActTermTable terms = lw.act_group_term_table(cols);
+    const ActPrecisionTable precisions = lw.act_group_precision_table(cols);
+    ASSERT_EQ(terms.wb_count(), ceil_div(layer.windows(), cols));
+    ASSERT_EQ(terms.ic_count(), ceil_div(layer.inner_length(), 16));
+    ASSERT_EQ(precisions.wb_count(), terms.wb_count());
+    ASSERT_EQ(precisions.ic_count(), terms.ic_count());
+    for (std::int64_t wb = 0; wb < terms.wb_count(); ++wb) {
+      for (std::int64_t ic = 0; ic < terms.ic_count(); ++ic) {
         // Essential planes are a subset of the positional planes: the term
         // count never exceeds the detected precision and never drops to 0.
-        EXPECT_LE(terms, lw.act_group_precision(0, wb, ic, cols));
-        EXPECT_GE(terms, 1);
+        EXPECT_LE(terms.at(0, wb, ic), precisions.at(0, wb, ic));
+        EXPECT_GE(terms.at(0, wb, ic), 1);
       }
     }
   }
@@ -166,15 +167,16 @@ TEST(LaconicSim, WorkloadTermTableMatchesSingleQueries) {
 
 TEST(LaconicSim, WorkloadRejectsOutOfRangeTermArguments) {
   auto profile = workload_profile();
+  profile.fc_weight = {9};
   nn::Network net("laconic-wl", nn::Shape3{8, 12, 12});
   net.add_conv("c1", 16, 3, 1, 1).precision_group = 0;
+  net.add_fc("f1", 10);
   quant::apply_profile(net, profile);
   NetworkWorkload wl(std::move(net), profile);
-  LayerWorkload& lw = wl.layer(0);
-  (void)lw.act_group_term_count(0, 0, 0, 16);
-  EXPECT_THROW((void)lw.act_group_term_count(1, 0, 0, 16), ContractViolation);
-  EXPECT_THROW((void)lw.act_group_term_count(0, -1, 0, 16), ContractViolation);
-  EXPECT_THROW((void)lw.act_group_term_count(0, 0, 1000, 16), ContractViolation);
+  (void)wl.layer(0).act_group_term_table(16);
+  EXPECT_THROW((void)wl.layer(0).act_group_term_table(0), ContractViolation);
+  // Detection groups exist for convolutions only.
+  EXPECT_THROW((void)wl.layer(1).act_group_term_table(16), ContractViolation);
 }
 
 // ---- NAF vs sign-magnitude reconciliation ---------------------------------

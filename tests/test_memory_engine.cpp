@@ -51,8 +51,8 @@ SimOptions constrained(std::int64_t am_bytes = 0, std::int64_t wm_bytes = 0) {
 
 TEST(MemoryEngine, ConstrainedModeNeverChangesComputeCycles) {
   // The tile scheduler's per-block cycle callbacks must sum exactly to the
-  // analytic layer totals for all three simulators, conv and FC, static
-  // and dynamic precision, grouped and plain.
+  // analytic layer totals for every simulator, conv and FC, static and
+  // dynamic precision, grouped and plain.
   nn::Network net = nn::zoo::make("alexnet");
   const auto& profile =
       quant::profile_for("alexnet", quant::AccuracyTarget::k100);
@@ -85,6 +85,9 @@ TEST(MemoryEngine, ConstrainedModeNeverChangesComputeCycles) {
   });
   check([](const SimOptions& o) {
     return make_dpnn_simulator(arch::DpnnConfig{}, o);
+  });
+  check([](const SimOptions& o) {
+    return make_laconic_simulator(arch::LaconicConfig{}, o);
   });
 }
 
@@ -206,12 +209,11 @@ TEST(MemoryEngine, CrossLayerPrefetchHidesWeightFills) {
 }
 
 TEST(MemoryEngine, TileBlocksSumToAnalyticComputeExactly) {
-  // Drift tripwire: every simulator's tile callback must mirror its
-  // analytic loop value for value. With static integer precisions there is
-  // no rounding, so the residual the engine absorbs on the first tile is
-  // *exactly* the model's per-layer constants — kPipelineFill for conv,
-  // plus the column stagger for Loom's FC. Someone editing one copy of a
-  // chunk loop but not the other breaks these equalities.
+  // Drift tripwire: every simulator's tile callback must sum its chunk
+  // costs exactly as its analytic layer loop does. With static integer
+  // precisions there is no rounding, so the residual the engine absorbs on
+  // the first tile is *exactly* the model's per-layer constants —
+  // kPipelineFill for conv, plus the column stagger for Loom's FC.
   nn::Network net("mixed", nn::Shape3{8, 16, 16});
   net.add_conv("c", 32, 3, 1, 1).precision_group = 0;
   net.add_fc("f", 100);
@@ -248,9 +250,11 @@ TEST(MemoryEngine, TileBlocksSumToAnalyticComputeExactly) {
 
   DpnnSimulator dp(arch::DpnnConfig{}, tight);
   const RunResult rd = dp.run(wl);
-  // DPNN's shallower pipeline charges its own 6-cycle fill per layer.
-  EXPECT_EQ(rd.layers[0].memory.compute_residual_cycles, 6);
-  EXPECT_EQ(rd.layers[1].memory.compute_residual_cycles, 6);
+  // DPNN's shallower pipeline charges its own fill per layer.
+  EXPECT_EQ(rd.layers[0].memory.compute_residual_cycles,
+            static_cast<std::int64_t>(kDpnnPipelineFill));
+  EXPECT_EQ(rd.layers[1].memory.compute_residual_cycles,
+            static_cast<std::int64_t>(kDpnnPipelineFill));
 
   // Dynamic detection changes the per-chunk values but not the mirroring:
   // the residual stays the same constant (table reads are integers too).

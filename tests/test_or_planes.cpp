@@ -5,6 +5,7 @@
 // StripesSimulator RunResults to pre-OR-plane main.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -195,7 +196,11 @@ quant::PrecisionProfile workload_profile() {
   return p;
 }
 
-TEST(OrPlanes, WorkloadTableMatchesSingleQueries) {
+TEST(OrPlanes, WorkloadTablesNestAcrossColumnCounts) {
+  // A 16-window detection group is the union of its four 4-window groups,
+  // and needed_bits of an OR is the max of the parts' needed_bits, so the
+  // cols=16 table must equal the max over the cols=4 table's sub-blocks
+  // (the tail block only covers the sub-blocks that exist).
   auto profile = workload_profile();
   nn::Network net("orplane-wl", nn::Shape3{8, 12, 12});
   net.add_conv("c1", 16, 3, 1, 1).precision_group = 0;
@@ -204,29 +209,41 @@ TEST(OrPlanes, WorkloadTableMatchesSingleQueries) {
   LayerWorkload& lw = wl.layer(0);
   const nn::Layer& layer = lw.layer();
 
-  for (const int cols : {4, 16}) {
-    const ActPrecisionTable table = lw.act_group_precision_table(cols);
-    const std::int64_t wb_count = ceil_div(layer.windows(), cols);
-    const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
-    for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-      for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-        EXPECT_EQ(table.at(0, wb, ic), lw.act_group_precision(0, wb, ic, cols));
+  const ActPrecisionTable t4 = lw.act_group_precision_table(4);
+  const ActPrecisionTable t16 = lw.act_group_precision_table(16);
+  ASSERT_EQ(t4.wb_count(), ceil_div(layer.windows(), 4));
+  ASSERT_EQ(t16.wb_count(), ceil_div(layer.windows(), 16));
+  ASSERT_EQ(t16.ic_count(), ceil_div(layer.inner_length(), 16));
+  ASSERT_EQ(t4.ic_count(), t16.ic_count());
+  for (std::int64_t wb = 0; wb < t16.wb_count(); ++wb) {
+    for (std::int64_t ic = 0; ic < t16.ic_count(); ++ic) {
+      int widest = 0;
+      for (std::int64_t sub = wb * 4; sub < std::min(t4.wb_count(), wb * 4 + 4);
+           ++sub) {
+        widest = std::max(widest, t4.at(0, sub, ic));
       }
+      EXPECT_EQ(t16.at(0, wb, ic), widest) << "wb=" << wb << " ic=" << ic;
+      EXPECT_LE(widest, layer.act_precision);
     }
   }
 }
 
 TEST(OrPlanes, WorkloadRejectsOutOfRangeArguments) {
   auto profile = workload_profile();
+  profile.fc_weight = {9};
   nn::Network net("orplane-wl", nn::Shape3{8, 12, 12});
   net.add_conv("c1", 16, 3, 1, 1).precision_group = 0;
+  net.add_fc("f1", 10);
   quant::apply_profile(net, profile);
   NetworkWorkload wl(std::move(net), profile);
-  LayerWorkload& lw = wl.layer(0);
-  (void)lw.act_group_precision(0, 0, 0, 16);
-  EXPECT_THROW((void)lw.act_group_precision(1, 0, 0, 16), ContractViolation);
-  EXPECT_THROW((void)lw.act_group_precision(0, -1, 0, 16), ContractViolation);
-  EXPECT_THROW((void)lw.act_group_precision(0, 0, 1000, 16), ContractViolation);
+  (void)wl.layer(0).act_group_precision_table(16);
+  EXPECT_THROW((void)wl.layer(0).act_group_precision_table(0),
+               ContractViolation);
+  EXPECT_THROW((void)wl.layer(0).act_group_precision_table(-3),
+               ContractViolation);
+  // Detection groups exist for convolutions only.
+  EXPECT_THROW((void)wl.layer(1).act_group_precision_table(16),
+               ContractViolation);
 }
 
 // ---- Golden byte-identity vs pre-OR-plane main ----------------------------

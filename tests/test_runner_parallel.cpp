@@ -1,6 +1,7 @@
-// Golden cross-check for the runner's `jobs` fan-out: a parallel comparison
-// must be bit-identical to the serial one — same entry ordering, same
-// speedups/efficiencies (exact double equality), same per-layer cycles.
+// Cross-check for the runner's `jobs` fan-out: a comparison on several
+// workers must be bit-identical to one on a single worker — same entry
+// ordering, same speedups/efficiencies (exact double equality), same
+// per-layer cycles. test_sim_golden pins both against fixed digests.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -70,7 +71,7 @@ TEST(RunnerParallel, HardwareConcurrencyMatchesSerial) {
   ExperimentRunner serial(small_opts(1));
   const sim::Comparison golden = serial.compare(nets);
 
-  // jobs <= 0 resolves to hardware_concurrency() (acceptance-criterion mode).
+  // jobs <= 0 resolves to one worker per hardware thread.
   ExperimentRunner parallel(small_opts(0));
   const sim::Comparison fanned = parallel.compare(nets);
 

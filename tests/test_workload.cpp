@@ -39,11 +39,10 @@ TEST(Workload, GroupPrecisionWithinProfileBound) {
   NetworkWorkload wl = make_workload();
   LayerWorkload& lw = wl.layer(0);
   const nn::Layer& layer = lw.layer();
-  const std::int64_t wb_count = ceil_div(layer.windows(), 16);
-  const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
-  for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-    for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-      const int p = lw.act_group_precision(0, wb, ic, 16);
+  const ActPrecisionTable table = lw.act_group_precision_table(16);
+  for (std::int64_t wb = 0; wb < table.wb_count(); ++wb) {
+    for (std::int64_t ic = 0; ic < table.ic_count(); ++ic) {
+      const int p = table.at(0, wb, ic);
       EXPECT_GE(p, 1);
       EXPECT_LE(p, layer.act_precision);
     }
@@ -53,23 +52,21 @@ TEST(Workload, GroupPrecisionWithinProfileBound) {
 TEST(Workload, GroupPrecisionDeterministicAcrossInstances) {
   NetworkWorkload a = make_workload();
   NetworkWorkload b = make_workload();
+  const ActPrecisionTable ta = a.layer(0).act_group_precision_table(16);
+  const ActPrecisionTable tb = b.layer(0).act_group_precision_table(16);
   for (std::int64_t wb = 0; wb < 4; ++wb) {
-    EXPECT_EQ(a.layer(0).act_group_precision(0, wb, 0, 16),
-              b.layer(0).act_group_precision(0, wb, 0, 16));
+    EXPECT_EQ(ta.at(0, wb, 0), tb.at(0, wb, 0));
   }
 }
 
 TEST(Workload, MeanDetectedPrecisionNearTrimTarget) {
   NetworkWorkload wl = make_workload();
-  LayerWorkload& lw = wl.layer(0);
-  const nn::Layer& layer = lw.layer();
-  const std::int64_t wb_count = ceil_div(layer.windows(), 16);
-  const std::int64_t ic_count = ceil_div(layer.inner_length(), 16);
+  const ActPrecisionTable table = wl.layer(0).act_group_precision_table(16);
   double sum = 0.0;
   std::int64_t n = 0;
-  for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-    for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-      sum += lw.act_group_precision(0, wb, ic, 16);
+  for (std::int64_t wb = 0; wb < table.wb_count(); ++wb) {
+    for (std::int64_t ic = 0; ic < table.ic_count(); ++ic) {
+      sum += table.at(0, wb, ic);
       ++n;
     }
   }
@@ -82,10 +79,12 @@ TEST(Workload, SmallerColumnsNeverIncreasePrecision) {
   // precision cannot exceed the superset's.
   NetworkWorkload wl = make_workload();
   LayerWorkload& lw = wl.layer(0);
+  const ActPrecisionTable t16 = lw.act_group_precision_table(16);
+  const ActPrecisionTable t4 = lw.act_group_precision_table(4);
   for (std::int64_t wb16 = 0; wb16 < 4; ++wb16) {
-    const int p16 = lw.act_group_precision(0, wb16, 0, 16);
+    const int p16 = t16.at(0, wb16, 0);
     for (std::int64_t sub = 0; sub < 4; ++sub) {
-      const int p4 = lw.act_group_precision(0, wb16 * 4 + sub, 0, 4);
+      const int p4 = t4.at(0, wb16 * 4 + sub, 0);
       EXPECT_LE(p4, p16);
     }
   }
