@@ -1,7 +1,7 @@
 // Simulator interface and factories. Each simulator turns a NetworkWorkload
-// into a RunResult using its architecture's cycle model; one layer driver
-// (Simulator::run / simulate_layer) walks the layers for all of them, and
-// all share the off-chip modeling options.
+// into a RunResult using its architecture's cycle model. One shared run
+// loop (Simulator::run / simulate_layer) walks the layers for all of them,
+// and all share the off-chip modeling options.
 #pragma once
 
 #include <memory>

@@ -5,7 +5,7 @@
 // memory model (§4.5). The digests cover every LayerResult field, every
 // energy::Activity counter, the MemoryTrace, the area breakdown and the
 // energy per layer-kind filter, so a change anywhere in a cycle model, the
-// shared layer driver or the energy inputs moves one. The roster also runs
+// shared run loop or the energy inputs moves one. The roster also runs
 // through ExperimentRunner at jobs 1 and 4 against the same digests.
 // Values assume IEEE-754 doubles and glibc's correctly-rounded pow/exp.
 #include <gtest/gtest.h>
