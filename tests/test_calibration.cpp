@@ -28,11 +28,18 @@ TEST(Calibration, MeasureIsMonotoneInAlpha) {
   }
 }
 
+// GoogleTest names each case by the bytes of its parameter, so the struct
+// has no implicit padding: padding left uninitialized put stack residue
+// (an ASLR-dependent address byte) into the test names.
 struct GridCase {
+  GridCase(int p, bool s, double t) : precision(p), is_signed(s), target(t) {}
   int precision;
   bool is_signed;
+  std::uint8_t unused[3]{};
   double target;
 };
+static_assert(sizeof(GridCase) ==
+              sizeof(int) + sizeof(bool) + 3 + sizeof(double));
 
 class CalibrationGrid : public ::testing::TestWithParam<GridCase> {};
 
