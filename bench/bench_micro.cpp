@@ -466,6 +466,51 @@ void BM_GemmFcLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFcLayer)->Unit(benchmark::kMillisecond);
 
+/// NiN cccp1: 96ch 54x54 -> 96 filters 1x1, Pa 8 / Pw 11. An inner length
+/// of 96 leaves the GEMM little to do per packed value, so the layer is
+/// bound by the im2col pack.
+FunctionalBenchCase nin_cccp1_case() {
+  nn::Network net("nin-cccp1", nn::Shape3{96, 54, 54});
+  net.add_conv("cccp1", 96, 1, 1, 0).precision_group = 0;
+  quant::PrecisionProfile p;
+  p.network = "nin-cccp1";
+  p.conv_act = {8};
+  p.conv_weight = 11;
+  quant::apply_profile(net, p);
+  nn::SyntheticSpec act{.precision = 8, .alpha = 3.0, .is_signed = false,
+                        .zero_fraction = 0.45};
+  nn::SyntheticSpec wsp{.precision = 11, .alpha = 2.0, .is_signed = true};
+  FunctionalBenchCase c{std::move(net), {}, {}};
+  c.input = nn::make_activation_tensor(c.net.layer(0).in, act, 1, 0);
+  c.weights = nn::make_weight_tensor(c.net.layer(0).weight_count(), wsp, 2, 1);
+  return c;
+}
+
+void BM_GemmConvPointwise(benchmark::State& state) {
+  run_conv_bench(state, nin_cccp1_case(), "gemm");
+}
+BENCHMARK(BM_GemmConvPointwise)->Unit(benchmark::kMillisecond);
+
+void BM_LayerEpilogue(benchmark::State& state) {
+  // The engine's epilogue on NiN's conv1 -> pool1 shapes: requantize a
+  // 96x54x54 accumulator tensor to 8 bits with ReLU, then 3x3 stride-2
+  // ceil-mode max pooling to 96x27x27.
+  const nn::Layer pool = nn::make_pool("pool1", nn::Shape3{96, 54, 54},
+                                       nn::PoolKind::kMax, 3, 2);
+  nn::WideTensor acc(nn::Shape{96, 54, 54});
+  const std::vector<Value> v = values(static_cast<int>(acc.elements()), 16,
+                                      /*is_signed=*/true, 7);
+  for (std::int64_t i = 0; i < acc.elements(); ++i) {
+    acc.set_flat(i, Wide{v[static_cast<std::size_t>(i)]} * 37);
+  }
+  for (auto _ : state) {
+    const sim::Requantized q = sim::requantize_accumulators(acc, 8, true);
+    benchmark::DoNotOptimize(sim::pool_activations(q.output, pool));
+  }
+  state.SetItemsProcessed(state.iterations() * acc.elements());
+}
+BENCHMARK(BM_LayerEpilogue)->Unit(benchmark::kMicrosecond);
+
 // ---- Autotuner ----------------------------------------------------------------
 // A small low-Pw shape (2-bit weights, so cheap layer runs): the autotuner
 // benches converge its cell and time the memo.

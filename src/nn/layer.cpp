@@ -13,6 +13,29 @@ std::int64_t conv_out_extent(std::int64_t in, int kernel, int stride, int pad,
   return span / stride + 1;
 }
 
+bool geometry_consistent(const Layer& l) {
+  const auto positive = [](const Shape3& s) {
+    return s.c > 0 && s.h > 0 && s.w > 0;
+  };
+  if (!positive(l.in) || !positive(l.out)) return false;
+  if (l.kind == LayerKind::kFullyConnected) return l.out.h == 1 && l.out.w == 1;
+  if (l.kernel_h < 1 || l.kernel_w < 1 || l.stride < 1 || l.pad < 0 ||
+      l.kernel_h > l.in.h + 2 * l.pad || l.kernel_w > l.in.w + 2 * l.pad) {
+    return false;
+  }
+  const bool pool = l.kind == LayerKind::kPool;
+  const auto extent_ok = [&](std::int64_t in, int kernel, std::int64_t out) {
+    return out == conv_out_extent(in, kernel, l.stride, l.pad, false) ||
+           (pool && out == conv_out_extent(in, kernel, l.stride, l.pad, true));
+  };
+  if (!extent_ok(l.in.h, l.kernel_h, l.out.h) ||
+      !extent_ok(l.in.w, l.kernel_w, l.out.w)) {
+    return false;
+  }
+  if (pool) return l.out.c == l.in.c;
+  return l.groups >= 1 && l.in.c % l.groups == 0 && l.out.c % l.groups == 0;
+}
+
 std::int64_t Layer::weight_count() const noexcept {
   if (kind == LayerKind::kPool) return 0;
   if (kind == LayerKind::kFullyConnected) return out.c * in.elements();

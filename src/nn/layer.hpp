@@ -88,4 +88,11 @@ struct Layer {
 [[nodiscard]] std::int64_t conv_out_extent(std::int64_t in, int kernel, int stride,
                                            int pad, bool ceil_mode);
 
+/// True when `l`'s recorded shapes are the ones its geometry implies, so no
+/// window can reach past the zero-padded input: every extent positive, the
+/// kernel within in + 2 * pad, a conv output at the floor extent, a pool
+/// output at the floor or the ceil extent with the input's channels, groups
+/// dividing both channel counts, and an FC output of out.c x 1 x 1.
+[[nodiscard]] bool geometry_consistent(const Layer& l);
+
 }  // namespace loom::nn

@@ -53,6 +53,20 @@ std::size_t Network::first_chain_break() const noexcept {
   return layers_.size();
 }
 
+std::string Network::execution_error() const {
+  if (const std::size_t i = first_chain_break(); i < layers_.size()) {
+    return "layer '" + layers_[i].name +
+           "' does not consume its producer's output; a flattened branching "
+           "topology is analytic-only";
+  }
+  for (const Layer& l : layers_) {
+    if (!geometry_consistent(l)) {
+      return "layer '" + l.name + "' has impossible geometry";
+    }
+  }
+  return {};
+}
+
 std::vector<std::size_t> Network::conv_indices() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < layers_.size(); ++i) {

@@ -49,6 +49,12 @@ class Network {
   /// they are analytic-only: the functional engine cannot execute them.
   [[nodiscard]] std::size_t first_chain_break() const noexcept;
 
+  /// Why the functional engine cannot execute this network — the first
+  /// layer that breaks the chain or fails nn::geometry_consistent — or
+  /// empty when it can. Snapshot decode, ModelRegistry::add and engine entry
+  /// all reject a network on this one check.
+  [[nodiscard]] std::string execution_error() const;
+
   /// Indices of conv / fully-connected layers, in order.
   [[nodiscard]] std::vector<std::size_t> conv_indices() const;
   [[nodiscard]] std::vector<std::size_t> fc_indices() const;

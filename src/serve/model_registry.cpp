@@ -19,16 +19,15 @@ std::size_t weighted_layers(const nn::Network& net) {
   return n;
 }
 
-/// Reject a network the engine cannot run, and weights that do not fit it:
-/// every layer must consume its producer's output, and there must be one
-/// tensor per weighted layer, each holding exactly that layer's
-/// weight_count() values (a broken chain or a short tensor would otherwise
-/// be read out of bounds by every engine run).
+/// Reject a network the engine cannot run (Network::execution_error), and
+/// weights that do not fit it: there must be one tensor per weighted layer,
+/// each holding exactly that layer's weight_count() values (a broken chain,
+/// impossible geometry or a short tensor would otherwise be read out of
+/// bounds by every engine run).
 void check_weights(const std::string& name, const nn::Network& net,
                    const std::vector<nn::Tensor>& weights) {
-  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
-    throw ConfigError("model '" + name + "': layer '" + net.layer(i).name +
-                      "' does not consume its producer's output");
+  if (const std::string why = net.execution_error(); !why.empty()) {
+    throw ConfigError("model '" + name + "': " + why);
   }
   if (weights.size() != weighted_layers(net)) {
     throw ConfigError("model '" + name + "': " + std::to_string(weights.size()) +

@@ -101,19 +101,11 @@ void encode_network(ByteWriter& w, const nn::Network& net) {
     l.act_precision = r.i32_in("act_precision", 1, kBasePrecision);
     l.weight_precision = r.i32_in("weight_precision", 1, kBasePrecision);
     l.precision_group = r.i32_in("precision_group", -1, 1 << 20);
-    if (l.in.c < 0 || l.in.h < 0 || l.in.w < 0 || l.out.c < 0 || l.out.h < 0 ||
-        l.out.w < 0 || (l.in.c % l.groups) != 0 ||
-        (l.kind == nn::LayerKind::kConv && (l.out.c % l.groups) != 0)) {
-      r.fail("layer '" + l.name + "' has inconsistent geometry");
-    }
     net.layers().push_back(std::move(l));
   }
   // A well-formed but hostile file could otherwise hand the engine a layer
-  // that reads past its producer's output.
-  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
-    r.fail("layer '" + net.layer(i).name +
-           "' does not consume its producer's output");
-  }
+  // that reads past its producer's output or its own padded input.
+  if (const std::string why = net.execution_error(); !why.empty()) r.fail(why);
   net.set_current(current);
   return net;
 }

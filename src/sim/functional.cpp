@@ -1,7 +1,9 @@
 #include "sim/functional.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "sim/autotune_cache.hpp"
@@ -11,6 +13,12 @@
 namespace loom::sim {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
 
 /// Output precision of weighted layer `i`: the next conv consumer's profile
 /// Pa (an FC consumer, or no consumer, stores at base precision).
@@ -24,10 +32,13 @@ int consumer_out_bits(const nn::Network& net, std::size_t i) {
   return static_cast<int>(kBasePrecision);
 }
 
-/// Reject tensors the kernels would index out of bounds with the layer's
-/// geometry.
+/// Reject a layer whose geometry, or tensors, the kernels would index out of
+/// bounds with.
 void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
                     const nn::Tensor& weights) {
+  if (!nn::geometry_consistent(layer)) {
+    throw ConfigError("layer '" + layer.name + "' has impossible geometry");
+  }
   if (weights.elements() != layer.weight_count()) {
     throw ConfigError("layer '" + layer.name + "': " +
                       std::to_string(weights.elements()) + " weights, needs " +
@@ -48,9 +59,9 @@ void requantize_batch(FunctionalBatchLayerRun& run, int out_bits, bool relu) {
   run.outputs.reserve(run.wides.size());
   run.requant_shifts.reserve(run.wides.size());
   for (const nn::WideTensor& wide : run.wides) {
-    const int shift = nn::choose_requant_shift(wide, out_bits);
-    run.requant_shifts.push_back(shift);
-    run.outputs.push_back(nn::requantize(wide, shift, out_bits, relu));
+    Requantized q = requantize_accumulators(wide, out_bits, relu);
+    run.requant_shifts.push_back(q.shift);
+    run.outputs.push_back(std::move(q.output));
   }
 }
 
@@ -63,10 +74,103 @@ FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
                             .requant_shift = b.requant_shifts[0],
                             .out_bits = b.out_bits,
                             .mean_streamed_precision = b.mean_streamed_precision,
-                            .backend = std::move(b.backend)};
+                            .backend = std::move(b.backend),
+                            .phases = b.phases};
 }
 
 }  // namespace
+
+Requantized requantize_accumulators(const nn::WideTensor& acc, int out_bits,
+                                    bool relu) {
+  LOOM_EXPECTS(out_bits >= 1 && out_bits <= kBasePrecision);
+  const std::span<const Wide> in = acc.data();
+  Wide lo = 0;
+  Wide hi = 0;
+  for (const Wide v : in) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // max |acc|; accumulators stay far inside int64, so -lo cannot overflow.
+  const Wide peak = std::max(hi, -lo);
+  const Wide limit = (Wide{1} << (out_bits - 1)) - 1;
+  Requantized q{nn::Tensor(acc.shape()), 0};
+  while ((peak >> q.shift) > limit) ++q.shift;
+  // Every |v| <= peak, so the floor division v >> shift lies in
+  // [-limit - 1, limit]: saturation never clips, and ReLU is all that is
+  // left of nn::requantize.
+  const int shift = q.shift;
+  Value* out = q.output.data().data();
+  if (relu) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const Wide v = in[i] >> shift;
+      out[i] = static_cast<Value>(v & ~(v >> 63));
+    }
+  } else {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = static_cast<Value>(in[i] >> shift);
+    }
+  }
+  return q;
+}
+
+nn::Tensor pool_activations(const nn::Tensor& input, const nn::Layer& layer) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kPool);
+  LOOM_EXPECTS(input.shape() ==
+               (nn::Shape{layer.in.c, layer.in.h, layer.in.w}));
+  const std::int64_t in_h = layer.in.h;
+  const std::int64_t in_w = layer.in.w;
+  // Window [first, last) of output `o`, clipped to [0, extent): empty when
+  // last <= first (a ceil-mode window that starts past the input).
+  const auto clip = [&](std::int64_t o, int kernel, std::int64_t extent) {
+    const std::int64_t start = o * layer.stride - layer.pad;
+    return std::pair{std::max<std::int64_t>(start, 0),
+                     std::min<std::int64_t>(start + kernel, extent)};
+  };
+  std::vector<std::pair<std::int64_t, std::int64_t>> xs;
+  xs.reserve(static_cast<std::size_t>(layer.out.w));
+  for (std::int64_t ox = 0; ox < layer.out.w; ++ox) {
+    xs.push_back(clip(ox, layer.kernel_w, in_w));
+  }
+  // Per output row, reduce the window's input rows column by column into
+  // `cols` (a max, or an exact int32 sum of at most 2^14 values), then each
+  // output reduces its clipped column range.
+  const bool max = layer.pool == nn::PoolKind::kMax;
+  const std::int32_t empty = max ? std::numeric_limits<Value>::min() : 0;
+  std::vector<std::int32_t> cols(static_cast<std::size_t>(in_w));
+  nn::Tensor out(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
+  Value* dst = out.data().data();
+  for (std::int64_t c = 0; c < layer.out.c; ++c) {
+    const Value* plane = input.data().data() + c * in_h * in_w;
+    for (std::int64_t oy = 0; oy < layer.out.h; ++oy) {
+      const auto [y0, y1] = clip(oy, layer.kernel_h, in_h);
+      std::fill(cols.begin(), cols.end(), empty);
+      for (std::int64_t y = y0; y < y1; ++y) {
+        const Value* row = plane + y * in_w;
+        if (max) {
+          for (std::int64_t x = 0; x < in_w; ++x) {
+            cols[x] = std::max<std::int32_t>(cols[x], row[x]);
+          }
+        } else {
+          for (std::int64_t x = 0; x < in_w; ++x) cols[x] += row[x];
+        }
+      }
+      for (const auto& [x0, x1] : xs) {
+        if (max) {
+          std::int32_t m = empty;
+          for (std::int64_t x = x0; x < x1; ++x) m = std::max(m, cols[x]);
+          *dst++ = static_cast<Value>(m);
+        } else {
+          Wide sum = 0;
+          for (std::int64_t x = x0; x < x1; ++x) sum += cols[x];
+          const std::int64_t n = std::max<std::int64_t>(y1 - y0, 0) *
+                                 std::max<std::int64_t>(x1 - x0, 0);
+          *dst++ = static_cast<Value>(n > 0 ? sum / n : 0);
+        }
+      }
+    }
+  }
+  return out;
+}
 
 bool accepts_input(const nn::Layer& layer, const nn::Tensor& input) {
   const nn::Shape in{layer.in.c, layer.in.h, layer.in.w};
@@ -156,7 +260,7 @@ ConvStats FunctionalEngine::dispatch(
                : fc_tune_key(layer, spec.weight_precision, batch, grid_);
     used = BackendAutotuner::instance().choose(key, candidates_);
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   FunctionalBackend& backend = backend_for(used);
   ConvStats st;
   if (conv) {
@@ -169,7 +273,7 @@ ConvStats FunctionalEngine::dispatch(
         key, used,
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
+                Clock::now() - t0)
                 .count()));
   }
   return st;
@@ -195,8 +299,12 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
     wide_ptrs[r] = &run.wides.emplace_back(out_shape);
   }
 
+  const auto t0 = Clock::now();
   const ConvStats st =
       dispatch(layer, in_ptrs, weights, wide_ptrs, run.backend);
+  const auto t1 = Clock::now();
+  run.phases.pack_ms = static_cast<double>(st.pack_ns) / 1e6;
+  run.phases.kernel_ms = std::max(0.0, ms_between(t0, t1) - run.phases.pack_ms);
   run.cycles = st.cycles;
   run.mean_streamed_precision =
       st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
@@ -211,6 +319,7 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
     run.mean_streamed_precision = kBasePrecision;
   }
   requantize_batch(run, out_bits, opts_.relu);
+  run.phases.epilogue_ms = ms_between(t1, Clock::now());
   return run;
 }
 
@@ -247,30 +356,40 @@ FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
     std::span<const nn::Tensor> weights) {
   LOOM_EXPECTS(!inputs.empty());
   if (opts_.pre_run_hook) opts_.pre_run_hook();
-  if (const std::size_t i = net.first_chain_break(); i < net.size()) {
-    throw ConfigError("network '" + net.name() + "': layer '" +
-                      net.layer(i).name +
-                      "' does not consume its producer's output; a "
-                      "flattened branching topology is analytic-only");
+  if (const std::string why = net.execution_error(); !why.empty()) {
+    throw ConfigError("network '" + net.name() + "': " + why);
   }
   FunctionalBatchNetworkRun run;
-  std::vector<nn::Tensor> current(inputs.begin(), inputs.end());
+  run.layers.reserve(net.size());
+  // Each layer reads its producer's stored outputs in place; pooled
+  // activations live in `pooled` until the next layer has consumed them.
+  std::span<const nn::Tensor> current = inputs;
+  std::vector<nn::Tensor> pooled;
   std::size_t weight_index = 0;
 
   for (std::size_t i = 0; i < net.size(); ++i) {
     const nn::Layer& layer = net.layer(i);
     if (!layer.has_weights()) {
-      for (nn::Tensor& t : current) t = nn::pool_forward(t, layer);
+      const auto t0 = Clock::now();
+      std::vector<nn::Tensor> next;
+      next.reserve(current.size());
+      for (const nn::Tensor& t : current) {
+        next.push_back(pool_activations(t, layer));
+      }
+      pooled = std::move(next);
+      current = pooled;
+      if (!run.layers.empty()) {
+        run.layers.back().phases.epilogue_ms += ms_between(t0, Clock::now());
+      }
       continue;
     }
     LOOM_EXPECTS(weight_index < weights.size());
-    FunctionalBatchLayerRun lr = run_layer_batch(
-        layer, current, weights[weight_index++], consumer_out_bits(net, i));
-    current = lr.outputs;
-    run.total_cycles += lr.cycles;
-    run.layers.push_back(std::move(lr));
+    run.layers.push_back(run_layer_batch(layer, current, weights[weight_index++],
+                                         consumer_out_bits(net, i)));
+    current = run.layers.back().outputs;
+    run.total_cycles += run.layers.back().cycles;
   }
-  run.outputs = std::move(current);
+  run.outputs.assign(current.begin(), current.end());
   LOOM_ENSURES(weight_index == weights.size());
   return run;
 }

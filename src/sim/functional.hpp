@@ -80,6 +80,17 @@ struct FunctionalOptions {
   std::function<void()> pre_run_hook = nullptr;
 };
 
+/// Where one layer call's wall clock went, in milliseconds. Timing only:
+/// kept out of every golden digest and equality check. At jobs = 1 pack +
+/// kernel is the kernel call's wall clock; with more jobs `pack_ms` is the
+/// stripes' summed pack time and `kernel_ms` the rest of the call, floored
+/// at zero.
+struct LayerPhases {
+  double pack_ms = 0.0;      ///< im2col pack + streaming statistics
+  double kernel_ms = 0.0;    ///< the multiply-accumulate kernel
+  double epilogue_ms = 0.0;  ///< requantization, plus run_network's pooling
+};
+
 struct FunctionalLayerRun {
   std::string name;
   nn::Tensor output;             ///< requantized output activations
@@ -89,6 +100,7 @@ struct FunctionalLayerRun {
   int out_bits = kBasePrecision;
   double mean_streamed_precision = 0.0;  ///< average Pa actually streamed
   std::string backend;           ///< kernel that ran this layer
+  LayerPhases phases;            ///< wall-clock split (timing only)
 };
 
 struct FunctionalNetworkRun {
@@ -111,6 +123,7 @@ struct FunctionalBatchLayerRun {
   int out_bits = kBasePrecision;
   double mean_streamed_precision = 0.0;  ///< mean Pa over the batch's chunks
   std::string backend;                   ///< kernel that ran this layer
+  LayerPhases phases;                    ///< wall-clock split (timing only)
 };
 
 struct FunctionalBatchNetworkRun {
@@ -118,6 +131,27 @@ struct FunctionalBatchNetworkRun {
   std::vector<nn::Tensor> outputs;  ///< per-request network outputs
   std::uint64_t total_cycles = 0;
 };
+
+/// A request's requantized layer output and the shift that produced it.
+struct Requantized {
+  nn::Tensor output;
+  int shift = 0;
+};
+
+/// The engine's epilogue for one request, in one pass over the exact
+/// accumulators: a min/max scan picks the shift exactly as
+/// nn::choose_requant_shift does, then each value shifts, ReLUs (when
+/// `relu`) and saturates to `out_bits` as nn::requantize does, narrowing
+/// straight into the output.
+[[nodiscard]] Requantized requantize_accumulators(const nn::WideTensor& acc,
+                                                  int out_bits, bool relu);
+
+/// The engine's pooling: nn::pool_forward's results (ceil-mode edge
+/// windows, the average over real elements only, an empty window's max of
+/// INT16_MIN and average of 0), with each window clipped to the input once
+/// per output instead of a bounds test per element.
+[[nodiscard]] nn::Tensor pool_activations(const nn::Tensor& input,
+                                          const nn::Layer& layer);
 
 /// True when `input` can feed `layer`: a conv input must have the layer's
 /// (c,h,w) shape; an FC layer flattens its input, so only the element

@@ -1,8 +1,10 @@
 #include "sim/gemm_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/cpuid.hpp"
@@ -346,6 +348,67 @@ struct ConvScratch {
   std::int64_t c[kMr * kTile];          ///< one register block's int64 sums
 };
 
+/// How a window's inner positions sit in a zero-bordered input: element
+/// k = (ci, ky, kx) is at the window's base pointer + ci * plane + ky * row
+/// + kx, so one offset serves every column of a slab.
+struct PackWalk {
+  std::int64_t inner = 0;
+  std::int64_t kh = 0, kw = 0;
+  std::int64_t row = 0;    ///< bordered row length, W + 2 * pad
+  std::int64_t plane = 0;  ///< bordered channel plane, (H + 2 * pad) * row
+  std::int64_t lanes = 0;  ///< inner positions per statistics chunk
+  std::int64_t cols = 0;   ///< columns per statistics group
+};
+
+/// The im2col pack of one slab of `cu` columns: for every k, each column's
+/// raw value ORs into its (chunk, column group) word of `ors` and stores,
+/// ANDed with `mask` (the profile mask; all ones for signed activations),
+/// into the k-pair-interleaved tile `a` — whole, or with Split as the low
+/// byte plus, `part_stride` further on, the high part. Padding positions
+/// read the border's zeros, which leave the ORs unchanged, so the loop has
+/// no bounds test; (ci, ky, kx) advance as counters.
+template <bool Split>
+void pack_slab(const PackWalk& walk, const Value* const* col, std::int64_t cu,
+               std::int32_t mask, std::int16_t* a, std::int64_t part_stride,
+               std::uint32_t* ors) {
+  const std::int64_t n_groups = ceil_div(cu, walk.cols);
+  const std::int64_t next_row = walk.row - walk.kw + 1;
+  const std::int64_t next_plane =
+      walk.plane - (walk.kh - 1) * walk.row - walk.kw + 1;
+  std::int64_t off = 0, kx = 0, ky = 0, lane = 0;
+  for (std::int64_t k = 0; k < walk.inner; ++k) {
+    std::int16_t* dst = a + (k >> 1) * 2 * kTile + (k & 1);
+    for (std::int64_t j = 0, c = 0; j < n_groups; ++j) {
+      const std::int64_t c_end = std::min(cu, c + walk.cols);
+      std::uint32_t group = 0;
+      for (; c < c_end; ++c) {
+        const Value v = col[c][off];
+        group |= static_cast<std::uint16_t>(v);
+        const std::int32_t x = std::int32_t{v} & mask;
+        if constexpr (Split) {
+          dst[2 * c] = static_cast<std::int16_t>(x & 0xFF);
+          dst[part_stride + 2 * c] = static_cast<std::int16_t>(x >> 8);
+        } else {
+          dst[2 * c] = static_cast<std::int16_t>(x);
+        }
+      }
+      ors[j] |= group;
+    }
+    if (++lane == walk.lanes) {
+      lane = 0;
+      ors += n_groups;
+    }
+    if (++kx < walk.kw) {
+      ++off;
+    } else if (kx = 0; ++ky < walk.kh) {
+      off += next_row;
+    } else {
+      ky = 0;
+      off += next_plane;
+    }
+  }
+}
+
 }  // namespace
 
 void conv_stream_stats(const nn::Layer& layer, const SliceSpec& spec,
@@ -414,6 +477,10 @@ ConvStats GemmEngine::run_conv_batch(
   LOOM_EXPECTS(!spec.act_signed || spec.act_precision == kBasePrecision);
   LOOM_EXPECTS(!(spec.act_signed && spec.dynamic));
   LOOM_EXPECTS(layer.inner_length() < kMaxInner);
+  LOOM_EXPECTS(nn::geometry_consistent(layer));
+  for (const nn::Tensor* in : inputs) {
+    LOOM_EXPECTS(in->elements() == layer.in.elements());
+  }
 
   const std::int64_t inner = layer.inner_length();
   const std::int64_t pairs = ceil_div(inner, 2);
@@ -427,26 +494,64 @@ ConvStats GemmEngine::run_conv_batch(
       spec.act_signed ? 32768 : std::int64_t{prof_mask}, pw);
   const int parts = plan.split ? 2 : 1;
 
+  // Operand preparation counts as pack time.
+  const auto t_prep = std::chrono::steady_clock::now();
   // Pw-masked weights, zero-padded to whole k-pairs and register blocks:
-  // [group][cog_pad][kpad]. Shared read-only by every stripe.
-  std::vector<std::int16_t> wm(
-      static_cast<std::size_t>(layer.groups * cog_pad * kpad), 0);
-  for (std::int64_t co = 0; co < layer.out.c; ++co) {
-    std::int16_t* dst =
-        wm.data() + ((co / cog) * cog_pad + co % cog) * kpad;
+  // [group][cog_pad][kpad], every element written once. Shared read-only
+  // by every stripe.
+  const auto wm = std::make_unique_for_overwrite<std::int16_t[]>(
+      static_cast<std::size_t>(layer.groups * cog_pad * kpad));
+  for (std::int64_t row = 0; row < layer.groups * cog_pad; ++row) {
+    std::int16_t* dst = wm.get() + row * kpad;
+    const std::int64_t co = (row / cog_pad) * cog + row % cog_pad;
+    const std::int64_t n = row % cog_pad < cog ? inner : 0;
     const Value* src = weights.data().data() + co * inner;
-    for (std::int64_t k = 0; k < inner; ++k) {
-      dst[k] = static_cast<std::int16_t>(sext(src[k], pw));
+    for (std::int64_t k = 0; k < n; ++k) {
+      dst[k] = static_cast<std::int16_t>(
+          static_cast<std::int16_t>(src[k] << (16 - pw)) >> (16 - pw));
     }
+    std::fill(dst + n, dst + kpad, std::int16_t{0});
   }
 
-  const std::int64_t kh = layer.kernel_h;
-  const std::int64_t kw = layer.kernel_w;
-  const std::int64_t in_h = layer.in.h;
-  const std::int64_t in_w = layer.in.w;
-  const std::int64_t plane = in_h * in_w;
+  // Zero-bordered copies of the inputs (the inputs themselves at pad 0), so
+  // every window of a validated geometry lies inside its buffer.
+  const std::int64_t pad = layer.pad;
+  const PackWalk walk{.inner = inner,
+                      .kh = layer.kernel_h,
+                      .kw = layer.kernel_w,
+                      .row = layer.in.w + 2 * pad,
+                      .plane = (layer.in.h + 2 * pad) * (layer.in.w + 2 * pad),
+                      .lanes = opts_.lanes,
+                      .cols = opts_.cols};
+  const std::int64_t volume = layer.in.c * walk.plane;
+  std::vector<Value> bordered;
+  std::vector<const Value*> base(inputs.size());
+  if (pad > 0) {
+    bordered.assign(static_cast<std::size_t>(volume) * inputs.size(), 0);
+  }
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    const Value* in = inputs[r]->data().data();
+    if (pad == 0) {
+      base[r] = in;
+      continue;
+    }
+    base[r] = bordered.data() + static_cast<std::int64_t>(r) * volume;
+    for (std::int64_t ch = 0; ch < layer.in.c; ++ch) {
+      for (std::int64_t y = 0; y < layer.in.h; ++y) {
+        std::copy_n(in + (ch * layer.in.h + y) * layer.in.w, layer.in.w,
+                    bordered.data() + static_cast<std::int64_t>(r) * volume +
+                        ch * walk.plane + (y + pad) * walk.row + pad);
+      }
+    }
+  }
+  const std::int64_t group_offset = layer.group_in_channels() * walk.plane;
   const std::int64_t ic_count = ceil_div(inner, opts_.lanes);
   const std::int64_t part_stride = pairs * 2 * kTile;
+  const std::int32_t act_mask =
+      spec.act_signed ? -1 : static_cast<std::int32_t>(prof_mask);
+
+  const auto prep_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - t_prep);
 
   const auto conv_slab = [&](std::int64_t g, std::int64_t slab,
                              ConvScratch& sc, ConvStats& stats) {
@@ -455,58 +560,44 @@ ConvStats GemmEngine::run_conv_batch(
         slab_windows_,
         windows * static_cast<std::int64_t>(inputs.size()) - w0);
     const std::int64_t n_groups = ceil_div(cu, opts_.cols);
+    const int nv = static_cast<int>(ceil_div(cu, 16));
 
-    // ---- Pack: im2col of the slab's windows into k-pair-interleaved
-    // int16 columns, ORing each (chunk, column group) of raw values.
-    const Value* src[kTile];
-    std::int64_t iy0[kTile], ix0[kTile];
+    const auto t_pack = std::chrono::steady_clock::now();
+    // ---- Pack: one base pointer per column (its request's buffer, so
+    // slabs may span requests), then the bounds-free im2col walk. The
+    // kernel reads nv * 16 columns: zero the tail the pack leaves. The
+    // odd last k slot is never written, so it keeps the stripe's zeros.
+    const Value* col[kTile];
     for (std::int64_t c = 0; c < cu; ++c) {
       const std::int64_t gw = w0 + c;
       const std::int64_t window = gw % windows;
-      src[c] = inputs[static_cast<std::size_t>(gw / windows)]->data().data() +
-               g * layer.group_in_channels() * plane;
-      iy0[c] = (window / layer.out.w) * layer.stride - layer.pad;
-      ix0[c] = (window % layer.out.w) * layer.stride - layer.pad;
+      col[c] = base[static_cast<std::size_t>(gw / windows)] + g * group_offset +
+               (window / layer.out.w) * layer.stride * walk.row +
+               (window % layer.out.w) * layer.stride;
     }
-    sc.a.assign(static_cast<std::size_t>(parts * part_stride), 0);
+    for (std::int64_t p = 0; cu < nv * 16 && p < parts * pairs; ++p) {
+      std::int16_t* pair = sc.a.data() + p * 2 * kTile;
+      std::fill(pair + 2 * cu, pair + 2 * nv * 16, std::int16_t{0});
+    }
     sc.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0);
-    for (std::int64_t k = 0; k < inner; ++k) {
-      const std::int64_t ci = k / (kh * kw);
-      const std::int64_t ky = (k % (kh * kw)) / kw;
-      const std::int64_t kx = k % kw;
-      std::uint32_t* ors = sc.group_or.data() + (k / opts_.lanes) * n_groups;
-      std::int16_t* dst = sc.a.data() + (k >> 1) * 2 * kTile + (k & 1);
-      for (std::int64_t j = 0; j < n_groups; ++j) {
-        const std::int64_t c_end = std::min(cu, (j + 1) * opts_.cols);
-        std::uint32_t group = 0;
-        for (std::int64_t c = j * opts_.cols; c < c_end; ++c) {
-          const std::int64_t iy = iy0[c] + ky;
-          const std::int64_t ix = ix0[c] + kx;
-          if (iy < 0 || iy >= in_h || ix < 0 || ix >= in_w) continue;
-          const Value v = src[c][ci * plane + iy * in_w + ix];
-          const auto raw = static_cast<std::uint32_t>(static_cast<std::uint16_t>(v));
-          group |= raw;
-          const std::int32_t a =
-              spec.act_signed ? std::int32_t{v}
-                              : static_cast<std::int32_t>(raw & prof_mask);
-          if (plan.split) {
-            dst[2 * c] = static_cast<std::int16_t>(a & 0xFF);
-            dst[part_stride + 2 * c] = static_cast<std::int16_t>(a >> 8);
-          } else {
-            dst[2 * c] = static_cast<std::int16_t>(a);
-          }
-        }
-        ors[j] |= group;
-      }
+    if (plan.split) {
+      pack_slab<true>(walk, col, cu, act_mask, sc.a.data(), part_stride,
+                      sc.group_or.data());
+    } else {
+      pack_slab<false>(walk, col, cu, act_mask, sc.a.data(), part_stride,
+                       sc.group_or.data());
     }
     conv_stream_stats(layer, spec, opts_, cu, sc.group_or, stats);
+    stats.pack_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t_pack)
+            .count());
 
     // ---- GEMM: kMr filter rows x the slab's windows per register block,
     // int32 over each K-block, widened into the int64 block sums.
-    const int nv = static_cast<int>(ceil_div(cu, 16));
     for (std::int64_t rb = 0; rb < cog; rb += kMr) {
       std::fill(sc.c, sc.c + kMr * kTile, std::int64_t{0});
-      const std::int16_t* wrow = wm.data() + (g * cog_pad + rb) * kpad;
+      const std::int16_t* wrow = wm.get() + (g * cog_pad + rb) * kpad;
       for (int part = 0; part < parts; ++part) {
         const std::int16_t* a = sc.a.data() + part * part_stride;
         for (std::int64_t p0 = 0; p0 < pairs; p0 += plan.steps) {
@@ -538,6 +629,7 @@ ConvStats GemmEngine::run_conv_batch(
   std::vector<ConvStats> stripe_stats(std::max<std::size_t>(stripes, 1));
   const auto run_stripe = [&](std::size_t s) {
     ConvScratch sc;
+    sc.a.assign(static_cast<std::size_t>(parts * part_stride), 0);
     const auto lo = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * s) / stripes);
     const auto hi = static_cast<std::int64_t>(
@@ -556,6 +648,7 @@ ConvStats GemmEngine::run_conv_batch(
 
   ConvStats total;
   for (const ConvStats& s : stripe_stats) total += s;
+  total.pack_ns += static_cast<std::uint64_t>(prep_ns.count());
   return total;
 }
 

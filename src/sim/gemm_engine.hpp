@@ -79,11 +79,16 @@ struct ConvStats {
   std::uint64_t weight_bits_streamed = 0;
   std::uint64_t detect_invocations = 0;
   std::uint64_t detect_values = 0;
+  /// Wall-clock nanoseconds of the im2col pack plus this statistics pass,
+  /// summed over stripes (0 from kernels without a pack). Timing only: no
+  /// golden digest or equality check reads it.
+  std::uint64_t pack_ns = 0;
 
   /// Integer-valued fields (streamed_pa included), so sums are exact in
   /// any order.
   ConvStats& operator+=(const ConvStats& o) noexcept {
     cycles += o.cycles;
+    pack_ns += o.pack_ns;
     streamed_pa += o.streamed_pa;
     chunks += o.chunks;
     act_bits_streamed += o.act_bits_streamed;

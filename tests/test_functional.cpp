@@ -222,6 +222,7 @@ TEST(Functional, LinearZooNetworksChain) {
   for (const char* name : {"alexnet", "nin", "vggs", "vggm", "vgg19"}) {
     const nn::Network net = nn::zoo::make(name);
     EXPECT_EQ(net.first_chain_break(), net.size()) << name;
+    EXPECT_EQ(net.execution_error(), "") << name;
   }
 }
 

@@ -176,6 +176,76 @@ TEST(ModelSnapshot, BrokenLayerChainIsRejected) {
   EXPECT_THROW((void)decode_snapshot(encode_snapshot(model)), SnapshotError);
 }
 
+/// One valid conv, 8x20x20 -> 24 filters 3x3, stride 1, pad 1.
+Model make_one_conv_model() {
+  ModelRegistry registry;
+  nn::Network net("oneconv", nn::Shape3{8, 20, 20});
+  net.add_conv("c1", 24, 3, 1, 1).precision_group = 0;
+  quant::PrecisionProfile p;
+  p.network = "oneconv";
+  p.conv_act = {8};
+  p.conv_weight = 11;
+  quant::apply_profile(net, p);
+  registry.add_synthetic("oneconv", std::move(net), p, /*seed=*/5);
+  return *registry.find("oneconv");
+}
+
+TEST(ModelSnapshot, ImpossibleLayerGeometryIsRejected) {
+  // Checksummed and chained (a single layer), with the weight count intact,
+  // but the conv claims a 24x40x40 output its 3x3 pad-1 geometry over a
+  // 20x20 input cannot produce: every window past the first 20 rows and
+  // columns would read outside the padded input. Decode, the registry and
+  // the engine all refuse it.
+  Model model = make_one_conv_model();
+  model.net.layers()[0].out = nn::Shape3{24, 40, 40};
+  model.net.set_current(model.net.layers()[0].out);
+  EXPECT_THROW((void)decode_snapshot(encode_snapshot(model)), SnapshotError);
+  ModelRegistry registry;
+  EXPECT_THROW((void)registry.add(model), ConfigError);
+  sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 1});
+  const nn::Tensor input = model.make_input(1, 0);
+  EXPECT_THROW((void)engine.run_network(model.net, input, model.weights),
+               ConfigError);
+  EXPECT_THROW((void)engine.run_conv(model.net.layer(0), input,
+                                     model.weights[0], 8),
+               ConfigError);
+}
+
+TEST(ModelSnapshot, EveryImpossibleGeometryFieldIsRejected) {
+  // Each edit leaves the layer chained to the network input and its weight
+  // count unchanged, so only the geometry check can catch it.
+  const auto edits = std::vector<void (*)(nn::Layer&)>{
+      [](nn::Layer& l) { l.out.h = 19; },  // not the floor extent
+      [](nn::Layer& l) { l.out.w = 21; },
+      [](nn::Layer& l) { l.stride = 2; },  // out no longer matches
+      [](nn::Layer& l) { l.pad = 0; },
+      [](nn::Layer& l) {  // 9x1: same weight count, other extents
+        l.kernel_h = 9;
+        l.kernel_w = 1;
+      },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    Model model = make_one_conv_model();
+    edits[i](model.net.layers()[0]);
+    EXPECT_FALSE(nn::geometry_consistent(model.net.layer(0))) << "edit " << i;
+    EXPECT_THROW((void)decode_snapshot(encode_snapshot(model)), SnapshotError)
+        << "edit " << i;
+  }
+  // A kernel larger than the padded input has no window at all.
+  nn::Layer conv = make_one_conv_model().net.layer(0);
+  conv.kernel_h = 23;
+  EXPECT_FALSE(nn::geometry_consistent(conv));
+  // A pool may take the floor or the ceil extent, nothing else.
+  nn::Layer pool = nn::make_pool("p", nn::Shape3{4, 14, 14}, nn::PoolKind::kMax,
+                                 3, 2, 0, /*ceil_mode=*/true);
+  ASSERT_EQ(pool.out.h, 7);
+  EXPECT_TRUE(nn::geometry_consistent(pool));
+  pool.out.h = 6;  // the floor extent
+  EXPECT_TRUE(nn::geometry_consistent(pool));
+  pool.out.h = 8;
+  EXPECT_FALSE(nn::geometry_consistent(pool));
+}
+
 TEST(ModelSnapshot, TruncationAtEveryLengthFails) {
   const std::vector<std::uint8_t> bytes = encode_snapshot(make_model());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
