@@ -132,11 +132,11 @@ nn::Tensor pool_activations(const nn::Tensor& input, const nn::Layer& layer) {
     xs.push_back(clip(ox, layer.kernel_w, in_w));
   }
   // Per output row, reduce the window's input rows column by column into
-  // `cols` (a max, or an exact int32 sum of at most 2^14 values), then each
-  // output reduces its clipped column range.
+  // `cols` (a max or an exact sum), then each output reduces its clipped
+  // column range.
   const bool max = layer.pool == nn::PoolKind::kMax;
-  const std::int32_t empty = max ? std::numeric_limits<Value>::min() : 0;
-  std::vector<std::int32_t> cols(static_cast<std::size_t>(in_w));
+  const Wide empty = max ? std::numeric_limits<Value>::min() : 0;
+  std::vector<Wide> cols(static_cast<std::size_t>(in_w));
   nn::Tensor out(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
   Value* dst = out.data().data();
   for (std::int64_t c = 0; c < layer.out.c; ++c) {
@@ -148,7 +148,7 @@ nn::Tensor pool_activations(const nn::Tensor& input, const nn::Layer& layer) {
         const Value* row = plane + y * in_w;
         if (max) {
           for (std::int64_t x = 0; x < in_w; ++x) {
-            cols[x] = std::max<std::int32_t>(cols[x], row[x]);
+            cols[x] = std::max<Wide>(cols[x], row[x]);
           }
         } else {
           for (std::int64_t x = 0; x < in_w; ++x) cols[x] += row[x];
@@ -156,7 +156,7 @@ nn::Tensor pool_activations(const nn::Tensor& input, const nn::Layer& layer) {
       }
       for (const auto& [x0, x1] : xs) {
         if (max) {
-          std::int32_t m = empty;
+          Wide m = empty;
           for (std::int64_t x = x0; x < x1; ++x) m = std::max(m, cols[x]);
           *dst++ = static_cast<Value>(m);
         } else {

@@ -148,8 +148,9 @@ struct Requantized {
 
 /// The engine's pooling: nn::pool_forward's results (ceil-mode edge
 /// windows, the average over real elements only, an empty window's max of
-/// INT16_MIN and average of 0), with each window clipped to the input once
-/// per output instead of a bounds test per element.
+/// INT16_MIN and average of 0) without a bounds test per element: each
+/// output row reduces its window's clipped input rows column by column,
+/// then each output its clipped column range.
 [[nodiscard]] nn::Tensor pool_activations(const nn::Tensor& input,
                                           const nn::Layer& layer);
 

@@ -16,6 +16,19 @@
 //     the one statistics pass, byte-identical to what the dispatcher-driven
 //     scalar grid reports.
 //
+// The pack has no bounds test. Once per call each request's input is
+// copied into a zero-bordered C x (H + 2 pad) x (W + 2 pad) buffer (at pad
+// 0 the input itself serves), so with the layer geometry validated
+// (nn::geometry_consistent) every window lies inside its buffer. Each slab
+// column gets one base pointer into its own request's buffer — slabs may
+// span requests — and element k = (ci, ky, kx) sits at one offset from
+// every base, walked with incremental counters. The inner loop is a load,
+// an OR into the column group's statistic, a mask and a store: the mask is
+// the profile's 2^Pa - 1 (all ones for signed activations), and the byte
+// split is a template parameter. Border zeros leave the ORs unchanged. The
+// tile is zeroed once per stripe; per slab the pack clears only the tail
+// columns it does not write.
+//
 // Operand semantics match the bit-serial grid exactly: unsigned conv
 // activations stream `raw & (2^Pa - 1)`, signed ones (FC, DPNN) the full
 // two's-complement 16 bits; weights are the low Pw bits read as a Pw-bit
@@ -23,8 +36,9 @@
 //
 // FC layers (and request-batched FC) run as a GEMV/GEMM that streams the
 // weight tensor in place, masking Pw on the fly — no repacked copy of a
-// large weight matrix is ever made. Conv weights (small) are masked into a
-// zero-padded copy once per call.
+// large weight matrix is ever made. Conv weights are masked into a
+// zero-padded copy once per call and freed with it; no masked copy
+// outlives the call.
 //
 // SIMD tier: common::simd_level() (AVX-512, AVX2, scalar), so
 // LOOM_FORCE_SCALAR_SIMD / LOOM_SIMD_LEVEL reach every dispatch. All tiers
