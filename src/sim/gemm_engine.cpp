@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/cpuid.hpp"
@@ -348,6 +347,13 @@ struct ConvScratch {
   std::int64_t c[kMr * kTile];          ///< one register block's int64 sums
 };
 
+std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 /// How a window's inner positions sit in a zero-bordered input: element
 /// k = (ci, ky, kx) is at the window's base pointer + ci * plane + ky * row
 /// + kx, so one offset serves every column of a slab.
@@ -497,20 +503,16 @@ ConvStats GemmEngine::run_conv_batch(
   // Operand preparation counts as pack time.
   const auto t_prep = std::chrono::steady_clock::now();
   // Pw-masked weights, zero-padded to whole k-pairs and register blocks:
-  // [group][cog_pad][kpad], every element written once. Shared read-only
-  // by every stripe.
-  const auto wm = std::make_unique_for_overwrite<std::int16_t[]>(
-      static_cast<std::size_t>(layer.groups * cog_pad * kpad));
-  for (std::int64_t row = 0; row < layer.groups * cog_pad; ++row) {
-    std::int16_t* dst = wm.get() + row * kpad;
-    const std::int64_t co = (row / cog_pad) * cog + row % cog_pad;
-    const std::int64_t n = row % cog_pad < cog ? inner : 0;
+  // [group][cog_pad][kpad]. Shared read-only by every stripe.
+  std::vector<std::int16_t> wm(
+      static_cast<std::size_t>(layer.groups * cog_pad * kpad), 0);
+  for (std::int64_t co = 0; co < layer.out.c; ++co) {
+    std::int16_t* dst =
+        wm.data() + ((co / cog) * cog_pad + co % cog) * kpad;
     const Value* src = weights.data().data() + co * inner;
-    for (std::int64_t k = 0; k < n; ++k) {
-      dst[k] = static_cast<std::int16_t>(
-          static_cast<std::int16_t>(src[k] << (16 - pw)) >> (16 - pw));
+    for (std::int64_t k = 0; k < inner; ++k) {
+      dst[k] = static_cast<std::int16_t>(sext(src[k], pw));
     }
-    std::fill(dst + n, dst + kpad, std::int16_t{0});
   }
 
   // Zero-bordered copies of the inputs (the inputs themselves at pad 0), so
@@ -535,12 +537,12 @@ ConvStats GemmEngine::run_conv_batch(
       base[r] = in;
       continue;
     }
-    base[r] = bordered.data() + static_cast<std::int64_t>(r) * volume;
+    Value* dst = bordered.data() + static_cast<std::int64_t>(r) * volume;
+    base[r] = dst;
     for (std::int64_t ch = 0; ch < layer.in.c; ++ch) {
       for (std::int64_t y = 0; y < layer.in.h; ++y) {
         std::copy_n(in + (ch * layer.in.h + y) * layer.in.w, layer.in.w,
-                    bordered.data() + static_cast<std::int64_t>(r) * volume +
-                        ch * walk.plane + (y + pad) * walk.row + pad);
+                    dst + ch * walk.plane + (y + pad) * walk.row + pad);
       }
     }
   }
@@ -550,8 +552,7 @@ ConvStats GemmEngine::run_conv_batch(
   const std::int32_t act_mask =
       spec.act_signed ? -1 : static_cast<std::int32_t>(prof_mask);
 
-  const auto prep_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - t_prep);
+  const std::uint64_t prep_ns = ns_since(t_prep);
 
   const auto conv_slab = [&](std::int64_t g, std::int64_t slab,
                              ConvScratch& sc, ConvStats& stats) {
@@ -575,9 +576,11 @@ ConvStats GemmEngine::run_conv_batch(
                (window / layer.out.w) * layer.stride * walk.row +
                (window % layer.out.w) * layer.stride;
     }
-    for (std::int64_t p = 0; cu < nv * 16 && p < parts * pairs; ++p) {
-      std::int16_t* pair = sc.a.data() + p * 2 * kTile;
-      std::fill(pair + 2 * cu, pair + 2 * nv * 16, std::int16_t{0});
+    if (cu < nv * 16) {
+      for (std::int64_t p = 0; p < parts * pairs; ++p) {
+        std::int16_t* pair = sc.a.data() + p * 2 * kTile;
+        std::fill(pair + 2 * cu, pair + 2 * nv * 16, std::int16_t{0});
+      }
     }
     sc.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0);
     if (plan.split) {
@@ -588,16 +591,13 @@ ConvStats GemmEngine::run_conv_batch(
                        sc.group_or.data());
     }
     conv_stream_stats(layer, spec, opts_, cu, sc.group_or, stats);
-    stats.pack_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t_pack)
-            .count());
+    stats.pack_ns += ns_since(t_pack);
 
     // ---- GEMM: kMr filter rows x the slab's windows per register block,
     // int32 over each K-block, widened into the int64 block sums.
     for (std::int64_t rb = 0; rb < cog; rb += kMr) {
       std::fill(sc.c, sc.c + kMr * kTile, std::int64_t{0});
-      const std::int16_t* wrow = wm.get() + (g * cog_pad + rb) * kpad;
+      const std::int16_t* wrow = wm.data() + (g * cog_pad + rb) * kpad;
       for (int part = 0; part < parts; ++part) {
         const std::int16_t* a = sc.a.data() + part * part_stride;
         for (std::int64_t p0 = 0; p0 < pairs; p0 += plan.steps) {
@@ -648,7 +648,7 @@ ConvStats GemmEngine::run_conv_batch(
 
   ConvStats total;
   for (const ConvStats& s : stripe_stats) total += s;
-  total.pack_ns += static_cast<std::uint64_t>(prep_ns.count());
+  total.pack_ns += prep_ns;
   return total;
 }
 
