@@ -257,8 +257,8 @@ void BM_TermCountQuery(benchmark::State& state) {
 BENCHMARK(BM_TermCountQuery);
 
 void BM_PrecisionTableSweep(benchmark::State& state) {
-  // Steady state of simulate_conv: fetch the bulk table and read every
-  // chunk precision.
+  // Steady state of the analytic conv cycle models: fetch the bulk table
+  // and read every chunk precision.
   nn::Network net("bench", nn::Shape3{64, 28, 28});
   net.add_conv("c", 128, 3, 1, 1).precision_group = 0;
   quant::PrecisionProfile p;

@@ -139,28 +139,4 @@ double LatencyHistogram::quantile(double q) const noexcept {
   return static_cast<double>(max_);
 }
 
-IntHistogram::IntHistogram(int bins) : counts_(static_cast<std::size_t>(bins), 0) {
-  LOOM_EXPECTS(bins > 0);
-}
-
-void IntHistogram::add(int bin, std::uint64_t weight) {
-  LOOM_EXPECTS(bin >= 0 && bin < bins());
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-std::uint64_t IntHistogram::count(int bin) const {
-  LOOM_EXPECTS(bin >= 0 && bin < bins());
-  return counts_[static_cast<std::size_t>(bin)];
-}
-
-double IntHistogram::mean() const noexcept {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += static_cast<double>(i) * static_cast<double>(counts_[i]);
-  }
-  return acc / static_cast<double>(total_);
-}
-
 }  // namespace loom

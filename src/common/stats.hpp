@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace loom {
 
@@ -103,22 +102,6 @@ class LatencyHistogram {
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
-};
-
-/// Histogram over integer bins [0, bins); used for precision distributions.
-class IntHistogram {
- public:
-  explicit IntHistogram(int bins);
-
-  void add(int bin, std::uint64_t weight = 1);
-  [[nodiscard]] std::uint64_t count(int bin) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] int bins() const noexcept { return static_cast<int>(counts_.size()); }
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace loom

@@ -1,12 +1,17 @@
 #include "energy/area_model.hpp"
 
+#include <cstdint>
+
 namespace loom::energy {
 
 namespace {
 
-double buffers_mm2(const mem::MemorySystemConfig& mem, const AreaCoefficients& c) {
-  const double kb =
-      static_cast<double>(mem.abin_bytes + mem.about_bytes) / 1024.0;
+/// ABin / ABout SRAM buffer sizes (§4.5), the same for every architecture.
+constexpr std::int64_t kAbinBytes = 8 << 10;
+constexpr std::int64_t kAboutBytes = 8 << 10;
+
+double buffers_mm2(const AreaCoefficients& c) {
+  const double kb = static_cast<double>(kAbinBytes + kAboutBytes) / 1024.0;
   return kb * c.sram_mm2_per_kb;
 }
 
@@ -23,7 +28,7 @@ AreaBreakdown dpnn_area(const arch::DpnnConfig& cfg,
   AreaBreakdown a;
   a.compute_mm2 = static_cast<double>(cfg.equiv_macs) * c.mac16_mm2;
   a.support_mm2 = 0.0;
-  a.sram_mm2 = buffers_mm2(mem, c);
+  a.sram_mm2 = buffers_mm2(c);
   a.edram_mm2 = edram_mm2(mem, c);
   return a;
 }
@@ -39,7 +44,7 @@ AreaBreakdown loom_area(const arch::LoomConfig& cfg,
       static_cast<double>(cfg.lanes * cfg.cols()) / 256.0;
   a.support_mm2 = detector_groups * c.detector_mm2_per_256 + c.transposer_mm2 +
                   c.dispatcher_mm2;
-  a.sram_mm2 = buffers_mm2(mem, c);
+  a.sram_mm2 = buffers_mm2(c);
   a.edram_mm2 = edram_mm2(mem, c);
   return a;
 }
@@ -55,7 +60,7 @@ AreaBreakdown laconic_area(const arch::LaconicConfig& cfg,
       static_cast<double>(cfg.lanes * cfg.cols()) / 256.0;
   a.support_mm2 = detector_groups * c.detector_mm2_per_256 + c.transposer_mm2 +
                   c.dispatcher_mm2;
-  a.sram_mm2 = buffers_mm2(mem, c);
+  a.sram_mm2 = buffers_mm2(c);
   a.edram_mm2 = edram_mm2(mem, c);
   return a;
 }
@@ -73,7 +78,7 @@ AreaBreakdown stripes_area(const arch::StripesConfig& cfg,
           ? static_cast<double>(cfg.lanes * cfg.windows) / 256.0
           : 0.0;
   a.support_mm2 = detector_groups * c.detector_mm2_per_256 + c.dispatcher_mm2;
-  a.sram_mm2 = buffers_mm2(mem, c);
+  a.sram_mm2 = buffers_mm2(c);
   a.edram_mm2 = edram_mm2(mem, c);
   return a;
 }

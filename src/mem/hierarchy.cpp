@@ -12,26 +12,7 @@ MemorySystemConfig default_memory_config(int equiv_macs, bool bit_packed) {
   // MAC/cycle (512 KB at E=32 ... 8 MB at E=512, Figure 5's labels).
   cfg.am_bytes = bit_packed ? (1 << 20) : (2 << 20);
   cfg.wm_bytes = static_cast<std::int64_t>(equiv_macs) * 16 * 1024;
-  cfg.wm_interface_bits = equiv_macs * 16;
   return cfg;
-}
-
-MemorySystem::MemorySystem(MemorySystemConfig cfg)
-    : cfg_(cfg),
-      am_("AM", cfg.am_bytes * 8, cfg.am_interface_bits),
-      wm_("WM", cfg.wm_bytes * 8, cfg.wm_interface_bits),
-      abin_("ABin", cfg.abin_bytes * 8, cfg.am_interface_bits),
-      about_("ABout", cfg.about_bytes * 8, cfg.am_interface_bits),
-      dram_(cfg.dram) {}
-
-std::uint64_t MemorySystem::offchip_read(std::uint64_t bits) noexcept {
-  offchip_.add_read(bits);
-  return dram_.cycles_for_bits(bits);
-}
-
-std::uint64_t MemorySystem::offchip_write(std::uint64_t bits) noexcept {
-  offchip_.add_write(bits);
-  return dram_.cycles_for_bits(bits);
 }
 
 }  // namespace loom::mem

@@ -1,26 +1,19 @@
-// The memory system a simulator runs against: on-chip AM/WM (eDRAM),
-// ABin/ABout (SRAM) and one off-chip LPDDR4 channel. The default sizing
-// follows §4.5: DPNN needs 2 MB of activation memory; Loom, storing
-// bit-packed activations, needs 1 MB; weight memory scales with the
-// configuration (512 KB at E=32 up to 8 MB at E=512).
+// The memory sizing a simulator runs against: the on-chip AM/WM (eDRAM)
+// capacities and one off-chip LPDDR4 channel. The default sizing follows
+// §4.5: DPNN needs 2 MB of activation memory; Loom, storing bit-packed
+// activations, needs 1 MB; weight memory scales with the configuration
+// (512 KB at E=32 up to 8 MB at E=512).
 #pragma once
 
 #include <cstdint>
 
 #include "mem/dram.hpp"
-#include "mem/edram.hpp"
-#include "mem/sram.hpp"
 
 namespace loom::mem {
 
 struct MemorySystemConfig {
-  std::int64_t am_bytes = 2 << 20;     ///< activation memory capacity
-  std::int64_t wm_bytes = 2 << 20;     ///< weight memory capacity
-  std::int64_t abin_bytes = 8 << 10;   ///< input activation buffer
-  std::int64_t about_bytes = 8 << 10;  ///< output activation buffer
-  int am_interface_bits = 256;
-  int wm_interface_bits = 2048;
-  bool model_offchip = false;  ///< false = §4.3 mode (unconstrained weights)
+  std::int64_t am_bytes = 2 << 20;  ///< activation memory capacity
+  std::int64_t wm_bytes = 2 << 20;  ///< weight memory capacity
   DramConfig dram;
 };
 
@@ -28,39 +21,5 @@ struct MemorySystemConfig {
 /// `bit_packed` selects Loom's packed activation storage (1 MB AM).
 [[nodiscard]] MemorySystemConfig default_memory_config(int equiv_macs,
                                                        bool bit_packed);
-
-class MemorySystem {
- public:
-  explicit MemorySystem(MemorySystemConfig cfg);
-
-  [[nodiscard]] const MemorySystemConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] EdramArray& am() noexcept { return am_; }
-  [[nodiscard]] EdramArray& wm() noexcept { return wm_; }
-  [[nodiscard]] SramBuffer& abin() noexcept { return abin_; }
-  [[nodiscard]] SramBuffer& about() noexcept { return about_; }
-  [[nodiscard]] const DramChannel& dram() const noexcept { return dram_; }
-
-  /// True if a layer's input+output activation footprint fits the AM.
-  [[nodiscard]] bool activations_fit(std::int64_t bits) const noexcept {
-    return am_.fits(bits);
-  }
-
-  /// Record an off-chip transfer; returns the DRAM cycles it occupies.
-  std::uint64_t offchip_read(std::uint64_t bits) noexcept;
-  std::uint64_t offchip_write(std::uint64_t bits) noexcept;
-
-  [[nodiscard]] const TrafficCounters& offchip_traffic() const noexcept {
-    return offchip_;
-  }
-
- private:
-  MemorySystemConfig cfg_;
-  EdramArray am_;
-  EdramArray wm_;
-  SramBuffer abin_;
-  SramBuffer about_;
-  DramChannel dram_;
-  TrafficCounters offchip_;
-};
 
 }  // namespace loom::mem

@@ -157,9 +157,8 @@ TilePlan build_tile_plan(const TilePlanRequest& req) {
   plan.weights_resident = weights_total_bits <= req.wm_bits;
 
   // ---- Filter tiling ------------------------------------------------------
-  const std::int64_t wm_budget =
-      req.double_buffer ? std::max<std::int64_t>(1, req.wm_bits / 2)
-                        : req.wm_bits;
+  // Fills are double-buffered: plan them against half of each capacity.
+  const std::int64_t wm_budget = std::max<std::int64_t>(1, req.wm_bits / 2);
   std::int64_t filter_tile;
   if (plan.weights_resident) {
     filter_tile = req.group_out_channels;
@@ -180,9 +179,7 @@ TilePlan build_tile_plan(const TilePlanRequest& req) {
   std::int64_t slab = ceil_div(req.windows, req.window_quantum) *
                       req.window_quantum;  // one slab covering everything
   if (!plan.acts_resident) {
-    const std::int64_t am_budget =
-        req.double_buffer ? std::max<std::int64_t>(1, req.am_bits / 2)
-                          : req.am_bits;
+    const std::int64_t am_budget = std::max<std::int64_t>(1, req.am_bits / 2);
     const std::int64_t ft_cap = std::min(filter_tile, req.group_out_channels);
     if (slabs_fit(req, slab, ft_cap, am_budget)) {
       // whole window axis fits the budget (only the totals spill)

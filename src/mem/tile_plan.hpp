@@ -112,7 +112,6 @@ struct TilePlanRequest {
   // Capacities (bits).
   std::int64_t am_bits = 0;
   std::int64_t wm_bits = 0;
-  bool double_buffer = true;  ///< plan fills against half of each capacity
 };
 
 struct TilePlan {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 
 namespace loom::nn {
@@ -113,6 +114,14 @@ std::int64_t Network::total_weights() const {
   std::int64_t n = 0;
   for (const Layer& l : layers_) n += l.weight_count();
   return n;
+}
+
+int Network::output_precision(std::size_t i) const {
+  for (std::size_t j = i + 1; j < layers_.size(); ++j) {
+    if (layers_[j].kind == LayerKind::kConv) return layers_[j].act_precision;
+    if (layers_[j].kind == LayerKind::kFullyConnected) break;
+  }
+  return kBasePrecision;
 }
 
 std::int64_t Network::peak_activation_values() const {

@@ -70,6 +70,11 @@ class Network {
   /// Total weight count over all weighted layers.
   [[nodiscard]] std::int64_t total_weights() const;
 
+  /// Precision at which layer `i`'s output activations are stored: the
+  /// next conv consumer's profile Pa; an FC consumer, or none, stores at the
+  /// base precision (16).
+  [[nodiscard]] int output_precision(std::size_t i) const;
+
   /// Largest input+output activation footprint of any weighted layer,
   /// in values (drives the on-chip activation-memory sizing of §4.5).
   [[nodiscard]] std::int64_t peak_activation_values() const;

@@ -1,7 +1,6 @@
 #include "quant/group_precision.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -33,7 +32,6 @@ GroupPrecisionStats stream_stats(const nn::SyntheticSource& source,
       }
       p = needed_bits_unsigned(ored);
     }
-    stats.histogram.add(p);
     sum += p;
     ++stats.groups;
   }

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "nn/synthetic.hpp"
 
 namespace loom::quant {
@@ -13,7 +12,6 @@ namespace loom::quant {
 struct GroupPrecisionStats {
   double mean = 0.0;            ///< average effective precision over groups
   std::uint64_t groups = 0;     ///< number of groups measured
-  IntHistogram histogram{17};   ///< distribution over precisions 0..16
 };
 
 /// Effective precision statistics over consecutive groups of `group_size`

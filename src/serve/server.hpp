@@ -113,8 +113,9 @@ struct ServeOptions {
   /// (group, slab) fan-out additionally uses the shared pool per
   /// `engine.jobs`.
   int workers = 1;
-  /// Bit-sliced engine re-attempts after a failed run, with exponential
-  /// backoff, before falling back to the scalar oracle.
+  /// Re-attempts of the worker's primary engine (its configured backend)
+  /// after a failed run, with exponential backoff, before falling back to
+  /// the scalar oracle.
   int engine_retries = 1;
   /// Backoff before the first retry; doubles per subsequent retry.
   std::chrono::microseconds retry_backoff{100};

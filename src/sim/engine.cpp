@@ -64,8 +64,8 @@ void TimingCore::apply(LayerResult& r, LayerWorkload& lw,
   req.weights_bit_packed = storage.weights_bit_packed;
   req.weight_mean_plane_bits = storage.weight_mean_plane_bits;
   req.out_precision = storage.out_precision;
-  req.am_bits = mem_.config().am_bytes * 8;
-  req.wm_bits = mem_.config().wm_bytes * 8;
+  req.am_bits = am_bits_;
+  req.wm_bits = wm_bits_;
   if (conv && storage.act_dynamic) {
     req.act_block_precision =
         detected_block_precisions(lw, storage.window_quantum);
@@ -119,22 +119,15 @@ void TimingCore::apply(LayerResult& r, LayerWorkload& lw,
   }
 
   // ---- Run the shared timeline -------------------------------------------
+  const auto dram_cycles = [&](std::int64_t bits) {
+    return dram_.cycles_for_bits(static_cast<std::uint64_t>(bits));
+  };
   timeline_.begin_layer();
   for (std::size_t i = 0; i < plan.tiles.size(); ++i) {
     const mem::TileExtent& t = plan.tiles[i];
-    const std::uint64_t wc =
-        t.weight_fill_bits > 0
-            ? mem_.offchip_read(static_cast<std::uint64_t>(t.weight_fill_bits))
-            : 0;
-    const std::uint64_t ac =
-        t.act_fill_bits > 0
-            ? mem_.offchip_read(static_cast<std::uint64_t>(t.act_fill_bits))
-            : 0;
-    const std::uint64_t dc =
-        t.out_drain_bits > 0
-            ? mem_.offchip_write(static_cast<std::uint64_t>(t.out_drain_bits))
-            : 0;
-    timeline_.add_tile(wc, ac, dc, compute[i]);
+    timeline_.add_tile(dram_cycles(t.weight_fill_bits),
+                       dram_cycles(t.act_fill_bits),
+                       dram_cycles(t.out_drain_bits), compute[i]);
   }
   const mem::MemoryTimeline::LayerStats stats = timeline_.end_layer();
 

@@ -47,9 +47,13 @@ using BlockCompute = std::function<double(const mem::TileExtent&)>;
 
 class TimingCore {
  public:
-  /// Binds the core to a run's memory system; the timeline it owns spans
-  /// all layers, so fills prefetch across layer boundaries.
-  explicit TimingCore(mem::MemorySystem& mem) : mem_(mem) {}
+  /// One core per run, built from the run's resolved memory sizing; the
+  /// timeline it owns spans all layers, so fills prefetch across layer
+  /// boundaries.
+  explicit TimingCore(const mem::MemorySystemConfig& cfg)
+      : am_bits_(cfg.am_bytes * 8),
+        wm_bits_(cfg.wm_bytes * 8),
+        dram_(cfg.dram) {}
 
   /// Apply constrained-memory timing to `r` (whose compute_cycles and
   /// activity the simulator already filled): builds the tile plan, runs
@@ -63,7 +67,9 @@ class TimingCore {
   [[nodiscard]] std::uint64_t finish() { return timeline_.finish(); }
 
  private:
-  mem::MemorySystem& mem_;
+  std::int64_t am_bits_;
+  std::int64_t wm_bits_;
+  mem::DramChannel dram_;
   mem::MemoryTimeline timeline_;
 };
 

@@ -20,18 +20,6 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Output precision of weighted layer `i`: the next conv consumer's profile
-/// Pa (an FC consumer, or no consumer, stores at base precision).
-int consumer_out_bits(const nn::Network& net, std::size_t i) {
-  for (std::size_t j = i + 1; j < net.size(); ++j) {
-    if (net.layer(j).kind == nn::LayerKind::kConv) {
-      return net.layer(j).act_precision;
-    }
-    if (net.layer(j).kind == nn::LayerKind::kFullyConnected) break;
-  }
-  return static_cast<int>(kBasePrecision);
-}
-
 /// Reject a layer whose geometry, or tensors, the kernels would index out of
 /// bounds with.
 void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
@@ -385,7 +373,7 @@ FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
     }
     LOOM_EXPECTS(weight_index < weights.size());
     run.layers.push_back(run_layer_batch(layer, current, weights[weight_index++],
-                                         consumer_out_bits(net, i)));
+                                         net.output_precision(i)));
     current = run.layers.back().outputs;
     run.total_cycles += run.layers.back().cycles;
   }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/gemm_engine.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/or_planes.hpp"
 
@@ -246,7 +245,7 @@ LayerModel LaconicSimulator::model_fc(LayerWorkload& lw) const {
 LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
                                       const nn::Tensor& input,
                                       const nn::Tensor& weights,
-                                      const LaconicFunctionalOptions& opts) {
+                                      const GridOptions& grid) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
 
   LaconicFunctionalRun run;
@@ -254,10 +253,6 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
 
   // Exact values come from the dense-GEMM kernel (byte-identical to the
   // scalar grid and nn::conv_forward); the cycles below never read them.
-  const GridOptions grid{.rows = opts.rows,
-                         .cols = opts.cols,
-                         .lanes = opts.lanes,
-                         .jobs = opts.jobs};
   LOOM_EXPECTS(supports(grid));
   GemmEngine engine(grid);
   const SliceSpec spec{.act_precision = layer.act_precision,
@@ -269,14 +264,14 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
   // counts come from the same OR planes the detector uses; weight terms are
   // the NAF-union walk of each row's 16-weight group, synchronized across
   // the filter block at the slowest row.
-  ActOrPlanes planes(layer, opts.lanes);
+  ActOrPlanes planes(layer, grid.lanes);
   planes.build(input);
 
   const std::int64_t windows = layer.windows();
   const std::int64_t inner = layer.inner_length();
   const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t wb_count = ceil_div(windows, opts.cols);
-  const std::int64_t ic_count = ceil_div(inner, opts.lanes);
+  const std::int64_t wb_count = ceil_div(windows, grid.cols);
+  const std::int64_t ic_count = ceil_div(inner, grid.lanes);
   const std::uint32_t pa_mask =
       (std::uint32_t{1} << layer.act_precision) - 1u;
 
@@ -285,11 +280,11 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
   std::uint64_t tw_sum = 0;
   std::uint64_t blocks = 0;
   for (std::int64_t g = 0; g < layer.groups; ++g) {
-    for (std::int64_t f0 = 0; f0 < cog; f0 += opts.rows) {
-      const std::int64_t f1 = std::min<std::int64_t>(cog, f0 + opts.rows);
+    for (std::int64_t f0 = 0; f0 < cog; f0 += grid.rows) {
+      const std::int64_t f1 = std::min<std::int64_t>(cog, f0 + grid.rows);
       for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-        const std::int64_t i0 = ic * opts.lanes;
-        const std::int64_t i1 = std::min(inner, i0 + opts.lanes);
+        const std::int64_t i0 = ic * grid.lanes;
+        const std::int64_t i1 = std::min(inner, i0 + grid.lanes);
         // Slowest row of the block: union NAF digit positions per row's
         // weight group, take the longest walk.
         int tw = 1;
@@ -308,7 +303,7 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
         for (std::int64_t wb = 0; wb < wb_count; ++wb) {
           const int ta = std::max(
               1, std::popcount(static_cast<std::uint32_t>(
-                     planes.group_or(g, ic, wb, opts.cols)) &
+                     planes.group_or(g, ic, wb, grid.cols)) &
                  pa_mask));
           cycles += static_cast<std::uint64_t>(ta) *
                     static_cast<std::uint64_t>(tw);

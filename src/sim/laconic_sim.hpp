@@ -33,6 +33,7 @@
 #include <cstdint>
 
 #include "nn/tensor.hpp"
+#include "sim/gemm_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -72,15 +73,8 @@ struct LaconicFunctionalRun {
   double mean_weight_terms = 0.0;  ///< mean per-block synced weight terms
 };
 
-struct LaconicFunctionalOptions {
-  int rows = 16;
-  int cols = 16;
-  int lanes = 16;
-  int jobs = 1;
-};
-
 [[nodiscard]] LaconicFunctionalRun run_laconic_conv(
     const nn::Layer& layer, const nn::Tensor& input, const nn::Tensor& weights,
-    const LaconicFunctionalOptions& opts = {});
+    const GridOptions& grid = {});
 
 }  // namespace loom::sim

@@ -16,17 +16,6 @@ LayerResult Simulator::simulate_layer(LayerWorkload& lw,
   return std::move(r);
 }
 
-LayerResult Simulator::simulate_layer(LayerWorkload& lw,
-                                      mem::MemorySystem& mem) const {
-  engine::TimingCore core(mem);
-  LayerResult r = simulate_layer(lw, core);
-  const std::uint64_t tail = core.finish();
-  r.stall_cycles += tail;
-  r.activity.dram_stall_cycles += tail;
-  r.activity.cycles = r.cycles();
-  return r;
-}
-
 RunResult Simulator::run(NetworkWorkload& workload) const {
   RunResult result;
   result.arch_name = name();
@@ -39,10 +28,8 @@ RunResult Simulator::run(NetworkWorkload& workload) const {
       mem::default_memory_config(equiv_macs_, bit_packed_);
   if (opts_.am_bytes > 0) mem_cfg.am_bytes = opts_.am_bytes;
   if (opts_.wm_bytes > 0) mem_cfg.wm_bytes = opts_.wm_bytes;
-  mem_cfg.model_offchip = opts_.model_offchip;
   mem_cfg.dram = opts_.dram;
-  mem::MemorySystem mem(mem_cfg);
-  engine::TimingCore core(mem);
+  engine::TimingCore core(mem_cfg);
 
   result.area = area(mem_cfg);
 

@@ -62,15 +62,6 @@ class Simulator {
   /// Simulate one inference pass of the workload's network.
   [[nodiscard]] RunResult run(NetworkWorkload& workload) const;
 
-  /// Simulate one layer against a run-wide timing core (the shared tile
-  /// scheduler + memory timeline; see sim/engine.hpp).
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           engine::TimingCore& core) const;
-  /// Convenience overload for single-layer callers: a transient per-layer
-  /// timeline (no cross-layer prefetch), drain tail included.
-  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
-                                           mem::MemorySystem& mem) const;
-
  protected:
   /// `bits_per_cycle` feeds the energy model's SIP lane energy;
   /// `bit_packed` picks the packed §4.5 AM/WM sizing.
@@ -82,6 +73,10 @@ class Simulator {
         bit_packed_(bit_packed) {}
 
  private:
+  /// Simulate one layer against the run-wide timing core (the shared tile
+  /// scheduler + memory timeline; see sim/engine.hpp).
+  [[nodiscard]] LayerResult simulate_layer(LayerWorkload& lw,
+                                           engine::TimingCore& core) const;
   /// The architecture's cycle model of one weighted layer.
   [[nodiscard]] virtual LayerModel model_layer(LayerWorkload& lw) const = 0;
   [[nodiscard]] virtual energy::AreaBreakdown area(

@@ -9,11 +9,20 @@
 #include "common/stats.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/calibration.hpp"
-#include "quant/group_precision.hpp"
 
 namespace loom::sim {
 
 namespace {
+
+/// SIP/IP lane count: the activation chunk size of the detection groups.
+constexpr int kLanes = 16;
+/// ReLU sparsity of the synthetic activations.
+constexpr double kActZeroFraction = 0.45;
+/// Weights per precision group (paper §4.6 / Table 3).
+constexpr int kWeightGroup = 16;
+/// Cap on weights streamed per layer for group statistics; larger tensors
+/// are sampled with a deterministic stride.
+constexpr std::int64_t kWeightSampleCap = 1 << 21;
 
 /// Table-3 target for the effective weight precision of a layer. Conv
 /// layers use the published per-group entry; FC layers (not in Table 3)
@@ -52,12 +61,12 @@ LayerWorkload::LayerWorkload(const nn::Layer& layer, std::size_t layer_index,
     // Activation-group geometry, derived once so steady-state queries never
     // re-run the shape arithmetic.
     windows_ = layer.windows();
-    ic_count_ = ceil_div(layer.inner_length(), opts.lanes);
+    ic_count_ = ceil_div(layer.inner_length(), kLanes);
     // ensure_group_calibrated() bisects alpha on the layer's real group
     // structure; these are the fields it starts from.
     act_spec_.precision = layer.act_precision;
     act_spec_.is_signed = false;
-    act_spec_.zero_fraction = opts.act_zero_fraction;
+    act_spec_.zero_fraction = kActZeroFraction;
   }
 }
 
@@ -74,7 +83,7 @@ void LayerWorkload::ensure_planes() {
   if (!planes_.has_value()) {
     // Build fully before engaging the optional: a throwing build must not
     // leave a half-built plane for a later query to index out of bounds.
-    ActOrPlanes planes(layer_, opts_.lanes);
+    ActOrPlanes planes(layer_, kLanes);
     planes.build(*input_);
     planes_ = std::move(planes);
   }
@@ -100,7 +109,7 @@ void LayerWorkload::ensure_group_calibrated() {
   // source scan. The measured means are byte-identical to the scan's, so
   // the bisection path — and the final spec — are unchanged.
   const quant::MaxDrawSample sample = calibration_sample(
-      layer_, opts_.lanes, kCols, kMaxGroups,
+      layer_, kLanes, kCols, kMaxGroups,
       nn::SyntheticSource(opts_.seed, stream, spec));
   const auto measure = [&](const nn::SyntheticSpec& s) {
     return sample.mean_precision(nn::SyntheticSource(opts_.seed, stream, s));
@@ -177,24 +186,85 @@ ActTermTable LayerWorkload::act_group_term_table(int cols) {
   return {t.terms.data(), t.wb_count, ic_count_};
 }
 
-double LayerWorkload::effective_weight_precision() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (measured_weight_precision_.has_value()) return *measured_weight_precision_;
-  LOOM_EXPECTS(layer_.has_weights());
-
+nn::SyntheticSource LayerWorkload::weight_source() const {
   const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
       layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
+      kWeightGroup, table3_target_);
+  return {opts_.seed, nn::weight_stream(layer_index_), spec};
+}
+
+const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
+  const std::lock_guard<std::mutex> lock(weight_mutex_);
+  if (weight_stats_.has_value()) return *weight_stats_;
+  LOOM_EXPECTS(layer_.has_weights() && layer_.weight_count() > 0);
+
+  const nn::SyntheticSource source = weight_source();
   const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = ceil_div(count, 16);
-  const int stride = static_cast<int>(std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16)));
-  const quant::GroupPrecisionStats stats =
-      quant::weight_group_stats(source, count, /*group_size=*/16, stride);
-  measured_weight_precision_ = stats.mean;
-  return *measured_weight_precision_;
+  const std::int64_t groups = ceil_div(count, kWeightGroup);
+  const std::int64_t stride =
+      std::max<std::int64_t>(1, groups / (kWeightSampleCap / kWeightGroup));
+
+  // Per sampled group: its effective precision (the widest signed value,
+  // needed_bits_signed of the group); its essential magnitude planes plus
+  // one sign pass, where an all-zero group still spends one cycle (the
+  // detector/sequencer granularity); the per-weight NAF digit count a
+  // linear estimate multiplies by; and the synchronized group length a
+  // 16-lane sequencer that walks every digit position present in *any* lane
+  // actually spends.
+  std::int64_t precision_sum = 0;
+  std::int64_t planes_sum = 0;
+  std::int64_t term_sum = 0;
+  std::int64_t sync_sum = 0;
+  std::int64_t weights = 0;
+  std::int64_t n = 0;
+  for (std::int64_t g = 0; g < groups; g += stride) {
+    const std::int64_t begin = g * kWeightGroup;
+    const std::int64_t end = std::min(begin + kWeightGroup, count);
+    // needed_bits_signed(v) == bit_width(v < 0 ? ~v : v) + 1, so the group
+    // precision follows from one OR of the sign-folded values.
+    std::uint32_t folded = 0;
+    std::uint32_t ored = 0;
+    std::uint32_t union_positions = 0;
+    int terms = 0;
+    for (std::int64_t i = begin; i < end; ++i) {
+      const std::int32_t v = source.at(static_cast<std::uint64_t>(i));
+      folded |= static_cast<std::uint32_t>(v < 0 ? ~v : v);
+      const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
+      ored |= mag;
+      const NafDigits d = naf_digits(mag);
+      terms += std::popcount(d.plus) + std::popcount(d.minus);
+      union_positions |= d.positions();
+    }
+    precision_sum += std::bit_width(folded) + 1;
+    planes_sum += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+    term_sum += terms;
+    sync_sum += std::max(1, std::popcount(union_positions));
+    weights += end - begin;
+    ++n;
+  }
+  const auto mean = [](std::int64_t sum, std::int64_t count) {
+    return static_cast<double>(sum) / static_cast<double>(count);
+  };
+  WeightStats stats;
+  stats.effective_precision = mean(precision_sum, n);
+  stats.essential_planes = mean(planes_sum, n);
+  // Floor at one sixteenth: even an all-zero group costs the sequencer one
+  // cycle, so the per-weight average cannot be meaningfully below 1/16.
+  stats.naf.mean_per_weight = std::max(mean(term_sum, weights), 1.0 / 16.0);
+  stats.naf.synced_per_group = mean(sync_sum, n);
+  return weight_stats_.emplace(stats);
+}
+
+double LayerWorkload::effective_weight_precision() {
+  return weight_stats().effective_precision;
+}
+
+double LayerWorkload::essential_weight_planes() {
+  return weight_stats().essential_planes;
+}
+
+LayerWorkload::WeightTermStats LayerWorkload::naf_weight_terms() {
+  return weight_stats().naf;
 }
 
 double LayerWorkload::honest_weight_precision(int rows_groups) {
@@ -203,13 +273,9 @@ double LayerWorkload::honest_weight_precision(int rows_groups) {
   const auto it = honest_cache_.find(rows_groups);
   if (it != honest_cache_.end()) return it->second;
 
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
+  const nn::SyntheticSource source = weight_source();
   const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = std::max<std::int64_t>(1, count / 16);
+  const std::int64_t groups = std::max<std::int64_t>(1, count / kWeightGroup);
 
   // Expected max group precision when `rows_groups` groups load together:
   // deterministic Monte-Carlo over trials of randomly placed groups.
@@ -222,8 +288,8 @@ double LayerWorkload::honest_weight_precision(int rows_groups) {
     for (int r = 0; r < rows_groups; ++r) {
       const std::int64_t g =
           static_cast<std::int64_t>(rng.below(draw++, static_cast<std::uint64_t>(groups)));
-      const std::int64_t begin = g * 16;
-      const std::int64_t end = std::min<std::int64_t>(begin + 16, count);
+      const std::int64_t begin = g * kWeightGroup;
+      const std::int64_t end = std::min(begin + kWeightGroup, count);
       for (std::int64_t i = begin; i < end; ++i) {
         maxp = std::max(maxp, needed_bits_signed(
                                   source.at(static_cast<std::uint64_t>(i))));
@@ -235,90 +301,6 @@ double LayerWorkload::honest_weight_precision(int rows_groups) {
       std::min(acc / kTrials, static_cast<double>(layer_.weight_precision));
   honest_cache_.emplace(rows_groups, result);
   return result;
-}
-
-double LayerWorkload::essential_weight_planes() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (essential_planes_.has_value()) return *essential_planes_;
-  LOOM_EXPECTS(layer_.has_weights());
-
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
-  const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = ceil_div(count, 16);
-  const std::int64_t stride = std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16));
-
-  double sum = 0.0;
-  std::int64_t n = 0;
-  for (std::int64_t g = 0; g < groups; g += stride) {
-    const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
-    std::uint32_t ored = 0;
-    for (std::int64_t i = g * 16; i < end; ++i) {
-      const Value v = source.at(static_cast<std::uint64_t>(i));
-      const auto mag = static_cast<std::uint32_t>(v < 0 ? -static_cast<std::int32_t>(v)
-                                                        : static_cast<std::int32_t>(v));
-      ored |= mag;
-    }
-    // Essential magnitude planes plus one sign pass; an all-zero group
-    // still spends one cycle (the detector/sequencer granularity).
-    sum += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
-    ++n;
-  }
-  essential_planes_ = n ? sum / static_cast<double>(n) : 1.0;
-  return *essential_planes_;
-}
-
-LayerWorkload::WeightTermStats LayerWorkload::naf_weight_terms() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (naf_terms_.has_value()) return *naf_terms_;
-  LOOM_EXPECTS(layer_.has_weights());
-
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
-  const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = ceil_div(count, 16);
-  const std::int64_t stride = std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16));
-
-  // One pass over the sampled groups measures both statistics: the mean
-  // per-weight NAF digit count (what a linear estimate multiplies by) and
-  // the mean synchronized group length (what a 16-lane sequencer that walks
-  // every digit position present in *any* lane actually spends).
-  double term_sum = 0.0;
-  double sync_sum = 0.0;
-  std::int64_t weights = 0;
-  std::int64_t n = 0;
-  for (std::int64_t g = 0; g < groups; g += stride) {
-    const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
-    std::uint32_t union_positions = 0;
-    for (std::int64_t i = g * 16; i < end; ++i) {
-      const Value v = source.at(static_cast<std::uint64_t>(i));
-      const auto mag = static_cast<std::uint32_t>(
-          v < 0 ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v));
-      const NafDigits d = naf_digits(mag);
-      term_sum += std::popcount(d.plus) + std::popcount(d.minus);
-      union_positions |= d.positions();
-      ++weights;
-    }
-    sync_sum += std::max(1, std::popcount(union_positions));
-    ++n;
-  }
-  WeightTermStats stats;
-  // Floor at one sixteenth: even an all-zero group costs the sequencer one
-  // cycle, so the per-weight average cannot be meaningfully below 1/16.
-  stats.mean_per_weight =
-      weights ? std::max(term_sum / static_cast<double>(weights), 1.0 / 16.0)
-              : 1.0;
-  stats.synced_per_group = n ? sync_sum / static_cast<double>(n) : 1.0;
-  naf_terms_ = stats;
-  return stats;
 }
 
 NetworkWorkload::NetworkWorkload(nn::Network net,
@@ -337,17 +319,7 @@ LayerWorkload& NetworkWorkload::layer(std::size_t index) {
   std::call_once(layer_once_[index], [&] {
     layers_[index] = std::make_unique<LayerWorkload>(net_.layer(index), index,
                                                      profile_, opts_);
-    // Output activations are stored at the precision the next weighted
-    // layer's profile requires for its inputs.
-    int out_prec = kBasePrecision;
-    for (std::size_t j = index + 1; j < net_.size(); ++j) {
-      if (net_.layer(j).kind == nn::LayerKind::kConv) {
-        out_prec = net_.layer(j).act_precision;
-        break;
-      }
-      if (net_.layer(j).kind == nn::LayerKind::kFullyConnected) break;
-    }
-    layers_[index]->out_precision = out_prec;
+    layers_[index]->out_precision = net_.output_precision(index);
   });
   return *layers_[index];
 }

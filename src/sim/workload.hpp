@@ -11,8 +11,10 @@
 //    essential bit-plane counts. Both come from one pass over the layer's
 //    OR planes (sim/or_planes.hpp), so the simulators read plain arrays.
 //  * Weight tensors are streamed (never materialized) from sources
-//    calibrated to Table 3's effective per-group precisions; the measured
-//    mean effective precision feeds the §4.6 performance estimate.
+//    calibrated to Table 3's effective per-group precisions. One sampled
+//    pass over the 16-weight groups measures the mean effective precision
+//    (the §4.6 performance estimate), the essential bit-planes and the NAF
+//    terms together.
 #pragma once
 
 #include <cassert>
@@ -34,11 +36,6 @@ namespace loom::sim {
 
 struct WorkloadOptions {
   std::uint64_t seed = 1;
-  double act_zero_fraction = 0.45;  ///< ReLU sparsity of synthetic activations
-  int lanes = 16;                   ///< SIP/IP lane count (activation chunk size)
-  /// Cap on weights streamed per layer for group statistics; larger tensors
-  /// are sampled with a deterministic stride.
-  std::int64_t weight_sample_cap = 1 << 21;
 };
 
 /// Immutable dense view of one layer's detected per-chunk activation
@@ -101,9 +98,9 @@ class LayerWorkload {
   [[nodiscard]] ActTermTable act_group_term_table(int cols);
 
   /// Weight-side NAF term statistics for the term-serial (Laconic-style)
-  /// cycle model, measured by streaming the calibrated weight source once.
-  /// NAF is what the hardware actually serializes — signed ±2^k digits, no separate sign pass —
-  /// unlike essential_weight_planes' sign-magnitude planes.
+  /// cycle model. NAF is what the hardware actually serializes — signed
+  /// ±2^k digits, no separate sign pass — unlike essential_weight_planes'
+  /// sign-magnitude planes.
   struct WeightTermStats {
     /// Mean nonzero NAF digits per weight: the linear-scaling estimate's
     /// operand (every lane independent, zero digits skipped for free).
@@ -115,8 +112,8 @@ class LayerWorkload {
   };
   [[nodiscard]] WeightTermStats naf_weight_terms();
 
-  /// Mean effective per-group (16 weights) precision, measured by streaming
-  /// the calibrated weight source (paper Table 3 / §4.6).
+  /// Mean effective per-group (16 weights) precision (paper Table 3 /
+  /// §4.6).
   [[nodiscard]] double effective_weight_precision();
 
   /// Honest per-chunk weight timing for the ablation: expected max group
@@ -153,6 +150,16 @@ class LayerWorkload {
   int out_precision = kBasePrecision;
 
  private:
+  /// The three statistics of the sampled 16-weight groups behind
+  /// effective_weight_precision, essential_weight_planes and
+  /// naf_weight_terms, measured together in one pass over the calibrated
+  /// weight source.
+  struct WeightStats {
+    double effective_precision = 0.0;
+    double essential_planes = 1.0;
+    WeightTermStats naf;
+  };
+
   /// Both per-chunk tables of one `cols`, [g][wb][ic] row-major. Built
   /// whole before publication and never modified after.
   struct ColsTables {
@@ -160,6 +167,12 @@ class LayerWorkload {
     std::vector<std::uint8_t> precision;
     std::vector<std::uint8_t> terms;
   };
+
+  /// The layer's calibrated weight stream (Table 3 target precision).
+  [[nodiscard]] nn::SyntheticSource weight_source() const;
+  /// The memoized weight-group statistics; the first call streams the
+  /// sampled groups once under weight_mutex_.
+  [[nodiscard]] const WeightStats& weight_stats();
 
   void ensure_input_tensor();
   /// Materializes the input tensor and builds the activation OR planes
@@ -196,9 +209,7 @@ class LayerWorkload {
   std::optional<ActOrPlanes> planes_;
   nn::SyntheticSpec act_spec_;
   bool group_calibrated_ = false;
-  std::optional<double> measured_weight_precision_;
-  std::optional<double> essential_planes_;
-  std::optional<WeightTermStats> naf_terms_;
+  std::optional<WeightStats> weight_stats_;
   std::unordered_map<int, ColsTables> group_tables_;
   std::unordered_map<int, double> honest_cache_;
 };

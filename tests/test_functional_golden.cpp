@@ -356,9 +356,10 @@ TEST(BitsliceEquivalence, DpnnBackendsAgree) {
 // ---- Fully-connected cycle model ------------------------------------------
 
 TEST(BitsliceFcCycles, MatchCascadeAwareAnalyticModel) {
-  // The functional FC cycle count must equal the analytic simulate_fc for a
-  // matching configuration (16x16 grid), up to the analytic model's
-  // kPipelineFill constant which the functional counts exclude.
+  // The functional FC cycle count must equal the analytic FC cycle model
+  // (LoomSimulator's layer result) for a matching configuration (16x16
+  // grid), up to the analytic model's kPipelineFill constant which the
+  // functional counts exclude.
   nn::Network net("t", nn::Shape3{64, 1, 1});
   net.add_fc("f", 24);  // fewer outputs than SIPs: cascading must engage
   quant::PrecisionProfile p;
@@ -378,8 +379,7 @@ TEST(BitsliceFcCycles, MatchCascadeAwareAnalyticModel) {
   cfg.equiv_macs = 16;  // rows() = 16 like the functional grid
   LoomSimulator sim(cfg, SimOptions{});
   NetworkWorkload wl(std::move(net), p);
-  mem::MemorySystem mem(mem::default_memory_config(cfg.equiv_macs, true));
-  const LayerResult analytic = sim.simulate_layer(wl.layer(0), mem);
+  const LayerResult analytic = sim.run(wl).layers[0];
   EXPECT_EQ(run.cycles + kPipelineFill, analytic.compute_cycles);
 
   // Cascading must actually help a few-outputs layer: the plan picks

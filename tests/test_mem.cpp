@@ -138,29 +138,6 @@ TEST(Packed, FootprintBitplaneEdgeCases) {
   }
 }
 
-TEST(MemorySystem, FootprintMathMatchesNaiveAccounting) {
-  // activations_fit against a per-element reckoning of packed vs unpacked
-  // layer footprints around the capacity boundary.
-  SequentialRng rng(13);
-  for (int it = 0; it < 100; ++it) {
-    MemorySystemConfig cfg;
-    cfg.am_bytes = 1 << (10 + rng.next_below(10));
-    MemorySystem mem(cfg);
-    const std::int64_t capacity_bits = cfg.am_bytes * 8;
-    const auto elements = static_cast<std::int64_t>(rng.next_below(20000));
-    const int in_prec = 1 + static_cast<int>(rng.next_below(16));
-    // Naive reference: every element spends exactly its storage precision.
-    std::int64_t naive = 0;
-    for (std::int64_t e = 0; e < elements; ++e) naive += in_prec;
-    EXPECT_EQ(naive, elements * in_prec);
-    EXPECT_EQ(mem.activations_fit(naive), naive <= capacity_bits);
-    // Packed always fits wherever unpacked fits.
-    if (mem.activations_fit(elements * kBasePrecision)) {
-      EXPECT_TRUE(mem.activations_fit(elements * in_prec));
-    }
-  }
-}
-
 TEST(Dram, PeakBandwidthMath) {
   DramChannel ch(DramConfig{.peak_gbps = 17.066, .efficiency = 1.0});
   EXPECT_NEAR(ch.bytes_per_cycle(), 17.066, 1e-9);
@@ -200,46 +177,6 @@ TEST(DefaultMemory, PaperSizing) {
   EXPECT_EQ(default_memory_config(32, true).wm_bytes, 512 << 10);
   EXPECT_EQ(default_memory_config(128, true).wm_bytes, 2 << 20);
   EXPECT_EQ(default_memory_config(512, true).wm_bytes, 8 << 20);
-}
-
-TEST(MemorySystem, FitsAndTraffic) {
-  MemorySystemConfig cfg = default_memory_config(128, true);
-  MemorySystem mem(cfg);
-  EXPECT_TRUE(mem.activations_fit(cfg.am_bytes * 8));
-  EXPECT_FALSE(mem.activations_fit(cfg.am_bytes * 8 + 1));
-
-  const auto cycles = mem.offchip_read(1 << 20);
-  EXPECT_GT(cycles, 0u);
-  EXPECT_EQ(mem.offchip_traffic().read_bits, 1u << 20);
-  mem.offchip_write(100);
-  EXPECT_EQ(mem.offchip_traffic().write_bits, 100u);
-}
-
-TEST(Buffers, CountersAccumulate) {
-  SramBuffer buf("ABin", 8192 * 8, 256);
-  buf.read(256);
-  buf.read(256);
-  buf.write(100);
-  EXPECT_EQ(buf.traffic().read_bits, 512u);
-  EXPECT_EQ(buf.traffic().read_ops, 2u);
-  EXPECT_EQ(buf.traffic().write_bits, 100u);
-  buf.reset();
-  EXPECT_EQ(buf.traffic().total_bits(), 0u);
-}
-
-TEST(Edram, CapacityCheck) {
-  EdramArray am("AM", 1 << 23, 256);
-  EXPECT_TRUE(am.fits(1 << 23));
-  EXPECT_FALSE(am.fits((1 << 23) + 1));
-}
-
-TEST(Traffic, MergeCombines) {
-  TrafficCounters a, b;
-  a.add_read(10);
-  b.add_write(20);
-  a.merge(b);
-  EXPECT_EQ(a.total_bits(), 30u);
-  EXPECT_EQ(a.write_ops, 1u);
 }
 
 }  // namespace

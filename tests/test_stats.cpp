@@ -83,27 +83,6 @@ TEST(Accumulator, MergeWithEmpty) {
   EXPECT_EQ(empty.count(), 1u);
 }
 
-TEST(IntHistogram, MeanAndCounts) {
-  IntHistogram h(17);
-  h.add(4, 3);
-  h.add(8, 1);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(4), 3u);
-  EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-}
-
-TEST(IntHistogram, OutOfRangeThrows) {
-  IntHistogram h(4);
-  EXPECT_THROW(h.add(4), ContractViolation);
-  EXPECT_THROW(h.add(-1), ContractViolation);
-  EXPECT_THROW((void)h.count(9), ContractViolation);
-}
-
-TEST(IntHistogram, EmptyMeanIsZero) {
-  IntHistogram h(4);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
 TEST(LatencyHistogram, EmptyReportsZeros) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -3,7 +3,14 @@
 // output-precision chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "common/bitops.hpp"
+#include "nn/synthetic.hpp"
 #include "nn/zoo/zoo.hpp"
+#include "quant/calibration.hpp"
+#include "quant/group_precision.hpp"
 #include "quant/profiles.hpp"
 #include "sim/workload.hpp"
 
@@ -96,6 +103,58 @@ TEST(Workload, EffectiveWeightPrecisionBelowProfile) {
   EXPECT_GT(eff, 1.0);
   EXPECT_LT(eff, 10.0);  // profile Pw = 10, target 0.85x = 8.5
   EXPECT_NEAR(eff, 8.5, 0.5);
+}
+
+TEST(Workload, WeightStatsMatchNaiveGroupLoopsWhenSampled) {
+  // 1024 x 4096 FC weights: 262,144 groups of 16, twice the 2^21-weight
+  // sampling cap, so the one weight-statistics pass reads every 2nd group.
+  nn::Network net("custom", nn::Shape3{1024, 1, 1});
+  net.add_fc("big", 4096);
+  const quant::PrecisionProfile profile = custom_profile();
+  quant::apply_profile(net, profile);
+  const std::int64_t count = net.layer(0).weight_count();
+  const std::int64_t groups = ceil_div(count, 16);
+  const std::int64_t stride = groups / ((1 << 21) / 16);
+  ASSERT_EQ(stride, 2);
+  NetworkWorkload wl(std::move(net), profile);
+  LayerWorkload& lw = wl.layer(0);
+
+  // The same calibrated stream: a network without a Table 3 entry targets
+  // 0.85 x its profile Pw (9 here).
+  const nn::SyntheticSource source(
+      1, nn::weight_stream(0),
+      quant::calibrated_spec_cached(9, /*is_signed=*/true, 0.0, 16, 0.85 * 9));
+  EXPECT_EQ(lw.effective_weight_precision(),
+            quant::weight_group_stats(source, count, 16,
+                                      static_cast<int>(stride))
+                .mean);
+
+  std::int64_t planes = 0;
+  std::int64_t terms = 0;
+  std::int64_t synced = 0;
+  std::int64_t sampled = 0;
+  std::int64_t weights = 0;
+  for (std::int64_t g = 0; g < groups; g += stride, ++sampled) {
+    std::uint32_t ored = 0;
+    std::uint32_t positions = 0;
+    for (std::int64_t i = g * 16; i < std::min((g + 1) * 16, count);
+         ++i, ++weights) {
+      const Value v = source.at(static_cast<std::uint64_t>(i));
+      const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
+      ored |= mag;
+      terms += naf_term_count(mag);
+      positions |= naf_digits(mag).positions();
+    }
+    planes += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+    synced += std::max(1, std::popcount(positions));
+  }
+  const auto mean = [](std::int64_t sum, std::int64_t n) {
+    return static_cast<double>(sum) / static_cast<double>(n);
+  };
+  EXPECT_EQ(lw.essential_weight_planes(), mean(planes, sampled));
+  const LayerWorkload::WeightTermStats naf = lw.naf_weight_terms();
+  EXPECT_EQ(naf.mean_per_weight, std::max(mean(terms, weights), 1.0 / 16.0));
+  EXPECT_EQ(naf.synced_per_group, mean(synced, sampled));
 }
 
 TEST(Workload, HonestPrecisionAtLeastMean) {
