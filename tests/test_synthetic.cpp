@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "golden.hpp"
 #include "nn/synthetic.hpp"
+#include "nn/zoo/zoo.hpp"
+#include "quant/profiles.hpp"
+#include "serve/model_registry.hpp"
 
 namespace loom::nn {
 namespace {
@@ -94,6 +98,32 @@ TEST(MakeWeightTensor, FlatAndDeterministic) {
   const Tensor a = make_weight_tensor(100, spec, 13, 7);
   const Tensor b = make_weight_tensor(100, spec, 13, 7);
   for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(a.flat(i), b.flat(i));
+}
+
+TEST(MakeWeightTensor, RegisteredZooWeightsArePinned) {
+  // Digests of the weight tensors ModelRegistry::add_synthetic materializes
+  // for NiN and AlexNet (61M weights) at seed 7, 100% profiles, captured
+  // before the threshold-table bulk path.
+  struct Pin {
+    const char* network;
+    std::uint64_t digest;
+  };
+  serve::ModelRegistry registry;
+  for (const Pin pin : {Pin{"nin", 0x045a1773b3077bd5ull},
+                        Pin{"alexnet", 0x35d0be739bacb85dull}}) {
+    Network net = zoo::make(pin.network);
+    const quant::PrecisionProfile profile =
+        quant::profile_for(pin.network, quant::AccuracyTarget::k100);
+    quant::apply_profile(net, profile);
+    const auto model =
+        registry.add_synthetic(pin.network, std::move(net), profile, 7);
+    golden::Fnv fnv;
+    for (const Tensor& w : model->weights) {
+      fnv.i64(w.elements());
+      fnv.bytes(w.data().data(), w.data().size_bytes());
+    }
+    EXPECT_EQ(fnv.h, pin.digest) << pin.network << " 0x" << std::hex << fnv.h;
+  }
 }
 
 TEST(Streams, ActAndWeightStreamsDiffer) {

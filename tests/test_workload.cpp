@@ -7,6 +7,7 @@
 #include <bit>
 
 #include "common/bitops.hpp"
+#include "golden.hpp"
 #include "nn/synthetic.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/calibration.hpp"
@@ -200,6 +201,40 @@ TEST(Workload, PrepareNetworkAppliesProfile) {
   const auto convs = wl->network().conv_indices();
   EXPECT_EQ(wl->network().layer(convs[0]).act_precision, 7);
   EXPECT_EQ(wl->network().layer(convs[0]).weight_precision, 11);
+}
+
+TEST(Workload, PaperNetworkWeightStatsArePinned) {
+  // Every weighted layer's sampled weight statistics for the six paper
+  // networks at seed 7, 100% profiles: the streams behind Table 2's
+  // weight-side numbers. Captured before the threshold-table bulk path.
+  struct Pin {
+    const char* network;
+    std::uint64_t digest;
+  };
+  WorkloadOptions opts;
+  opts.seed = 7;
+  for (const Pin pin : {Pin{"nin", 0x63b6b516812a45c4ull},
+                        Pin{"alexnet", 0x4e9851b6fde2dbcfull},
+                        Pin{"googlenet", 0xad9f06e671e9f44bull},
+                        Pin{"vggs", 0x650d3429098fff3full},
+                        Pin{"vggm", 0x513938c88bdd755aull},
+                        Pin{"vgg19", 0x822ad38bb671cbaeull}}) {
+    auto wl = prepare_network(pin.network, quant::AccuracyTarget::k100, opts);
+    golden::Fnv fnv;
+    for (std::size_t i = 0; i < wl->network().size(); ++i) {
+      const nn::Layer& layer = wl->network().layer(i);
+      if (!layer.has_weights() || layer.weight_count() == 0) continue;
+      LayerWorkload& lw = wl->layer(i);
+      fnv.u64(i);
+      fnv.u64(std::bit_cast<std::uint64_t>(lw.effective_weight_precision()));
+      fnv.u64(std::bit_cast<std::uint64_t>(lw.essential_weight_planes()));
+      const LayerWorkload::WeightTermStats naf = lw.naf_weight_terms();
+      fnv.u64(std::bit_cast<std::uint64_t>(naf.mean_per_weight));
+      fnv.u64(std::bit_cast<std::uint64_t>(naf.synced_per_group));
+    }
+    EXPECT_EQ(fnv.h, pin.digest)
+        << pin.network << " 0x" << std::hex << fnv.h;
+  }
 }
 
 }  // namespace
