@@ -326,6 +326,39 @@ void BM_CalibrateToGroupPrecision(benchmark::State& state) {
 }
 BENCHMARK(BM_CalibrateToGroupPrecision)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+void BM_SyntheticWeightStats(benchmark::State& state) {
+  // LayerWorkload's one weight-statistics pass (effective precision,
+  // essential planes, NAF terms) over a 1024 x 2048 FC layer: 2M weights,
+  // exactly the sampling cap, drawn from the calibrated Pw-11 spec. The
+  // calibration is memoized process-wide, so iterations time the stream.
+  nn::Network net("bench", nn::Shape3{1024, 1, 1});
+  net.add_fc("fc", 2048);
+  quant::PrecisionProfile p;
+  p.network = "bench";
+  p.conv_act = {9};
+  p.conv_weight = 11;
+  p.fc_weight = {11};
+  quant::apply_profile(net, p);
+  for (auto _ : state) {
+    sim::NetworkWorkload wl(net, p);
+    benchmark::DoNotOptimize(wl.layer(0).naf_weight_terms());
+  }
+  state.SetItemsProcessed(state.iterations() * net.layer(0).weight_count());
+}
+BENCHMARK(BM_SyntheticWeightStats)->Unit(benchmark::kMillisecond);
+
+void BM_MakeWeightTensor(benchmark::State& state) {
+  // Materializing an fc7-sized weight tensor (4096 x 4096 = 16.8M values)
+  // at the registry's synthetic weight spec: model registration's cost.
+  const nn::SyntheticSpec spec{.precision = 11, .alpha = 3.0, .is_signed = true};
+  constexpr std::int64_t kCount = 4096 * 4096;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::make_weight_tensor(kCount, spec, 7, 1).data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kCount);
+}
+BENCHMARK(BM_MakeWeightTensor)->Unit(benchmark::kMillisecond);
+
 // ---- Functional fast path -------------------------------------------------
 
 /// The VGG-scale conv layer both functional benches run: 64ch 28x28 -> 128

@@ -5,13 +5,6 @@
 
 namespace loom {
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 double CounterRng::uniform(std::uint64_t index) const noexcept {
   // 53 random mantissa bits -> [0, 1).
   return static_cast<double>(bits(index) >> 11) * 0x1.0p-53;

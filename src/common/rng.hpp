@@ -13,7 +13,12 @@
 namespace loom {
 
 /// splitmix64 finalizer: a high-quality 64-bit mixing function.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
 
 /// Stateless counter-based RNG. Cheap to copy; all draws are pure functions
 /// of the key material.

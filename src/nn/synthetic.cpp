@@ -1,5 +1,6 @@
 #include "nn/synthetic.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -54,11 +55,58 @@ Value SyntheticSource::magnitude_for_draw(double u) const noexcept {
   return static_cast<Value>(mag);
 }
 
+SyntheticStream::SyntheticStream(const SyntheticSource& source, std::int64_t count)
+    : source_(source) {
+  const int max = source.max_magnitude();
+  if (count < kMinTabulatedCount + 2 * static_cast<std::int64_t>(max)) return;
+  const SyntheticSpec& spec = source.spec();
+  // The gate k * 2^-10 < zero_fraction holds iff k < ceil(zero_fraction *
+  // 2^10): the scaling is exact.
+  live_from_ = static_cast<std::uint64_t>(std::ceil(spec.zero_fraction * 0x1.0p10));
+  sign_bit_ = spec.is_signed ? 1 : 0;
+
+  const auto thresholds = static_cast<std::size_t>(max);
+  bands_.resize(thresholds + 2);
+  // max+1 is a power of two, so m / (max+1) is exact.
+  const double step = 1.0 / static_cast<double>(max + 1);
+  const double inv_alpha = 1.0 / spec.alpha;
+  for (std::size_t m = 1; m <= thresholds; ++m) {
+    const double t = std::pow(static_cast<double>(m) * step, inv_alpha) * 0x1.0p53;
+    bands_[m] = {static_cast<std::uint64_t>(std::floor(t * (1.0 - 0x1.0p-30))),
+                 static_cast<std::uint64_t>(std::ceil(t * (1.0 + 0x1.0p-30)))};
+  }
+  // Sorted band edges keep the count exact even if rounding ever inverted
+  // two neighbours: widening a band only sends more draws to the fallback.
+  for (std::size_t m = 2; m <= thresholds; ++m) {
+    bands_[m].hi = std::max(bands_[m].hi, bands_[m - 1].hi);
+  }
+  for (std::size_t m = thresholds; m > 1; --m) {
+    bands_[m - 1].lo = std::min(bands_[m - 1].lo, bands_[m].lo);
+  }
+  bands_[thresholds + 1] = {~std::uint64_t{0}, ~std::uint64_t{0}};
+
+  // Bucket b starts at r = b * 2^37 and holds the count of thresholds whose
+  // band ends there or below: m for every bucket start in [hi_m, hi_(m+1)).
+  start_.resize(std::size_t{1} << (53 - kBucketShift));
+  auto first = start_.begin();
+  for (std::size_t m = 0; m <= thresholds; ++m) {
+    const std::uint64_t hi = bands_[m + 1].hi;
+    const std::uint64_t end_bucket =
+        (hi >> kBucketShift) + ((hi & ((std::uint64_t{1} << kBucketShift) - 1)) != 0);
+    const auto last = start_.begin() + static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
+                                           end_bucket, start_.size()));
+    if (last > first) {
+      std::fill(first, last, static_cast<std::uint16_t>(m));
+      first = last;
+    }
+  }
+}
+
 Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
                               std::uint64_t seed, std::uint64_t stream) {
-  const SyntheticSource src(seed, stream, spec);
   Tensor t(Shape{shape.c, shape.h, shape.w});
   const std::int64_t n = t.elements();
+  const SyntheticStream src(SyntheticSource(seed, stream, spec), n);
   for (std::int64_t i = 0; i < n; ++i) {
     t.set_flat(i, src.at(static_cast<std::uint64_t>(i)));
   }
@@ -68,7 +116,7 @@ Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
 Tensor make_weight_tensor(std::int64_t count, const SyntheticSpec& spec,
                           std::uint64_t seed, std::uint64_t stream) {
   LOOM_EXPECTS(count > 0);
-  const SyntheticSource src(seed, stream, spec);
+  const SyntheticStream src(SyntheticSource(seed, stream, spec), count);
   Tensor t(Shape{count});
   for (std::int64_t i = 0; i < count; ++i) {
     t.set_flat(i, src.at(static_cast<std::uint64_t>(i)));

@@ -10,10 +10,11 @@ namespace loom::quant {
 namespace {
 
 template <bool kSigned>
-GroupPrecisionStats stream_stats(const nn::SyntheticSource& source,
+GroupPrecisionStats stream_stats(const nn::SyntheticSource& from,
                                  std::int64_t count, int group_size,
                                  int sample_stride) {
   LOOM_EXPECTS(count > 0 && group_size > 0 && sample_stride >= 1);
+  const nn::SyntheticStream source(from, count / sample_stride);
   GroupPrecisionStats stats;
   double sum = 0.0;
   const std::int64_t total_groups = ceil_div(count, group_size);

@@ -6,9 +6,10 @@
 
 namespace loom::quant {
 
-GroupMetadata GroupMetadata::encode(const nn::SyntheticSource& source,
+GroupMetadata GroupMetadata::encode(const nn::SyntheticSource& from,
                                     std::int64_t count, int group_size) {
   LOOM_EXPECTS(count > 0 && group_size > 0);
+  const nn::SyntheticStream source(from, count);
   GroupMetadata md;
   md.group_size_ = group_size;
   const std::int64_t groups = ceil_div(count, group_size);

@@ -198,11 +198,11 @@ const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
   if (weight_stats_.has_value()) return *weight_stats_;
   LOOM_EXPECTS(layer_.has_weights() && layer_.weight_count() > 0);
 
-  const nn::SyntheticSource source = weight_source();
   const std::int64_t count = layer_.weight_count();
   const std::int64_t groups = ceil_div(count, kWeightGroup);
   const std::int64_t stride =
       std::max<std::int64_t>(1, groups / (kWeightSampleCap / kWeightGroup));
+  const nn::SyntheticStream source(weight_source(), count / stride);
 
   // Per sampled group: its effective precision (the widest signed value,
   // needed_bits_signed of the group); its essential magnitude planes plus
@@ -232,7 +232,7 @@ const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
       const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
       ored |= mag;
       const NafDigits d = naf_digits(mag);
-      terms += std::popcount(d.plus) + std::popcount(d.minus);
+      terms += std::popcount(d.positions());  // plus and minus are disjoint
       union_positions |= d.positions();
     }
     precision_sum += std::bit_width(folded) + 1;

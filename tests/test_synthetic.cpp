@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
 #include "golden.hpp"
 #include "nn/synthetic.hpp"
@@ -74,6 +77,67 @@ TEST(SyntheticSource, LargerAlphaConcentratesTowardZero) {
     mean_b += b.at(i);
   }
   EXPECT_GT(mean_a / kN, 10.0 * mean_b / kN);
+}
+
+TEST(SyntheticSource, TabulatedValuesMatchPowReference) {
+  // The threshold table must reproduce the pow reference exactly: values
+  // (zero gate and sign included) over a grid of specs, and every draw
+  // within 64 of each threshold, where the guard band has to send the
+  // lookup to magnitude_for_draw.
+  const double alphas[] = {1.0,  1.0 + 0x1.0p-40, 1.5,   2.0,   3.0,    5.0, 10.0,
+                           30.0, 46.0,            100.0, 109.0, 1000.0, 8.9e6};
+  constexpr std::uint64_t kDraws = 20000;
+  constexpr std::int64_t kDelta = 64;
+  std::uint64_t stream = 0;
+  for (const bool is_signed : {false, true}) {
+    for (int p = 1; p <= 16; ++p) {
+      for (const double alpha : alphas) {
+        for (const double zero_fraction : {0.0, 0.45}) {
+          const SyntheticSpec spec{.precision = p, .alpha = alpha,
+                                   .is_signed = is_signed,
+                                   .zero_fraction = zero_fraction};
+          const SyntheticSource src(17, ++stream, spec);
+          // A long-stream hint forces the table even at p = 16.
+          const SyntheticStream bulk(src, std::int64_t{1} << 40);
+          ASSERT_TRUE(bulk.tabulated());
+          for (std::uint64_t i = 0; i < kDraws; ++i) {
+            ASSERT_EQ(bulk.at(i), src.at(i))
+                << "p=" << p << " signed=" << is_signed << " alpha=" << alpha
+                << " zf=" << zero_fraction << " index " << i;
+          }
+          // Magnitudes depend on the largest magnitude and alpha only, and
+          // signed p has the largest magnitude of unsigned p - 1 (both 1 at
+          // p = 1): the unsigned tables cover every threshold.
+          if (is_signed || zero_fraction != 0.0) continue;
+          const int max = src.max_magnitude();
+          std::int64_t mismatches = 0;
+          std::int64_t first = -1;
+          for (int m = 1; m <= max; ++m) {
+            const double t = std::pow(static_cast<double>(m) / (max + 1), 1.0 / alpha);
+            const auto base = static_cast<std::int64_t>(std::floor(t * 0x1.0p53));
+            for (std::int64_t r = std::max<std::int64_t>(0, base - kDelta);
+                 r <= std::min(base + kDelta, (std::int64_t{1} << 53) - 1); ++r) {
+              const auto draw = static_cast<std::uint64_t>(r);
+              if (bulk.magnitude(draw) !=
+                  src.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53)) {
+                if (mismatches++ == 0) first = r;
+              }
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << "p=" << p << " alpha=" << alpha
+                                   << " first mismatch at r=" << first;
+        }
+      }
+    }
+  }
+}
+
+TEST(SyntheticSource, ShortStreamsSkipTheTable) {
+  const SyntheticSpec spec{.precision = 16, .alpha = 3.0};
+  const SyntheticSource src(3, 4, spec);
+  EXPECT_FALSE(SyntheticStream(src, 65536).tabulated());
+  const SyntheticStream bulk(src, 1000);
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_EQ(bulk.at(i), src.at(i));
 }
 
 TEST(SyntheticSource, InvalidSpecThrows) {
