@@ -75,8 +75,9 @@ SyntheticStream::SyntheticStream(const SyntheticSource& source, std::int64_t cou
     bands_[m] = {static_cast<std::uint64_t>(std::floor(t * (1.0 - 0x1.0p-30))),
                  static_cast<std::uint64_t>(std::ceil(t * (1.0 + 0x1.0p-30)))};
   }
-  // Sorted band edges keep the count exact even if rounding ever inverted
-  // two neighbours: widening a band only sends more draws to the fallback.
+  // Sorted band edges keep the count exact where pow's rounding inverts two
+  // neighbours (alpha far above 2^36 makes them equal to within an ulp):
+  // widening a band only sends more draws to the fallback.
   for (std::size_t m = 2; m <= thresholds; ++m) {
     bands_[m].hi = std::max(bands_[m].hi, bands_[m - 1].hi);
   }
@@ -106,9 +107,9 @@ Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
                               std::uint64_t seed, std::uint64_t stream) {
   Tensor t(Shape{shape.c, shape.h, shape.w});
   const std::int64_t n = t.elements();
-  const SyntheticStream src(SyntheticSource(seed, stream, spec), n);
+  const SyntheticStream values(SyntheticSource(seed, stream, spec), n);
   for (std::int64_t i = 0; i < n; ++i) {
-    t.set_flat(i, src.at(static_cast<std::uint64_t>(i)));
+    t.set_flat(i, values.at(static_cast<std::uint64_t>(i)));
   }
   return t;
 }
@@ -116,10 +117,10 @@ Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
 Tensor make_weight_tensor(std::int64_t count, const SyntheticSpec& spec,
                           std::uint64_t seed, std::uint64_t stream) {
   LOOM_EXPECTS(count > 0);
-  const SyntheticStream src(SyntheticSource(seed, stream, spec), count);
+  const SyntheticStream values(SyntheticSource(seed, stream, spec), count);
   Tensor t(Shape{count});
   for (std::int64_t i = 0; i < count; ++i) {
-    t.set_flat(i, src.at(static_cast<std::uint64_t>(i)));
+    t.set_flat(i, values.at(static_cast<std::uint64_t>(i)));
   }
   return t;
 }

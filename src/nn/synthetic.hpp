@@ -129,10 +129,9 @@ class SyntheticStream {
 
   [[nodiscard]] bool tabulated() const noexcept { return !start_.empty(); }
 
+ private:
   /// Streams shorter than this plus two draws per threshold use `pow`.
   static constexpr std::int64_t kMinTabulatedCount = 4096;
-
- private:
   static constexpr int kBucketShift = 37;  // 2^16 buckets over r < 2^53
 
   /// Threshold m's guard band: below `lo` the magnitude is < m, from `hi`

@@ -10,11 +10,11 @@ namespace loom::quant {
 namespace {
 
 template <bool kSigned>
-GroupPrecisionStats stream_stats(const nn::SyntheticSource& from,
+GroupPrecisionStats stream_stats(const nn::SyntheticSource& source,
                                  std::int64_t count, int group_size,
                                  int sample_stride) {
   LOOM_EXPECTS(count > 0 && group_size > 0 && sample_stride >= 1);
-  const nn::SyntheticStream source(from, count / sample_stride);
+  const nn::SyntheticStream stream(source, count / sample_stride);
   GroupPrecisionStats stats;
   double sum = 0.0;
   const std::int64_t total_groups = ceil_div(count, group_size);
@@ -24,12 +24,12 @@ GroupPrecisionStats stream_stats(const nn::SyntheticSource& from,
     int p = 1;
     if constexpr (kSigned) {
       for (std::int64_t i = begin; i < end; ++i) {
-        p = std::max(p, needed_bits_signed(source.at(static_cast<std::uint64_t>(i))));
+        p = std::max(p, needed_bits_signed(stream.at(static_cast<std::uint64_t>(i))));
       }
     } else {
       std::uint32_t ored = 0;
       for (std::int64_t i = begin; i < end; ++i) {
-        ored |= static_cast<std::uint16_t>(source.at(static_cast<std::uint64_t>(i)));
+        ored |= static_cast<std::uint16_t>(stream.at(static_cast<std::uint64_t>(i)));
       }
       p = needed_bits_unsigned(ored);
     }

@@ -6,10 +6,10 @@
 
 namespace loom::quant {
 
-GroupMetadata GroupMetadata::encode(const nn::SyntheticSource& from,
+GroupMetadata GroupMetadata::encode(const nn::SyntheticSource& source,
                                     std::int64_t count, int group_size) {
   LOOM_EXPECTS(count > 0 && group_size > 0);
-  const nn::SyntheticStream source(from, count);
+  const nn::SyntheticStream stream(source, count);
   GroupMetadata md;
   md.group_size_ = group_size;
   const std::int64_t groups = ceil_div(count, group_size);
@@ -18,7 +18,7 @@ GroupMetadata GroupMetadata::encode(const nn::SyntheticSource& from,
     int p = 1;
     const std::int64_t end = std::min<std::int64_t>((g + 1) * group_size, count);
     for (std::int64_t i = g * group_size; i < end; ++i) {
-      p = std::max(p, needed_bits_signed(source.at(static_cast<std::uint64_t>(i))));
+      p = std::max(p, needed_bits_signed(stream.at(static_cast<std::uint64_t>(i))));
     }
     md.codes_.push_back(static_cast<std::uint8_t>(p));
   }

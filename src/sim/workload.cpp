@@ -202,7 +202,7 @@ const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
   const std::int64_t groups = ceil_div(count, kWeightGroup);
   const std::int64_t stride =
       std::max<std::int64_t>(1, groups / (kWeightSampleCap / kWeightGroup));
-  const nn::SyntheticStream source(weight_source(), count / stride);
+  const nn::SyntheticStream stream(weight_source(), count / stride);
 
   // Per sampled group: its effective precision (the widest signed value,
   // needed_bits_signed of the group); its essential magnitude planes plus
@@ -227,7 +227,7 @@ const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
     std::uint32_t union_positions = 0;
     int terms = 0;
     for (std::int64_t i = begin; i < end; ++i) {
-      const std::int32_t v = source.at(static_cast<std::uint64_t>(i));
+      const std::int32_t v = stream.at(static_cast<std::uint64_t>(i));
       folded |= static_cast<std::uint32_t>(v < 0 ? ~v : v);
       const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
       ored |= mag;
