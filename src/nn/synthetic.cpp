@@ -86,20 +86,14 @@ SyntheticStream::SyntheticStream(const SyntheticSource& source, std::int64_t cou
   }
   bands_[thresholds + 1] = {~std::uint64_t{0}, ~std::uint64_t{0}};
 
-  // Bucket b starts at r = b * 2^37 and holds the count of thresholds whose
-  // band ends there or below: m for every bucket start in [hi_m, hi_(m+1)).
+  // Bucket b starts at r = b * 2^37 and holds m for every start in
+  // [hi_m, hi_(m+1)): the buckets below ceil(hi_(m+1) / 2^37), as hi >= 1.
   start_.resize(std::size_t{1} << (53 - kBucketShift));
-  auto first = start_.begin();
+  std::size_t b = 0;
   for (std::size_t m = 0; m <= thresholds; ++m) {
-    const std::uint64_t hi = bands_[m + 1].hi;
-    const std::uint64_t end_bucket =
-        (hi >> kBucketShift) + ((hi & ((std::uint64_t{1} << kBucketShift) - 1)) != 0);
-    const auto last = start_.begin() + static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
-                                           end_bucket, start_.size()));
-    if (last > first) {
-      std::fill(first, last, static_cast<std::uint16_t>(m));
-      first = last;
-    }
+    const std::uint64_t end = std::min<std::uint64_t>(
+        ((bands_[m + 1].hi - 1) >> kBucketShift) + 1, start_.size());
+    for (; b < end; ++b) start_[b] = static_cast<std::uint16_t>(m);
   }
 }
 
