@@ -490,5 +490,55 @@ TEST(ShardRouter, HedgedInteractiveRequestRacesTwoShards) {
   EXPECT_LE(stats.hedge_wins, stats.hedges);
 }
 
+TEST(ShardRouter, FaultyPrimaryFailsOverWithAndWithoutHedge) {
+  const auto registry = populate();
+  const auto expected = solo_outputs(*registry, 1);
+  constexpr int kFaulty = 0;
+
+  for (const auto hedge_delay :
+       {std::chrono::microseconds(0), std::chrono::microseconds(2'000'000)}) {
+    SCOPED_TRACE("hedge_delay_us=" + std::to_string(hedge_delay.count()));
+    RouterOptions opts;
+    opts.shards = 3;
+    opts.shard.max_batch = 1;
+    opts.shard.workers = 1;
+    opts.shard.engine.jobs = 1;
+    opts.shard.retry_backoff = std::chrono::microseconds(10);
+    opts.hedge_delay = hedge_delay;
+    opts.attempt_timeout = std::chrono::microseconds(5'000'000);
+    // Only shard kFaulty fails: its engine and its scalar fallback both
+    // throw on every run, so every attempt it takes resolves an error.
+    ShardFactory factory = [&](const ShardContext& ctx) -> ShardInstance {
+      ServeOptions so = opts.shard;
+      if (ctx.shard == kFaulty) {
+        so.faults.engine_failure_prob = 1.0;
+        so.faults.fallback_failure_prob = 1.0;
+      }
+      return ShardInstance{registry,
+                           std::make_shared<InferenceServer>(*registry, so)};
+    };
+    ShardRouter router(factory, opts);
+
+    std::string tenant;
+    for (int t = 0; tenant.empty(); ++t) {
+      const std::string name = "tenant-" + std::to_string(t);
+      if (router.rank_shards("convnet", name).front() == kFaulty) tenant = name;
+    }
+    const auto model = registry->find("convnet");
+    const InferenceResult res =
+        router.submit("convnet", model->make_input(kInputSeed, 0),
+                      RouteOptions{.tenant = tenant});
+    EXPECT_NE(res.shard, kFaulty);
+    EXPECT_EQ(res.output, expected.at({"convnet", 0}));
+
+    const RouterStats stats = router.stats();
+    EXPECT_GE(stats.shards[kFaulty].failed, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_GE(stats.failovers, 1u);
+    EXPECT_EQ(stats.submitted, stats.completed + stats.quota_rejected +
+                                   stats.shed + stats.timed_out + stats.failed);
+  }
+}
+
 }  // namespace
 }  // namespace loom::serve
