@@ -1,8 +1,38 @@
 #include "core/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
+#include "common/error.hpp"
+
 namespace loom::core {
+
+namespace {
+
+/// Parses all of `value` with `parse` (a strtoll/strtod-style reader) and
+/// throws ConfigError naming `--key` when any of it is left over, nothing
+/// was read, or the number is out of range.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& value,
+                 const char* kind, Parse parse) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const auto parsed = parse(begin, &end);
+  if (value.empty() || end != begin + value.size() || errno == ERANGE) {
+    throw ConfigError("--" + key + " expects " + kind + ", got '" + value +
+                      "'");
+  }
+  return parsed;
+}
+
+}  // namespace
+
+std::int64_t parse_int(const std::string& key, const std::string& value) {
+  return parse_whole(key, value, "an integer", [](const char* s, char** end) {
+    return static_cast<std::int64_t>(std::strtoll(s, end, 10));
+  });
+}
 
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -33,12 +63,14 @@ std::string Options::get(const std::string& key,
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end() ? fallback : parse_int(key, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "a number",
+                     [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

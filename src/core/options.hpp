@@ -1,6 +1,7 @@
 // Minimal command-line option parsing for the bench and example binaries:
 // --key=value / --flag pairs, with typed getters and an automatic usage
-// string. No external dependencies.
+// string. No external dependencies. A numeric getter throws ConfigError
+// naming the flag when its value is not wholly a number.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,11 @@
 #include <vector>
 
 namespace loom::core {
+
+/// `value` as a base-10 integer; ConfigError naming `--key` when it is not
+/// wholly one.
+[[nodiscard]] std::int64_t parse_int(const std::string& key,
+                                     const std::string& value);
 
 class Options {
  public:

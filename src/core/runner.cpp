@@ -1,7 +1,6 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "common/error.hpp"
@@ -118,8 +117,13 @@ sim::RunResult ExperimentRunner::run_single(const std::string& arch_key,
 RunnerOptions runner_options_from_cli(const Options& cli) {
   RunnerOptions opts;
   opts.equiv_macs = static_cast<int>(cli.get_int("equiv", opts.equiv_macs));
-  opts.target = cli.get_int("target", 100) == 99 ? quant::AccuracyTarget::k99
-                                                 : quant::AccuracyTarget::k100;
+  const std::int64_t target = cli.get_int("target", 100);
+  if (target != 99 && target != 100) {
+    throw ConfigError("--target must be 99 or 100, got " +
+                      std::to_string(target));
+  }
+  opts.target = target == 99 ? quant::AccuracyTarget::k99
+                             : quant::AccuracyTarget::k100;
   opts.per_group_weights =
       cli.get_bool("per-group-weights", opts.per_group_weights);
   // --offchip is the historical spelling; --model-offchip matches the
@@ -137,10 +141,9 @@ RunnerOptions runner_options_from_cli(const Options& cli) {
   if (cli.has("loom-bits")) {
     opts.loom_bits.clear();
     for (const std::string& b : cli.get_list("loom-bits", {})) {
-      // strtol like the other getters — never throws; non-numeric entries
-      // (including a bare --loom-bits flag) are dropped, and invalid bit
-      // widths still fail loudly in LoomConfig::validate.
-      const long bits = std::strtol(b.c_str(), nullptr, 10);
+      // A non-numeric entry (a bare --loom-bits flag included) throws;
+      // invalid widths fail in LoomConfig::validate.
+      const std::int64_t bits = parse_int("loom-bits", b);
       if (bits > 0) opts.loom_bits.push_back(static_cast<int>(bits));
     }
   }

@@ -212,6 +212,21 @@ TEST(Runner, CliFlagsMapToRunnerOptions) {
   EXPECT_FALSE(runner_options_from_cli(Options(2, legacy)).model_offchip);
   const char* none[] = {"prog"};
   EXPECT_TRUE(runner_options_from_cli(Options(1, none)).model_offchip);
+
+  // Only the two accuracy targets exist; any other value is an error, not
+  // a silent fall back to the 100% profile. Non-numeric bit widths too.
+  const char* target98[] = {"prog", "--target=98"};
+  EXPECT_THROW((void)runner_options_from_cli(Options(2, target98)),
+               ConfigError);
+  const char* target100[] = {"prog", "--target=100"};
+  EXPECT_EQ(runner_options_from_cli(Options(2, target100)).target,
+            quant::AccuracyTarget::k100);
+  const char* bad_bits[] = {"prog", "--loom-bits=1,two"};
+  EXPECT_THROW((void)runner_options_from_cli(Options(2, bad_bits)),
+               ConfigError);
+  const char* bare_bits[] = {"prog", "--loom-bits"};
+  EXPECT_THROW((void)runner_options_from_cli(Options(2, bare_bits)),
+               ConfigError);
 }
 
 TEST(Options, ParsesFlagsAndLists) {
@@ -224,6 +239,25 @@ TEST(Options, ParsesFlagsAndLists) {
   EXPECT_EQ(opts.positional().size(), 1u);
   EXPECT_EQ(opts.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(opts.get_double("missing", 1.5), 1.5);
+
+  // A numeric getter rejects a value that is not wholly a number, naming
+  // the flag: a bare --jobs must not read as 0 (all hardware threads).
+  const char* junk[] = {"prog",        "--jobs",      "--equiv=12x",
+                        "--rate=0.5s", "--rate2=2.5", "--neg=-3",
+                        "--empty="};
+  const Options bad(7, junk);
+  EXPECT_THROW((void)bad.get_int("jobs", 1), ConfigError);
+  EXPECT_THROW((void)bad.get_int("equiv", 128), ConfigError);
+  EXPECT_THROW((void)bad.get_double("rate", 1.0), ConfigError);
+  EXPECT_THROW((void)bad.get_int("empty", 1), ConfigError);
+  EXPECT_THROW((void)bad.get_double("empty", 1.0), ConfigError);
+  EXPECT_DOUBLE_EQ(bad.get_double("rate2", 1.0), 2.5);
+  EXPECT_EQ(bad.get_int("neg", 0), -3);
+  try {
+    (void)bad.get_int("equiv", 128);
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--equiv"), std::string::npos);
+  }
 }
 
 }  // namespace
