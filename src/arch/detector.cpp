@@ -21,19 +21,4 @@ int DynamicPrecisionUnit::detect(
   return needed_bits_unsigned(ored);
 }
 
-int DynamicPrecisionUnit::detect_planes(const BitPlanes& planes) noexcept {
-  ++invocations_;
-  values_ += static_cast<std::uint64_t>(planes.values());
-  // OR all words of each plane; the leading-one detector picks the highest
-  // plane with any set bit.
-  for (int plane = planes.precision() - 1; plane >= 1; --plane) {
-    bool any = false;
-    for (std::int64_t v = 0; v < planes.values() && !any; ++v) {
-      any = planes.bit(v, plane) != 0;
-    }
-    if (any) return plane + 1;
-  }
-  return 1;
-}
-
 }  // namespace loom::arch

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <span>
 
-#include "arch/serializer.hpp"
 #include "common/bitops.hpp"
 
 namespace loom::arch {
@@ -25,10 +24,6 @@ class DynamicPrecisionUnit {
   [[nodiscard]] int detect(
       std::span<const std::span<const Value>> columns) noexcept;
 
-  /// Detect from bit-planes: OR each plane's words, then find the highest
-  /// non-empty plane — exactly what the OR-tree hardware computes.
-  [[nodiscard]] int detect_planes(const BitPlanes& planes) noexcept;
-
   /// Fold externally-computed detections into the counters. The
   /// word-parallel functional kernel evaluates the same OR groups while it
   /// packs and reports them here so detector statistics stay
@@ -40,10 +35,6 @@ class DynamicPrecisionUnit {
 
   [[nodiscard]] std::uint64_t invocations() const noexcept { return invocations_; }
   [[nodiscard]] std::uint64_t values_inspected() const noexcept { return values_; }
-  void reset() noexcept {
-    invocations_ = 0;
-    values_ = 0;
-  }
 
  private:
   std::uint64_t invocations_ = 0;

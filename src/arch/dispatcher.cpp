@@ -10,12 +10,6 @@ Dispatcher::Dispatcher(int lanes) : lanes_(lanes) {
   LOOM_EXPECTS(lanes >= 1 && lanes <= 32);
 }
 
-void Dispatcher::reset() noexcept {
-  detector_.reset();
-  act_bits_ = 0;
-  weight_bits_ = 0;
-}
-
 void Dispatcher::stream_activations(
     std::span<const std::span<const Value>> columns, int profile_precision,
     bool dynamic, ActivationStream& out) {

@@ -92,7 +92,6 @@ class Dispatcher {
   [[nodiscard]] std::uint64_t weight_bits_streamed() const noexcept {
     return weight_bits_;
   }
-  void reset() noexcept;
 
  private:
   int lanes_;

@@ -86,21 +86,4 @@ SipTile::BlockResult SipTile::conv_block(
   return result;
 }
 
-SipTile::CascadeResult SipTile::cascade_reduce(const std::vector<Wide>& partials,
-                                               int ways) const {
-  LOOM_EXPECTS(ways >= 1);
-  LOOM_EXPECTS(partials.size() % static_cast<std::size_t>(ways) == 0);
-  CascadeResult out;
-  out.reduced.reserve(partials.size() / static_cast<std::size_t>(ways));
-  for (std::size_t i = 0; i < partials.size(); i += static_cast<std::size_t>(ways)) {
-    Wide acc = 0;
-    for (int k = 0; k < ways; ++k) acc += partials[i + static_cast<std::size_t>(k)];
-    out.reduced.push_back(acc);
-  }
-  // The daisy-chain moves one partial per cycle: ways-1 cycles per group,
-  // groups reduce in parallel along distinct rows.
-  out.cycles = static_cast<std::uint64_t>(ways - 1);
-  return out;
-}
-
 }  // namespace loom::arch

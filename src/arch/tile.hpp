@@ -1,7 +1,7 @@
 // Functional SIP-grid tile: rows x cols SIPs sharing row weight buses and
 // column activation buses (paper Figure 2b). The tile executes real
-// sub-problems bit-serially — conv blocks (rows = filters, cols = windows)
-// and cascaded reductions — producing exact outputs plus cycle counts.
+// conv blocks (rows = filters, cols = windows) bit-serially, producing exact
+// outputs plus cycle counts.
 // The cycle-accurate simulators use closed-form counting for full networks;
 // this component is the semantic reference that the tests hold them to.
 #pragma once
@@ -38,16 +38,6 @@ class SipTile {
   [[nodiscard]] BlockResult conv_block(
       const std::vector<std::vector<Value>>& acts_by_col,
       const std::vector<std::vector<Value>>& weights_by_row, int pa, int pw);
-
-  /// Cascade reduction (§3.2 "Processing Layers with Few Outputs"): reduce
-  /// groups of `ways` adjacent partial outputs along a row into their sums
-  /// via the SIP daisy-chain; costs ways-1 cycles per group.
-  struct CascadeResult {
-    std::vector<Wide> reduced;
-    std::uint64_t cycles = 0;
-  };
-  [[nodiscard]] CascadeResult cascade_reduce(const std::vector<Wide>& partials,
-                                             int ways) const;
 
   [[nodiscard]] const TileConfig& config() const noexcept { return cfg_; }
 

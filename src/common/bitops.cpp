@@ -36,31 +36,6 @@ int group_precision_unsigned(std::span<const Value> group) noexcept {
   return needed_bits_unsigned(ored);
 }
 
-int group_precision_signed(std::span<const Value> group) noexcept {
-  int p = 1;
-  for (const Value v : group) p = std::max(p, needed_bits_signed(v));
-  return p;
-}
-
-bool fits_signed(std::int32_t v, int bits) noexcept {
-  if (bits <= 0) return false;
-  if (bits >= 32) return true;
-  const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
-  const std::int64_t hi = (std::int64_t{1} << (bits - 1)) - 1;
-  return v >= lo && v <= hi;
-}
-
-bool fits_unsigned(std::uint32_t v, int bits) noexcept {
-  if (bits <= 0) return false;
-  if (bits >= 32) return true;
-  return v <= ((std::uint64_t{1} << bits) - 1);
-}
-
-int naf_term_count(std::uint32_t mag) noexcept {
-  const NafDigits d = naf_digits(mag);
-  return std::popcount(d.plus) + std::popcount(d.minus);
-}
-
 Wide saturate_signed(Wide v, int bits) noexcept {
   const Wide lo = -(Wide{1} << (bits - 1));
   const Wide hi = (Wide{1} << (bits - 1)) - 1;

@@ -34,10 +34,6 @@ inline constexpr int kBasePrecision = 16;
 /// values (the per-group activation precision the OR-tree detector finds).
 [[nodiscard]] int group_precision_unsigned(std::span<const Value> group) noexcept;
 
-/// Needed signed precision over a group of two's-complement values (used
-/// for per-group weight precisions, Lascorz et al. [10]).
-[[nodiscard]] int group_precision_signed(std::span<const Value> group) noexcept;
-
 /// Extract bit `bit` (0 = LSB) of the two's-complement representation of v.
 [[nodiscard]] inline int bit_of(Value v, int bit) noexcept {
   return (static_cast<std::uint16_t>(v) >> bit) & 1;
@@ -48,12 +44,6 @@ inline constexpr int kBasePrecision = 16;
   const auto u = static_cast<std::uint32_t>(static_cast<std::uint16_t>(v));
   return (u >> bit) & ((1u << width) - 1u);
 }
-
-/// True if `v` is representable in `bits` bits of two's complement.
-[[nodiscard]] bool fits_signed(std::int32_t v, int bits) noexcept;
-
-/// True if `v` is representable in `bits` unsigned bits.
-[[nodiscard]] bool fits_unsigned(std::uint32_t v, int bits) noexcept;
 
 /// Clamp a wide accumulator into the signed range of `bits` bits
 /// (saturating quantization used when writing output activations back).
@@ -85,12 +75,6 @@ struct NafDigits {
   const std::uint32_t m3 = mag + (mag << 1);
   return {(m3 & ~mag) >> 1, (mag & ~m3) >> 1};
 }
-
-/// Number of nonzero NAF digits of `mag` — the effectual term count a
-/// term-serial (Laconic-style) weight lane spends on the value. Zero has no
-/// terms; callers that model a synchronized sequencer clamp group counts to
-/// one cycle themselves.
-[[nodiscard]] int naf_term_count(std::uint32_t mag) noexcept;
 
 /// FNV-1a over a byte range — the shared checksum/hash primitive behind
 /// the section-file checksums (common/section_file.hpp), the shard router's

@@ -1,14 +1,11 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace loom {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -21,10 +18,7 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(level, std::memory_order_relaxed);
-}
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
+LogLevel log_level() noexcept { return LogLevel::kWarn; }
 
 void log_message(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;

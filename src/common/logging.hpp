@@ -1,5 +1,5 @@
-// Tiny leveled logger. Experiments use it for progress reporting; it is
-// silent at the default level so test output stays clean.
+// Tiny leveled logger. Experiments use it for progress reporting; only
+// warnings and errors print, so test output stays clean.
 #pragma once
 
 #include <sstream>
@@ -9,13 +9,12 @@ namespace loom {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level) noexcept;
+/// Minimum level (kWarn); messages below it are dropped.
 [[nodiscard]] LogLevel log_level() noexcept;
 
-/// Emit one log line. Thread-safe: the level is atomic and each line is
-/// formatted first, then written to std::cerr whole under a lock, so lines
-/// from concurrent threads never interleave.
+/// Emit one log line. Thread-safe: each line is formatted first, then
+/// written to std::cerr whole under a lock, so lines from concurrent
+/// threads never interleave.
 void log_message(LogLevel level, const std::string& message);
 
 namespace detail {

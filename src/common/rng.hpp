@@ -38,12 +38,6 @@ class CounterRng {
   /// Uniform integer in [0, n).
   [[nodiscard]] std::uint64_t below(std::uint64_t index, std::uint64_t n) const noexcept;
 
-  /// Standard normal draw (Box-Muller on two derived uniforms).
-  [[nodiscard]] double normal(std::uint64_t index) const noexcept;
-
-  /// Exponential draw with rate 1 (inverse-CDF).
-  [[nodiscard]] double exponential(std::uint64_t index) const noexcept;
-
  private:
   std::uint64_t key_;
 };

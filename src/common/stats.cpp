@@ -25,25 +25,6 @@ double geomean(std::span<const double> xs) {
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-double weighted_mean(std::span<const double> xs, std::span<const double> ws) {
-  LOOM_EXPECTS(xs.size() == ws.size());
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    num += xs[i] * ws[i];
-    den += ws[i];
-  }
-  return den > 0.0 ? num / den : 0.0;
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (const double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
 void Accumulator::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;
@@ -53,18 +34,6 @@ void Accumulator::add(double x) noexcept {
   }
   ++n_;
   sum_ += x;
-}
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 namespace {

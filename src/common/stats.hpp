@@ -1,6 +1,6 @@
 // Small statistics helpers used by the comparison harness and the
-// calibration code: means, geometric means (the paper reports geomeans),
-// weighted aggregation and a streaming accumulator.
+// calibration code: means, geometric means (the paper reports geomeans)
+// and a streaming accumulator.
 #pragma once
 
 #include <array>
@@ -15,18 +15,10 @@ namespace loom {
 /// Geometric mean; requires all inputs > 0. Returns 0 for an empty range.
 [[nodiscard]] double geomean(std::span<const double> xs);
 
-/// Weighted arithmetic mean: sum(w*x)/sum(w).
-[[nodiscard]] double weighted_mean(std::span<const double> xs,
-                                   std::span<const double> ws);
-
-/// Sample standard deviation (n-1 denominator); 0 when n < 2.
-[[nodiscard]] double stddev(std::span<const double> xs) noexcept;
-
 /// Streaming accumulator for count/sum/min/max/mean.
 class Accumulator {
  public:
   void add(double x) noexcept;
-  void merge(const Accumulator& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }

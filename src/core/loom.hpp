@@ -15,7 +15,6 @@
 #include "arch/serializer.hpp"
 #include "arch/sip.hpp"
 #include "arch/tile.hpp"
-#include "arch/transposer.hpp"
 #include "common/bitops.hpp"
 #include "common/csv.hpp"
 #include "common/logging.hpp"
@@ -37,7 +36,6 @@
 #include "nn/tensor.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/calibration.hpp"
-#include "quant/dynamic_precision.hpp"
 #include "quant/group_precision.hpp"
 #include "quant/profiler.hpp"
 #include "quant/profiles.hpp"

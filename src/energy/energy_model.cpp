@@ -38,10 +38,4 @@ EnergyBreakdown EnergyModel::evaluate(const Activity& a) const noexcept {
   return e;
 }
 
-double EnergyModel::average_power_w(const Activity& a) const noexcept {
-  if (a.cycles == 0) return 0.0;
-  // 1 GHz: pJ / cycle == mW; convert to watts.
-  return evaluate(a).total_pj() / static_cast<double>(a.cycles) * 1e-3;
-}
-
 }  // namespace loom::energy

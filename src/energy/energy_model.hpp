@@ -36,9 +36,6 @@ class EnergyModel {
 
   [[nodiscard]] EnergyBreakdown evaluate(const Activity& activity) const noexcept;
 
-  /// Average power in watts given a cycle count at 1 GHz.
-  [[nodiscard]] double average_power_w(const Activity& activity) const noexcept;
-
  private:
   EnergyCoefficients coeffs_;
   double area_mm2_;

@@ -20,10 +20,4 @@ std::int64_t parallel_bits(std::int64_t count, int row_bits) {
   return ceil_div(count, values_per_row) * row_bits;
 }
 
-double compression_ratio(std::int64_t count, int precision) {
-  if (count == 0) return 1.0;
-  return static_cast<double>(parallel_bits(count)) /
-         static_cast<double>(packed_bits(count, precision));
-}
-
 }  // namespace loom::mem

@@ -21,7 +21,4 @@ namespace loom::mem {
 /// Bits for the same values in the baseline's 16-bit layout.
 [[nodiscard]] std::int64_t parallel_bits(std::int64_t count, int row_bits = 2048);
 
-/// Compression ratio of packed vs 16-bit storage (> 1 means smaller).
-[[nodiscard]] double compression_ratio(std::int64_t count, int precision);
-
 }  // namespace loom::mem

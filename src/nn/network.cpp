@@ -76,22 +76,6 @@ std::vector<std::size_t> Network::conv_indices() const {
   return out;
 }
 
-std::vector<std::size_t> Network::fc_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (layers_[i].kind == LayerKind::kFullyConnected) out.push_back(i);
-  }
-  return out;
-}
-
-int Network::conv_precision_groups() const {
-  int max_group = -1;
-  for (const Layer& l : layers_) {
-    if (l.kind == LayerKind::kConv) max_group = std::max(max_group, l.precision_group);
-  }
-  return max_group + 1;
-}
-
 std::int64_t Network::conv_macs() const {
   std::int64_t n = 0;
   for (const Layer& l : layers_) {
@@ -122,15 +106,6 @@ int Network::output_precision(std::size_t i) const {
     if (layers_[j].kind == LayerKind::kFullyConnected) break;
   }
   return kBasePrecision;
-}
-
-std::int64_t Network::peak_activation_values() const {
-  std::int64_t peak = 0;
-  for (const Layer& l : layers_) {
-    if (!l.has_weights()) continue;
-    peak = std::max(peak, l.in.elements() + l.out.elements());
-  }
-  return peak;
 }
 
 }  // namespace loom::nn

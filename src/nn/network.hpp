@@ -55,12 +55,8 @@ class Network {
   /// all reject a network on this one check.
   [[nodiscard]] std::string execution_error() const;
 
-  /// Indices of conv / fully-connected layers, in order.
+  /// Indices of conv layers, in order.
   [[nodiscard]] std::vector<std::size_t> conv_indices() const;
-  [[nodiscard]] std::vector<std::size_t> fc_indices() const;
-
-  /// Number of distinct activation-precision groups (= profile entries).
-  [[nodiscard]] int conv_precision_groups() const;
 
   /// Total MACs over conv / fc / all weighted layers.
   [[nodiscard]] std::int64_t conv_macs() const;
@@ -74,10 +70,6 @@ class Network {
   /// next conv consumer's profile Pa; an FC consumer, or none, stores at the
   /// base precision (16).
   [[nodiscard]] int output_precision(std::size_t i) const;
-
-  /// Largest input+output activation footprint of any weighted layer,
-  /// in values (drives the on-chip activation-memory sizing of §4.5).
-  [[nodiscard]] std::int64_t peak_activation_values() const;
 
  private:
   std::string name_;

@@ -70,30 +70,6 @@ Value Tensor::at3(std::int64_t c, std::int64_t h, std::int64_t w) const {
   return at(idx);
 }
 
-Value& Tensor::at4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w) {
-  const std::int64_t idx[] = {n, c, h, w};
-  return at(idx);
-}
-
-Value Tensor::at4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w) const {
-  const std::int64_t idx[] = {n, c, h, w};
-  return at(idx);
-}
-
-int Tensor::max_precision_signed() const noexcept {
-  int p = 1;
-  for (const Value v : data_) p = std::max(p, needed_bits_signed(v));
-  return p;
-}
-
-int Tensor::max_precision_unsigned() const noexcept {
-  int p = 1;
-  for (const Value v : data_) {
-    p = std::max(p, needed_bits_unsigned(static_cast<std::uint16_t>(v)));
-  }
-  return p;
-}
-
 WideTensor::WideTensor(Shape shape, Wide fill)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_.elements()), fill) {}

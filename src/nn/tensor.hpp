@@ -47,8 +47,6 @@ class Tensor {
   /// Convenience accessors for the common ranks.
   [[nodiscard]] Value& at3(std::int64_t c, std::int64_t h, std::int64_t w);
   [[nodiscard]] Value at3(std::int64_t c, std::int64_t h, std::int64_t w) const;
-  [[nodiscard]] Value& at4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w);
-  [[nodiscard]] Value at4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w) const;
 
   [[nodiscard]] std::span<Value> data() noexcept { return data_; }
   [[nodiscard]] std::span<const Value> data() const noexcept { return data_; }
@@ -56,10 +54,6 @@ class Tensor {
   /// Flat element access (row-major order).
   [[nodiscard]] Value flat(std::int64_t i) const { return data_[static_cast<std::size_t>(i)]; }
   void set_flat(std::int64_t i, Value v) { data_[static_cast<std::size_t>(i)] = v; }
-
-  /// Maximum needed precision over all elements (signed or unsigned view).
-  [[nodiscard]] int max_precision_signed() const noexcept;
-  [[nodiscard]] int max_precision_unsigned() const noexcept;
 
   /// Exact equality: same shape and byte-identical elements. The batched
   /// execution paths are pinned against solo runs with this.

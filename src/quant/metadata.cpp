@@ -34,8 +34,11 @@ GroupMetadata GroupMetadata::encode_values(std::span<const Value> values,
        i += static_cast<std::size_t>(group_size)) {
     const std::size_t n = std::min<std::size_t>(
         static_cast<std::size_t>(group_size), values.size() - i);
-    md.codes_.push_back(static_cast<std::uint8_t>(
-        group_precision_signed(values.subspan(i, n))));
+    int p = 1;
+    for (const Value v : values.subspan(i, n)) {
+      p = std::max(p, needed_bits_signed(v));
+    }
+    md.codes_.push_back(static_cast<std::uint8_t>(p));
   }
   return md;
 }

@@ -5,10 +5,6 @@
 
 namespace loom::quant {
 
-int tight_precision(const nn::Tensor& t, bool is_signed) {
-  return is_signed ? t.max_precision_signed() : t.max_precision_unsigned();
-}
-
 int profile_precision(const nn::Tensor& t, const ProfilerOptions& opts) {
   LOOM_EXPECTS(opts.mse_budget >= 0.0);
   // Mean squared value of the tensor (budget reference).

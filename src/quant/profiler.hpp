@@ -21,7 +21,4 @@ struct ProfilerOptions {
 /// Minimum precision meeting the fidelity budget (1..16).
 [[nodiscard]] int profile_precision(const nn::Tensor& t, const ProfilerOptions& opts);
 
-/// Tight (lossless) precision of a tensor: max needed bits over elements.
-[[nodiscard]] int tight_precision(const nn::Tensor& t, bool is_signed);
-
 }  // namespace loom::quant

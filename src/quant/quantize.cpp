@@ -1,9 +1,6 @@
 #include "quant/quantize.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
 
 namespace loom::quant {
 
@@ -16,27 +13,6 @@ Value clip_signed(std::int32_t v, int bits) noexcept {
 Value clip_unsigned(std::int32_t v, int bits) noexcept {
   const std::int32_t hi = (1 << bits) - 1;
   return static_cast<Value>(std::clamp(v, 0, hi));
-}
-
-Quantized quantize_signed(std::span<const float> values, int bits) {
-  LOOM_EXPECTS(bits >= 2 && bits <= kBasePrecision);
-  float peak = 0.0f;
-  for (const float v : values) peak = std::max(peak, std::abs(v));
-  // Choose scale_exp so peak maps just inside the representable range.
-  int scale_exp = 0;
-  if (peak > 0.0f) {
-    const double limit = static_cast<double>((1 << (bits - 1)) - 1);
-    scale_exp = static_cast<int>(std::floor(std::log2(limit / peak)));
-  }
-  const double scale = std::ldexp(1.0, scale_exp);
-  Quantized q{nn::Tensor(nn::Shape{static_cast<std::int64_t>(values.size())}),
-              scale_exp};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto fixed =
-        static_cast<std::int32_t>(std::lround(values[i] * scale));
-    q.tensor.set_flat(static_cast<std::int64_t>(i), clip_signed(fixed, bits));
-  }
-  return q;
 }
 
 double clip_mse_signed(const nn::Tensor& t, int bits) {

@@ -1,10 +1,6 @@
-// Fixed-point quantization helpers: float -> fixed conversion with max-abs
-// scaling and precision clipping, used by the profiler, the examples and
-// the tests.
+// Fixed-point precision clipping helpers, used by the profiler and the
+// tests.
 #pragma once
-
-#include <span>
-#include <vector>
 
 #include "common/bitops.hpp"
 #include "nn/tensor.hpp"
@@ -16,15 +12,6 @@ namespace loom::quant {
 
 /// Saturate a non-negative value into `bits` unsigned bits.
 [[nodiscard]] Value clip_unsigned(std::int32_t v, int bits) noexcept;
-
-/// Quantize floats into `bits`-bit signed fixed point with a shared
-/// power-of-two scale chosen from the max magnitude. Returns the tensor and
-/// the scale exponent (value = real * 2^scale_exp).
-struct Quantized {
-  nn::Tensor tensor;
-  int scale_exp = 0;
-};
-[[nodiscard]] Quantized quantize_signed(std::span<const float> values, int bits);
 
 /// Mean squared error between a tensor and its `bits`-bit clipped version;
 /// the profiler uses this as the fidelity proxy.

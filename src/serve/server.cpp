@@ -265,7 +265,6 @@ std::future<InferenceResult> InferenceServer::enqueue(
     ++stats_.by_class[cls].submitted;
     stats_.peak_queue_depth =
         std::max<std::uint64_t>(stats_.peak_queue_depth, total_pending_);
-    publish_queue_snapshot();
   }
   for (Pending& v : evicted) {
     v.promise.set_exception(std::make_exception_ptr(OverloadError(
@@ -305,36 +304,6 @@ ServerStats InferenceServer::stats() const {
   s.autotune_hits = tuner.hits;
   s.autotune_misses = tuner.misses;
   s.autotune_explore_records = tuner.explore_records;
-  return s;
-}
-
-void InferenceServer::publish_queue_snapshot() noexcept {
-  snap_depth_.store(total_pending_, std::memory_order_relaxed);
-  Clock::time_point oldest = Clock::time_point::max();
-  for (const auto& [model, q] : queues_) {
-    oldest = std::min(oldest, q.earliest_enqueued());
-  }
-  snap_oldest_ns_.store(
-      oldest == Clock::time_point::max()
-          ? kNoOldest
-          : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                oldest.time_since_epoch())
-                .count(),
-      std::memory_order_relaxed);
-}
-
-QueueSnapshot InferenceServer::queue_snapshot() const noexcept {
-  QueueSnapshot s;
-  s.depth = snap_depth_.load(std::memory_order_relaxed);
-  s.inflight = snap_inflight_.load(std::memory_order_relaxed);
-  const std::int64_t oldest = snap_oldest_ns_.load(std::memory_order_relaxed);
-  if (oldest != kNoOldest) {
-    const std::int64_t now =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count();
-    s.oldest_age = std::chrono::nanoseconds(std::max<std::int64_t>(0, now - oldest));
-  }
   return s;
 }
 
@@ -435,7 +404,6 @@ void InferenceServer::worker_loop() {
         }
       }
       total_pending_ -= batch.size();
-      snap_inflight_.fetch_add(batch.size(), std::memory_order_relaxed);
       q->claimed = false;
       if (q->empty()) {
         // Drop the node so ad-hoc (unregistered) models cannot grow the
@@ -449,7 +417,6 @@ void InferenceServer::worker_loop() {
           }
         }
       }
-      publish_queue_snapshot();
     }
     // Other workers may now serve this model's remainder (or observe the
     // drained-shutdown state); producers may refill the freed queue slots.
@@ -586,7 +553,6 @@ void InferenceServer::worker_loop() {
         p.promise.set_exception(err);
       }
     }
-    snap_inflight_.fetch_sub(n, std::memory_order_relaxed);
   }
 }
 

@@ -47,13 +47,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -142,22 +140,6 @@ struct InferenceResult {
   /// Index of the shard that served the request when routed through a
   /// ShardRouter; -1 for direct InferenceServer submissions.
   int shard = -1;
-};
-
-/// Cheap queue observability, read without taking the server mutex. The
-/// three fields are lock-free mirrors published *after* each queue
-/// transition commits under the internal lock, so a reader may observe
-/// values up to one transition stale, and the fields are individually —
-/// not mutually — consistent (depth may reflect a newer transition than
-/// oldest_age). That staleness contract is fine for the router's health
-/// scoring, which this accessor exists for; use stats() when exact,
-/// mutually consistent accounting is required.
-struct QueueSnapshot {
-  std::size_t depth = 0;  ///< requests pending across all model queues
-  /// Age of the oldest pending request (0 when the queue is empty).
-  std::chrono::nanoseconds oldest_age{0};
-  /// Requests popped into batches that have not resolved their futures yet.
-  std::size_t inflight = 0;
 };
 
 /// Per-priority-class accounting. After a drain,
@@ -269,9 +251,6 @@ class InferenceServer {
   void stop();
 
   [[nodiscard]] ServerStats stats() const;
-  /// Lock-free queue-pressure snapshot (see QueueSnapshot for the staleness
-  /// contract). Safe to call at any rate from any thread.
-  [[nodiscard]] QueueSnapshot queue_snapshot() const noexcept;
   [[nodiscard]] const ServeOptions& options() const noexcept { return opts_; }
   /// Injected-fault counters (all zero when ServeOptions::faults is
   /// disabled).
@@ -335,8 +314,6 @@ class InferenceServer {
   void sweep_expired(ModelQueue& q, Clock::time_point now,
                      std::vector<Pending>& expired);
   [[nodiscard]] std::size_t shed_threshold() const noexcept;
-  /// Refresh the lock-free QueueSnapshot mirrors. Caller holds the lock.
-  void publish_queue_snapshot() noexcept;
 
   const ModelRegistry& models_;
   ServeOptions opts_;
@@ -350,16 +327,6 @@ class InferenceServer {
   std::uint64_t next_sequence_ = 0;
   bool stopping_ = false;
   ServerStats stats_;
-
-  /// Sentinel for "no pending request" in snap_oldest_ns_.
-  static constexpr std::int64_t kNoOldest =
-      std::numeric_limits<std::int64_t>::max();
-  // Lock-free mirrors behind queue_snapshot(); written under mutex_ (except
-  // the inflight decrement, which is a bare atomic sub after futures
-  // resolve), read relaxed.
-  std::atomic<std::size_t> snap_depth_{0};
-  std::atomic<std::int64_t> snap_oldest_ns_{kNoOldest};
-  std::atomic<std::size_t> snap_inflight_{0};
 
   std::once_flag join_once_;
   std::vector<std::thread> workers_;

@@ -163,6 +163,13 @@ void ShardRouter::set_health(int shard, ShardHealth to, Clock::time_point now) {
   s.health = to;
 }
 
+void ShardRouter::back_off(Shard& s, Clock::time_point now) {
+  s.backoff = s.backoff.count() == 0
+                  ? opts_.probation_backoff
+                  : std::min(opts_.max_backoff, s.backoff * 2);
+  s.eject_until = now + s.backoff;
+}
+
 void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
                                  Clock::time_point now) {
   Shard& s = shards_[static_cast<std::size_t>(shard)];
@@ -198,10 +205,7 @@ void ShardRouter::record_failure(int shard, Clock::time_point now) {
       s.consecutive_failures >= opts_.eject_after_consecutive ||
       s.error_ewma.value() >= opts_.eject_error_rate;
   if (eject) {
-    s.backoff = s.backoff.count() == 0
-                    ? opts_.probation_backoff
-                    : std::min(opts_.max_backoff, s.backoff * 2);
-    s.eject_until = now + s.backoff;
+    back_off(s, now);
     s.probation_successes = 0;
     if (s.down_since == Clock::time_point::min()) s.down_since = now;
     set_health(shard, ShardHealth::kEjected, now);
@@ -254,10 +258,7 @@ bool ShardRouter::try_restart(int shard, Clock::time_point now,
   }
   if (err != nullptr) {
     // Restart failed (e.g. SnapshotError): stay dead for another backoff.
-    s.backoff = s.backoff.count() == 0
-                    ? opts_.probation_backoff
-                    : std::min(opts_.max_backoff, s.backoff * 2);
-    s.eject_until = Clock::now() + s.backoff;
+    back_off(s, Clock::now());
     return false;
   }
   s.server = std::move(inst.server);
@@ -288,10 +289,7 @@ void ShardRouter::kill_shard(int shard) {
     s.probation_successes = 0;
     s.error_ewma.reset();
     s.latency_ewma.reset();
-    s.backoff = s.backoff.count() == 0
-                    ? opts_.probation_backoff
-                    : std::min(opts_.max_backoff, s.backoff * 2);
-    s.eject_until = now + s.backoff;
+    back_off(s, now);
     if (s.down_since == Clock::time_point::min()) s.down_since = now;
     set_health(shard, ShardHealth::kEjected, now);
   }
@@ -308,22 +306,69 @@ bool ShardRouter::restart_shard(int shard) {
   return try_restart(shard, Clock::now(), lock);
 }
 
-InferenceResult ShardRouter::attempt(
-    const std::shared_ptr<InferenceServer>& server,
-    const std::shared_ptr<const Model>& model, const nn::Tensor& input,
-    const RouteOptions& ropts, Clock::time_point attempt_deadline) {
+InferenceResult ShardRouter::attempt(const Leg& primary, const Leg& hedge,
+                                     const std::shared_ptr<const Model>& model,
+                                     const nn::Tensor& input, Priority priority,
+                                     Clock::time_point attempt_deadline) {
+  SubmitOptions so;
+  so.priority = priority;
+  so.deadline_at = attempt_deadline;
   const Clock::time_point now = Clock::now();
   const auto admit_budget =
       attempt_deadline > now
           ? std::chrono::duration_cast<std::chrono::nanoseconds>(
                 attempt_deadline - now)
           : std::chrono::nanoseconds(0);
-  SubmitOptions so;
-  so.priority = ropts.priority;
-  so.deadline_at = attempt_deadline;
-  std::future<InferenceResult> fut =
-      server->try_submit(model, input, admit_budget, so);
-  return fut.get();
+  std::future<InferenceResult> primary_fut =
+      primary.server->try_submit(model, input, admit_budget, so);
+  std::future<InferenceResult> hedge_fut;
+  if (hedge.server != nullptr &&
+      primary_fut.wait_for(opts_.hedge_delay) != std::future_status::ready) {
+    try {
+      hedge_fut = hedge.server->try_submit(model, input,
+                                           std::chrono::nanoseconds(0), so);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.hedges;
+    } catch (...) {
+      // Hedge admission failed (shed/stopped): the primary runs alone.
+    }
+  }
+  if (!hedge_fut.valid()) {
+    InferenceResult res = primary_fut.get();
+    res.shard = primary.shard;
+    return res;
+  }
+  // First success wins; a failed leg keeps the race alive for the other.
+  // The abandoned loser future is safely dropped — its shard's server
+  // still resolves it.
+  std::exception_ptr primary_err;
+  bool hedge_failed = false;
+  const auto slice = std::chrono::microseconds(50);
+  for (;;) {
+    if (primary_err == nullptr &&
+        primary_fut.wait_for(slice) == std::future_status::ready) {
+      try {
+        InferenceResult res = primary_fut.get();
+        res.shard = primary.shard;
+        return res;
+      } catch (...) {
+        primary_err = std::current_exception();
+      }
+    }
+    if (!hedge_failed &&
+        hedge_fut.wait_for(slice) == std::future_status::ready) {
+      try {
+        InferenceResult res = hedge_fut.get();
+        res.shard = hedge.shard;
+        return res;
+      } catch (...) {
+        hedge_failed = true;
+      }
+    }
+    if (primary_err != nullptr && hedge_failed) {
+      std::rethrow_exception(primary_err);
+    }
+  }
 }
 
 InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
@@ -397,8 +442,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
 
       std::shared_ptr<InferenceServer> server;
       std::shared_ptr<const ModelRegistry> registry;
-      std::shared_ptr<InferenceServer> hedge_server;
-      int hedge_si = -1;
+      Leg hedge;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         if (stopping_) {
@@ -436,8 +480,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
             const int sj = rank[rj];
             Shard& h = shards_[static_cast<std::size_t>(sj)];
             if (eligible(sj, now) && h.stall_until <= now) {
-              hedge_server = h.server;
-              hedge_si = sj;
+              hedge = Leg{sj, h.server};
               break;
             }
           }
@@ -458,124 +501,35 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
       now = Clock::now();
       const Clock::time_point attempt_deadline =
           std::min(deadline_at, now + opts_.attempt_timeout);
-
-      // ---- Hedged attempt --------------------------------------------------
-      if (hedge_server != nullptr) {
-        try {
-          SubmitOptions so;
-          so.priority = ropts.priority;
-          so.deadline_at = attempt_deadline;
-          std::future<InferenceResult> primary_fut = server->try_submit(
-              handle, input,
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  attempt_deadline - now),
-              so);
-          std::future<InferenceResult> hedge_fut;
-          bool hedged = false;
-          if (primary_fut.wait_for(opts_.hedge_delay) !=
-              std::future_status::ready) {
-            try {
-              hedge_fut = hedge_server->try_submit(
-                  handle, input, std::chrono::nanoseconds(0), so);
-              hedged = true;
-              const std::lock_guard<std::mutex> lock(mutex_);
-              ++stats_.hedges;
-            } catch (...) {
-              // Hedge admission failed (shed/stopped): race only the
-              // primary. The primary attempt is unaffected.
-            }
-          }
-          // First success wins; a failed leg keeps the race alive for the
-          // other. The abandoned loser future is safely dropped — its
-          // shard's server still resolves it.
-          std::exception_ptr primary_err;
-          std::exception_ptr hedge_err;
-          const auto slice = std::chrono::microseconds(50);
-          for (;;) {
-            if (primary_err == nullptr &&
-                primary_fut.wait_for(hedged ? slice : slice * 20) ==
-                    std::future_status::ready) {
-              try {
-                InferenceResult res = primary_fut.get();
-                const std::lock_guard<std::mutex> lock(mutex_);
-                record_success(si, Clock::now() - t0, Clock::now());
-                finish(&RouterStats::completed, &TenantStats::completed);
-                stats_.latency_ns.add(ns_of(Clock::now() - t0));
-                res.shard = si;
-                return res;
-              } catch (...) {
-                primary_err = std::current_exception();
-              }
-            }
-            if (hedged && hedge_err == nullptr &&
-                hedge_fut.wait_for(slice) == std::future_status::ready) {
-              try {
-                InferenceResult res = hedge_fut.get();
-                const std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.hedge_wins;
-                finish(&RouterStats::completed, &TenantStats::completed);
-                stats_.latency_ns.add(ns_of(Clock::now() - t0));
-                res.shard = hedge_si;
-                // Credit the breaker only if that shard still runs the
-                // generation we hit; after a restart the success belongs
-                // to the dead instance, not the fresh one in probation.
-                if (shards_[static_cast<std::size_t>(hedge_si)].server ==
-                    hedge_server) {
-                  record_success(hedge_si, Clock::now() - t0, Clock::now());
-                }
-                return res;
-              } catch (...) {
-                hedge_err = std::current_exception();
-              }
-            }
-            if (primary_err != nullptr && (!hedged || hedge_err != nullptr)) {
-              std::rethrow_exception(primary_err);
-            }
-          }
-        } catch (const OverloadError&) {
-          saw_shed = true;
-          last_error = std::current_exception();
-          const std::lock_guard<std::mutex> lock(mutex_);
-          record_failure(si, Clock::now());
-          continue;
-        } catch (const DeadlineExceededError&) {
-          last_error = std::current_exception();
-          const std::lock_guard<std::mutex> lock(mutex_);
-          record_failure(si, Clock::now());
-          continue;
-        } catch (...) {
-          last_error = std::current_exception();
-          const std::lock_guard<std::mutex> lock(mutex_);
-          record_failure(si, Clock::now());
-          continue;
-        }
-      }
-
-      // ---- Plain attempt ---------------------------------------------------
       try {
-        InferenceResult res =
-            attempt(server, handle, input, ropts, attempt_deadline);
+        InferenceResult res = attempt(Leg{si, server}, hedge, handle, input,
+                                      ropts.priority, attempt_deadline);
         const std::lock_guard<std::mutex> lock(mutex_);
-        record_success(si, Clock::now() - t0, Clock::now());
+        if (res.shard == si) {
+          record_success(si, Clock::now() - t0, Clock::now());
+        } else {
+          ++stats_.hedge_wins;
+          // Credit the breaker only if the hedge shard still runs the
+          // generation we hit; after a restart the success belongs to the
+          // dead instance, not the fresh one in probation.
+          if (shards_[static_cast<std::size_t>(hedge.shard)].server ==
+              hedge.server) {
+            record_success(hedge.shard, Clock::now() - t0, Clock::now());
+          }
+        }
         finish(&RouterStats::completed, &TenantStats::completed);
         stats_.latency_ns.add(ns_of(Clock::now() - t0));
-        res.shard = si;
         return res;
       } catch (const OverloadError&) {
         saw_shed = true;
         last_error = std::current_exception();
-        const std::lock_guard<std::mutex> lock(mutex_);
-        record_failure(si, Clock::now());
-      } catch (const DeadlineExceededError&) {
-        last_error = std::current_exception();
-        const std::lock_guard<std::mutex> lock(mutex_);
-        record_failure(si, Clock::now());
       } catch (...) {
-        // ShutdownError (the shard was killed under us), engine errors, …
+        // Deadline, ShutdownError (the shard was killed under us), engine
+        // errors, …
         last_error = std::current_exception();
-        const std::lock_guard<std::mutex> lock(mutex_);
-        record_failure(si, Clock::now());
       }
+      const std::lock_guard<std::mutex> lock(mutex_);
+      record_failure(si, Clock::now());
     }
 
     if (!attempted_this_pass) {

@@ -322,6 +322,9 @@ class ShardRouter {
   void record_success(int shard, std::chrono::nanoseconds latency,
                       Clock::time_point now);
   void record_failure(int shard, Clock::time_point now);
+  /// Start shard `s`'s ejection backoff, or double it (capped at
+  /// max_backoff), and eject it until `now` plus the backoff. Lock held.
+  void back_off(Shard& s, Clock::time_point now);
   /// True when shard `i` may take traffic now (alive and not inside an
   /// ejection backoff; lazily moves expired ejections to probation).
   bool eligible(int shard, Clock::time_point now);
@@ -331,12 +334,21 @@ class ShardRouter {
                    std::unique_lock<std::mutex>& lock);
   void prober_loop();
 
-  /// One attempt on one shard: try_submit + wait. Returns the result or
-  /// rethrows the attempt's error. Lock NOT held.
+  /// One shard an attempt submits to (no server = no hedge partner).
+  struct Leg {
+    int shard = -1;
+    std::shared_ptr<InferenceServer> server;
+  };
+
+  /// One attempt: try_submit on `primary` and, when `hedge` has a server
+  /// and the primary is still pending after hedge_delay, race a second
+  /// submission there. Returns the first success with `shard` set to the
+  /// winning leg, or rethrows the primary's error once every leg failed.
+  /// Lock NOT held.
   [[nodiscard]] InferenceResult attempt(
-      const std::shared_ptr<InferenceServer>& server,
+      const Leg& primary, const Leg& hedge,
       const std::shared_ptr<const Model>& model, const nn::Tensor& input,
-      const RouteOptions& ropts, Clock::time_point attempt_deadline);
+      Priority priority, Clock::time_point attempt_deadline);
 
   RouterOptions opts_;
   ShardFactory factory_;

@@ -463,14 +463,6 @@ GemmEngine::GemmEngine(GridOptions grid)
   slab_windows_ = (kTile / opts_.cols) * opts_.cols;
 }
 
-ConvStats GemmEngine::run_conv(const nn::Layer& layer, const nn::Tensor& input,
-                               const nn::Tensor& weights, const SliceSpec& spec,
-                               nn::WideTensor& wide) {
-  const nn::Tensor* const inputs[] = {&input};
-  nn::WideTensor* const wides[] = {&wide};
-  return run_conv_batch(layer, inputs, weights, spec, wides);
-}
-
 ConvStats GemmEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const SliceSpec& spec,

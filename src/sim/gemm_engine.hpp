@@ -131,11 +131,6 @@ class GemmEngine {
   /// Requires supports(grid).
   explicit GemmEngine(GridOptions grid);
 
-  /// Single-request convolution (a batch of one).
-  ConvStats run_conv(const nn::Layer& layer, const nn::Tensor& input,
-                     const nn::Tensor& weights, const SliceSpec& spec,
-                     nn::WideTensor& wide);
-
   /// Batched convolution: the window axes of all requests concatenate into
   /// one global axis, so slabs and column groups may span request
   /// boundaries (dynamic detection then sees an upper bound of every value

@@ -1,12 +1,10 @@
 #include "sim/laconic_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "sim/loom_sim.hpp"
-#include "sim/or_planes.hpp"
 
 namespace loom::sim {
 
@@ -240,86 +238,6 @@ LayerModel LaconicSimulator::model_fc(LayerWorkload& lw) const {
       static_cast<std::uint64_t>(std::max(0.0, lane_slots - term_ops));
   set_fc_timing(m, plan);
   return m;
-}
-
-LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
-                                      const nn::Tensor& input,
-                                      const nn::Tensor& weights,
-                                      const GridOptions& grid) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-
-  LaconicFunctionalRun run;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-
-  // Exact values come from the dense-GEMM kernel (byte-identical to the
-  // scalar grid and nn::conv_forward); the cycles below never read them.
-  LOOM_EXPECTS(supports(grid));
-  GemmEngine engine(grid);
-  const SliceSpec spec{.act_precision = layer.act_precision,
-                       .weight_precision = layer.weight_precision,
-                       .dynamic = true};
-  (void)engine.run_conv(layer, input, weights, spec, run.wide);
-
-  // Data-driven term-serial cycles over the actual tensors. Activation term
-  // counts come from the same OR planes the detector uses; weight terms are
-  // the NAF-union walk of each row's 16-weight group, synchronized across
-  // the filter block at the slowest row.
-  ActOrPlanes planes(layer, grid.lanes);
-  planes.build(input);
-
-  const std::int64_t windows = layer.windows();
-  const std::int64_t inner = layer.inner_length();
-  const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t wb_count = ceil_div(windows, grid.cols);
-  const std::int64_t ic_count = ceil_div(inner, grid.lanes);
-  const std::uint32_t pa_mask =
-      (std::uint32_t{1} << layer.act_precision) - 1u;
-
-  std::uint64_t cycles = 0;
-  std::uint64_t ta_sum = 0;
-  std::uint64_t tw_sum = 0;
-  std::uint64_t blocks = 0;
-  for (std::int64_t g = 0; g < layer.groups; ++g) {
-    for (std::int64_t f0 = 0; f0 < cog; f0 += grid.rows) {
-      const std::int64_t f1 = std::min<std::int64_t>(cog, f0 + grid.rows);
-      for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-        const std::int64_t i0 = ic * grid.lanes;
-        const std::int64_t i1 = std::min(inner, i0 + grid.lanes);
-        // Slowest row of the block: union NAF digit positions per row's
-        // weight group, take the longest walk.
-        int tw = 1;
-        for (std::int64_t f = f0; f < f1; ++f) {
-          const std::int64_t co = g * cog + f;
-          std::uint32_t positions = 0;
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const Value v = weights.flat(co * inner + i);
-            const auto mag = static_cast<std::uint32_t>(
-                v < 0 ? -static_cast<std::int32_t>(v)
-                      : static_cast<std::int32_t>(v));
-            positions |= naf_digits(mag).positions();
-          }
-          tw = std::max(tw, std::max(1, std::popcount(positions)));
-        }
-        for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-          const int ta = std::max(
-              1, std::popcount(static_cast<std::uint32_t>(
-                     planes.group_or(g, ic, wb, grid.cols)) &
-                 pa_mask));
-          cycles += static_cast<std::uint64_t>(ta) *
-                    static_cast<std::uint64_t>(tw);
-          ta_sum += static_cast<std::uint64_t>(ta);
-          tw_sum += static_cast<std::uint64_t>(tw);
-          ++blocks;
-        }
-      }
-    }
-  }
-  run.cycles = cycles;
-  run.mean_act_terms =
-      blocks ? static_cast<double>(ta_sum) / static_cast<double>(blocks) : 0.0;
-  run.mean_weight_terms =
-      blocks ? static_cast<double>(tw_sum) / static_cast<double>(blocks) : 0.0;
-  return run;
 }
 
 }  // namespace loom::sim

@@ -30,10 +30,6 @@
 // the PE. Only compute cycles follow the term tables.
 #pragma once
 
-#include <cstdint>
-
-#include "nn/tensor.hpp"
-#include "sim/gemm_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace loom::sim {
@@ -57,24 +53,5 @@ class LaconicSimulator final : public Simulator {
 
   arch::LaconicConfig cfg_;
 };
-
-/// Functional term-serial run of one convolution layer: exact accumulators
-/// from the dense-GEMM engine (byte-identical to nn::conv_forward) plus
-/// *data-driven* term-serial grid cycles — per (filter block, window block,
-/// input chunk) the product of the chunk's activation term count and the
-/// slowest row's weight-group NAF union length. Unlike the analytic model,
-/// which works from streamed statistical means, this walks the actual
-/// tensors; tests pin it with golden digests rather than asserting equality
-/// with the analytic count.
-struct LaconicFunctionalRun {
-  nn::WideTensor wide;         ///< exact accumulators [out.c][out.h][out.w]
-  std::uint64_t cycles = 0;    ///< term-serial grid cycles (no pipeline fill)
-  double mean_act_terms = 0.0; ///< mean chunk activation term count
-  double mean_weight_terms = 0.0;  ///< mean per-block synced weight terms
-};
-
-[[nodiscard]] LaconicFunctionalRun run_laconic_conv(
-    const nn::Layer& layer, const nn::Tensor& input, const nn::Tensor& weights,
-    const GridOptions& grid = {});
 
 }  // namespace loom::sim

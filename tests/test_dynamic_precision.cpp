@@ -1,54 +1,64 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "arch/detector.hpp"
-#include "arch/serializer.hpp"
 #include "common/error.hpp"
 #include "nn/synthetic.hpp"
-#include "quant/dynamic_precision.hpp"
+#include "quant/metadata.hpp"
 
 namespace loom {
 namespace {
 
+// Per-group weight precisions are the signed codes GroupMetadata encodes:
+// each group's worst-case two's-complement needed bits.
+
 TEST(PerGroupPrecisions, MatchesBruteForce) {
   const std::vector<Value> values = {1, 2, 3, 0, 250, 1, 0, 0, 15};
-  const auto groups = quant::per_group_precisions(values, 3, /*is_signed=*/false);
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0], 2);  // max 3
-  EXPECT_EQ(groups[1], 8);  // max 250
-  EXPECT_EQ(groups[2], 4);  // max 15
+  const auto md = quant::GroupMetadata::encode_values(values, 3);
+  ASSERT_EQ(md.groups(), 3);
+  for (std::int64_t g = 0; g < md.groups(); ++g) {
+    int brute = 1;
+    for (std::size_t i = 0; i < 3; ++i) {
+      brute = std::max(
+          brute, needed_bits_signed(values[static_cast<std::size_t>(g) * 3 + i]));
+    }
+    EXPECT_EQ(md.group_precision(g), brute) << g;
+  }
+  EXPECT_EQ(md.group_precision(1), 9);  // max 250, plus the sign bit
 }
 
 TEST(PerGroupPrecisions, PartialFinalGroup) {
   const std::vector<Value> values = {1, 1, 1, 1, 127};
-  const auto groups = quant::per_group_precisions(values, 4, false);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[1], 7);
+  const auto md = quant::GroupMetadata::encode_values(values, 4);
+  ASSERT_EQ(md.groups(), 2);
+  EXPECT_EQ(md.group_precision(1), 8);
 }
 
 TEST(PerGroupPrecisions, SignedWeights) {
   const std::vector<Value> values = {-1, 1, -128, 2};
-  const auto groups = quant::per_group_precisions(values, 2, true);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], 2);
-  EXPECT_EQ(groups[1], 8);
+  const auto md = quant::GroupMetadata::encode_values(values, 2);
+  ASSERT_EQ(md.groups(), 2);
+  EXPECT_EQ(md.group_precision(0), 2);
+  EXPECT_EQ(md.group_precision(1), 8);
 }
 
 TEST(MeanGroupPrecision, AveragesGroups) {
-  const std::vector<Value> values = {1, 1, 255, 255};
-  EXPECT_DOUBLE_EQ(quant::mean_group_precision(values, 2, false), 4.5);
+  const std::vector<Value> values = {1, 1, 127, 127};
+  EXPECT_DOUBLE_EQ(quant::GroupMetadata::encode_values(values, 2).mean_precision(),
+                   5.0);
 }
 
 TEST(PrecisionDetector, CountsInvocations) {
-  quant::PrecisionDetector det;
+  arch::DynamicPrecisionUnit det;
   const std::vector<Value> group = {1, 2, 3};
-  (void)det.detect_unsigned(group);
-  (void)det.detect_signed(group);
+  (void)det.detect(group);
+  const std::span<const Value> columns[] = {group, group};
+  (void)det.detect(columns);
   EXPECT_EQ(det.invocations(), 2u);
-  det.reset();
-  EXPECT_EQ(det.invocations(), 0u);
+  EXPECT_EQ(det.values_inspected(), 9u);
 }
 
 TEST(DynamicPrecisionUnit, DetectMatchesGroupPrecision) {
@@ -60,8 +70,9 @@ TEST(DynamicPrecisionUnit, DetectMatchesGroupPrecision) {
 }
 
 TEST(DynamicPrecisionUnit, PlaneDetectionEqualsValueDetection) {
-  // The OR-tree-over-bit-planes formulation must agree with the direct
-  // value formulation on random data.
+  // The OR-tree formulation — OR every bit plane across the dispatcher's
+  // per-column fetch group, then find the highest non-empty plane — must
+  // agree with the direct value formulation on random data.
   nn::SyntheticSpec spec{.precision = 9, .alpha = 2.0, .is_signed = false};
   const nn::SyntheticSource src(3, 0, spec);
   arch::DynamicPrecisionUnit unit;
@@ -70,8 +81,11 @@ TEST(DynamicPrecisionUnit, PlaneDetectionEqualsValueDetection) {
     for (std::size_t i = 0; i < group.size(); ++i) {
       group[i] = src.at(static_cast<std::uint64_t>(trial) * 64 + i);
     }
-    const arch::BitPlanes planes = arch::serialize(group, 16);
-    EXPECT_EQ(unit.detect_planes(planes), unit.detect(group)) << trial;
+    const std::span<const Value> all(group);
+    const std::span<const Value> columns[] = {
+        all.subspan(0, 16), all.subspan(16, 16), all.subspan(32, 16),
+        all.subspan(48, 16)};
+    EXPECT_EQ(unit.detect(columns), group_precision_unsigned(group)) << trial;
   }
 }
 
@@ -79,19 +93,23 @@ TEST(DynamicPrecisionUnit, AllZerosStillOneBit) {
   arch::DynamicPrecisionUnit unit;
   const std::vector<Value> zeros(16, 0);
   EXPECT_EQ(unit.detect(zeros), 1);
-  EXPECT_EQ(unit.detect_planes(arch::serialize(zeros, 8)), 1);
+  const std::span<const Value> columns[] = {zeros, zeros};
+  EXPECT_EQ(unit.detect(columns), 1);
 }
 
 TEST(PerGroupPrecisions, GroupSizeOneIsPerValue) {
-  const std::vector<Value> values = {0, 1, 2, 4, 8};
-  const auto groups = quant::per_group_precisions(values, 1, false);
-  const std::vector<int> expected = {1, 1, 2, 3, 4};
-  EXPECT_EQ(groups, expected);
+  const std::vector<Value> values = {0, 1, -2, 4, -8};
+  const auto md = quant::GroupMetadata::encode_values(values, 1);
+  ASSERT_EQ(md.groups(), 5);
+  for (std::int64_t g = 0; g < md.groups(); ++g) {
+    EXPECT_EQ(md.group_precision(g),
+              needed_bits_signed(values[static_cast<std::size_t>(g)]));
+  }
 }
 
 TEST(PerGroupPrecisions, InvalidGroupThrows) {
   const std::vector<Value> values = {1};
-  EXPECT_THROW((void)quant::per_group_precisions(values, 0, false),
+  EXPECT_THROW((void)quant::GroupMetadata::encode_values(values, 0),
                ContractViolation);
 }
 

@@ -7,6 +7,8 @@
 // bit-sliced one; the digests they pin have not moved since.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "golden.hpp"
 #include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
@@ -201,8 +203,11 @@ void expect_conv_equivalent(const ConvCase& c) {
 
   // Against the golden model when no truncation can occur (the generators
   // can emit values the streamed precision clips, e.g. +1 at Pw = 1).
-  if (input.max_precision_unsigned() <= c.pa &&
-      weights.max_precision_signed() <= c.pw) {
+  int weight_bits = 1;
+  for (const Value v : weights.data()) {
+    weight_bits = std::max(weight_bits, needed_bits_signed(v));
+  }
+  if (group_precision_unsigned(input.data()) <= c.pa && weight_bits <= c.pw) {
     const nn::WideTensor golden = nn::conv_forward(input, weights, layer);
     for (std::int64_t i = 0; i < golden.elements(); ++i) {
       ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << c.name << " golden @" << i;

@@ -101,7 +101,11 @@ TEST(ApplyProfile, StampsConvAndFcLayers) {
   EXPECT_EQ(net.layer(convs[0]).act_precision, 9);
   EXPECT_EQ(net.layer(convs[2]).act_precision, 5);
   EXPECT_EQ(net.layer(convs[0]).weight_precision, 11);
-  const auto fcs = net.fc_indices();
+  std::vector<std::size_t> fcs;
+  for (std::size_t i = 0; i < net.layers().size(); ++i) {
+    if (net.layer(i).kind == nn::LayerKind::kFullyConnected) fcs.push_back(i);
+  }
+  ASSERT_EQ(fcs.size(), 3u);
   EXPECT_EQ(net.layer(fcs[0]).weight_precision, 10);
   EXPECT_EQ(net.layer(fcs[2]).weight_precision, 9);
   // FCLs stream full-width activations.

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <vector>
 
 #include "nn/synthetic.hpp"
@@ -22,36 +22,6 @@ TEST(ClipUnsigned, FloorsAtZero) {
   EXPECT_EQ(clip_unsigned(42, 8), 42);
 }
 
-TEST(QuantizeSigned, RoundTripWithinQuantum) {
-  const std::vector<float> values = {0.5f, -0.25f, 0.125f, -0.6f};
-  const Quantized q = quantize_signed(values, 8);
-  const double scale = std::ldexp(1.0, q.scale_exp);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double recovered = q.tensor.flat(static_cast<std::int64_t>(i)) / scale;
-    EXPECT_NEAR(recovered, values[i], 1.0 / scale + 1e-9) << i;
-  }
-}
-
-TEST(QuantizeSigned, PeakMapsInsideRange) {
-  const std::vector<float> values = {1.0f, -1.0f, 0.3f};
-  const Quantized q = quantize_signed(values, 8);
-  for (std::int64_t i = 0; i < q.tensor.elements(); ++i) {
-    EXPECT_LE(needed_bits_signed(q.tensor.flat(i)), 8);
-  }
-  // The peak should use most of the range (within one power of two).
-  int max_bits = 0;
-  for (std::int64_t i = 0; i < q.tensor.elements(); ++i) {
-    max_bits = std::max(max_bits, needed_bits_signed(q.tensor.flat(i)));
-  }
-  EXPECT_GE(max_bits, 7);
-}
-
-TEST(QuantizeSigned, AllZerosIsFine) {
-  const std::vector<float> values = {0.0f, 0.0f};
-  const Quantized q = quantize_signed(values, 8);
-  EXPECT_EQ(q.tensor.flat(0), 0);
-}
-
 TEST(ClipMse, ZeroWhenEverythingFits) {
   nn::Tensor t(nn::Shape{3});
   t.set_flat(0, 3);
@@ -61,17 +31,25 @@ TEST(ClipMse, ZeroWhenEverythingFits) {
   EXPECT_GT(clip_mse_signed(t, 3), 0.0);
 }
 
+/// Tight (lossless) precision of a signed tensor: max needed bits.
+int tight_precision(const nn::Tensor& t) {
+  int p = 1;
+  for (const Value v : t.data()) p = std::max(p, needed_bits_signed(v));
+  return p;
+}
+
 TEST(Profiler, TightPrecisionMatchesMaxNeeded) {
   nn::SyntheticSpec spec{.precision = 9, .alpha = 1.0, .is_signed = true};
   const nn::Tensor t = nn::make_weight_tensor(4096, spec, 3, 1);
-  EXPECT_EQ(tight_precision(t, true), 9);
+  EXPECT_EQ(tight_precision(t), 9);
+  EXPECT_EQ(profile_precision(t, {.mse_budget = 0.0, .is_signed = true}), 9);
 }
 
 TEST(Profiler, LosslessBudgetFindsTightPrecision) {
   nn::SyntheticSpec spec{.precision = 7, .alpha = 1.0, .is_signed = true};
   const nn::Tensor t = nn::make_weight_tensor(4096, spec, 5, 1);
   const int p = profile_precision(t, {.mse_budget = 0.0, .is_signed = true});
-  EXPECT_EQ(p, tight_precision(t, true));
+  EXPECT_EQ(p, tight_precision(t));
 }
 
 TEST(Profiler, BudgetMonotonicallyLowersPrecision) {

@@ -65,31 +65,6 @@ TEST(CounterRng, BelowCoversRange) {
   for (bool s : seen) EXPECT_TRUE(s);
 }
 
-TEST(CounterRng, NormalMoments) {
-  const CounterRng rng(13, 0);
-  double sum = 0.0, sum2 = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.normal(static_cast<std::uint64_t>(i));
-    sum += x;
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum / kN, 0.0, 0.03);
-  EXPECT_NEAR(sum2 / kN, 1.0, 0.05);
-}
-
-TEST(CounterRng, ExponentialMean) {
-  const CounterRng rng(17, 0);
-  double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.exponential(static_cast<std::uint64_t>(i));
-    ASSERT_GE(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kN, 1.0, 0.05);
-}
-
 TEST(SequentialRng, AdvancesCounter) {
   SequentialRng rng(21);
   const auto a = rng.next_bits();

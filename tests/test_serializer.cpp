@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "arch/serializer.hpp"
-#include "arch/transposer.hpp"
 #include "common/error.hpp"
 #include "nn/synthetic.hpp"
 
@@ -76,25 +75,6 @@ TEST(Serialize, PlaneLayoutIsBitInterleaved) {
   EXPECT_EQ(planes.bit(1, 1), 1);
   EXPECT_EQ(planes.bit(0, 2), 1);
   EXPECT_EQ(planes.bit(1, 2), 0);
-}
-
-TEST(Transposer, RotateCountsActivity) {
-  Transposer t;
-  const std::vector<Value> out_block(32, 5);
-  const BitPlanes planes = t.rotate(out_block, 9);
-  EXPECT_EQ(planes.values(), 32);
-  EXPECT_EQ(planes.precision(), 9);
-  EXPECT_EQ(t.rotations(), 1u);
-  EXPECT_EQ(t.values_rotated(), 32u);
-  t.reset();
-  EXPECT_EQ(t.rotations(), 0u);
-}
-
-TEST(Transposer, RotationPreservesValues) {
-  Transposer t;
-  const std::vector<Value> block = {1, -2, 100, -100};
-  const auto back = deserialize(t.rotate(block, 16), true);
-  EXPECT_EQ(back, block);
 }
 
 }  // namespace

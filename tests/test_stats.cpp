@@ -28,29 +28,6 @@ TEST(Geomean, RejectsNonPositive) {
 
 TEST(Geomean, EmptyIsZero) { EXPECT_EQ(geomean({}), 0.0); }
 
-TEST(WeightedMean, WeightsApply) {
-  const std::array<double, 2> xs = {10.0, 20.0};
-  const std::array<double, 2> ws = {1.0, 3.0};
-  EXPECT_DOUBLE_EQ(weighted_mean(xs, ws), 17.5);
-}
-
-TEST(WeightedMean, SizeMismatchThrows) {
-  const std::array<double, 2> xs = {1.0, 2.0};
-  const std::array<double, 1> ws = {1.0};
-  EXPECT_THROW((void)weighted_mean(xs, ws), ContractViolation);
-}
-
-TEST(Stddev, KnownValue) {
-  const std::array<double, 4> xs = {2.0, 4.0, 4.0, 6.0};
-  EXPECT_NEAR(stddev(xs), 1.63299, 1e-4);
-}
-
-TEST(Stddev, DegenerateIsZero) {
-  const std::array<double, 1> xs = {5.0};
-  EXPECT_EQ(stddev(xs), 0.0);
-  EXPECT_EQ(stddev({}), 0.0);
-}
-
 TEST(Accumulator, TracksMinMaxMean) {
   Accumulator acc;
   for (const double x : {3.0, 1.0, 2.0}) acc.add(x);
@@ -58,29 +35,6 @@ TEST(Accumulator, TracksMinMaxMean) {
   EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
   EXPECT_DOUBLE_EQ(acc.min(), 1.0);
   EXPECT_DOUBLE_EQ(acc.max(), 3.0);
-}
-
-TEST(Accumulator, MergeEquivalentToSequential) {
-  Accumulator a, b, all;
-  for (int i = 0; i < 10; ++i) {
-    const double x = i * 1.5 - 3.0;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  Accumulator a, empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
 }
 
 TEST(LatencyHistogram, EmptyReportsZeros) {

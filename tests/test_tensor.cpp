@@ -47,7 +47,8 @@ TEST(Tensor, At3MatchesFlat) {
 
 TEST(Tensor, At4MatchesFlat) {
   Tensor t(Shape{2, 2, 2, 2});
-  t.at4(1, 1, 0, 1) = 3;
+  const std::int64_t idx[] = {1, 1, 0, 1};
+  t.at(idx) = 3;
   EXPECT_EQ(t.flat(8 + 4 + 0 + 1), 3);
 }
 
@@ -62,21 +63,6 @@ TEST(Tensor, OutOfBoundsThrows) {
 TEST(Tensor, FillValue) {
   const Tensor t(Shape{4}, 7);
   for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(t.flat(i), 7);
-}
-
-TEST(Tensor, MaxPrecision) {
-  Tensor t(Shape{3});
-  t.set_flat(0, 5);    // 4 bits signed
-  t.set_flat(1, -70);  // 8 bits signed
-  t.set_flat(2, 0);
-  EXPECT_EQ(t.max_precision_signed(), 8);
-}
-
-TEST(Tensor, MaxPrecisionUnsigned) {
-  Tensor t(Shape{2});
-  t.set_flat(0, 255);
-  t.set_flat(1, 3);
-  EXPECT_EQ(t.max_precision_unsigned(), 8);
 }
 
 TEST(WideTensor, StoresWideAccumulators) {

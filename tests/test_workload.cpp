@@ -143,7 +143,7 @@ TEST(Workload, WeightStatsMatchNaiveGroupLoopsWhenSampled) {
       const Value v = source.at(static_cast<std::uint64_t>(i));
       const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
       ored |= mag;
-      terms += naf_term_count(mag);
+      terms += std::popcount(naf_digits(mag).positions());
       positions |= naf_digits(mag).positions();
     }
     planes += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
@@ -189,8 +189,10 @@ TEST(Workload, Table3TargetsReproducedOnZooNetwork) {
 
 TEST(Workload, FcWeightTargetUsesConvTrimRatio) {
   auto wl = prepare_network("alexnet", quant::AccuracyTarget::k100);
-  const auto fc_indices = wl->network().fc_indices();
-  const double eff = wl->layer(fc_indices[0]).effective_weight_precision();
+  const nn::Network& net = wl->network();
+  std::size_t fc6 = 0;
+  while (net.layer(fc6).kind != nn::LayerKind::kFullyConnected) ++fc6;
+  const double eff = wl->layer(fc6).effective_weight_precision();
   // fc6 profile Pw = 10; AlexNet conv trim ratio ~ 7.7/11 -> target ~ 7.0.
   EXPECT_GT(eff, 5.5);
   EXPECT_LT(eff, 10.0);
