@@ -180,17 +180,7 @@ TEST(ServeStress, CleanShutdownDrainsInFlightWork) {
     for (int i = 0; i < 10; ++i) {
       futures.push_back(server.submit(model, model->make_input(kInputSeed, i)));
     }
-    // The queued requests were counted before submit returned.
-    EXPECT_GE(server.stats().peak_queue_depth, 1u);
-    // stop(): refuse new work, run everything queued, join. Every admitted
-    // request then sits in exactly one terminal bucket, here `completed`,
-    // and every popped batch has resolved.
-    server.stop();
-    const ServerStats drained = server.stats();
-    EXPECT_EQ(drained.submitted, 10u);
-    EXPECT_EQ(drained.completed, 10u);
-    EXPECT_EQ(drained.batch_requests, 10u);
-    EXPECT_EQ(drained.shed + drained.timed_out + drained.failed, 0u);
+    // Destructor: refuse new work, run everything queued, join.
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().output,
@@ -516,6 +506,44 @@ TEST(ServeRobustness, PreExpiredAbsoluteDeadlineRejectsImmediately) {
       {.deadline_at = std::chrono::steady_clock::now() +
                       std::chrono::seconds(30)});
   EXPECT_NO_THROW((void)fut.get());
+}
+
+TEST(ServeRobustness, QueueSnapshotTracksPendingAndDrains) {
+  ModelRegistry registry;
+  populate(registry);
+  ServeOptions opts;
+  opts.max_batch = 8;
+  // Hold the batch open so the queued requests are observable.
+  opts.batch_deadline = std::chrono::microseconds(50'000);
+  opts.engine.jobs = 1;
+  InferenceServer server(registry, opts);
+  const auto model = registry.find("mlp");
+
+  const ServerStats idle = server.stats();
+  EXPECT_EQ(idle.submitted, 0u);
+  EXPECT_EQ(idle.peak_queue_depth, 0u);
+  EXPECT_EQ(idle.batch_requests, 0u);
+
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(server.submit(model, model->make_input(kInputSeed, i)));
+  }
+  // Admission is counted under the server lock before submit returns, so
+  // the queued requests are visible immediately.
+  const ServerStats busy = server.stats();
+  EXPECT_EQ(busy.submitted, 3u);
+  EXPECT_GE(busy.peak_queue_depth, 1u);
+
+  for (auto& fut : futures) EXPECT_NO_THROW((void)fut.get());
+  // stop(): refuse new work, run everything queued, join. Every admitted
+  // request then sits in exactly one terminal bucket, here `completed`,
+  // and every popped batch has resolved.
+  server.stop();
+  const ServerStats drained = server.stats();
+  EXPECT_EQ(drained.submitted, 3u);
+  EXPECT_EQ(drained.completed, 3u);
+  EXPECT_EQ(drained.batch_requests, 3u);
+  EXPECT_EQ(drained.shed + drained.timed_out + drained.failed, 0u);
 }
 
 // ---- Golden digest of server outputs --------------------------------------
