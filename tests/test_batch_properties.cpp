@@ -18,8 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "nn/reference.hpp"
+#include "sim/autotune_cache.hpp"
 #include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 
@@ -337,6 +339,51 @@ TEST(BatchDegenerate, AllZeroBatchesOnBothBackends) {
   // 1-plane minimum (needed_bits_unsigned(0) == 1), same as the scalar
   // dispatcher.
   EXPECT_EQ(batched.mean_streamed_precision, 1.0);
+}
+
+// ---- The autotuner as perfbench reads it ----------------------------------
+
+// perfbench reads the process autotuner directly: infer_zoo's tuning pass
+// and its autotune.explore_records metric, and the cache key a tuned cache
+// is saved under. With gemm the one kernel "auto" picks from, a default
+// engine leaves one decided gemm cell per weighted layer, each explored
+// once, under a key that hashes the roster "gemm\n".
+TEST(AutotunerView, DefaultEngineDecidesOneGemmCellPerWeightedLayer) {
+  BackendAutotuner& tuner = BackendAutotuner::instance();
+  tuner.reset_for_test();
+  EXPECT_EQ(current_autotune_cache_key().backend_set_hash, fnv1a64("gemm\n"));
+
+  nn::Network net("pin", nn::Shape3{3, 8, 8});
+  nn::Layer& conv = net.add_conv("c1", 6, 3, 1, 1);
+  conv.act_precision = 7;
+  conv.weight_precision = 5;
+  net.add_fc("f1", 10).weight_precision = 6;
+  SequentialRng rng(0xA070, 1);
+  const nn::Tensor input = random_tensor(nn::Shape{3, 8, 8}, 7,
+                                         /*is_signed=*/false, rng, 1, 0.1);
+  std::vector<nn::Tensor> weights;
+  for (const nn::Layer& l : net.layers()) {
+    weights.push_back(random_tensor(nn::Shape{l.weight_count()},
+                                    l.weight_precision, /*is_signed=*/true,
+                                    rng, 2 + weights.size(), 0.05));
+  }
+
+  FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
+  ASSERT_EQ(eng.backend_name(), "auto");
+  const FunctionalNetworkRun run = eng.run_network(net, input, weights);
+  ASSERT_EQ(run.layers.size(), 2u);
+  for (const FunctionalLayerRun& lr : run.layers) EXPECT_EQ(lr.backend, "gemm");
+
+  const std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
+  ASSERT_EQ(ds.size(), 2u);
+  for (const BackendAutotuner::Decision& d : ds) {
+    SCOPED_TRACE(d.key.to_string());
+    EXPECT_EQ(d.winner, "gemm");
+    ASSERT_EQ(d.samples.size(), 1u);
+    EXPECT_EQ(d.samples[0].backend, "gemm");
+  }
+  EXPECT_EQ(tuner.cache_stats().explore_records, ds.size());
+  tuner.reset_for_test();
 }
 
 }  // namespace
