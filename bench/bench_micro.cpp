@@ -404,7 +404,7 @@ void BM_FunctionalConvLayerScalar(benchmark::State& state) {
   // the slow baseline the fast path is measured against).
   const FunctionalBenchCase c = functional_case();
   sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .force_scalar = true});
+      sim::FunctionalOptions{.jobs = 1, .backend = "scalar"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
@@ -579,8 +579,7 @@ void BM_AutotunerPick(benchmark::State& state) {
       .act_signed = false,
       .dynamic = true};
   const sim::TuneKey key = sim::conv_tune_key(layer, spec, 1, ctx);
-  const std::vector<std::string> candidates =
-      sim::BackendRegistry::instance().tunable_names(ctx);
+  const std::vector<std::string> candidates = {"gemm"};
   sim::BackendAutotuner& tuner = sim::BackendAutotuner::instance();
 
   sim::FunctionalLoomEngine engine(

@@ -36,10 +36,18 @@ SimdLevel hardware_simd_level() noexcept {
 #endif
 }
 
+bool env_flag(const char* name, const char* value) {
+  const std::string_view v = value != nullptr ? value : "";
+  if (v.empty() || v == "0") return false;
+  if (v == "1") return true;
+  throw ConfigError("invalid " + std::string(name) + ": " + std::string(v) +
+                    " (want 0 or 1)");
+}
+
 SimdLevel simd_cap_from_env(const char* force_scalar, const char* level) {
-  const bool forced = force_scalar != nullptr && force_scalar[0] != '\0' &&
-                      !(force_scalar[0] == '0' && force_scalar[1] == '\0');
-  if (forced) return SimdLevel::kScalar;
+  if (env_flag("LOOM_FORCE_SCALAR_SIMD", force_scalar)) {
+    return SimdLevel::kScalar;
+  }
   if (level == nullptr || level[0] == '\0') return SimdLevel::kAvx512;
   const std::string_view v(level);
   if (v == "scalar") return SimdLevel::kScalar;

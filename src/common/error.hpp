@@ -88,8 +88,8 @@ class SnapshotError : public Error {
 
 /// Thrown when a persistent autotune cache cannot be used: bad magic,
 /// version skew, truncation, checksum mismatch, a structurally invalid
-/// cell — or a key mismatch (different CPU SIMD tier or registered backend
-/// set), which makes a well-formed cache foreign to this process. Loading
+/// cell — or a key mismatch (different CPU SIMD tier or tunable kernel
+/// roster), which makes a well-formed cache foreign to this process. Loading
 /// rejects the whole file; the autotuner's in-memory state is untouched.
 class AutotuneCacheError : public Error {
  public:

@@ -12,9 +12,9 @@
 // LOOM_ROUTER_FAULT_SEED.
 //
 // Sites wired into InferenceServer:
-//   engine_failure   -- thrown as TransientEngineError from the primary
-//                       engine's pre-run hook (primary attempts + retries;
-//                       the scalar fallback engine has no hook)
+//   engine_failure   -- thrown as TransientEngineError before each primary
+//                       engine attempt (first try + retries; never before
+//                       the scalar fallback)
 //   fallback_failure -- same, but for the scalar-oracle fallback attempt,
 //                       driving the fail-futures-individually path
 //   batcher_delay    -- worker sleeps `batcher_delay` after popping a batch

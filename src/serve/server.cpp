@@ -329,27 +329,15 @@ InferenceServer::ModelQueue* InferenceServer::best_queue() {
 void InferenceServer::worker_loop() {
   // One engine per worker: engines carry dispatcher statistics and scratch
   // state, so they are confined to their thread; the kernel's fan-out
-  // inside a run still stripes over the shared pool. The fault injector's
-  // engine-failure site rides the engine's pre-run hook, so injected
-  // failures hit the primary attempts and retries but never the scalar
-  // fallback below.
-  sim::FunctionalOptions primary_opts = opts_.engine;
-  if (injector_.plan().engine_failure_prob > 0.0) {
-    primary_opts.pre_run_hook = [this] {
-      if (injector_.should_fail_engine()) {
-        throw TransientEngineError("injected engine fault");
-      }
-    };
-  }
-  sim::FunctionalLoomEngine engine(primary_opts);
+  // inside a run still stripes over the shared pool.
+  sim::FunctionalLoomEngine engine(opts_.engine);
   // Scalar-oracle fallback engine, built on first use: byte-identical
-  // outputs to the primary engine (pinned by test), hook-free.
+  // outputs to the primary engine (pinned by test).
   std::optional<sim::FunctionalLoomEngine> scalar;
   const auto scalar_engine = [&]() -> sim::FunctionalLoomEngine& {
     if (!scalar) {
       sim::FunctionalOptions so = opts_.engine;
-      so.force_scalar = true;
-      so.pre_run_hook = nullptr;
+      so.backend = "scalar";
       scalar.emplace(so);
     }
     return *scalar;
@@ -443,7 +431,8 @@ void InferenceServer::worker_loop() {
 
     // Graceful degradation: primary attempts with exponential backoff,
     // then the scalar oracle, then per-future failure. The worker itself
-    // never dies on an engine error.
+    // never dies on an engine error. The injector's engine-failure site
+    // draws once per primary attempt, never for the fallback.
     const Clock::time_point t0 = Clock::now();
     sim::FunctionalBatchNetworkRun run;
     std::exception_ptr err;
@@ -459,6 +448,9 @@ void InferenceServer::worker_loop() {
       }
       ++attempts;
       try {
+        if (injector_.should_fail_engine()) {
+          throw TransientEngineError("injected engine fault");
+        }
         run = engine.run_network_batch(model.net, inputs, model.weights);
         ok = true;
       } catch (...) {
@@ -482,38 +474,44 @@ void InferenceServer::worker_loop() {
     }
     const Clock::time_point t1 = Clock::now();
 
-    if (ok) {
-      // A result delivered after its request's deadline is a timeout, not a
-      // completion — the caller stopped waiting.
-      std::vector<char> late(n, 0);
-      // Record stats *before* resolving the futures, so a caller that has
-      // joined on every future observes completed == submitted.
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.batches;
-        stats_.batch_requests += n;
-        stats_.peak_batch = std::max<std::uint64_t>(stats_.peak_batch, n);
-        stats_.retries += retries;
-        if (fell_back) ++stats_.fallbacks;
-        for (const sim::FunctionalBatchLayerRun& lr : run.layers) {
-          ++stats_.backend_layer_runs[lr.backend];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto c = static_cast<std::size_t>(batch[i].priority);
-          if (batch[i].has_deadline() && batch[i].deadline <= t1) {
-            late[i] = 1;
-            ++stats_.timed_out;
-            ++stats_.by_class[c].timed_out;
-            continue;
-          }
-          ++stats_.completed;
-          ++stats_.by_class[c].completed;
-          stats_.by_class[c].queue_wait_ns.add(
-              ns_of(popped - batch[i].enqueued));
-          stats_.by_class[c].run_time_ns.add(ns_of(t1 - t0));
-          stats_.by_class[c].latency_ns.add(ns_of(t1 - batch[i].enqueued));
-        }
+    // A result delivered after its request's deadline is a timeout, not a
+    // completion — the caller stopped waiting.
+    std::vector<char> late(n, 0);
+    // Record stats *before* resolving the futures, so a caller that has
+    // joined on every future observes completed == submitted.
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.batches;
+      stats_.batch_requests += n;
+      stats_.peak_batch = std::max<std::uint64_t>(stats_.peak_batch, n);
+      stats_.retries += retries;
+      if (fell_back) ++stats_.fallbacks;
+      for (const sim::FunctionalBatchLayerRun& lr : run.layers) {
+        ++stats_.backend_layer_runs[lr.backend];
       }
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto c = static_cast<std::size_t>(batch[i].priority);
+        if (!ok) {
+          ++stats_.failed;
+          ++stats_.by_class[c].failed;
+          continue;
+        }
+        if (batch[i].has_deadline() && batch[i].deadline <= t1) {
+          late[i] = 1;
+          ++stats_.timed_out;
+          ++stats_.by_class[c].timed_out;
+          continue;
+        }
+        ++stats_.completed;
+        ++stats_.by_class[c].completed;
+        stats_.by_class[c].queue_wait_ns.add(
+            ns_of(popped - batch[i].enqueued));
+        stats_.by_class[c].run_time_ns.add(ns_of(t1 - t0));
+        stats_.by_class[c].latency_ns.add(ns_of(t1 - batch[i].enqueued));
+      }
+    }
+
+    if (ok) {
       for (std::size_t i = 0; i < n; ++i) {
         if (late[i]) {
           batch[i].promise.set_exception(
@@ -534,19 +532,6 @@ void InferenceServer::worker_loop() {
         batch[i].promise.set_value(std::move(res));
       }
     } else {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.batches;
-        stats_.batch_requests += n;
-        stats_.peak_batch = std::max<std::uint64_t>(stats_.peak_batch, n);
-        stats_.retries += retries;
-        ++stats_.fallbacks;
-        stats_.failed += n;
-        for (std::size_t i = 0; i < n; ++i) {
-          ++stats_.by_class[static_cast<std::size_t>(batch[i].priority)]
-                .failed;
-        }
-      }
       // Fail each request's future individually; the worker survives to
       // serve the next batch.
       for (Pending& p : batch) {

@@ -142,18 +142,9 @@ void encode_cell(ByteWriter& w, const BackendAutotuner::Decision& d) {
 AutotuneCacheKey current_autotune_cache_key() {
   AutotuneCacheKey key;
   key.simd = common::simd_level_name(common::simd_level());
-  // Hash the tunable roster only: non-tunable backends (the scalar oracle)
-  // never appear in a cell, so registering one must not invalidate caches.
-  // '\n' separates names so {"ab","c"} and {"a","bc"} hash differently.
-  std::string roster;
-  BackendRegistry& reg = BackendRegistry::instance();
-  for (const std::string& name : reg.names()) {
-    const BackendInfo* info = reg.find(name);
-    if (info == nullptr || !info->tunable) continue;
-    roster += name;
-    roster += '\n';
-  }
-  key.backend_set_hash = fnv1a64(roster);
+  // The tunable roster, each name ended by '\n': gemm is the one kernel
+  // "auto" picks from.
+  key.backend_set_hash = fnv1a64("gemm\n");
   return key;
 }
 

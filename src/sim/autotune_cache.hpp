@@ -9,9 +9,10 @@
 // there. Its sections, in order: kKey, kCells.
 //
 // The kKey section pins what the measurements meant: the effective SIMD
-// dispatch tier (common/cpuid) and an FNV hash of the registered tunable
-// backend set. A cache written on a different CPU tier, under a different
-// SIMD override, or against a different backend roster decodes cleanly but
+// dispatch tier (common/cpuid) and an FNV hash of the tunable kernel roster
+// (today the one name "gemm"). A cache written on a different CPU tier,
+// under a different SIMD override, or against a different roster (such as
+// one with the retired table-lookup kernels) decodes cleanly but
 // fails the key check — stale and foreign caches are rejected as a typed
 // AutotuneCacheError (common/error.hpp), never silently trusted, and a
 // rejected load leaves the in-memory autotuner untouched. Same story for
@@ -39,18 +40,18 @@ namespace loom::sim {
 inline constexpr std::uint32_t kAutotuneCacheVersion = 1;
 
 /// What a set of measurements is keyed by, beyond the per-cell TuneKey:
-/// the CPU dispatch tier the kernels actually ran at, and the set of
-/// registered tunable backends the samples cover.
+/// the CPU dispatch tier the kernels actually ran at, and the tunable
+/// kernel roster the samples cover.
 struct AutotuneCacheKey {
   std::string simd;                    ///< common::simd_level_name value
-  std::uint64_t backend_set_hash = 0;  ///< FNV over registered tunable names
+  std::uint64_t backend_set_hash = 0;  ///< FNV over the tunable roster
 
   friend bool operator==(const AutotuneCacheKey&,
                          const AutotuneCacheKey&) = default;
 };
 
-/// The key material of this process: effective SIMD tier + current
-/// registry's tunable backend set.
+/// The key material of this process: effective SIMD tier + the hash of the
+/// roster "gemm\n".
 [[nodiscard]] AutotuneCacheKey current_autotune_cache_key();
 
 /// Serialize decided cells to the cache byte image (exposed so the

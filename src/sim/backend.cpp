@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <set>
@@ -10,79 +9,93 @@
 
 #include "arch/dispatcher.hpp"
 #include "arch/sip.hpp"
-#include "arch/tile.hpp"
+#include "common/cpuid.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/gemm_engine.hpp"
 
 namespace loom::sim {
 
 namespace {
 
+/// Gather the window values of one (group, window) at inner positions
+/// [base, base+lanes) with zero padding, matching im2col order.
+std::int64_t gather_window_chunk(const nn::Layer& layer,
+                                 const nn::Tensor& input, std::int64_t g,
+                                 std::int64_t window, std::int64_t base,
+                                 int lanes, Value* out) {
+  const std::int64_t end =
+      std::min<std::int64_t>(base + lanes, layer.inner_length());
+  for (std::int64_t f = base; f < end; ++f) {
+    const std::int64_t idx = nn::im2col_input_index(layer, g, window, f);
+    out[f - base] = idx < 0 ? Value{0} : input.flat(idx);
+  }
+  return end - base;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Scalar oracle backend: one arch::Sip per (row, column), driven bit by bit
-// through a dispatcher. This is FunctionalLoomEngine's historical scalar
-// path verbatim — it defines the semantics every other backend is pinned
-// against. A batch runs as N solo passes (the batching-semantics oracle);
-// streaming counters come back as ConvStats deltas of the backend's own
-// dispatcher, so the engine can fold them into its dispatcher uniformly.
+// SipGridOracle
 
-class ScalarBackend final : public FunctionalBackend {
- public:
-  explicit ScalarBackend(const GridOptions& ctx)
-      : ctx_(ctx), dispatcher_(ctx.lanes) {}
+SipGridOracle::SipGridOracle(const GridOptions& grid)
+    : grid_(grid), dispatcher_(grid.lanes) {}
 
-  ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) override {
-    LOOM_EXPECTS(!spec.act_signed);  // the scalar conv grid is unsigned-only
-    LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-    ConvStats st;
-    const std::uint64_t act0 = dispatcher_.activation_bits_streamed();
-    const std::uint64_t wgt0 = dispatcher_.weight_bits_streamed();
-    const std::uint64_t inv0 = dispatcher_.detector().invocations();
-    const std::uint64_t val0 = dispatcher_.detector().values_inspected();
+ConvStats SipGridOracle::run_conv_batch(
+    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+    const nn::Tensor& weights, const SliceSpec& spec,
+    std::span<nn::WideTensor* const> wides) {
+  LOOM_EXPECTS(!spec.act_signed);  // the scalar conv grid is unsigned-only
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  ConvStats st;
+  const std::uint64_t act0 = dispatcher_.activation_bits_streamed();
+  const std::uint64_t wgt0 = dispatcher_.weight_bits_streamed();
+  const std::uint64_t inv0 = dispatcher_.detector().invocations();
+  const std::uint64_t val0 = dispatcher_.detector().values_inspected();
 
-    act_buf_.resize(static_cast<std::size_t>(ctx_.cols) *
-                    static_cast<std::size_t>(ctx_.lanes));
-    weight_buf_.resize(static_cast<std::size_t>(ctx_.rows) *
-                       static_cast<std::size_t>(ctx_.lanes));
-    const std::int64_t windows = layer.windows();
-    const std::int64_t fb_count =
-        ceil_div(layer.group_out_channels(), static_cast<std::int64_t>(ctx_.rows));
-    const std::int64_t wb_count =
-        ceil_div(windows, static_cast<std::int64_t>(ctx_.cols));
-    for (std::size_t r = 0; r < inputs.size(); ++r) {
-      for (std::int64_t g = 0; g < layer.groups; ++g) {
-        for (std::int64_t fb = 0; fb < fb_count; ++fb) {
-          for (std::int64_t wb = 0; wb < wb_count; ++wb) {
-            st.cycles += conv_block(layer, *inputs[r], weights, spec, g, fb, wb,
-                                    *wides[r], st.streamed_pa, st.chunks);
-          }
+  act_buf_.resize(static_cast<std::size_t>(grid_.cols) *
+                  static_cast<std::size_t>(grid_.lanes));
+  weight_buf_.resize(static_cast<std::size_t>(grid_.rows) *
+                     static_cast<std::size_t>(grid_.lanes));
+  const std::int64_t windows = layer.windows();
+  const std::int64_t fb_count =
+      ceil_div(layer.group_out_channels(), static_cast<std::int64_t>(grid_.rows));
+  const std::int64_t wb_count =
+      ceil_div(windows, static_cast<std::int64_t>(grid_.cols));
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    for (std::int64_t g = 0; g < layer.groups; ++g) {
+      for (std::int64_t fb = 0; fb < fb_count; ++fb) {
+        for (std::int64_t wb = 0; wb < wb_count; ++wb) {
+          st.cycles += conv_block(layer, *inputs[r], weights, spec, g, fb, wb,
+                                  *wides[r], st.streamed_pa, st.chunks);
         }
       }
     }
-
-    st.act_bits_streamed = dispatcher_.activation_bits_streamed() - act0;
-    st.weight_bits_streamed = dispatcher_.weight_bits_streamed() - wgt0;
-    st.detect_invocations = dispatcher_.detector().invocations() - inv0;
-    st.detect_values = dispatcher_.detector().values_inspected() - val0;
-    return st;
   }
 
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
-    const std::int64_t ci = layer.in.elements();
-    const arch::SipConfig sip_cfg{ctx_.lanes, /*act_signed=*/true,
-                                  /*weight_signed=*/true};
-    std::vector<Value> a(static_cast<std::size_t>(ctx_.lanes));
-    std::vector<Value> w(static_cast<std::size_t>(ctx_.lanes));
+  st.act_bits_streamed = dispatcher_.activation_bits_streamed() - act0;
+  st.weight_bits_streamed = dispatcher_.weight_bits_streamed() - wgt0;
+  st.detect_invocations = dispatcher_.detector().invocations() - inv0;
+  st.detect_values = dispatcher_.detector().values_inspected() - val0;
+  return st;
+}
+
+void SipGridOracle::run_fc_batch(const nn::Layer& layer,
+                                 std::span<const nn::Tensor* const> inputs,
+                                 const nn::Tensor& weights,
+                                 int weight_precision,
+                                 std::span<nn::WideTensor* const> wides) {
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  const std::int64_t ci = layer.in.elements();
+  const arch::SipConfig sip_cfg{grid_.lanes, /*act_signed=*/true,
+                                /*weight_signed=*/true};
+  std::vector<Value> a(static_cast<std::size_t>(grid_.lanes));
+  std::vector<Value> w(static_cast<std::size_t>(grid_.lanes));
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    const nn::Tensor& input = *inputs[r];
     for (std::int64_t co = 0; co < layer.out.c; ++co) {
       Wide acc = 0;
-      for (std::int64_t base = 0; base < ci; base += ctx_.lanes) {
-        const std::int64_t n = std::min<std::int64_t>(ctx_.lanes, ci - base);
+      for (std::int64_t base = 0; base < ci; base += grid_.lanes) {
+        const std::int64_t n = std::min<std::int64_t>(grid_.lanes, ci - base);
         for (std::int64_t i = 0; i < n; ++i) {
           a[static_cast<std::size_t>(i)] = input.flat(base + i);
           w[static_cast<std::size_t>(i)] = weights.flat(co * ci + base + i);
@@ -94,254 +107,108 @@ class ScalarBackend final : public FunctionalBackend {
             std::span<const Value>(w.data(), static_cast<std::size_t>(n)),
             kBasePrecision, weight_precision);
       }
-      wide.set_flat(co, acc);
+      wides[r]->set_flat(co, acc);
     }
   }
+}
 
-  void run_fc_batch(const nn::Layer& layer,
-                    std::span<const nn::Tensor* const> inputs,
-                    const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides) override {
-    LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-    for (std::size_t r = 0; r < inputs.size(); ++r) {
-      run_fc(layer, *inputs[r], weights, weight_precision, *wides[r]);
+std::uint64_t SipGridOracle::conv_block(
+    const nn::Layer& layer, const nn::Tensor& input, const nn::Tensor& weights,
+    const SliceSpec& spec, std::int64_t g, std::int64_t fb, std::int64_t wb,
+    nn::WideTensor& wide, double& streamed_pa, std::int64_t& chunks) {
+  const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t inner = layer.inner_length();
+  const std::int64_t windows = layer.windows();
+  const std::int64_t row0 = fb * grid_.rows;
+  const std::int64_t rows_used = std::min<std::int64_t>(grid_.rows, cog - row0);
+  const std::int64_t col0 = wb * grid_.cols;
+  const std::int64_t cols_used =
+      std::min<std::int64_t>(grid_.cols, windows - col0);
+
+  // One SIP per (row, col); ORs accumulate across input chunks.
+  const arch::SipConfig sip_cfg{grid_.lanes, /*act_signed=*/false,
+                                /*weight_signed=*/true};
+  std::vector<arch::Sip> sips(static_cast<std::size_t>(rows_used) *
+                                  static_cast<std::size_t>(cols_used),
+                              arch::Sip(sip_cfg));
+  for (auto& sip : sips) sip.begin_output();
+
+  std::uint64_t block_cycles = 0;
+  const std::int64_t ic_count =
+      ceil_div(inner, static_cast<std::int64_t>(grid_.lanes));
+  const auto lanes = static_cast<std::size_t>(grid_.lanes);
+  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
+    act_spans_.clear();
+    std::int64_t n = 0;
+    for (std::int64_t c = 0; c < cols_used; ++c) {
+      Value* dst = act_buf_.data() + static_cast<std::size_t>(c) * lanes;
+      n = gather_window_chunk(layer, input, g, col0 + c, ic * grid_.lanes,
+                              grid_.lanes, dst);
+      act_spans_.emplace_back(dst, static_cast<std::size_t>(n));
     }
-  }
+    dispatcher_.stream_activations(act_spans_, spec.act_precision,
+                                   spec.dynamic, act_stream_);
+    const arch::ActivationStream& acts = act_stream_;
 
- private:
-  /// Gather the window values of one (group, window) at inner positions
-  /// [base, base+lanes) with zero padding, matching im2col order.
-  static std::int64_t gather_window_chunk(const nn::Layer& layer,
-                                          const nn::Tensor& input,
-                                          std::int64_t g, std::int64_t window,
-                                          std::int64_t base, int lanes,
-                                          Value* out) {
-    const std::int64_t end =
-        std::min<std::int64_t>(base + lanes, layer.inner_length());
-    for (std::int64_t f = base; f < end; ++f) {
-      const std::int64_t idx = nn::im2col_input_index(layer, g, window, f);
-      out[f - base] = idx < 0 ? Value{0} : input.flat(idx);
-    }
-    return end - base;
-  }
-
-  /// One (filter-block, window-block) tile pass over all input chunks.
-  std::uint64_t conv_block(const nn::Layer& layer, const nn::Tensor& input,
-                           const nn::Tensor& weights,
-                           const SliceSpec& spec,
-                           std::int64_t g, std::int64_t fb, std::int64_t wb,
-                           nn::WideTensor& wide, double& streamed_pa,
-                           std::int64_t& chunks) {
-    const std::int64_t cog = layer.group_out_channels();
-    const std::int64_t inner = layer.inner_length();
-    const std::int64_t windows = layer.windows();
-    const std::int64_t row0 = fb * ctx_.rows;
-    const std::int64_t rows_used = std::min<std::int64_t>(ctx_.rows, cog - row0);
-    const std::int64_t col0 = wb * ctx_.cols;
-    const std::int64_t cols_used =
-        std::min<std::int64_t>(ctx_.cols, windows - col0);
-
-    // One SIP per (row, col); ORs accumulate across input chunks.
-    const arch::SipConfig sip_cfg{ctx_.lanes, /*act_signed=*/false,
-                                  /*weight_signed=*/true};
-    std::vector<arch::Sip> sips(static_cast<std::size_t>(rows_used) *
-                                    static_cast<std::size_t>(cols_used),
-                                arch::Sip(sip_cfg));
-    for (auto& sip : sips) sip.begin_output();
-
-    std::uint64_t block_cycles = 0;
-    const std::int64_t ic_count =
-        ceil_div(inner, static_cast<std::int64_t>(ctx_.lanes));
-    const auto lanes = static_cast<std::size_t>(ctx_.lanes);
-    for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-      act_spans_.clear();
-      std::int64_t n = 0;
-      for (std::int64_t c = 0; c < cols_used; ++c) {
-        Value* dst = act_buf_.data() + static_cast<std::size_t>(c) * lanes;
-        n = gather_window_chunk(layer, input, g, col0 + c, ic * ctx_.lanes,
-                                ctx_.lanes, dst);
-        act_spans_.emplace_back(dst, static_cast<std::size_t>(n));
-      }
-      dispatcher_.stream_activations(act_spans_, spec.act_precision,
-                                     spec.dynamic, act_stream_);
-      const arch::ActivationStream& acts = act_stream_;
-
-      weight_spans_.clear();
-      for (std::int64_t r = 0; r < rows_used; ++r) {
-        Value* dst = weight_buf_.data() + static_cast<std::size_t>(r) * lanes;
-        const std::int64_t co = g * cog + row0 + r;
-        const std::int64_t base = co * inner + ic * ctx_.lanes;
-        for (std::int64_t l = 0; l < n; ++l) dst[l] = weights.flat(base + l);
-        weight_spans_.emplace_back(dst, static_cast<std::size_t>(n));
-      }
-      dispatcher_.stream_weights(weight_spans_, spec.weight_precision,
-                                 weight_stream_);
-      const arch::WeightStream& wbits = weight_stream_;
-
-      streamed_pa += acts.precision;
-      ++chunks;
-      for (int bit = 0; bit < wbits.precision; ++bit) {
-        const bool msb = bit == wbits.precision - 1;
-        for (std::int64_t r = 0; r < rows_used; ++r) {
-          const std::uint32_t wr = wbits.wr_word(bit, static_cast<int>(r));
-          for (std::int64_t c = 0; c < cols_used; ++c) {
-            sips[static_cast<std::size_t>(r * cols_used + c)].begin_weight_pass(
-                wr, bit, msb);
-          }
-        }
-        for (int step = 0; step < acts.precision; ++step) {
-          for (std::int64_t c = 0; c < cols_used; ++c) {
-            const std::uint32_t bits = acts.lanes(step, static_cast<int>(c));
-            for (std::int64_t r = 0; r < rows_used; ++r) {
-              sips[static_cast<std::size_t>(r * cols_used + c)].cycle(
-                  bits, /*is_act_msb=*/false);  // conv acts are unsigned
-            }
-          }
-          ++block_cycles;
-        }
-        for (auto& sip : sips) sip.end_weight_pass();
-      }
-    }
-
+    weight_spans_.clear();
     for (std::int64_t r = 0; r < rows_used; ++r) {
-      for (std::int64_t c = 0; c < cols_used; ++c) {
-        const std::int64_t co = g * cog + row0 + r;
-        const std::int64_t window = col0 + c;
-        wide.at3(co, window / layer.out.w, window % layer.out.w) =
-            sips[static_cast<std::size_t>(r * cols_used + c)].output();
+      Value* dst = weight_buf_.data() + static_cast<std::size_t>(r) * lanes;
+      const std::int64_t co = g * cog + row0 + r;
+      const std::int64_t base = co * inner + ic * grid_.lanes;
+      for (std::int64_t l = 0; l < n; ++l) dst[l] = weights.flat(base + l);
+      weight_spans_.emplace_back(dst, static_cast<std::size_t>(n));
+    }
+    dispatcher_.stream_weights(weight_spans_, spec.weight_precision,
+                               weight_stream_);
+    const arch::WeightStream& wbits = weight_stream_;
+
+    streamed_pa += acts.precision;
+    ++chunks;
+    for (int bit = 0; bit < wbits.precision; ++bit) {
+      const bool msb = bit == wbits.precision - 1;
+      for (std::int64_t r = 0; r < rows_used; ++r) {
+        const std::uint32_t wr = wbits.wr_word(bit, static_cast<int>(r));
+        for (std::int64_t c = 0; c < cols_used; ++c) {
+          sips[static_cast<std::size_t>(r * cols_used + c)].begin_weight_pass(
+              wr, bit, msb);
+        }
       }
-    }
-    return block_cycles;
-  }
-
-  GridOptions ctx_;
-  arch::Dispatcher dispatcher_;
-  std::vector<Value> act_buf_, weight_buf_;
-  std::vector<std::span<const Value>> act_spans_, weight_spans_;
-  arch::ActivationStream act_stream_;
-  arch::WeightStream weight_stream_;
-};
-
-// ---------------------------------------------------------------------------
-// The word-parallel backend: a thin adapter over GemmEngine.
-
-class GemmBackend final : public FunctionalBackend {
- public:
-  explicit GemmBackend(const GridOptions& grid) : engine_(grid) {}
-
-  ConvStats run_conv_batch(const nn::Layer& layer,
-                           std::span<const nn::Tensor* const> inputs,
-                           const nn::Tensor& weights, const SliceSpec& spec,
-                           std::span<nn::WideTensor* const> wides) override {
-    return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
-  }
-
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
-    engine_.run_fc(layer, input, weights, weight_precision, wide);
-  }
-
-  void run_fc_batch(const nn::Layer& layer,
-                    std::span<const nn::Tensor* const> inputs,
-                    const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides) override {
-    engine_.run_fc_batch(layer, inputs, weights, weight_precision, wides);
-  }
-
- private:
-  GemmEngine engine_;
-};
-
-bool scalar_supports(const GridOptions&) { return true; }
-
-std::unique_ptr<FunctionalBackend> make_scalar(const GridOptions& ctx) {
-  return std::make_unique<ScalarBackend>(ctx);
-}
-
-std::unique_ptr<FunctionalBackend> make_gemm(const GridOptions& grid) {
-  return std::make_unique<GemmBackend>(grid);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Registry
-
-struct BackendRegistry::Impl {
-  mutable std::mutex mu;
-  std::deque<BackendInfo> entries;  // deque: stable addresses for find()
-};
-
-BackendRegistry::BackendRegistry() : impl_(new Impl) {
-  impl_->entries.push_back(
-      {.name = "scalar", .tunable = false, .supports = scalar_supports,
-       .make = make_scalar});
-  impl_->entries.push_back(
-      {.name = "gemm", .tunable = true, .supports = supports,
-       .make = make_gemm});
-}
-
-BackendRegistry& BackendRegistry::instance() {
-  static BackendRegistry* reg = new BackendRegistry;  // leaked, never torn down
-  return *reg;
-}
-
-void BackendRegistry::register_backend(BackendInfo info) {
-  LOOM_EXPECTS(!info.name.empty() && info.supports != nullptr &&
-               info.make != nullptr);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (BackendInfo& e : impl_->entries) {
-    if (e.name == info.name) {
-      e = std::move(info);
-      return;
+      for (int step = 0; step < acts.precision; ++step) {
+        for (std::int64_t c = 0; c < cols_used; ++c) {
+          const std::uint32_t bits = acts.lanes(step, static_cast<int>(c));
+          for (std::int64_t r = 0; r < rows_used; ++r) {
+            sips[static_cast<std::size_t>(r * cols_used + c)].cycle(
+                bits, /*is_act_msb=*/false);  // conv acts are unsigned
+          }
+        }
+        ++block_cycles;
+      }
+      for (auto& sip : sips) sip.end_weight_pass();
     }
   }
-  impl_->entries.push_back(std::move(info));
-}
 
-const BackendInfo* BackendRegistry::find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const BackendInfo& e : impl_->entries) {
-    if (e.name == name) return &e;
+  for (std::int64_t r = 0; r < rows_used; ++r) {
+    for (std::int64_t c = 0; c < cols_used; ++c) {
+      const std::int64_t co = g * cog + row0 + r;
+      const std::int64_t window = col0 + c;
+      wide.at3(co, window / layer.out.w, window % layer.out.w) =
+          sips[static_cast<std::size_t>(r * cols_used + c)].output();
+    }
   }
-  return nullptr;
+  return block_cycles;
 }
 
-std::vector<std::string> BackendRegistry::names() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<std::string> out;
-  out.reserve(impl_->entries.size());
-  for (const BackendInfo& e : impl_->entries) out.push_back(e.name);
-  return out;
-}
-
-std::vector<std::string> BackendRegistry::tunable_names(
-    const GridOptions& ctx) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<std::string> out;
-  for (const BackendInfo& e : impl_->entries) {
-    if (e.tunable && e.supports(ctx)) out.push_back(e.name);
+std::string resolve_backend_name(std::string_view requested,
+                                 const GridOptions& grid) {
+  if (common::env_flag("LOOM_FUNCTIONAL_SCALAR",
+                       std::getenv("LOOM_FUNCTIONAL_SCALAR"))) {
+    return "scalar";
   }
-  return out;
-}
-
-std::string resolve_backend_name(std::string_view requested, bool force_scalar,
-                                 const GridOptions& ctx) {
-  // LOOM_FUNCTIONAL_SCALAR: any value other than empty or "0" forces it.
-  const char* scalar_env = std::getenv("LOOM_FUNCTIONAL_SCALAR");
-  const std::string_view scalar = scalar_env != nullptr ? scalar_env : "";
-  if (force_scalar || (!scalar.empty() && scalar != "0")) return "scalar";
   const std::string name = requested.empty() ? "auto" : std::string(requested);
-  if (name == "auto") {
-    return BackendRegistry::instance().tunable_names(ctx).empty() ? "scalar"
-                                                                  : "auto";
-  }
-  const BackendInfo* info = BackendRegistry::instance().find(name);
-  if (info == nullptr) {
+  if (name != "scalar" && name != "gemm" && name != "auto") {
     throw ConfigError("unknown functional backend: " + name);
   }
-  if (!info->supports(ctx)) return "scalar";  // historical cols>64 fallback
+  if (!supports(grid)) return "scalar";  // historical cols>64 fallback
   return name;
 }
 

@@ -1,111 +1,83 @@
-// Functional backend registry + per-layer autotuner.
+// The functional engine's two kernels, how one is selected, and the
+// per-layer autotuner.
 //
-// A FunctionalBackend is one interchangeable kernel implementation of the
-// functional engines' layer math: exact integer conv/FC accumulators plus
-// the analytic streaming statistics (ConvStats, sim/gemm_engine.hpp) the
-// dispatcher-driven scalar grid would report. Every backend is held to the
-// same contract — byte-identical accumulators AND byte-identical stats —
-// so FunctionalLoomEngine can swap kernels per layer without any observable
-// difference beyond wall-clock time (pinned by
-// tests/test_backend_differential.cpp).
+// The engine (sim/functional.hpp) runs each layer on one of two kernels:
+//   gemm    — dense int16 GEMM plus the shared streaming-statistics pass
+//             (GemmEngine, sim/gemm_engine.hpp); the word-parallel exact
+//             kernel
+//   scalar  — the architecture's oracle: SipGridOracle below for Loom, the
+//             arch::IpUnit loops (sim/dpnn_functional.hpp) for DPNN
+// Both are held to one contract — byte-identical accumulators AND
+// byte-identical stats — so the choice changes nothing but wall-clock time
+// (pinned by tests/test_backend_differential.cpp).
 //
-// Registered built-ins:
-//   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
-//                (ground truth; never an autotuner candidate)
-//   gemm       — dense int16 GEMM plus the shared streaming-statistics pass
-//                (sim/gemm_engine.hpp); the word-parallel exact kernel
-//
-// Backend selection (resolve_backend_name): FunctionalOptions::force_scalar
-// or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise FunctionalOptions::
-// backend, where "" means "auto". "auto" hands each (layer geometry,
-// precision, batch) cell to the BackendAutotuner, which samples every
-// tunable backend once on the real layer run, memoizes the fastest, and
-// exposes its decisions. A named backend that cannot pack the grid falls
-// back to "scalar", matching the historical cols>64 behavior.
+// Selection (resolve_backend_name): LOOM_FUNCTIONAL_SCALAR=1 or
+// FunctionalOptions::backend = "scalar" pick the oracle; "gemm" picks gemm,
+// or the oracle on a grid gemm cannot pack; "" and "auto" hand each
+// (layer geometry, precision, batch) cell to the BackendAutotuner with the
+// one candidate "gemm", and fall back to the oracle on an unpackable grid.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "arch/dispatcher.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
 #include "sim/gemm_engine.hpp"
 
 namespace loom::sim {
 
-/// One functional kernel. Conv returns the analytic streaming stats; FC
-/// reports none (the FC cycle model is analytic in the engine). Instances
-/// are engine-confined: calls need no internal synchronization beyond what
-/// the implementation's own (group, slab) fan-out does.
-class FunctionalBackend {
+/// Loom's scalar oracle: one arch::Sip per (row, column), driven bit by bit
+/// through a dispatcher. It defines the semantics gemm is pinned against.
+/// A batch runs as N solo passes (the batching-semantics oracle). Conv
+/// returns the ConvStats deltas of the oracle's own dispatcher, so the
+/// engine folds them into its dispatcher as it does gemm's; FC reports none
+/// (the FC cycle model is analytic in the engine).
+class SipGridOracle {
  public:
-  virtual ~FunctionalBackend() = default;
+  explicit SipGridOracle(const GridOptions& grid);
 
-  virtual ConvStats run_conv_batch(const nn::Layer& layer,
-                                   std::span<const nn::Tensor* const> inputs,
-                                   const nn::Tensor& weights,
-                                   const SliceSpec& spec,
-                                   std::span<nn::WideTensor* const> wides) = 0;
+  /// Unsigned activations only (the Loom conv grid).
+  ConvStats run_conv_batch(const nn::Layer& layer,
+                           std::span<const nn::Tensor* const> inputs,
+                           const nn::Tensor& weights, const SliceSpec& spec,
+                           std::span<nn::WideTensor* const> wides);
 
-  virtual void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-                      const nn::Tensor& weights, int weight_precision,
-                      nn::WideTensor& wide) = 0;
-
-  virtual void run_fc_batch(const nn::Layer& layer,
-                            std::span<const nn::Tensor* const> inputs,
-                            const nn::Tensor& weights, int weight_precision,
-                            std::span<nn::WideTensor* const> wides) = 0;
-};
-
-/// Registry entry: plain function pointers so registration is a static
-/// data operation (no captured state to synchronize).
-struct BackendInfo {
-  std::string name;
-  /// Autotuner candidate? The scalar oracle is registered non-tunable: it
-  /// exists for ground truth and fallback, and is never competitive.
-  bool tunable = false;
-  bool (*supports)(const GridOptions&) = nullptr;
-  std::unique_ptr<FunctionalBackend> (*make)(const GridOptions&) = nullptr;
-};
-
-/// Process-wide named-backend table. Built-ins self-register on first
-/// access; tests may register additional backends (by a fresh name, or
-/// re-registering an existing one replaces it) and they automatically gain
-/// differential-test coverage.
-class BackendRegistry {
- public:
-  static BackendRegistry& instance();
-
-  void register_backend(BackendInfo info);
-  /// nullptr when `name` is not registered.
-  [[nodiscard]] const BackendInfo* find(std::string_view name) const;
-  /// Every registered name, in registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-  /// Tunable backends whose supports() accepts `ctx`, registration order —
-  /// the autotuner candidate list (deterministic sampling order).
-  [[nodiscard]] std::vector<std::string> tunable_names(
-      const GridOptions& ctx) const;
+  /// Signed 16-bit activations, `weight_precision` two's-complement weights.
+  void run_fc_batch(const nn::Layer& layer,
+                    std::span<const nn::Tensor* const> inputs,
+                    const nn::Tensor& weights, int weight_precision,
+                    std::span<nn::WideTensor* const> wides);
 
  private:
-  BackendRegistry();
-  struct Impl;
-  Impl* impl_;  // leaked singleton state, never destroyed
+  /// One (filter-block, window-block) tile pass over all input chunks.
+  std::uint64_t conv_block(const nn::Layer& layer, const nn::Tensor& input,
+                           const nn::Tensor& weights, const SliceSpec& spec,
+                           std::int64_t g, std::int64_t fb, std::int64_t wb,
+                           nn::WideTensor& wide, double& streamed_pa,
+                           std::int64_t& chunks);
+
+  GridOptions grid_;
+  arch::Dispatcher dispatcher_;
+  std::vector<Value> act_buf_, weight_buf_;
+  std::vector<std::span<const Value>> act_spans_, weight_spans_;
+  arch::ActivationStream act_stream_;
+  arch::WeightStream weight_stream_;
 };
 
-/// Resolve the backend an engine will run: "scalar", "auto", or a concrete
-/// registered name. `requested` is FunctionalOptions::backend ("" = defer
-/// to "auto"). force_scalar / LOOM_FUNCTIONAL_SCALAR outrank any request
-/// (preserved escape hatch). Unknown names throw ConfigError; a known name
-/// (or "auto" with no viable candidate) that cannot pack `ctx` resolves to
-/// "scalar".
+/// Resolve the kernel an engine will run: "scalar", "gemm" or "auto".
+/// `requested` is FunctionalOptions::backend ("" = "auto").
+/// LOOM_FUNCTIONAL_SCALAR=1 outranks any request. Other names throw
+/// ConfigError, as does a LOOM_FUNCTIONAL_SCALAR value other than unset,
+/// "", "0" or "1". "gemm" or "auto" on a grid gemm cannot pack (supports())
+/// resolves to "scalar".
 [[nodiscard]] std::string resolve_backend_name(std::string_view requested,
-                                               bool force_scalar,
-                                               const GridOptions& ctx);
+                                               const GridOptions& grid);
 
 /// One autotuner memoization cell: a layer's geometry + streamed
 /// precisions + batch + grid + thread fan-out. Everything that changes
@@ -137,7 +109,7 @@ struct TuneKey {
 /// candidate so the timing piggybacks on a real layer run (every candidate
 /// computes identical bytes, so exploration is free of rework). record()
 /// feeds the measured wall clock back; once every candidate has a sample
-/// the argmin wins (first-registered wins ties). Timing can be overridden
+/// the argmin wins (candidate order breaks ties). Timing can be overridden
 /// with an injected function for deterministic autotuner tests.
 class BackendAutotuner {
  public:

@@ -4,18 +4,17 @@
 // cycles of the baseline's window-sequential schedule — the ground truth
 // the DPNN cycle model is cross-validated against.
 //
-// Values come from a registry backend (sim/backend.hpp) at full signed
+// Values come from the gemm kernel (sim/gemm_engine.hpp) at full signed
 // 16-bit precision for both operands (kDpnnSpec), bit-identical to driving
 // arch::IpUnit cycle by cycle; cycles follow the data-independent schedule,
 // one per (group, filter block, window, input chunk), so a batch of N costs
-// N x solo. The scalar route (force_scalar, LOOM_FUNCTIONAL_SCALAR, backend
-// "scalar", or an unpackable grid such as lanes > 32) drives the arch::IpUnit
-// loops below instead of the registry's SIP grid.
+// N x solo. The scalar route (LOOM_FUNCTIONAL_SCALAR=1, backend "scalar",
+// or an unpackable grid such as lanes > 32) drives the arch::IpUnit loops of
+// run_ip_unit_oracle instead of gemm.
 #pragma once
 
-#include <memory>
+#include <span>
 
-#include "sim/backend.hpp"
 #include "sim/functional.hpp"
 
 namespace loom::sim {
@@ -30,9 +29,13 @@ inline constexpr SliceSpec kDpnnSpec{
     .dynamic = false};
 
 /// DPNN's scalar oracle: `grid.rows` arch::IpUnit filters of `grid.lanes`
-/// lanes each, walking the baseline schedule. Reports no stats.
-[[nodiscard]] std::unique_ptr<FunctionalBackend> make_ip_unit_backend(
-    const GridOptions& grid);
+/// lanes each, walking the baseline schedule one request at a time. Conv
+/// and FC layers alike (an FC layer is one group and one window); reports
+/// no stats.
+void run_ip_unit_oracle(const GridOptions& grid, const nn::Layer& layer,
+                        std::span<const nn::Tensor* const> inputs,
+                        const nn::Tensor& weights,
+                        std::span<nn::WideTensor* const> wides);
 
 /// IP units (filters) of the paper's DPNN baseline.
 inline constexpr int kDpnnFilters = 8;

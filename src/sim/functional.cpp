@@ -16,6 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The autotuner's candidates under "auto": gemm is the one tunable kernel.
+const std::string kTunable[] = {"gemm"};
+
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
@@ -178,9 +181,8 @@ FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
                       .cols = opts_.cols,
                       .lanes = opts_.lanes,
                       .jobs = opts_.jobs};
-  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, grid_);
+  resolved_ = resolve_backend_name(opts_.backend, grid_);
   if (resolved_ == "auto") {
-    candidates_ = BackendRegistry::instance().tunable_names(grid_);
     // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
     // or already initialized) so tuned cells skip per-process exploration.
     init_autotune_cache_from_env();
@@ -214,22 +216,6 @@ std::uint64_t FunctionalEngine::schedule_cycles(const nn::Layer& layer) const {
       layer.windows() * ceil_div(layer.inner_length(), opts_.lanes));
 }
 
-FunctionalBackend& FunctionalEngine::backend_for(const std::string& name) {
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
-    std::unique_ptr<FunctionalBackend> backend;
-    if (arch_ == Arch::kDpnn && name == "scalar") {
-      backend = make_ip_unit_backend(grid_);
-    } else {
-      const BackendInfo* info = BackendRegistry::instance().find(name);
-      LOOM_EXPECTS(info != nullptr);
-      backend = info->make(grid_);
-    }
-    it = backends_.emplace(name, std::move(backend)).first;
-  }
-  return *it->second;
-}
-
 ConvStats FunctionalEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
@@ -246,15 +232,27 @@ ConvStats FunctionalEngine::dispatch(
     const int batch = static_cast<int>(inputs.size());
     key = conv ? conv_tune_key(layer, spec, batch, grid_)
                : fc_tune_key(layer, spec.weight_precision, batch, grid_);
-    used = BackendAutotuner::instance().choose(key, candidates_);
+    used = BackendAutotuner::instance().choose(key, kTunable);
   }
   const auto t0 = Clock::now();
-  FunctionalBackend& backend = backend_for(used);
   ConvStats st;
-  if (conv) {
-    st = backend.run_conv_batch(layer, inputs, weights, spec, wides);
+  if (used == "scalar" && arch_ == Arch::kDpnn) {
+    run_ip_unit_oracle(grid_, layer, inputs, weights, wides);
+  } else if (used == "scalar") {
+    if (!sip_) sip_.emplace(grid_);
+    if (conv) {
+      st = sip_->run_conv_batch(layer, inputs, weights, spec, wides);
+    } else {
+      sip_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
+    }
   } else {
-    backend.run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
+    LOOM_EXPECTS(used == "gemm");
+    if (!gemm_) gemm_.emplace(grid_);
+    if (conv) {
+      st = gemm_->run_conv_batch(layer, inputs, weights, spec, wides);
+    } else {
+      gemm_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
+    }
   }
   if (tuned) {
     BackendAutotuner::instance().record(
@@ -343,7 +341,6 @@ FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
     const nn::Network& net, std::span<const nn::Tensor> inputs,
     std::span<const nn::Tensor> weights) {
   LOOM_EXPECTS(!inputs.empty());
-  if (opts_.pre_run_hook) opts_.pre_run_hook();
   if (const std::string why = net.execution_error(); !why.empty()) {
     throw ConfigError("network '" + net.name() + "': " + why);
   }

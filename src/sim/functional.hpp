@@ -12,8 +12,8 @@
 //   * the cycle formula — Loom conv cycles come from the kernel's ConvStats
 //     and Loom FC cycles from plan_fc_cascade; DPNN walks the
 //     data-independent filter-block x window x chunk schedule;
-//   * the scalar route — the registry's arch::Sip oracle for Loom, the
-//     arch::IpUnit loops (sim/dpnn_functional.hpp) for DPNN.
+//   * the scalar route — SipGridOracle (sim/backend.hpp) for Loom,
+//     run_ip_unit_oracle (sim/dpnn_functional.hpp) for DPNN.
 // Every solo call is a batch of one.
 //
 // This is the ground-truth twin of the analytic cycle models in
@@ -22,25 +22,23 @@
 // counts of the two models agree (the functional counts exclude the
 // analytic model's per-layer kPipelineFill constant).
 //
-// Layer math runs on a kernel from the backend registry (sim/backend.hpp):
-// the scalar oracle or the dense int16 GEMM — byte-identical in outputs,
-// cycle counts, streamed-precision means and dispatcher/detector statistics
-// (golden-pinned in tests/test_functional_golden.cpp and
-// tests/test_kernel_golden.cpp, swept by tests/test_backend_differential.cpp,
-// whole zoo networks in tests/test_zoo_equivalence.cpp). Selection:
-// FunctionalOptions::backend, where "" means "auto" — which hands each layer
-// to the BackendAutotuner to memoize the empirically fastest tunable kernel.
-// FunctionalOptions::force_scalar / LOOM_FUNCTIONAL_SCALAR force the scalar
-// oracle, and configurations no fast kernel can pack (cols > 64; DPNN
-// lanes > 32) fall back to it automatically.
+// Layer math runs on one of two kernels, each called directly: the dense
+// int16 GEMM (GemmEngine) or the architecture's scalar oracle —
+// byte-identical in outputs, cycle counts, streamed-precision means and
+// dispatcher/detector statistics (golden-pinned in
+// tests/test_functional_golden.cpp and tests/test_kernel_golden.cpp, swept
+// by tests/test_backend_differential.cpp, whole zoo networks in
+// tests/test_zoo_equivalence.cpp). Selection (sim/backend.hpp):
+// FunctionalOptions::backend "gemm" or "scalar", or "" / "auto", which
+// hands each layer to the BackendAutotuner with the one candidate "gemm".
+// LOOM_FUNCTIONAL_SCALAR=1 forces the scalar oracle, and configurations
+// gemm cannot pack (cols > 64; lanes > 32) fall back to it automatically.
 //
 // Restriction: models the LM1b variant (one activation bit per cycle).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -65,19 +63,10 @@ struct FunctionalOptions {
   /// 0 = all hardware threads, 1 = serial. Results are byte-identical for
   /// every value.
   int jobs = 0;
-  /// Force the scalar oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
-  bool force_scalar = false;
-  /// Kernel selection: "" or "auto" (per-layer autotuned), or a registered
-  /// name ("scalar", "gemm"). Unknown names throw ConfigError at
-  /// construction.
+  /// Kernel selection: "" or "auto" (per-layer autotuned), "gemm" or
+  /// "scalar" (the oracle; LOOM_FUNCTIONAL_SCALAR=1 forces it for every
+  /// engine). Other names throw ConfigError at construction.
   std::string backend = {};
-  /// Invoked at the top of every run_network / run_network_batch call; may
-  /// throw, in which case the run fails before touching any state. This is
-  /// how the serving fault injector makes an engine run fail: the server
-  /// installs a hook that throws TransientEngineError at a configured
-  /// probability on its primary engine, while the scalar-oracle fallback
-  /// engine runs hook-free. Null = disabled.
-  std::function<void()> pre_run_hook = nullptr;
 };
 
 /// Where one layer call's wall clock went, in milliseconds. Timing only:
@@ -219,9 +208,9 @@ class FunctionalEngine {
     return dispatcher_;
   }
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
-  /// The resolved kernel selection: "scalar" (force_scalar /
-  /// LOOM_FUNCTIONAL_SCALAR / unpackable grid), "auto" (per-layer
-  /// autotuned), or a concrete registered backend name.
+  /// The resolved kernel selection: "scalar" (requested,
+  /// LOOM_FUNCTIONAL_SCALAR or an unpackable grid), "gemm", or "auto"
+  /// (per-layer autotuned).
   [[nodiscard]] const std::string& backend_name() const noexcept {
     return resolved_;
   }
@@ -241,11 +230,9 @@ class FunctionalEngine {
   /// Per-image cycles of a data-independent schedule (Loom FC, any DPNN
   /// layer).
   [[nodiscard]] std::uint64_t schedule_cycles(const nn::Layer& layer) const;
-  /// Lazily construct (and cache) the named backend for this grid.
-  FunctionalBackend& backend_for(const std::string& name);
-  /// Run one conv/fc batch on the selected kernel; under "auto" consults the
-  /// autotuner and feeds the measured wall clock back. `used` reports the
-  /// kernel that ran. FC kernels report no stats.
+  /// Run one conv/fc batch on the selected kernel, built on first use;
+  /// under "auto" consults the autotuner and feeds the measured wall clock
+  /// back. `used` reports the kernel that ran. FC kernels report no stats.
   ConvStats dispatch(const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
                      const nn::Tensor& weights,
@@ -255,9 +242,9 @@ class FunctionalEngine {
   Arch arch_;
   arch::Dispatcher dispatcher_;
   GridOptions grid_;
-  std::string resolved_;  ///< "scalar", "auto", or a concrete backend name
-  std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
-  std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
+  std::string resolved_;  ///< "scalar", "gemm" or "auto"
+  std::optional<GemmEngine> gemm_;
+  std::optional<SipGridOracle> sip_;  ///< Loom's oracle; DPNN's is stateless
 };
 
 /// Loom's bit-serial SIP grid (rows x cols x lanes).

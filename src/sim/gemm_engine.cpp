@@ -644,14 +644,6 @@ ConvStats GemmEngine::run_conv_batch(
   return total;
 }
 
-void GemmEngine::run_fc(const nn::Layer& layer, const nn::Tensor& input,
-                        const nn::Tensor& weights, int weight_precision,
-                        nn::WideTensor& wide) {
-  const nn::Tensor* const inputs[] = {&input};
-  nn::WideTensor* const wides[] = {&wide};
-  run_fc_batch(layer, inputs, weights, weight_precision, wides);
-}
-
 void GemmEngine::run_fc_batch(const nn::Layer& layer,
                               std::span<const nn::Tensor* const> inputs,
                               const nn::Tensor& weights, int weight_precision,

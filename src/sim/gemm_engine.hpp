@@ -142,13 +142,9 @@ class GemmEngine {
                            const nn::Tensor& weights, const SliceSpec& spec,
                            std::span<nn::WideTensor* const> wides);
 
-  /// Fully-connected layer: signed 16-bit activations, `weight_precision`
-  /// two's-complement weights read in place from `weights`.
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide);
-
-  /// Batched FC: every weight row loaded once is applied to all requests.
+  /// Batched fully-connected layer: signed 16-bit activations,
+  /// `weight_precision` two's-complement weights read in place from
+  /// `weights`; every weight row loaded once is applied to all requests.
   void run_fc_batch(const nn::Layer& layer,
                     std::span<const nn::Tensor* const> inputs,
                     const nn::Tensor& weights, int weight_precision,

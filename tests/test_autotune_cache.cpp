@@ -6,9 +6,10 @@
 // winner — and a rejected load leaves the in-memory autotuner exactly as it
 // was. The round-trip tests simulate two processes with reset_for_test():
 // converge, save, reset, load, and assert the second "process" answers every
-// choose() from the cache with zero exploration measurements. Every case
-// runs with two tunable candidates: gemm and a test-only mirror of it
-// (mirror_backend.hpp).
+// choose() from the cache with zero exploration measurements. The cells
+// that need exploration are explored through choose()/record() with two
+// literal candidates, gemm and a second name for it, keyed as a default
+// engine keys the layer, so that engine then answers from the warm cell.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,7 +20,6 @@
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "mirror_backend.hpp"
 #include "nn/layer.hpp"
 #include "sim/autotune_cache.hpp"
 #include "sim/backend.hpp"
@@ -50,7 +50,6 @@ nn::Tensor synth(const nn::Shape& shape, int precision, bool is_signed,
 class AutotuneCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    register_gemm_mirror();
     unsetenv("LOOM_AUTOTUNE_CACHE");
     auto& tuner = BackendAutotuner::instance();
     tuner.set_timing_override_for_test(nullptr);
@@ -63,6 +62,12 @@ class AutotuneCacheTest : public ::testing::Test {
 
   static std::string cache_path() {
     return testing::TempDir() + "loom_autotune_cache_test.bin";
+  }
+
+  static constexpr const char* kMirror = "gemm-mirror";
+  static const std::vector<std::string>& candidates() {
+    static const std::vector<std::string> c = {"gemm", kMirror};
+    return c;
   }
 
   static nn::Layer small_layer() {
@@ -80,22 +85,27 @@ class AutotuneCacheTest : public ::testing::Test {
     return eng.run_conv(layer, input, weights, kBasePrecision).backend;
   }
 
-  /// Drive the real choose/record path to one decided cell (winner "gemm"
-  /// under the deterministic timings), then drop the override so later
-  /// phases cannot re-measure behind our back.
+  /// The cell a default engine at jobs 1 keys a batch-1 run of
+  /// small_layer() under.
+  static TuneKey small_key() {
+    const nn::Layer layer = small_layer();
+    const SliceSpec spec{.act_precision = layer.act_precision,
+                         .weight_precision = layer.weight_precision,
+                         .act_signed = false,
+                         .dynamic = true};
+    return conv_tune_key(layer, spec, 1, GridOptions{.jobs = 1});
+  }
+
+  /// Drive choose() to one decided two-candidate cell (winner "gemm" under
+  /// the deterministic timings), then drop the override so later phases
+  /// cannot re-measure behind our back.
   static void converge_one_cell() {
     auto& tuner = BackendAutotuner::instance();
     tuner.set_timing_override_for_test(
         [](const TuneKey&, const std::string& backend) -> std::uint64_t {
           return backend == "gemm" ? 100 : 200;
         });
-    const nn::Layer layer = small_layer();
-    const nn::Tensor input = synth(
-        nn::Shape{layer.in.c, layer.in.h, layer.in.w}, layer.act_precision,
-        false, 1, 7);
-    const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
-                                     layer.weight_precision, true, 1, 9);
-    ASSERT_EQ(run_auto(layer, input, weights), "gemm");
+    ASSERT_EQ(tuner.choose(small_key(), candidates()), "gemm");
     tuner.set_timing_override_for_test(nullptr);
   }
 
@@ -143,21 +153,19 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 1, 9);
 
-  // Cold "process": real wall-clock exploration, one measurement per run,
-  // until the cell decides (one run per candidate suffices; the bound is
-  // slack in case a claim is retimed).
-  const std::size_t candidates =
-      BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1}).size();
-  ASSERT_GE(candidates, 2u);
+  // Cold "process": exploration hands out each candidate once, one
+  // measurement per call, until the cell decides (gemm measures faster).
+  const TuneKey key = small_key();
   std::string winner;
   for (int i = 0; i < 10 && winner.empty(); ++i) {
-    (void)run_auto(layer, input, weights);
+    const std::string next = tuner.choose(key, candidates());
+    tuner.record(key, next, next == "gemm" ? 100 : 200);
     const auto ds = tuner.decisions();
     ASSERT_EQ(ds.size(), 1u);
     winner = ds[0].winner;
   }
-  ASSERT_FALSE(winner.empty());
-  EXPECT_GE(tuner.cache_stats().explore_records, candidates);  // one each
+  ASSERT_EQ(winner, "gemm");
+  EXPECT_EQ(tuner.cache_stats().explore_records, candidates().size());
 
   save_autotune_cache(cache_path());
 
@@ -169,10 +177,11 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
   const auto ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].winner, winner);
-  EXPECT_GE(ds[0].samples.size(), candidates);
+  EXPECT_EQ(ds[0].samples.size(), candidates().size());
 
   // Deterministic timings now favor another candidate — but the installed
-  // winner must answer immediately, with no re-measurement at all.
+  // winner must answer a default engine's runs immediately, with no
+  // re-measurement at all.
   tuner.set_timing_override_for_test(
       [winner](const TuneKey&, const std::string& backend) -> std::uint64_t {
         return backend != winner ? 1 : 1000;
@@ -326,7 +335,7 @@ TEST_F(AutotuneCacheTest, InstallNeverOverridesInProcessCells) {
   // A cache claiming a different winner for the same key must lose to the
   // cell this process measured itself.
   BackendAutotuner::Decision rival = ds[0];
-  rival.winner = kMirrorBackend;
+  rival.winner = kMirror;
   EXPECT_EQ(tuner.install({{rival}}), 0u);
   EXPECT_EQ(tuner.decisions()[0].winner, "gemm");
 }

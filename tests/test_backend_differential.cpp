@@ -1,15 +1,11 @@
-// Cross-backend differential property harness: every backend in the
-// registry — present and future — is held to byte-identity against the
-// scalar arch::Sip oracle and the nn::reference bit-parallel golden model
-// over randomized geometry (pad/stride/groups/lane-tail/cols-tail) ×
-// Pa,Pw ∈ {1..16} × batch 1–9. A new backend gets this coverage by
-// registering, not by writing a new test file: the sweeps below enumerate
-// BackendRegistry and skip nothing that claims to support the grid.
+// Kernel differential property harness: the gemm kernel is held to
+// byte-identity against the scalar arch::Sip oracle (SipGridOracle) and the
+// nn::reference bit-parallel golden model over randomized geometry
+// (pad/stride/groups/lane-tail/cols-tail) x Pa,Pw in {1..16} x batch 1-9.
 //
-// Stats are part of the contract: every word-parallel backend must report
-// the same ConvStats as the others for the same batched run (the scalar
-// oracle joins that comparison at batch == 1; for larger
-// batches its N-solo chunk structure legitimately differs from the
+// Stats are part of the contract: gemm must report the oracle's ConvStats
+// whenever the batch is a single request (for larger batches the oracle's
+// N-solo chunk structure legitimately differs from gemm's
 // concatenated-window accounting).
 //
 // Failures print the iteration seed: rerun with
@@ -18,13 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "mirror_backend.hpp"
 #include "nn/reference.hpp"
 #include "sim/backend.hpp"
 #include "sim/dpnn_functional.hpp"
@@ -172,14 +168,30 @@ void expect_stats_eq(const ConvStats& a,
   EXPECT_EQ(a.detect_values, b.detect_values);
 }
 
-// ---- Conv: every registered backend vs scalar oracle vs reference ---------
 
-TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
-  auto& reg = BackendRegistry::instance();
+/// Request pointers into `inputs` and fresh accumulators for each.
+struct Batch {
+  std::vector<nn::WideTensor> wides;
+  std::vector<const nn::Tensor*> in_ptrs;
+  std::vector<nn::WideTensor*> wide_ptrs;
+
+  Batch(const std::vector<nn::Tensor>& inputs, const nn::Shape& wide_shape)
+      : wides(make_wides(wide_shape, inputs.size())) {
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      in_ptrs.push_back(&inputs[r]);
+      wide_ptrs.push_back(&wides[r]);
+    }
+  }
+};
+
+// ---- Conv: gemm vs scalar oracle vs reference ------------------------------
+
+TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
   for (const std::uint64_t seed : iteration_seeds(0xD1FF, 30)) {
     SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
     const Case c = random_conv_case(seed);
     const GridOptions ctx = random_ctx(seed);
+    ASSERT_TRUE(supports(ctx));  // gemm packs every random grid
     const SliceSpec spec{
         .act_precision = c.layer.act_precision,
         .weight_precision = c.layer.weight_precision,
@@ -188,114 +200,95 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     const std::size_t batch = c.inputs.size();
     const nn::Shape wide_shape{c.layer.out.c, c.layer.out.h, c.layer.out.w};
 
-    // Scalar oracle, one request at a time: the ground truth every backend
-    // (and the batching semantics itself) is pinned against.
-    const BackendInfo* scalar_info = reg.find("scalar");
-    ASSERT_NE(scalar_info, nullptr);
-    auto scalar = scalar_info->make(ctx);
+    // Scalar oracle, one request at a time: the ground truth gemm (and the
+    // batching semantics itself) is pinned against.
+    SipGridOracle scalar(ctx);
     std::vector<nn::WideTensor> oracle = make_wides(wide_shape, batch);
     std::vector<ConvStats> oracle_stats;
     for (std::size_t r = 0; r < batch; ++r) {
       const nn::Tensor* in = &c.inputs[r];
       nn::WideTensor* out = &oracle[r];
-      oracle_stats.push_back(scalar->run_conv_batch(
+      oracle_stats.push_back(scalar.run_conv_batch(
           c.layer, std::span<const nn::Tensor* const>(&in, 1), c.weights, spec,
           std::span<nn::WideTensor* const>(&out, 1)));
       EXPECT_EQ(oracle[r], nn::conv_forward(c.inputs[r], c.weights, c.layer))
           << "oracle vs reference, request " << r;
     }
 
-    bool have_parallel_stats = false;
-    ConvStats parallel_stats;
-    for (const std::string& name : reg.names()) {
-      SCOPED_TRACE("backend " + name);
-      const BackendInfo* info = reg.find(name);
-      ASSERT_NE(info, nullptr);
-      if (!info->supports(ctx)) continue;
-      auto backend = info->make(ctx);
-
-      std::vector<nn::WideTensor> wides = make_wides(wide_shape, batch);
-      std::vector<const nn::Tensor*> in_ptrs;
-      std::vector<nn::WideTensor*> wide_ptrs;
-      for (std::size_t r = 0; r < batch; ++r) {
-        in_ptrs.push_back(&c.inputs[r]);
-        wide_ptrs.push_back(&wides[r]);
-      }
+    {
+      // The oracle's own batch is N solo runs by definition.
+      SCOPED_TRACE("backend scalar");
+      Batch b(c.inputs, wide_shape);
       const ConvStats st =
-          backend->run_conv_batch(c.layer, in_ptrs, c.weights, spec, wide_ptrs);
+          scalar.run_conv_batch(c.layer, b.in_ptrs, c.weights, spec, b.wide_ptrs);
       for (std::size_t r = 0; r < batch; ++r) {
-        EXPECT_EQ(wides[r], oracle[r]) << "request " << r;
+        EXPECT_EQ(b.wides[r], oracle[r]) << "request " << r;
       }
-      if (name == "scalar") {
-        // The scalar backend's own batch is N solo runs by definition.
-        ConvStats sum;
-        for (const auto& s : oracle_stats) sum += s;
-        expect_stats_eq(st, sum);
-        continue;
-      }
-      // Word-parallel backends share the concatenated-window accounting:
-      // all must agree with each other, and with the scalar oracle whenever
-      // the batch is a single request (same chunk structure).
-      if (!have_parallel_stats) {
-        parallel_stats = st;
-        have_parallel_stats = true;
-      } else {
-        expect_stats_eq(st, parallel_stats);
-      }
-      if (batch == 1) expect_stats_eq(st, oracle_stats[0]);
+      ConvStats sum;
+      for (const auto& s : oracle_stats) sum += s;
+      expect_stats_eq(st, sum);
     }
-    EXPECT_TRUE(have_parallel_stats);  // gemm at minimum supports 1..20 cols
+
+    SCOPED_TRACE("backend gemm");
+    GemmEngine gemm(ctx);
+    Batch b(c.inputs, wide_shape);
+    const ConvStats st =
+        gemm.run_conv_batch(c.layer, b.in_ptrs, c.weights, spec, b.wide_ptrs);
+    for (std::size_t r = 0; r < batch; ++r) {
+      EXPECT_EQ(b.wides[r], oracle[r]) << "request " << r;
+    }
+    // Same chunk structure as the oracle whenever the batch is one request.
+    if (batch == 1) expect_stats_eq(st, oracle_stats[0]);
   }
 }
 
-// ---- FC: every registered backend vs scalar oracle vs reference -----------
+// ---- FC: gemm vs scalar oracle vs reference --------------------------------
 
-TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
-  auto& reg = BackendRegistry::instance();
+TEST(BackendDifferential, FcGemmMatchesScalarOracle) {
   for (const std::uint64_t seed : iteration_seeds(0xFCD1FF, 30)) {
     SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
     const Case c = random_fc_case(seed);
     const GridOptions ctx = random_ctx(seed);
+    ASSERT_TRUE(supports(ctx));
     const std::size_t batch = c.inputs.size();
     const nn::Shape wide_shape{c.layer.out.c, 1, 1};
+    const int pw = c.layer.weight_precision;
 
-    const BackendInfo* scalar_info = reg.find("scalar");
-    ASSERT_NE(scalar_info, nullptr);
-    auto scalar = scalar_info->make(ctx);
+    SipGridOracle scalar(ctx);
     std::vector<nn::WideTensor> oracle = make_wides(wide_shape, batch);
     for (std::size_t r = 0; r < batch; ++r) {
-      scalar->run_fc(c.layer, c.inputs[r], c.weights, c.layer.weight_precision,
-                     oracle[r]);
+      const nn::Tensor* in = &c.inputs[r];
+      nn::WideTensor* out = &oracle[r];
+      scalar.run_fc_batch(c.layer, std::span<const nn::Tensor* const>(&in, 1),
+                          c.weights, pw,
+                          std::span<nn::WideTensor* const>(&out, 1));
       EXPECT_EQ(oracle[r], nn::fc_forward(c.inputs[r], c.weights, c.layer))
           << "oracle vs reference, request " << r;
     }
 
-    for (const std::string& name : reg.names()) {
-      SCOPED_TRACE("backend " + name);
-      const BackendInfo* info = reg.find(name);
-      ASSERT_NE(info, nullptr);
-      if (!info->supports(ctx)) continue;
-      auto backend = info->make(ctx);
-
-      // Batched entry point (covers the request-packing paths)...
-      std::vector<nn::WideTensor> wides = make_wides(wide_shape, batch);
-      std::vector<const nn::Tensor*> in_ptrs;
-      std::vector<nn::WideTensor*> wide_ptrs;
+    {
+      SCOPED_TRACE("backend scalar");
+      Batch b(c.inputs, wide_shape);
+      scalar.run_fc_batch(c.layer, b.in_ptrs, c.weights, pw, b.wide_ptrs);
       for (std::size_t r = 0; r < batch; ++r) {
-        in_ptrs.push_back(&c.inputs[r]);
-        wide_ptrs.push_back(&wides[r]);
+        EXPECT_EQ(b.wides[r], oracle[r]) << "batched request " << r;
       }
-      backend->run_fc_batch(c.layer, in_ptrs, c.weights,
-                            c.layer.weight_precision, wide_ptrs);
-      for (std::size_t r = 0; r < batch; ++r) {
-        EXPECT_EQ(wides[r], oracle[r]) << "batched request " << r;
-      }
-      // ...and the solo entry point on the first request.
-      nn::WideTensor solo(wide_shape);
-      backend->run_fc(c.layer, c.inputs[0], c.weights,
-                      c.layer.weight_precision, solo);
-      EXPECT_EQ(solo, oracle[0]);
     }
+
+    SCOPED_TRACE("backend gemm");
+    GemmEngine gemm(ctx);
+    // Batched (covers the request-packing paths)...
+    Batch b(c.inputs, wide_shape);
+    gemm.run_fc_batch(c.layer, b.in_ptrs, c.weights, pw, b.wide_ptrs);
+    for (std::size_t r = 0; r < batch; ++r) {
+      EXPECT_EQ(b.wides[r], oracle[r]) << "batched request " << r;
+    }
+    // ...and the first request alone.
+    nn::WideTensor solo(wide_shape);
+    nn::WideTensor* solo_ptr = &solo;
+    gemm.run_fc_batch(c.layer, std::span(b.in_ptrs.data(), 1), c.weights, pw,
+                      std::span(&solo_ptr, 1));
+    EXPECT_EQ(solo, oracle[0]);
   }
 }
 
@@ -303,7 +296,7 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
 // Every accumulator-narrowing decision at its worst case: operands at their
 // largest magnitude with every product of one sign, so any int32 lane that
 // is not widened in time — or any operand squeezed into int16 that does not
-// fit — changes the result. Each registered backend runs the case as a
+// fit — changes the result. Gemm and the oracle each run the case as a
 // batch of two identical requests and solo.
 
 /// A tensor of one repeated raw 16-bit pattern.
@@ -311,51 +304,62 @@ nn::Tensor filled(const nn::Shape& shape, std::uint16_t raw) {
   return nn::Tensor(shape, static_cast<Value>(raw));
 }
 
-/// Every registered backend (bar `skip`) on `ctx`, batched and solo, must
-/// reproduce `want` exactly.
+/// A kernel's batched entry point on one layer.
+using RunBatch = std::function<void(std::span<const nn::Tensor* const>,
+                                    std::span<nn::WideTensor* const>)>;
+
+/// `run` must reproduce `want` for a batch of two `input`s and for `input`
+/// alone.
+void expect_batch_and_solo(const std::string& kernel, const nn::Tensor& input,
+                           const nn::WideTensor& want, const RunBatch& run) {
+  SCOPED_TRACE("backend " + kernel);
+  std::vector<nn::WideTensor> wides = make_wides(want.shape(), 2);
+  const nn::Tensor* in_ptrs[] = {&input, &input};
+  nn::WideTensor* wide_ptrs[] = {&wides[0], &wides[1]};
+  run(in_ptrs, wide_ptrs);
+  EXPECT_EQ(wides[0], want);
+  EXPECT_EQ(wides[1], want);
+  nn::WideTensor solo(want.shape());
+  nn::WideTensor* solo_ptr = &solo;
+  run(std::span(in_ptrs, 1), std::span(&solo_ptr, 1));
+  EXPECT_EQ(solo, want);
+}
+
+/// Gemm and the spec's oracle — the SIP grid for unsigned (Loom) specs, the
+/// IP units for the signed DPNN spec — must reproduce `want` exactly.
 void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
-                            const nn::Tensor& weights,
-                            const SliceSpec& spec,
-                            const nn::WideTensor& want, const std::string& skip) {
+                            const nn::Tensor& weights, const SliceSpec& spec,
+                            const nn::WideTensor& want) {
   const GridOptions ctx{.jobs = 1};
-  auto& reg = BackendRegistry::instance();
-  for (const std::string& name : reg.names()) {
-    if (name == skip || !reg.find(name)->supports(ctx)) continue;
-    SCOPED_TRACE("backend " + name);
-    auto backend = reg.find(name)->make(ctx);
-    std::vector<nn::WideTensor> wides = make_wides(want.shape(), 2);
-    const nn::Tensor* in_ptrs[] = {&input, &input};
-    nn::WideTensor* wide_ptrs[] = {&wides[0], &wides[1]};
-    (void)backend->run_conv_batch(layer, in_ptrs, weights, spec, wide_ptrs);
-    EXPECT_EQ(wides[0], want);
-    EXPECT_EQ(wides[1], want);
-    nn::WideTensor solo(want.shape());
-    nn::WideTensor* solo_ptr = &solo;
-    (void)backend->run_conv_batch(layer, std::span(in_ptrs, 1), weights, spec,
-                                  std::span(&solo_ptr, 1));
-    EXPECT_EQ(solo, want);
+  GemmEngine gemm(ctx);
+  expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
+    (void)gemm.run_conv_batch(layer, in, weights, spec, out);
+  });
+  if (spec.act_signed) {
+    expect_batch_and_solo("ip-unit", input, want, [&](auto in, auto out) {
+      run_ip_unit_oracle(GridOptions{.rows = kDpnnFilters, .jobs = 1}, layer,
+                         in, weights, out);
+    });
+    return;
   }
+  SipGridOracle scalar(ctx);
+  expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
+    (void)scalar.run_conv_batch(layer, in, weights, spec, out);
+  });
 }
 
 void expect_fc_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                           const nn::Tensor& weights, int pw,
                           const nn::WideTensor& want) {
   const GridOptions ctx{.jobs = 1};
-  auto& reg = BackendRegistry::instance();
-  for (const std::string& name : reg.names()) {
-    if (!reg.find(name)->supports(ctx)) continue;
-    SCOPED_TRACE("backend " + name);
-    auto backend = reg.find(name)->make(ctx);
-    std::vector<nn::WideTensor> wides = make_wides(want.shape(), 2);
-    const nn::Tensor* in_ptrs[] = {&input, &input};
-    nn::WideTensor* wide_ptrs[] = {&wides[0], &wides[1]};
-    backend->run_fc_batch(layer, in_ptrs, weights, pw, wide_ptrs);
-    EXPECT_EQ(wides[0], want);
-    EXPECT_EQ(wides[1], want);
-    nn::WideTensor solo(want.shape());
-    backend->run_fc(layer, input, weights, pw, solo);
-    EXPECT_EQ(solo, want);
-  }
+  GemmEngine gemm(ctx);
+  expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
+    gemm.run_fc_batch(layer, in, weights, pw, out);
+  });
+  SipGridOracle scalar(ctx);
+  expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
+    scalar.run_fc_batch(layer, in, weights, pw, out);
+  });
 }
 
 TEST(BackendDifferential, SignedFcAtFullWidthMinValues) {
@@ -405,102 +409,117 @@ TEST(BackendDifferential, UnsignedPa16ConvAllOnes) {
     for (const bool dynamic : {false, true}) {
       SCOPED_TRACE("pw " + std::to_string(pw) + (dynamic ? " dynamic" : " static"));
       const SliceSpec spec{.act_precision = kBasePrecision,
-                                           .weight_precision = pw,
-                                           .act_signed = false,
-                                           .dynamic = dynamic};
-      expect_conv_everywhere(layer, input, weights, spec, want, /*skip=*/"");
+                           .weight_precision = pw,
+                           .act_signed = false,
+                           .dynamic = dynamic};
+      expect_conv_everywhere(layer, input, weights, spec, want);
     }
   }
 }
 
 TEST(BackendDifferential, DpnnSpecConvMinValues) {
-  // The DPNN spec (signed 16 x 16) with every operand -32768. The registry's
-  // scalar grid is the unsigned Loom conv; the DPNN oracle is the IP-unit
-  // backend, checked here against the reference too.
+  // The DPNN spec (signed 16 x 16) with every operand -32768. The SIP grid
+  // is the unsigned Loom conv; the DPNN oracle is the IP units.
   const nn::Layer layer = nn::make_conv("dpnn", nn::Shape3{8, 6, 6}, 4, 3, 1, 1);
   const nn::Tensor input = filled(nn::Shape{8, 6, 6}, 0x8000);
   const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, 0x8000);
   const nn::WideTensor want = nn::conv_forward(input, weights, layer);
   ASSERT_EQ(want.at3(0, 2, 2), Wide{72} << 30);
-
-  nn::WideTensor oracle(want.shape());
-  const nn::Tensor* in_ptr = &input;
-  nn::WideTensor* out_ptr = &oracle;
-  (void)make_ip_unit_backend(GridOptions{.rows = kDpnnFilters, .jobs = 1})
-      ->run_conv_batch(layer, std::span(&in_ptr, 1), weights, kDpnnSpec,
-                       std::span(&out_ptr, 1));
-  EXPECT_EQ(oracle, want);
-  expect_conv_everywhere(layer, input, weights, kDpnnSpec, want,
-                         /*skip=*/"scalar");
-}
-
-// ---- Registration is the coverage mechanism -------------------------------
-
-// A backend registered by a test (or a future PR) is picked up by the same
-// machinery the sweeps above use: the registry lists it, the autotuner sees
-// it as a candidate, and resolve_backend_name() accepts it by name.
-TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
-  auto& reg = BackendRegistry::instance();
-  const auto before = reg.names().size();
-  register_gemm_mirror();
-  EXPECT_EQ(reg.names().size(), before + 1);
-  ASSERT_NE(reg.find(kMirrorBackend), nullptr);
-
-  const GridOptions ctx;  // default 16x16x16 grid
-  const auto tunable = reg.tunable_names(ctx);
-  EXPECT_NE(std::find(tunable.begin(), tunable.end(), kMirrorBackend),
-            tunable.end());
-  EXPECT_EQ(resolve_backend_name(kMirrorBackend, /*force_scalar=*/false, ctx),
-            kMirrorBackend);
-
-  // It runs a real case byte-identically (one spot check here — the sweep
-  // tests above now exercise it on every iteration of this binary).
-  const Case c = random_conv_case(0x3A3A);
-  FunctionalLoomEngine eng(
-      FunctionalOptions{.jobs = 1, .backend = kMirrorBackend});
-  EXPECT_EQ(eng.backend_name(), kMirrorBackend);
-  const FunctionalLayerRun run =
-      eng.run_conv(c.layer, c.inputs[0], c.weights, kBasePrecision);
-  EXPECT_EQ(run.backend, kMirrorBackend);
-  EXPECT_EQ(run.wide, nn::conv_forward(c.inputs[0], c.weights, c.layer));
+  expect_conv_everywhere(layer, input, weights, kDpnnSpec, want);
 }
 
 // ---- Resolution precedence ------------------------------------------------
 
+/// Sets an environment variable (nullptr unsets it) for one scope, then
+/// restores the value it had.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(old_ ? old_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const char* value) {
+    if (value != nullptr) {
+      setenv(name_, value, 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 TEST(BackendResolution, PrecedenceAndFallbacks) {
+  const ScopedEnv no_force("LOOM_FUNCTIONAL_SCALAR", nullptr);
   const GridOptions ok;                    // 16x16x16: everything packs
   GridOptions wide = ok;
-  wide.cols = 80;                             // nothing word-parallel packs
+  wide.cols = 80;                             // gemm cannot pack
   GridOptions deep = ok;
   deep.lanes = 40;                            // same, via the lane bound
 
-  // force_scalar beats everything, explicit names included.
-  EXPECT_EQ(resolve_backend_name("gemm", true, ok), "scalar");
-  // Explicit registered names resolve to themselves on a packable grid...
-  EXPECT_EQ(resolve_backend_name("gemm", false, ok), "gemm");
-  EXPECT_EQ(resolve_backend_name("scalar", false, ok), "scalar");
-  // ...and fall back to the scalar oracle on an unpackable one (the
+  // Explicit names resolve to themselves on a packable grid...
+  EXPECT_EQ(resolve_backend_name("gemm", ok), "gemm");
+  EXPECT_EQ(resolve_backend_name("scalar", ok), "scalar");
+  EXPECT_EQ(resolve_backend_name("scalar", wide), "scalar");
+  // ...and gemm falls back to the scalar oracle on an unpackable one (the
   // historical cols>64 behavior).
-  EXPECT_EQ(resolve_backend_name("gemm", false, wide), "scalar");
+  EXPECT_EQ(resolve_backend_name("gemm", wide), "scalar");
   // "" means "auto"; "auto" with no viable candidate is the scalar oracle.
-  EXPECT_EQ(resolve_backend_name("", false, ok), "auto");
-  EXPECT_EQ(resolve_backend_name("auto", false, wide), "scalar");
-  EXPECT_EQ(resolve_backend_name("auto", false, deep), "scalar");
+  EXPECT_EQ(resolve_backend_name("", ok), "auto");
+  EXPECT_EQ(resolve_backend_name("auto", wide), "scalar");
+  EXPECT_EQ(resolve_backend_name("auto", deep), "scalar");
   // Unknown names are a configuration error, not a silent fallback — the
-  // retired table-lookup kernels included.
-  EXPECT_THROW((void)resolve_backend_name("no-such-kernel", false, ok),
-               ConfigError);
-  EXPECT_THROW((void)resolve_backend_name("lut", false, ok), ConfigError);
-  EXPECT_THROW((void)resolve_backend_name("lut-outer", false, ok), ConfigError);
+  // retired table-lookup and bit-slice kernels included.
+  EXPECT_THROW((void)resolve_backend_name("no-such-kernel", ok), ConfigError);
+  EXPECT_THROW((void)resolve_backend_name("lut", ok), ConfigError);
+  EXPECT_THROW((void)resolve_backend_name("lut-outer", ok), ConfigError);
+  EXPECT_THROW((void)resolve_backend_name("bitslice", ok), ConfigError);
 
   // Engine-level: the resolved name is observable, and unknown names throw
   // at construction.
+  FunctionalLoomEngine scalar_eng(
+      FunctionalOptions{.jobs = 1, .backend = "scalar"});
+  EXPECT_EQ(scalar_eng.backend_name(), "scalar");
   FunctionalLoomEngine gemm_eng(FunctionalOptions{.jobs = 1, .backend = "gemm"});
   EXPECT_EQ(gemm_eng.backend_name(), "gemm");
   FunctionalLoomEngine auto_eng(FunctionalOptions{.jobs = 1});
   EXPECT_EQ(auto_eng.backend_name(), "auto");
   EXPECT_THROW(FunctionalLoomEngine(FunctionalOptions{.backend = "bogus"}),
                ConfigError);
+}
+
+TEST(BackendResolution, ScalarEnvAcceptsOnlyZeroOrOne) {
+  {
+    // "1" beats everything, explicit names included.
+    const ScopedEnv force("LOOM_FUNCTIONAL_SCALAR", "1");
+    EXPECT_EQ(resolve_backend_name("gemm", GridOptions{}), "scalar");
+    FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = "gemm"});
+    EXPECT_EQ(eng.backend_name(), "scalar");
+  }
+  for (const char* off : {"", "0"}) {
+    const ScopedEnv unforced("LOOM_FUNCTIONAL_SCALAR", off);
+    FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
+    EXPECT_EQ(eng.backend_name(), "auto") << '"' << off << '"';
+  }
+  // Any other value is an error naming the variable, not a silent switch
+  // to the oracle.
+  for (const char* junk : {"false", "off", "yes", "true", "2"}) {
+    SCOPED_TRACE(junk);
+    const ScopedEnv bad("LOOM_FUNCTIONAL_SCALAR", junk);
+    try {
+      FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
+      ADD_FAILURE() << "built an engine with backend " << eng.backend_name();
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("LOOM_FUNCTIONAL_SCALAR"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

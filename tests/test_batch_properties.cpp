@@ -157,7 +157,7 @@ TEST(BatchProperties, ConvBatchedMatchesScalarOracleAndReference) {
         sliced.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
     FunctionalOptions scalar_opts = opts;
-    scalar_opts.force_scalar = true;
+    scalar_opts.backend = "scalar";
     FunctionalLoomEngine scalar(scalar_opts);
     ASSERT_EQ(scalar.backend_name(), "scalar");
 
@@ -191,7 +191,7 @@ TEST(BatchProperties, FcBatchedMatchesScalarOracleAndReference) {
         sliced.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
     FunctionalOptions scalar_opts = opts;
-    scalar_opts.force_scalar = true;
+    scalar_opts.backend = "scalar";
     FunctionalLoomEngine scalar(scalar_opts);
 
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {

@@ -4,6 +4,8 @@
 // (simd_level() itself is cached at first use and deliberately not poked).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/cpuid.hpp"
 #include "common/error.hpp"
 
@@ -26,7 +28,23 @@ TEST(Cpuid, UnsetEnvLeavesHardwareUncapped) {
 TEST(Cpuid, ForceScalarWinsOverLevel) {
   EXPECT_EQ(simd_cap_from_env("1", nullptr), SimdLevel::kScalar);
   EXPECT_EQ(simd_cap_from_env("1", "avx512"), SimdLevel::kScalar);
-  EXPECT_EQ(simd_cap_from_env("yes", "native"), SimdLevel::kScalar);
+  EXPECT_EQ(simd_cap_from_env("1", "native"), SimdLevel::kScalar);
+}
+
+TEST(Cpuid, JunkForceScalarIsTypedError) {
+  // Only unset, "", "0" and "1" parse: "false" or "off" must not silently
+  // switch the scalar tier on.
+  for (const char* junk : {"yes", "false", "off", "true", "2", "00", " 1"}) {
+    SCOPED_TRACE(junk);
+    try {
+      (void)simd_cap_from_env(junk, nullptr);
+      ADD_FAILURE() << "accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("LOOM_FORCE_SCALAR_SIMD"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cpuid, LevelStringsParse) {

@@ -105,7 +105,7 @@ TEST(BitsliceGolden, DynamicRunMatchesPreChangeMain) {
 TEST(BitsliceGolden, DynamicRunScalarOracleMatchesPreChangeMain) {
   TestNet s = make_golden_net();
   FunctionalLoomEngine eng(
-      FunctionalOptions{.rows = 8, .cols = 16, .force_scalar = true});
+      FunctionalOptions{.rows = 8, .cols = 16, .backend = "scalar"});
   ASSERT_EQ(eng.backend_name(), "scalar");
   const auto run = eng.run_network(s.net, s.input, s.weights);
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
@@ -117,7 +117,7 @@ TEST(BitsliceGolden, StaticRunMatchesPreChangeMainBothBackends) {
     FunctionalLoomEngine eng(FunctionalOptions{.rows = 16,
                                                .cols = 8,
                                                .dynamic_act_precision = false,
-                                               .force_scalar = scalar});
+                                               .backend = scalar ? "scalar" : ""});
     const auto run = eng.run_network(s.net, s.input, s.weights);
     EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenStatic) << scalar;
   }
@@ -171,7 +171,7 @@ void expect_conv_equivalent(const ConvCase& c) {
   FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .lanes = c.lanes,
                        .dynamic_act_precision = c.dynamic, .jobs = 1};
   FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
+  fo.backend = "scalar";
   FunctionalLoomEngine slow(fo);
   ASSERT_NE(fast.backend_name(), "scalar") << c.name;
   const auto rf = fast.run_conv(layer, input, weights, 16);
@@ -259,7 +259,7 @@ TEST(BitsliceEquivalence, OutOfProfileActivationsDetectLikeTheDispatcher) {
 
   FunctionalOptions fo{.rows = 4, .cols = 16, .jobs = 1};
   FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
+  fo.backend = "scalar";
   FunctionalLoomEngine slow(fo);
   const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
@@ -292,7 +292,7 @@ TEST(BitsliceEquivalence, FullPrecisionEngineAgreement) {
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 8, 2);
   FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .jobs = 1};
   FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
+  fo.backend = "scalar";
   FunctionalLoomEngine slow(fo);
   const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
@@ -319,7 +319,7 @@ TEST(BitsliceEquivalence, SignedFcActivations) {
 
   FunctionalOptions fo{.jobs = 1};
   FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
+  fo.backend = "scalar";
   FunctionalLoomEngine slow(fo);
   const auto rf = fast.run_fc(net.layer(0), input, weights, 16);
   const auto rs = slow.run_fc(net.layer(0), input, weights, 16);
@@ -348,7 +348,7 @@ TEST(BitsliceEquivalence, DpnnBackendsAgree) {
   FunctionalDpnnEngine fast(
       FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
   FunctionalDpnnEngine slow(
-      FunctionalOptions{.rows = kDpnnFilters, .force_scalar = true});
+      FunctionalOptions{.rows = kDpnnFilters, .backend = "scalar"});
   const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
   EXPECT_EQ(rf.cycles, rs.cycles);

@@ -1,18 +1,17 @@
-// Golden digests for every tunable kernel on real zoo geometry, plus
-// autotuner determinism. The digests pin the exact bytes (accumulators,
-// requantized outputs, cycles, streamed-precision mean) the kernels produce
-// on profiled AlexNet and NiN layers — any change to a kernel's operand
-// masking, accumulation or the shared streaming-statistics pass shows up as
-// a digest break here before it can drift. Every tunable backend must
-// produce the *same* digest: byte-identity is the contract, the constant
-// just anchors it to history.
+// Golden digests for every kernel "auto" can pick on real zoo geometry,
+// plus autotuner determinism. The digests pin the exact bytes
+// (accumulators, requantized outputs, cycles, streamed-precision mean) the
+// kernels produce on profiled AlexNet and NiN layers — any change to a
+// kernel's operand masking, accumulation or the shared streaming-statistics
+// pass shows up as a digest break here before it can drift. Every such
+// kernel must produce the *same* digest: byte-identity is the contract, the
+// constant just anchors it to history.
 //
-// The autotuner tests drive the real choose/record path with a
-// deterministic timing override over two candidates — gemm and a test-only
-// mirror of it (mirror_backend.hpp) — and assert that decisions are
-// reproducible: pinned timings give the same winner on every engine,
-// memoized winners survive engine re-construction and registry
-// re-resolution, and distinct geometries keep distinct cells.
+// The autotuner tests call choose() with a deterministic timing override
+// over two literal candidates — gemm and a second name for it — and assert
+// that decisions are reproducible: pinned timings give the same winner on
+// every call, memoized winners survive new timings, and distinct
+// geometries keep distinct cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 
 #include "common/rng.hpp"
 #include "golden.hpp"
-#include "mirror_backend.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
 #include "sim/backend.hpp"
@@ -90,14 +88,8 @@ constexpr GoldenCase kGoldenConv[] = {
 };
 constexpr std::uint64_t kGoldenAlexnetFc8 = 0x7b0e56705ac3b0e7ull;
 
-/// Every autotuner candidate on the default grid: the kernels "auto" can
-/// pick, so each one must hit the golden bytes.
-std::vector<std::string> tunable_backends() {
-  std::vector<std::string> names =
-      BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1});
-  EXPECT_NE(std::find(names.begin(), names.end(), "gemm"), names.end());
-  return names;
-}
+/// The kernels "auto" can pick, so each one must hit the golden bytes.
+const std::vector<std::string> kAutoKernels = {"gemm"};
 
 TEST(KernelGolden, ConvDigestsOnZooLayers) {
   for (const GoldenCase& gc : kGoldenConv) {
@@ -109,7 +101,7 @@ TEST(KernelGolden, ConvDigestsOnZooLayers) {
     const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                      layer.weight_precision, true, 0x10CAu, 9);
     std::uint64_t first = 0;
-    for (const std::string& backend : tunable_backends()) {
+    for (const std::string& backend : kAutoKernels) {
       SCOPED_TRACE(backend);
       FunctionalLoomEngine eng(
           FunctionalOptions{.jobs = 1, .backend = backend});
@@ -131,7 +123,7 @@ TEST(KernelGolden, FcDigestOnAlexnetFc8) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 0xFC8u, 9);
   std::uint64_t first = 0;
-  for (const std::string& backend : tunable_backends()) {
+  for (const std::string& backend : kAutoKernels) {
     SCOPED_TRACE(backend);
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
     const FunctionalLayerRun run =
@@ -148,31 +140,25 @@ TEST(KernelGolden, FcDigestOnAlexnetFc8) {
 
 class AutotunerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    register_gemm_mirror();
-    ASSERT_GE(
-        BackendRegistry::instance().tunable_names(GridOptions{.jobs = 1}).size(),
-        2u);
-  }
   void TearDown() override {
     BackendAutotuner::instance().set_timing_override_for_test(nullptr);
     BackendAutotuner::instance().reset_for_test();
   }
 
-  static nn::Layer small_layer() {
-    nn::Layer l = nn::make_conv("tune", nn::Shape3{8, 6, 6}, 12, 3, 1, 1);
-    l.act_precision = 7;
-    l.weight_precision = 3;
-    return l;
-  }
+  /// Two candidates that would compute the same bytes: the autotuner's
+  /// exploration, argmin and memoization only act with two or more.
+  static constexpr const char* kMirror = "gemm-mirror";
+  const std::vector<std::string> candidates_ = {"gemm", kMirror};
 
-  /// Run the layer once through a fresh "auto" engine; returns the kernel
-  /// that actually ran it.
-  static std::string run_auto(const nn::Layer& layer, const nn::Tensor& input,
-                              const nn::Tensor& weights) {
-    FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = "auto"});
-    EXPECT_EQ(eng.backend_name(), "auto");
-    return eng.run_conv(layer, input, weights, kBasePrecision).backend;
+  /// The cell an engine on the default grid at jobs 1 keys a batch-1 run of
+  /// a small conv layer with weight precision `pw` under.
+  static TuneKey small_key(int pw) {
+    nn::Layer l = nn::make_conv("tune", nn::Shape3{8, 6, 6}, 12, 3, 1, 1);
+    const SliceSpec spec{.act_precision = 7,
+                         .weight_precision = pw,
+                         .act_signed = false,
+                         .dynamic = true};
+    return conv_tune_key(l, spec, 1, GridOptions{.jobs = 1});
   }
 };
 
@@ -183,19 +169,14 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
         return backend == "gemm" ? 100 : 200;
       });
-
-  const nn::Layer layer = small_layer();
-  const nn::Tensor input = synth(nn::Shape{layer.in.c, layer.in.h, layer.in.w},
-                                 layer.act_precision, false, 1, 7);
-  const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
-                                   layer.weight_precision, true, 1, 9);
+  const TuneKey key = small_key(3);
 
   // With the override, the very first choose() samples every candidate and
-  // decides — so even the first run uses the winner.
-  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
-  // A fresh engine re-resolves against the registry and consults the same
-  // memoized cell: same choice, no re-exploration.
-  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  // decides — so even the first call gets the winner.
+  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
+  // A second call consults the same memoized cell: same choice, no
+  // re-exploration.
+  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
 
   std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
@@ -206,12 +187,12 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   // not flip a decided cell...
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == kMirrorBackend ? 10 : 1000;
+        return backend == kMirror ? 10 : 1000;
       });
-  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
   // ...but after a reset the new timings decide afresh.
   tuner.reset_for_test();
-  EXPECT_EQ(run_auto(layer, input, weights), kMirrorBackend);
+  EXPECT_EQ(tuner.choose(key, candidates_), kMirror);
 }
 
 TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
@@ -226,18 +207,8 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
         return low_pw ? 100 : 10;
       });
 
-  nn::Layer low = small_layer();  // pw = 3
-  nn::Layer high = small_layer();
-  high.weight_precision = 12;
-  const nn::Tensor input = synth(nn::Shape{low.in.c, low.in.h, low.in.w},
-                                 low.act_precision, false, 3, 7);
-  const nn::Tensor w_low = synth(nn::Shape{low.weight_count()},
-                                 low.weight_precision, true, 3, 9);
-  const nn::Tensor w_high = synth(nn::Shape{high.weight_count()},
-                                  high.weight_precision, true, 3, 11);
-
-  EXPECT_EQ(run_auto(low, input, w_low), "gemm");
-  EXPECT_EQ(run_auto(high, input, w_high), kMirrorBackend);
+  EXPECT_EQ(tuner.choose(small_key(3), candidates_), "gemm");
+  EXPECT_EQ(tuner.choose(small_key(12), candidates_), kMirror);
   EXPECT_EQ(tuner.decisions().size(), 2u);
 }
 

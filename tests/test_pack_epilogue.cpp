@@ -138,12 +138,12 @@ void check_pack(const PackCase& pc, std::uint64_t seed) {
     }
     return;
   }
-  auto oracle = BackendRegistry::instance().find("scalar")->make(pc.grid);
+  SipGridOracle oracle(pc.grid);
   for (std::size_t r = 0; r < inputs.size(); ++r) {
     nn::WideTensor want(out_shape);
     const nn::Tensor* in = &inputs[r];
     nn::WideTensor* out = &want;
-    const ConvStats oracle_st = oracle->run_conv_batch(
+    const ConvStats oracle_st = oracle.run_conv_batch(
         layer, std::span<const nn::Tensor* const>(&in, 1), weights, pc.spec,
         std::span<nn::WideTensor* const>(&out, 1));
     EXPECT_EQ(wides[r], want) << "request " << r;
