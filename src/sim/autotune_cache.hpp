@@ -10,9 +10,8 @@
 //
 // The kKey section pins what the measurements meant: the effective SIMD
 // dispatch tier (common/cpuid) and an FNV hash of the tunable kernel roster
-// (today the one name "gemm"). A cache written on a different CPU tier,
-// under a different SIMD override, or against a different roster (such as
-// one with the retired table-lookup kernels) decodes cleanly but
+// (the one name "gemm"). A cache written on a different CPU tier, under a
+// different SIMD override, or against a different roster decodes cleanly but
 // fails the key check — stale and foreign caches are rejected as a typed
 // AutotuneCacheError (common/error.hpp), never silently trusted, and a
 // rejected load leaves the in-memory autotuner untouched. Same story for
