@@ -386,5 +386,78 @@ TEST(AutotunerView, DefaultEngineDecidesOneGemmCellPerWeightedLayer) {
   tuner.reset_for_test();
 }
 
+/// A small Loom conv layer with its input, weights and the cell a default
+/// engine at jobs 1 keys a batch-1 run of it under.
+struct ViewCase {
+  nn::Layer layer;
+  nn::Tensor input;
+  nn::Tensor weights;
+  TuneKey key;
+};
+
+ViewCase view_case() {
+  nn::Layer layer = nn::make_conv("view", nn::Shape3{4, 6, 6}, 8, 3, 1, 1);
+  layer.act_precision = 6;
+  layer.weight_precision = 4;
+  SequentialRng rng(0xA071, 1);
+  nn::Tensor input = random_tensor(nn::Shape{4, 6, 6}, layer.act_precision,
+                                   /*is_signed=*/false, rng, 1, 0.1);
+  nn::Tensor weights =
+      random_tensor(nn::Shape{layer.weight_count()}, layer.weight_precision,
+                    /*is_signed=*/true, rng, 2, 0.05);
+  const SliceSpec spec{.act_precision = layer.act_precision,
+                       .weight_precision = layer.weight_precision,
+                       .act_signed = false,
+                       .dynamic = true};
+  const TuneKey key = conv_tune_key(layer, spec, 1, GridOptions{.jobs = 1});
+  return {std::move(layer), std::move(input), std::move(weights), key};
+}
+
+// Warm-up passes until every cell is decided: one run decides the cell and
+// later runs of the same layer explore nothing and add no sample.
+TEST(AutotunerView, TwoRunsOfOneLayerLeaveOneGemmSampleExploredOnce) {
+  BackendAutotuner& tuner = BackendAutotuner::instance();
+  tuner.reset_for_test();
+  const ViewCase c = view_case();
+  FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(eng.run_conv(c.layer, c.input, c.weights, kBasePrecision).backend,
+              "gemm");
+  }
+  const std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].key, c.key);
+  EXPECT_EQ(ds[0].winner, "gemm");
+  ASSERT_EQ(ds[0].samples.size(), 1u);
+  EXPECT_EQ(ds[0].samples[0].backend, "gemm");
+  EXPECT_EQ(tuner.cache_stats().explore_records, 1u);
+  tuner.reset_for_test();
+}
+
+// infer_zoo loads a tuned cache, then measures with autotune.explore_records
+// held at zero: runs of an installed cell explore nothing and keep its
+// winner and its (minimum) sample.
+TEST(AutotunerView, InstalledGemmCellAbsorbsRunsWithoutExploring) {
+  BackendAutotuner& tuner = BackendAutotuner::instance();
+  tuner.reset_for_test();
+  const ViewCase c = view_case();
+  const BackendAutotuner::Decision cell{
+      .key = c.key, .winner = "gemm", .samples = {{"gemm", 1}}};
+  ASSERT_EQ(tuner.install({&cell, 1}), 1u);
+  FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(eng.run_conv(c.layer, c.input, c.weights, kBasePrecision).backend,
+              "gemm");
+  }
+  const std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].winner, "gemm");
+  ASSERT_EQ(ds[0].samples.size(), 1u);
+  EXPECT_EQ(ds[0].samples[0].backend, "gemm");
+  EXPECT_EQ(ds[0].samples[0].ns, 1u);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 0u);
+  tuner.reset_for_test();
+}
+
 }  // namespace
 }  // namespace loom::sim

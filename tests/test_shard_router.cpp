@@ -407,6 +407,43 @@ TEST(ShardRouter, RendezvousRankingIsAStablePermutation) {
   EXPECT_EQ(router.rank_shards("convnet", "t0"), before);
 }
 
+// The rendezvous salt and hash are fixed: fixed (model, tenant) pairs keep
+// their literal preference orders at every fleet size, so a change to the
+// ranking (salt, hash or tie-break) shows up here, not as a reshuffled
+// fleet in production.
+TEST(ShardRouter, RankingMatchesPinnedOrders) {
+  const auto registry = populate();
+  struct Pin {
+    int shards;
+    const char* model;
+    const char* tenant;
+    std::vector<int> order;
+  };
+  const std::vector<Pin> pins = {
+      {2, "convnet", "t0", {0, 1}},
+      {2, "mlp", "t1", {1, 0}},
+      {2, "convnet", "", {0, 1}},
+      {3, "convnet", "t0", {0, 2, 1}},
+      {3, "mlp", "t1", {1, 2, 0}},
+      {3, "mlp", "", {2, 0, 1}},
+      {5, "convnet", "t0", {0, 3, 2, 4, 1}},
+      {5, "mlp", "t1", {1, 3, 2, 0, 4}},
+      {5, "convnet", "t2", {1, 0, 3, 2, 4}},
+  };
+  for (const int shards : {2, 3, 5}) {
+    RouterOptions opts;
+    opts.shards = shards;
+    opts.shard.workers = 1;
+    opts.shard.engine.jobs = 1;
+    ShardRouter router(registry, opts);
+    for (const Pin& p : pins) {
+      if (p.shards != shards) continue;
+      EXPECT_EQ(router.rank_shards(p.model, p.tenant), p.order)
+          << shards << " shards, " << p.model << "/" << p.tenant;
+    }
+  }
+}
+
 TEST(ShardRouter, FailoverServesFromNextRankedShardAfterKill) {
   const auto registry = populate();
   const auto expected = solo_outputs(*registry, 4);
