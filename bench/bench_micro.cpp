@@ -546,7 +546,7 @@ BENCHMARK(BM_LayerEpilogue)->Unit(benchmark::kMicrosecond);
 
 // ---- Autotuner ----------------------------------------------------------------
 // A small low-Pw shape (2-bit weights, so cheap layer runs): the autotuner
-// benches converge its cell and time the memo.
+// benches decide its cell and time the record.
 
 /// Low-Pw geometry: 64ch 14x14 -> 256 filters 3x3, Pa 9 / Pw 2, dense.
 FunctionalBenchCase lowpw_case() {
@@ -566,10 +566,9 @@ FunctionalBenchCase lowpw_case() {
 }
 
 void BM_AutotunerPick(benchmark::State& state) {
-  // Converge the low-Pw cell by running the layer through an "auto" engine
-  // (each run samples one candidate on real work), then time the memoized
-  // choose() — the steady-state per-layer overhead of "auto". The label
-  // reports the kernel the tuner picked on this machine.
+  // Decide the low-Pw cell by running the layer through an "auto" engine,
+  // then time record() on the decided cell — the per-layer overhead of
+  // "auto". The label reports the kernel the cell recorded.
   const FunctionalBenchCase c = lowpw_case();
   const nn::Layer& layer = c.net.layer(0);
   const sim::GridOptions ctx{.jobs = 1};
@@ -579,33 +578,30 @@ void BM_AutotunerPick(benchmark::State& state) {
       .act_signed = false,
       .dynamic = true};
   const sim::TuneKey key = sim::conv_tune_key(layer, spec, 1, ctx);
-  const std::vector<std::string> candidates = {"gemm"};
   sim::BackendAutotuner& tuner = sim::BackendAutotuner::instance();
 
   sim::FunctionalLoomEngine engine(
       sim::FunctionalOptions{.jobs = 1, .backend = "auto"});
+  benchmark::DoNotOptimize(engine.run_conv(layer, c.input, c.weights, 16));
   std::string winner;
-  for (int i = 0; i < 16 && winner.empty(); ++i) {
-    benchmark::DoNotOptimize(engine.run_conv(layer, c.input, c.weights, 16));
-    for (const auto& d : tuner.decisions()) {
-      if (d.key == key && !d.winner.empty()) winner = d.winner;
-    }
+  for (const auto& d : tuner.decisions()) {
+    if (d.key == key) winner = d.winner;
   }
   state.SetLabel("winner=" + (winner.empty() ? "undecided" : winner));
 
+  std::uint64_t ns = 1000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tuner.choose(key, candidates));
+    tuner.record(key, "gemm", ns++);
   }
 }
 BENCHMARK(BM_AutotunerPick);
 
 void BM_AutotunerColdStart(benchmark::State& state) {
-  // What LOOM_AUTOTUNE_CACHE buys at process start. Each iteration plays a
-  // fresh "process" deciding the low-Pw cell: cold (arg 0) explores every
-  // candidate on real layer runs before it can answer; warm (arg 1) loads
-  // the persisted winners and answers immediately — the measured gap is the
-  // exploration work the cache deletes. layer_runs_to_decide makes the
-  // mechanism visible: ~candidate-count cold, exactly 0 warm.
+  // What a saved autotune cache buys at process start. Each iteration
+  // plays a fresh "process" deciding the low-Pw cell: cold (arg 0) decides
+  // it on its first real layer run; warm (arg 1) loads the saved cell and
+  // needs no run. layer_runs_to_decide makes the mechanism visible: 1 cold,
+  // exactly 0 warm.
   const bool warm = state.range(0) != 0;
   const std::string path = "/tmp/loom_bench_autotune.bin";
   const FunctionalBenchCase c = lowpw_case();

@@ -17,7 +17,6 @@
 #include "arch/tile.hpp"
 #include "common/bitops.hpp"
 #include "common/csv.hpp"
-#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/options.hpp"

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/backend.hpp"
 
 namespace loom::serve {
@@ -69,9 +68,6 @@ InferenceServer::InferenceServer(const ModelRegistry& models, ServeOptions opts)
   LOOM_EXPECTS(opts_.shed_watermark > 0.0 && opts_.shed_watermark <= 1.0);
   LOOM_EXPECTS(opts_.engine_retries >= 0);
   LOOM_EXPECTS(opts_.retry_backoff.count() >= 0);
-  // Warm the process autotuner before workers spin up, so the first batch
-  // already sees cached winners instead of exploring per-layer.
-  sim::init_autotune_cache_from_env();
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   try {
     for (int i = 0; i < opts_.workers; ++i) {
@@ -292,19 +288,8 @@ void InferenceServer::stop() {
 }
 
 ServerStats InferenceServer::stats() const {
-  ServerStats s;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    s = stats_;
-  }
-  // Sampled outside mutex_: the autotuner has its own lock, and holding two
-  // here invites ordering bugs for zero benefit.
-  const auto tuner = sim::BackendAutotuner::instance().cache_stats();
-  s.autotune_cached_cells = tuner.loaded_cells;
-  s.autotune_hits = tuner.hits;
-  s.autotune_misses = tuner.misses;
-  s.autotune_explore_records = tuner.explore_records;
-  return s;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 InferenceServer::ModelQueue* InferenceServer::best_queue() {
@@ -523,7 +508,6 @@ void InferenceServer::worker_loop() {
         InferenceResult res;
         res.output = std::move(run.outputs[i]);
         res.batch_size = static_cast<int>(n);
-        res.batch_cycles = run.total_cycles;
         res.queue_wait = popped - batch[i].enqueued;
         res.run_time = t1 - t0;
         res.priority = batch[i].priority;

@@ -128,7 +128,6 @@ struct ServeOptions {
 struct InferenceResult {
   nn::Tensor output;               ///< byte-identical to a solo run_network
   int batch_size = 0;              ///< requests that shared the engine run
-  std::uint64_t batch_cycles = 0;  ///< modeled grid cycles of that run
   std::chrono::nanoseconds queue_wait{0};  ///< submit -> batch formation
   std::chrono::nanoseconds run_time{0};    ///< engine wall clock of the batch
   Priority priority = Priority::kInteractive;
@@ -177,20 +176,10 @@ struct ServerStats {
   std::uint64_t fallbacks = 0;      ///< batches degraded to the scalar oracle
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_batch = 0;
-  /// Layer runs per functional kernel ("scalar", "gemm", ...):
-  /// which backend actually served each weighted layer, fallback runs
-  /// included — the observable trace of autotuner + degradation decisions.
+  /// Layer runs per functional kernel ("scalar", "gemm"): which kernel
+  /// actually served each weighted layer, fallback runs included — the
+  /// observable trace of degradation decisions.
   std::map<std::string, std::uint64_t> backend_layer_runs;
-  /// Persistent-autotune counters (process-wide BackendAutotuner, sampled
-  /// at stats() time — they cover every engine in the process, not just
-  /// this server's): cells installed from LOOM_AUTOTUNE_CACHE, choose()
-  /// calls answered by a cache-installed winner vs. not, and exploration
-  /// measurements fed to undecided cells. A warm-cache process reports
-  /// autotune_explore_records == 0.
-  std::uint64_t autotune_cached_cells = 0;
-  std::uint64_t autotune_hits = 0;
-  std::uint64_t autotune_misses = 0;
-  std::uint64_t autotune_explore_records = 0;
   std::array<ClassStats, kPriorityClasses> by_class;
 
   [[nodiscard]] const ClassStats& for_priority(Priority p) const {

@@ -14,6 +14,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Failover passes over the ranking before giving up, for requests with no
+/// deadline (deadlined requests stop when the budget expires).
+constexpr int kMaxPasses = 32;
+/// Smoothing for the per-shard error-rate and latency EWMAs.
+constexpr double kEwmaAlpha = 0.3;
+/// Error EWMA at which a healthy shard is marked degraded (still serves,
+/// ranked behind healthy shards); it recovers below half this value.
+constexpr double kDegradeErrorRate = 0.5;
+/// Error EWMA at which a shard is ejected outright.
+constexpr double kEjectErrorRate = 0.9;
+/// Consecutive failures that eject a shard regardless of EWMA.
+constexpr int kEjectAfterConsecutive = 3;
+/// Salt for the rendezvous ranking (changing it reshuffles affinity).
+constexpr std::uint64_t kRendezvousSeed = 0x4c4f4f4d'53524452ull;  // "LOOMSRDR"
+
 [[nodiscard]] std::uint64_t ns_of(Clock::duration d) {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(d);
   return ns.count() < 0 ? 0 : static_cast<std::uint64_t>(ns.count());
@@ -71,12 +86,6 @@ ShardRouter::ShardRouter(ShardFactory factory, RouterOptions opts)
   LOOM_EXPECTS(opts_.shards >= 1);
   LOOM_EXPECTS(opts_.attempt_timeout.count() > 0);
   LOOM_EXPECTS(opts_.hedge_delay.count() >= 0);
-  LOOM_EXPECTS(opts_.max_passes >= 1);
-  LOOM_EXPECTS(opts_.ewma_alpha > 0.0 && opts_.ewma_alpha <= 1.0);
-  LOOM_EXPECTS(opts_.degrade_error_rate > 0.0 &&
-               opts_.degrade_error_rate <= opts_.eject_error_rate);
-  LOOM_EXPECTS(opts_.eject_error_rate <= 1.0);
-  LOOM_EXPECTS(opts_.eject_after_consecutive >= 1);
   LOOM_EXPECTS(opts_.probation_backoff.count() >= 0);
   LOOM_EXPECTS(opts_.max_backoff >= opts_.probation_backoff);
   LOOM_EXPECTS(opts_.reenter_successes >= 1);
@@ -94,8 +103,8 @@ void ShardRouter::build_shards() {
   shards_.resize(static_cast<std::size_t>(opts_.shards));
   for (int i = 0; i < opts_.shards; ++i) {
     Shard& s = shards_[static_cast<std::size_t>(i)];
-    s.error_ewma = Ewma(opts_.ewma_alpha);
-    s.latency_ewma = Ewma(opts_.ewma_alpha);
+    s.error_ewma = Ewma(kEwmaAlpha);
+    s.latency_ewma = Ewma(kEwmaAlpha);
     // The initial build is not fault-gated: a throwing factory here is a
     // configuration error, not a runtime fault.
     ShardInstance inst = factory_(ShardContext{i, injector_});
@@ -113,7 +122,7 @@ std::vector<int> ShardRouter::rank_shards(const std::string& model,
   scored.reserve(static_cast<std::size_t>(opts_.shards));
   for (int i = 0; i < opts_.shards; ++i) {
     const std::uint64_t salt =
-        mix64(opts_.rendezvous_seed + static_cast<std::uint64_t>(i));
+        mix64(kRendezvousSeed + static_cast<std::uint64_t>(i));
     scored.emplace_back(mix64(key ^ salt), i);
   }
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
@@ -128,8 +137,8 @@ std::vector<int> ShardRouter::rank_shards(const std::string& model,
 bool ShardRouter::charge_quota(const std::string& tenant,
                                Clock::time_point now) {
   const auto it = opts_.tenant_quotas.find(tenant);
-  const TenantQuota& q =
-      it != opts_.tenant_quotas.end() ? it->second : opts_.default_quota;
+  if (it == opts_.tenant_quotas.end()) return true;  // unlisted: unlimited
+  const TenantQuota& q = it->second;
   if (q.rate_per_sec <= 0.0) return true;
   const double cap = std::max(1.0, q.burst);
   Bucket& b = buckets_[tenant];
@@ -188,7 +197,7 @@ void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
       }
     }
   } else if (s.health == ShardHealth::kDegraded &&
-             s.error_ewma.value() < opts_.degrade_error_rate / 2.0) {
+             s.error_ewma.value() < kDegradeErrorRate / 2.0) {
     set_health(shard, ShardHealth::kHealthy, now);
   }
 }
@@ -202,15 +211,15 @@ void ShardRouter::record_failure(int shard, Clock::time_point now) {
   const bool probation_slip = s.health == ShardHealth::kProbation;
   const bool eject =
       probation_slip ||  // half-open trial failed: straight back out
-      s.consecutive_failures >= opts_.eject_after_consecutive ||
-      s.error_ewma.value() >= opts_.eject_error_rate;
+      s.consecutive_failures >= kEjectAfterConsecutive ||
+      s.error_ewma.value() >= kEjectErrorRate;
   if (eject) {
     back_off(s, now);
     s.probation_successes = 0;
     if (s.down_since == Clock::time_point::min()) s.down_since = now;
     set_health(shard, ShardHealth::kEjected, now);
   } else if (s.health == ShardHealth::kHealthy &&
-             s.error_ewma.value() >= opts_.degrade_error_rate) {
+             s.error_ewma.value() >= kDegradeErrorRate) {
     set_health(shard, ShardHealth::kDegraded, now);
   }
 }
@@ -428,7 +437,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
   std::exception_ptr last_error;
   bool saw_shed = false;
   std::uint64_t attempts = 0;
-  for (int pass = 0; pass < opts_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool attempted_this_pass = false;
     for (std::size_t ri = 0; ri < rank.size(); ++ri) {
       const int si = rank[ri];
@@ -587,7 +596,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
   }
   finish(&RouterStats::shed, &TenantStats::shed);
   throw OverloadError("request for '" + model + "' found no eligible shard in " +
-                      std::to_string(opts_.max_passes) + " failover passes");
+                      std::to_string(kMaxPasses) + " failover passes");
 }
 
 void ShardRouter::prober_loop() {
@@ -620,10 +629,8 @@ void ShardRouter::prober_loop() {
         continue;
       }
       try {
-        const std::string name =
-            opts_.probe_model.empty() ? registry->names().front()
-                                      : opts_.probe_model;
-        const std::shared_ptr<const Model> handle = registry->find(name);
+        const std::shared_ptr<const Model> handle =
+            registry->find(registry->names().front());
         const Clock::time_point sent = Clock::now();
         // Best-effort priority: probes are the first thing shed under real
         // load, so probing never steals capacity from user traffic.

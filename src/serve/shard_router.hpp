@@ -14,10 +14,10 @@
 // synthetic requests through the shard. The per-shard state machine is a
 // circuit breaker:
 //
-//   kHealthy --error EWMA >= degrade_error_rate--> kDegraded
-//   kDegraded --EWMA back under half the threshold--> kHealthy
-//   any --consecutive failures >= eject_after_consecutive,
-//        or EWMA >= eject_error_rate, or the shard dies--> kEjected
+//   kHealthy --error EWMA >= 0.5--> kDegraded
+//   kDegraded --EWMA back under 0.25--> kHealthy
+//   any --3 consecutive failures, or EWMA >= 0.9, or the shard
+//        dies--> kEjected
 //   kEjected --backoff expires--> kProbation (half-open: trial traffic)
 //   kProbation --reenter_successes consecutive successes--> kHealthy
 //   kProbation --any failure--> kEjected (backoff doubles, capped)
@@ -114,20 +114,11 @@ struct RouterOptions {
   /// Hedge: when an interactive attempt is still pending after this delay,
   /// race a second attempt on the next-ranked shard (0 disables hedging).
   std::chrono::microseconds hedge_delay{0};
-  /// Failover passes over the ranking before giving up, for requests with
-  /// no deadline (deadlined requests stop when the budget expires).
-  int max_passes = 32;
 
-  // ---- Health thresholds --------------------------------------------------
-  /// Smoothing for the per-shard error-rate and latency EWMAs.
-  double ewma_alpha = 0.3;
-  /// Error EWMA at which a healthy shard is marked degraded (still serves,
-  /// ranked behind healthy shards); recovers below half this value.
-  double degrade_error_rate = 0.5;
-  /// Error EWMA at which a shard is ejected outright.
-  double eject_error_rate = 0.9;
-  /// Consecutive failures that eject a shard regardless of EWMA.
-  int eject_after_consecutive = 3;
+  // ---- Health -------------------------------------------------------------
+  // The error-rate thresholds and the EWMA smoothing are constants in
+  // shard_router.cpp: error EWMA 0.5 degrades a shard, 0.9 or 3
+  // consecutive failures eject it.
   /// Initial ejection backoff; doubles per re-ejection up to `max_backoff`,
   /// resets when the shard re-enters healthy.
   std::chrono::milliseconds probation_backoff{5};
@@ -137,25 +128,20 @@ struct RouterOptions {
 
   // ---- Probing ------------------------------------------------------------
   /// Background prober period (0 disables the prober thread). Probes play
-  /// a synthetic request for `probe_model` through each live shard and feed
-  /// the same health EWMAs as real traffic — so probation shards re-enter
-  /// and sick shards degrade even when idle.
+  /// a synthetic request for the first registered model through each live
+  /// shard and feed the same health EWMAs as real traffic — so probation
+  /// shards re-enter and sick shards degrade even when idle.
   std::chrono::milliseconds probe_interval{0};
-  /// Model probes run; empty picks the first registered name.
-  std::string probe_model;
   std::chrono::microseconds probe_timeout{50000};
 
   // ---- Quotas -------------------------------------------------------------
-  /// Per-tenant quotas; tenants not listed use `default_quota`.
+  /// Per-tenant quotas; tenants not listed are unlimited.
   std::unordered_map<std::string, TenantQuota> tenant_quotas;
-  TenantQuota default_quota{};  ///< unlimited by default
 
   /// Deterministic fault injection, shared by the router (shard kill /
   /// stall / probe-failure / snapshot-corruption sites) and every shard
   /// server (engine / fallback / delay / spike sites).
   FaultPlan faults;
-  /// Salt for the rendezvous ranking (changing it reshuffles affinity).
-  std::uint64_t rendezvous_seed = 0x4c4f4f4d'53524452ull;  // "LOOMSRDR"
 };
 
 /// One recorded health-state transition (for tests and the demo's

@@ -1,11 +1,8 @@
 #include "sim/autotune_cache.hpp"
 
-#include <cstdlib>
-
 #include "common/bitops.hpp"
 #include "common/cpuid.hpp"
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/section_file.hpp"
 
 namespace loom::sim {
@@ -132,11 +129,6 @@ void encode_cell(ByteWriter& w, const BackendAutotuner::Decision& d) {
   return d;
 }
 
-[[nodiscard]] std::string cache_path_from_env() {
-  const char* p = std::getenv("LOOM_AUTOTUNE_CACHE");
-  return (p != nullptr && *p != '\0') ? std::string(p) : std::string();
-}
-
 }  // namespace
 
 AutotuneCacheKey current_autotune_cache_key() {
@@ -215,39 +207,6 @@ std::size_t load_autotune_cache(const std::string& path) {
       decode_autotune_cache(section_file::read_file(kFormat, path),
                             current_autotune_cache_key());
   return BackendAutotuner::instance().install(decisions);
-}
-
-std::size_t init_autotune_cache_from_env() {
-  static const std::size_t installed = [] {
-    const std::string path = cache_path_from_env();
-    if (path.empty()) return std::size_t{0};
-    std::size_t n = 0;
-    try {
-      n = load_autotune_cache(path);
-      LOOM_LOG_INFO << "autotune cache '" << path << "': installed " << n
-                    << " tuned cells";
-    } catch (const AutotuneCacheError& e) {
-      LOOM_LOG_WARN << "autotune cache '" << path
-                    << "' unusable, starting cold: " << e.what();
-    }
-    // Winners learned this process persist for the next one. Errors are
-    // swallowed: exit paths must not throw, and a failed flush only costs
-    // the next process a re-measurement.
-    std::atexit(+[] {
-      try {
-        flush_autotune_cache();
-      } catch (...) {
-      }
-    });
-    return n;
-  }();
-  return installed;
-}
-
-void flush_autotune_cache() {
-  const std::string path = cache_path_from_env();
-  if (path.empty()) return;
-  save_autotune_cache(path);
 }
 
 }  // namespace loom::sim

@@ -1,8 +1,7 @@
-// Persistent backend-autotuner winner cache: a versioned, checksummed
-// on-disk image of the BackendAutotuner's decided cells, so serve workers
-// and bench runs stop re-measuring every backend per process — the second
-// process starts with every previously-tuned (geometry, precision, batch,
-// grid, jobs) cell already decided.
+// Persistent autotune cache: a versioned, checksummed on-disk image of the
+// BackendAutotuner's decided cells. save_autotune_cache writes the process
+// autotuner's cells; load_autotune_cache installs a saved image, so a
+// process that loads one records no exploration for the cells it covers.
 //
 // The file is a common/section_file.hpp image (magic "LOOMTUNE"), whose
 // framing, exact-EOF rule and crash-safe tmp+rename save are documented
@@ -17,12 +16,6 @@
 // rejected load leaves the in-memory autotuner untouched. Same story for
 // truncation, bit flips and version skew (fuzz-pinned by
 // tests/test_autotune_cache.cpp).
-//
-// Wiring: LOOM_AUTOTUNE_CACHE=<path> names the cache file. The functional
-// engines and the inference server call init_autotune_cache_from_env() at
-// construction — first call loads the file (a missing or rejected cache
-// logs and proceeds cold) and registers an atexit flush, so winners learned
-// in this process persist for the next one.
 #pragma once
 
 #include <cstdint>
@@ -75,15 +68,5 @@ void save_autotune_cache(const std::string& path);
 /// Throws AutotuneCacheError on a missing file, any corruption, or a key
 /// mismatch — without touching autotuner state.
 std::size_t load_autotune_cache(const std::string& path);
-
-/// One-shot env wiring: when LOOM_AUTOTUNE_CACHE is set, load it
-/// best-effort (a missing or rejected cache logs a warning and starts
-/// cold) and register an atexit flush back to the same path. Idempotent
-/// and thread-safe; returns the number of cells the first call installed.
-std::size_t init_autotune_cache_from_env();
-
-/// Explicit flush to the LOOM_AUTOTUNE_CACHE path (no-op when unset).
-/// Exposed so long-lived servers can persist winners before exit.
-void flush_autotune_cache();
 
 }  // namespace loom::sim

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 
 #include "arch/dispatcher.hpp"
@@ -280,34 +279,9 @@ TuneKey fc_tune_key(const nn::Layer& layer, int weight_precision, int batch,
 // Autotuner
 
 struct BackendAutotuner::Impl {
-  struct Cell {
-    std::vector<std::string> candidates;
-    std::map<std::string, std::uint64_t> samples;  ///< best (min) ns seen
-    std::set<std::string> claimed;  ///< handed out, measurement in flight
-    std::string winner;
-    bool from_cache = false;  ///< winner installed from a persistent cache
-  };
-
   mutable std::mutex mu;
-  std::map<TuneKey, Cell> cells;
-  std::function<std::uint64_t(const TuneKey&, const std::string&)> override_fn;
+  std::map<TuneKey, Decision> cells;
   CacheStats cache_stats;
-
-  /// All candidates sampled → the argmin (candidate order breaks ties).
-  static void maybe_decide(Cell& cell) {
-    if (!cell.winner.empty()) return;
-    std::uint64_t best = 0;
-    const std::string* best_name = nullptr;
-    for (const std::string& c : cell.candidates) {
-      auto it = cell.samples.find(c);
-      if (it == cell.samples.end()) return;  // still exploring
-      if (best_name == nullptr || it->second < best) {
-        best = it->second;
-        best_name = &c;
-      }
-    }
-    if (best_name != nullptr) cell.winner = *best_name;
-  }
 };
 
 BackendAutotuner::BackendAutotuner() : impl_(new Impl) {}
@@ -317,62 +291,22 @@ BackendAutotuner& BackendAutotuner::instance() {
   return *tuner;
 }
 
-std::string BackendAutotuner::choose(const TuneKey& key,
-                                     std::span<const std::string> candidates) {
-  LOOM_EXPECTS(!candidates.empty());
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  Impl::Cell& cell = impl_->cells[key];
-  if (cell.candidates.empty()) {
-    cell.candidates.assign(candidates.begin(), candidates.end());
-  }
-  if (cell.winner.empty() && impl_->override_fn) {
-    for (const std::string& c : cell.candidates) {
-      cell.samples[c] = impl_->override_fn(key, c);
-    }
-    Impl::maybe_decide(cell);
-  }
-  if (!cell.winner.empty()) {
-    ++(cell.from_cache ? impl_->cache_stats.hits : impl_->cache_stats.misses);
-    return cell.winner;
-  }
-  ++impl_->cache_stats.misses;
-  // Exploration: hand out the next unsampled, unclaimed candidate so its
-  // timing piggybacks on a real run. A claim that never records (the run
-  // threw) simply falls through to the argmin-or-first fallback below.
-  for (const std::string& c : cell.candidates) {
-    if (cell.samples.count(c) == 0 && cell.claimed.count(c) == 0) {
-      cell.claimed.insert(c);
-      return c;
-    }
-  }
-  if (!cell.samples.empty()) {
-    std::uint64_t best = 0;
-    const std::string* best_name = nullptr;
-    for (const std::string& c : cell.candidates) {
-      auto it = cell.samples.find(c);
-      if (it != cell.samples.end() &&
-          (best_name == nullptr || it->second < best)) {
-        best = it->second;
-        best_name = &c;
-      }
-    }
-    if (best_name != nullptr) return *best_name;
-  }
-  return cell.candidates.front();
-}
-
 void BackendAutotuner::record(const TuneKey& key, std::string_view backend,
                               std::uint64_t ns) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->cells.find(key);
-  if (it == impl_->cells.end()) return;
-  Impl::Cell& cell = it->second;
-  const std::string name(backend);
-  cell.claimed.erase(name);
-  if (cell.winner.empty()) ++impl_->cache_stats.explore_records;
-  auto [sit, inserted] = cell.samples.try_emplace(name, ns);
-  if (!inserted) sit->second = std::min(sit->second, ns);
-  Impl::maybe_decide(cell);
+  Decision& cell = impl_->cells[key];
+  if (cell.winner.empty()) {
+    ++impl_->cache_stats.explore_records;
+    cell.key = key;
+    cell.winner = backend;
+  }
+  auto it = std::find_if(cell.samples.begin(), cell.samples.end(),
+                         [&](const Sample& s) { return s.backend == backend; });
+  if (it == cell.samples.end()) {
+    cell.samples.push_back({std::string(backend), ns});
+  } else {
+    it->ns = std::min(it->ns, ns);
+  }
 }
 
 std::vector<BackendAutotuner::Decision> BackendAutotuner::decisions() const {
@@ -380,14 +314,7 @@ std::vector<BackendAutotuner::Decision> BackendAutotuner::decisions() const {
   std::vector<Decision> out;
   out.reserve(impl_->cells.size());
   for (const auto& [key, cell] : impl_->cells) {  // map: key-sorted
-    Decision d;
-    d.key = key;
-    d.winner = cell.winner;
-    for (const std::string& c : cell.candidates) {
-      auto it = cell.samples.find(c);
-      if (it != cell.samples.end()) d.samples.push_back({c, it->second});
-    }
-    out.push_back(std::move(d));
+    out.push_back(cell);
   }
   return out;
 }
@@ -396,23 +323,13 @@ std::size_t BackendAutotuner::install(std::span<const Decision> decisions) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::size_t installed = 0;
   for (const Decision& d : decisions) {
-    if (d.winner.empty() || d.samples.empty()) continue;
-    Impl::Cell cell;
-    bool winner_sampled = false;
-    for (const Sample& s : d.samples) {
-      cell.candidates.push_back(s.backend);
-      cell.samples[s.backend] = s.ns;
-      winner_sampled |= s.backend == d.winner;
-    }
-    if (!winner_sampled) continue;
-    cell.winner = d.winner;
-    cell.from_cache = true;
-    // In-process state wins: a cell this process already started exploring
-    // (or decided) is not overwritten by the cache.
-    if (impl_->cells.try_emplace(d.key, std::move(cell)).second) {
-      ++installed;
-      ++impl_->cache_stats.loaded_cells;
-    }
+    const bool winner_sampled =
+        std::any_of(d.samples.begin(), d.samples.end(),
+                    [&](const Sample& s) { return s.backend == d.winner; });
+    if (d.winner.empty() || !winner_sampled) continue;
+    // In-process state wins: a cell this process already recorded is not
+    // overwritten by the cache.
+    if (impl_->cells.try_emplace(d.key, d).second) ++installed;
   }
   return installed;
 }
@@ -420,12 +337,6 @@ std::size_t BackendAutotuner::install(std::span<const Decision> decisions) {
 BackendAutotuner::CacheStats BackendAutotuner::cache_stats() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->cache_stats;
-}
-
-void BackendAutotuner::set_timing_override_for_test(
-    std::function<std::uint64_t(const TuneKey&, const std::string&)> fn) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->override_fn = std::move(fn);
 }
 
 void BackendAutotuner::reset_for_test() {

@@ -1,5 +1,5 @@
 // The functional engine's two kernels, how one is selected, and the
-// per-layer autotuner.
+// per-layer autotune record.
 //
 // The engine (sim/functional.hpp) runs each layer on one of two kernels:
 //   gemm    — dense int16 GEMM plus the shared streaming-statistics pass
@@ -13,13 +13,12 @@
 //
 // Selection (resolve_backend_name): LOOM_FUNCTIONAL_SCALAR=1 or
 // FunctionalOptions::backend = "scalar" pick the oracle; "gemm" picks gemm,
-// or the oracle on a grid gemm cannot pack; "" and "auto" hand each
-// (layer geometry, precision, batch) cell to the BackendAutotuner with the
-// one candidate "gemm", and fall back to the oracle on an unpackable grid.
+// or the oracle on a grid gemm cannot pack; "" and "auto" run gemm too, and
+// record each (layer geometry, precision, batch) cell's wall clock in the
+// BackendAutotuner.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -79,10 +78,9 @@ class SipGridOracle {
 [[nodiscard]] std::string resolve_backend_name(std::string_view requested,
                                                const GridOptions& grid);
 
-/// One autotuner memoization cell: a layer's geometry + streamed
-/// precisions + batch + grid + thread fan-out. Everything that changes
-/// which kernel wins (jobs matters: the kernels scale differently with
-/// stripe count, and a persisted winner must not leak across fan-outs).
+/// One autotune cell: a layer's geometry + streamed precisions + batch +
+/// grid + thread fan-out (the kernels scale differently with stripe count,
+/// so a recorded time must not leak across fan-outs).
 struct TuneKey {
   int kind = 0;  ///< 0 = conv, 1 = fc
   std::int64_t in_c = 0, in_h = 0, in_w = 0, out_c = 0;
@@ -104,19 +102,16 @@ struct TuneKey {
 [[nodiscard]] TuneKey fc_tune_key(const nn::Layer& layer, int weight_precision,
                                   int batch, const GridOptions& ctx);
 
-/// Thread-safe process-wide winner memo. choose() hands back the memoized
-/// winner, or — while a cell is still being explored — the next unsampled
-/// candidate so the timing piggybacks on a real layer run (every candidate
-/// computes identical bytes, so exploration is free of rework). record()
-/// feeds the measured wall clock back; once every candidate has a sample
-/// the argmin wins (candidate order breaks ties). Timing can be overridden
-/// with an injected function for deterministic autotuner tests.
+/// Thread-safe process-wide record of the kernel each cell ran on.
+/// record() creates or updates a cell: the first record decides it (its
+/// kernel becomes the winner), every record keeps the minimum ns per
+/// kernel, and a record that finds the cell undecided counts as an
+/// exploration. A persistent cache (sim/autotune_cache.hpp) saves and
+/// installs decided cells; nothing reads a winner back to pick a kernel.
 class BackendAutotuner {
  public:
   static BackendAutotuner& instance();
 
-  [[nodiscard]] std::string choose(const TuneKey& key,
-                                   std::span<const std::string> candidates);
   void record(const TuneKey& key, std::string_view backend, std::uint64_t ns);
 
   struct Sample {
@@ -125,37 +120,27 @@ class BackendAutotuner {
   };
   struct Decision {
     TuneKey key;
-    std::string winner;  ///< empty while the cell is still exploring
+    std::string winner;  ///< empty only in a hand-built, undecided cell
     std::vector<Sample> samples;
   };
-  /// Snapshot of every cell, deterministic (key-sorted) order.
+  /// Snapshot of every cell, deterministic (key-sorted) order; samples in
+  /// the order their kernels were first recorded or installed.
   [[nodiscard]] std::vector<Decision> decisions() const;
 
-  /// Install decided cells parsed from a persistent cache
-  /// (sim/autotune_cache.hpp): each becomes a memoized winner, so choose()
-  /// answers immediately — no per-process re-measurement. Entries without a
-  /// winner, whose winner is not among their samples, or whose key already
-  /// has a cell are skipped. Returns the number installed.
+  /// Install decided cells parsed from a persistent cache. Entries without
+  /// a winner, whose winner is not among their samples, or whose key
+  /// already has a cell are skipped. Returns the number installed.
   std::size_t install(std::span<const Decision> decisions);
 
-  /// Cross-process memoization counters. hits/misses are per choose() call:
-  /// a hit means a cache-installed winner answered; explore_records counts
-  /// record() calls that fed a still-undecided cell (zero on a process that
-  /// started from a warm cache). Process-wide, like the autotuner itself.
+  /// explore_records counts record() calls that found their cell undecided
+  /// (zero on a process that installed every cell it runs). Process-wide,
+  /// like the autotuner itself.
   struct CacheStats {
-    std::uint64_t loaded_cells = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t explore_records = 0;
   };
   [[nodiscard]] CacheStats cache_stats() const;
 
-  /// Deterministic timing for tests: when set, choose() samples every
-  /// candidate through `fn` immediately and decides the cell. Null resets
-  /// to wall-clock timing.
-  void set_timing_override_for_test(
-      std::function<std::uint64_t(const TuneKey&, const std::string&)> fn);
-  /// Drop all cells and zero the cache counters.
+  /// Drop all cells and zero the counter.
   void reset_for_test();
 
  private:

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/dpnn_functional.hpp"
 #include "sim/loom_sim.hpp"
 
@@ -15,9 +14,6 @@ namespace loom::sim {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// The autotuner's candidates under "auto": gemm is the one tunable kernel.
-const std::string kTunable[] = {"gemm"};
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -182,11 +178,6 @@ FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
                       .lanes = opts_.lanes,
                       .jobs = opts_.jobs};
   resolved_ = resolve_backend_name(opts_.backend, grid_);
-  if (resolved_ == "auto") {
-    // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
-    // or already initialized) so tuned cells skip per-process exploration.
-    init_autotune_cache_from_env();
-  }
 }
 
 SliceSpec FunctionalEngine::slice_spec(const nn::Layer& layer) const {
@@ -223,17 +214,7 @@ ConvStats FunctionalEngine::dispatch(
   const bool conv = layer.kind == nn::LayerKind::kConv;
   const SliceSpec spec = slice_spec(layer);
   const bool tuned = resolved_ == "auto";
-  TuneKey key;
-  used = resolved_;
-  if (tuned) {
-    // Every candidate computes identical bytes, so exploration piggybacks
-    // on real layer runs: the tuner hands out whichever kernel it still
-    // needs a timing for, and the measurement is the run the caller wanted.
-    const int batch = static_cast<int>(inputs.size());
-    key = conv ? conv_tune_key(layer, spec, batch, grid_)
-               : fc_tune_key(layer, spec.weight_precision, batch, grid_);
-    used = BackendAutotuner::instance().choose(key, kTunable);
-  }
+  used = tuned ? "gemm" : resolved_;
   const auto t0 = Clock::now();
   ConvStats st;
   if (used == "scalar" && arch_ == Arch::kDpnn) {
@@ -255,12 +236,14 @@ ConvStats FunctionalEngine::dispatch(
     }
   }
   if (tuned) {
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+            .count());
+    const int batch = static_cast<int>(inputs.size());
     BackendAutotuner::instance().record(
-        key, used,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t0)
-                .count()));
+        conv ? conv_tune_key(layer, spec, batch, grid_)
+             : fc_tune_key(layer, spec.weight_precision, batch, grid_),
+        used, ns);
   }
   return st;
 }

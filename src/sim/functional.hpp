@@ -29,8 +29,8 @@
 // tests/test_functional_golden.cpp and tests/test_kernel_golden.cpp, swept
 // by tests/test_backend_differential.cpp, whole zoo networks in
 // tests/test_zoo_equivalence.cpp). Selection (sim/backend.hpp):
-// FunctionalOptions::backend "gemm" or "scalar", or "" / "auto", which
-// hands each layer to the BackendAutotuner with the one candidate "gemm".
+// FunctionalOptions::backend "gemm" or "scalar", or "" / "auto", which runs
+// gemm and records each layer's wall clock in the BackendAutotuner.
 // LOOM_FUNCTIONAL_SCALAR=1 forces the scalar oracle, and configurations
 // gemm cannot pack (cols > 64; lanes > 32) fall back to it automatically.
 //
@@ -63,9 +63,10 @@ struct FunctionalOptions {
   /// 0 = all hardware threads, 1 = serial. Results are byte-identical for
   /// every value.
   int jobs = 0;
-  /// Kernel selection: "" or "auto" (per-layer autotuned), "gemm" or
-  /// "scalar" (the oracle; LOOM_FUNCTIONAL_SCALAR=1 forces it for every
-  /// engine). Other names throw ConfigError at construction.
+  /// Kernel selection: "" or "auto" (gemm, recorded per layer in the
+  /// BackendAutotuner), "gemm" or "scalar" (the oracle;
+  /// LOOM_FUNCTIONAL_SCALAR=1 forces it for every engine). Other names
+  /// throw ConfigError at construction.
   std::string backend = {};
 };
 
@@ -210,7 +211,7 @@ class FunctionalEngine {
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
   /// The resolved kernel selection: "scalar" (requested,
   /// LOOM_FUNCTIONAL_SCALAR or an unpackable grid), "gemm", or "auto"
-  /// (per-layer autotuned).
+  /// (gemm, recorded per layer in the BackendAutotuner).
   [[nodiscard]] const std::string& backend_name() const noexcept {
     return resolved_;
   }
@@ -231,8 +232,8 @@ class FunctionalEngine {
   /// layer).
   [[nodiscard]] std::uint64_t schedule_cycles(const nn::Layer& layer) const;
   /// Run one conv/fc batch on the selected kernel, built on first use;
-  /// under "auto" consults the autotuner and feeds the measured wall clock
-  /// back. `used` reports the kernel that ran. FC kernels report no stats.
+  /// under "auto" runs gemm and records its wall clock in the autotuner.
+  /// `used` reports the kernel that ran. FC kernels report no stats.
   ConvStats dispatch(const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
                      const nn::Tensor& weights,

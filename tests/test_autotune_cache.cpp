@@ -4,16 +4,15 @@
 // length and every flipped bit of a valid cache image must surface as a
 // typed AutotuneCacheError — never a crash, never a silently-installed
 // winner — and a rejected load leaves the in-memory autotuner exactly as it
-// was. The round-trip tests simulate two processes with reset_for_test():
-// converge, save, reset, load, and assert the second "process" answers every
-// choose() from the cache with zero exploration measurements. The cells
-// that need exploration are explored through choose()/record() with two
-// literal candidates, gemm and a second name for it, keyed as a default
-// engine keys the layer, so that engine then answers from the warm cell.
+// was. The round-trip test simulates two processes with reset_for_test():
+// a default "auto" engine decides a cell, the cell is saved, the autotuner
+// reset and the cache loaded, and the second "process" then runs the layer
+// with zero exploration records. Cells with several samples are installed
+// as literal Decisions, with gemm and a second name for it, keyed as a
+// default engine keys the layer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -49,12 +48,7 @@ nn::Tensor synth(const nn::Shape& shape, int precision, bool is_signed,
 
 class AutotuneCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    unsetenv("LOOM_AUTOTUNE_CACHE");
-    auto& tuner = BackendAutotuner::instance();
-    tuner.set_timing_override_for_test(nullptr);
-    tuner.reset_for_test();
-  }
+  void SetUp() override { BackendAutotuner::instance().reset_for_test(); }
   void TearDown() override {
     SetUp();
     std::remove(cache_path().c_str());
@@ -65,10 +59,6 @@ class AutotuneCacheTest : public ::testing::Test {
   }
 
   static constexpr const char* kMirror = "gemm-mirror";
-  static const std::vector<std::string>& candidates() {
-    static const std::vector<std::string> c = {"gemm", kMirror};
-    return c;
-  }
 
   static nn::Layer small_layer() {
     nn::Layer l = nn::make_conv("tune", nn::Shape3{8, 6, 6}, 12, 3, 1, 1);
@@ -96,17 +86,14 @@ class AutotuneCacheTest : public ::testing::Test {
     return conv_tune_key(layer, spec, 1, GridOptions{.jobs = 1});
   }
 
-  /// Drive choose() to one decided two-candidate cell (winner "gemm" under
-  /// the deterministic timings), then drop the override so later phases
-  /// cannot re-measure behind our back.
-  static void converge_one_cell() {
-    auto& tuner = BackendAutotuner::instance();
-    tuner.set_timing_override_for_test(
-        [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-          return backend == "gemm" ? 100 : 200;
-        });
-    ASSERT_EQ(tuner.choose(small_key(), candidates()), "gemm");
-    tuner.set_timing_override_for_test(nullptr);
+  /// Install one decided cell with two samples (winner "gemm") under the
+  /// small layer's key.
+  static void install_two_sample_cell() {
+    const BackendAutotuner::Decision d{
+        .key = small_key(),
+        .winner = "gemm",
+        .samples = {{"gemm", 100}, {kMirror, 200}}};
+    ASSERT_EQ(BackendAutotuner::instance().install({&d, 1}), 1u);
   }
 
   /// A hand-built decided cell with distinctive values in every TuneKey
@@ -153,19 +140,16 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 1, 9);
 
-  // Cold "process": exploration hands out each candidate once, one
-  // measurement per call, until the cell decides (gemm measures faster).
-  const TuneKey key = small_key();
-  std::string winner;
-  for (int i = 0; i < 10 && winner.empty(); ++i) {
-    const std::string next = tuner.choose(key, candidates());
-    tuner.record(key, next, next == "gemm" ? 100 : 200);
-    const auto ds = tuner.decisions();
-    ASSERT_EQ(ds.size(), 1u);
-    winner = ds[0].winner;
-  }
-  ASSERT_EQ(winner, "gemm");
-  EXPECT_EQ(tuner.cache_stats().explore_records, candidates().size());
+  // Cold "process": the first run decides the cell, the second adds no
+  // exploration.
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  const auto cold = tuner.decisions();
+  ASSERT_EQ(cold.size(), 1u);
+  EXPECT_EQ(cold[0].key, small_key());
+  EXPECT_EQ(cold[0].winner, "gemm");
+  ASSERT_EQ(cold[0].samples.size(), 1u);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 1u);
 
   save_autotune_cache(cache_path());
 
@@ -176,24 +160,16 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
 
   const auto ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].winner, winner);
-  EXPECT_EQ(ds[0].samples.size(), candidates().size());
+  EXPECT_EQ(ds[0].key, cold[0].key);
+  EXPECT_EQ(ds[0].winner, "gemm");
+  ASSERT_EQ(ds[0].samples.size(), 1u);
+  EXPECT_EQ(ds[0].samples[0].ns, cold[0].samples[0].ns);
 
-  // Deterministic timings now favor another candidate — but the installed
-  // winner must answer a default engine's runs immediately, with no
-  // re-measurement at all.
-  tuner.set_timing_override_for_test(
-      [winner](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend != winner ? 1 : 1000;
-      });
-  EXPECT_EQ(run_auto(layer, input, weights), winner);
-  EXPECT_EQ(run_auto(layer, input, weights), winner);
-
-  const auto cs = tuner.cache_stats();
-  EXPECT_EQ(cs.loaded_cells, 1u);
-  EXPECT_EQ(cs.hits, 2u);
-  EXPECT_EQ(cs.misses, 0u);
-  EXPECT_EQ(cs.explore_records, 0u);  // the all-hit warm-start criterion
+  // The installed cell absorbs a default engine's runs with no exploration.
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  EXPECT_EQ(run_auto(layer, input, weights), "gemm");
+  EXPECT_EQ(tuner.decisions().size(), 1u);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 0u);  // the warm-start criterion
 }
 
 TEST_F(AutotuneCacheTest, CellFieldsRoundTripExactly) {
@@ -303,7 +279,7 @@ TEST_F(AutotuneCacheTest, MissingFileThrows) {
 
 TEST_F(AutotuneCacheTest, RejectedLoadLeavesAutotunerUntouched) {
   auto& tuner = BackendAutotuner::instance();
-  converge_one_cell();
+  install_two_sample_cell();
   save_autotune_cache(cache_path());
 
   // Corrupt one payload byte on disk (past the 20-byte header).
@@ -323,21 +299,36 @@ TEST_F(AutotuneCacheTest, RejectedLoadLeavesAutotunerUntouched) {
   const auto after = tuner.decisions();
   ASSERT_EQ(after.size(), before.size());
   EXPECT_EQ(after[0].winner, before[0].winner);
-  EXPECT_EQ(tuner.cache_stats().loaded_cells, 0u);
+  ASSERT_EQ(after[0].samples.size(), before[0].samples.size());
+  for (std::size_t i = 0; i < before[0].samples.size(); ++i) {
+    EXPECT_EQ(after[0].samples[i].backend, before[0].samples[i].backend);
+    EXPECT_EQ(after[0].samples[i].ns, before[0].samples[i].ns);
+  }
+
+  // Into an empty autotuner too, where a half-install would show.
+  tuner.reset_for_test();
+  EXPECT_THROW((void)load_autotune_cache(cache_path()), AutotuneCacheError);
+  EXPECT_EQ(tuner.decisions().size(), 0u);
 }
 
 TEST_F(AutotuneCacheTest, InstallNeverOverridesInProcessCells) {
   auto& tuner = BackendAutotuner::instance();
-  converge_one_cell();
+  tuner.record(small_key(), "gemm", 100);
   const auto ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
 
   // A cache claiming a different winner for the same key must lose to the
   // cell this process measured itself.
-  BackendAutotuner::Decision rival = ds[0];
-  rival.winner = kMirror;
-  EXPECT_EQ(tuner.install({{rival}}), 0u);
-  EXPECT_EQ(tuner.decisions()[0].winner, "gemm");
+  const BackendAutotuner::Decision rival{
+      .key = small_key(),
+      .winner = kMirror,
+      .samples = {{"gemm", 1}, {kMirror, 1}}};
+  EXPECT_EQ(tuner.install({&rival, 1}), 0u);
+  const auto after = tuner.decisions();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].winner, "gemm");
+  ASSERT_EQ(after[0].samples.size(), 1u);
+  EXPECT_EQ(after[0].samples[0].ns, 100u);
 }
 
 }  // namespace

@@ -7,11 +7,10 @@
 // kernel must produce the *same* digest: byte-identity is the contract, the
 // constant just anchors it to history.
 //
-// The autotuner tests call choose() with a deterministic timing override
-// over two literal candidates — gemm and a second name for it — and assert
-// that decisions are reproducible: pinned timings give the same winner on
-// every call, memoized winners survive new timings, and distinct
-// geometries keep distinct cells.
+// The autotuner tests feed record() literal timings for two kernel names —
+// gemm and a second name for it — and assert that cells are reproducible:
+// the first record decides a cell, later records keep its winner and the
+// minimum time per kernel, and distinct geometries keep distinct cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,15 +139,12 @@ TEST(KernelGolden, FcDigestOnAlexnetFc8) {
 
 class AutotunerTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    BackendAutotuner::instance().set_timing_override_for_test(nullptr);
-    BackendAutotuner::instance().reset_for_test();
-  }
+  void SetUp() override { BackendAutotuner::instance().reset_for_test(); }
+  void TearDown() override { BackendAutotuner::instance().reset_for_test(); }
 
-  /// Two candidates that would compute the same bytes: the autotuner's
-  /// exploration, argmin and memoization only act with two or more.
+  /// A second kernel name: only the engine's first record decides a cell,
+  /// so a later record under another name must not move its winner.
   static constexpr const char* kMirror = "gemm-mirror";
-  const std::vector<std::string> candidates_ = {"gemm", kMirror};
 
   /// The cell an engine on the default grid at jobs 1 keys a batch-1 run of
   /// a small conv layer with weight precision `pw` under.
@@ -162,54 +158,52 @@ class AutotunerTest : public ::testing::Test {
   }
 };
 
-TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
+TEST_F(AutotunerTest, FirstRecordDecidesAndLaterRecordsKeepTheMinimum) {
   auto& tuner = BackendAutotuner::instance();
-  tuner.reset_for_test();
-  tuner.set_timing_override_for_test(
-      [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == "gemm" ? 100 : 200;
-      });
   const TuneKey key = small_key(3);
 
-  // With the override, the very first choose() samples every candidate and
-  // decides — so even the first call gets the winner.
-  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
-  // A second call consults the same memoized cell: same choice, no
-  // re-exploration.
-  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
+  // The first record decides the cell, and counts as its one exploration.
+  tuner.record(key, "gemm", 100);
+  tuner.record(key, kMirror, 10);
+  tuner.record(key, "gemm", 300);
+  tuner.record(key, "gemm", 50);
 
   std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].winner, "gemm");
-  EXPECT_EQ(ds[0].samples.size(), 2u);
+  EXPECT_EQ(ds[0].key, key);
+  EXPECT_EQ(ds[0].winner, "gemm");  // a faster later kernel does not flip it
+  ASSERT_EQ(ds[0].samples.size(), 2u);
+  EXPECT_EQ(ds[0].samples[0].backend, "gemm");
+  EXPECT_EQ(ds[0].samples[0].ns, 50u);
+  EXPECT_EQ(ds[0].samples[1].backend, kMirror);
+  EXPECT_EQ(ds[0].samples[1].ns, 10u);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 1u);
 
-  // Memoization beats new (different) timings: flipping the override does
-  // not flip a decided cell...
-  tuner.set_timing_override_for_test(
-      [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == kMirror ? 10 : 1000;
-      });
-  EXPECT_EQ(tuner.choose(key, candidates_), "gemm");
-  // ...but after a reset the new timings decide afresh.
+  // After a reset the first record decides afresh.
   tuner.reset_for_test();
-  EXPECT_EQ(tuner.choose(key, candidates_), kMirror);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 0u);
+  tuner.record(key, kMirror, 200);
+  ds = tuner.decisions();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].winner, kMirror);
 }
 
 TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
   auto& tuner = BackendAutotuner::instance();
-  tuner.reset_for_test();
-  tuner.set_timing_override_for_test(
-      [](const TuneKey& key, const std::string& backend) -> std::uint64_t {
-        // Make the winner depend on the geometry: gemm for low Pw, the
-        // mirror otherwise — the autotuner must keep them apart per cell.
-        const bool low_pw = key.pw <= 4;
-        if (backend == "gemm") return low_pw ? 10 : 100;
-        return low_pw ? 100 : 10;
-      });
+  // Different winners per geometry: the autotuner must keep them apart.
+  tuner.record(small_key(3), "gemm", 10);
+  tuner.record(small_key(12), kMirror, 10);
+  tuner.record(small_key(12), "gemm", 100);
 
-  EXPECT_EQ(tuner.choose(small_key(3), candidates_), "gemm");
-  EXPECT_EQ(tuner.choose(small_key(12), candidates_), kMirror);
-  EXPECT_EQ(tuner.decisions().size(), 2u);
+  const std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
+  ASSERT_EQ(ds.size(), 2u);
+  for (const BackendAutotuner::Decision& d : ds) {
+    SCOPED_TRACE(d.key.to_string());
+    EXPECT_EQ(d.winner, d.key == small_key(3) ? "gemm" : kMirror);
+    EXPECT_EQ(d.samples.size(), d.key == small_key(3) ? 1u : 2u);
+  }
+  EXPECT_NE(ds[0].key, ds[1].key);
+  EXPECT_EQ(tuner.cache_stats().explore_records, 2u);
 }
 
 }  // namespace
