@@ -120,7 +120,7 @@ class BackendAutotuner {
   };
   struct Decision {
     TuneKey key;
-    std::string winner;  ///< empty only in a hand-built, undecided cell
+    std::string winner;  ///< set in every recorded or installed cell
     std::vector<Sample> samples;
   };
   /// Snapshot of every cell, deterministic (key-sorted) order; samples in

@@ -165,11 +165,12 @@ TEST_F(AutotuneCacheTest, SecondProcessStartsWarmWithZeroExploration) {
   ASSERT_EQ(ds[0].samples.size(), 1u);
   EXPECT_EQ(ds[0].samples[0].ns, cold[0].samples[0].ns);
 
-  // The installed cell absorbs a default engine's runs with no exploration.
+  // The warm-start criterion: the installed cell absorbs a default
+  // engine's runs with no exploration.
   EXPECT_EQ(run_auto(layer, input, weights), "gemm");
   EXPECT_EQ(run_auto(layer, input, weights), "gemm");
   EXPECT_EQ(tuner.decisions().size(), 1u);
-  EXPECT_EQ(tuner.cache_stats().explore_records, 0u);  // the warm-start criterion
+  EXPECT_EQ(tuner.cache_stats().explore_records, 0u);
 }
 
 TEST_F(AutotuneCacheTest, CellFieldsRoundTripExactly) {
