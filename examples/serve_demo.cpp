@@ -132,13 +132,13 @@ int run_sharded(const core::Options& cli) {
     opts.tenant_quotas[tenant] = serve::TenantQuota{quota_rps, 8.0};
   }
   if (inject) {
-    opts.faults.seed = fault_seed;
-    opts.faults.engine_failure_prob = 0.20;
-    opts.faults.shard_kill_prob = 0.05;
-    opts.faults.shard_stall_prob = 0.10;
-    opts.faults.shard_stall = std::chrono::microseconds(2000);
-    opts.faults.probe_failure_prob = 0.10;
-    opts.faults.snapshot_corrupt_prob = 0.10;
+    opts.shard.faults.seed = fault_seed;
+    opts.shard.faults.engine_failure_prob = 0.20;
+    opts.shard.faults.shard_kill_prob = 0.05;
+    opts.shard.faults.shard_stall_prob = 0.10;
+    opts.shard.faults.shard_stall = std::chrono::microseconds(2000);
+    opts.shard.faults.probe_failure_prob = 0.10;
+    opts.shard.faults.snapshot_corrupt_prob = 0.10;
   }
 
   struct Outcomes {
@@ -247,12 +247,9 @@ int run_sharded(const core::Options& cli) {
       static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.timed_out),
       static_cast<unsigned long long>(stats.failed));
-  std::printf(
-      "  failovers %llu  hedges %llu (won %llu)  forced recoveries %llu\n",
-      static_cast<unsigned long long>(stats.failovers),
-      static_cast<unsigned long long>(stats.hedges),
-      static_cast<unsigned long long>(stats.hedge_wins),
-      static_cast<unsigned long long>(stats.forced_recoveries));
+  std::printf("  failovers %llu  forced recoveries %llu\n",
+              static_cast<unsigned long long>(stats.failovers),
+              static_cast<unsigned long long>(stats.forced_recoveries));
   if (stats.recovery_ms.count() > 0) {
     std::printf("  recovery to healthy: mean %.1f ms over %llu recoveries\n",
                 stats.recovery_ms.mean(),

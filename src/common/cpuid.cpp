@@ -44,10 +44,7 @@ bool env_flag(const char* name, const char* value) {
                     " (want 0 or 1)");
 }
 
-SimdLevel simd_cap_from_env(const char* force_scalar, const char* level) {
-  if (env_flag("LOOM_FORCE_SCALAR_SIMD", force_scalar)) {
-    return SimdLevel::kScalar;
-  }
+SimdLevel simd_cap_from_env(const char* level) {
   if (level == nullptr || level[0] == '\0') return SimdLevel::kAvx512;
   const std::string_view v(level);
   if (v == "scalar") return SimdLevel::kScalar;
@@ -59,8 +56,7 @@ SimdLevel simd_cap_from_env(const char* force_scalar, const char* level) {
 
 SimdLevel simd_level() {
   static const SimdLevel effective = [] {
-    const SimdLevel cap = simd_cap_from_env(
-        std::getenv("LOOM_FORCE_SCALAR_SIMD"), std::getenv("LOOM_SIMD_LEVEL"));
+    const SimdLevel cap = simd_cap_from_env(std::getenv("LOOM_SIMD_LEVEL"));
     const SimdLevel hw = hardware_simd_level();
     return cap < hw ? cap : hw;
   }();

@@ -8,12 +8,11 @@
 // multiply-adds and shifts need BW); kAvx2 implies AVX2. Each tier includes the
 // ones below it, so "supports at least X" is an ordinary >= compare.
 //
-// Overrides (read once, first use — set them before the process starts):
-//   LOOM_FORCE_SCALAR_SIMD=1   every dispatch site takes the scalar path
-//       (unset, "" and "0" leave it off; other values throw ConfigError)
-//   LOOM_SIMD_LEVEL=scalar|avx2|avx512|native   cap the tier (avx512 and
-//       native never raise above what the hardware has; unknown values
-//       throw ConfigError)
+// Override (read once, first use — set it before the process starts):
+//   LOOM_SIMD_LEVEL=scalar|avx2|avx512|native   cap the tier (scalar sends
+//       every dispatch site down the scalar path; avx512 and native never
+//       raise above what the hardware has; unknown values throw
+//       ConfigError)
 #pragma once
 
 namespace loom::common {
@@ -35,17 +34,14 @@ enum class SimdLevel : int {
 
 /// The value of an on/off environment variable `name`: unset (nullptr), ""
 /// and "0" are off, "1" is on, and anything else throws ConfigError naming
-/// the variable. LOOM_FORCE_SCALAR_SIMD and LOOM_FUNCTIONAL_SCALAR both
-/// parse through it.
+/// the variable. LOOM_FUNCTIONAL_SCALAR parses through it.
 [[nodiscard]] bool env_flag(const char* name, const char* value);
 
-/// Pure policy: combine the two override variables into a tier cap.
-/// `force_scalar` / `level` are the raw values of LOOM_FORCE_SCALAR_SIMD /
-/// LOOM_SIMD_LEVEL (nullptr = unset). Exposed so tests can sweep the parse
-/// without mutating the process environment. Throws ConfigError on a
-/// force_scalar value env_flag refuses or an unrecognized level string.
-[[nodiscard]] SimdLevel simd_cap_from_env(const char* force_scalar,
-                                          const char* level);
+/// Pure policy: turn the override variable into a tier cap. `level` is the
+/// raw value of LOOM_SIMD_LEVEL (nullptr = unset). Exposed so tests can
+/// sweep the parse without mutating the process environment. Throws
+/// ConfigError on an unrecognized level string.
+[[nodiscard]] SimdLevel simd_cap_from_env(const char* level);
 
 /// The effective dispatch tier: min(hardware, environment cap). Read once
 /// and cached — the environment must be set before first use (ctest sets it

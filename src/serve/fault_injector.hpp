@@ -31,7 +31,7 @@
 //                       (attempts against it burn their budget and fail
 //                       over), exercising timeout-driven failover
 //   probe_failure    -- a health probe is forced to fail without reaching
-//                       the shard, driving degraded/ejected transitions
+//                       the shard, driving the breaker towards ejection
 //   snapshot_corrupt -- load_snapshot flips one deterministic bit of the
 //                       file image before decoding; the checksummed format
 //                       must reject it with SnapshotError, never UB

@@ -19,13 +19,12 @@ using Clock = std::chrono::steady_clock;
 constexpr int kMaxPasses = 32;
 /// Smoothing for the per-shard error-rate and latency EWMAs.
 constexpr double kEwmaAlpha = 0.3;
-/// Error EWMA at which a healthy shard is marked degraded (still serves,
-/// ranked behind healthy shards); it recovers below half this value.
-constexpr double kDegradeErrorRate = 0.5;
 /// Error EWMA at which a shard is ejected outright.
 constexpr double kEjectErrorRate = 0.9;
 /// Consecutive failures that eject a shard regardless of EWMA.
 constexpr int kEjectAfterConsecutive = 3;
+/// Consecutive probation successes that readmit a shard as healthy.
+constexpr int kReenterSuccesses = 2;
 /// Salt for the rendezvous ranking (changing it reshuffles affinity).
 constexpr std::uint64_t kRendezvousSeed = 0x4c4f4f4d'53524452ull;  // "LOOMSRDR"
 
@@ -50,10 +49,8 @@ constexpr std::uint64_t kRendezvousSeed = 0x4c4f4f4d'53524452ull;  // "LOOMSRDR"
 [[nodiscard]] ShardFactory shared_registry_factory(
     std::shared_ptr<const ModelRegistry> models, const RouterOptions& opts) {
   LOOM_EXPECTS(models != nullptr);
-  ServeOptions shard_opts = opts.shard;
-  shard_opts.faults = opts.faults;
   return [models = std::move(models),
-          shard_opts = std::move(shard_opts)](const ShardContext&) {
+          shard_opts = opts.shard](const ShardContext&) {
     return ShardInstance{
         models, std::make_shared<InferenceServer>(*models, shard_opts)};
   };
@@ -64,7 +61,6 @@ constexpr std::uint64_t kRendezvousSeed = 0x4c4f4f4d'53524452ull;  // "LOOMSRDR"
 const char* health_name(ShardHealth h) noexcept {
   switch (h) {
     case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDegraded: return "degraded";
     case ShardHealth::kEjected: return "ejected";
     case ShardHealth::kProbation: return "probation";
   }
@@ -81,14 +77,12 @@ ShardRouter::ShardRouter(std::shared_ptr<const ModelRegistry> models,
 ShardRouter::ShardRouter(ShardFactory factory, RouterOptions opts)
     : opts_(std::move(opts)),
       factory_(std::move(factory)),
-      injector_(opts_.faults) {
+      injector_(opts_.shard.faults) {
   LOOM_EXPECTS(factory_ != nullptr);
   LOOM_EXPECTS(opts_.shards >= 1);
   LOOM_EXPECTS(opts_.attempt_timeout.count() > 0);
-  LOOM_EXPECTS(opts_.hedge_delay.count() >= 0);
   LOOM_EXPECTS(opts_.probation_backoff.count() >= 0);
   LOOM_EXPECTS(opts_.max_backoff >= opts_.probation_backoff);
-  LOOM_EXPECTS(opts_.reenter_successes >= 1);
   LOOM_EXPECTS(opts_.probe_interval.count() >= 0);
   LOOM_EXPECTS(opts_.probe_timeout.count() > 0);
   build_shards();
@@ -188,7 +182,7 @@ void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
   s.consecutive_failures = 0;
   ++s.completed;
   if (s.health == ShardHealth::kProbation) {
-    if (++s.probation_successes >= opts_.reenter_successes) {
+    if (++s.probation_successes >= kReenterSuccesses) {
       set_health(shard, ShardHealth::kHealthy, now);
       s.backoff = std::chrono::milliseconds(0);
       if (s.down_since != Clock::time_point::min()) {
@@ -196,9 +190,6 @@ void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
         s.down_since = Clock::time_point::min();
       }
     }
-  } else if (s.health == ShardHealth::kDegraded &&
-             s.error_ewma.value() < kDegradeErrorRate / 2.0) {
-    set_health(shard, ShardHealth::kHealthy, now);
   }
 }
 
@@ -218,9 +209,6 @@ void ShardRouter::record_failure(int shard, Clock::time_point now) {
     s.probation_successes = 0;
     if (s.down_since == Clock::time_point::min()) s.down_since = now;
     set_health(shard, ShardHealth::kEjected, now);
-  } else if (s.health == ShardHealth::kHealthy &&
-             s.error_ewma.value() >= kDegradeErrorRate) {
-    set_health(shard, ShardHealth::kDegraded, now);
   }
 }
 
@@ -315,71 +303,6 @@ bool ShardRouter::restart_shard(int shard) {
   return try_restart(shard, Clock::now(), lock);
 }
 
-InferenceResult ShardRouter::attempt(const Leg& primary, const Leg& hedge,
-                                     const std::shared_ptr<const Model>& model,
-                                     const nn::Tensor& input, Priority priority,
-                                     Clock::time_point attempt_deadline) {
-  SubmitOptions so;
-  so.priority = priority;
-  so.deadline_at = attempt_deadline;
-  const Clock::time_point now = Clock::now();
-  const auto admit_budget =
-      attempt_deadline > now
-          ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                attempt_deadline - now)
-          : std::chrono::nanoseconds(0);
-  std::future<InferenceResult> primary_fut =
-      primary.server->try_submit(model, input, admit_budget, so);
-  std::future<InferenceResult> hedge_fut;
-  if (hedge.server != nullptr &&
-      primary_fut.wait_for(opts_.hedge_delay) != std::future_status::ready) {
-    try {
-      hedge_fut = hedge.server->try_submit(model, input,
-                                           std::chrono::nanoseconds(0), so);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hedges;
-    } catch (...) {
-      // Hedge admission failed (shed/stopped): the primary runs alone.
-    }
-  }
-  if (!hedge_fut.valid()) {
-    InferenceResult res = primary_fut.get();
-    res.shard = primary.shard;
-    return res;
-  }
-  // First success wins; a failed leg keeps the race alive for the other.
-  // The abandoned loser future is safely dropped — its shard's server
-  // still resolves it.
-  std::exception_ptr primary_err;
-  bool hedge_failed = false;
-  const auto slice = std::chrono::microseconds(50);
-  for (;;) {
-    if (primary_err == nullptr &&
-        primary_fut.wait_for(slice) == std::future_status::ready) {
-      try {
-        InferenceResult res = primary_fut.get();
-        res.shard = primary.shard;
-        return res;
-      } catch (...) {
-        primary_err = std::current_exception();
-      }
-    }
-    if (!hedge_failed &&
-        hedge_fut.wait_for(slice) == std::future_status::ready) {
-      try {
-        InferenceResult res = hedge_fut.get();
-        res.shard = hedge.shard;
-        return res;
-      } catch (...) {
-        hedge_failed = true;
-      }
-    }
-    if (primary_err != nullptr && hedge_failed) {
-      std::rethrow_exception(primary_err);
-    }
-  }
-}
-
 InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
                                     const RouteOptions& ropts) {
   LOOM_EXPECTS(ropts.deadline.count() >= 0);
@@ -439,9 +362,8 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
   std::uint64_t attempts = 0;
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool attempted_this_pass = false;
-    for (std::size_t ri = 0; ri < rank.size(); ++ri) {
-      const int si = rank[ri];
-      Clock::time_point now = Clock::now();
+    for (const int si : rank) {
+      const Clock::time_point now = Clock::now();
       if (now >= deadline_at) {
         const std::lock_guard<std::mutex> lock(mutex_);
         finish(&RouterStats::timed_out, &TenantStats::timed_out);
@@ -451,7 +373,6 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
 
       std::shared_ptr<InferenceServer> server;
       std::shared_ptr<const ModelRegistry> registry;
-      Leg hedge;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         if (stopping_) {
@@ -479,21 +400,6 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
         ++s.routed;
         ++attempts;
         if (attempts > 1) ++stats_.failovers;
-        // Hedge partner: the next eligible, unstalled shard in the ranking
-        // (only consulted for the first, interactive, hedge-allowed
-        // attempt).
-        if (attempts == 1 && ropts.allow_hedge &&
-            ropts.priority == Priority::kInteractive &&
-            opts_.hedge_delay.count() > 0) {
-          for (std::size_t rj = ri + 1; rj < rank.size(); ++rj) {
-            const int sj = rank[rj];
-            Shard& h = shards_[static_cast<std::size_t>(sj)];
-            if (eligible(sj, now) && h.stall_until <= now) {
-              hedge = Leg{sj, h.server};
-              break;
-            }
-          }
-        }
       }
       attempted_this_pass = true;
 
@@ -507,27 +413,25 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
         throw;
       }
 
-      now = Clock::now();
-      const Clock::time_point attempt_deadline =
-          std::min(deadline_at, now + opts_.attempt_timeout);
+      // The latency EWMA is charged from this attempt's own start, so a
+      // failover's earlier waits never land on the shard that served it.
+      const Clock::time_point sent = Clock::now();
+      SubmitOptions so;
+      so.priority = ropts.priority;
+      so.deadline_at = std::min(deadline_at, sent + opts_.attempt_timeout);
+      const auto admit_budget = std::max(
+          std::chrono::nanoseconds(0),
+          std::chrono::duration_cast<std::chrono::nanoseconds>(so.deadline_at -
+                                                               sent));
       try {
-        InferenceResult res = attempt(Leg{si, server}, hedge, handle, input,
-                                      ropts.priority, attempt_deadline);
+        InferenceResult res =
+            server->try_submit(handle, input, admit_budget, so).get();
+        res.shard = si;
+        const Clock::time_point done = Clock::now();
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (res.shard == si) {
-          record_success(si, Clock::now() - t0, Clock::now());
-        } else {
-          ++stats_.hedge_wins;
-          // Credit the breaker only if the hedge shard still runs the
-          // generation we hit; after a restart the success belongs to the
-          // dead instance, not the fresh one in probation.
-          if (shards_[static_cast<std::size_t>(hedge.shard)].server ==
-              hedge.server) {
-            record_success(hedge.shard, Clock::now() - t0, Clock::now());
-          }
-        }
+        record_success(si, done - sent, done);
         finish(&RouterStats::completed, &TenantStats::completed);
-        stats_.latency_ns.add(ns_of(Clock::now() - t0));
+        stats_.latency_ns.add(ns_of(done - t0));
         return res;
       } catch (const OverloadError&) {
         saw_shed = true;

@@ -1,7 +1,7 @@
 // Sharded fault-tolerant serving: a ShardRouter owns N InferenceServer
 // shards and routes requests with rendezvous hashing, health-gated
-// failover, per-tenant token-bucket quotas and optional hedging — the
-// fleet-scale layer above the single-server overload machinery.
+// failover and per-tenant token-bucket quotas — the fleet-scale layer
+// above the single-server overload machinery.
 //
 // Routing: every request ranks the shards by rendezvous (highest-random-
 // weight) hashing on (model, tenant) — each key has a stable shard
@@ -14,12 +14,10 @@
 // synthetic requests through the shard. The per-shard state machine is a
 // circuit breaker:
 //
-//   kHealthy --error EWMA >= 0.5--> kDegraded
-//   kDegraded --EWMA back under 0.25--> kHealthy
-//   any --3 consecutive failures, or EWMA >= 0.9, or the shard
-//        dies--> kEjected
+//   kHealthy --3 consecutive failures, or error EWMA >= 0.9, or the shard
+//             dies--> kEjected
 //   kEjected --backoff expires--> kProbation (half-open: trial traffic)
-//   kProbation --reenter_successes consecutive successes--> kHealthy
+//   kProbation --2 consecutive successes--> kHealthy
 //   kProbation --any failure--> kEjected (backoff doubles, capped)
 //
 // Ejected shards take no traffic until their backoff expires. A *dead*
@@ -31,13 +29,12 @@
 // Failover: submit() walks the rendezvous ranking, skipping ineligible
 // shards; a shed, timeout, injected stall or engine failure on one shard
 // retries on the next-ranked eligible shard within the caller's deadline.
-// Interactive requests may hedge: if the primary attempt is still pending
-// after hedge_delay, a second attempt races on the next-ranked shard and
-// the first success wins. If every shard is unavailable the router forces
-// recovery (restarts the best-ranked dead shard ignoring backoff) rather
-// than failing a request that still has budget — no-deadline traffic is
-// never lost to transient faults. The router never touches outputs, so
-// every successful result is byte-identical to a solo run_network.
+// Each attempt is one submission to one shard. If every shard is
+// unavailable the router forces recovery (restarts the best-ranked dead
+// shard ignoring backoff) rather than failing a request that still has
+// budget — no-deadline traffic is never lost to transient faults. The
+// router never touches outputs, so every successful result is
+// byte-identical to a solo run_network.
 //
 // Quotas: per-tenant token buckets (rate + burst) gate admission before
 // any shard is touched. Exhausted tenants get TenantQuotaError, accounted
@@ -67,7 +64,7 @@ namespace loom::serve {
 
 /// Circuit-breaker state of one shard (see the file comment for the
 /// transition diagram).
-enum class ShardHealth { kHealthy, kDegraded, kEjected, kProbation };
+enum class ShardHealth { kHealthy, kEjected, kProbation };
 
 [[nodiscard]] const char* health_name(ShardHealth h) noexcept;
 
@@ -93,55 +90,45 @@ struct RouteOptions {
   /// layer's dead-on-arrival rejection.
   std::chrono::steady_clock::time_point deadline_at =
       std::chrono::steady_clock::time_point::max();
-  /// Allow a hedged second attempt for interactive requests (subject to
-  /// RouterOptions::hedge_delay being non-zero).
-  bool allow_hedge = true;
 };
 
 struct RouterOptions {
   /// Number of shards, each its own InferenceServer (own workers, queues,
   /// engines) built from `shard`.
   int shards = 2;
-  /// Per-shard server configuration. `shard.faults` is ignored — fault
-  /// injection for the fleet goes through RouterOptions::faults so router
-  /// and servers share one injector and one seed.
+  /// Per-shard server configuration. `shard.faults` is the fleet's one
+  /// fault plan: the router's injector (shard kill / stall / probe-failure
+  /// / snapshot-corruption sites) and every shard server's own injector
+  /// (engine / fallback / delay / spike sites) are built from it, so they
+  /// share a plan and a seed.
   ServeOptions shard;
 
   // ---- Failover -----------------------------------------------------------
   /// Budget for one attempt on one shard (admission wait + service),
   /// additionally capped by the caller's remaining deadline.
   std::chrono::microseconds attempt_timeout{50000};
-  /// Hedge: when an interactive attempt is still pending after this delay,
-  /// race a second attempt on the next-ranked shard (0 disables hedging).
-  std::chrono::microseconds hedge_delay{0};
 
   // ---- Health -------------------------------------------------------------
-  // The error-rate thresholds and the EWMA smoothing are constants in
-  // shard_router.cpp: error EWMA 0.5 degrades a shard, 0.9 or 3
-  // consecutive failures eject it.
+  // The breaker thresholds and the EWMA smoothing are constants in
+  // shard_router.cpp: error EWMA 0.9 or 3 consecutive failures eject a
+  // shard, 2 consecutive probation successes readmit it.
   /// Initial ejection backoff; doubles per re-ejection up to `max_backoff`,
   /// resets when the shard re-enters healthy.
   std::chrono::milliseconds probation_backoff{5};
   std::chrono::milliseconds max_backoff{200};
-  /// Consecutive probation successes required to re-enter healthy.
-  int reenter_successes = 2;
 
   // ---- Probing ------------------------------------------------------------
   /// Background prober period (0 disables the prober thread). Probes play
-  /// a synthetic request for the first registered model through each live
-  /// shard and feed the same health EWMAs as real traffic — so probation
-  /// shards re-enter and sick shards degrade even when idle.
+  /// a synthetic request for the alphabetically first model of each live
+  /// shard's registry (`ModelRegistry::names()` is sorted) and feed the
+  /// same health EWMAs as real traffic — so probation shards re-enter and
+  /// sick shards are ejected even when idle.
   std::chrono::milliseconds probe_interval{0};
   std::chrono::microseconds probe_timeout{50000};
 
   // ---- Quotas -------------------------------------------------------------
   /// Per-tenant quotas; tenants not listed are unlimited.
   std::unordered_map<std::string, TenantQuota> tenant_quotas;
-
-  /// Deterministic fault injection, shared by the router (shard kill /
-  /// stall / probe-failure / snapshot-corruption sites) and every shard
-  /// server (engine / fallback / delay / spike sites).
-  FaultPlan faults;
 };
 
 /// One recorded health-state transition (for tests and the demo's
@@ -189,14 +176,12 @@ struct RouterStats {
   std::uint64_t timed_out = 0;       ///< DeadlineExceededError outcomes
   std::uint64_t failed = 0;          ///< any other terminal error
   std::uint64_t failovers = 0;       ///< attempts beyond a request's first
-  std::uint64_t hedges = 0;          ///< hedged second attempts launched
-  std::uint64_t hedge_wins = 0;      ///< hedges that beat the primary
   std::uint64_t forced_recoveries = 0;  ///< restarts forced by zero
                                         ///< eligible shards
   std::vector<ShardStats> shards;
   std::map<std::string, TenantStats> tenants;
   /// Router-observed end-to-end latency of completed requests (includes
-  /// failover and hedge time; merged across all tenants).
+  /// failover time; merged across all tenants).
   LatencyHistogram latency_ns;
   /// Kill/eject -> healthy recovery times, milliseconds.
   Accumulator recovery_ms;
@@ -205,7 +190,7 @@ struct RouterStats {
 /// Everything a shard build gets from the router.
 struct ShardContext {
   int shard = -1;
-  FaultInjector& faults;  ///< shared injector (snapshot loads hook into it)
+  FaultInjector& faults;  ///< router's injector (snapshot loads hook into it)
 };
 
 /// A built shard: its registry (kept alive for the server's lifetime) and
@@ -235,7 +220,7 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Route one request: quota gate, rendezvous ranking, health-gated
-  /// failover (and optional hedge) within the caller's deadline. Blocks
+  /// failover within the caller's deadline. Blocks
   /// until a result or a terminal error: TenantQuotaError (quota),
   /// OverloadError (all eligible shards shed), DeadlineExceededError
   /// (budget exhausted), ShutdownError (router stopping), or the last
@@ -319,22 +304,6 @@ class ShardRouter {
   bool try_restart(int shard, Clock::time_point now,
                    std::unique_lock<std::mutex>& lock);
   void prober_loop();
-
-  /// One shard an attempt submits to (no server = no hedge partner).
-  struct Leg {
-    int shard = -1;
-    std::shared_ptr<InferenceServer> server;
-  };
-
-  /// One attempt: try_submit on `primary` and, when `hedge` has a server
-  /// and the primary is still pending after hedge_delay, race a second
-  /// submission there. Returns the first success with `shard` set to the
-  /// winning leg, or rethrows the primary's error once every leg failed.
-  /// Lock NOT held.
-  [[nodiscard]] InferenceResult attempt(
-      const Leg& primary, const Leg& hedge,
-      const std::shared_ptr<const Model>& model, const nn::Tensor& input,
-      Priority priority, Clock::time_point attempt_deadline);
 
   RouterOptions opts_;
   ShardFactory factory_;

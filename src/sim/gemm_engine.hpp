@@ -41,7 +41,7 @@
 // outlives the call.
 //
 // SIMD tier: common::simd_level() (AVX-512, AVX2, scalar), so
-// LOOM_FORCE_SCALAR_SIMD / LOOM_SIMD_LEVEL reach every dispatch. All tiers
+// LOOM_SIMD_LEVEL reaches every dispatch. All tiers
 // are exact integer arithmetic and byte-identical.
 #pragma once
 

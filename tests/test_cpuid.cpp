@@ -4,8 +4,6 @@
 // (simd_level() itself is cached at first use and deliberately not poked).
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "common/cpuid.hpp"
 #include "common/error.hpp"
 
@@ -20,43 +18,20 @@ TEST(Cpuid, LevelNamesAreStable) {
 }
 
 TEST(Cpuid, UnsetEnvLeavesHardwareUncapped) {
-  EXPECT_EQ(simd_cap_from_env(nullptr, nullptr), SimdLevel::kAvx512);
-  EXPECT_EQ(simd_cap_from_env("", ""), SimdLevel::kAvx512);
-  EXPECT_EQ(simd_cap_from_env("0", nullptr), SimdLevel::kAvx512);
-}
-
-TEST(Cpuid, ForceScalarWinsOverLevel) {
-  EXPECT_EQ(simd_cap_from_env("1", nullptr), SimdLevel::kScalar);
-  EXPECT_EQ(simd_cap_from_env("1", "avx512"), SimdLevel::kScalar);
-  EXPECT_EQ(simd_cap_from_env("1", "native"), SimdLevel::kScalar);
-}
-
-TEST(Cpuid, JunkForceScalarIsTypedError) {
-  // Only unset, "", "0" and "1" parse: "false" or "off" must not silently
-  // switch the scalar tier on.
-  for (const char* junk : {"yes", "false", "off", "true", "2", "00", " 1"}) {
-    SCOPED_TRACE(junk);
-    try {
-      (void)simd_cap_from_env(junk, nullptr);
-      ADD_FAILURE() << "accepted";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find("LOOM_FORCE_SCALAR_SIMD"),
-                std::string::npos)
-          << e.what();
-    }
-  }
+  EXPECT_EQ(simd_cap_from_env(nullptr), SimdLevel::kAvx512);
+  EXPECT_EQ(simd_cap_from_env(""), SimdLevel::kAvx512);
 }
 
 TEST(Cpuid, LevelStringsParse) {
-  EXPECT_EQ(simd_cap_from_env(nullptr, "scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(simd_cap_from_env(nullptr, "avx2"), SimdLevel::kAvx2);
-  EXPECT_EQ(simd_cap_from_env(nullptr, "avx512"), SimdLevel::kAvx512);
-  EXPECT_EQ(simd_cap_from_env(nullptr, "native"), SimdLevel::kAvx512);
+  EXPECT_EQ(simd_cap_from_env("scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(simd_cap_from_env("avx2"), SimdLevel::kAvx2);
+  EXPECT_EQ(simd_cap_from_env("avx512"), SimdLevel::kAvx512);
+  EXPECT_EQ(simd_cap_from_env("native"), SimdLevel::kAvx512);
 }
 
 TEST(Cpuid, JunkLevelIsTypedError) {
-  EXPECT_THROW((void)simd_cap_from_env(nullptr, "sse9"), ConfigError);
-  EXPECT_THROW((void)simd_cap_from_env(nullptr, "AVX2"), ConfigError);
+  EXPECT_THROW((void)simd_cap_from_env("sse9"), ConfigError);
+  EXPECT_THROW((void)simd_cap_from_env("AVX2"), ConfigError);
 }
 
 TEST(Cpuid, EffectiveLevelNeverExceedsHardware) {

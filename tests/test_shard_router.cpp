@@ -5,7 +5,7 @@
 //   - zero lost requests: every submit() returns a result or throws a
 //     typed error — outcome tally == submit count;
 //   - every successful output is byte-identical to a solo run_network
-//     (failover, hedging, restarts and snapshot restores never change
+//     (failover, restarts and snapshot restores never change
 //     *what* was computed);
 //   - RouterStats reconcile exactly:
 //     submitted == completed + quota_rejected + shed + timed_out + failed,
@@ -135,26 +135,20 @@ TEST(ShardRouterChaos, KillsStallsAndCorruptSnapshotsKeepEveryInvariant) {
     opts.shard.retry_backoff = std::chrono::microseconds(50);
     opts.shard.engine.jobs = 1;
     opts.attempt_timeout = std::chrono::microseconds(250'000);
-    opts.hedge_delay = std::chrono::microseconds(500);
     opts.probation_backoff = std::chrono::milliseconds(2);
     opts.max_backoff = std::chrono::milliseconds(50);
     opts.probe_interval = std::chrono::milliseconds(5);
     opts.probe_timeout = std::chrono::microseconds(100'000);
-    opts.faults.seed = seed;
-    opts.faults.engine_failure_prob = 0.20;
-    opts.faults.fallback_failure_prob = 0.05;
-    opts.faults.shard_kill_prob = 0.20;
-    opts.faults.shard_stall_prob = 0.20;
-    opts.faults.shard_stall = std::chrono::microseconds(2'000);
-    opts.faults.probe_failure_prob = 0.20;
-    opts.faults.snapshot_corrupt_prob = 0.20;
+    opts.shard.faults.seed = seed;
+    opts.shard.faults.engine_failure_prob = 0.20;
+    opts.shard.faults.fallback_failure_prob = 0.05;
+    opts.shard.faults.shard_kill_prob = 0.20;
+    opts.shard.faults.shard_stall_prob = 0.20;
+    opts.shard.faults.shard_stall = std::chrono::microseconds(2'000);
+    opts.shard.faults.probe_failure_prob = 0.20;
+    opts.shard.faults.snapshot_corrupt_prob = 0.20;
 
     std::array<std::atomic<int>, kShards> builds{};
-    const ServeOptions shard_opts = [&] {
-      ServeOptions so = opts.shard;
-      so.faults = opts.faults;
-      return so;
-    }();
     ShardFactory factory = [&, dir](const ShardContext& ctx) -> ShardInstance {
       const bool rebuild =
           builds[static_cast<std::size_t>(ctx.shard)].fetch_add(1) > 0;
@@ -164,7 +158,7 @@ TEST(ShardRouterChaos, KillsStallsAndCorruptSnapshotsKeepEveryInvariant) {
         registry->add(*load_snapshot(dir + name + ".snap",
                                      rebuild ? &ctx.faults : nullptr));
       }
-      auto server = std::make_shared<InferenceServer>(*registry, shard_opts);
+      auto server = std::make_shared<InferenceServer>(*registry, opts.shard);
       return ShardInstance{std::move(registry), std::move(server)};
     };
 
@@ -193,7 +187,6 @@ TEST(ShardRouterChaos, KillsStallsAndCorruptSnapshotsKeepEveryInvariant) {
             if (rng.next_below(4) == 0) {
               ropts.deadline = std::chrono::milliseconds(400);
             }
-            ropts.allow_hedge = rng.next_below(2) == 0;
             try {
               const InferenceResult res = router.submit(
                   name, model->make_input(kInputSeed, stream), ropts);
@@ -286,10 +279,9 @@ TEST(ShardRouterChaos, SameSeedReplaysTheSameFaultMultiset) {
     opts.shard.workers = 1;
     opts.shard.engine.jobs = 1;
     opts.attempt_timeout = std::chrono::microseconds(2'000'000);
-    opts.hedge_delay = std::chrono::microseconds(0);  // determinism: no races
     opts.probation_backoff = std::chrono::milliseconds(1);
-    opts.faults.seed = seed;
-    opts.faults.shard_kill_prob = 0.25;  // kills only; restarts cannot fail
+    opts.shard.faults.seed = seed;
+    opts.shard.faults.shard_kill_prob = 0.25;  // kills only: restarts succeed
 
     ShardRouter router(registry, opts);
     std::uint64_t completed = 0;
@@ -453,7 +445,6 @@ TEST(ShardRouter, FailoverServesFromNextRankedShardAfterKill) {
   opts.shard.engine.jobs = 1;
   opts.probation_backoff = std::chrono::milliseconds(250);  // stays ejected
   opts.max_backoff = std::chrono::milliseconds(500);
-  opts.reenter_successes = 2;
   // Generous attempt budget: a timed-out attempt counts as a probation
   // failure and would re-eject the freshly restarted shard on slow
   // (sanitizer) builds.
@@ -499,82 +490,159 @@ TEST(ShardRouter, FailoverServesFromNextRankedShardAfterKill) {
   EXPECT_GE(stats.recovery_ms.count(), 1u);
 }
 
-TEST(ShardRouter, HedgedInteractiveRequestRacesTwoShards) {
-  const auto registry = populate();
-  const auto expected = solo_outputs(*registry, 4);
-  RouterOptions opts;
-  opts.shards = 2;
-  opts.shard.workers = 1;
-  opts.shard.engine.jobs = 1;
-  // Single requests hold their batch open 20ms; the hedge fires after
-  // 100us and races the next-ranked shard. Generous attempt budget so the
-  // race is decided by completion, not timeout (sanitizer builds are slow).
-  opts.shard.max_batch = 8;
-  opts.shard.batch_deadline = std::chrono::microseconds(20'000);
-  opts.hedge_delay = std::chrono::microseconds(100);
-  opts.attempt_timeout = std::chrono::microseconds(5'000'000);
-  ShardRouter router(registry, opts);
-  const auto model = registry->find("mlp");
-
-  for (int i = 0; i < 4; ++i) {
-    const InferenceResult res =
-        router.submit("mlp", model->make_input(kInputSeed, i));
-    EXPECT_EQ(res.output, (expected.at({"mlp", i}))) << "request " << i;
-  }
-  const RouterStats stats = router.stats();
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_GE(stats.hedges, 1u);
-  EXPECT_LE(stats.hedge_wins, stats.hedges);
+/// Builds every shard over `registry` from `shard`, except that shard
+/// `faulty` runs the fault plan `plan`.
+ShardFactory faulty_shard_factory(std::shared_ptr<ModelRegistry> registry,
+                                  const ServeOptions& shard, int faulty,
+                                  const FaultPlan& plan) {
+  return [registry = std::move(registry), shard, faulty,
+          plan](const ShardContext& ctx) -> ShardInstance {
+    ServeOptions so = shard;
+    if (ctx.shard == faulty) so.faults = plan;
+    return ShardInstance{registry,
+                         std::make_shared<InferenceServer>(*registry, so)};
+  };
 }
 
-TEST(ShardRouter, FaultyPrimaryFailsOverWithAndWithoutHedge) {
+/// A tenant whose "convnet" key has `shard` as its rendezvous primary.
+std::string tenant_with_primary(const ShardRouter& router, int shard) {
+  for (int t = 0;; ++t) {
+    std::string name = "tenant-" + std::to_string(t);
+    if (router.rank_shards("convnet", name).front() == shard) return name;
+  }
+}
+
+TEST(ShardRouter, FaultyPrimaryFailsOver) {
   const auto registry = populate();
   const auto expected = solo_outputs(*registry, 1);
   constexpr int kFaulty = 0;
 
-  for (const auto hedge_delay :
-       {std::chrono::microseconds(0), std::chrono::microseconds(2'000'000)}) {
-    SCOPED_TRACE("hedge_delay_us=" + std::to_string(hedge_delay.count()));
-    RouterOptions opts;
-    opts.shards = 3;
-    opts.shard.max_batch = 1;
-    opts.shard.workers = 1;
-    opts.shard.engine.jobs = 1;
-    opts.shard.retry_backoff = std::chrono::microseconds(10);
-    opts.hedge_delay = hedge_delay;
-    opts.attempt_timeout = std::chrono::microseconds(5'000'000);
-    // Only shard kFaulty fails: its engine and its scalar fallback both
-    // throw on every run, so every attempt it takes resolves an error.
-    ShardFactory factory = [&](const ShardContext& ctx) -> ShardInstance {
-      ServeOptions so = opts.shard;
-      if (ctx.shard == kFaulty) {
-        so.faults.engine_failure_prob = 1.0;
-        so.faults.fallback_failure_prob = 1.0;
-      }
-      return ShardInstance{registry,
-                           std::make_shared<InferenceServer>(*registry, so)};
-    };
-    ShardRouter router(factory, opts);
+  RouterOptions opts;
+  opts.shards = 3;
+  opts.shard.max_batch = 1;
+  opts.shard.workers = 1;
+  opts.shard.engine.jobs = 1;
+  opts.shard.retry_backoff = std::chrono::microseconds(10);
+  opts.attempt_timeout = std::chrono::microseconds(5'000'000);
+  // Only shard kFaulty fails: its engine and its scalar fallback both
+  // throw on every run, so every attempt it takes resolves an error.
+  FaultPlan always_fail;
+  always_fail.engine_failure_prob = 1.0;
+  always_fail.fallback_failure_prob = 1.0;
+  ShardRouter router(
+      faulty_shard_factory(registry, opts.shard, kFaulty, always_fail), opts);
 
-    std::string tenant;
-    for (int t = 0; tenant.empty(); ++t) {
-      const std::string name = "tenant-" + std::to_string(t);
-      if (router.rank_shards("convnet", name).front() == kFaulty) tenant = name;
+  const auto model = registry->find("convnet");
+  const InferenceResult res = router.submit(
+      "convnet", model->make_input(kInputSeed, 0),
+      RouteOptions{.tenant = tenant_with_primary(router, kFaulty)});
+  EXPECT_NE(res.shard, kFaulty);
+  EXPECT_EQ(res.output, expected.at({"convnet", 0}));
+
+  const RouterStats stats = router.stats();
+  EXPECT_GE(stats.shards[kFaulty].failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_GE(stats.failovers, 1u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.quota_rejected +
+                                 stats.shed + stats.timed_out + stats.failed);
+}
+
+// The latency EWMA of the shard that served a request is charged from that
+// shard's own attempt, not from the start of submit(): the primary's failed
+// attempt (two engine retries backing off 20 ms and 40 ms) must not land on
+// the failover shard.
+TEST(ShardRouter, LatencyEwmaTimesOnlyTheServingAttempt) {
+  const auto registry = populate();
+  constexpr int kFaulty = 0;
+  constexpr auto kBackoff = std::chrono::milliseconds(20);
+
+  RouterOptions opts;
+  opts.shards = 2;
+  opts.shard.max_batch = 1;
+  opts.shard.workers = 1;
+  opts.shard.engine.jobs = 1;
+  opts.shard.engine_retries = 2;
+  opts.shard.retry_backoff = kBackoff;
+  opts.attempt_timeout = std::chrono::microseconds(5'000'000);
+  FaultPlan always_fail;
+  always_fail.engine_failure_prob = 1.0;
+  always_fail.fallback_failure_prob = 1.0;
+  ShardRouter router(
+      faulty_shard_factory(registry, opts.shard, kFaulty, always_fail), opts);
+
+  const auto model = registry->find("convnet");
+  const RouteOptions ropts{.tenant = tenant_with_primary(router, kFaulty)};
+  const auto t0 = std::chrono::steady_clock::now();
+  const InferenceResult res =
+      router.submit("convnet", model->make_input(kInputSeed, 0), ropts);
+  const std::chrono::duration<double, std::milli> wall =
+      std::chrono::steady_clock::now() - t0;
+  ASSERT_NE(res.shard, kFaulty);
+
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.shards[kFaulty].failed, 1u);
+  // The faulty attempt slept through both backoffs before it failed, so the
+  // serving attempt took at most the wall time minus 3x kBackoff.
+  const double served_ms =
+      stats.shards[static_cast<std::size_t>(res.shard)].latency_ewma_ms;
+  EXPECT_GT(served_ms, 0.0);
+  EXPECT_LE(served_ms, wall.count() - 3.0 * kBackoff.count())
+      << "wall " << wall.count() << " ms";
+}
+
+// A shard whose error EWMA passes 0.5 without 3 failures in a row and
+// without reaching 0.9 stays healthy: the breaker has three states, and a
+// shard is either serving its keys or ejected.
+TEST(ShardRouter, ErrorRateBelowEjectionKeepsTheShardHealthy) {
+  const auto registry = populate();
+  const auto expected = solo_outputs(*registry, 5);
+  constexpr int kFaulty = 0;
+
+  // The faulty shard runs one engine attempt per request and its fallback
+  // always fails, so its k-th request fails exactly when the k-th draw of
+  // the engine-failure site fires. Pick the first seed whose draws go
+  // success, success, failure, failure, success: the error EWMA (0.3
+  // smoothing) then reads 0, 0, 0.3, 0.51, 0.357.
+  const std::vector<bool> pattern = {false, false, true, true, false};
+  FaultPlan plan;
+  plan.engine_failure_prob = 0.5;
+  plan.fallback_failure_prob = 1.0;
+  for (plan.seed = 1;; ++plan.seed) {
+    FaultInjector probe(plan);
+    std::vector<bool> draws;
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      draws.push_back(probe.should_fail_engine());
     }
-    const auto model = registry->find("convnet");
-    const InferenceResult res =
-        router.submit("convnet", model->make_input(kInputSeed, 0),
-                      RouteOptions{.tenant = tenant});
-    EXPECT_NE(res.shard, kFaulty);
-    EXPECT_EQ(res.output, expected.at({"convnet", 0}));
-
-    const RouterStats stats = router.stats();
-    EXPECT_GE(stats.shards[kFaulty].failed, 1u);
-    EXPECT_EQ(stats.completed, 1u);
-    EXPECT_GE(stats.failovers, 1u);
-    EXPECT_EQ(stats.submitted, stats.completed + stats.quota_rejected +
-                                   stats.shed + stats.timed_out + stats.failed);
+    if (draws == pattern) break;
   }
+
+  RouterOptions opts;
+  opts.shards = 2;
+  opts.shard.max_batch = 1;
+  opts.shard.workers = 1;
+  opts.shard.engine.jobs = 1;
+  opts.shard.engine_retries = 0;
+  opts.attempt_timeout = std::chrono::microseconds(5'000'000);
+  ShardRouter router(faulty_shard_factory(registry, opts.shard, kFaulty, plan),
+                     opts);
+
+  const auto model = registry->find("convnet");
+  const RouteOptions ropts{.tenant = tenant_with_primary(router, kFaulty)};
+  for (int i = 0; i < static_cast<int>(pattern.size()); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const InferenceResult res =
+        router.submit("convnet", model->make_input(kInputSeed, i), ropts);
+    EXPECT_EQ(res.output, expected.at({"convnet", i}));
+    // A failed attempt on the primary fails over; a success is served
+    // there, so the primary keeps serving its keys throughout.
+    EXPECT_EQ(res.shard == kFaulty, !pattern[static_cast<std::size_t>(i)]);
+    const ShardStats faulty = router.stats().shards[kFaulty];
+    EXPECT_EQ(faulty.health, ShardHealth::kHealthy);
+    if (i == 3) {
+      EXPECT_GT(faulty.error_ewma, 0.5);
+    }
+  }
+  EXPECT_TRUE(router.transitions().empty());
 }
 
 }  // namespace
