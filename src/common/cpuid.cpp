@@ -24,7 +24,8 @@ SimdLevel hardware_simd_level() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   static const SimdLevel probed = [] {
     if (__builtin_cpu_supports("avx512f") != 0 &&
-        __builtin_cpu_supports("avx512bw") != 0) {
+        __builtin_cpu_supports("avx512bw") != 0 &&
+        __builtin_cpu_supports("avx512dq") != 0) {
       return SimdLevel::kAvx512;
     }
     if (__builtin_cpu_supports("avx2") != 0) return SimdLevel::kAvx2;

@@ -1,12 +1,16 @@
 // Runtime CPU feature detection shared by every SIMD-dispatched kernel
-// (today the dense-GEMM multiply-add). One probe, one policy: kernels ask for the process-wide SimdLevel instead of each
-// carrying a private __builtin_cpu_supports call, so a single environment
-// override can force every dispatch site down to a lower tier — the switch
-// the per-tier CI legs and the cross-tier byte-identity tests stand on.
+// (the dense-GEMM multiply-add, the synthetic streams' bulk read and the
+// weight statistics). One probe, one policy: kernels ask for the
+// process-wide SimdLevel instead of each carrying a private
+// __builtin_cpu_supports call, so a single environment override can force
+// every dispatch site down to a lower tier — the switch the per-tier CI
+// legs and the cross-tier byte-identity tests stand on.
 //
-// Tier semantics: kAvx512 implies AVX-512 F + BW (the GEMM's 16-bit
-// multiply-adds and shifts need BW); kAvx2 implies AVX2. Each tier includes the
-// ones below it, so "supports at least X" is an ordinary >= compare.
+// Tier semantics: kAvx512 implies AVX-512 F + BW + DQ (the GEMM's 16-bit
+// multiply-adds and shifts and the weight statistics' byte popcount need
+// BW; the synthetic streams' 64-bit multiplies, vpmullq, need DQ; every
+// AVX-512 BW part has DQ); kAvx2 implies AVX2. Each tier includes the ones
+// below it, so "supports at least X" is an ordinary >= compare.
 //
 // Override (read once, first use — set it before the process starts):
 //   LOOM_SIMD_LEVEL=scalar|avx2|avx512|native   cap the tier (scalar sends
@@ -22,7 +26,7 @@ namespace loom::common {
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,  ///< AVX-512 F + BW
+  kAvx512 = 2,  ///< AVX-512 F + BW + DQ
 };
 
 /// Human-readable tier name ("scalar", "avx2", "avx512").

@@ -27,10 +27,17 @@ class CounterRng {
   CounterRng(std::uint64_t seed, std::uint64_t stream) noexcept
       : key_(mix64(seed ^ (stream * 0x9E3779B97F4A7C15ull))) {}
 
+  /// Added to the index before it meets the key.
+  static constexpr std::uint64_t kIndexSalt = 0x632BE59BD9B4E019ull;
+
   /// Uniform 64-bit draw for element `index` of the stream.
   [[nodiscard]] std::uint64_t bits(std::uint64_t index) const noexcept {
-    return mix64(key_ ^ (index + 0x632BE59BD9B4E019ull));
+    return mix64(key_ ^ (index + kIndexSalt));
   }
+
+  /// The mixed key material: bits(i) == mix64(key() ^ (i + kIndexSalt)),
+  /// for readers that evaluate many indices at once.
+  [[nodiscard]] std::uint64_t key() const noexcept { return key_; }
 
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform(std::uint64_t index) const noexcept;

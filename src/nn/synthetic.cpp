@@ -1,11 +1,102 @@
 #include "nn/synthetic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "common/cpuid.hpp"
 #include "common/error.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define LOOM_SYNTHETIC_X86 1
+#endif
+
 namespace loom::nn {
+
+#ifdef LOOM_SYNTHETIC_X86
+namespace {
+
+// GCC's reduce/convert intrinsics pass _mm512_undefined_epi32() as a
+// never-read operand (GCC PR 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+/// mix64 on eight lanes (vpmullq needs DQ).
+__attribute__((target("avx512f,avx512dq"))) inline __m512i mix64_x8(__m512i x) {
+  x = _mm512_add_epi64(x, _mm512_set1_epi64(static_cast<long long>(0x9E3779B97F4A7C15ull)));
+  x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 30)),
+                         _mm512_set1_epi64(static_cast<long long>(0xBF58476D1CE4E5B9ull)));
+  x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64(x, 27)),
+                         _mm512_set1_epi64(static_cast<long long>(0x94D049BB133111EBull)));
+  return _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
+}
+
+/// The 16-value steps of SyntheticStream::read over a tabulated stream;
+/// returns how many values it wrote (a multiple of 16).
+__attribute__((target("avx512f,avx512dq"))) std::size_t read_avx512(
+    const SyntheticStream& stream, const std::uint32_t* table,
+    std::uint32_t dirty_bit, std::uint64_t key, std::uint32_t live_from,
+    std::uint32_t sign_bit, std::uint64_t begin, std::span<Value> out) {
+  const __m512i key_v = _mm512_set1_epi64(static_cast<long long>(key));
+  const __m512i lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i eight = _mm512_set1_epi64(8);
+  // Dword j of the result: the low (even) or high (odd) half of qword j of
+  // the first draw vector for j < 8, of the second for j >= 8.
+  const __m512i low_halves =
+      _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i high_halves =
+      _mm512_add_epi32(low_halves, _mm512_set1_epi32(1));
+  const __m512i dirty_v = _mm512_set1_epi32(static_cast<int>(dirty_bit));
+  const __m512i gate_mask = _mm512_set1_epi32(0x3FF);
+  const __m512i live_v = _mm512_set1_epi32(static_cast<int>(live_from));
+  const __m512i sign_v = _mm512_set1_epi32(static_cast<int>(sign_bit));
+  const std::size_t n = out.size() - out.size() % 16;
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __m512i index = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<long long>(begin + i + CounterRng::kIndexSalt)),
+        lanes);
+    const __m512i raw0 = mix64_x8(_mm512_xor_si512(key_v, index));
+    const __m512i raw1 =
+        mix64_x8(_mm512_xor_si512(key_v, _mm512_add_epi64(index, eight)));
+    const __m512i low = _mm512_permutex2var_epi32(raw0, low_halves, raw1);
+    const __m512i high = _mm512_permutex2var_epi32(raw0, high_halves, raw1);
+    // Bucket = r >> 37 = raw >> 48.
+    __m512i mag = _mm512_i32gather_epi32(_mm512_srli_epi32(high, 16), table, 4);
+    __mmask16 dirty = _mm512_test_epi32_mask(mag, dirty_v);
+    if (dirty != 0) {
+      alignas(64) std::uint64_t raws[16];
+      alignas(64) std::uint32_t mags[16];
+      _mm512_store_si512(raws, raw0);
+      _mm512_store_si512(raws + 8, raw1);
+      _mm512_store_si512(mags, mag);
+      for (; dirty != 0; dirty &= static_cast<__mmask16>(dirty - 1)) {
+        const int j = std::countr_zero(static_cast<unsigned>(dirty));
+        mags[j] = static_cast<std::uint16_t>(stream.magnitude(raws[j] >> 11));
+      }
+      mag = _mm512_load_si512(mags);
+    }
+    // The zero gate (bits 1..10) and the sign (bit 0) as lane masks.
+    const __mmask16 live = _mm512_cmpge_epu32_mask(
+        _mm512_and_si512(_mm512_srli_epi32(low, 1), gate_mask), live_v);
+    const __mmask16 neg = _mm512_test_epi32_mask(low, sign_v);
+    __m512i v = _mm512_maskz_mov_epi32(live, mag);
+    v = _mm512_mask_sub_epi32(v, neg, _mm512_setzero_si512(), v);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + i),
+                        _mm512_cvtepi32_epi16(v));
+  }
+  return n;
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+}  // namespace
+#endif
 
 SyntheticSource::SyntheticSource(std::uint64_t seed, std::uint64_t stream,
                                  SyntheticSpec spec)
@@ -88,34 +179,46 @@ SyntheticStream::SyntheticStream(const SyntheticSource& source, std::int64_t cou
 
   // Bucket b starts at r = b * 2^37 and holds m for every start in
   // [hi_m, hi_(m+1)): the buckets below ceil(hi_(m+1) / 2^37), as hi >= 1.
-  start_.resize(std::size_t{1} << (53 - kBucketShift));
+  table_.resize(std::size_t{1} << (53 - kBucketShift));
+  const std::uint64_t last = table_.size() - 1;
   std::size_t b = 0;
   for (std::size_t m = 0; m <= thresholds; ++m) {
     const std::uint64_t end = std::min<std::uint64_t>(
-        ((bands_[m + 1].hi - 1) >> kBucketShift) + 1, start_.size());
-    for (; b < end; ++b) start_[b] = static_cast<std::uint16_t>(m);
+        ((bands_[m + 1].hi - 1) >> kBucketShift) + 1, table_.size());
+    for (; b < end; ++b) table_[b] = static_cast<std::uint32_t>(m);
   }
+  // Band m covers draws lo_m .. hi_m - 1.
+  for (std::size_t m = 1; m <= thresholds; ++m) {
+    const std::uint64_t first = std::min(bands_[m].lo >> kBucketShift, last);
+    const std::uint64_t end = std::min((bands_[m].hi - 1) >> kBucketShift, last);
+    for (std::uint64_t d = first; d <= end; ++d) table_[d] |= kDirty;
+  }
+}
+
+void SyntheticStream::read(std::uint64_t begin, std::span<Value> out) const {
+  std::size_t i = 0;
+#ifdef LOOM_SYNTHETIC_X86
+  if (tabulated() && common::have_avx512()) {
+    i = read_avx512(*this, table_.data(), kDirty, source_.rng_.key(),
+                    static_cast<std::uint32_t>(live_from_),
+                    static_cast<std::uint32_t>(sign_bit_), begin, out);
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = at(begin + i);
 }
 
 Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
                               std::uint64_t seed, std::uint64_t stream) {
   Tensor t(Shape{shape.c, shape.h, shape.w});
-  const std::int64_t n = t.elements();
-  const SyntheticStream values(SyntheticSource(seed, stream, spec), n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    t.set_flat(i, values.at(static_cast<std::uint64_t>(i)));
-  }
+  SyntheticStream(SyntheticSource(seed, stream, spec), t.elements()).read(0, t.data());
   return t;
 }
 
 Tensor make_weight_tensor(std::int64_t count, const SyntheticSpec& spec,
                           std::uint64_t seed, std::uint64_t stream) {
   LOOM_EXPECTS(count > 0);
-  const SyntheticStream values(SyntheticSource(seed, stream, spec), count);
   Tensor t(Shape{count});
-  for (std::int64_t i = 0; i < count; ++i) {
-    t.set_flat(i, values.at(static_cast<std::uint64_t>(i)));
-  }
+  SyntheticStream(SyntheticSource(seed, stream, spec), count).read(0, t.data());
   return t;
 }
 

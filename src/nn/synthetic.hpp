@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -92,10 +93,20 @@ class SyntheticSource {
 /// Bands are at least 2^-30 * t_1 >= 2^7 draws wide, and the fallback is
 /// rare except where alpha packs thresholds tighter than a band.
 ///
-/// A table costs one `pow` per threshold plus a 128 KiB bucket index. On a
-/// 4-core AVX-512 Xeon that is about 34 ns per threshold plus 10 us, and a
-/// tabulated draw saves about 23 ns, so the table pays after roughly
-/// 1.5 * max + 450 draws. Streams shorter than 2 * max + 4096 draws read
+/// Clean buckets. A bucket that no band overlaps is clean: every draw r in
+/// it lies outside every band, so r >= hi_m exactly when the bucket's start
+/// is (no hi_m falls inside the bucket), and the start count is the exact
+/// magnitude of every draw in it. Each table entry holds that count in its
+/// low 16 bits and sets kDirty when a band overlaps the bucket; only dirty
+/// buckets run the compares, the band check and the fallback. A band is
+/// about 2^-29 * t_m <= 2^24 draws wide, far narrower than a 2^37-draw
+/// bucket, so it touches at most two: a stream with largest magnitude M has
+/// at most 2M dirty buckets of 65,536.
+///
+/// A table costs one `pow` per threshold plus a 256 KiB bucket table. On a
+/// 4-core AVX-512 Xeon that is about 34 ns per threshold plus 25 us, and a
+/// tabulated draw saves at least 23 ns, so the table pays after roughly
+/// 1.5 * max + 1100 draws. Streams shorter than 2 * max + 4096 draws read
 /// through `source.at` instead (unsigned Pa 16: below 135,166).
 class SyntheticStream {
  public:
@@ -114,11 +125,18 @@ class SyntheticStream {
     return static_cast<Value>(((mag & live) ^ neg) - neg);
   }
 
+  /// Fills `out[i]` with `at(begin + i)` (the index wraps modulo 2^64). At
+  /// the AVX-512 tier a tabulated stream draws 16 values per step: one
+  /// gather resolves the clean lanes and the dirty ones go to magnitude().
+  void read(std::uint64_t begin, std::span<Value> out) const;
+
   /// Magnitude for the 53-bit draw `r`: equals
   /// `source.magnitude_for_draw(r * 2^-53)` for every r < 2^53.
   [[nodiscard]] Value magnitude(std::uint64_t r) const noexcept {
     if (!tabulated()) return source_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53);
-    std::uint32_t c = start_[r >> kBucketShift];
+    const std::uint32_t entry = table_[r >> kBucketShift];
+    if ((entry & kDirty) == 0) return static_cast<Value>(entry);
+    std::uint32_t c = entry & (kDirty - 1);
     c += static_cast<std::uint32_t>(r >= bands_[c + 1].hi);
     c += static_cast<std::uint32_t>(r >= bands_[c + 1].hi);
     if (r >= bands_[c + 1].lo) [[unlikely]] {
@@ -127,12 +145,14 @@ class SyntheticStream {
     return static_cast<Value>(c);
   }
 
-  [[nodiscard]] bool tabulated() const noexcept { return !start_.empty(); }
+  [[nodiscard]] bool tabulated() const noexcept { return !table_.empty(); }
 
  private:
   /// Streams shorter than this plus two draws per threshold use `pow`.
   static constexpr std::int64_t kMinTabulatedCount = 4096;
   static constexpr int kBucketShift = 37;  // 2^16 buckets over r < 2^53
+  /// Table entry flag: a guard band overlaps the bucket.
+  static constexpr std::uint32_t kDirty = std::uint32_t{1} << 16;
 
   /// Threshold m's guard band: below `lo` the magnitude is < m, from `hi`
   /// on it is >= m.
@@ -144,8 +164,9 @@ class SyntheticStream {
   SyntheticSource source_;
   std::uint64_t live_from_ = 0;  ///< smallest zero-gate field that keeps a value
   std::uint64_t sign_bit_ = 0;   ///< 1 when signed: the sign is bit 0 of the draw
-  std::vector<std::uint16_t> start_;  ///< thresholds at or below each bucket's start
-  std::vector<Band> bands_;           ///< index 1..max; max+1 is an all-ones sentinel
+  /// Per bucket: thresholds at or below its start, plus kDirty.
+  std::vector<std::uint32_t> table_;
+  std::vector<Band> bands_;  ///< index 1..max; max+1 is an all-ones sentinel
 };
 
 /// Materialize an activation volume (CHW) from a synthetic source.

@@ -173,14 +173,16 @@ void ShardRouter::back_off(Shard& s, Clock::time_point now) {
   s.eject_until = now + s.backoff;
 }
 
-void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
+void ShardRouter::record_success(int shard, std::uint64_t generation,
+                                 std::chrono::nanoseconds latency,
                                  Clock::time_point now) {
   Shard& s = shards_[static_cast<std::size_t>(shard)];
+  ++s.completed;
+  if (generation != s.generation) return;
   s.error_ewma.add(0.0);
   s.latency_ewma.add(
       std::chrono::duration<double, std::milli>(latency).count());
   s.consecutive_failures = 0;
-  ++s.completed;
   if (s.health == ShardHealth::kProbation) {
     if (++s.probation_successes >= kReenterSuccesses) {
       set_health(shard, ShardHealth::kHealthy, now);
@@ -193,11 +195,13 @@ void ShardRouter::record_success(int shard, std::chrono::nanoseconds latency,
   }
 }
 
-void ShardRouter::record_failure(int shard, Clock::time_point now) {
+void ShardRouter::record_failure(int shard, std::uint64_t generation,
+                                 Clock::time_point now) {
   Shard& s = shards_[static_cast<std::size_t>(shard)];
+  ++s.failed;
+  if (generation != s.generation) return;
   s.error_ewma.add(1.0);
   ++s.consecutive_failures;
-  ++s.failed;
   if (s.health == ShardHealth::kEjected) return;  // already out of traffic
   const bool probation_slip = s.health == ShardHealth::kProbation;
   const bool eject =
@@ -262,6 +266,7 @@ bool ShardRouter::try_restart(int shard, Clock::time_point now,
   s.registry = std::move(inst.registry);
   s.alive = true;
   ++s.restarts;
+  ++s.generation;
   s.error_ewma.reset();
   s.latency_ewma.reset();
   s.consecutive_failures = 0;
@@ -282,6 +287,7 @@ void ShardRouter::kill_shard(int shard) {
     s.server = nullptr;
     s.alive = false;
     ++s.kills;
+    ++s.generation;
     s.consecutive_failures = 0;
     s.probation_successes = 0;
     s.error_ewma.reset();
@@ -373,6 +379,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
 
       std::shared_ptr<InferenceServer> server;
       std::shared_ptr<const ModelRegistry> registry;
+      std::uint64_t generation = 0;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         if (stopping_) {
@@ -391,12 +398,13 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
           ++s.routed;
           ++attempts;
           if (attempts > 1) ++stats_.failovers;
-          record_failure(si, now);
+          record_failure(si, s.generation, now);
           attempted_this_pass = true;
           continue;
         }
         server = s.server;
         registry = s.registry;
+        generation = s.generation;
         ++s.routed;
         ++attempts;
         if (attempts > 1) ++stats_.failovers;
@@ -429,7 +437,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
         res.shard = si;
         const Clock::time_point done = Clock::now();
         const std::lock_guard<std::mutex> lock(mutex_);
-        record_success(si, done - sent, done);
+        record_success(si, generation, done - sent, done);
         finish(&RouterStats::completed, &TenantStats::completed);
         stats_.latency_ns.add(ns_of(done - t0));
         return res;
@@ -442,7 +450,7 @@ InferenceResult ShardRouter::submit(const std::string& model, nn::Tensor input,
         last_error = std::current_exception();
       }
       const std::lock_guard<std::mutex> lock(mutex_);
-      record_failure(si, Clock::now());
+      record_failure(si, generation, Clock::now());
     }
 
     if (!attempted_this_pass) {
@@ -515,6 +523,7 @@ void ShardRouter::prober_loop() {
     for (int si = 0; si < opts_.shards; ++si) {
       std::shared_ptr<InferenceServer> server;
       std::shared_ptr<const ModelRegistry> registry;
+      std::uint64_t generation = 0;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         if (stopping_) return;
@@ -526,10 +535,11 @@ void ShardRouter::prober_loop() {
         ++s.routed;  // probes are attempts too: keep routed >= completed+failed
         server = s.server;
         registry = s.registry;
+        generation = s.generation;
       }
       if (injector_.should_fail_probe()) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        record_failure(si, Clock::now());
+        record_failure(si, generation, Clock::now());
         continue;
       }
       try {
@@ -548,12 +558,12 @@ void ShardRouter::prober_loop() {
             so);
         (void)fut.get();
         const std::lock_guard<std::mutex> lock(mutex_);
-        record_success(si, Clock::now() - sent, Clock::now());
+        record_success(si, generation, Clock::now() - sent, Clock::now());
       } catch (const OverloadError&) {
         // A shed probe means the shard is busy, not broken — no signal.
       } catch (...) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        record_failure(si, Clock::now());
+        record_failure(si, generation, Clock::now());
       }
     }
   }

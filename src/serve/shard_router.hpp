@@ -20,6 +20,12 @@
 //   kProbation --2 consecutive successes--> kHealthy
 //   kProbation --any failure--> kEjected (backoff doubles, capped)
 //
+// The breaker hears an attempt's outcome only while the shard still runs
+// the server the attempt went to (a per-shard generation, bumped by every
+// kill and restart): work a killed server drains never judges the server
+// that replaced it. The per-shard completed/failed counts take every
+// outcome.
+//
 // Ejected shards take no traffic until their backoff expires. A *dead*
 // shard (killed, or restart factory threw) is additionally marked not
 // alive; when its backoff expires the router rebuilds it through the
@@ -277,6 +283,9 @@ class ShardRouter {
     std::uint64_t failed = 0;
     std::uint64_t kills = 0;
     std::uint64_t restarts = 0;
+    /// Bumped by every kill and restart: the server an attempt went to is
+    /// still this shard's only while the generation it captured matches.
+    std::uint64_t generation = 0;
   };
 
   struct Bucket {
@@ -290,9 +299,13 @@ class ShardRouter {
   bool charge_quota(const std::string& tenant, Clock::time_point now);
   /// Record a health transition and apply it. Lock held.
   void set_health(int shard, ShardHealth to, Clock::time_point now);
-  void record_success(int shard, std::chrono::nanoseconds latency,
-                      Clock::time_point now);
-  void record_failure(int shard, Clock::time_point now);
+  /// Account one attempt's outcome on `shard`. The breaker (EWMAs,
+  /// consecutive failures, probation) only hears it when `generation` is
+  /// still the shard's: an outcome drained from a killed server must not
+  /// judge the server that replaced it. Lock held.
+  void record_success(int shard, std::uint64_t generation,
+                      std::chrono::nanoseconds latency, Clock::time_point now);
+  void record_failure(int shard, std::uint64_t generation, Clock::time_point now);
   /// Start shard `s`'s ejection backoff, or double it (capped at
   /// max_backoff), and eject it until `now` plus the backoff. Lock held.
   void back_off(Shard& s, Clock::time_point now);

@@ -1,14 +1,22 @@
 #include "sim/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 
+#include "common/cpuid.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/calibration.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define LOOM_WORKLOAD_X86 1
+#endif
 
 namespace loom::sim {
 
@@ -23,6 +31,100 @@ constexpr int kWeightGroup = 16;
 /// Cap on weights streamed per layer for group statistics; larger tensors
 /// are sampled with a deterministic stride.
 constexpr std::int64_t kWeightSampleCap = 1 << 21;
+
+/// Weights read from the stream per call when the sampled groups are
+/// contiguous (64 groups).
+constexpr std::int64_t kReadWeights = 64 * kWeightGroup;
+
+/// Running sums of the per-group weight statistics behind
+/// LayerWorkload::weight_stats. Per group: its effective precision (the
+/// widest signed value, needed_bits_signed of the group); its essential
+/// magnitude planes plus one sign pass, where an all-zero group still
+/// spends one cycle (the detector/sequencer granularity); and the
+/// synchronized length a 16-lane sequencer that walks every NAF digit
+/// position present in *any* lane actually spends. Per weight: the NAF
+/// digit count a linear estimate multiplies by.
+struct WeightGroupSums {
+  std::int64_t precision = 0;
+  std::int64_t planes = 0;
+  std::int64_t terms = 0;
+  std::int64_t sync = 0;
+  std::int64_t weights = 0;
+  std::int64_t groups = 0;
+
+  /// Adds a group of `size` weights from the OR of its sign-folded values,
+  /// the OR of its magnitudes and the union of its NAF digit positions.
+  void add_group(std::uint32_t folded, std::uint32_t ored,
+                 std::uint32_t positions, std::int64_t size) {
+    // needed_bits_signed(v) == bit_width(v < 0 ? ~v : v) + 1, so the group
+    // precision follows from one OR of the sign-folded values.
+    precision += std::bit_width(folded) + 1;
+    planes += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+    sync += std::max(1, std::popcount(positions));
+    weights += size;
+    ++groups;
+  }
+};
+
+void add_weight_group(WeightGroupSums& sums, std::span<const Value> group) {
+  std::uint32_t folded = 0;
+  std::uint32_t ored = 0;
+  std::uint32_t positions = 0;
+  for (const std::int32_t v : group) {
+    folded |= static_cast<std::uint32_t>(v ^ (v >> 31));
+    const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
+    ored |= mag;
+    const std::uint32_t p = naf_digits(mag).positions();
+    sums.terms += std::popcount(p);  // plus and minus are disjoint
+    positions |= p;
+  }
+  sums.add_group(folded, ored, positions, static_cast<std::int64_t>(group.size()));
+}
+
+#ifdef LOOM_WORKLOAD_X86
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+/// add_weight_group over every group of `values` (whole groups of 16), one
+/// zmm per group. The per-lane digit count is a nibble-table popcount
+/// (vpshufb) summed by vpsadbw, which needs BW only.
+__attribute__((target("avx512f,avx512bw"))) void add_weight_groups_avx512(
+    WeightGroupSums& sums, std::span<const Value> values) {
+  const __m512i nibble = _mm512_set1_epi8(0x0F);
+  const __m512i nibble_bits =
+      _mm512_set4_epi32(0x04030302, 0x03020201, 0x03020201, 0x02010100);
+  __m512i digits = _mm512_setzero_si512();
+  for (std::size_t i = 0; i < values.size(); i += kWeightGroup) {
+    const __m512i v = _mm512_cvtepi16_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values.data() + i)));
+    const __m512i folded = _mm512_xor_si512(v, _mm512_srai_epi32(v, 31));
+    const __m512i mag = _mm512_abs_epi32(v);
+    // NAF digit positions: (3m ^ m) >> 1.
+    const __m512i positions = _mm512_srli_epi32(
+        _mm512_xor_si512(_mm512_add_epi32(mag, _mm512_slli_epi32(mag, 1)), mag), 1);
+    const __m512i bits = _mm512_add_epi8(
+        _mm512_shuffle_epi8(nibble_bits, _mm512_and_si512(positions, nibble)),
+        _mm512_shuffle_epi8(
+            nibble_bits, _mm512_and_si512(_mm512_srli_epi16(positions, 4), nibble)));
+    digits = _mm512_add_epi64(digits, _mm512_sad_epu8(bits, _mm512_setzero_si512()));
+    // A 16-bit Value folds and takes magnitudes below 2^16, so both ORs
+    // share one reduction.
+    const auto both = static_cast<std::uint32_t>(
+        _mm512_reduce_or_epi32(_mm512_or_si512(folded, _mm512_slli_epi32(mag, 16))));
+    sums.add_group(both & 0xFFFF, both >> 16,
+                   static_cast<std::uint32_t>(_mm512_reduce_or_epi32(positions)),
+                   kWeightGroup);
+  }
+  sums.terms += _mm512_reduce_add_epi64(digits);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif
 
 /// Table-3 target for the effective weight precision of a layer. Conv
 /// layers use the published per-group entry; FC layers (not in Table 3)
@@ -203,55 +305,43 @@ const LayerWorkload::WeightStats& LayerWorkload::weight_stats() {
   const std::int64_t stride =
       std::max<std::int64_t>(1, groups / (kWeightSampleCap / kWeightGroup));
   const nn::SyntheticStream stream(weight_source(), count / stride);
+#ifdef LOOM_WORKLOAD_X86
+  const bool simd = common::have_avx512();
+#endif
 
-  // Per sampled group: its effective precision (the widest signed value,
-  // needed_bits_signed of the group); its essential magnitude planes plus
-  // one sign pass, where an all-zero group still spends one cycle (the
-  // detector/sequencer granularity); the per-weight NAF digit count a
-  // linear estimate multiplies by; and the synchronized group length a
-  // 16-lane sequencer that walks every digit position present in *any* lane
-  // actually spends.
-  std::int64_t precision_sum = 0;
-  std::int64_t planes_sum = 0;
-  std::int64_t term_sum = 0;
-  std::int64_t sync_sum = 0;
-  std::int64_t weights = 0;
-  std::int64_t n = 0;
-  for (std::int64_t g = 0; g < groups; g += stride) {
+  // Contiguous sampled groups are read kReadWeights at a time, strided ones
+  // one group at a time.
+  const std::int64_t run = stride == 1 ? kReadWeights / kWeightGroup : 1;
+  std::array<Value, kReadWeights> values{};
+  WeightGroupSums sums;
+  for (std::int64_t g = 0; g < groups; g += run * stride) {
     const std::int64_t begin = g * kWeightGroup;
-    const std::int64_t end = std::min(begin + kWeightGroup, count);
-    // needed_bits_signed(v) == bit_width(v < 0 ? ~v : v) + 1, so the group
-    // precision follows from one OR of the sign-folded values.
-    std::uint32_t folded = 0;
-    std::uint32_t ored = 0;
-    std::uint32_t union_positions = 0;
-    int terms = 0;
-    for (std::int64_t i = begin; i < end; ++i) {
-      const std::int32_t v = stream.at(static_cast<std::uint64_t>(i));
-      folded |= static_cast<std::uint32_t>(v < 0 ? ~v : v);
-      const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
-      ored |= mag;
-      const NafDigits d = naf_digits(mag);
-      terms += std::popcount(d.positions());  // plus and minus are disjoint
-      union_positions |= d.positions();
+    const auto size =
+        static_cast<std::size_t>(std::min(run * kWeightGroup, count - begin));
+    stream.read(static_cast<std::uint64_t>(begin), std::span(values).first(size));
+    const std::span<const Value> chunk(values.data(), size);
+    std::size_t done = 0;
+#ifdef LOOM_WORKLOAD_X86
+    if (simd) {
+      done = chunk.size() - chunk.size() % kWeightGroup;
+      add_weight_groups_avx512(sums, chunk.first(done));
     }
-    precision_sum += std::bit_width(folded) + 1;
-    planes_sum += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
-    term_sum += terms;
-    sync_sum += std::max(1, std::popcount(union_positions));
-    weights += end - begin;
-    ++n;
+#endif
+    for (; done < chunk.size(); done += kWeightGroup) {
+      add_weight_group(sums, chunk.subspan(done).first(
+                                 std::min<std::size_t>(kWeightGroup, chunk.size() - done)));
+    }
   }
   const auto mean = [](std::int64_t sum, std::int64_t count) {
     return static_cast<double>(sum) / static_cast<double>(count);
   };
   WeightStats stats;
-  stats.effective_precision = mean(precision_sum, n);
-  stats.essential_planes = mean(planes_sum, n);
+  stats.effective_precision = mean(sums.precision, sums.groups);
+  stats.essential_planes = mean(sums.planes, sums.groups);
   // Floor at one sixteenth: even an all-zero group costs the sequencer one
   // cycle, so the per-weight average cannot be meaningfully below 1/16.
-  stats.naf.mean_per_weight = std::max(mean(term_sum, weights), 1.0 / 16.0);
-  stats.naf.synced_per_group = mean(sync_sum, n);
+  stats.naf.mean_per_weight = std::max(mean(sums.terms, sums.weights), 1.0 / 16.0);
+  stats.naf.synced_per_group = mean(sums.sync, sums.groups);
   return weight_stats_.emplace(stats);
 }
 

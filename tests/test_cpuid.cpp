@@ -40,5 +40,19 @@ TEST(Cpuid, EffectiveLevelNeverExceedsHardware) {
   EXPECT_EQ(have_avx512(), simd_level() >= SimdLevel::kAvx512);
 }
 
+TEST(Cpuid, Avx512TierHasEveryExtensionItsKernelsUse) {
+  // F + BW for the GEMM and the weight-statistics popcount, DQ for the
+  // synthetic streams' vpmullq.
+#if defined(__x86_64__) || defined(__i386__)
+  if (hardware_simd_level() >= SimdLevel::kAvx512) {
+    EXPECT_NE(__builtin_cpu_supports("avx512f"), 0);
+    EXPECT_NE(__builtin_cpu_supports("avx512bw"), 0);
+    EXPECT_NE(__builtin_cpu_supports("avx512dq"), 0);
+  }
+#else
+  EXPECT_EQ(hardware_simd_level(), SimdLevel::kScalar);
+#endif
+}
+
 }  // namespace
 }  // namespace loom::common

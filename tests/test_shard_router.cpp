@@ -590,6 +590,82 @@ TEST(ShardRouter, LatencyEwmaTimesOnlyTheServingAttempt) {
       << "wall " << wall.count() << " ms";
 }
 
+// Attempts in flight on a killed shard finish on the old server (the kill
+// drains it) after the shard has been rebuilt. Their outcomes count in the
+// shard's completed total but must not reach the new server's breaker: two
+// stale successes would otherwise readmit it from probation and charge it
+// the old server's latency.
+TEST(ShardRouter, OutcomesFromAKilledServerSkipItsReplacementsBreaker) {
+  const auto registry = populate();
+  const auto expected = solo_outputs(*registry, 4);
+  constexpr int kShard = 0;
+  constexpr int kInFlight = 2;
+
+  RouterOptions opts;
+  opts.shards = 2;
+  opts.shard.workers = kInFlight;
+  opts.shard.max_batch = 1;
+  opts.shard.engine.jobs = 1;
+  opts.attempt_timeout = std::chrono::microseconds(5'000'000);
+  // The first server of shard kShard sleeps before every batch, so its
+  // attempts are still running when the rebuilt server takes over.
+  FaultPlan slow;
+  slow.batcher_delay_prob = 1.0;
+  slow.batcher_delay = std::chrono::microseconds(400'000);
+  std::atomic<int> builds{0};
+  const ShardFactory plain = faulty_shard_factory(registry, opts.shard, -1, {});
+  const ShardFactory first_slow =
+      faulty_shard_factory(registry, opts.shard, kShard, slow);
+  ShardRouter router(
+      [&](const ShardContext& ctx) {
+        return ctx.shard == kShard && builds++ == 0 ? first_slow(ctx) : plain(ctx);
+      },
+      opts);
+
+  const auto model = registry->find("convnet");
+  const RouteOptions ropts{.tenant = tenant_with_primary(router, kShard)};
+  std::vector<std::thread> clients;
+  std::vector<InferenceResult> stale(kInFlight);
+  for (int i = 0; i < kInFlight; ++i) {
+    clients.emplace_back([&, i] {
+      stale[static_cast<std::size_t>(i)] =
+          router.submit("convnet", model->make_input(kInputSeed, i), ropts);
+    });
+  }
+  while (router.stats().shards[kShard].server.submitted < kInFlight) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread killer([&] { router.kill_shard(kShard); });
+  while (router.stats().shards[kShard].alive) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(router.restart_shard(kShard));
+  killer.join();
+  for (std::thread& c : clients) c.join();
+  for (int i = 0; i < kInFlight; ++i) {
+    EXPECT_EQ(stale[static_cast<std::size_t>(i)].shard, kShard);
+    EXPECT_EQ(stale[static_cast<std::size_t>(i)].output,
+              (expected.at({"convnet", i})));
+  }
+
+  RouterStats stats = router.stats();
+  EXPECT_EQ(stats.shards[kShard].completed, static_cast<std::uint64_t>(kInFlight));
+  EXPECT_EQ(stats.shards[kShard].health, ShardHealth::kProbation);
+  EXPECT_EQ(stats.shards[kShard].latency_ewma_ms, 0.0);
+  EXPECT_EQ(stats.shards[kShard].error_ewma, 0.0);
+
+  // The new server's own two successes readmit it.
+  for (int i = kInFlight; i < kInFlight + 2; ++i) {
+    const InferenceResult r =
+        router.submit("convnet", model->make_input(kInputSeed, i), ropts);
+    EXPECT_EQ(r.shard, kShard);
+    EXPECT_EQ(r.output, (expected.at({"convnet", i})));
+  }
+  stats = router.stats();
+  EXPECT_EQ(stats.shards[kShard].health, ShardHealth::kHealthy);
+  EXPECT_GT(stats.shards[kShard].latency_ewma_ms, 0.0);
+}
+
 // A shard whose error EWMA passes 0.5 without 3 failures in a row and
 // without reaching 0.9 stays healthy: the breaker has three states, and a
 // shard is either serving its keys or ejected.

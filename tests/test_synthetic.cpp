@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "golden.hpp"
@@ -130,6 +131,53 @@ TEST(SyntheticSource, TabulatedValuesMatchPowReference) {
       }
     }
   }
+}
+
+TEST(SyntheticStream, BulkReadMatchesAt) {
+  // read() must equal at() value for value over the pow-reference spec
+  // grid. The grid reaches both kinds of AVX-512 lane: at p = 16, alpha = 1
+  // every bucket holds a threshold's guard band (dirty, scalar fallback),
+  // and at p <= 8 almost every bucket is clean (one gather). Unaligned
+  // begins and odd lengths exercise the scalar tail, and the last begin
+  // makes the index wrap past 2^64 inside the read.
+  const double alphas[] = {1.0,  1.0 + 0x1.0p-40, 1.5,   2.0,   3.0,    5.0, 10.0,
+                           30.0, 46.0,            100.0, 109.0, 1000.0, 8.9e6};
+  const std::uint64_t begins[] = {0, 3, 1000001, ~std::uint64_t{0} - 1000};
+  const std::size_t lengths[] = {0, 1, 15, 16, 17, 47, 2053};
+  std::vector<Value> out;
+  std::uint64_t stream = 0;
+  for (const bool is_signed : {false, true}) {
+    for (int p = 1; p <= 16; ++p) {
+      for (const double alpha : alphas) {
+        for (const double zero_fraction : {0.0, 0.45}) {
+          const SyntheticSpec spec{.precision = p, .alpha = alpha,
+                                   .is_signed = is_signed,
+                                   .zero_fraction = zero_fraction};
+          const SyntheticStream bulk(SyntheticSource(23, ++stream, spec),
+                                     std::int64_t{1} << 40);
+          ASSERT_TRUE(bulk.tabulated());
+          for (const std::uint64_t begin : begins) {
+            for (const std::size_t length : lengths) {
+              out.assign(length, Value{0x5A5A});
+              bulk.read(begin, out);
+              for (std::size_t i = 0; i < length; ++i) {
+                ASSERT_EQ(out[i], bulk.at(begin + i))
+                    << "p=" << p << " signed=" << is_signed << " alpha=" << alpha
+                    << " zf=" << zero_fraction << " begin " << begin << " + " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // An untabulated stream reads through the source.
+  const SyntheticSource src(3, 4, SyntheticSpec{.precision = 16, .alpha = 3.0});
+  const SyntheticStream short_stream(src, 100);
+  ASSERT_FALSE(short_stream.tabulated());
+  out.assign(100, 0);
+  short_stream.read(7, out);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], src.at(7 + i));
 }
 
 TEST(SyntheticSource, ShortStreamsSkipTheTable) {

@@ -106,6 +106,55 @@ TEST(Workload, EffectiveWeightPrecisionBelowProfile) {
   EXPECT_NEAR(eff, 8.5, 0.5);
 }
 
+/// The weight statistics of every `stride`-th 16-weight group of `source`,
+/// one value at a time through SyntheticSource::at.
+struct NaiveWeightStats {
+  double precision = 0.0;
+  double planes = 0.0;
+  double mean_per_weight = 0.0;
+  double synced_per_group = 0.0;
+};
+
+NaiveWeightStats naive_weight_stats(const nn::SyntheticSource& source,
+                                    std::int64_t count, std::int64_t stride) {
+  std::int64_t precision = 0;
+  std::int64_t planes = 0;
+  std::int64_t terms = 0;
+  std::int64_t synced = 0;
+  std::int64_t sampled = 0;
+  std::int64_t weights = 0;
+  for (std::int64_t g = 0; g < ceil_div(count, 16); g += stride, ++sampled) {
+    int p = 1;
+    std::uint32_t ored = 0;
+    std::uint32_t positions = 0;
+    for (std::int64_t i = g * 16; i < std::min((g + 1) * 16, count);
+         ++i, ++weights) {
+      const Value v = source.at(static_cast<std::uint64_t>(i));
+      p = std::max(p, needed_bits_signed(v));
+      const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
+      ored |= mag;
+      terms += std::popcount(naf_digits(mag).positions());
+      positions |= naf_digits(mag).positions();
+    }
+    precision += p;
+    planes += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+    synced += std::max(1, std::popcount(positions));
+  }
+  const auto mean = [](std::int64_t sum, std::int64_t n) {
+    return static_cast<double>(sum) / static_cast<double>(n);
+  };
+  return {mean(precision, sampled), mean(planes, sampled),
+          std::max(mean(terms, weights), 1.0 / 16.0), mean(synced, sampled)};
+}
+
+void expect_naive_weight_stats(LayerWorkload& lw, const NaiveWeightStats& naive) {
+  EXPECT_EQ(lw.effective_weight_precision(), naive.precision);
+  EXPECT_EQ(lw.essential_weight_planes(), naive.planes);
+  const LayerWorkload::WeightTermStats naf = lw.naf_weight_terms();
+  EXPECT_EQ(naf.mean_per_weight, naive.mean_per_weight);
+  EXPECT_EQ(naf.synced_per_group, naive.synced_per_group);
+}
+
 TEST(Workload, WeightStatsMatchNaiveGroupLoopsWhenSampled) {
   // 1024 x 4096 FC weights: 262,144 groups of 16, twice the 2^21-weight
   // sampling cap, so the one weight-statistics pass reads every 2nd group.
@@ -129,33 +178,24 @@ TEST(Workload, WeightStatsMatchNaiveGroupLoopsWhenSampled) {
             quant::weight_group_stats(source, count, 16,
                                       static_cast<int>(stride))
                 .mean);
+  expect_naive_weight_stats(lw, naive_weight_stats(source, count, stride));
+}
 
-  std::int64_t planes = 0;
-  std::int64_t terms = 0;
-  std::int64_t synced = 0;
-  std::int64_t sampled = 0;
-  std::int64_t weights = 0;
-  for (std::int64_t g = 0; g < groups; g += stride, ++sampled) {
-    std::uint32_t ored = 0;
-    std::uint32_t positions = 0;
-    for (std::int64_t i = g * 16; i < std::min((g + 1) * 16, count);
-         ++i, ++weights) {
-      const Value v = source.at(static_cast<std::uint64_t>(i));
-      const auto mag = static_cast<std::uint32_t>(v < 0 ? -v : v);
-      ored |= mag;
-      terms += std::popcount(naf_digits(mag).positions());
-      positions |= naf_digits(mag).positions();
-    }
-    planes += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
-    synced += std::max(1, std::popcount(positions));
-  }
-  const auto mean = [](std::int64_t sum, std::int64_t n) {
-    return static_cast<double>(sum) / static_cast<double>(n);
-  };
-  EXPECT_EQ(lw.essential_weight_planes(), mean(planes, sampled));
-  const LayerWorkload::WeightTermStats naf = lw.naf_weight_terms();
-  EXPECT_EQ(naf.mean_per_weight, std::max(mean(terms, weights), 1.0 / 16.0));
-  EXPECT_EQ(naf.synced_per_group, mean(synced, sampled));
+TEST(Workload, WeightStatsMatchNaiveGroupLoopsOnPartialGroup) {
+  // 77 x 103 FC weights: 7931 = 495 groups of 16 plus one of 11, long
+  // enough for the tabulated stream, read whole (stride 1).
+  nn::Network net("custom", nn::Shape3{77, 1, 1});
+  net.add_fc("odd", 103);
+  const quant::PrecisionProfile profile = custom_profile();
+  quant::apply_profile(net, profile);
+  const std::int64_t count = net.layer(0).weight_count();
+  ASSERT_EQ(count % 16, 11);
+  NetworkWorkload wl(std::move(net), profile);
+  const nn::SyntheticSource source(
+      1, nn::weight_stream(0),
+      quant::calibrated_spec_cached(9, /*is_signed=*/true, 0.0, 16, 0.85 * 9));
+  ASSERT_TRUE(nn::SyntheticStream(source, count).tabulated());
+  expect_naive_weight_stats(wl.layer(0), naive_weight_stats(source, count, 1));
 }
 
 TEST(Workload, HonestPrecisionAtLeastMean) {
