@@ -191,6 +191,13 @@ void LayerWorkload::ensure_planes() {
   }
 }
 
+nn::SyntheticSpec LayerWorkload::input_spec() {
+  LOOM_EXPECTS(layer_.kind == nn::LayerKind::kConv);
+  const std::lock_guard<std::shared_mutex> lock(memo_mutex_);
+  ensure_group_calibrated();
+  return act_spec_;
+}
+
 void LayerWorkload::ensure_group_calibrated() {
   if (group_calibrated_) return;
   group_calibrated_ = true;

@@ -145,6 +145,13 @@ class LayerWorkload {
     return layer_.weight_precision;
   }
 
+  /// The layer's calibrated weight stream (Table 3 target precision).
+  [[nodiscard]] nn::SyntheticSource weight_source() const;
+
+  /// Conv layers: the input-activation distribution, calibrated on first
+  /// use to the layer's own detection groups. Thread-safe.
+  [[nodiscard]] nn::SyntheticSpec input_spec();
+
   /// Precision at which this layer's *output* activations are stored (the
   /// consumer layer's profile precision; 16 when unknown).
   int out_precision = kBasePrecision;
@@ -168,8 +175,6 @@ class LayerWorkload {
     std::vector<std::uint8_t> terms;
   };
 
-  /// The layer's calibrated weight stream (Table 3 target precision).
-  [[nodiscard]] nn::SyntheticSource weight_source() const;
   /// The memoized weight-group statistics; the first call streams the
   /// sampled groups once under weight_mutex_.
   [[nodiscard]] const WeightStats& weight_stats();

@@ -279,5 +279,81 @@ TEST(Workload, PaperNetworkWeightStatsArePinned) {
   }
 }
 
+TEST(Workload, CalibratedAlphasArePinned) {
+  // Every alpha the six paper networks calibrate at both accuracy targets
+  // (seed 1): each weighted layer's weight spec (calibrated_spec_cached on
+  // its Table 3 target) and each conv layer's input spec (bisected on the
+  // layer's own detection groups). Captured before the sorted-threshold
+  // calibration; the digests hash (target, layer, alpha bits) in layer
+  // order.
+  struct Pin {
+    const char* network;
+    std::uint64_t digest;
+  };
+  for (const Pin pin : {Pin{"nin", 0x7b23b971f8621ba9ull},
+                        Pin{"alexnet", 0xdaa5772e7146f6caull},
+                        Pin{"googlenet", 0x04e59016fbc80dd8ull},
+                        Pin{"vggs", 0x7758cf12cb57cd8aull},
+                        Pin{"vggm", 0x1361af994208b353ull},
+                        Pin{"vgg19", 0x7c348ed29f2d42d2ull}}) {
+    golden::Fnv fnv;
+    for (const auto target :
+         {quant::AccuracyTarget::k100, quant::AccuracyTarget::k99}) {
+      auto wl = prepare_network(pin.network, target, {});
+      for (std::size_t i = 0; i < wl->network().size(); ++i) {
+        const nn::Layer& layer = wl->network().layer(i);
+        LayerWorkload& lw = wl->layer(i);
+        fnv.u64(static_cast<std::uint64_t>(target));
+        fnv.u64(i);
+        if (layer.has_weights() && layer.weight_count() > 0) {
+          fnv.f64(lw.weight_source().spec().alpha);
+        }
+        if (layer.kind == nn::LayerKind::kConv) fnv.f64(lw.input_spec().alpha);
+      }
+    }
+    EXPECT_EQ(fnv.h, pin.digest) << pin.network << " 0x" << std::hex << fnv.h;
+  }
+  // A few alphas as literals, to read off which side moved.
+  auto alexnet = prepare_network("alexnet", quant::AccuracyTarget::k100, {});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                alexnet->layer(0).weight_source().spec().alpha),
+            0x4041a027d11eb597ull)
+      << alexnet->layer(0).weight_source().spec().alpha;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(alexnet->layer(0).input_spec().alpha),
+            0x4061fb1a58ef7853ull)
+      << alexnet->layer(0).input_spec().alpha;
+}
+
+TEST(Workload, RegistryInputAlphasArePinned) {
+  // The input spec ModelRegistry::add_synthetic calibrates for a network:
+  // its first conv layer's precision and activation trim over generic
+  // 256-value groups with 45% zeros. Six paper networks (100% profiles)
+  // plus the serving tests' small convnet, captured before the
+  // sorted-threshold calibration.
+  golden::Fnv fnv;
+  for (const char* name :
+       {"nin", "alexnet", "googlenet", "vggs", "vggm", "vgg19"}) {
+    nn::Network net = nn::zoo::make(name);
+    const quant::PrecisionProfile& profile =
+        quant::profile_for(name, quant::AccuracyTarget::k100);
+    quant::apply_profile(net, profile);
+    for (const auto& l : net.layers()) {
+      if (l.kind != nn::LayerKind::kConv) continue;
+      const double target = std::max(
+          1.0, static_cast<double>(l.act_precision) - profile.dynamic_act_trim);
+      fnv.f64(quant::calibrated_spec_cached(l.act_precision, false, 0.45, 256,
+                                            target)
+                  .alpha);
+      break;
+    }
+  }
+  EXPECT_EQ(fnv.h, 0x131c41a4a71e6c96ull) << "0x" << std::hex << fnv.h;
+  // convnet: Pa 8, no trim.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                quant::calibrated_spec_cached(8, false, 0.45, 256, 8.0).alpha),
+            0x3ff0000000000000ull)
+      << quant::calibrated_spec_cached(8, false, 0.45, 256, 8.0).alpha;
+}
+
 }  // namespace
 }  // namespace loom::sim
