@@ -14,6 +14,16 @@
 
 namespace loom::nn {
 
+namespace {
+
+/// The zero gate k * 2^-10 < zero_fraction holds iff k < ceil(zero_fraction
+/// * 2^10): the scaling is exact. Returns the smallest k that keeps a value.
+std::uint64_t first_live_gate(double zero_fraction) {
+  return static_cast<std::uint64_t>(std::ceil(zero_fraction * 0x1.0p10));
+}
+
+}  // namespace
+
 #ifdef LOOM_SYNTHETIC_X86
 namespace {
 
@@ -91,6 +101,48 @@ __attribute__((target("avx512f,avx512dq"))) std::size_t read_avx512(
   return n;
 }
 
+/// SyntheticSource::max_draws at 16 draws per step: the zero gate and the
+/// sign become lane masks and each group reduces with vpmaxuq.
+__attribute__((target("avx512f,avx512dq"))) void max_draws_avx512(
+    std::uint64_t key, std::uint64_t live_from, bool is_signed,
+    std::uint64_t begin, int group_size,
+    std::span<SyntheticSource::MaxDraws> out) {
+  const __m512i key_v = _mm512_set1_epi64(static_cast<long long>(key));
+  const __m512i lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i eight = _mm512_set1_epi64(8);
+  const __m512i gate_mask = _mm512_set1_epi64(0x3FF);
+  const __m512i live_v = _mm512_set1_epi64(static_cast<long long>(live_from));
+  const __m512i sign_v = _mm512_set1_epi64(is_signed ? 1 : 0);
+  // The first n lanes of a step; n may be negative or past 8.
+  const auto first_lanes = [](int n) {
+    return static_cast<__mmask8>(n >= 8 ? 0xFF : n <= 0 ? 0 : (1u << n) - 1);
+  };
+  std::uint64_t index = begin + CounterRng::kIndexSalt;
+  for (SyntheticSource::MaxDraws& group : out) {
+    __m512i pos = _mm512_setzero_si512();
+    __m512i neg = _mm512_setzero_si512();
+    for (int i = 0; i < group_size; i += 16) {
+      const __m512i at = _mm512_add_epi64(
+          _mm512_set1_epi64(static_cast<long long>(index + static_cast<std::uint64_t>(i))),
+          lanes);
+      for (int half = 0; half < 2; ++half) {
+        const __m512i raw = mix64_x8(_mm512_xor_si512(
+            key_v, half == 0 ? at : _mm512_add_epi64(at, eight)));
+        const __m512i r = _mm512_srli_epi64(raw, 11);
+        const __mmask8 live =
+            first_lanes(group_size - i - 8 * half) &
+            _mm512_cmpge_epu64_mask(
+                _mm512_and_si512(_mm512_srli_epi64(raw, 1), gate_mask), live_v);
+        const __mmask8 negative = _mm512_test_epi64_mask(raw, sign_v);
+        pos = _mm512_mask_max_epu64(pos, live & static_cast<__mmask8>(~negative), pos, r);
+        neg = _mm512_mask_max_epu64(neg, live & negative, neg, r);
+      }
+    }
+    group = {_mm512_reduce_max_epu64(pos), _mm512_reduce_max_epu64(neg)};
+    index += static_cast<std::uint64_t>(group_size);
+  }
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -128,13 +180,26 @@ SyntheticSource::Draw SyntheticSource::draw(std::uint64_t index) const noexcept 
   const double zgate = static_cast<double>((raw >> 1) & 0x3FF) * 0x1.0p-10;
   // Branch-free: the gate fires at random on zero_fraction of the draws, so
   // a branch here mispredicts and roughly doubles the cost of a draw.
-  // `live` is all ones for a live value; a dead one scales -2^53 to -1.0.
-  const std::int64_t live =
-      -static_cast<std::int64_t>(!(zgate < spec_.zero_fraction));
-  const std::int64_t scaled = (static_cast<std::int64_t>(raw >> 11) & live) |
-                              (-(std::int64_t{1} << 53) & ~live);
-  return {static_cast<double>(scaled) * 0x1.0p-53,
-          spec_.is_signed && (static_cast<std::int64_t>(raw) & live & 1) != 0};
+  // `live` is all ones for a live value.
+  const std::uint64_t live =
+      0 - static_cast<std::uint64_t>(!(zgate < spec_.zero_fraction));
+  return {(raw >> 11) & live, spec_.is_signed && (raw & live & 1) != 0};
+}
+
+void SyntheticSource::max_draws(std::uint64_t begin, int group_size,
+                                std::span<MaxDraws> out) const {
+  LOOM_EXPECTS(group_size > 0);
+#ifdef LOOM_SYNTHETIC_X86
+  if (common::have_avx512()) {
+    max_draws_avx512(rng_.key(), first_live_gate(spec_.zero_fraction),
+                     spec_.is_signed, begin, group_size, out);
+    return;
+  }
+#endif
+  for (MaxDraws& group : out) {
+    group = {};
+    for (int i = 0; i < group_size; ++i) group.add(draw(begin++));
+  }
 }
 
 Value SyntheticSource::magnitude_for_draw(double u) const noexcept {
@@ -146,25 +211,27 @@ Value SyntheticSource::magnitude_for_draw(double u) const noexcept {
   return static_cast<Value>(mag);
 }
 
+SyntheticSource::Band SyntheticSource::threshold_band(int m) const noexcept {
+  // max+1 is a power of two, so m / (max+1) is exact.
+  const double t = std::pow(static_cast<double>(m) /
+                                static_cast<double>(max_magnitude_ + 1),
+                            1.0 / spec_.alpha) *
+                   0x1.0p53;
+  return {static_cast<std::uint64_t>(std::floor(t * (1.0 - 0x1.0p-30))),
+          static_cast<std::uint64_t>(std::ceil(t * (1.0 + 0x1.0p-30)))};
+}
+
 SyntheticStream::SyntheticStream(const SyntheticSource& source, std::int64_t count)
     : source_(source) {
   const int max = source.max_magnitude();
   if (count < kMinTabulatedCount + 2 * static_cast<std::int64_t>(max)) return;
-  const SyntheticSpec& spec = source.spec();
-  // The gate k * 2^-10 < zero_fraction holds iff k < ceil(zero_fraction *
-  // 2^10): the scaling is exact.
-  live_from_ = static_cast<std::uint64_t>(std::ceil(spec.zero_fraction * 0x1.0p10));
-  sign_bit_ = spec.is_signed ? 1 : 0;
+  live_from_ = first_live_gate(source.spec().zero_fraction);
+  sign_bit_ = source.spec().is_signed ? 1 : 0;
 
   const auto thresholds = static_cast<std::size_t>(max);
   bands_.resize(thresholds + 2);
-  // max+1 is a power of two, so m / (max+1) is exact.
-  const double step = 1.0 / static_cast<double>(max + 1);
-  const double inv_alpha = 1.0 / spec.alpha;
   for (std::size_t m = 1; m <= thresholds; ++m) {
-    const double t = std::pow(static_cast<double>(m) * step, inv_alpha) * 0x1.0p53;
-    bands_[m] = {static_cast<std::uint64_t>(std::floor(t * (1.0 - 0x1.0p-30))),
-                 static_cast<std::uint64_t>(std::ceil(t * (1.0 + 0x1.0p-30)))};
+    bands_[m] = source.threshold_band(static_cast<int>(m));
   }
   // Sorted band edges keep the count exact where pow's rounding inverts two
   // neighbours (alpha far above 2^36 makes them equal to within an ulp):

@@ -10,6 +10,7 @@
 // are streamed rather than stored.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,14 +46,35 @@ class SyntheticSource {
 
   /// The random state behind one element, before alpha shapes it.
   struct Draw {
-    double u = -1.0;        ///< uniform in [0, 1), or -1.0 when the zero gate fires
+    std::uint64_t r = 0;    ///< 53-bit draw (u = r * 2^-53); 0 when the zero gate fires
     bool negative = false;  ///< sign of a live value (always false when unsigned)
   };
 
   /// Draw behind element `index`. It depends only on (seed, stream, index,
   /// zero_fraction, is_signed) — not on alpha — and `at(index)` equals
-  /// `(negative ? -1 : 1) * magnitude_for_draw(u)`.
+  /// `(negative ? -1 : 1) * magnitude_for_draw(r * 2^-53)`.
   [[nodiscard]] Draw draw(std::uint64_t index) const noexcept;
+
+  /// Largest draws of a group of elements: behind a positive value and
+  /// behind a negative one (0 when there is none; a zero-gated value draws
+  /// 0, which maps to magnitude 0 like a missing value).
+  struct MaxDraws {
+    std::uint64_t pos = 0;
+    std::uint64_t neg = 0;
+
+    /// Folds one draw in (branch-free: the sign is random).
+    void add(const Draw& d) noexcept {
+      const std::uint64_t neg_mask = 0 - static_cast<std::uint64_t>(d.negative);
+      pos = std::max(pos, d.r & ~neg_mask);
+      neg = std::max(neg, d.r & neg_mask);
+    }
+  };
+
+  /// `out[g]` takes the max draws of elements `begin + g * group_size` up to
+  /// the next group's first (indices wrap modulo 2^64). At the AVX-512 tier
+  /// 16 draws are taken per step; every tier gives the same result as
+  /// folding `draw(i)` one element at a time.
+  void max_draws(std::uint64_t begin, int group_size, std::span<MaxDraws> out) const;
 
   /// Magnitude the source emits for uniform draw `u` under the current
   /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). Calibration
@@ -62,6 +84,32 @@ class SyntheticSource {
 
   /// Largest magnitude the source can emit.
   [[nodiscard]] int max_magnitude() const noexcept { return max_magnitude_; }
+
+  /// A threshold's guard band: every draw r < lo stays below the magnitude,
+  /// every r >= hi reaches it, and a draw in between must ask
+  /// magnitude_for_draw.
+  struct Band {
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+
+  /// Guard band of magnitude m, 1 <= m <= max_magnitude(); one `pow`.
+  ///
+  /// For the 53-bit draw r (u = r * 2^-53) the source emits min(max,
+  /// floor((max+1) * u^alpha)), monotone in r: the magnitude reaches m from
+  /// the threshold t_m = (m/(max+1))^(1/alpha) * 2^53 on. Write r = t_m *
+  /// (1 + e). For alpha >= 1 the real value (max+1) * u^alpha = m * (1 +
+  /// e)^alpha lies at least m|e| >= |e| from m. The reference's pow errs
+  /// below one ulp and the product by the power of two max+1 is exact, so
+  /// it errs below 2^-52 * 2^16 = 2^-36 absolute; the computed threshold
+  /// errs below 2^-47 relative (pow, plus the rounding of 1/alpha times
+  /// |ln(m/(max+1))| <= 16 ln 2). Outside t_m * (1 -+ 2^-30), rounded
+  /// outward to whole draws, the reference's floor therefore agrees with
+  /// the comparison against t_m. Bands are at least 2^-30 * t_1 >= 2^7
+  /// draws wide. SyntheticStream tabulates every threshold's band;
+  /// quant::MaxDrawSample counts sorted max draws against the 2^k and 2^k+1
+  /// thresholds.
+  [[nodiscard]] Band threshold_band(int m) const noexcept;
 
  private:
   friend class SyntheticStream;
@@ -74,24 +122,13 @@ class SyntheticSource {
 /// Bulk reader of a SyntheticSource: `at(index)` equals `source.at(index)`
 /// bit for bit, without a `pow` per value.
 ///
-/// The threshold table. For the 53-bit draw r (u = r * 2^-53) the source
-/// emits min(max, floor((max+1) * u^alpha)), monotone in r: the magnitude is
-/// the number of thresholds t_m = (m/(max+1))^(1/alpha) * 2^53, m = 1..max,
-/// at or below r. A bucket on the top 16 bits of r stores the count at the
-/// bucket's start, and two branch-free compares against the next thresholds
-/// finish the count.
-///
-/// The guard band. Write r = t_m * (1 + e). For alpha >= 1 the real value
-/// (max+1) * u^alpha = m * (1 + e)^alpha lies at least m|e| >= |e| from m.
-/// The reference's pow errs below one ulp and the product by the power of
-/// two max+1 is exact, so it errs below 2^-52 * 2^16 = 2^-36 absolute; the
-/// computed thresholds err below 2^-47 relative (pow, plus the rounding of
-/// 1/alpha times |ln(m/(max+1))| <= 16 ln 2). Outside t_m * (1 -+ 2^-30),
-/// rounded outward to whole draws, the reference's floor therefore agrees
-/// with the comparison against t_m. A draw inside a band, or past more
-/// thresholds than two compares reach, falls back to magnitude_for_draw.
-/// Bands are at least 2^-30 * t_1 >= 2^7 draws wide, and the fallback is
-/// rare except where alpha packs thresholds tighter than a band.
+/// The threshold table. The magnitude of the 53-bit draw r is the number of
+/// thresholds t_m, m = 1..max, at or below r (SyntheticSource::
+/// threshold_band). A bucket on the top 16 bits of r stores the count at
+/// the bucket's start, and two branch-free compares against the next bands
+/// finish the count. A draw inside a band, or past more thresholds than two
+/// compares reach, falls back to magnitude_for_draw; the fallback is rare
+/// except where alpha packs thresholds tighter than a band.
 ///
 /// Clean buckets. A bucket that no band overlaps is clean: every draw r in
 /// it lies outside every band, so r >= hi_m exactly when the bucket's start
@@ -154,12 +191,7 @@ class SyntheticStream {
   /// Table entry flag: a guard band overlaps the bucket.
   static constexpr std::uint32_t kDirty = std::uint32_t{1} << 16;
 
-  /// Threshold m's guard band: below `lo` the magnitude is < m, from `hi`
-  /// on it is >= m.
-  struct Band {
-    std::uint64_t lo;
-    std::uint64_t hi;
-  };
+  using Band = SyntheticSource::Band;
 
   SyntheticSource source_;
   std::uint64_t live_from_ = 0;  ///< smallest zero-gate field that keeps a value

@@ -1,14 +1,15 @@
 #include "quant/calibration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <future>
 #include <map>
 #include <mutex>
 #include <tuple>
+#include <utility>
 
-#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "quant/group_precision.hpp"
 
@@ -27,41 +28,120 @@ nn::SyntheticSource sample_source(const nn::SyntheticSpec& spec,
   return {opts.seed, stream, spec};
 }
 
+/// `items` sorted by the 53-bit draw `key(item)`: a least-significant-digit
+/// radix sort on the top 24 bits (three 8-bit passes), then an insertion
+/// sort for the few items those bits do not order. A comparison sort costs
+/// several times more: max draws crowd toward the top of the range.
+template <class T, class Key>
+std::vector<T> sorted_by_draw(std::vector<T> items, Key key) {
+  constexpr int kDigits = 3;
+  constexpr int kLowShift = 53 - 8 * kDigits;
+  const auto digit = [&](const T& x, int d) {
+    return static_cast<std::size_t>((key(x) >> (kLowShift + 8 * d)) & 0xFF);
+  };
+  std::array<std::array<std::uint32_t, 256>, kDigits> offset{};
+  for (const T& x : items) {
+    for (int d = 0; d < kDigits; ++d) ++offset[d][digit(x, d)];
+  }
+  std::vector<T> other(items.size());
+  for (int d = 0; d < kDigits; ++d) {
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : offset[d]) sum += std::exchange(c, sum);
+    for (const T& x : items) other[offset[d][digit(x, d)]++] = x;
+    items.swap(other);
+  }
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    const T x = items[i];
+    std::size_t j = i;
+    for (; j > 0 && key(x) < key(items[j - 1]); --j) items[j] = items[j - 1];
+    items[j] = x;
+  }
+  return items;
+}
+
+constexpr auto draw_of = [](std::uint64_t r) { return r; };
+constexpr auto neg_draw_of = [](const MaxDrawSample::Group& g) { return g.neg; };
+
+/// Magnitude threshold m of one bisection step with its guard band.
+class Threshold {
+ public:
+  Threshold(const nn::SyntheticSource& src, int m)
+      : src_(src),
+        m_(m),
+        // No draw reaches a magnitude above max: an empty band past them all.
+        band_(m <= src.max_magnitude()
+                  ? src.threshold_band(m)
+                  : nn::SyntheticSource::Band{~std::uint64_t{0}, ~std::uint64_t{0}}) {}
+
+  [[nodiscard]] bool reached_by(std::uint64_t r) const noexcept {
+    if (r >= band_.hi) return true;
+    if (r < band_.lo) return false;
+    // Unsigned 16-bit magnitudes wrap through Value; the cast restores them.
+    return static_cast<std::uint16_t>(
+               src_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53)) >= m_;
+  }
+
+  /// Index of the first item, in order of the draw `key(item)`, whose draw
+  /// reaches m.
+  template <class T, class Key>
+  [[nodiscard]] std::size_t first_in(const std::vector<T>& sorted, Key key) const {
+    const auto below = [&](const T& x, std::uint64_t r) { return key(x) < r; };
+    const auto lo = std::lower_bound(sorted.begin(), sorted.end(), band_.lo, below);
+    const auto hi = std::lower_bound(lo, sorted.end(), band_.hi, below);
+    return static_cast<std::size_t>(
+        std::partition_point(lo, hi, [&](const T& x) { return !reached_by(key(x)); }) -
+        sorted.begin());
+  }
+
+ private:
+  const nn::SyntheticSource& src_;
+  int m_;
+  nn::SyntheticSource::Band band_;
+};
+
 }  // namespace
 
-void MaxDrawSample::reserve(std::size_t groups) { groups_.reserve(groups); }
-
-void MaxDrawSample::open_group() { groups_.push_back({-1.0, -1.0}); }
+MaxDrawSample::MaxDrawSample(bool is_signed, std::span<const Group> groups)
+    : is_signed_(is_signed), group_count_(groups.size()) {
+  // Branch-free split: which side leads is random.
+  std::vector<std::uint64_t> pos_led(groups.size());
+  neg_led_.resize(groups.size());
+  std::size_t pos_count = 0;
+  std::size_t neg_count = 0;
+  for (const Group& g : groups) {
+    const bool led = !is_signed || g.pos >= g.neg;
+    pos_led[pos_count] = g.pos;
+    neg_led_[neg_count] = g;
+    pos_count += led ? 1 : 0;
+    neg_count += led ? 0 : 1;
+  }
+  pos_led.resize(pos_count);
+  neg_led_.resize(neg_count);
+  pos_led_ = sorted_by_draw(std::move(pos_led), draw_of);
+  neg_led_ = sorted_by_draw(std::move(neg_led_), neg_draw_of);
+}
 
 double MaxDrawSample::mean_precision(const nn::SyntheticSource& src) const {
   LOOM_EXPECTS(src.spec().is_signed == is_signed_);
-  double sum = 0.0;
-  for (const auto& [pos, neg] : groups_) {
-    if (!is_signed_) {
-      // Unsigned 16-bit magnitudes wrap through Value; the uint16 cast
-      // restores them, as the scan's OR does.
-      sum += needed_bits_unsigned(
-          static_cast<std::uint16_t>(src.magnitude_for_draw(pos)));
-      continue;
+  if (group_count_ == 0) return 0.0;
+  // Every group's precision is 1 plus its count of thresholds passed.
+  auto sum = static_cast<std::int64_t>(group_count_);
+  const int max = src.max_magnitude();
+  for (int k = is_signed_ ? 0 : 1; (1 << k) <= max; ++k) {
+    const Threshold power(src, 1 << k);
+    sum += static_cast<std::int64_t>(pos_led_.size() - power.first_in(pos_led_, draw_of));
+    if (!is_signed_) continue;
+    const Threshold above(src, (1 << k) + 1);
+    const std::size_t end = above.first_in(neg_led_, neg_draw_of);
+    sum += static_cast<std::int64_t>(neg_led_.size() - end);
+    // -2^k needs one bit less than 2^k: a group whose negative magnitude is
+    // exactly 2^k still widens when its positive one is 2^k too.
+    for (std::size_t i = power.first_in(neg_led_, neg_draw_of); i < end; ++i) {
+      sum += power.reached_by(neg_led_[i].pos) ? 1 : 0;
     }
-    // One pow decides most groups. A larger draw has a larger magnitude and
-    // nbs(m) >= nbs(-m), so a positive max draw at least as large as the
-    // negative one decides alone. Otherwise the negative magnitude n
-    // decides, except when n is 0 or a power of two: -2^k needs one bit
-    // less than 2^k, so an equal positive magnitude can still widen it.
-    int p = 0;
-    if (pos >= neg) {
-      p = needed_bits_signed(src.magnitude_for_draw(pos));
-    } else {
-      const std::int32_t n = src.magnitude_for_draw(neg);
-      p = needed_bits_signed(-n);
-      if ((n & (n - 1)) == 0) {
-        p = std::max(p, needed_bits_signed(src.magnitude_for_draw(pos)));
-      }
-    }
-    sum += std::max(1, p);
   }
-  return groups_.empty() ? 0.0 : sum / static_cast<double>(groups_.size());
+  // The integer sum is exact, so the mean equals the per-group scan's.
+  return static_cast<double>(sum) / static_cast<double>(group_count_);
 }
 
 double measure_mean_group_precision(const nn::SyntheticSpec& spec,
@@ -86,14 +166,9 @@ nn::SyntheticSpec calibrate_to_group_precision(nn::SyntheticSpec spec,
   // The groups measure_mean_group_precision scans, reduced once to their
   // max draws: each measurement below equals that scan's mean exactly.
   spec.alpha = 1.0;
-  const nn::SyntheticSource draws = sample_source(spec, opts);
-  MaxDrawSample sample(spec.is_signed);
-  sample.reserve(static_cast<std::size_t>(opts.sample_groups));
-  std::uint64_t index = 0;
-  for (std::int64_t g = 0; g < opts.sample_groups; ++g) {
-    sample.open_group();
-    for (int i = 0; i < opts.group_size; ++i) sample.add(draws.draw(index++));
-  }
+  std::vector<MaxDrawSample::Group> groups(static_cast<std::size_t>(opts.sample_groups));
+  sample_source(spec, opts).max_draws(0, opts.group_size, groups);
+  const MaxDrawSample sample(spec.is_signed, groups);
   const auto measure = [&](const nn::SyntheticSpec& s) {
     return sample.mean_precision(sample_source(s, opts));
   };

@@ -10,43 +10,46 @@
 //
 // Cost: the uniform draws behind a sample do not depend on alpha, and the
 // magnitude map is monotone in the draw, so the sample is streamed once
-// into a MaxDrawSample (one positive and one negative max draw per group).
-// Every bisection step then costs about one pow per sampled group instead
-// of a pow per sampled value: a signed group-16 calibration takes ~8 ms and
-// an unsigned group-256 one ~40 ms, where the value scan took ~0.1 s and
-// ~0.8 s.
+// into a MaxDrawSample (one positive and one negative max draw per group,
+// sorted once). A group's precision is a step function of its max draws,
+// so every bisection step counts the sorted draws past at most 32
+// power-of-two thresholds: about 32 pows and binary searches, whatever the
+// sample size.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/synthetic.hpp"
 
 namespace loom::quant {
 
-/// Max-draw reduction of a grouped value sample. Per group it keeps the
-/// largest uniform draw behind a positive value and, for signed samples,
-/// the largest behind a negative one (needed_bits_signed is asymmetric:
-/// 1 needs 2 bits, -1 needs 1). A zero-gated value draws -1, magnitude 0.
-/// From these draws mean_precision() reproduces, bit for bit, the mean of
-/// the value scan in group_precision.hpp for any alpha.
+/// Max-draw reduction of a grouped value sample, immutable once built. Per
+/// group it holds the largest draw behind a positive value and, for signed
+/// samples, the largest behind a negative one (needed_bits_signed is
+/// asymmetric: 1 needs 2 bits, -1 needs 1). From these draws
+/// mean_precision() reproduces, bit for bit, the mean of the value scan in
+/// group_precision.hpp for any alpha.
+///
+/// The method. Write M(r) for the magnitude of draw r. An unsigned group's
+/// precision is 1 + #{k >= 1 : M(pos) >= 2^k}; a signed group's,
+/// max(1, nbs(M(pos)), nbs(-M(neg))), is 1 + #{k >= 0 : M(pos) >= 2^k or
+/// M(neg) >= 2^k + 1}. The constructor splits the signed groups: where
+/// pos >= neg the positive draw decides alone against the 2^k thresholds
+/// (M(pos) >= M(neg)); elsewhere the negative draw decides against 2^k + 1,
+/// except that a group with M(neg) exactly 2^k still counts when M(pos)
+/// reaches 2^k too. Those groups are the sorted negative draws in
+/// [t(2^k), t(2^k + 1)). Each count is a binary search of sorted draws
+/// against a threshold's guard band (nn::SyntheticSource::threshold_band);
+/// only draws inside a band ask the source's pow.
 class MaxDrawSample {
  public:
-  explicit MaxDrawSample(bool is_signed) : is_signed_(is_signed) {}
+  using Group = nn::SyntheticSource::MaxDraws;
 
-  void reserve(std::size_t groups);
-
-  /// Starts a new group holding no live value yet.
-  void open_group();
-
-  /// Folds one draw into the newest group (branch-free: the sign is random).
-  void add(const nn::SyntheticSource::Draw& d) noexcept {
-    double& slot = groups_.back()[d.negative ? 1 : 0];
-    slot = std::max(slot, d.u);
-  }
+  /// Sorts the groups' max draws; `groups` is not kept.
+  MaxDrawSample(bool is_signed, std::span<const Group> groups);
 
   /// Mean effective precision of the groups under `src`'s spec, which must
   /// share the sample's signedness (alpha and precision may differ).
@@ -57,9 +60,12 @@ class MaxDrawSample {
 
  private:
   bool is_signed_;
-  /// Per group: max draw behind a positive value, then behind a negative
-  /// one; -1 when there is none.
-  std::vector<std::array<double, 2>> groups_;
+  std::size_t group_count_;
+  /// Unsigned: every group's max draw. Signed: the positive max draw of the
+  /// groups with pos >= neg. Sorted.
+  std::vector<std::uint64_t> pos_led_;
+  /// Signed: the groups with neg > pos, sorted by their negative max draw.
+  std::vector<Group> neg_led_;
 };
 
 struct CalibrationOptions {

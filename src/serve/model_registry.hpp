@@ -3,8 +3,9 @@
 // referenced by every session and batch that serves them. Weight tensors
 // and the calibrated input distribution are memoized at registration (the
 // calibration itself goes through the process-wide
-// quant::calibrated_spec_cached memo: one group-256 max-draw bisection,
-// tens of milliseconds, so weight synthesis dominates registration), so
+// quant::calibrated_spec_cached memo: one group-256 sorted max-draw
+// bisection, a few milliseconds, so weight synthesis dominates
+// registration), so
 // concurrent requests never rebuild per-model state.
 #pragma once
 

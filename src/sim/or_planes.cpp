@@ -107,8 +107,8 @@ quant::MaxDrawSample calibration_sample(const nn::Layer& layer, int lanes,
       static_cast<std::int64_t>(layer.groups) * wb_count * ic_count;
   const std::int64_t stride = std::max<std::int64_t>(1, total / max_groups);
 
-  quant::MaxDrawSample sample(/*is_signed=*/false);
-  sample.reserve(static_cast<std::size_t>(total / stride + 1));
+  std::vector<quant::MaxDrawSample::Group> sampled;
+  sampled.reserve(static_cast<std::size_t>(total / stride + 1));
   for (std::int64_t t = 0; t < total; t += stride) {
     const std::int64_t g = t / (wb_count * ic_count);
     const std::int64_t rem = t % (wb_count * ic_count);
@@ -116,16 +116,16 @@ quant::MaxDrawSample calibration_sample(const nn::Layer& layer, int lanes,
     const std::int64_t ic = rem % ic_count;
     const std::int64_t w_end = std::min((wb + 1) * cols, windows);
     const std::int64_t f_end = std::min((ic + 1) * lanes, inner);
-    sample.open_group();
+    quant::MaxDrawSample::Group& group = sampled.emplace_back();
     for (std::int64_t w = wb * cols; w < w_end; ++w) {
       for (std::int64_t f = ic * lanes; f < f_end; ++f) {
         const std::int64_t idx = nn::im2col_input_index(layer, g, w, f);
         if (idx < 0) continue;  // zero padding
-        sample.add(draws.draw(static_cast<std::uint64_t>(idx)));
+        group.add(draws.draw(static_cast<std::uint64_t>(idx)));
       }
     }
   }
-  return sample;
+  return quant::MaxDrawSample(/*is_signed=*/false, sampled);
 }
 
 }  // namespace loom::sim

@@ -19,8 +19,9 @@
 // The synthetic magnitude is monotone in the draw and the OR of a group
 // shares its most significant bit with the group maximum, so one raw-RNG
 // pass warm-starts every measurement of the calibration bisection — each
-// iteration costs one pow per sampled group instead of a fresh 256-value
-// source scan.
+// iteration counts sorted draws against a few thresholds instead of a fresh
+// 256-value source scan. Its reads follow the im2col windows, so they stay
+// scalar draws.
 #pragma once
 
 #include <algorithm>

@@ -214,9 +214,10 @@ void LayerWorkload::ensure_group_calibrated() {
   spec.alpha = 1.0;
   // One raw-RNG pass over the sampled groups warm-starts every bisection
   // measurement: the draws behind a group are alpha-independent, so each
-  // iteration below costs one pow per group instead of a full 256-value
-  // source scan. The measured means are byte-identical to the scan's, so
-  // the bisection path — and the final spec — are unchanged.
+  // iteration below counts sorted max draws against a few thresholds
+  // instead of a full 256-value source scan. The measured means are
+  // byte-identical to the scan's, so the bisection path — and the final
+  // spec — are unchanged.
   const quant::MaxDrawSample sample = calibration_sample(
       layer_, kLanes, kCols, kMaxGroups,
       nn::SyntheticSource(opts_.seed, stream, spec));

@@ -6,8 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "nn/zoo/zoo.hpp"
+#include "common/bitops.hpp"
 #include "quant/calibration.hpp"
 #include "quant/group_precision.hpp"
 #include "quant/profiles.hpp"
@@ -181,6 +183,110 @@ TEST(Calibration, MaxDrawBisectionMatchesScanBitForBit) {
 
 TEST(Calibration, MaxDrawBisectionMatchesScanAtDefaultSample) {
   expect_same_alpha({.precision = 11, .is_signed = true}, 8.36, {});
+}
+
+TEST(Calibration, BulkSampleMatchesScalarDraws) {
+  // The 16-lane max-draw build (AVX-512 tier) against folding draw() one
+  // element at a time, including short groups and an index range that
+  // wraps modulo 2^64.
+  for (const bool is_signed : {true, false}) {
+    for (const double zero_fraction : {0.0, 0.45}) {
+      const nn::SyntheticSource src(
+          3, 11, {.precision = 9, .is_signed = is_signed, .zero_fraction = zero_fraction});
+      for (const int group_size : {16, 256, 5, 24}) {
+        for (const std::uint64_t begin : {std::uint64_t{0}, ~std::uint64_t{0} - 300}) {
+          std::vector<MaxDrawSample::Group> bulk(40);
+          src.max_draws(begin, group_size, bulk);
+          std::uint64_t index = begin;
+          for (std::size_t g = 0; g < bulk.size(); ++g) {
+            MaxDrawSample::Group want;
+            for (int i = 0; i < group_size; ++i) want.add(src.draw(index++));
+            ASSERT_EQ(bulk[g].pos, want.pos)
+                << "signed=" << is_signed << " zf=" << zero_fraction
+                << " group=" << group_size << " begin=" << begin << " g=" << g;
+            ASSERT_EQ(bulk[g].neg, want.neg)
+                << "signed=" << is_signed << " zf=" << zero_fraction
+                << " group=" << group_size << " begin=" << begin << " g=" << g;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The one-pow-per-group measure MaxDrawSample replaced: each group's
+/// magnitudes from its max draws (0 = no value), then the group precision.
+double pow_reference_mean(bool is_signed,
+                          const std::vector<MaxDrawSample::Group>& groups,
+                          const nn::SyntheticSource& src) {
+  const auto magnitude = [&](std::uint64_t r) {
+    return src.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53);
+  };
+  double sum = 0.0;
+  for (const auto& [pos, neg] : groups) {
+    if (!is_signed) {
+      sum += needed_bits_unsigned(static_cast<std::uint16_t>(magnitude(pos)));
+      continue;
+    }
+    // A larger draw has a larger magnitude and nbs(m) >= nbs(-m), so a
+    // positive max draw at least as large as the negative one decides
+    // alone; -2^k needs one bit less than 2^k, so an equal positive
+    // magnitude can still widen a negative power of two.
+    int p = 0;
+    if (pos >= neg) {
+      p = needed_bits_signed(magnitude(pos));
+    } else {
+      const std::int32_t n = magnitude(neg);
+      p = needed_bits_signed(-n);
+      if ((n & (n - 1)) == 0) p = std::max(p, needed_bits_signed(magnitude(pos)));
+    }
+    sum += std::max(1, p);
+  }
+  return groups.empty() ? 0.0 : sum / static_cast<double>(groups.size());
+}
+
+TEST(MaxDrawSample, MeanMatchesPowReferenceAtThresholdBands) {
+  // Draws within 64 keys of the guard-band edges of every 2^k and 2^k + 1
+  // threshold, where the sorted-threshold count falls back to pow: one
+  // sample per (signedness, precision, alpha, k). Signed groups pair every
+  // such draw as positive and negative max, which covers the tie where
+  // both magnitudes are 2^k; signed p = 1 runs with max forced to 1.
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  for (const bool is_signed : {true, false}) {
+    for (int p = 1; p <= 16; ++p) {
+      for (const double alpha :
+           {1.0, 1.5, 3.0, 17.3, 1000.0, 65536.5, 8.9e6, std::exp(16.0)}) {
+        const nn::SyntheticSource src(
+            5, 9, {.precision = p, .alpha = alpha, .is_signed = is_signed});
+        const int max = src.max_magnitude();
+        for (int k = 0; (1 << k) <= max; ++k) {
+          std::vector<std::uint64_t> draws = {0, 1, kDraws - 1};
+          for (const int m : {1 << k, (1 << k) + 1}) {
+            if (m > max) continue;
+            const nn::SyntheticSource::Band band = src.threshold_band(m);
+            for (const std::uint64_t edge : {band.lo, band.hi}) {
+              for (const int d : {-64, -32, -2, -1, 0, 1, 2, 32, 64}) {
+                const std::uint64_t r = edge + static_cast<std::uint64_t>(d);
+                draws.push_back(std::min(r, kDraws - 1));
+              }
+            }
+          }
+          std::vector<MaxDrawSample::Group> groups;
+          for (const std::uint64_t a : draws) {
+            if (!is_signed) {
+              groups.push_back({.pos = a});
+              continue;
+            }
+            for (const std::uint64_t b : draws) groups.push_back({.pos = a, .neg = b});
+          }
+          const MaxDrawSample sample(is_signed, groups);
+          ASSERT_EQ(sample.mean_precision(src), pow_reference_mean(is_signed, groups, src))
+              << "signed=" << is_signed << " p=" << p << " alpha=" << alpha
+              << " k=" << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(Calibration, RegisteredModelInputSpecsArePinned) {
