@@ -575,7 +575,6 @@ void BM_AutotunerPick(benchmark::State& state) {
   const sim::SliceSpec spec{
       .act_precision = layer.act_precision,
       .weight_precision = layer.weight_precision,
-      .act_signed = false,
       .dynamic = true};
   const sim::TuneKey key = sim::conv_tune_key(layer, spec, 1, ctx);
   sim::BackendAutotuner& tuner = sim::BackendAutotuner::instance();

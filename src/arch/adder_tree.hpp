@@ -1,6 +1,7 @@
-// Functional adder-tree model shared by the SIP (16-input 1-bit tree) and
-// the DPNN inner-product unit (16-input 32-bit tree). Tracks the reduction
-// depth, which sets the pipeline latency charged by the cycle models.
+// Functional adder-tree model: the SIP's 16-input 1-bit tree (reduce_bits)
+// and the multi-bit reduction of a bit-parallel tree (reduce). Tracks the
+// reduction depth, which sets the pipeline latency charged by the cycle
+// models.
 #pragma once
 
 #include <cstdint>

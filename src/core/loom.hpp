@@ -11,7 +11,6 @@
 
 #include "arch/config.hpp"
 #include "arch/detector.hpp"
-#include "arch/ip_unit.hpp"
 #include "arch/serializer.hpp"
 #include "arch/sip.hpp"
 #include "arch/tile.hpp"

@@ -85,7 +85,7 @@ __attribute__((target("avx512f,avx512dq"))) std::size_t read_avx512(
       _mm512_store_si512(mags, mag);
       for (; dirty != 0; dirty &= static_cast<__mmask16>(dirty - 1)) {
         const int j = std::countr_zero(static_cast<unsigned>(dirty));
-        mags[j] = static_cast<std::uint16_t>(stream.magnitude(raws[j] >> 11));
+        mags[j] = stream.magnitude(raws[j] >> 11);
       }
       mag = _mm512_load_si512(mags);
     }
@@ -202,13 +202,13 @@ void SyntheticSource::max_draws(std::uint64_t begin, int group_size,
   }
 }
 
-Value SyntheticSource::magnitude_for_draw(double u) const noexcept {
+std::uint16_t SyntheticSource::magnitude_for_draw(double u) const noexcept {
   if (u < 0.0) return 0;
   const double scaled =
       static_cast<double>(max_magnitude_ + 1) * std::pow(u, spec_.alpha);
   auto mag = static_cast<std::int32_t>(scaled);
   if (mag > max_magnitude_) mag = max_magnitude_;
-  return static_cast<Value>(mag);
+  return static_cast<std::uint16_t>(mag);
 }
 
 SyntheticSource::Band SyntheticSource::threshold_band(int m) const noexcept {

@@ -79,8 +79,9 @@ class SyntheticSource {
   /// Magnitude the source emits for uniform draw `u` under the current
   /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). Calibration
   /// exploits this monotonicity: a group's precision for *any* alpha follows
-  /// from its maximum draws (quant::MaxDrawSample).
-  [[nodiscard]] Value magnitude_for_draw(double u) const noexcept;
+  /// from its maximum draws (quant::MaxDrawSample). Unsigned, since an
+  /// unsigned Pa-16 source reaches 65535.
+  [[nodiscard]] std::uint16_t magnitude_for_draw(double u) const noexcept;
 
   /// Largest magnitude the source can emit.
   [[nodiscard]] int max_magnitude() const noexcept { return max_magnitude_; }
@@ -154,7 +155,7 @@ class SyntheticStream {
   [[nodiscard]] Value at(std::uint64_t index) const noexcept {
     if (!tabulated()) return source_.at(index);
     const std::uint64_t raw = source_.rng_.bits(index);
-    const auto mag = static_cast<std::int32_t>(magnitude(raw >> 11));
+    const std::int32_t mag = magnitude(raw >> 11);
     // The source's zero gate and sign bit, branch-free: all ones or zero.
     const std::int32_t live =
         -static_cast<std::int32_t>(((raw >> 1) & 0x3FF) >= live_from_);
@@ -169,17 +170,17 @@ class SyntheticStream {
 
   /// Magnitude for the 53-bit draw `r`: equals
   /// `source.magnitude_for_draw(r * 2^-53)` for every r < 2^53.
-  [[nodiscard]] Value magnitude(std::uint64_t r) const noexcept {
+  [[nodiscard]] std::uint16_t magnitude(std::uint64_t r) const noexcept {
     if (!tabulated()) return source_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53);
     const std::uint32_t entry = table_[r >> kBucketShift];
-    if ((entry & kDirty) == 0) return static_cast<Value>(entry);
+    if ((entry & kDirty) == 0) return static_cast<std::uint16_t>(entry);
     std::uint32_t c = entry & (kDirty - 1);
     c += static_cast<std::uint32_t>(r >= bands_[c + 1].hi);
     c += static_cast<std::uint32_t>(r >= bands_[c + 1].hi);
     if (r >= bands_[c + 1].lo) [[unlikely]] {
       return source_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53);
     }
-    return static_cast<Value>(c);
+    return static_cast<std::uint16_t>(c);
   }
 
   [[nodiscard]] bool tabulated() const noexcept { return !table_.empty(); }

@@ -76,9 +76,7 @@ class Threshold {
   [[nodiscard]] bool reached_by(std::uint64_t r) const noexcept {
     if (r >= band_.hi) return true;
     if (r < band_.lo) return false;
-    // Unsigned 16-bit magnitudes wrap through Value; the cast restores them.
-    return static_cast<std::uint16_t>(
-               src_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53)) >= m_;
+    return src_.magnitude_for_draw(static_cast<double>(r) * 0x1.0p-53) >= m_;
   }
 
   /// Index of the first item, in order of the draw `key(item)`, whose draw

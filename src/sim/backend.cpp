@@ -43,7 +43,6 @@ ConvStats SipGridOracle::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides) {
-  LOOM_EXPECTS(!spec.act_signed);  // the scalar conv grid is unsigned-only
   LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
   ConvStats st;
   const std::uint64_t act0 = dispatcher_.activation_bits_streamed();
@@ -246,7 +245,6 @@ TuneKey conv_tune_key(const nn::Layer& layer,
   k.groups = layer.groups;
   k.pa = spec.act_precision;
   k.pw = spec.weight_precision;
-  k.act_signed = spec.act_signed;
   k.dynamic = spec.dynamic;
   k.batch = batch;
   k.rows = ctx.rows;

@@ -5,8 +5,7 @@
 //   gemm    — dense int16 GEMM plus the shared streaming-statistics pass
 //             (GemmEngine, sim/gemm_engine.hpp); the word-parallel exact
 //             kernel
-//   scalar  — the architecture's oracle: SipGridOracle below for Loom, the
-//             arch::IpUnit loops (sim/dpnn_functional.hpp) for DPNN
+//   scalar  — the oracle: SipGridOracle below, one arch::Sip per grid cell
 // Both are held to one contract — byte-identical accumulators AND
 // byte-identical stats — so the choice changes nothing but wall-clock time
 // (pinned by tests/test_backend_differential.cpp).
@@ -41,7 +40,7 @@ class SipGridOracle {
  public:
   explicit SipGridOracle(const GridOptions& grid);
 
-  /// Unsigned activations only (the Loom conv grid).
+  /// Unsigned activations streamed at the spec's Pa.
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/loom_sim.hpp"
 
 namespace loom::sim {
@@ -165,14 +165,9 @@ bool accepts_input(const nn::Layer& layer, const nn::Tensor& input) {
                                             : input.elements() == in.elements();
 }
 
-FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
-    : opts_(std::move(opts)),
-      arch_(arch),
-      // DPNN streams nothing bit-serially, so its dispatcher stays idle and
-      // its lane count need not fit a dispatcher word.
-      dispatcher_(arch == Arch::kLoom ? opts_.lanes : 1) {
+FunctionalLoomEngine::FunctionalLoomEngine(FunctionalOptions opts)
+    : opts_(std::move(opts)), dispatcher_(opts_.lanes) {
   LOOM_EXPECTS(opts_.rows >= 1 && opts_.cols >= 1 && opts_.lanes >= 1);
-  if (arch_ == Arch::kDpnn) opts_.cols = 16;
   grid_ = GridOptions{.rows = opts_.rows,
                       .cols = opts_.cols,
                       .lanes = opts_.lanes,
@@ -180,46 +175,31 @@ FunctionalEngine::FunctionalEngine(FunctionalOptions opts, Arch arch)
   resolved_ = resolve_backend_name(opts_.backend, grid_);
 }
 
-SliceSpec FunctionalEngine::slice_spec(const nn::Layer& layer) const {
-  if (arch_ == Arch::kDpnn) return kDpnnSpec;
-  return {.act_precision = layer.act_precision,
-          .weight_precision = layer.weight_precision,
-          .act_signed = false,
-          .dynamic = opts_.dynamic_act_precision};
-}
-
-std::uint64_t FunctionalEngine::schedule_cycles(const nn::Layer& layer) const {
-  if (arch_ == Arch::kLoom) {
-    // FC: the same cascade-aware model as the analytic
-    // LoomSimulator — best `ways` slicing plus the cols-1
-    // column-stagger initiation — excluding the analytic kPipelineFill.
-    const FcCascadePlan plan = plan_fc_cascade(
-        opts_.rows, opts_.cols, opts_.lanes, layer.out.c, layer.in.elements(),
-        static_cast<double>(layer.weight_precision),
-        static_cast<double>(kBasePrecision), opts_.cascading);
-    return static_cast<std::uint64_t>(
-        std::llround(plan.cycles + static_cast<double>(opts_.cols - 1)));
-  }
-  // DPNN: one cycle per (group, filter block, window, input chunk); an FC
-  // layer is one group and one window.
+std::uint64_t FunctionalLoomEngine::fc_cycles(const nn::Layer& layer) const {
+  // The same cascade-aware model as the analytic LoomSimulator — best
+  // `ways` slicing plus the cols-1 column-stagger initiation — excluding
+  // the analytic kPipelineFill.
+  const FcCascadePlan plan = plan_fc_cascade(
+      opts_.rows, opts_.cols, opts_.lanes, layer.out.c, layer.in.elements(),
+      static_cast<double>(layer.weight_precision),
+      static_cast<double>(kBasePrecision), opts_.cascading);
   return static_cast<std::uint64_t>(
-      layer.groups * ceil_div(layer.group_out_channels(), opts_.rows) *
-      layer.windows() * ceil_div(layer.inner_length(), opts_.lanes));
+      std::llround(plan.cycles + static_cast<double>(opts_.cols - 1)));
 }
 
-ConvStats FunctionalEngine::dispatch(
+ConvStats FunctionalLoomEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
     std::string& used) {
   const bool conv = layer.kind == nn::LayerKind::kConv;
-  const SliceSpec spec = slice_spec(layer);
+  const SliceSpec spec{.act_precision = layer.act_precision,
+                       .weight_precision = layer.weight_precision,
+                       .dynamic = opts_.dynamic_act_precision};
   const bool tuned = resolved_ == "auto";
   used = tuned ? "gemm" : resolved_;
   const auto t0 = Clock::now();
   ConvStats st;
-  if (used == "scalar" && arch_ == Arch::kDpnn) {
-    run_ip_unit_oracle(grid_, layer, inputs, weights, wides);
-  } else if (used == "scalar") {
+  if (used == "scalar") {
     if (!sip_) sip_.emplace(grid_);
     if (conv) {
       st = sip_->run_conv_batch(layer, inputs, weights, spec, wides);
@@ -248,7 +228,7 @@ ConvStats FunctionalEngine::dispatch(
   return st;
 }
 
-FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
+FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(!inputs.empty());
@@ -277,14 +257,12 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
   run.cycles = st.cycles;
   run.mean_streamed_precision =
       st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-  if (arch_ == Arch::kLoom) {
-    dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                              st.detect_invocations, st.detect_values);
-  }
-  if (arch_ == Arch::kDpnn || !conv) {
+  dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
+                            st.detect_invocations, st.detect_values);
+  if (!conv) {
     // Data-independent schedule: every request streams all 16 activation
     // bits and costs the same cycles, so the batch costs N solo passes.
-    run.cycles = schedule_cycles(layer) * batch;
+    run.cycles = fc_cycles(layer) * batch;
     run.mean_streamed_precision = kBasePrecision;
   }
   requantize_batch(run, out_bits, opts_.relu);
@@ -292,35 +270,35 @@ FunctionalBatchLayerRun FunctionalEngine::run_layer_batch(
   return run;
 }
 
-FunctionalBatchLayerRun FunctionalEngine::run_conv_batch(
+FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   return run_layer_batch(layer, inputs, weights, out_bits);
 }
 
-FunctionalBatchLayerRun FunctionalEngine::run_fc_batch(
+FunctionalBatchLayerRun FunctionalLoomEngine::run_fc_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
   return run_layer_batch(layer, inputs, weights, out_bits);
 }
 
-FunctionalLayerRun FunctionalEngine::run_conv(const nn::Layer& layer,
-                                              const nn::Tensor& input,
-                                              const nn::Tensor& weights,
-                                              int out_bits) {
+FunctionalLayerRun FunctionalLoomEngine::run_conv(const nn::Layer& layer,
+                                                  const nn::Tensor& input,
+                                                  const nn::Tensor& weights,
+                                                  int out_bits) {
   return solo_run(run_conv_batch(layer, std::span(&input, 1), weights, out_bits));
 }
 
-FunctionalLayerRun FunctionalEngine::run_fc(const nn::Layer& layer,
-                                            const nn::Tensor& input,
-                                            const nn::Tensor& weights,
-                                            int out_bits) {
+FunctionalLayerRun FunctionalLoomEngine::run_fc(const nn::Layer& layer,
+                                                const nn::Tensor& input,
+                                                const nn::Tensor& weights,
+                                                int out_bits) {
   return solo_run(run_fc_batch(layer, std::span(&input, 1), weights, out_bits));
 }
 
-FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
+FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
     const nn::Network& net, std::span<const nn::Tensor> inputs,
     std::span<const nn::Tensor> weights) {
   LOOM_EXPECTS(!inputs.empty());
@@ -362,7 +340,7 @@ FunctionalBatchNetworkRun FunctionalEngine::run_network_batch(
   return run;
 }
 
-FunctionalNetworkRun FunctionalEngine::run_network(
+FunctionalNetworkRun FunctionalLoomEngine::run_network(
     const nn::Network& net, const nn::Tensor& input,
     std::span<const nn::Tensor> weights) {
   FunctionalBatchNetworkRun batch =

@@ -1,29 +1,23 @@
-// Functional engine: executes an entire (small) network through an
-// accelerator datapath — Loom's bit-serial grid (dispatcher serialization,
-// WR loads, per-cycle SIP evaluation, cascade/OR accumulation) or the
-// bit-parallel DPNN baseline's IP units — with requantization and pooling
+// Functional engine: executes an entire (small) network through Loom's
+// bit-serial SIP grid (dispatcher serialization, WR loads, per-cycle SIP
+// evaluation, cascade/OR accumulation) with requantization and pooling
 // between layers, producing exact activations plus the wall-clock cycles
-// the grid spent.
+// the grid spent. A conv layer streams the profile Pa/Pw as unsigned
+// activations, trimmed by dynamic precision detection, and its cycles come
+// from the kernel's ConvStats; an FC layer streams signed 16-bit
+// activations on the data-independent plan_fc_cascade schedule. Every solo
+// call is a batch of one.
 //
-// One engine serves both architectures; only a small policy differs:
-//   * the SliceSpec a layer streams — Loom: the profile Pa/Pw, unsigned
-//     activations, dynamic precision; DPNN: kDpnnSpec (16/16, signed,
-//     static);
-//   * the cycle formula — Loom conv cycles come from the kernel's ConvStats
-//     and Loom FC cycles from plan_fc_cascade; DPNN walks the
-//     data-independent filter-block x window x chunk schedule;
-//   * the scalar route — SipGridOracle (sim/backend.hpp) for Loom,
-//     run_ip_unit_oracle (sim/dpnn_functional.hpp) for DPNN.
-// Every solo call is a batch of one.
-//
-// This is the ground-truth twin of the analytic cycle models in
-// loom_sim.cpp / dpnn_sim.cpp: tests assert that (a) the outputs equal the
-// bit-parallel golden reference through the whole network and (b) the cycle
-// counts of the two models agree (the functional counts exclude the
-// analytic model's per-layer kPipelineFill constant).
+// This is the ground-truth twin of the analytic cycle model in
+// loom_sim.cpp: tests assert that (a) the outputs equal the bit-parallel
+// golden reference through the whole network and (b) the cycle counts of
+// the two models agree (the functional counts exclude the analytic model's
+// per-layer kPipelineFill constant). The bit-parallel DPNN baseline is
+// analytic only (sim/dpnn_sim.hpp): its outputs would equal the reference
+// by construction, and its cycles are a data-independent formula.
 //
 // Layer math runs on one of two kernels, each called directly: the dense
-// int16 GEMM (GemmEngine) or the architecture's scalar oracle —
+// int16 GEMM (GemmEngine) or the scalar SipGridOracle (sim/backend.hpp) —
 // byte-identical in outputs, cycle counts, streamed-precision means and
 // dispatcher/detector statistics (golden-pinned in
 // tests/test_functional_golden.cpp and tests/test_kernel_golden.cpp, swept
@@ -41,7 +35,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "arch/dispatcher.hpp"
@@ -53,12 +46,12 @@
 namespace loom::sim {
 
 struct FunctionalOptions {
-  int rows = 16;   ///< SIP rows (concurrent filters; DPNN: IP units)
-  int cols = 16;   ///< SIP columns (concurrent windows; DPNN: fixed at 16)
-  int lanes = 16;  ///< products per SIP per cycle (DPNN: activation lanes)
-  bool dynamic_act_precision = true;  ///< Loom only
+  int rows = 16;   ///< SIP rows (concurrent filters)
+  int cols = 16;   ///< SIP columns (concurrent windows)
+  int lanes = 16;  ///< products per SIP per cycle
+  bool dynamic_act_precision = true;  ///< per-group precision detection
   bool relu = true;  ///< apply ReLU at requantization (hidden layers)
-  bool cascading = true;  ///< SIP daisy-chaining for FC layers (Loom only)
+  bool cascading = true;  ///< SIP daisy-chaining for FC layers
   /// Worker threads for the fast backends' fan-out over the shared pool;
   /// 0 = all hardware threads, 1 = serial. Results are byte-identical for
   /// every value.
@@ -149,10 +142,11 @@ struct Requantized {
 /// count must match. Every engine layer call and serving admission apply it.
 [[nodiscard]] bool accepts_input(const nn::Layer& layer, const nn::Tensor& input);
 
-/// The engine behind FunctionalLoomEngine and FunctionalDpnnEngine; build
-/// one of those to pick the architecture.
-class FunctionalEngine {
+/// Loom's bit-serial SIP grid (rows x cols x lanes).
+class FunctionalLoomEngine {
  public:
+  explicit FunctionalLoomEngine(FunctionalOptions opts = {});
+
   /// Execute one convolutional layer. `weights` is flat [Co][Ci/g][Kh][Kw].
   [[nodiscard]] FunctionalLayerRun run_conv(const nn::Layer& layer,
                                             const nn::Tensor& input,
@@ -160,9 +154,9 @@ class FunctionalEngine {
                                             int out_bits);
 
   /// Execute one fully-connected layer. `weights` is flat [Co][Ci].
-  /// Loom cycles follow the same cascade-aware FC model as
-  /// the analytic LoomSimulator (plan_fc_cascade + column stagger), minus
-  /// the analytic model's kPipelineFill constant.
+  /// Cycles follow the same cascade-aware FC model as the analytic
+  /// LoomSimulator (plan_fc_cascade + column stagger), minus the analytic
+  /// model's kPipelineFill constant.
   [[nodiscard]] FunctionalLayerRun run_fc(const nn::Layer& layer,
                                           const nn::Tensor& input,
                                           const nn::Tensor& weights,
@@ -185,9 +179,9 @@ class FunctionalEngine {
   // to N solo runs — pinned by tests/test_batch_properties.cpp and the
   // serving stress tests, not assumed. On the scalar oracle a batch is
   // executed as N solo runs (summed cycles), which is the batching
-  // semantics oracle. Data-independent schedules (Loom FC, every DPNN
-  // layer) cost N x solo cycles: the lane packing is a software throughput
-  // win, not a modelled one.
+  // semantics oracle. The data-independent FC schedule costs N x solo
+  // cycles: the lane packing is a software throughput win, not a modelled
+  // one.
   //
   // Every layer call rejects, with ConfigError, weights whose size is not
   // the layer's weight_count() and inputs accepts_input() refuses;
@@ -216,21 +210,14 @@ class FunctionalEngine {
     return resolved_;
   }
 
- protected:
-  enum class Arch { kLoom, kDpnn };
-  FunctionalEngine(FunctionalOptions opts, Arch arch);
-
  private:
   /// The shared body of run_conv_batch and run_fc_batch.
   FunctionalBatchLayerRun run_layer_batch(const nn::Layer& layer,
                                           std::span<const nn::Tensor> inputs,
                                           const nn::Tensor& weights,
                                           int out_bits);
-  /// What the architecture streams for `layer`.
-  [[nodiscard]] SliceSpec slice_spec(const nn::Layer& layer) const;
-  /// Per-image cycles of a data-independent schedule (Loom FC, any DPNN
-  /// layer).
-  [[nodiscard]] std::uint64_t schedule_cycles(const nn::Layer& layer) const;
+  /// Per-image cycles of an FC layer's data-independent schedule.
+  [[nodiscard]] std::uint64_t fc_cycles(const nn::Layer& layer) const;
   /// Run one conv/fc batch on the selected kernel, built on first use;
   /// under "auto" runs gemm and records its wall clock in the autotuner.
   /// `used` reports the kernel that ran. FC kernels report no stats.
@@ -240,19 +227,11 @@ class FunctionalEngine {
                      std::span<nn::WideTensor* const> wides, std::string& used);
 
   FunctionalOptions opts_;
-  Arch arch_;
   arch::Dispatcher dispatcher_;
   GridOptions grid_;
   std::string resolved_;  ///< "scalar", "gemm" or "auto"
   std::optional<GemmEngine> gemm_;
-  std::optional<SipGridOracle> sip_;  ///< Loom's oracle; DPNN's is stateless
-};
-
-/// Loom's bit-serial SIP grid (rows x cols x lanes).
-class FunctionalLoomEngine final : public FunctionalEngine {
- public:
-  explicit FunctionalLoomEngine(FunctionalOptions opts = {})
-      : FunctionalEngine(std::move(opts), Arch::kLoom) {}
+  std::optional<SipGridOracle> sip_;
 };
 
 }  // namespace loom::sim

@@ -38,8 +38,8 @@ constexpr std::int64_t kMaxInner = std::int64_t{1} << 28;
 /// step adds two products (one vpmaddwd pair), each of magnitude at most
 /// amax * wmax, so after n steps the lane holds at most 2n * amax * wmax —
 /// and every partial sum along the way is bounded the same — which must
-/// not exceed INT32_MAX. Zero means even one pair can wrap (e.g. the signed
-/// 16x16 DPNN spec: (-32768 * -32768) * 2 = 2^31).
+/// not exceed INT32_MAX. Zero means even one pair can wrap (e.g. signed FC
+/// activations against 16-bit weights: (-32768 * -32768) * 2 = 2^31).
 std::int64_t kblock_steps(std::int64_t amax, std::int64_t wmax) {
   return (std::int64_t{INT32_MAX} / (amax * wmax)) / 2;
 }
@@ -368,11 +368,11 @@ struct PackWalk {
 
 /// The im2col pack of one slab of `cu` columns: for every k, each column's
 /// raw value ORs into its (chunk, column group) word of `ors` and stores,
-/// ANDed with `mask` (the profile mask; all ones for signed activations),
-/// into the k-pair-interleaved tile `a` — whole, or with Split as the low
-/// byte plus, `part_stride` further on, the high part. Padding positions
-/// read the border's zeros, which leave the ORs unchanged, so the loop has
-/// no bounds test; (ci, ky, kx) advance as counters.
+/// ANDed with `mask` (the profile mask), into the k-pair-interleaved tile
+/// `a` — whole, or with Split as the low byte plus, `part_stride` further
+/// on, the high part. Padding positions read the border's zeros, which
+/// leave the ORs unchanged, so the loop has no bounds test; (ci, ky, kx)
+/// advance as counters.
 template <bool Split>
 void pack_slab(const PackWalk& walk, const Value* const* col, std::int64_t cu,
                std::int32_t mask, std::int16_t* a, std::int64_t part_stride,
@@ -472,8 +472,6 @@ ConvStats GemmEngine::run_conv_batch(
   LOOM_EXPECTS(spec.act_precision >= 1 && spec.act_precision <= kBasePrecision);
   LOOM_EXPECTS(spec.weight_precision >= 1 &&
                spec.weight_precision <= kBasePrecision);
-  LOOM_EXPECTS(!spec.act_signed || spec.act_precision == kBasePrecision);
-  LOOM_EXPECTS(!(spec.act_signed && spec.dynamic));
   LOOM_EXPECTS(layer.inner_length() < kMaxInner);
   LOOM_EXPECTS(nn::geometry_consistent(layer));
   for (const nn::Tensor* in : inputs) {
@@ -488,8 +486,7 @@ ConvStats GemmEngine::run_conv_batch(
   const std::int64_t windows = layer.windows();
   const int pw = spec.weight_precision;
   const std::uint32_t prof_mask = (std::uint32_t{1} << spec.act_precision) - 1;
-  const OperandPlan plan = operand_plan(
-      spec.act_signed ? 32768 : std::int64_t{prof_mask}, pw);
+  const OperandPlan plan = operand_plan(prof_mask, pw);
   const int parts = plan.split ? 2 : 1;
 
   // Operand preparation counts as pack time.
@@ -541,8 +538,7 @@ ConvStats GemmEngine::run_conv_batch(
   const std::int64_t group_offset = layer.group_in_channels() * walk.plane;
   const std::int64_t ic_count = ceil_div(inner, opts_.lanes);
   const std::int64_t part_stride = pairs * 2 * kTile;
-  const std::int32_t act_mask =
-      spec.act_signed ? -1 : static_cast<std::int32_t>(prof_mask);
+  const auto act_mask = static_cast<std::int32_t>(prof_mask);
 
   const std::uint64_t prep_ns = ns_since(t_prep);
 

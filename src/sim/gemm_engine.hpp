@@ -9,8 +9,8 @@
 //     between blocks. The K-block length comes from a proven bound on the
 //     operand magnitudes (kblock_steps in gemm_engine.cpp), so no int32
 //     lane can wrap; operands too wide for a useful block (unsigned Pa 16,
-//     the signed 16x16 DPNN spec, FC at high Pw) split the activation into
-//     a low byte and a high part, summed exactly as lo + 256 * hi.
+//     FC at high Pw) split the activation into a low byte and a high part,
+//     summed exactly as lo + 256 * hi.
 //   * statistics: the same pack ORs each (input chunk, column group) of raw
 //     activations, and conv_stream_stats folds those ORs into ConvStats —
 //     the one statistics pass, byte-identical to what the dispatcher-driven
@@ -24,13 +24,12 @@
 // span requests — and element k = (ci, ky, kx) sits at one offset from
 // every base, walked with incremental counters. The inner loop is a load,
 // an OR into the column group's statistic, a mask and a store: the mask is
-// the profile's 2^Pa - 1 (all ones for signed activations), and the byte
-// split is a template parameter. Border zeros leave the ORs unchanged. The
-// tile is zeroed once per stripe; per slab the pack clears only the tail
-// columns it does not write.
+// the profile's 2^Pa - 1, and the byte split is a template parameter.
+// Border zeros leave the ORs unchanged. The tile is zeroed once per stripe;
+// per slab the pack clears only the tail columns it does not write.
 //
 // Operand semantics match the bit-serial grid exactly: unsigned conv
-// activations stream `raw & (2^Pa - 1)`, signed ones (FC, DPNN) the full
+// activations stream `raw & (2^Pa - 1)`, signed FC ones the full
 // two's-complement 16 bits; weights are the low Pw bits read as a Pw-bit
 // two's-complement number. The OR detector sees the raw 16-bit value.
 //
@@ -70,16 +69,14 @@ struct GridOptions {
          grid.lanes <= 32 && grid.rows >= 1;
 }
 
-/// Streaming semantics of one layer run. Mirrors what the dispatcher +
-/// arch::Sip grid would do: activations serialized at `act_precision`
-/// planes (optionally trimmed per column-group by dynamic detection),
-/// weights at `weight_precision` two's-complement planes with a negated
-/// MSB pass. `act_signed` additionally negates the activation MSB plane
-/// (requires act_precision == 16; used by the FC and DPNN paths).
+/// Streaming semantics of one conv layer run. Mirrors what the dispatcher +
+/// arch::Sip grid would do: unsigned activations serialized at
+/// `act_precision` planes (optionally trimmed per column-group by dynamic
+/// detection), weights at `weight_precision` two's-complement planes with a
+/// negated MSB pass.
 struct SliceSpec {
   int act_precision = kBasePrecision;
   int weight_precision = kBasePrecision;
-  bool act_signed = false;
   bool dynamic = false;
 };
 

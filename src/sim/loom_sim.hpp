@@ -26,7 +26,7 @@ namespace loom::sim {
 /// `ways` adjacent SIPs at a reduction cost of ways-1 cycles per block
 /// (§3.2 "Processing Layers with Few Outputs"). Shared by the analytic
 /// models (Loom and Laconic FC layers) and the functional engine
-/// (FunctionalEngine::run_fc) so their FC cycle counts cannot drift.
+/// (FunctionalLoomEngine::run_fc) so their FC cycle counts cannot drift.
 struct FcCascadePlan {
   std::int64_t ways = 1;
   std::int64_t outputs_per_block = 0;  ///< rows * cols / ways

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <vector>
 
 #include "arch/adder_tree.hpp"
-#include "arch/ip_unit.hpp"
 #include "common/error.hpp"
 
 namespace loom::arch {
@@ -40,40 +38,6 @@ TEST(AdderTree, ReduceBitsPopcount) {
 
 TEST(AdderTree, InvalidFanInThrows) {
   EXPECT_THROW(AdderTree(0), ContractViolation);
-}
-
-TEST(IpUnit, AccumulatesDotProducts) {
-  IpUnit ip(16);
-  ip.begin_output();
-  const std::vector<Value> a = {2, 3};
-  const std::vector<Value> w = {10, -1};
-  ip.cycle(a, w);
-  EXPECT_EQ(ip.output(), 17);
-  ip.cycle(a, w);
-  EXPECT_EQ(ip.output(), 34);
-  EXPECT_EQ(ip.cycles(), 2u);
-}
-
-TEST(IpUnit, BeginOutputClearsAccumulator) {
-  IpUnit ip(4);
-  const std::vector<Value> a = {1};
-  const std::vector<Value> w = {1};
-  ip.cycle(a, w);
-  ip.begin_output();
-  EXPECT_EQ(ip.output(), 0);
-}
-
-TEST(IpUnit, FullPrecisionProductsDoNotOverflow) {
-  IpUnit ip(16);
-  ip.begin_output();
-  const std::vector<Value> a(16, 32767);
-  const std::vector<Value> w(16, -32768);
-  ip.cycle(a, w);
-  EXPECT_EQ(ip.output(), 16 * (Wide{32767} * -32768));
-}
-
-TEST(IpUnit, PipelineDepthIncludesMultiplier) {
-  EXPECT_EQ(IpUnit(16).pipeline_depth(), 5);  // 4 tree levels + multiply
 }
 
 }  // namespace

@@ -81,7 +81,6 @@ class AutotuneCacheTest : public ::testing::Test {
     const nn::Layer layer = small_layer();
     const SliceSpec spec{.act_precision = layer.act_precision,
                          .weight_precision = layer.weight_precision,
-                         .act_signed = false,
                          .dynamic = true};
     return conv_tune_key(layer, spec, 1, GridOptions{.jobs = 1});
   }

@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "nn/reference.hpp"
 #include "sim/backend.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 
 namespace loom::sim {
@@ -195,7 +194,6 @@ TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
     const SliceSpec spec{
         .act_precision = c.layer.act_precision,
         .weight_precision = c.layer.weight_precision,
-        .act_signed = false,
         .dynamic = random_dynamic(seed)};
     const std::size_t batch = c.inputs.size();
     const nn::Shape wide_shape{c.layer.out.c, c.layer.out.h, c.layer.out.w};
@@ -325,8 +323,7 @@ void expect_batch_and_solo(const std::string& kernel, const nn::Tensor& input,
   EXPECT_EQ(solo, want);
 }
 
-/// Gemm and the spec's oracle — the SIP grid for unsigned (Loom) specs, the
-/// IP units for the signed DPNN spec — must reproduce `want` exactly.
+/// Gemm and the SIP grid oracle must reproduce `want` exactly.
 void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                             const nn::Tensor& weights, const SliceSpec& spec,
                             const nn::WideTensor& want) {
@@ -335,13 +332,6 @@ void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
   expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
     (void)gemm.run_conv_batch(layer, in, weights, spec, out);
   });
-  if (spec.act_signed) {
-    expect_batch_and_solo("ip-unit", input, want, [&](auto in, auto out) {
-      run_ip_unit_oracle(GridOptions{.rows = kDpnnFilters, .jobs = 1}, layer,
-                         in, weights, out);
-    });
-    return;
-  }
   SipGridOracle scalar(ctx);
   expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
     (void)scalar.run_conv_batch(layer, in, weights, spec, out);
@@ -410,22 +400,10 @@ TEST(BackendDifferential, UnsignedPa16ConvAllOnes) {
       SCOPED_TRACE("pw " + std::to_string(pw) + (dynamic ? " dynamic" : " static"));
       const SliceSpec spec{.act_precision = kBasePrecision,
                            .weight_precision = pw,
-                           .act_signed = false,
                            .dynamic = dynamic};
       expect_conv_everywhere(layer, input, weights, spec, want);
     }
   }
-}
-
-TEST(BackendDifferential, DpnnSpecConvMinValues) {
-  // The DPNN spec (signed 16 x 16) with every operand -32768. The SIP grid
-  // is the unsigned Loom conv; the DPNN oracle is the IP units.
-  const nn::Layer layer = nn::make_conv("dpnn", nn::Shape3{8, 6, 6}, 4, 3, 1, 1);
-  const nn::Tensor input = filled(nn::Shape{8, 6, 6}, 0x8000);
-  const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, 0x8000);
-  const nn::WideTensor want = nn::conv_forward(input, weights, layer);
-  ASSERT_EQ(want.at3(0, 2, 2), Wide{72} << 30);
-  expect_conv_everywhere(layer, input, weights, kDpnnSpec, want);
 }
 
 // ---- Resolution precedence ------------------------------------------------

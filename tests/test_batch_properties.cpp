@@ -3,11 +3,11 @@
 // threshold), Pa/Pw in 1..16, pad/stride/groups/lane-tail cases. Every
 // iteration cross-checks three independent implementations —
 //   * the batched word-parallel (gemm) kernel,
-//   * the scalar arch::Sip/IpUnit oracle run one request at a time, and
+//   * the scalar arch::Sip oracle run one request at a time, and
 //   * the nn::reference bit-parallel golden model —
 // plus deterministic coverage for the cols>64 auto-fallback and the
 // degenerate batches (batch=1, all-zero activation requests, zero-precision
-// groups) on both the Loom and DPNN functional backends.
+// groups) on both functional backends.
 //
 // Failures print the iteration seed: rerun with
 //   LOOM_BATCH_PROP_SEED=<seed> ./test_batch_properties
@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "nn/reference.hpp"
 #include "sim/autotune_cache.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 
 namespace loom::sim {
@@ -231,45 +230,6 @@ TEST(BatchProperties, FcPackedPathMatchesSoloBitsliced) {
   }
 }
 
-// ---- DPNN backend: batched vs solo vs reference ---------------------------
-
-TEST(BatchProperties, DpnnConvAndFcBatchedMatchSolo) {
-  for (const std::uint64_t seed : iteration_seeds(0xD9AA, 12)) {
-    SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
-    const Case conv = random_conv_case(seed);
-    const Case fc = random_fc_case(seed);
-    FunctionalDpnnEngine eng(
-        FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
-
-    // The baseline schedule is data-independent: a batch costs N solo runs.
-    const FunctionalBatchLayerRun conv_batch =
-        eng.run_conv_batch(conv.layer, conv.inputs, conv.weights,
-                           kBasePrecision);
-    ASSERT_EQ(conv_batch.outputs.size(), conv.inputs.size());
-    for (std::size_t r = 0; r < conv.inputs.size(); ++r) {
-      const FunctionalLayerRun solo =
-          eng.run_conv(conv.layer, conv.inputs[r], conv.weights,
-                       kBasePrecision);
-      EXPECT_EQ(conv_batch.wides[r], solo.wide) << "conv request " << r;
-      EXPECT_EQ(conv_batch.outputs[r], solo.output) << "conv request " << r;
-      EXPECT_EQ(conv_batch.cycles, solo.cycles * conv.inputs.size())
-          << "conv request " << r;
-      EXPECT_EQ(conv_batch.wides[r],
-                nn::conv_forward(conv.inputs[r], conv.weights, conv.layer));
-    }
-
-    const FunctionalBatchLayerRun fc_batch =
-        eng.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
-    for (std::size_t r = 0; r < fc.inputs.size(); ++r) {
-      const FunctionalLayerRun solo =
-          eng.run_fc(fc.layer, fc.inputs[r], fc.weights, kBasePrecision);
-      EXPECT_EQ(fc_batch.wides[r], solo.wide) << "fc request " << r;
-      EXPECT_EQ(fc_batch.cycles, solo.cycles * fc.inputs.size())
-          << "fc request " << r;
-    }
-  }
-}
-
 // ---- cols > 64: automatic scalar-oracle fallback --------------------------
 
 TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
@@ -281,19 +241,6 @@ TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   for (std::size_t r = 0; r < c.inputs.size(); ++r) {
     EXPECT_EQ(batched.wides[r],
               nn::conv_forward(c.inputs[r], c.weights, c.layer))
-        << "request " << r;
-  }
-
-  // DPNN: an unpackable lane count (> 32) forces the IpUnit oracle.
-  const Case fc = random_fc_case(0xFA12);
-  FunctionalDpnnEngine dpnn_scalar(
-      FunctionalOptions{.rows = kDpnnFilters, .lanes = 40, .jobs = 1});
-  EXPECT_EQ(dpnn_scalar.backend_name(), "scalar");
-  const FunctionalBatchLayerRun runs =
-      dpnn_scalar.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
-  for (std::size_t r = 0; r < fc.inputs.size(); ++r) {
-    EXPECT_EQ(runs.wides[r],
-              nn::fc_forward(fc.inputs[r], fc.weights, fc.layer))
         << "request " << r;
   }
 }
@@ -323,22 +270,19 @@ TEST(BatchDegenerate, AllZeroBatchesOnBothBackends) {
   Case c = random_conv_case(0x2E80);
   for (nn::Tensor& t : c.inputs) t = nn::Tensor(t.shape());
 
-  FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
-  const FunctionalBatchLayerRun batched =
-      eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
-  FunctionalDpnnEngine dpnn(
-      FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
-  const FunctionalBatchLayerRun dpnn_runs =
-      dpnn.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
-  for (std::size_t r = 0; r < c.inputs.size(); ++r) {
-    const nn::WideTensor zero(batched.wides[r].shape());
-    EXPECT_EQ(batched.wides[r], zero) << "loom request " << r;
-    EXPECT_EQ(dpnn_runs.wides[r], zero) << "dpnn request " << r;
+  for (const char* backend : {"gemm", "scalar"}) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
+    const FunctionalBatchLayerRun batched =
+        eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
+    for (std::size_t r = 0; r < c.inputs.size(); ++r) {
+      EXPECT_EQ(batched.wides[r], nn::WideTensor(batched.wides[r].shape()))
+          << "request " << r;
+    }
+    // Dynamic detection saw only zero groups; the detector clamps them to
+    // the 1-plane minimum (needed_bits_unsigned(0) == 1) on both kernels.
+    EXPECT_EQ(batched.mean_streamed_precision, 1.0);
   }
-  // Dynamic detection saw only zero groups; the detector clamps them to the
-  // 1-plane minimum (needed_bits_unsigned(0) == 1), same as the scalar
-  // dispatcher.
-  EXPECT_EQ(batched.mean_streamed_precision, 1.0);
 }
 
 // ---- The autotuner as perfbench reads it ----------------------------------
@@ -407,7 +351,6 @@ ViewCase view_case() {
                     /*is_signed=*/true, rng, 2, 0.05);
   const SliceSpec spec{.act_precision = layer.act_precision,
                        .weight_precision = layer.weight_precision,
-                       .act_signed = false,
                        .dynamic = true};
   const TuneKey key = conv_tune_key(layer, spec, 1, GridOptions{.jobs = 1});
   return {std::move(layer), std::move(input), std::move(weights), key};

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
+#include "sim/dpnn_sim.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/workload.hpp"
@@ -224,6 +225,62 @@ TEST(Functional, LinearZooNetworksChain) {
     EXPECT_EQ(net.first_chain_break(), net.size()) << name;
     EXPECT_EQ(net.execution_error(), "") << name;
   }
+}
+
+TEST(CrossEngine, SerialAndParallelEnginesAgreeBitExactly) {
+  // The paper's equivalence claim, executed end to end on conv -> pool -> fc:
+  // the bit-serial engine produces the same integers as the bit-parallel
+  // reference chain, and spends ~Pa*Pw/256 of the DPNN baseline's cycles
+  // scaled by the compute-bandwidth ratio of the two configs.
+  nn::Network net("t", nn::Shape3{8, 10, 10});
+  net.add_conv("c", 16, 3, 1, 1).precision_group = 0;
+  net.add_pool("p", nn::PoolKind::kMax, 2, 2);
+  net.add_fc("f", 10);
+  quant::PrecisionProfile p;
+  p.network = "t";
+  p.conv_act = {7};
+  p.conv_weight = 8;
+  p.fc_weight = {8};
+  quant::apply_profile(net, p);
+  nn::SyntheticSpec act{.precision = 7, .alpha = 2.0, .is_signed = false};
+  nn::SyntheticSpec wsp{.precision = 8, .alpha = 2.0, .is_signed = true};
+  const nn::Tensor input = nn::make_activation_tensor(net.layer(0).in, act, 1, 1);
+  const std::vector<nn::Tensor> weights{
+      nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 2, 2),
+      nn::make_weight_tensor(net.layer(2).weight_count(), wsp, 2, 3)};
+
+  FunctionalLoomEngine lm(FunctionalOptions{
+      .rows = 8, .cols = 16, .dynamic_act_precision = false});
+  const FunctionalNetworkRun rl = lm.run_network(net, input, weights);
+  ASSERT_EQ(rl.layers.size(), 2u);
+
+  // Reference chain: every layer's accumulators, byte for byte.
+  const nn::WideTensor c = nn::conv_forward(input, weights[0], net.layer(0));
+  nn::Tensor x = nn::requantize(c, nn::choose_requant_shift(c, 16), 16, true);
+  x = nn::pool_forward(x, net.layer(1));
+  const nn::WideTensor f = nn::fc_forward(x, weights[1], net.layer(2));
+  EXPECT_EQ(rl.layers[0].wide, c);
+  EXPECT_EQ(rl.layers[1].wide, f);
+  EXPECT_EQ(rl.output,
+            nn::requantize(f, nn::choose_requant_shift(f, 16), 16, true));
+
+  // The analytic DPNN baseline (8 IP units x 16 lanes) follows its schedule
+  // plus the pipeline fill: conv 2 filter blocks x 100 windows x
+  // ceil(72/16) = 5 chunks = 1000; fc 2 filter blocks x ceil(400/16) = 25
+  // chunks = 50.
+  NetworkWorkload wl(net, p);
+  const RunResult dpnn = DpnnSimulator(arch::DpnnConfig{}, SimOptions{}).run(wl);
+  ASSERT_EQ(dpnn.layers.size(), 2u);
+  const std::uint64_t dpnn_conv =
+      dpnn.layers[0].compute_cycles - kDpnnPipelineFill;
+  EXPECT_EQ(dpnn_conv, 1000u);
+  EXPECT_EQ(dpnn.layers[1].compute_cycles - kDpnnPipelineFill, 50u);
+  // The 8x16 Loom grid spends 2 x ceil(100/16) x 5 chunks x Pa(7) x Pw(8) =
+  // 3920 conv cycles (it has 16-window parallelism but 1/16 of the per-lane
+  // bit bandwidth -> ratio 3.92 = 7*8*[112/100]/16).
+  const double ratio = static_cast<double>(rl.layers[0].cycles) /
+                       static_cast<double>(dpnn_conv);
+  EXPECT_NEAR(ratio, 3.92, 0.05);
 }
 
 }  // namespace

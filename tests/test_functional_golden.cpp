@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "golden.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/workload.hpp"
@@ -329,33 +328,6 @@ TEST(BitsliceEquivalence, SignedFcActivations) {
     ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << i;
   }
   EXPECT_EQ(rf.cycles, rs.cycles);
-}
-
-TEST(BitsliceEquivalence, DpnnBackendsAgree) {
-  nn::Network net("t", nn::Shape3{5, 9, 9});
-  net.add_conv("c", 7, 3, 2, 1, 1).precision_group = 0;
-  quant::PrecisionProfile p;
-  p.network = "t";
-  p.conv_act = {9};
-  p.conv_weight = 10;
-  quant::apply_profile(net, p);
-  nn::SyntheticSpec act{.precision = 9, .alpha = 2.0, .is_signed = false};
-  nn::SyntheticSpec wsp{.precision = 10, .alpha = 2.0, .is_signed = true};
-  const nn::Tensor input = nn::make_activation_tensor(net.layer(0).in, act, 11, 1);
-  const nn::Tensor weights =
-      nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 12, 2);
-
-  FunctionalDpnnEngine fast(
-      FunctionalOptions{.rows = kDpnnFilters, .jobs = 1});
-  FunctionalDpnnEngine slow(
-      FunctionalOptions{.rows = kDpnnFilters, .backend = "scalar"});
-  const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
-  const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
-  EXPECT_EQ(rf.cycles, rs.cycles);
-  EXPECT_EQ(rf.requant_shift, rs.requant_shift);
-  for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
-  }
 }
 
 // ---- Fully-connected cycle model ------------------------------------------

@@ -152,7 +152,6 @@ class AutotunerTest : public ::testing::Test {
     nn::Layer l = nn::make_conv("tune", nn::Shape3{8, 6, 6}, 12, 3, 1, 1);
     const SliceSpec spec{.act_precision = 7,
                          .weight_precision = pw,
-                         .act_signed = false,
                          .dynamic = true};
     return conv_tune_key(l, spec, 1, GridOptions{.jobs = 1});
   }

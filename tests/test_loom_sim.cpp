@@ -1,6 +1,7 @@
 // Loom cycle model: hand-computed counts in static-precision mode, the
 // paper's ideal-speedup laws on divisible geometries, cascading, the
-// LM2b/LM4b precision-rounding behaviour, and §4.6 group-precision modes.
+// LM2b/LM4b precision-rounding behaviour, §4.6 group-precision modes and
+// the weight-plane sparsity extension.
 #include <gtest/gtest.h>
 
 #include "nn/zoo/zoo.hpp"
@@ -217,6 +218,44 @@ TEST(LoomSim, PackedWeightsShrinkOffchipTraffic) {
   // Pw=8 halves the weight traffic.
   EXPECT_NEAR(static_cast<double>(lm_bits) / static_cast<double>(dp_bits),
               0.5, 0.02);
+}
+
+TEST(SparsityExtension, PlaneSkippingEstimateIsFasterAndBounded) {
+  auto wl = prepare_network("alexnet", quant::AccuracyTarget::k100);
+  auto dpnn = sim::make_dpnn_simulator(arch::DpnnConfig{}, SimOptions{});
+  const auto base = dpnn->run(*wl);
+
+  arch::LoomConfig plain;
+  arch::LoomConfig grouped;
+  grouped.per_group_weights = true;
+  arch::LoomConfig sparse;
+  sparse.sparse_weight_skipping = true;
+
+  auto s_plain = sim::make_loom_simulator(plain, SimOptions{})->run(*wl);
+  auto s_grouped = sim::make_loom_simulator(grouped, SimOptions{})->run(*wl);
+  auto s_sparse = sim::make_loom_simulator(sparse, SimOptions{})->run(*wl);
+
+  const auto all = RunResult::Filter::kAll;
+  // Plane skipping subsumes leading-zero trimming: strictly faster than
+  // profile-only and on par or better than the per-group precision
+  // estimate (within a small margin — a rare group whose magnitudes OR to
+  // a dense pattern can cost one extra sign pass).
+  EXPECT_LT(s_sparse.cycles(all), s_plain.cycles(all));
+  EXPECT_LE(static_cast<double>(s_sparse.cycles(all)),
+            static_cast<double>(s_grouped.cycles(all)) * 1.05);
+}
+
+TEST(SparsityExtension, EssentialPlanesBelowGroupPrecision) {
+  auto wl = prepare_network("alexnet", quant::AccuracyTarget::k100);
+  const auto convs = wl->network().conv_indices();
+  for (const auto li : convs) {
+    const double essential = wl->layer(li).essential_weight_planes();
+    const double group = wl->layer(li).effective_weight_precision();
+    // Interior-zero skipping beats leading-zero trimming up to the sign
+    // pass (a group {-8, 7} needs 4 signed bits but 4+1 essential planes).
+    EXPECT_LE(essential, group + 1.0) << li;
+    EXPECT_GE(essential, 1.0);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // The non-GEMM half of a layer run, each part against its oracle:
 //   * the gemm kernel's bounds-free im2col pack: accumulators against the
-//     scalar arch::Sip oracle (unsigned specs) or nn::conv_forward (the
-//     signed DPNN spec); statistics against the oracle's at batch 1 and,
-//     when slabs span requests, against ORs gathered independently through
-//     nn::im2col_input_index;
+//     scalar arch::Sip oracle; statistics against the oracle's at batch 1
+//     and, when slabs span requests, against ORs gathered independently
+//     through nn::im2col_input_index;
 //   * the engine's one-pass epilogue against nn::choose_requant_shift +
 //     nn::requantize at adversarial accumulator extremes;
 //   * the engine's pooling against nn::pool_forward.
@@ -18,7 +17,6 @@
 #include "nn/im2col.hpp"
 #include "nn/reference.hpp"
 #include "sim/backend.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 #include "sim/gemm_engine.hpp"
 
@@ -27,7 +25,7 @@ namespace {
 
 /// Raw 16-bit activations, one in eight zero. Unsigned values take a random
 /// width up to 16 bits — wider than the profile Pa, so the pack's mask
-/// matters; signed ones are any 16-bit pattern.
+/// matters; signed ones (the pooling inputs) are any 16-bit pattern.
 nn::Tensor random_acts(const nn::Shape& shape, bool is_signed,
                        std::uint64_t seed) {
   nn::Tensor t(shape);
@@ -105,16 +103,15 @@ struct PackCase {
 };
 
 /// Run `pc` on the gemm kernel as one batch and check it: accumulators per
-/// request against the scalar oracle (unsigned) or nn::conv_forward
-/// (signed), statistics against the gathered ORs and, at batch 1, the
-/// oracle's own.
+/// request against the scalar oracle, statistics against the gathered ORs
+/// and, at batch 1, the oracle's own.
 void check_pack(const PackCase& pc, std::uint64_t seed) {
   const nn::Layer& layer = pc.layer;
   const nn::Shape in_shape{layer.in.c, layer.in.h, layer.in.w};
   const nn::Shape out_shape{layer.out.c, layer.out.h, layer.out.w};
   std::vector<nn::Tensor> inputs;
   for (int r = 0; r < pc.batch; ++r) {
-    inputs.push_back(random_acts(in_shape, pc.spec.act_signed, seed * 16 + r));
+    inputs.push_back(random_acts(in_shape, /*is_signed=*/false, seed * 16 + r));
   }
   const nn::Tensor weights = random_weights(layer.weight_count(), seed);
 
@@ -130,14 +127,6 @@ void check_pack(const PackCase& pc, std::uint64_t seed) {
       gemm.run_conv_batch(layer, in_ptrs, weights, pc.spec, wide_ptrs);
   expect_stats_eq(st, gathered_stats(layer, pc.spec, pc.grid, inputs));
 
-  if (pc.spec.act_signed) {
-    // Full-width signed operands on both sides: the reference is exact.
-    for (std::size_t r = 0; r < inputs.size(); ++r) {
-      EXPECT_EQ(wides[r], nn::conv_forward(inputs[r], weights, layer))
-          << "request " << r;
-    }
-    return;
-  }
   SipGridOracle oracle(pc.grid);
   for (std::size_t r = 0; r < inputs.size(); ++r) {
     nn::WideTensor want(out_shape);
@@ -155,7 +144,7 @@ std::string describe(const nn::Layer& l, const SliceSpec& s, int batch) {
   std::ostringstream out;
   out << 'k' << l.kernel_h << " s" << l.stride << " p" << l.pad << " g"
       << l.groups << " pa" << s.act_precision << " pw" << s.weight_precision
-      << (s.act_signed ? " signed" : "") << " batch " << batch;
+      << " batch " << batch;
   return out.str();
 }
 
@@ -178,7 +167,6 @@ TEST(PackEpilogue, PackMatchesOracleOverGeometry) {
                                   5 * groups, kernel, stride, pad, groups),
                     {.act_precision = 1 + n % 16,
                      .weight_precision = 2 + (n * 7) % 15,
-                     .act_signed = false,
                      .dynamic = n % 3 != 0},
                     grids[n % 3],
                     1 + n % 3};
@@ -198,31 +186,11 @@ TEST(PackEpilogue, PackMatchesOracleAtEveryActivationPrecision) {
       PackCase pc{nn::make_conv("c", nn::Shape3{5, 9, 9}, 7, 3, 1, 0),
                   {.act_precision = pa,
                    .weight_precision = pw,
-                   .act_signed = false,
                    .dynamic = true},
                   {.rows = 16, .cols = 16, .lanes = 16, .jobs = 1},
                   3};
       SCOPED_TRACE(describe(pc.layer, pc.spec, pc.batch));
       check_pack(pc, static_cast<std::uint64_t>(100 + pa * 2 + pw));
-    }
-  }
-}
-
-TEST(PackEpilogue, PackMatchesReferenceOnSignedDpnnSpec) {
-  // kDpnnSpec streams signed full-width activations (always split at Pw
-  // 16): the pack's all-ones mask keeps the sign.
-  int n = 0;
-  for (const int kernel : {1, 3, 5, 11}) {
-    for (const int pad : {0, 3}) {
-      for (const int stride : {1, 4}) {
-        PackCase pc{nn::make_conv("c", nn::Shape3{4, 12, 13}, 6, kernel,
-                                  stride, pad, 1 + n % 2),
-                    kDpnnSpec,
-                    {.rows = kDpnnFilters, .cols = 16, .lanes = 16, .jobs = 1},
-                    1 + n % 4};
-        SCOPED_TRACE(describe(pc.layer, pc.spec, pc.batch));
-        check_pack(pc, static_cast<std::uint64_t>(500 + n++));
-      }
     }
   }
 }

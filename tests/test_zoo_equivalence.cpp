@@ -1,6 +1,6 @@
 // Whole-network equivalence at zoo scale: NiN and AlexNet through the Loom
-// and DPNN engines on the gemm kernel, at batch 1 and 2, against the
-// nn::reference chain, with one pinned Loom digest per network (see
+// engine on the gemm kernel, at batch 1 and 2, against the nn::reference
+// chain, with one pinned Loom digest per network (see
 // zoo_equivalence.hpp). VGG-S and VGG-M, whose reference chains take tens
 // of seconds, run in test_zoo_equivalence_vgg under the slow label.
 #include <gtest/gtest.h>
@@ -12,9 +12,7 @@ namespace {
 
 void check_network(const std::string& name, std::uint64_t want) {
   const ZooCase c = make_case(name);
-  const ReferenceChains ref = reference_chains(c);
-  check_loom(c, ref, want);
-  check_dpnn(c, ref);
+  check_loom(c, reference_chains(c), want);
 }
 
 TEST(ZooEquivalence, NinMatchesReferenceChainOnEveryKernel) {

@@ -23,7 +23,6 @@
 #include "nn/synthetic.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
-#include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 
 namespace loom::sim::zoo_equivalence {
@@ -102,7 +101,7 @@ struct EngineRuns {
 
 /// Run `engine` solo on request 0 and batched on both requests, checking
 /// every layer's accumulators against `ref`.
-inline EngineRuns run_and_check(FunctionalEngine& engine, const ZooCase& c,
+inline EngineRuns run_and_check(FunctionalLoomEngine& engine, const ZooCase& c,
                                 const ReferenceChains& ref) {
   EngineRuns runs{engine.run_network(c.net, c.inputs[0], c.weights),
                   engine.run_network_batch(c.net, c.inputs, c.weights)};
@@ -142,20 +141,6 @@ inline void check_loom(const ZooCase& c, const ReferenceChains& ref,
   FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1, .backend = "gemm"});
   const std::uint64_t got = digest(run_and_check(engine, c, ref));
   EXPECT_EQ(got, want) << std::hex << "digest 0x" << got;
-}
-
-/// The DPNN engine on the gemm kernel. Its schedule is data-independent, so
-/// the batch of two must cost exactly twice the solo cycles per layer.
-inline void check_dpnn(const ZooCase& c, const ReferenceChains& ref) {
-  SCOPED_TRACE("DPNN on gemm");
-  FunctionalDpnnEngine engine(
-      FunctionalOptions{.rows = kDpnnFilters, .jobs = 1, .backend = "gemm"});
-  const EngineRuns runs = run_and_check(engine, c, ref);
-  ASSERT_EQ(runs.batch.layers.size(), runs.solo.layers.size());
-  for (std::size_t i = 0; i < runs.solo.layers.size(); ++i) {
-    EXPECT_EQ(runs.batch.layers[i].cycles, 2 * runs.solo.layers[i].cycles)
-        << runs.solo.layers[i].name;
-  }
 }
 
 }  // namespace loom::sim::zoo_equivalence
