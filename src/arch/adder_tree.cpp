@@ -12,14 +12,6 @@ AdderTree::AdderTree(int fan_in) : fan_in_(fan_in) {
   for (int n = 1; n < fan_in; n *= 2) ++depth_;
 }
 
-Wide AdderTree::reduce(std::span<const Wide> inputs) const noexcept {
-  Wide acc = 0;
-  const std::size_t n = std::min<std::size_t>(inputs.size(),
-                                              static_cast<std::size_t>(fan_in_));
-  for (std::size_t i = 0; i < n; ++i) acc += inputs[i];
-  return acc;
-}
-
 int AdderTree::reduce_bits(std::uint32_t packed_bits) const noexcept {
   const std::uint32_t mask =
       fan_in_ >= 32 ? 0xFFFFFFFFu : ((1u << fan_in_) - 1u);

@@ -1,22 +1,15 @@
-// Functional adder-tree model: the SIP's 16-input 1-bit tree (reduce_bits)
-// and the multi-bit reduction of a bit-parallel tree (reduce). Tracks the
-// reduction depth, which sets the pipeline latency charged by the cycle
-// models.
+// Functional adder-tree model: the SIP's 16-input 1-bit tree
+// (reduce_bits). Tracks the reduction depth, which sets the pipeline
+// latency charged by the cycle models.
 #pragma once
 
 #include <cstdint>
-#include <span>
-
-#include "common/bitops.hpp"
 
 namespace loom::arch {
 
 class AdderTree {
  public:
   explicit AdderTree(int fan_in);
-
-  /// Sum of the first fan_in inputs (missing inputs read as zero).
-  [[nodiscard]] Wide reduce(std::span<const Wide> inputs) const noexcept;
 
   /// Population count reduction for 1-bit partial products.
   [[nodiscard]] int reduce_bits(std::uint32_t packed_bits) const noexcept;

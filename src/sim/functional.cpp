@@ -61,6 +61,7 @@ FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
                             .requant_shift = b.requant_shifts[0],
                             .out_bits = b.out_bits,
                             .mean_streamed_precision = b.mean_streamed_precision,
+                            .mean_plane_products = b.mean_plane_products,
                             .backend = std::move(b.backend),
                             .phases = b.phases};
 }
@@ -257,6 +258,10 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
   run.cycles = st.cycles;
   run.mean_streamed_precision =
       st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
+  run.mean_plane_products =
+      st.slabs ? static_cast<double>(st.plane_products) /
+                     static_cast<double>(st.slabs)
+               : 0.0;
   dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
                             st.detect_invocations, st.detect_values);
   if (!conv) {

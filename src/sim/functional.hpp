@@ -82,6 +82,10 @@ struct FunctionalLayerRun {
   int requant_shift = 0;
   int out_bits = kBasePrecision;
   double mean_streamed_precision = 0.0;  ///< average Pa actually streamed
+  /// Conv plane products per K-block, mean over slabs (gemm only; 0 for FC
+  /// layers and the scalar oracle). Like phases, kept out of every golden
+  /// digest and equality check.
+  double mean_plane_products = 0.0;
   std::string backend;           ///< kernel that ran this layer
   LayerPhases phases;            ///< wall-clock split (timing only)
 };
@@ -105,6 +109,7 @@ struct FunctionalBatchLayerRun {
   std::uint64_t cycles = 0;             ///< grid cycles for the whole batch
   int out_bits = kBasePrecision;
   double mean_streamed_precision = 0.0;  ///< mean Pa over the batch's chunks
+  double mean_plane_products = 0.0;      ///< as in FunctionalLayerRun
   std::string backend;                   ///< kernel that ran this layer
   LayerPhases phases;                    ///< wall-clock split (timing only)
 };

@@ -19,11 +19,23 @@ namespace loom::sim {
 
 namespace {
 
-/// Packed window columns per slab tile: the A tile is [pair][kTile][2]
-/// int16, so one 512-bit load covers 16 windows of one k-pair.
+/// Packed window columns per slab tile. The int16 tiers pack
+/// [pair][kTile][2] (one 512-bit load covers 16 windows of one k-pair), the
+/// AMX tier [quad][kTile][4] bytes (one 64-byte tile row covers 16 windows
+/// of one k-quad).
 constexpr int kTile = 64;
 /// Filter rows per register block; conv weight rows are zero-padded to it.
 constexpr int kMr = 6;
+/// AMX tiles: A is 16 filter rows x kAmxK weight bytes, B kAmxK / 4
+/// k-quads x 16 windows, C 16 rows x 16 windows of int32.
+constexpr int kAmxRows = 16;
+constexpr std::int64_t kAmxK = 64;
+/// K-steps a layer needs before it takes the byte-plane kernel. A tile
+/// block pays a fixed cost the int16 kernel does not — palette load, C tile
+/// stores and release, int64 widening of 16 x 64 sums — and at one or two
+/// K-steps its products do not cover it: a 3x3 conv over 8 channels (inner
+/// 72) ran slower on tiles than on vpmaddwd.
+constexpr std::int64_t kMinByteSteps = 3;
 /// Below this many int32 steps per K-block the widening would dominate, so
 /// the activation splits into bytes instead (see operand_plan).
 constexpr std::int64_t kMinBlockSteps = 16;
@@ -35,37 +47,47 @@ constexpr int kFcStreams = 4;
 constexpr std::int64_t kMaxInner = std::int64_t{1} << 28;
 
 /// Steps one int32 lane may accumulate before it must be widened. Each
-/// step adds two products (one vpmaddwd pair), each of magnitude at most
-/// amax * wmax, so after n steps the lane holds at most 2n * amax * wmax —
-/// and every partial sum along the way is bounded the same — which must
-/// not exceed INT32_MAX. Zero means even one pair can wrap (e.g. signed FC
-/// activations against 16-bit weights: (-32768 * -32768) * 2 = 2^31).
-std::int64_t kblock_steps(std::int64_t amax, std::int64_t wmax) {
-  return (std::int64_t{INT32_MAX} / (amax * wmax)) / 2;
+/// step adds `per_step` products (2 for one vpmaddwd pair, kAmxK for one
+/// TDPBSUD K-step), each of magnitude at most amax * wmax, so after n steps
+/// the lane holds at most n * per_step * amax * wmax — and so does every
+/// partial sum along the way, whatever order the hardware adds in — which
+/// must not exceed INT32_MAX. Zero means even one step can wrap (e.g.
+/// signed FC activations against 16-bit weights: (-32768 * -32768) * 2 =
+/// 2^31).
+constexpr std::int64_t kblock_steps(std::int64_t amax, std::int64_t wmax,
+                                    std::int64_t per_step) {
+  return (std::int64_t{INT32_MAX} / (amax * wmax)) / per_step;
 }
 
-/// How one layer's activations enter the int16 GEMM.
+/// How one layer's operands enter the GEMM: as planes whose products sum
+/// exactly as sum over (i, j) of (act plane i x weight plane j) << (8i + 7j).
 struct OperandPlan {
-  bool split = false;     ///< lo byte + high part, summed as lo + 256 * hi
-  std::int64_t steps = 0; ///< K-block length in int32 steps (kblock_steps)
+  int act_parts = 1;       ///< whole, or low byte + high part (value >> 8)
+  int weight_parts = 1;    ///< whole, or 7-bit digits + a signed top plane
+  std::int64_t steps = 0;  ///< K-block length in kernel steps (kblock_steps)
 };
 
-/// `amax`: the largest activation magnitude the layer can stream. A value
-/// that does not fit int16 (unsigned Pa 16), or a bound too tight for a
-/// useful K-block, splits the activation: the low byte is in [0, 255] and
-/// the high part (value >> 8) in [-128, 255], so both parts fit int16 and
-/// the block bound uses 255.
+/// The int16 tiers. `amax`: the largest activation magnitude the layer can
+/// stream. A value that does not fit int16 (unsigned Pa 16), or a bound too
+/// tight for a useful K-block, splits the activation: the low byte is in
+/// [0, 255] and the high part (value >> 8) in [-128, 255], so both parts
+/// fit int16 and the block bound uses 255. Weights stay whole.
 OperandPlan operand_plan(std::int64_t amax, int weight_precision) {
   const std::int64_t wmax = std::int64_t{1} << (weight_precision - 1);
   OperandPlan plan;
-  plan.steps = kblock_steps(amax, wmax);
+  plan.steps = kblock_steps(amax, wmax, 2);
   if (amax > 32768 || plan.steps < kMinBlockSteps) {
-    plan.split = true;
-    plan.steps = kblock_steps(255, wmax);
+    plan.act_parts = 2;
+    plan.steps = kblock_steps(255, wmax, 2);
   }
   LOOM_ENSURES(plan.steps >= kMinBlockSteps);
   return plan;
 }
+
+/// Byte planes (the AMX tier): every byte product has magnitude at most
+/// 255 * 128, so a K-block holds 1,028 K-steps (65,792 products).
+constexpr std::int64_t kByteBlockSteps = kblock_steps(255, 128, kAmxK);
+static_assert(kByteBlockSteps == 1028);
 
 /// Low `precision` bits of a raw 16-bit pattern, read as two's complement.
 inline std::int32_t sext(Value raw, int precision) noexcept {
@@ -78,6 +100,8 @@ inline std::int32_t sext(Value raw, int precision) noexcept {
 //   w[r * ws + 2p] * a[p][x][0] + w[r * ws + 2p + 1] * a[p][x][1]) << shift
 // for rows r < kMr and windows x < 16 * nv, accumulating in int32 (the
 // caller keeps `steps` within the K-block bound) and widening once.
+// conv_tile_amx: the same over `steps` K-steps of kAmxK bytes, for rows
+// r < kAmxRows, with k-quads a[q][x][0..3] in place of k-pairs.
 // fc_row: out[s] += sum over k < n of sext_pw(row[k]) * acts[s][k] for
 // streams s < streams (acts zero-padded to a multiple of 32), widening
 // every `block` vector steps.
@@ -131,6 +155,19 @@ inline std::int32_t load_pair(const std::int16_t* p) noexcept {
   return v;
 }
 
+/// dst[0..16) += the 16 int32 lanes of `acc`, widened, << sh.
+__attribute__((target("avx512f"))) inline void add_widened(std::int64_t* dst,
+                                                           __m512i acc,
+                                                           __m128i sh) {
+  const __m512i lo =
+      _mm512_sll_epi64(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc)), sh);
+  const __m512i hi = _mm512_sll_epi64(
+      _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1)), sh);
+  _mm512_storeu_si512(dst, _mm512_add_epi64(_mm512_loadu_si512(dst), lo));
+  _mm512_storeu_si512(dst + 8,
+                      _mm512_add_epi64(_mm512_loadu_si512(dst + 8), hi));
+}
+
 template <int NV>
 __attribute__((target("avx512f,avx512bw"))) void conv_tile_avx512_nv(
     const std::int16_t* a, const std::int16_t* w, std::int64_t ws,
@@ -158,14 +195,7 @@ __attribute__((target("avx512f,avx512bw"))) void conv_tile_avx512_nv(
   const __m128i sh = _mm_cvtsi32_si128(shift);
   for (int r = 0; r < kMr; ++r) {
     for (int v = 0; v < NV; ++v) {
-      std::int64_t* dst = c + r * kTile + v * 16;
-      const __m512i lo = _mm512_sll_epi64(
-          _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc[r][v])), sh);
-      const __m512i hi = _mm512_sll_epi64(
-          _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc[r][v], 1)), sh);
-      _mm512_storeu_si512(dst, _mm512_add_epi64(_mm512_loadu_si512(dst), lo));
-      _mm512_storeu_si512(dst + 8,
-                          _mm512_add_epi64(_mm512_loadu_si512(dst + 8), hi));
+      add_widened(c + r * kTile + v * 16, acc[r][v], sh);
     }
   }
 }
@@ -178,6 +208,75 @@ void conv_tile_avx512(const std::int16_t* a, const std::int16_t* w,
     case 2: return conv_tile_avx512_nv<2>(a, w, ws, steps, c, shift);
     case 3: return conv_tile_avx512_nv<3>(a, w, ws, steps, c, shift);
     default: return conv_tile_avx512_nv<4>(a, w, ws, steps, c, shift);
+  }
+}
+
+/// The TDPBSUD palette: every tile 16 rows x 64 bytes. Tiles 0-3 are the C
+/// blocks of 16 windows each, tile 4 holds 16 weight rows (A, signed), and
+/// tiles 5-7 take the activation quads (B, unsigned) in turn.
+struct alignas(64) AmxConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {64, 64, 64, 64, 64, 64, 64, 64};
+  std::uint8_t rows[16] = {16, 16, 16, 16, 16, 16, 16, 16};
+};
+constexpr AmxConfig kAmxConfig{};
+
+template <int NV>
+__attribute__((target("amx-tile,amx-int8,avx512f"))) void conv_tile_amx_nv(
+    const std::uint8_t* a, const std::int8_t* w, std::int64_t ws,
+    std::int64_t steps, std::int64_t* c, int shift) {
+  constexpr std::int64_t kQuadBytes = 4 * kTile;  // one k-quad of the slab
+  _tile_loadconfig(&kAmxConfig);
+  _tile_zero(0);
+  if constexpr (NV > 1) _tile_zero(1);
+  if constexpr (NV > 2) _tile_zero(2);
+  if constexpr (NV > 3) _tile_zero(3);
+  for (std::int64_t s = 0; s < steps; ++s) {
+    const std::uint8_t* b = a + s * (kAmxK / 4) * kQuadBytes;
+    _tile_loadd(4, w + s * kAmxK, ws);
+    _tile_loadd(5, b, kQuadBytes);
+    _tile_dpbsud(0, 4, 5);
+    if constexpr (NV > 1) {
+      _tile_loadd(6, b + 64, kQuadBytes);
+      _tile_dpbsud(1, 4, 6);
+    }
+    if constexpr (NV > 2) {
+      _tile_loadd(7, b + 128, kQuadBytes);
+      _tile_dpbsud(2, 4, 7);
+    }
+    if constexpr (NV > 3) {
+      _tile_loadd(5, b + 192, kQuadBytes);
+      _tile_dpbsud(3, 4, 5);
+    }
+  }
+  alignas(64) std::int32_t acc[kAmxRows][kTile];
+  constexpr std::int64_t kAccStride = kTile * sizeof(std::int32_t);
+  _tile_stored(0, acc[0], kAccStride);
+  if constexpr (NV > 1) _tile_stored(1, acc[0] + 16, kAccStride);
+  if constexpr (NV > 2) _tile_stored(2, acc[0] + 32, kAccStride);
+  if constexpr (NV > 3) _tile_stored(3, acc[0] + 48, kAccStride);
+  // Back to the init state, so the tile data does not stay live (and get
+  // saved and restored by the OS) through the pack and the demux.
+  _tile_release();
+  const __m128i sh = _mm_cvtsi32_si128(shift);
+  for (int r = 0; r < kAmxRows; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      add_widened(c + r * kTile + v * 16, _mm512_load_si512(acc[r] + v * 16),
+                  sh);
+    }
+  }
+}
+
+void conv_tile_amx(const std::uint8_t* a, const std::int8_t* w,
+                   std::int64_t ws, std::int64_t steps, int nv,
+                   std::int64_t* c, int shift) {
+  switch (nv) {
+    case 1: return conv_tile_amx_nv<1>(a, w, ws, steps, c, shift);
+    case 2: return conv_tile_amx_nv<2>(a, w, ws, steps, c, shift);
+    case 3: return conv_tile_amx_nv<3>(a, w, ws, steps, c, shift);
+    default: return conv_tile_amx_nv<4>(a, w, ws, steps, c, shift);
   }
 }
 
@@ -316,9 +415,15 @@ __attribute__((target("avx2"))) void fc_row_avx2(
 }  // namespace
 
 struct GemmEngine::Kernels {
+  /// int16 conv block (conv_tile): every tier.
   void (*conv_tile)(const std::int16_t* a, const std::int16_t* w,
                     std::int64_t ws, std::int64_t steps, int nv,
                     std::int64_t* c, int shift);
+  /// Byte-plane conv block (conv_tile_amx): the AMX tier, for layers of at
+  /// least kMinByteSteps K-steps; null below it.
+  void (*conv_bytes)(const std::uint8_t* a, const std::int8_t* w,
+                     std::int64_t ws, std::int64_t steps, int nv,
+                     std::int64_t* c, int shift);
   void (*fc_row)(const std::int16_t* row, std::int64_t n, int pw,
                  const std::int16_t* const* acts, int streams,
                  std::int64_t block, std::int64_t* out);
@@ -326,25 +431,110 @@ struct GemmEngine::Kernels {
 
 namespace {
 
-constexpr GemmEngine::Kernels kScalarKernels{conv_tile_scalar, fc_row_scalar};
+constexpr GemmEngine::Kernels kScalarKernels{conv_tile_scalar, nullptr,
+                                             fc_row_scalar};
 #if defined(LOOM_GEMM_X86)
-constexpr GemmEngine::Kernels kAvx2Kernels{conv_tile_avx2, fc_row_avx2};
-constexpr GemmEngine::Kernels kAvx512Kernels{conv_tile_avx512, fc_row_avx512};
+constexpr GemmEngine::Kernels kAvx2Kernels{conv_tile_avx2, nullptr,
+                                           fc_row_avx2};
+constexpr GemmEngine::Kernels kAvx512Kernels{conv_tile_avx512, nullptr,
+                                             fc_row_avx512};
+constexpr GemmEngine::Kernels kAmxKernels{conv_tile_avx512, conv_tile_amx,
+                                          fc_row_avx512};
 #endif
 
 const GemmEngine::Kernels* select_kernels() {
 #if defined(LOOM_GEMM_X86)
+  if (common::have_amx()) return &kAmxKernels;
   if (common::have_avx512()) return &kAvx512Kernels;
   if (common::have_avx2()) return &kAvx2Kernels;
 #endif
   return &kScalarKernels;
 }
 
+/// The operand layout of a conv kernel family: what the pack writes, the
+/// weight planes hold and the block kernel reads.
+struct Int16Pairs {
+  using Act = std::int16_t;
+  using Weight = std::int16_t;
+  static constexpr int kGroup = 2;             ///< k interleaved per window
+  static constexpr std::int64_t kStep = 2;     ///< inner positions per step
+  static constexpr std::int64_t kRows = kMr;   ///< filter rows per block
+  static OperandPlan plan(std::int64_t amax, int pw) {
+    return operand_plan(amax, pw);
+  }
+};
+
+#if defined(LOOM_GEMM_X86)
+struct BytePlanes {
+  using Act = std::uint8_t;
+  using Weight = std::int8_t;
+  static constexpr int kGroup = 4;
+  static constexpr std::int64_t kStep = kAmxK;
+  static constexpr std::int64_t kRows = kAmxRows;
+  /// Unsigned activation bytes (the value up to Pa 8, else the low and
+  /// high byte) against signed weight bytes: the Pw-bit value up to Pw 8,
+  /// else max(1, ceil((Pw - 1) / 7)) planes (see split_row).
+  static OperandPlan plan(std::int64_t amax, int pw) {
+    return {.act_parts = amax > 255 ? 2 : 1,
+            .weight_parts = static_cast<int>(
+                std::max<std::int64_t>(1, ceil_div(pw - 1, 7))),
+            .steps = kByteBlockSteps};
+  }
+};
+#endif
+
+template <typename L>
+using ConvTile = void (*)(const typename L::Act* a,
+                          const typename L::Weight* w, std::int64_t ws,
+                          std::int64_t steps, int nv, std::int64_t* c,
+                          int shift);
+
+/// One filter row of Pw-bit weights as `Planes` planes `plane` apart: one
+/// plane holds the value w itself (W must hold it); with more, plane j <
+/// Planes - 1 holds the 7-bit digit (w >> 7j) & 127 and the last the signed
+/// rest w >> 7j, so w is the sum of plane j << 7j. One pass over the row.
+template <int Planes, typename W>
+void split_row(const Value* src, std::int64_t n, int pw, W* dst,
+               std::int64_t plane) {
+  for (std::int64_t k = 0; k < n; ++k) {
+    const std::int32_t w = sext(src[k], pw);
+    for (int j = 0; j + 1 < Planes; ++j) {
+      dst[j * plane + k] = static_cast<W>((w >> (7 * j)) & 127);
+    }
+    dst[(Planes - 1) * plane + k] = static_cast<W>(w >> (7 * (Planes - 1)));
+  }
+}
+
+/// The conv weights as `planes` (1 to 3) planes of W (see split_row), each
+/// zero-padded to whole register blocks and kernel steps:
+/// [plane][group][cog_pad][kpad]. A pure function of the layer and its
+/// weights.
+template <typename W>
+std::vector<W> weight_planes(const nn::Layer& layer, const nn::Tensor& weights,
+                             int pw, int planes, std::int64_t cog_pad,
+                             std::int64_t kpad) {
+  const std::int64_t inner = layer.inner_length();
+  const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t plane = layer.groups * cog_pad * kpad;
+  std::vector<W> out(static_cast<std::size_t>(planes * plane), 0);
+  for (std::int64_t co = 0; co < layer.out.c; ++co) {
+    const Value* src = weights.data().data() + co * inner;
+    W* dst = out.data() + ((co / cog) * cog_pad + co % cog) * kpad;
+    switch (planes) {
+      case 1: split_row<1>(src, inner, pw, dst, plane); break;
+      case 2: split_row<2>(src, inner, pw, dst, plane); break;
+      default: split_row<3>(src, inner, pw, dst, plane); break;
+    }
+  }
+  return out;
+}
+
 /// Per-stripe scratch, sized to one slab tile.
+template <typename L>
 struct ConvScratch {
-  std::vector<std::int16_t> a;          ///< [part][pair][kTile][2]
+  std::vector<typename L::Act> a;  ///< [part][k / kGroup][kTile][kGroup]
   std::vector<std::uint32_t> group_or;  ///< [chunk][column group]
-  std::int64_t c[kMr * kTile];          ///< one register block's int64 sums
+  std::int64_t c[L::kRows * kTile];     ///< one register block's int64 sums
 };
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
@@ -366,24 +556,23 @@ struct PackWalk {
   std::int64_t cols = 0;   ///< columns per statistics group
 };
 
-/// The im2col pack of one slab of `cu` columns: for every k, each column's
-/// raw value ORs into its (chunk, column group) word of `ors` and stores,
-/// ANDed with `mask` (the profile mask), into the k-pair-interleaved tile
-/// `a` — whole, or with Split as the low byte plus, `part_stride` further
-/// on, the high part. Padding positions read the border's zeros, which
-/// leave the ORs unchanged, so the loop has no bounds test; (ci, ky, kx)
-/// advance as counters.
-template <bool Split>
+/// One im2col pack pass over a slab of `cu` columns: for every k, each
+/// column's raw value v stores as x = v & mask — or, with High, x >> 8 —
+/// into the tile `a` with KGroup consecutive k interleaved per column. The
+/// low pass also ORs v into its (chunk, column group) word of `ors`.
+/// Padding positions read the border's zeros, which leave the ORs
+/// unchanged, so the loop has no bounds test; (ci, ky, kx) advance as
+/// counters.
+template <typename A, int KGroup, bool High>
 void pack_slab(const PackWalk& walk, const Value* const* col, std::int64_t cu,
-               std::int32_t mask, std::int16_t* a, std::int64_t part_stride,
-               std::uint32_t* ors) {
+               std::int32_t mask, A* a, std::uint32_t* ors) {
   const std::int64_t n_groups = ceil_div(cu, walk.cols);
   const std::int64_t next_row = walk.row - walk.kw + 1;
   const std::int64_t next_plane =
       walk.plane - (walk.kh - 1) * walk.row - walk.kw + 1;
   std::int64_t off = 0, kx = 0, ky = 0, lane = 0;
   for (std::int64_t k = 0; k < walk.inner; ++k) {
-    std::int16_t* dst = a + (k >> 1) * 2 * kTile + (k & 1);
+    A* dst = a + (k / KGroup) * KGroup * kTile + k % KGroup;
     for (std::int64_t j = 0, c = 0; j < n_groups; ++j) {
       const std::int64_t c_end = std::min(cu, c + walk.cols);
       std::uint32_t group = 0;
@@ -391,18 +580,15 @@ void pack_slab(const PackWalk& walk, const Value* const* col, std::int64_t cu,
         const Value v = col[c][off];
         group |= static_cast<std::uint16_t>(v);
         const std::int32_t x = std::int32_t{v} & mask;
-        if constexpr (Split) {
-          dst[2 * c] = static_cast<std::int16_t>(x & 0xFF);
-          dst[part_stride + 2 * c] = static_cast<std::int16_t>(x >> 8);
-        } else {
-          dst[2 * c] = static_cast<std::int16_t>(x);
-        }
+        dst[KGroup * c] = static_cast<A>(High ? x >> 8 : x);
       }
-      ors[j] |= group;
+      if constexpr (!High) ors[j] |= group;
     }
-    if (++lane == walk.lanes) {
-      lane = 0;
-      ors += n_groups;
+    if constexpr (!High) {
+      if (++lane == walk.lanes) {
+        lane = 0;
+        ors += n_groups;
+      }
     }
     if (++kx < walk.kw) {
       ++off;
@@ -457,52 +643,33 @@ void conv_stream_stats(const nn::Layer& layer, const SliceSpec& spec,
   }
 }
 
-GemmEngine::GemmEngine(GridOptions grid)
-    : opts_(grid), kernels_(select_kernels()) {
-  LOOM_EXPECTS(supports(grid));
-  slab_windows_ = (kTile / opts_.cols) * opts_.cols;
-}
+namespace {
 
-ConvStats GemmEngine::run_conv_batch(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const SliceSpec& spec,
-    std::span<nn::WideTensor* const> wides) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-  LOOM_EXPECTS(spec.act_precision >= 1 && spec.act_precision <= kBasePrecision);
-  LOOM_EXPECTS(spec.weight_precision >= 1 &&
-               spec.weight_precision <= kBasePrecision);
-  LOOM_EXPECTS(layer.inner_length() < kMaxInner);
-  LOOM_EXPECTS(nn::geometry_consistent(layer));
-  for (const nn::Tensor* in : inputs) {
-    LOOM_EXPECTS(in->elements() == layer.in.elements());
-  }
-
+/// run_conv_batch on one operand layout: the pack, statistics, stripes and
+/// demux are shared; `tile` is the layout's block kernel.
+template <typename L>
+ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
+                     ConvTile<L> tile, const nn::Layer& layer,
+                     std::span<const nn::Tensor* const> inputs,
+                     const nn::Tensor& weights, const SliceSpec& spec,
+                     std::span<nn::WideTensor* const> wides) {
+  using Act = typename L::Act;
   const std::int64_t inner = layer.inner_length();
-  const std::int64_t pairs = ceil_div(inner, 2);
-  const std::int64_t kpad = 2 * pairs;
+  const std::int64_t ksteps = ceil_div(inner, L::kStep);
+  const std::int64_t kpad = ksteps * L::kStep;
   const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t cog_pad = ceil_div(cog, kMr) * kMr;
+  const std::int64_t cog_pad = ceil_div(cog, L::kRows) * L::kRows;
   const std::int64_t windows = layer.windows();
   const int pw = spec.weight_precision;
   const std::uint32_t prof_mask = (std::uint32_t{1} << spec.act_precision) - 1;
-  const OperandPlan plan = operand_plan(prof_mask, pw);
-  const int parts = plan.split ? 2 : 1;
+  const OperandPlan plan = L::plan(prof_mask, pw);
 
   // Operand preparation counts as pack time.
   const auto t_prep = std::chrono::steady_clock::now();
-  // Pw-masked weights, zero-padded to whole k-pairs and register blocks:
-  // [group][cog_pad][kpad]. Shared read-only by every stripe.
-  std::vector<std::int16_t> wm(
-      static_cast<std::size_t>(layer.groups * cog_pad * kpad), 0);
-  for (std::int64_t co = 0; co < layer.out.c; ++co) {
-    std::int16_t* dst =
-        wm.data() + ((co / cog) * cog_pad + co % cog) * kpad;
-    const Value* src = weights.data().data() + co * inner;
-    for (std::int64_t k = 0; k < inner; ++k) {
-      dst[k] = static_cast<std::int16_t>(sext(src[k], pw));
-    }
-  }
+  // Shared read-only by every stripe.
+  const std::vector<typename L::Weight> wm = weight_planes<typename L::Weight>(
+      layer, weights, pw, plan.weight_parts, cog_pad, kpad);
+  const std::int64_t weight_plane = layer.groups * cog_pad * kpad;
 
   // Zero-bordered copies of the inputs (the inputs themselves at pad 0), so
   // every window of a validated geometry lies inside its buffer.
@@ -512,8 +679,8 @@ ConvStats GemmEngine::run_conv_batch(
                       .kw = layer.kernel_w,
                       .row = layer.in.w + 2 * pad,
                       .plane = (layer.in.h + 2 * pad) * (layer.in.w + 2 * pad),
-                      .lanes = opts_.lanes,
-                      .cols = opts_.cols};
+                      .lanes = opts.lanes,
+                      .cols = opts.cols};
   const std::int64_t volume = layer.in.c * walk.plane;
   std::vector<Value> bordered;
   std::vector<const Value*> base(inputs.size());
@@ -536,26 +703,28 @@ ConvStats GemmEngine::run_conv_batch(
     }
   }
   const std::int64_t group_offset = layer.group_in_channels() * walk.plane;
-  const std::int64_t ic_count = ceil_div(inner, opts_.lanes);
-  const std::int64_t part_stride = pairs * 2 * kTile;
+  const std::int64_t ic_count = ceil_div(inner, opts.lanes);
+  const std::int64_t part_stride = kpad * kTile;
   const auto act_mask = static_cast<std::int32_t>(prof_mask);
+  // The whole value, or its low byte when the activation splits.
+  const std::int32_t low_mask =
+      plan.act_parts == 2 ? act_mask & 0xFF : act_mask;
 
   const std::uint64_t prep_ns = ns_since(t_prep);
 
   const auto conv_slab = [&](std::int64_t g, std::int64_t slab,
-                             ConvScratch& sc, ConvStats& stats) {
-    const std::int64_t w0 = slab * slab_windows_;
+                             ConvScratch<L>& sc, ConvStats& stats) {
+    const std::int64_t w0 = slab * slab_windows;
     const std::int64_t cu = std::min<std::int64_t>(
-        slab_windows_,
-        windows * static_cast<std::int64_t>(inputs.size()) - w0);
-    const std::int64_t n_groups = ceil_div(cu, opts_.cols);
+        slab_windows, windows * static_cast<std::int64_t>(inputs.size()) - w0);
+    const std::int64_t n_groups = ceil_div(cu, opts.cols);
     const int nv = static_cast<int>(ceil_div(cu, 16));
 
     const auto t_pack = std::chrono::steady_clock::now();
     // ---- Pack: one base pointer per column (its request's buffer, so
     // slabs may span requests), then the bounds-free im2col walk. The
-    // kernel reads nv * 16 columns: zero the tail the pack leaves. The
-    // odd last k slot is never written, so it keeps the stripe's zeros.
+    // kernel reads nv * 16 columns: zero the tail the pack leaves. The k
+    // slots past `inner` are never written, so they keep the stripe's zeros.
     const Value* col[kTile];
     for (std::int64_t c = 0; c < cu; ++c) {
       const std::int64_t gw = w0 + c;
@@ -565,36 +734,47 @@ ConvStats GemmEngine::run_conv_batch(
                (window % layer.out.w) * layer.stride;
     }
     if (cu < nv * 16) {
-      for (std::int64_t p = 0; p < parts * pairs; ++p) {
-        std::int16_t* pair = sc.a.data() + p * 2 * kTile;
-        std::fill(pair + 2 * cu, pair + 2 * nv * 16, std::int16_t{0});
+      for (std::int64_t q = 0; q < plan.act_parts * kpad / L::kGroup; ++q) {
+        Act* row = sc.a.data() + q * L::kGroup * kTile;
+        std::fill(row + L::kGroup * cu, row + L::kGroup * nv * 16, Act{0});
       }
     }
     sc.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0);
-    if (plan.split) {
-      pack_slab<true>(walk, col, cu, act_mask, sc.a.data(), part_stride,
-                      sc.group_or.data());
-    } else {
-      pack_slab<false>(walk, col, cu, act_mask, sc.a.data(), part_stride,
-                       sc.group_or.data());
+    pack_slab<Act, L::kGroup, false>(walk, col, cu, low_mask, sc.a.data(),
+                                     sc.group_or.data());
+    conv_stream_stats(layer, spec, opts, cu, sc.group_or, stats);
+    // Dynamic planes: a slab whose streamed values all fit a byte has an
+    // all-zero high part, whatever the profile, so it is neither packed nor
+    // multiplied.
+    std::uint32_t slab_or = 0;
+    for (const std::uint32_t o : sc.group_or) slab_or |= o;
+    const int act_parts = (slab_or & prof_mask) < 256 ? 1 : plan.act_parts;
+    if (act_parts == 2) {
+      pack_slab<Act, L::kGroup, true>(walk, col, cu, act_mask,
+                                      sc.a.data() + part_stride, nullptr);
     }
-    conv_stream_stats(layer, spec, opts_, cu, sc.group_or, stats);
+    stats.plane_products +=
+        static_cast<std::uint64_t>(act_parts * plan.weight_parts);
+    ++stats.slabs;
     stats.pack_ns += ns_since(t_pack);
 
-    // ---- GEMM: kMr filter rows x the slab's windows per register block,
-    // int32 over each K-block, widened into the int64 block sums.
-    for (std::int64_t rb = 0; rb < cog; rb += kMr) {
-      std::fill(sc.c, sc.c + kMr * kTile, std::int64_t{0});
-      const std::int16_t* wrow = wm.data() + (g * cog_pad + rb) * kpad;
-      for (int part = 0; part < parts; ++part) {
-        const std::int16_t* a = sc.a.data() + part * part_stride;
-        for (std::int64_t p0 = 0; p0 < pairs; p0 += plan.steps) {
-          kernels_->conv_tile(a + p0 * 2 * kTile, wrow + 2 * p0, kpad,
-                              std::min(plan.steps, pairs - p0), nv, sc.c,
-                              8 * part);
+    // ---- GEMM: L::kRows filter rows x the slab's windows per register
+    // block, each plane product in int32 over each K-block, widened into
+    // the int64 block sums at its plane shift.
+    for (std::int64_t rb = 0; rb < cog; rb += L::kRows) {
+      std::fill(sc.c, sc.c + L::kRows * kTile, std::int64_t{0});
+      for (int i = 0; i < act_parts; ++i) {
+        const Act* a = sc.a.data() + i * part_stride;
+        for (int j = 0; j < plan.weight_parts; ++j) {
+          const typename L::Weight* wrow =
+              wm.data() + j * weight_plane + (g * cog_pad + rb) * kpad;
+          for (std::int64_t s0 = 0; s0 < ksteps; s0 += plan.steps) {
+            tile(a + s0 * L::kStep * kTile, wrow + s0 * L::kStep, kpad,
+                 std::min(plan.steps, ksteps - s0), nv, sc.c, 8 * i + 7 * j);
+          }
         }
       }
-      const std::int64_t rows = std::min<std::int64_t>(kMr, cog - rb);
+      const std::int64_t rows = std::min<std::int64_t>(L::kRows, cog - rb);
       for (std::int64_t c0 = 0; c0 < cu;) {
         const std::int64_t gw = w0 + c0;
         const std::int64_t win0 = gw % windows;
@@ -610,14 +790,14 @@ ConvStats GemmEngine::run_conv_batch(
   };
 
   const std::int64_t slab_count = ceil_div(
-      windows * static_cast<std::int64_t>(inputs.size()), slab_windows_);
+      windows * static_cast<std::int64_t>(inputs.size()), slab_windows);
   const std::int64_t tasks = layer.groups * slab_count;
   const std::size_t stripes = std::min<std::size_t>(
-      resolve_jobs(opts_.jobs), static_cast<std::size_t>(tasks));
+      resolve_jobs(opts.jobs), static_cast<std::size_t>(tasks));
   std::vector<ConvStats> stripe_stats(std::max<std::size_t>(stripes, 1));
   const auto run_stripe = [&](std::size_t s) {
-    ConvScratch sc;
-    sc.a.assign(static_cast<std::size_t>(parts * part_stride), 0);
+    ConvScratch<L> sc;
+    sc.a.assign(static_cast<std::size_t>(plan.act_parts * part_stride), 0);
     const auto lo = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * s) / stripes);
     const auto hi = static_cast<std::int64_t>(
@@ -640,6 +820,39 @@ ConvStats GemmEngine::run_conv_batch(
   return total;
 }
 
+}  // namespace
+
+GemmEngine::GemmEngine(GridOptions grid)
+    : opts_(grid), kernels_(select_kernels()) {
+  LOOM_EXPECTS(supports(grid));
+  slab_windows_ = (kTile / opts_.cols) * opts_.cols;
+}
+
+ConvStats GemmEngine::run_conv_batch(
+    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+    const nn::Tensor& weights, const SliceSpec& spec,
+    std::span<nn::WideTensor* const> wides) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  LOOM_EXPECTS(spec.act_precision >= 1 && spec.act_precision <= kBasePrecision);
+  LOOM_EXPECTS(spec.weight_precision >= 1 &&
+               spec.weight_precision <= kBasePrecision);
+  LOOM_EXPECTS(layer.inner_length() < kMaxInner);
+  LOOM_EXPECTS(nn::geometry_consistent(layer));
+  for (const nn::Tensor* in : inputs) {
+    LOOM_EXPECTS(in->elements() == layer.in.elements());
+  }
+#if defined(LOOM_GEMM_X86)
+  if (kernels_->conv_bytes != nullptr &&
+      ceil_div(layer.inner_length(), kAmxK) >= kMinByteSteps) {
+    return conv_batch<BytePlanes>(opts_, slab_windows_, kernels_->conv_bytes,
+                                  layer, inputs, weights, spec, wides);
+  }
+#endif
+  return conv_batch<Int16Pairs>(opts_, slab_windows_, kernels_->conv_tile,
+                                layer, inputs, weights, spec, wides);
+}
+
 void GemmEngine::run_fc_batch(const nn::Layer& layer,
                               std::span<const nn::Tensor* const> inputs,
                               const nn::Tensor& weights, int weight_precision,
@@ -652,7 +865,7 @@ void GemmEngine::run_fc_batch(const nn::Layer& layer,
   const std::int64_t inner = layer.in.elements();
   const std::int64_t padded = ceil_div(inner, 32) * 32;
   const OperandPlan plan = operand_plan(32768, weight_precision);
-  const int parts = plan.split ? 2 : 1;
+  const int parts = plan.act_parts;
   const auto batch = static_cast<std::int64_t>(inputs.size());
   const std::int64_t streams = batch * parts;
 
@@ -663,7 +876,7 @@ void GemmEngine::run_fc_batch(const nn::Layer& layer,
   for (std::int64_t r = 0; r < batch; ++r) {
     std::int16_t* lo = acts.data() + r * parts * padded;
     const Value* in = inputs[static_cast<std::size_t>(r)]->data().data();
-    if (plan.split) {
+    if (parts == 2) {
       for (std::int64_t k = 0; k < inner; ++k) {
         lo[k] = static_cast<std::int16_t>(in[k] & 0xFF);
         lo[padded + k] = static_cast<std::int16_t>(in[k] >> 8);
@@ -695,7 +908,9 @@ void GemmEngine::run_fc_batch(const nn::Layer& layer,
       }
       for (std::int64_t r = 0; r < batch; ++r) {
         Wide v = sums[static_cast<std::size_t>(r * parts)];
-        if (plan.split) v += sums[static_cast<std::size_t>(r * parts + 1)] * 256;
+        if (parts == 2) {
+          v += sums[static_cast<std::size_t>(r * parts + 1)] * 256;
+        }
         wides[static_cast<std::size_t>(r)]->set_flat(co, v);
       }
     }

@@ -3,14 +3,35 @@
 // accumulators and the dispatcher's analytic streaming statistics — and
 // this engine computes each the cheapest way:
 //
-//   * accumulators: an im2col pack of one window slab (int16, k-pair
-//     interleaved), then a register-blocked int16 multiply-add GEMM
-//     (vpmaddwd) with int32 partial sums over K-blocks, widened to int64
-//     between blocks. The K-block length comes from a proven bound on the
-//     operand magnitudes (kblock_steps in gemm_engine.cpp), so no int32
-//     lane can wrap; operands too wide for a useful block (unsigned Pa 16,
-//     FC at high Pw) split the activation into a low byte and a high part,
-//     summed exactly as lo + 256 * hi.
+//   * accumulators: an im2col pack of one window slab, then a
+//     register-blocked multiply-add GEMM with int32 partial sums over
+//     K-blocks, widened to int64 between blocks. Two operand layouts share
+//     the slab, stripe, statistics and demux code; only the pack layout and
+//     the block kernel differ by SIMD tier:
+//       - int16 tiers (avx512, avx2, scalar): activations int16 and
+//         k-pair interleaved [pair][64][2], weights the Pw-bit value as
+//         int16, vpmaddwd over 6-row register blocks. Operands too wide for
+//         a useful block (unsigned Pa 16, FC at high Pw) split the
+//         activation into a low byte and a high part, summed exactly as
+//         lo + 256 * hi.
+//       - amx tier: byte planes on TDPBSUD tiles. Activations are the
+//         unsigned B tile: the low byte of raw & (2^Pa - 1) and, above Pa
+//         8, its high byte, k-quad interleaved [quad][64][4]. Weights are
+//         the signed A tile: the Pw-bit value w itself up to Pw 8, else
+//         max(1, ceil((Pw - 1) / 7)) planes — 7-bit digits (w >> 7j) & 127
+//         and a signed top plane — stored [plane][group][cog_pad16][kpad64]
+//         by one pure function (weight_planes). Plane product (i, j)
+//         accumulates in int32 C tiles and flushes into the int64 sums
+//         shifted by 8i + 7j. A slab whose masked ORs fit in 8 bits runs
+//         one activation plane whatever its static Pa (dynamic planes).
+//         Convs shallower than three 64-deep K-steps stay on the int16
+//         kernel, where a tile block's fixed cost is not repaid.
+//     The K-block length comes from a proven bound (kblock_steps in
+//     gemm_engine.cpp): a step adds `per_step` products of magnitude at
+//     most amax * wmax, so floor(INT32_MAX / (amax * wmax)) / per_step
+//     steps cannot wrap any partial sum, in any order of addition. For
+//     byte planes amax * wmax = 255 * 128 and per_step is 64, so a block
+//     holds 1,028 K-steps (65,792 products).
 //   * statistics: the same pack ORs each (input chunk, column group) of raw
 //     activations, and conv_stream_stats folds those ORs into ConvStats —
 //     the one statistics pass, byte-identical to what the dispatcher-driven
@@ -24,9 +45,10 @@
 // span requests — and element k = (ci, ky, kx) sits at one offset from
 // every base, walked with incremental counters. The inner loop is a load,
 // an OR into the column group's statistic, a mask and a store: the mask is
-// the profile's 2^Pa - 1, and the byte split is a template parameter.
-// Border zeros leave the ORs unchanged. The tile is zeroed once per stripe;
-// per slab the pack clears only the tail columns it does not write.
+// the profile's 2^Pa - 1, and the stored part (whole value, low byte, high
+// byte) is a template parameter. Border zeros leave the ORs unchanged. The
+// tile is zeroed once per stripe; per slab the pack clears only the tail
+// columns it does not write.
 //
 // Operand semantics match the bit-serial grid exactly: unsigned conv
 // activations stream `raw & (2^Pa - 1)`, signed FC ones the full
@@ -35,11 +57,11 @@
 //
 // FC layers (and request-batched FC) run as a GEMV/GEMM that streams the
 // weight tensor in place, masking Pw on the fly — no repacked copy of a
-// large weight matrix is ever made. Conv weights are masked into a
-// zero-padded copy once per call and freed with it; no masked copy
-// outlives the call.
+// large weight matrix is ever made. Conv weights are split into their
+// padded planes once per call and freed with them; no copy outlives the
+// call.
 //
-// SIMD tier: common::simd_level() (AVX-512, AVX2, scalar), so
+// SIMD tier: common::simd_level() (AMX, AVX-512, AVX2, scalar), so
 // LOOM_SIMD_LEVEL reaches every dispatch. All tiers
 // are exact integer arithmetic and byte-identical.
 #pragma once
@@ -94,12 +116,19 @@ struct ConvStats {
   /// summed over stripes (0 from kernels without a pack). Timing only: no
   /// golden digest or equality check reads it.
   std::uint64_t pack_ns = 0;
+  /// Plane products per K-block summed over slabs, and the slab count
+  /// (both 0 from kernels without planes). Like pack_ns, no golden digest
+  /// or equality check reads them.
+  std::uint64_t plane_products = 0;
+  std::uint64_t slabs = 0;
 
   /// Integer-valued fields (streamed_pa included), so sums are exact in
   /// any order.
   ConvStats& operator+=(const ConvStats& o) noexcept {
     cycles += o.cycles;
     pack_ns += o.pack_ns;
+    plane_products += o.plane_products;
+    slabs += o.slabs;
     streamed_pa += o.streamed_pa;
     chunks += o.chunks;
     act_bits_streamed += o.act_bits_streamed;

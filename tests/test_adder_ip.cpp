@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <array>
-
 #include "arch/adder_tree.hpp"
 #include "common/error.hpp"
 
@@ -14,18 +12,6 @@ TEST(AdderTree, DepthIsCeilLog2) {
   EXPECT_EQ(AdderTree(3).depth(), 2);
   EXPECT_EQ(AdderTree(16).depth(), 4);
   EXPECT_EQ(AdderTree(17).depth(), 5);
-}
-
-TEST(AdderTree, ReduceSums) {
-  const AdderTree tree(4);
-  const std::array<Wide, 4> in = {1, -2, 3, 10};
-  EXPECT_EQ(tree.reduce(in), 12);
-}
-
-TEST(AdderTree, ReduceIgnoresBeyondFanIn) {
-  const AdderTree tree(2);
-  const std::array<Wide, 4> in = {1, 2, 100, 100};
-  EXPECT_EQ(tree.reduce(in), 3);
 }
 
 TEST(AdderTree, ReduceBitsPopcount) {

@@ -68,10 +68,12 @@ nn::Tensor random_tensor(const nn::Shape& shape, int precision, bool is_signed,
   return t;
 }
 
-Case random_conv_case(std::uint64_t seed) {
+/// `min_cig` and `cig_span` set the input channels per group.
+Case random_conv_case(std::uint64_t seed, std::int64_t min_cig = 1,
+                      std::uint64_t cig_span = 4) {
   SequentialRng rng(seed, 1);
   const int groups = 1 + static_cast<int>(rng.next_below(3));
-  const auto cig = 1 + static_cast<std::int64_t>(rng.next_below(4));
+  const auto cig = min_cig + static_cast<std::int64_t>(rng.next_below(cig_span));
   const auto cog = 1 + static_cast<std::int64_t>(rng.next_below(5));
   const int in_h = 3 + static_cast<int>(rng.next_below(10));
   const int in_w = 3 + static_cast<int>(rng.next_below(10));
@@ -240,6 +242,31 @@ TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
   }
 }
 
+TEST(BackendDifferential, DeepConvGemmMatchesReference) {
+  // Inner lengths of at least 130, three or more 64-deep K-steps, so the
+  // AMX tier runs these on byte planes (the cases above are shallower and
+  // run its int16 kernel): every Pa and Pw, groups, padding, stride, lane
+  // and column tails, batches, against the reference (the bit-serial
+  // oracle is too slow at this depth).
+  for (const std::uint64_t seed : iteration_seeds(0xDEE9, 20)) {
+    SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
+    const Case c = random_conv_case(seed, 130, 40);
+    ASSERT_GE(c.layer.inner_length(), 130);
+    const SliceSpec spec{
+        .act_precision = c.layer.act_precision,
+        .weight_precision = c.layer.weight_precision,
+        .dynamic = random_dynamic(seed)};
+    const nn::Shape wide_shape{c.layer.out.c, c.layer.out.h, c.layer.out.w};
+    GemmEngine gemm(random_ctx(seed));
+    Batch b(c.inputs, wide_shape);
+    (void)gemm.run_conv_batch(c.layer, b.in_ptrs, c.weights, spec, b.wide_ptrs);
+    for (std::size_t r = 0; r < c.inputs.size(); ++r) {
+      EXPECT_EQ(b.wides[r], nn::conv_forward(c.inputs[r], c.weights, c.layer))
+          << "request " << r;
+    }
+  }
+}
+
 // ---- FC: gemm vs scalar oracle vs reference --------------------------------
 
 TEST(BackendDifferential, FcGemmMatchesScalarOracle) {
@@ -402,6 +429,56 @@ TEST(BackendDifferential, UnsignedPa16ConvAllOnes) {
                            .weight_precision = pw,
                            .dynamic = dynamic};
       expect_conv_everywhere(layer, input, weights, spec, want);
+    }
+  }
+}
+
+TEST(BackendDifferential, ConvStraddlesPlaneProductKBlockBound) {
+  // A 1x1-spatial conv whose inner length straddles the byte-plane
+  // kernel's K-block bound, 1,028 K-steps of 64 (65,792 products), at the
+  // operand extremes: activations 0xFFFF at Pa 16 (both byte planes 255)
+  // against weights all at the most negative or the most positive Pw-bit
+  // value, for Pw at every plane-count edge (1 and 8: one plane; 9 and 15:
+  // two, Pw 15's top plane reaching -128; 16: three). All products share a
+  // sign, so a C lane flushed one K-step late wraps int32. Activations
+  // 0x00FF take the one-plane dynamic path in every slab. The process's own
+  // tier runs (the byte-plane kernel on an AMX host; the tier reruns cover
+  // the int16 kernel). The signed reference reads 0xFFFF as -1, so the
+  // expectation is the reference on an all-ones input scaled by the
+  // activation (the conv is linear).
+  constexpr std::int64_t kBound = 1028 * 64;
+  const GridOptions ctx{.jobs = 1};
+  GemmEngine gemm(ctx);
+  for (const std::int64_t inner : {kBound - 64, kBound, kBound + 64}) {
+    nn::Layer layer =
+        nn::make_conv("kblock", nn::Shape3{inner, 1, 1}, 17, 1, 1, 0);
+    layer.act_precision = kBasePrecision;
+    const nn::Shape in_shape{inner, 1, 1};
+    const nn::Tensor ones = filled(in_shape, 1);
+    for (const int pw : {1, 8, 9, 15, 16}) {
+      layer.weight_precision = pw;
+      const std::int64_t wmin = -(std::int64_t{1} << (pw - 1));
+      for (const std::int64_t wv : {wmin, -wmin - 1}) {
+        const nn::Tensor weights = filled(nn::Shape{layer.weight_count()},
+                                          static_cast<std::uint16_t>(wv));
+        const nn::WideTensor unit = nn::conv_forward(ones, weights, layer);
+        for (const std::uint16_t act : {0xFFFFu, 0x00FFu}) {
+          SCOPED_TRACE("inner " + std::to_string(inner) + " pw " +
+                       std::to_string(pw) + " w " + std::to_string(wv) +
+                       " act " + std::to_string(act));
+          nn::WideTensor want = unit;
+          for (Wide& v : want.data()) v *= act;
+          ASSERT_EQ(want.flat(0), inner * act * wv);
+          const SliceSpec spec{.act_precision = kBasePrecision,
+                               .weight_precision = pw,
+                               .dynamic = true};
+          expect_batch_and_solo("gemm", filled(in_shape, act), want,
+                                [&](auto in, auto out) {
+                                  (void)gemm.run_conv_batch(layer, in, weights,
+                                                            spec, out);
+                                });
+        }
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 // and the wall-clock cycles must agree with the analytic cycle model.
 #include <gtest/gtest.h>
 
+#include "common/cpuid.hpp"
 #include "common/error.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
@@ -85,6 +86,64 @@ TEST(Functional, DynamicPrecisionSavesCyclesLosslessly) {
     ASSERT_EQ(run_dyn.wide.flat(i), run_stat.wide.flat(i)) << i;
   }
   EXPECT_LT(run_dyn.mean_streamed_precision, 7.0);
+}
+
+TEST(Functional, ByteWideInputReportsOneActivationPlane) {
+  // Plane products per K-block are activation planes x weight planes. At
+  // Pa 16 every gemm tier splits the activation into a low byte and a high
+  // part; a slab whose values all fit a byte runs the low plane alone,
+  // exactly as a Pa 8 profile does. Inner 144 is deep enough for the AMX
+  // tier's byte planes.
+  nn::Layer layer = nn::make_conv("planes", nn::Shape3{16, 6, 6}, 4, 3, 1, 1);
+  layer.act_precision = kBasePrecision;
+  layer.weight_precision = 11;
+  nn::Layer byte_layer = layer;
+  byte_layer.act_precision = 8;
+  const nn::Shape shape{16, 6, 6};
+  const nn::Tensor narrow_in(shape, Value{255});
+  const nn::Tensor wide_in(shape, Value{256});
+  const nn::Tensor weights(nn::Shape{layer.weight_count()}, Value{-3});
+  FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1});
+  const auto narrow = engine.run_conv(layer, narrow_in, weights, 16);
+  const auto wide = engine.run_conv(layer, wide_in, weights, 16);
+  const auto byte = engine.run_conv(byte_layer, narrow_in, weights, 16);
+  EXPECT_EQ(narrow.wide, byte.wide);
+  if (narrow.backend == "scalar") {  // the bit-serial oracle has no planes
+    EXPECT_EQ(narrow.mean_plane_products, 0.0);
+    return;
+  }
+  EXPECT_GT(byte.mean_plane_products, 0.0);
+  EXPECT_EQ(narrow.mean_plane_products, byte.mean_plane_products);
+  EXPECT_EQ(wide.mean_plane_products, 2 * narrow.mean_plane_products);
+  // FC layers run no plane kernel.
+  const nn::Layer fc = nn::make_fc("fc", nn::Shape3{8, 1, 1}, 3);
+  const auto fc_run = engine.run_fc(fc, nn::Tensor(nn::Shape{8}, Value{5}),
+                                    nn::Tensor(nn::Shape{24}, Value{1}), 16);
+  EXPECT_EQ(fc_run.mean_plane_products, 0.0);
+}
+
+TEST(Functional, ShallowConvRunsTheInt16Kernel) {
+  // At the AMX tier a conv of at least three 64-deep K-steps runs on byte
+  // planes (two weight planes at Pw 11) and a shallower one on the int16
+  // kernel (one plane): one or two K-steps do not cover a tile block's
+  // fixed cost. Below the AMX tier both run int16.
+  nn::Layer deep = nn::make_conv("deep", nn::Shape3{16, 6, 6}, 4, 3, 1, 1);
+  nn::Layer shallow = nn::make_conv("shallow", nn::Shape3{14, 6, 6}, 4, 3, 1, 1);
+  ASSERT_EQ(deep.inner_length(), 144);     // 3 K-steps
+  ASSERT_EQ(shallow.inner_length(), 126);  // 2 K-steps
+  FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1});
+  const auto run = [&](nn::Layer& layer) {
+    layer.act_precision = 8;
+    layer.weight_precision = 11;
+    const nn::Tensor in(nn::Shape{layer.in.c, 6, 6}, Value{200});
+    const nn::Tensor w(nn::Shape{layer.weight_count()}, Value{-700});
+    return engine.run_conv(layer, in, w, 16);
+  };
+  const auto deep_run = run(deep);
+  const auto shallow_run = run(shallow);
+  if (deep_run.backend == "scalar") return;  // the oracle has no planes
+  EXPECT_EQ(shallow_run.mean_plane_products, 1.0);
+  EXPECT_EQ(deep_run.mean_plane_products, common::have_amx() ? 2.0 : 1.0);
 }
 
 TEST(Functional, FcLayerMatchesGoldenModel) {

@@ -194,10 +194,15 @@ TEST_P(SimGolden, RunResultsMatchDigests) {
 INSTANTIATE_TEST_SUITE_P(Zoo, SimGolden, ::testing::Values("nin", "alexnet"),
                          [](const auto& info) { return info.param; });
 
+// GoogleTest prints the raw bytes of a parameter into each ctest name, so
+// the padding after `offchip` is an explicit zeroed field: uninitialized
+// padding would put stack residue into the names.
 struct RunnerCase {
   int jobs;
   bool offchip;
+  std::uint8_t unused[3]{};
 };
+static_assert(sizeof(RunnerCase) == sizeof(int) + sizeof(bool) + 3);
 
 class RunnerGolden : public ::testing::TestWithParam<RunnerCase> {};
 
