@@ -490,9 +490,49 @@ void run_fc_bench(benchmark::State& state, const FunctionalBenchCase& c,
 }
 
 void BM_GemmConvLayer(benchmark::State& state) {
+  // Flat weights: every call prepares the layer's weight planes.
   run_conv_bench(state, nin_conv2_case(), "gemm");
 }
 BENCHMARK(BM_GemmConvLayer)->Unit(benchmark::kMillisecond);
+
+void BM_GemmConvLayerPrepared(benchmark::State& state) {
+  // The same layer from a prepared weight set, as a registered model runs
+  // it: the difference to BM_GemmConvLayer is the per-call preparation.
+  const FunctionalBenchCase c = nin_conv2_case();
+  const sim::WeightSet weights(c.net, sim::WeightSet({c.weights}));
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = "gemm"});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_network(c.net, c.input, weights));
+  }
+  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
+}
+BENCHMARK(BM_GemmConvLayerPrepared)->Unit(benchmark::kMillisecond);
+
+void BM_PrepareConvWeights(benchmark::State& state) {
+  // NiN conv4's 3.5M weights (384ch 3x3 -> 1024 filters, Pw 11) into the
+  // layout the process's SIMD tier runs: the one-time cost registration
+  // pays per conv layer. The label names the layout.
+  nn::Network net("nin-conv4", nn::Shape3{384, 6, 6});
+  net.add_conv("conv4", 1024, 3, 1, 1).precision_group = 0;
+  quant::PrecisionProfile p;
+  p.network = "nin-conv4";
+  p.conv_act = {8};
+  p.conv_weight = 11;
+  quant::apply_profile(net, p);
+  const nn::Layer& layer = net.layer(0);
+  const nn::Tensor weights = nn::make_weight_tensor(
+      layer.weight_count(), {.precision = 11, .alpha = 2.0, .is_signed = true},
+      2, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::prepare_conv(layer, weights, 11));
+  }
+  state.SetLabel(sim::conv_layout(layer) == sim::ConvLayout::kBytePlanes
+                     ? "byte-planes"
+                     : "int16-pairs");
+  state.SetItemsProcessed(state.iterations() * layer.weight_count());
+}
+BENCHMARK(BM_PrepareConvWeights)->Unit(benchmark::kMillisecond);
 
 void BM_GemmFcLayer(benchmark::State& state) {
   run_fc_bench(state, alexnet_fc7_case(), "gemm");

@@ -1,6 +1,7 @@
 #include "serve/model_registry.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -25,7 +26,7 @@ std::size_t weighted_layers(const nn::Network& net) {
 /// impossible geometry or a short tensor would otherwise be read out of
 /// bounds by every engine run).
 void check_weights(const std::string& name, const nn::Network& net,
-                   const std::vector<nn::Tensor>& weights) {
+                   std::span<const nn::Tensor> weights) {
   if (const std::string why = net.execution_error(); !why.empty()) {
     throw ConfigError("model '" + name + "': " + why);
   }
@@ -77,16 +78,16 @@ nn::Tensor Model::make_input(std::uint64_t seed, std::uint64_t stream) const {
 std::shared_ptr<const Model> ModelRegistry::add(
     std::string name, nn::Network net, quant::PrecisionProfile profile,
     std::vector<nn::Tensor> weights) {
+  // Checked before calibrating; add(Model) checks again, in O(layers).
   check_weights(name, net, weights);
   const nn::SyntheticSpec input_spec = input_spec_for(net, profile);
-  auto model = std::make_shared<Model>(
-      Model{std::move(name), std::move(net), std::move(profile),
-            std::move(weights), input_spec});
-  return insert(std::move(model));
+  return add(Model{std::move(name), std::move(net), std::move(profile),
+                   sim::WeightSet(std::move(weights)), input_spec});
 }
 
 std::shared_ptr<const Model> ModelRegistry::add(Model model) {
-  check_weights(model.name, model.net, model.weights);
+  check_weights(model.name, model.net, model.weights.tensors());
+  model.weights = sim::WeightSet(model.net, std::move(model.weights));
   return insert(std::make_shared<Model>(std::move(model)));
 }
 

@@ -1,12 +1,12 @@
 // Model registry for the inference server: immutable, shareable models —
 // a profiled network plus materialized weight tensors — registered once and
-// referenced by every session and batch that serves them. Weight tensors
-// and the calibrated input distribution are memoized at registration (the
-// calibration itself goes through the process-wide
-// quant::calibrated_spec_cached memo: one group-256 sorted max-draw
-// bisection, a few milliseconds, so weight synthesis dominates
-// registration), so
-// concurrent requests never rebuild per-model state.
+// referenced by every session and batch that serves them. Weight tensors,
+// their prepared conv layers (sim::WeightSet) and the calibrated input
+// distribution are built at registration (the calibration itself goes
+// through the process-wide quant::calibrated_spec_cached memo: one
+// group-256 sorted max-draw bisection, a few milliseconds, so weight
+// synthesis dominates registration), so concurrent requests never rebuild
+// per-model state.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "nn/synthetic.hpp"
 #include "nn/tensor.hpp"
 #include "quant/profiles.hpp"
+#include "sim/weight_set.hpp"
 
 namespace loom::serve {
 
@@ -29,9 +30,11 @@ struct Model {
   std::string name;
   nn::Network net;
   quant::PrecisionProfile profile;
-  /// One materialized weight tensor per weighted layer, in layer order
-  /// (what FunctionalLoomEngine::run_network_batch consumes).
-  std::vector<nn::Tensor> weights;
+  /// One materialized weight tensor per weighted layer, in layer order,
+  /// and — once the registry holds the model — every conv layer's weights
+  /// prepared for the gemm kernel (what FunctionalLoomEngine::run_network*
+  /// consumes). Snapshots carry only the tensors.
+  sim::WeightSet weights;
   /// Distribution the first layer's input activations are drawn from —
   /// calibrated to the first conv layer's activation trim over generic
   /// 256-value groups, via the shared calibrated_spec_cached memo.
@@ -46,9 +49,9 @@ struct Model {
                                       std::uint64_t stream) const;
 };
 
-/// Thread-safe name -> Model map. Registration materializes weights once;
-/// lookups hand out shared ownership, so models outlive server shutdown
-/// and in-flight batches without copies.
+/// Thread-safe name -> Model map. Registration materializes and prepares
+/// weights once; lookups hand out shared ownership, so models outlive
+/// server shutdown and in-flight batches without copies.
 class ModelRegistry {
  public:
   /// Register a model with explicit weights (one tensor per weighted
@@ -66,11 +69,12 @@ class ModelRegistry {
                                              quant::PrecisionProfile profile,
                                              std::uint64_t seed);
 
-  /// Register a fully materialized model as-is — the snapshot-restore path:
-  /// `model.input_spec` is trusted (no recalibration), so a registry built
-  /// from load_snapshot serves byte-identical outputs to the one that saved
-  /// it. Throws ConfigError on duplicate names, a network whose layers do
-  /// not chain, or a weight-count mismatch.
+  /// Register a fully materialized model — the snapshot-restore path:
+  /// `model.input_spec` is trusted (no recalibration) and the conv weights
+  /// are prepared from the tensors, so a registry built from load_snapshot
+  /// serves byte-identical outputs to the one that saved it. Throws
+  /// ConfigError on duplicate names, a network whose layers do not chain,
+  /// or a weight-count mismatch.
   std::shared_ptr<const Model> add(Model model);
 
   /// Look up a registered model; throws ConfigError when unknown.

@@ -165,7 +165,7 @@ void encode_input_spec(ByteWriter& w, const nn::SyntheticSpec& s) {
   return s;
 }
 
-void encode_weights(ByteWriter& w, const std::vector<nn::Tensor>& weights) {
+void encode_weights(ByteWriter& w, std::span<const nn::Tensor> weights) {
   w.u64(weights.size());
   for (const nn::Tensor& t : weights) {
     const auto& dims = t.shape().dims();
@@ -235,7 +235,7 @@ std::vector<std::uint8_t> encode_snapshot(const Model& model) {
           case kNetwork: encode_network(w, model.net); break;
           case kProfile: encode_profile(w, model.profile); break;
           case kInputSpec: encode_input_spec(w, model.input_spec); break;
-          case kWeights: encode_weights(w, model.weights); break;
+          case kWeights: encode_weights(w, model.weights.tensors()); break;
         }
       });
 }
@@ -274,7 +274,7 @@ Model decode_snapshot(std::span<const std::uint8_t> bytes) {
     ++wi;
   }
   return Model{std::move(name), std::move(*net), std::move(profile),
-               std::move(weights), input_spec};
+               sim::WeightSet(std::move(weights)), input_spec};
 }
 
 void save_snapshot(const Model& model, const std::string& path) {

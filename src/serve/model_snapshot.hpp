@@ -10,7 +10,9 @@
 // dimension, and rejects a network whose layers do not chain and weights
 // that do not fit their layers. Every malformed input fails with a typed
 // SnapshotError (common/error.hpp), never UB; pinned by fuzz-style
-// corruption tests in tests/test_model_snapshot.cpp.
+// corruption tests in tests/test_model_snapshot.cpp. Only the flat weight
+// tensors are stored: the prepared conv planes are derived data, so a
+// decoded model holds none until ModelRegistry::add builds them.
 #pragma once
 
 #include <cstdint>

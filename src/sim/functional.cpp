@@ -66,6 +66,18 @@ FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
                             .phases = b.phases};
 }
 
+/// A network batch of one, as run_network reports it.
+FunctionalNetworkRun solo_network(FunctionalBatchNetworkRun&& batch) {
+  FunctionalNetworkRun run{.layers = {},
+                           .output = std::move(batch.outputs[0]),
+                           .total_cycles = batch.total_cycles};
+  run.layers.reserve(batch.layers.size());
+  for (FunctionalBatchLayerRun& lr : batch.layers) {
+    run.layers.push_back(solo_run(std::move(lr)));
+  }
+  return run;
+}
+
 }  // namespace
 
 Requantized requantize_accumulators(const nn::WideTensor& acc, int out_bits,
@@ -190,8 +202,8 @@ std::uint64_t FunctionalLoomEngine::fc_cycles(const nn::Layer& layer) const {
 
 ConvStats FunctionalLoomEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
-    std::string& used) {
+    const nn::Tensor& weights, const PreparedConv* prepared,
+    std::span<nn::WideTensor* const> wides, std::string& used) {
   const bool conv = layer.kind == nn::LayerKind::kConv;
   const SliceSpec spec{.act_precision = layer.act_precision,
                        .weight_precision = layer.weight_precision,
@@ -210,7 +222,9 @@ ConvStats FunctionalLoomEngine::dispatch(
   } else {
     LOOM_EXPECTS(used == "gemm");
     if (!gemm_) gemm_.emplace(grid_);
-    if (conv) {
+    if (conv && prepared != nullptr) {
+      st = gemm_->run_conv_batch(layer, inputs, *prepared, spec, wides);
+    } else if (conv) {
       st = gemm_->run_conv_batch(layer, inputs, weights, spec, wides);
     } else {
       gemm_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
@@ -231,10 +245,15 @@ ConvStats FunctionalLoomEngine::dispatch(
 
 FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
-    const nn::Tensor& weights, int out_bits) {
+    const nn::Tensor& weights, const PreparedConv* prepared, int out_bits) {
   LOOM_EXPECTS(!inputs.empty());
   check_layer_io(layer, inputs, weights);
   const bool conv = layer.kind == nn::LayerKind::kConv;
+  if (conv && prepared != nullptr &&
+      !prepared->fits(layer, layer.weight_precision)) {
+    throw ConfigError("layer '" + layer.name +
+                      "': prepared weights do not fit the layer");
+  }
   FunctionalBatchLayerRun run;
   run.name = layer.name;
   run.out_bits = out_bits;
@@ -250,8 +269,9 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
   }
 
   const auto t0 = Clock::now();
-  const ConvStats st =
-      dispatch(layer, in_ptrs, weights, wide_ptrs, run.backend);
+  const ConvStats st = dispatch(layer, in_ptrs, weights,
+                                conv ? prepared : nullptr, wide_ptrs,
+                                run.backend);
   const auto t1 = Clock::now();
   run.phases.pack_ms = static_cast<double>(st.pack_ns) / 1e6;
   run.phases.kernel_ms = std::max(0.0, ms_between(t0, t1) - run.phases.pack_ms);
@@ -279,14 +299,14 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  return run_layer_batch(layer, inputs, weights, out_bits);
+  return run_layer_batch(layer, inputs, weights, nullptr, out_bits);
 }
 
 FunctionalBatchLayerRun FunctionalLoomEngine::run_fc_batch(
     const nn::Layer& layer, std::span<const nn::Tensor> inputs,
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  return run_layer_batch(layer, inputs, weights, out_bits);
+  return run_layer_batch(layer, inputs, weights, nullptr, out_bits);
 }
 
 FunctionalLayerRun FunctionalLoomEngine::run_conv(const nn::Layer& layer,
@@ -306,6 +326,18 @@ FunctionalLayerRun FunctionalLoomEngine::run_fc(const nn::Layer& layer,
 FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
     const nn::Network& net, std::span<const nn::Tensor> inputs,
     std::span<const nn::Tensor> weights) {
+  return run_network_layers(net, inputs, weights, nullptr);
+}
+
+FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
+    const nn::Network& net, std::span<const nn::Tensor> inputs,
+    const WeightSet& weights) {
+  return run_network_layers(net, inputs, weights.tensors(), &weights);
+}
+
+FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_layers(
+    const nn::Network& net, std::span<const nn::Tensor> inputs,
+    std::span<const nn::Tensor> weights, const WeightSet* set) {
   LOOM_EXPECTS(!inputs.empty());
   if (const std::string why = net.execution_error(); !why.empty()) {
     throw ConfigError("network '" + net.name() + "': " + why);
@@ -335,8 +367,11 @@ FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
       continue;
     }
     LOOM_EXPECTS(weight_index < weights.size());
-    run.layers.push_back(run_layer_batch(layer, current, weights[weight_index++],
-                                         net.output_precision(i)));
+    const PreparedConv* prepared =
+        set != nullptr ? set->prepared(weight_index) : nullptr;
+    run.layers.push_back(run_layer_batch(layer, current, weights[weight_index],
+                                         prepared, net.output_precision(i)));
+    ++weight_index;
     current = run.layers.back().outputs;
     run.total_cycles += run.layers.back().cycles;
   }
@@ -348,16 +383,12 @@ FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
 FunctionalNetworkRun FunctionalLoomEngine::run_network(
     const nn::Network& net, const nn::Tensor& input,
     std::span<const nn::Tensor> weights) {
-  FunctionalBatchNetworkRun batch =
-      run_network_batch(net, std::span(&input, 1), weights);
-  FunctionalNetworkRun run{.layers = {},
-                           .output = std::move(batch.outputs[0]),
-                           .total_cycles = batch.total_cycles};
-  run.layers.reserve(batch.layers.size());
-  for (FunctionalBatchLayerRun& lr : batch.layers) {
-    run.layers.push_back(solo_run(std::move(lr)));
-  }
-  return run;
+  return solo_network(run_network_batch(net, std::span(&input, 1), weights));
+}
+
+FunctionalNetworkRun FunctionalLoomEngine::run_network(
+    const nn::Network& net, const nn::Tensor& input, const WeightSet& weights) {
+  return solo_network(run_network_batch(net, std::span(&input, 1), weights));
 }
 
 }  // namespace loom::sim

@@ -42,6 +42,7 @@
 #include "nn/reference.hpp"
 #include "nn/tensor.hpp"
 #include "sim/backend.hpp"
+#include "sim/weight_set.hpp"
 
 namespace loom::sim {
 
@@ -170,10 +171,18 @@ class FunctionalLoomEngine {
   /// Execute a whole profiled network: conv/fc layers on the grid, pooling
   /// through the max/average units, requantizing every output to the
   /// consumer layer's profile precision. `weights[i]` pairs with the i-th
-  /// *weighted* layer.
+  /// *weighted* layer. Flat tensors: the gemm kernel prepares each conv
+  /// layer's weights per call (prepare_conv, counted as pack time).
   [[nodiscard]] FunctionalNetworkRun run_network(
       const nn::Network& net, const nn::Tensor& input,
       std::span<const nn::Tensor> weights);
+
+  /// The same from a weight set: conv layers read its prepared weights
+  /// when it has them (a ConfigError when they do not fit the layer), so
+  /// no call prepares any; the scalar oracle reads its flat tensors.
+  [[nodiscard]] FunctionalNetworkRun run_network(const nn::Network& net,
+                                                 const nn::Tensor& input,
+                                                 const WeightSet& weights);
 
   // ---- Batched (multi-request) execution ----------------------------------
   // N same-shape inputs run as one coalesced batch: conv im2col window
@@ -204,6 +213,10 @@ class FunctionalLoomEngine {
       const nn::Network& net, std::span<const nn::Tensor> inputs,
       std::span<const nn::Tensor> weights);
 
+  [[nodiscard]] FunctionalBatchNetworkRun run_network_batch(
+      const nn::Network& net, std::span<const nn::Tensor> inputs,
+      const WeightSet& weights);
+
   [[nodiscard]] const arch::Dispatcher& dispatcher() const noexcept {
     return dispatcher_;
   }
@@ -216,19 +229,28 @@ class FunctionalLoomEngine {
   }
 
  private:
-  /// The shared body of run_conv_batch and run_fc_batch.
+  /// The shared body of run_conv_batch and run_fc_batch; `prepared` (may
+  /// be null) is the conv layer's prepared weights.
   FunctionalBatchLayerRun run_layer_batch(const nn::Layer& layer,
                                           std::span<const nn::Tensor> inputs,
                                           const nn::Tensor& weights,
+                                          const PreparedConv* prepared,
                                           int out_bits);
+  /// The shared body of both run_network_batch overloads; `set` (may be
+  /// null) supplies prepared conv weights.
+  FunctionalBatchNetworkRun run_network_layers(
+      const nn::Network& net, std::span<const nn::Tensor> inputs,
+      std::span<const nn::Tensor> weights, const WeightSet* set);
   /// Per-image cycles of an FC layer's data-independent schedule.
   [[nodiscard]] std::uint64_t fc_cycles(const nn::Layer& layer) const;
   /// Run one conv/fc batch on the selected kernel, built on first use;
   /// under "auto" runs gemm and records its wall clock in the autotuner.
-  /// `used` reports the kernel that ran. FC kernels report no stats.
+  /// A gemm conv reads `prepared` when it is given, else prepares
+  /// `weights` on the spot. `used` reports the kernel that ran. FC
+  /// kernels report no stats.
   ConvStats dispatch(const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
-                     const nn::Tensor& weights,
+                     const nn::Tensor& weights, const PreparedConv* prepared,
                      std::span<nn::WideTensor* const> wides, std::string& used);
 
   FunctionalOptions opts_;

@@ -1,9 +1,11 @@
 #include "sim/gemm_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/cpuid.hpp"
@@ -419,8 +421,8 @@ struct GemmEngine::Kernels {
   void (*conv_tile)(const std::int16_t* a, const std::int16_t* w,
                     std::int64_t ws, std::int64_t steps, int nv,
                     std::int64_t* c, int shift);
-  /// Byte-plane conv block (conv_tile_amx): the AMX tier, for layers of at
-  /// least kMinByteSteps K-steps; null below it.
+  /// Byte-plane conv block (conv_tile_amx): the AMX tier, for the layers
+  /// conv_layout gives byte planes; null below that tier.
   void (*conv_bytes)(const std::uint8_t* a, const std::int8_t* w,
                      std::int64_t ws, std::int64_t steps, int nv,
                      std::int64_t* c, int shift);
@@ -459,9 +461,12 @@ struct Int16Pairs {
   static constexpr int kGroup = 2;             ///< k interleaved per window
   static constexpr std::int64_t kStep = 2;     ///< inner positions per step
   static constexpr std::int64_t kRows = kMr;   ///< filter rows per block
+  static int weight_parts(int /*pw*/) { return 1; }
   static OperandPlan plan(std::int64_t amax, int pw) {
     return operand_plan(amax, pw);
   }
+  static std::vector<Weight>& planes(PreparedConv& p) { return p.pairs; }
+  static const Weight* planes(const PreparedConv& p) { return p.pairs.data(); }
 };
 
 #if defined(LOOM_GEMM_X86)
@@ -471,15 +476,20 @@ struct BytePlanes {
   static constexpr int kGroup = 4;
   static constexpr std::int64_t kStep = kAmxK;
   static constexpr std::int64_t kRows = kAmxRows;
+  /// Signed weight bytes: the Pw-bit value up to Pw 8, else
+  /// max(1, ceil((Pw - 1) / 7)) planes (see split_row).
+  static int weight_parts(int pw) {
+    return static_cast<int>(std::max<std::int64_t>(1, ceil_div(pw - 1, 7)));
+  }
   /// Unsigned activation bytes (the value up to Pa 8, else the low and
-  /// high byte) against signed weight bytes: the Pw-bit value up to Pw 8,
-  /// else max(1, ceil((Pw - 1) / 7)) planes (see split_row).
+  /// high byte) against the weight planes.
   static OperandPlan plan(std::int64_t amax, int pw) {
     return {.act_parts = amax > 255 ? 2 : 1,
-            .weight_parts = static_cast<int>(
-                std::max<std::int64_t>(1, ceil_div(pw - 1, 7))),
+            .weight_parts = weight_parts(pw),
             .steps = kByteBlockSteps};
   }
+  static std::vector<Weight>& planes(PreparedConv& p) { return p.bytes; }
+  static const Weight* planes(const PreparedConv& p) { return p.bytes.data(); }
 };
 #endif
 
@@ -505,28 +515,42 @@ void split_row(const Value* src, std::int64_t n, int pw, W* dst,
   }
 }
 
-/// The conv weights as `planes` (1 to 3) planes of W (see split_row), each
-/// zero-padded to whole register blocks and kernel steps:
-/// [plane][group][cog_pad][kpad]. A pure function of the layer and its
-/// weights.
-template <typename W>
-std::vector<W> weight_planes(const nn::Layer& layer, const nn::Tensor& weights,
-                             int pw, int planes, std::int64_t cog_pad,
-                             std::int64_t kpad) {
+/// Filter rows per group, padded to whole register blocks of layout L.
+template <typename L>
+std::int64_t padded_rows(const nn::Layer& layer) {
+  return ceil_div(layer.group_out_channels(), L::kRows) * L::kRows;
+}
+
+/// Inner length, padded to whole kernel steps of layout L.
+template <typename L>
+std::int64_t padded_inner(const nn::Layer& layer) {
+  return ceil_div(layer.inner_length(), L::kStep) * L::kStep;
+}
+
+/// The conv weights as L::weight_parts(pw) (1 to 3) planes of L::Weight
+/// (see split_row), each zero-padded to whole register blocks and kernel
+/// steps: [plane][group][cog_pad][kpad].
+template <typename L>
+void weight_planes(const nn::Layer& layer, const nn::Tensor& weights, int pw,
+                   PreparedConv& out) {
   const std::int64_t inner = layer.inner_length();
   const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t cog_pad = padded_rows<L>(layer);
+  const std::int64_t kpad = padded_inner<L>(layer);
   const std::int64_t plane = layer.groups * cog_pad * kpad;
-  std::vector<W> out(static_cast<std::size_t>(planes * plane), 0);
+  const int parts = L::weight_parts(pw);
+  std::vector<typename L::Weight>& planes = L::planes(out);
+  planes.assign(static_cast<std::size_t>(parts * plane), 0);
   for (std::int64_t co = 0; co < layer.out.c; ++co) {
     const Value* src = weights.data().data() + co * inner;
-    W* dst = out.data() + ((co / cog) * cog_pad + co % cog) * kpad;
-    switch (planes) {
+    typename L::Weight* dst =
+        planes.data() + ((co / cog) * cog_pad + co % cog) * kpad;
+    switch (parts) {
       case 1: split_row<1>(src, inner, pw, dst, plane); break;
       case 2: split_row<2>(src, inner, pw, dst, plane); break;
       default: split_row<3>(src, inner, pw, dst, plane); break;
     }
   }
-  return out;
 }
 
 /// Per-stripe scratch, sized to one slab tile.
@@ -535,6 +559,7 @@ struct ConvScratch {
   std::vector<typename L::Act> a;  ///< [part][k / kGroup][kTile][kGroup]
   std::vector<std::uint32_t> group_or;  ///< [chunk][column group]
   std::int64_t c[L::kRows * kTile];     ///< one register block's int64 sums
+  bool both_parts = false;  ///< a slab of this stripe needed the high part
 };
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
@@ -556,47 +581,138 @@ struct PackWalk {
   std::int64_t cols = 0;   ///< columns per statistics group
 };
 
-/// One im2col pack pass over a slab of `cu` columns: for every k, each
-/// column's raw value v stores as x = v & mask — or, with High, x >> 8 —
-/// into the tile `a` with KGroup consecutive k interleaved per column. The
-/// low pass also ORs v into its (chunk, column group) word of `ors`.
-/// Padding positions read the border's zeros, which leave the ORs
-/// unchanged, so the loop has no bounds test; (ci, ky, kx) advance as
-/// counters.
-template <typename A, int KGroup, bool High>
+#if defined(LOOM_GEMM_X86)
+/// The four 16-bit lanes of `x`, each at most 255, as the bytes of one
+/// 32-bit word (packuswb; the byte layout exists on x86 only).
+inline std::uint32_t lane_bytes(std::uint64_t x) noexcept {
+  const __m128i v = _mm_cvtsi64_si128(static_cast<long long>(x));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_packus_epi16(v, v)));
+}
+
+/// The low and the high bytes of the four 16-bit lanes of `x`, each as the
+/// bytes of one 32-bit word.
+inline void split_lane_bytes(std::uint64_t x, std::uint32_t& lo,
+                             std::uint32_t& hi) noexcept {
+  const __m128i v = _mm_cvtsi64_si128(static_cast<long long>(x));
+  const __m128i bytes = _mm_packus_epi16(
+      _mm_and_si128(v, _mm_set1_epi16(0xFF)), _mm_srli_epi16(v, 8));
+  lo = static_cast<std::uint32_t>(_mm_cvtsi128_si32(bytes));
+  hi = static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(bytes, 8)));
+}
+#endif
+
+/// How a k-group's positions lie in every column's input: KGroup
+/// positions one element apart (one word load), KGroup positions anywhere,
+/// or the n < KGroup positions left at the end of the inner length.
+enum class GroupShape { kRun, kScattered, kTail };
+
+/// One k-group of the pack: the n consecutive inner positions at offsets
+/// off[0..n) of every column's base pointer, stored as one KGroup-element
+/// unit per column and part (positions past n store 0, as the tile's slots
+/// past the inner length must hold). A column's raw values load into the
+/// 16-bit lanes of one word, which ORs into the column group's statistic
+/// word (lane i holds position i's OR, for ors[i][j]) and masks to
+/// x = v & mask lane by lane. Each x is stored whole with one part, else
+/// as its low byte and, `part_stride` further on, its high byte x >> 8; a
+/// byte layout gathers the lanes' low bytes into its unit.
+template <typename A, int KGroup, int Parts, GroupShape Shape>
+void pack_group(const Value* const* col, std::int64_t cu, std::int64_t cols,
+                int n, const std::int64_t* off, std::uint32_t* const* ors,
+                std::int32_t mask, A* dst, std::int64_t part_stride) {
+  static_assert(sizeof(A) * KGroup == sizeof(std::uint32_t));
+  static_assert(std::endian::native == std::endian::little);
+  using Lanes = std::conditional_t<KGroup == 2, std::uint32_t, std::uint64_t>;
+  constexpr auto kOnes = static_cast<Lanes>(0x0001000100010001ull);
+  const Lanes lane_mask = static_cast<Lanes>(mask) * kOnes;
+  const int count = Shape == GroupShape::kTail ? n : KGroup;
+  // Locals, so the byte stores below cannot alias them.
+  std::int64_t at[KGroup] = {};
+  std::copy_n(off, KGroup, at);
+  for (std::int64_t j = 0, c = 0; c < cu; ++j) {
+    const std::int64_t c_end = std::min(cu, c + cols);
+    Lanes group = 0;
+    for (; c < c_end; ++c) {
+      const Value* p = col[c];
+      Lanes raw = 0;
+      if constexpr (Shape == GroupShape::kRun) {
+        std::memcpy(&raw, p + at[0], sizeof raw);
+      } else {
+        for (int i = 0; i < count; ++i) {
+          raw |= Lanes{static_cast<std::uint16_t>(p[at[i]])} << (16 * i);
+        }
+      }
+      group |= raw;
+      const Lanes x = raw & lane_mask;
+      std::uint32_t lo = 0;
+      std::uint32_t hi = 0;  // stored with two parts only
+      if constexpr (KGroup == 2) {
+        lo = Parts == 1 ? x : x & 0x00FF00FFu;
+        hi = (x >> 8) & 0x00FF00FFu;
+      } else if constexpr (Parts == 1) {
+        lo = lane_bytes(x);
+      } else {
+        split_lane_bytes(x, lo, hi);
+      }
+      std::memcpy(dst + KGroup * c, &lo, sizeof lo);
+      if constexpr (Parts == 2) {
+        std::memcpy(dst + part_stride + KGroup * c, &hi, sizeof hi);
+      }
+    }
+    for (int i = 0; i < count; ++i) {
+      ors[i][j] |= static_cast<std::uint16_t>(group >> (16 * i));
+    }
+  }
+}
+
+/// The im2col pack of a slab of `cu` columns, in one walk over the k-groups
+/// (pairs or quads) the tile `a` interleaves per column: one load of each
+/// column's base pointer and one store per part for every k-group (see
+/// pack_group). Padding positions read the border's zeros, which leave the
+/// ORs unchanged, so the walk has no bounds test; (ci, ky, kx) advance as
+/// counters, and each position's statistics row moves on every walk.lanes
+/// positions.
+template <typename A, int KGroup, int Parts>
 void pack_slab(const PackWalk& walk, const Value* const* col, std::int64_t cu,
-               std::int32_t mask, A* a, std::uint32_t* ors) {
+               std::int32_t mask, A* a, std::int64_t part_stride,
+               std::uint32_t* ors) {
   const std::int64_t n_groups = ceil_div(cu, walk.cols);
   const std::int64_t next_row = walk.row - walk.kw + 1;
   const std::int64_t next_plane =
       walk.plane - (walk.kh - 1) * walk.row - walk.kw + 1;
-  std::int64_t off = 0, kx = 0, ky = 0, lane = 0;
-  for (std::int64_t k = 0; k < walk.inner; ++k) {
-    A* dst = a + (k / KGroup) * KGroup * kTile + k % KGroup;
-    for (std::int64_t j = 0, c = 0; j < n_groups; ++j) {
-      const std::int64_t c_end = std::min(cu, c + walk.cols);
-      std::uint32_t group = 0;
-      for (; c < c_end; ++c) {
-        const Value v = col[c][off];
-        group |= static_cast<std::uint16_t>(v);
-        const std::int32_t x = std::int32_t{v} & mask;
-        dst[KGroup * c] = static_cast<A>(High ? x >> 8 : x);
-      }
-      if constexpr (!High) ors[j] |= group;
-    }
-    if constexpr (!High) {
+  std::int64_t pos = 0, kx = 0, ky = 0, lane = 0;
+  std::int64_t off[KGroup] = {};
+  std::uint32_t* rows[KGroup] = {};
+  for (std::int64_t k0 = 0; k0 < walk.inner; k0 += KGroup) {
+    const auto n = static_cast<int>(std::min<std::int64_t>(KGroup, walk.inner - k0));
+    for (int i = 0; i < n; ++i) {
+      off[i] = pos;
+      rows[i] = ors;
       if (++lane == walk.lanes) {
         lane = 0;
         ors += n_groups;
       }
+      if (++kx < walk.kw) {
+        ++pos;
+      } else if (kx = 0; ++ky < walk.kh) {
+        pos += next_row;
+      } else {
+        ky = 0;
+        pos += next_plane;
+      }
     }
-    if (++kx < walk.kw) {
-      ++off;
-    } else if (kx = 0; ++ky < walk.kh) {
-      off += next_row;
+    A* dst = a + k0 * kTile;
+    const auto group = [&]<GroupShape Shape>() {
+      pack_group<A, KGroup, Parts, Shape>(col, cu, walk.cols, n, off, rows,
+                                          mask, dst, part_stride);
+    };
+    if (n < KGroup) {
+      group.template operator()<GroupShape::kTail>();
+    } else if (off[KGroup - 1] - off[0] == KGroup - 1) {
+      // Each step of the walk advances at least one element, so the
+      // positions are consecutive.
+      group.template operator()<GroupShape::kRun>();
     } else {
-      ky = 0;
-      off += next_plane;
+      group.template operator()<GroupShape::kScattered>();
     }
   }
 }
@@ -651,26 +767,24 @@ template <typename L>
 ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
                      ConvTile<L> tile, const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
-                     const nn::Tensor& weights, const SliceSpec& spec,
+                     const PreparedConv& weights, const SliceSpec& spec,
                      std::span<nn::WideTensor* const> wides) {
   using Act = typename L::Act;
   const std::int64_t inner = layer.inner_length();
   const std::int64_t ksteps = ceil_div(inner, L::kStep);
-  const std::int64_t kpad = ksteps * L::kStep;
+  const std::int64_t kpad = padded_inner<L>(layer);
   const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t cog_pad = ceil_div(cog, L::kRows) * L::kRows;
+  const std::int64_t cog_pad = padded_rows<L>(layer);
   const std::int64_t windows = layer.windows();
   const int pw = spec.weight_precision;
   const std::uint32_t prof_mask = (std::uint32_t{1} << spec.act_precision) - 1;
   const OperandPlan plan = L::plan(prof_mask, pw);
-
-  // Operand preparation counts as pack time.
-  const auto t_prep = std::chrono::steady_clock::now();
   // Shared read-only by every stripe.
-  const std::vector<typename L::Weight> wm = weight_planes<typename L::Weight>(
-      layer, weights, pw, plan.weight_parts, cog_pad, kpad);
+  const typename L::Weight* wm = L::planes(weights);
   const std::int64_t weight_plane = layer.groups * cog_pad * kpad;
 
+  // The bordered copy counts as pack time.
+  const auto t_prep = std::chrono::steady_clock::now();
   // Zero-bordered copies of the inputs (the inputs themselves at pad 0), so
   // every window of a validated geometry lies inside its buffer.
   const std::int64_t pad = layer.pad;
@@ -706,9 +820,6 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
   const std::int64_t ic_count = ceil_div(inner, opts.lanes);
   const std::int64_t part_stride = kpad * kTile;
   const auto act_mask = static_cast<std::int32_t>(prof_mask);
-  // The whole value, or its low byte when the activation splits.
-  const std::int32_t low_mask =
-      plan.act_parts == 2 ? act_mask & 0xFF : act_mask;
 
   const std::uint64_t prep_ns = ns_since(t_prep);
 
@@ -740,18 +851,28 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
       }
     }
     sc.group_or.assign(static_cast<std::size_t>(ic_count * n_groups), 0);
-    pack_slab<Act, L::kGroup, false>(walk, col, cu, low_mask, sc.a.data(),
-                                     sc.group_or.data());
+    const auto pack = [&]<int Parts>() {
+      pack_slab<Act, L::kGroup, Parts>(walk, col, cu, act_mask, sc.a.data(),
+                                       part_stride, sc.group_or.data());
+    };
+    if (sc.both_parts) {
+      pack.template operator()<2>();
+    } else {
+      pack.template operator()<1>();
+    }
     conv_stream_stats(layer, spec, opts, cu, sc.group_or, stats);
     // Dynamic planes: a slab whose streamed values all fit a byte has an
-    // all-zero high part, whatever the profile, so it is neither packed nor
-    // multiplied.
+    // all-zero high part, whatever the profile, so it is not multiplied.
     std::uint32_t slab_or = 0;
     for (const std::uint32_t o : sc.group_or) slab_or |= o;
     const int act_parts = (slab_or & prof_mask) < 256 ? 1 : plan.act_parts;
-    if (act_parts == 2) {
-      pack_slab<Act, L::kGroup, true>(walk, col, cu, act_mask,
-                                      sc.a.data() + part_stride, nullptr);
+    // The first slab of a stripe that needs the high part packs again as
+    // both parts (its ORs do not change), and so does every later slab of
+    // the stripe, in one walk: a layer whose values fit a byte never writes
+    // the high part, and one whose slabs need it walks its input once.
+    if (act_parts == 2 && !sc.both_parts) {
+      sc.both_parts = true;
+      pack.template operator()<2>();
     }
     stats.plane_products +=
         static_cast<std::uint64_t>(act_parts * plan.weight_parts);
@@ -767,7 +888,7 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
         const Act* a = sc.a.data() + i * part_stride;
         for (int j = 0; j < plan.weight_parts; ++j) {
           const typename L::Weight* wrow =
-              wm.data() + j * weight_plane + (g * cog_pad + rb) * kpad;
+              wm + j * weight_plane + (g * cog_pad + rb) * kpad;
           for (std::int64_t s0 = 0; s0 < ksteps; s0 += plan.steps) {
             tile(a + s0 * L::kStep * kTile, wrow + s0 * L::kStep, kpad,
                  std::min(plan.steps, ksteps - s0), nv, sc.c, 8 * i + 7 * j);
@@ -822,6 +943,44 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
 
 }  // namespace
 
+ConvLayout conv_layout(const nn::Layer& layer) {
+#if defined(LOOM_GEMM_X86)
+  if (common::have_amx() &&
+      ceil_div(layer.inner_length(), kAmxK) >= kMinByteSteps) {
+    return ConvLayout::kBytePlanes;
+  }
+#endif
+  return ConvLayout::kInt16Pairs;
+}
+
+bool PreparedConv::fits(const nn::Layer& layer, int pw) const {
+  return layout == conv_layout(layer) && weight_precision == pw &&
+         inner == layer.inner_length() && out_channels == layer.out.c &&
+         groups == layer.groups;
+}
+
+PreparedConv prepare_conv(const nn::Layer& layer, const nn::Tensor& weights,
+                          int weight_precision) {
+  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
+  LOOM_EXPECTS(weight_precision >= 1 && weight_precision <= kBasePrecision);
+  LOOM_EXPECTS(layer.groups >= 1 && layer.out.c % layer.groups == 0);
+  LOOM_EXPECTS(weights.elements() == layer.weight_count());
+  PreparedConv out;
+  out.layout = conv_layout(layer);
+  out.weight_precision = weight_precision;
+  out.inner = layer.inner_length();
+  out.out_channels = layer.out.c;
+  out.groups = layer.groups;
+#if defined(LOOM_GEMM_X86)
+  if (out.layout == ConvLayout::kBytePlanes) {
+    weight_planes<BytePlanes>(layer, weights, weight_precision, out);
+    return out;
+  }
+#endif
+  weight_planes<Int16Pairs>(layer, weights, weight_precision, out);
+  return out;
+}
+
 GemmEngine::GemmEngine(GridOptions grid)
     : opts_(grid), kernels_(select_kernels()) {
   LOOM_EXPECTS(supports(grid));
@@ -830,7 +989,7 @@ GemmEngine::GemmEngine(GridOptions grid)
 
 ConvStats GemmEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const SliceSpec& spec,
+    const PreparedConv& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
@@ -839,18 +998,31 @@ ConvStats GemmEngine::run_conv_batch(
                spec.weight_precision <= kBasePrecision);
   LOOM_EXPECTS(layer.inner_length() < kMaxInner);
   LOOM_EXPECTS(nn::geometry_consistent(layer));
+  LOOM_EXPECTS(weights.fits(layer, spec.weight_precision));
   for (const nn::Tensor* in : inputs) {
     LOOM_EXPECTS(in->elements() == layer.in.elements());
   }
 #if defined(LOOM_GEMM_X86)
-  if (kernels_->conv_bytes != nullptr &&
-      ceil_div(layer.inner_length(), kAmxK) >= kMinByteSteps) {
+  if (weights.layout == ConvLayout::kBytePlanes) {
     return conv_batch<BytePlanes>(opts_, slab_windows_, kernels_->conv_bytes,
                                   layer, inputs, weights, spec, wides);
   }
 #endif
   return conv_batch<Int16Pairs>(opts_, slab_windows_, kernels_->conv_tile,
                                 layer, inputs, weights, spec, wides);
+}
+
+ConvStats GemmEngine::run_conv_batch(
+    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+    const nn::Tensor& weights, const SliceSpec& spec,
+    std::span<nn::WideTensor* const> wides) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const PreparedConv prepared =
+      prepare_conv(layer, weights, spec.weight_precision);
+  const std::uint64_t prep_ns = ns_since(t0);
+  ConvStats stats = run_conv_batch(layer, inputs, prepared, spec, wides);
+  stats.pack_ns += prep_ns;
+  return stats;
 }
 
 void GemmEngine::run_fc_batch(const nn::Layer& layer,

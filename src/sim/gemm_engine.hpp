@@ -20,7 +20,7 @@
 //         the signed A tile: the Pw-bit value w itself up to Pw 8, else
 //         max(1, ceil((Pw - 1) / 7)) planes — 7-bit digits (w >> 7j) & 127
 //         and a signed top plane — stored [plane][group][cog_pad16][kpad64]
-//         by one pure function (weight_planes). Plane product (i, j)
+//         by prepare_conv. Plane product (i, j)
 //         accumulates in int32 C tiles and flushes into the int64 sums
 //         shifted by 8i + 7j. A slab whose masked ORs fit in 8 bits runs
 //         one activation plane whatever its static Pa (dynamic planes).
@@ -43,12 +43,16 @@
 // (nn::geometry_consistent) every window lies inside its buffer. Each slab
 // column gets one base pointer into its own request's buffer — slabs may
 // span requests — and element k = (ci, ky, kx) sits at one offset from
-// every base, walked with incremental counters. The inner loop is a load,
-// an OR into the column group's statistic, a mask and a store: the mask is
-// the profile's 2^Pa - 1, and the stored part (whole value, low byte, high
-// byte) is a template parameter. Border zeros leave the ORs unchanged. The
-// tile is zeroed once per stripe; per slab the pack clears only the tail
-// columns it does not write.
+// every base, walked with incremental counters, one k-group (the pair or
+// quad the tile interleaves) at a time: a column's group of raw values
+// loads into the 16-bit lanes of one word (one load when the positions are
+// consecutive), ORs into the column group's statistic, masks to the
+// profile's 2^Pa - 1 lane by lane and stores one 32-bit unit per part
+// (the whole values, or low bytes and high bytes). A stripe packs one part
+// until a slab needs the high byte, then repacks that slab and every later
+// one with both parts in one walk. Border zeros leave the ORs unchanged.
+// The tile is zeroed once per stripe; per slab the pack clears only the
+// tail columns it does not write.
 //
 // Operand semantics match the bit-serial grid exactly: unsigned conv
 // activations stream `raw & (2^Pa - 1)`, signed FC ones the full
@@ -57,9 +61,12 @@
 //
 // FC layers (and request-batched FC) run as a GEMV/GEMM that streams the
 // weight tensor in place, masking Pw on the fly — no repacked copy of a
-// large weight matrix is ever made. Conv weights are split into their
-// padded planes once per call and freed with them; no copy outlives the
-// call.
+// large weight matrix is ever made. Conv weights enter as a PreparedConv:
+// the padded planes of the layout conv_layout picks, built by the pure
+// prepare_conv. A model prepares them once (sim::WeightSet, built when a
+// serve::ModelRegistry registers it) and every call and thread reads the
+// same planes; a flat-tensor call prepares on the spot through the same
+// function and counts that as pack time.
 //
 // SIMD tier: common::simd_level() (AMX, AVX-512, AVX2, scalar), so
 // LOOM_SIMD_LEVEL reaches every dispatch. All tiers
@@ -68,6 +75,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/bitops.hpp"
 #include "nn/layer.hpp"
@@ -139,6 +147,48 @@ struct ConvStats {
   }
 };
 
+/// How a conv layer's operands enter the GEMM (see the header comment).
+enum class ConvLayout : std::uint8_t {
+  kInt16Pairs,  ///< int16 weights against k-pair interleaved activations
+  kBytePlanes,  ///< int8 weight planes against activation bytes (AMX)
+};
+
+/// The one layout decision, which both prepare_conv and run_conv_batch
+/// call: byte planes at the amx tier for convs of at least three 64-deep
+/// K-steps (inner > 128), else int16 pairs. A function of the layer and the
+/// process's SIMD tier (common::simd_level, fixed at first use).
+[[nodiscard]] ConvLayout conv_layout(const nn::Layer& layer);
+
+/// One conv layer's weights in the exact operand layout its GEMM reads:
+/// the Pw-bit values (or, as byte planes, their 7-bit digits and signed top
+/// plane), each group's filter rows zero-padded to whole register blocks
+/// and each row to whole kernel steps, [plane][group][cog_pad][kpad].
+/// Derived data: immutable once built and never serialized.
+struct PreparedConv {
+  ConvLayout layout = ConvLayout::kInt16Pairs;
+  int weight_precision = 0;
+  /// The layer shape the planes were built for (see fits).
+  std::int64_t inner = 0;
+  std::int64_t out_channels = 0;
+  int groups = 0;
+  std::vector<std::int16_t> pairs;  ///< kInt16Pairs planes, else empty
+  std::vector<std::int8_t> bytes;   ///< kBytePlanes planes, else empty
+
+  /// True when these are weights of `layer`'s shape at `weight_precision`
+  /// in the layout conv_layout(layer) picks, so run_conv_batch may read
+  /// them for it.
+  [[nodiscard]] bool fits(const nn::Layer& layer, int weight_precision) const;
+
+  friend bool operator==(const PreparedConv&, const PreparedConv&) = default;
+};
+
+/// `weights` (flat [Co][Ci/g][Kh][Kw]) of conv `layer` at
+/// `weight_precision`, prepared in the layout conv_layout(layer) picks. A
+/// pure function of its arguments and the SIMD tier.
+[[nodiscard]] PreparedConv prepare_conv(const nn::Layer& layer,
+                                        const nn::Tensor& weights,
+                                        int weight_precision);
+
 /// Fold the raw activation ORs of one conv slab into the dispatcher's
 /// streaming accounting. The slab holds `slab_cols` consecutive columns of
 /// the (batch-concatenated) window axis, starting on a column-group
@@ -162,7 +212,15 @@ class GemmEngine {
   /// boundaries (dynamic detection then sees an upper bound of every value
   /// in the group, so the exact accumulators are unchanged); accumulators
   /// demux into `wides[r]` (preallocated, one per input). A batch of one is
-  /// stats-identical to the scalar grid.
+  /// stats-identical to the scalar grid. Requires
+  /// weights.fits(layer, spec.weight_precision).
+  ConvStats run_conv_batch(const nn::Layer& layer,
+                           std::span<const nn::Tensor* const> inputs,
+                           const PreparedConv& weights, const SliceSpec& spec,
+                           std::span<nn::WideTensor* const> wides);
+
+  /// The same from flat weights: prepare_conv on the spot, its time
+  /// counted in ConvStats::pack_ns, then the prepared overload.
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,

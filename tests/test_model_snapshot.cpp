@@ -136,19 +136,76 @@ TEST(ModelSnapshot, LoadedModelRegistersAndServes) {
   EXPECT_EQ(std::remove(path.c_str()), 0);
 }
 
+TEST(ModelSnapshot, RestoredModelPreparesTheSameWeights) {
+  // The prepared conv planes are derived data: the snapshot carries only
+  // the flat tensors, and registering the loaded model rebuilds planes equal
+  // to the original's, so both serve byte-identical layers. c1 is shallow
+  // (inner 54) and c2 deep (inner 216, byte planes on the AMX tier), at
+  // Pa 9 / Pw 12.
+  nn::Network net("deepnet", nn::Shape3{6, 12, 12});
+  net.add_conv("c1", 24, 3, 1, 1).precision_group = 0;
+  net.add_conv("c2", 20, 3, 1, 1).precision_group = 1;
+  net.add_fc("logits", 9);
+  quant::PrecisionProfile p;
+  p.network = "deepnet";
+  p.conv_act = {9, 9};
+  p.conv_weight = 12;
+  p.fc_weight = {8};
+  quant::apply_profile(net, p);
+  ModelRegistry saved;
+  const auto original = saved.add_synthetic("deepnet", std::move(net), p, 3);
+  const std::string path = testing::TempDir() + "loom_snapshot_prepared.bin";
+  save_snapshot(*original, path);
+  const std::shared_ptr<const Model> loaded = load_snapshot(path);
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+  ModelRegistry restored;
+  const auto handle = restored.add(*loaded);
+
+  ASSERT_EQ(handle->weights.size(), original->weights.size());
+  for (std::size_t i = 0; i < original->weights.size(); ++i) {
+    EXPECT_EQ(loaded->weights.prepared(i), nullptr) << "weight tensor " << i;
+    const sim::PreparedConv* a = original->weights.prepared(i);
+    const sim::PreparedConv* b = handle->weights.prepared(i);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "weight tensor " << i;
+    if (a != nullptr) {
+      EXPECT_TRUE(*a == *b) << "weight tensor " << i;
+    }
+  }
+  EXPECT_EQ(encode_snapshot(*handle), encode_snapshot(*original));
+
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = "gemm"});
+  const std::vector<nn::Tensor> inputs{original->make_input(7, 0),
+                                       original->make_input(7, 1)};
+  const sim::FunctionalBatchNetworkRun a =
+      engine.run_network_batch(original->net, inputs, original->weights);
+  const sim::FunctionalBatchNetworkRun b =
+      engine.run_network_batch(handle->net, inputs, handle->weights);
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    EXPECT_EQ(a.layers[i].wides, b.layers[i].wides) << a.layers[i].name;
+    EXPECT_EQ(a.layers[i].cycles, b.layers[i].cycles) << a.layers[i].name;
+  }
+  EXPECT_EQ(a.outputs, b.outputs);
+}
+
 TEST(ModelSnapshot, RegistryAddRejectsWeightMismatch) {
   Model model = make_model();
-  model.weights.pop_back();
+  std::vector<nn::Tensor> weights(model.weights.begin(), model.weights.end());
+  weights.pop_back();
+  model.weights = sim::WeightSet(std::move(weights));
   ModelRegistry registry;
   EXPECT_THROW(registry.add(std::move(model)), ConfigError);
 }
 
 TEST(ModelSnapshot, RegistryAddRejectsTruncatedWeightTensor) {
   Model model = make_model();
-  model.weights[0] = nn::Tensor(nn::Shape{model.weights[0].elements() - 1});
+  std::vector<nn::Tensor> weights(model.weights.begin(), model.weights.end());
+  weights[0] = nn::Tensor(nn::Shape{weights[0].elements() - 1});
+  model.weights = sim::WeightSet(weights);
   ModelRegistry registry;
   EXPECT_THROW(registry.add(model), ConfigError);
-  EXPECT_THROW(registry.add("convnet", model.net, model.profile, model.weights),
+  EXPECT_THROW(registry.add("convnet", model.net, model.profile, weights),
                ConfigError);
 }
 

@@ -1,6 +1,7 @@
 // Shared body of the whole-network equivalence tests: one profiled zoo
-// network (100% profile, synthetic weights, two synthetic input requests),
-// its nn::reference chain, and the engine runs checked against it.
+// network (100% profile, synthetic weights prepared as a registered model's
+// are, two synthetic input requests), its nn::reference chain, and the
+// engine runs checked against it.
 //
 // Every weighted layer's exact accumulators must equal the reference chain
 // — conv / fc forward, the engine's requantization rule, pooling — at
@@ -16,6 +17,7 @@
 #include <array>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -29,7 +31,7 @@ namespace loom::sim::zoo_equivalence {
 
 struct ZooCase {
   nn::Network net;
-  std::vector<nn::Tensor> weights;
+  WeightSet weights;  ///< conv layers prepared, as ModelRegistry::add does
   std::vector<nn::Tensor> inputs;  ///< two requests
 };
 
@@ -39,16 +41,18 @@ using ReferenceChains = std::array<std::vector<nn::WideTensor>, 2>;
 inline ZooCase make_case(const std::string& name) {
   ZooCase c{nn::zoo::make(name), {}, {}};
   quant::apply_profile(c.net, quant::profile_for(name, quant::AccuracyTarget::k100));
+  std::vector<nn::Tensor> weights;
   std::uint64_t layer_index = 0;
   for (const nn::Layer& l : c.net.layers()) {
     if (l.has_weights()) {
-      c.weights.push_back(nn::make_weight_tensor(
+      weights.push_back(nn::make_weight_tensor(
           l.weight_count(),
           {.precision = l.weight_precision, .alpha = 3.0, .is_signed = true},
           0x200, nn::weight_stream(layer_index)));
     }
     ++layer_index;
   }
+  c.weights = WeightSet(c.net, WeightSet(std::move(weights)));
   const nn::Layer& first = c.net.layer(0);
   const nn::SyntheticSpec act{.precision = first.act_precision, .alpha = 3.0,
                               .is_signed = false, .zero_fraction = 0.45};
