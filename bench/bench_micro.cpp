@@ -499,7 +499,7 @@ void BM_GemmConvLayerPrepared(benchmark::State& state) {
   // The same layer from a prepared weight set, as a registered model runs
   // it: the difference to BM_GemmConvLayer is the per-call preparation.
   const FunctionalBenchCase c = nin_conv2_case();
-  const sim::WeightSet weights(c.net, sim::WeightSet({c.weights}));
+  const sim::WeightSet weights(c.net, {c.weights});
   sim::FunctionalLoomEngine engine(
       sim::FunctionalOptions{.jobs = 1, .backend = "gemm"});
   for (auto _ : state) {
@@ -763,7 +763,7 @@ void BM_ServeBatchedConv(benchmark::State& state) {
     inputs.push_back(nn::make_activation_tensor(
         base.net.layer(0).in, act, 1, static_cast<std::uint64_t>(r)));
   }
-  const std::vector<nn::Tensor> weights{base.weights};
+  const sim::WeightSet weights(base.net, {base.weights});
   sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 1});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -782,7 +782,7 @@ void BM_ServeSequentialConv(benchmark::State& state) {
     inputs.push_back(nn::make_activation_tensor(
         base.net.layer(0).in, act, 1, static_cast<std::uint64_t>(r)));
   }
-  const std::vector<nn::Tensor> weights{base.weights};
+  const sim::WeightSet weights(base.net, {base.weights});
   sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 1});
   for (auto _ : state) {
     for (const nn::Tensor& input : inputs) {
@@ -795,9 +795,10 @@ BENCHMARK(BM_ServeSequentialConv)->Unit(benchmark::kMillisecond);
 
 void BM_ServeBatchedFc(benchmark::State& state) {
   const FcBenchCase c = fc_heavy_case(kServeFcBatch);
+  const sim::WeightSet weights(c.net, c.weights);
   sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 1});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_network_batch(c.net, c.inputs, c.weights));
+    benchmark::DoNotOptimize(engine.run_network_batch(c.net, c.inputs, weights));
   }
   state.SetItemsProcessed(state.iterations() * kServeFcBatch);
 }
@@ -805,10 +806,11 @@ BENCHMARK(BM_ServeBatchedFc);
 
 void BM_ServeSequentialFc(benchmark::State& state) {
   const FcBenchCase c = fc_heavy_case(kServeFcBatch);
+  const sim::WeightSet weights(c.net, c.weights);
   sim::FunctionalLoomEngine engine(sim::FunctionalOptions{.jobs = 1});
   for (auto _ : state) {
     for (const nn::Tensor& input : c.inputs) {
-      benchmark::DoNotOptimize(engine.run_network(c.net, input, c.weights));
+      benchmark::DoNotOptimize(engine.run_network(c.net, input, weights));
     }
   }
   state.SetItemsProcessed(state.iterations() * kServeFcBatch);

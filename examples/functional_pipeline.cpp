@@ -41,7 +41,8 @@ int main() {
 
   sim::FunctionalLoomEngine engine(
       sim::FunctionalOptions{.rows = 16, .cols = 16});
-  const auto run = engine.run_network(net, input, weights);
+  const auto run =
+      engine.run_network(net, input, sim::WeightSet(net, weights));
 
   TextTable t("digitnet through the bit-serial datapath");
   t.set_header({"Layer", "Cycles", "Streamed Pa (mean)", "Profile Pa",

@@ -1,7 +1,6 @@
 #include "serve/model_registry.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,45 +9,6 @@
 namespace loom::serve {
 
 namespace {
-
-/// Weighted-layer count of a network.
-std::size_t weighted_layers(const nn::Network& net) {
-  std::size_t n = 0;
-  for (const auto& l : net.layers()) {
-    if (l.has_weights()) ++n;
-  }
-  return n;
-}
-
-/// Reject a network the engine cannot run (Network::execution_error), and
-/// weights that do not fit it: there must be one tensor per weighted layer,
-/// each holding exactly that layer's weight_count() values (a broken chain,
-/// impossible geometry or a short tensor would otherwise be read out of
-/// bounds by every engine run).
-void check_weights(const std::string& name, const nn::Network& net,
-                   std::span<const nn::Tensor> weights) {
-  if (const std::string why = net.execution_error(); !why.empty()) {
-    throw ConfigError("model '" + name + "': " + why);
-  }
-  if (weights.size() != weighted_layers(net)) {
-    throw ConfigError("model '" + name + "': " + std::to_string(weights.size()) +
-                      " weight tensors for " +
-                      std::to_string(weighted_layers(net)) +
-                      " weighted layers");
-  }
-  std::size_t wi = 0;
-  for (const auto& l : net.layers()) {
-    if (!l.has_weights()) continue;
-    if (weights[wi].elements() != l.weight_count()) {
-      throw ConfigError("model '" + name + "': weight tensor " +
-                        std::to_string(wi) + " has " +
-                        std::to_string(weights[wi].elements()) +
-                        " values, layer '" + l.name + "' needs " +
-                        std::to_string(l.weight_count()));
-    }
-    ++wi;
-  }
-}
 
 /// The input distribution of the network's first weighted layer, calibrated
 /// to its activation trim over generic 256-value groups through the
@@ -78,16 +38,21 @@ nn::Tensor Model::make_input(std::uint64_t seed, std::uint64_t stream) const {
 std::shared_ptr<const Model> ModelRegistry::add(
     std::string name, nn::Network net, quant::PrecisionProfile profile,
     std::vector<nn::Tensor> weights) {
-  // Checked before calibrating; add(Model) checks again, in O(layers).
-  check_weights(name, net, weights);
+  // Checked before preparing and calibrating; add(Model) checks again, in
+  // O(layers).
+  if (const std::string why = sim::weights_error(net, weights); !why.empty()) {
+    throw ConfigError("model '" + name + "': " + why);
+  }
+  sim::WeightSet set(net, std::move(weights));
   const nn::SyntheticSpec input_spec = input_spec_for(net, profile);
   return add(Model{std::move(name), std::move(net), std::move(profile),
-                   sim::WeightSet(std::move(weights)), input_spec});
+                   std::move(set), input_spec});
 }
 
 std::shared_ptr<const Model> ModelRegistry::add(Model model) {
-  check_weights(model.name, model.net, model.weights.tensors());
-  model.weights = sim::WeightSet(model.net, std::move(model.weights));
+  if (const std::string why = model.weights.error_for(model.net); !why.empty()) {
+    throw ConfigError("model '" + model.name + "': " + why);
+  }
   return insert(std::make_shared<Model>(std::move(model)));
 }
 

@@ -1,12 +1,12 @@
 // Model registry for the inference server: immutable, shareable models —
 // a profiled network plus materialized weight tensors — registered once and
 // referenced by every session and batch that serves them. Weight tensors,
-// their prepared conv layers (sim::WeightSet) and the calibrated input
-// distribution are built at registration (the calibration itself goes
-// through the process-wide quant::calibrated_spec_cached memo: one
-// group-256 sorted max-draw bisection, a few milliseconds, so weight
-// synthesis dominates registration), so concurrent requests never rebuild
-// per-model state.
+// their prepared conv layers (sim::WeightSet; a restored model's come from
+// snapshot decode) and the calibrated input distribution are built at
+// registration (the calibration itself goes through the process-wide
+// quant::calibrated_spec_cached memo: one group-256 sorted max-draw
+// bisection, a few milliseconds, so weight synthesis dominates
+// registration), so concurrent requests never rebuild per-model state.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,9 @@ struct Model {
   nn::Network net;
   quant::PrecisionProfile profile;
   /// One materialized weight tensor per weighted layer, in layer order,
-  /// and — once the registry holds the model — every conv layer's weights
-  /// prepared for the gemm kernel (what FunctionalLoomEngine::run_network*
-  /// consumes). Snapshots carry only the tensors.
+  /// and every conv layer's weights prepared for the gemm kernel, built
+  /// against `net` (what FunctionalLoomEngine::run_network* consumes).
+  /// Snapshots carry only the tensors; decode prepares them again.
   sim::WeightSet weights;
   /// Distribution the first layer's input activations are drawn from —
   /// calibrated to the first conv layer's activation trim over generic
@@ -70,11 +70,12 @@ class ModelRegistry {
                                              std::uint64_t seed);
 
   /// Register a fully materialized model — the snapshot-restore path:
-  /// `model.input_spec` is trusted (no recalibration) and the conv weights
-  /// are prepared from the tensors, so a registry built from load_snapshot
-  /// serves byte-identical outputs to the one that saved it. Throws
-  /// ConfigError on duplicate names, a network whose layers do not chain,
-  /// or a weight-count mismatch.
+  /// `model.input_spec` is trusted (no recalibration) and the prepared conv
+  /// weights are kept as they are (shared, not rebuilt), so a registry built
+  /// from load_snapshot serves byte-identical outputs to the one that saved
+  /// it. Throws ConfigError on duplicate names and on a weight set that does
+  /// not fit `model.net` (WeightSet::error_for: a network whose layers do
+  /// not chain, a weight-count mismatch, or planes built for another Pw).
   std::shared_ptr<const Model> add(Model model);
 
   /// Look up a registered model; throws ConfigError when unknown.

@@ -103,9 +103,6 @@ void encode_network(ByteWriter& w, const nn::Network& net) {
     l.precision_group = r.i32_in("precision_group", -1, 1 << 20);
     net.layers().push_back(std::move(l));
   }
-  // A well-formed but hostile file could otherwise hand the engine a layer
-  // that reads past its producer's output or its own padded input.
-  if (const std::string why = net.execution_error(); !why.empty()) r.fail(why);
   net.set_current(current);
   return net;
 }
@@ -217,14 +214,6 @@ void encode_weights(ByteWriter& w, std::span<const nn::Tensor> weights) {
   return weights;
 }
 
-[[nodiscard]] std::size_t weighted_layer_count(const nn::Network& net) {
-  std::size_t n = 0;
-  for (const auto& l : net.layers()) {
-    if (l.has_weights()) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const Model& model) {
@@ -257,24 +246,15 @@ Model decode_snapshot(std::span<const std::uint8_t> bytes) {
         }
       });
 
-  if (weights.size() != weighted_layer_count(*net)) {
-    kFormat.fail("weight/layer mismatch: " + std::to_string(weights.size()) +
-                 " weight tensors for " +
-                 std::to_string(weighted_layer_count(*net)) +
-                 " weighted layers");
+  // A well-formed but hostile file could otherwise hand the engine a layer
+  // that reads past its producer's output, its own padded input or a short
+  // weight tensor; the check runs before any plane is prepared.
+  if (const std::string why = sim::weights_error(*net, weights); !why.empty()) {
+    kFormat.fail(why);
   }
-  std::size_t wi = 0;
-  for (const auto& l : net->layers()) {
-    if (!l.has_weights()) continue;
-    if (weights[wi].elements() != l.weight_count()) {
-      kFormat.fail("weight tensor " + std::to_string(wi) + " has " +
-                   std::to_string(weights[wi].elements()) + " values, layer '" +
-                   l.name + "' needs " + std::to_string(l.weight_count()));
-    }
-    ++wi;
-  }
+  sim::WeightSet set(*net, std::move(weights));
   return Model{std::move(name), std::move(*net), std::move(profile),
-               sim::WeightSet(std::move(weights)), input_spec};
+               std::move(set), input_spec};
 }
 
 void save_snapshot(const Model& model, const std::string& path) {

@@ -7,12 +7,13 @@
 // framing, exact-EOF rule and tmp+rename save are documented there. Its
 // sections, in order: kName, kNetwork, kProfile, kInputSpec, kWeights.
 // Beyond the shared framing checks, decode bounds every count and tensor
-// dimension, and rejects a network whose layers do not chain and weights
-// that do not fit their layers. Every malformed input fails with a typed
-// SnapshotError (common/error.hpp), never UB; pinned by fuzz-style
-// corruption tests in tests/test_model_snapshot.cpp. Only the flat weight
-// tensors are stored: the prepared conv planes are derived data, so a
-// decoded model holds none until ModelRegistry::add builds them.
+// dimension, and rejects (sim::weights_error) a network whose layers do not
+// chain and weights that do not fit their layers. Every malformed input
+// fails with a typed SnapshotError (common/error.hpp), never UB; pinned by
+// fuzz-style corruption tests in tests/test_model_snapshot.cpp. Only the
+// flat weight tensors are stored: the prepared conv planes are derived
+// data, which decode builds against the decoded network once the checks
+// pass, so ModelRegistry::add registers a loaded model as it is.
 #pragma once
 
 #include <cstdint>

@@ -19,6 +19,11 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+}
+
 /// Reject a layer whose geometry, or tensors, the kernels would index out of
 /// bounds with.
 void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
@@ -222,18 +227,23 @@ ConvStats FunctionalLoomEngine::dispatch(
   } else {
     LOOM_EXPECTS(used == "gemm");
     if (!gemm_) gemm_.emplace(grid_);
-    if (conv && prepared != nullptr) {
+    if (conv) {
+      std::optional<PreparedConv> flat;
+      std::uint64_t prep_ns = 0;
+      if (prepared == nullptr) {
+        const auto tp = Clock::now();
+        prepared = &flat.emplace(
+            prepare_conv(layer, weights, spec.weight_precision));
+        prep_ns = ns_between(tp, Clock::now());
+      }
       st = gemm_->run_conv_batch(layer, inputs, *prepared, spec, wides);
-    } else if (conv) {
-      st = gemm_->run_conv_batch(layer, inputs, weights, spec, wides);
+      st.pack_ns += prep_ns;
     } else {
       gemm_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
     }
   }
   if (tuned) {
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-            .count());
+    const std::uint64_t ns = ns_between(t0, Clock::now());
     const int batch = static_cast<int>(inputs.size());
     BackendAutotuner::instance().record(
         conv ? conv_tune_key(layer, spec, batch, grid_)
@@ -249,11 +259,6 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
   LOOM_EXPECTS(!inputs.empty());
   check_layer_io(layer, inputs, weights);
   const bool conv = layer.kind == nn::LayerKind::kConv;
-  if (conv && prepared != nullptr &&
-      !prepared->fits(layer, layer.weight_precision)) {
-    throw ConfigError("layer '" + layer.name +
-                      "': prepared weights do not fit the layer");
-  }
   FunctionalBatchLayerRun run;
   run.name = layer.name;
   run.out_bits = out_bits;
@@ -325,21 +330,9 @@ FunctionalLayerRun FunctionalLoomEngine::run_fc(const nn::Layer& layer,
 
 FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
     const nn::Network& net, std::span<const nn::Tensor> inputs,
-    std::span<const nn::Tensor> weights) {
-  return run_network_layers(net, inputs, weights, nullptr);
-}
-
-FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
-    const nn::Network& net, std::span<const nn::Tensor> inputs,
     const WeightSet& weights) {
-  return run_network_layers(net, inputs, weights.tensors(), &weights);
-}
-
-FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_layers(
-    const nn::Network& net, std::span<const nn::Tensor> inputs,
-    std::span<const nn::Tensor> weights, const WeightSet* set) {
   LOOM_EXPECTS(!inputs.empty());
-  if (const std::string why = net.execution_error(); !why.empty()) {
+  if (const std::string why = weights.error_for(net); !why.empty()) {
     throw ConfigError("network '" + net.name() + "': " + why);
   }
   FunctionalBatchNetworkRun run;
@@ -366,24 +359,15 @@ FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_layers(
       }
       continue;
     }
-    LOOM_EXPECTS(weight_index < weights.size());
-    const PreparedConv* prepared =
-        set != nullptr ? set->prepared(weight_index) : nullptr;
     run.layers.push_back(run_layer_batch(layer, current, weights[weight_index],
-                                         prepared, net.output_precision(i)));
+                                         weights.prepared(weight_index),
+                                         net.output_precision(i)));
     ++weight_index;
     current = run.layers.back().outputs;
     run.total_cycles += run.layers.back().cycles;
   }
   run.outputs.assign(current.begin(), current.end());
-  LOOM_ENSURES(weight_index == weights.size());
   return run;
-}
-
-FunctionalNetworkRun FunctionalLoomEngine::run_network(
-    const nn::Network& net, const nn::Tensor& input,
-    std::span<const nn::Tensor> weights) {
-  return solo_network(run_network_batch(net, std::span(&input, 1), weights));
 }
 
 FunctionalNetworkRun FunctionalLoomEngine::run_network(

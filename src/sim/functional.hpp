@@ -171,15 +171,10 @@ class FunctionalLoomEngine {
   /// Execute a whole profiled network: conv/fc layers on the grid, pooling
   /// through the max/average units, requantizing every output to the
   /// consumer layer's profile precision. `weights[i]` pairs with the i-th
-  /// *weighted* layer. Flat tensors: the gemm kernel prepares each conv
-  /// layer's weights per call (prepare_conv, counted as pack time).
-  [[nodiscard]] FunctionalNetworkRun run_network(
-      const nn::Network& net, const nn::Tensor& input,
-      std::span<const nn::Tensor> weights);
-
-  /// The same from a weight set: conv layers read its prepared weights
-  /// when it has them (a ConfigError when they do not fit the layer), so
-  /// no call prepares any; the scalar oracle reads its flat tensors.
+  /// *weighted* layer; conv layers on the gemm kernel read the set's
+  /// prepared planes, so no call prepares any, and the scalar oracle reads
+  /// its flat tensors. A set that does not fit `net`
+  /// (WeightSet::error_for) is a ConfigError.
   [[nodiscard]] FunctionalNetworkRun run_network(const nn::Network& net,
                                                  const nn::Tensor& input,
                                                  const WeightSet& weights);
@@ -199,7 +194,9 @@ class FunctionalLoomEngine {
   //
   // Every layer call rejects, with ConfigError, weights whose size is not
   // the layer's weight_count() and inputs accepts_input() refuses;
-  // run_network* also rejects networks whose layers do not chain.
+  // run_network* also rejects weights that do not fit the network. The flat
+  // conv calls prepare the layer's weights per call on the gemm kernel
+  // (prepare_conv, counted as pack time).
 
   [[nodiscard]] FunctionalBatchLayerRun run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor> inputs,
@@ -208,10 +205,6 @@ class FunctionalLoomEngine {
   [[nodiscard]] FunctionalBatchLayerRun run_fc_batch(
       const nn::Layer& layer, std::span<const nn::Tensor> inputs,
       const nn::Tensor& weights, int out_bits);
-
-  [[nodiscard]] FunctionalBatchNetworkRun run_network_batch(
-      const nn::Network& net, std::span<const nn::Tensor> inputs,
-      std::span<const nn::Tensor> weights);
 
   [[nodiscard]] FunctionalBatchNetworkRun run_network_batch(
       const nn::Network& net, std::span<const nn::Tensor> inputs,
@@ -229,25 +222,20 @@ class FunctionalLoomEngine {
   }
 
  private:
-  /// The shared body of run_conv_batch and run_fc_batch; `prepared` (may
-  /// be null) is the conv layer's prepared weights.
+  /// The shared body of run_conv_batch and run_fc_batch; `prepared` (null
+  /// for a flat call) is the conv layer's prepared weights.
   FunctionalBatchLayerRun run_layer_batch(const nn::Layer& layer,
                                           std::span<const nn::Tensor> inputs,
                                           const nn::Tensor& weights,
                                           const PreparedConv* prepared,
                                           int out_bits);
-  /// The shared body of both run_network_batch overloads; `set` (may be
-  /// null) supplies prepared conv weights.
-  FunctionalBatchNetworkRun run_network_layers(
-      const nn::Network& net, std::span<const nn::Tensor> inputs,
-      std::span<const nn::Tensor> weights, const WeightSet* set);
   /// Per-image cycles of an FC layer's data-independent schedule.
   [[nodiscard]] std::uint64_t fc_cycles(const nn::Layer& layer) const;
   /// Run one conv/fc batch on the selected kernel, built on first use;
   /// under "auto" runs gemm and records its wall clock in the autotuner.
   /// A gemm conv reads `prepared` when it is given, else prepares
-  /// `weights` on the spot. `used` reports the kernel that ran. FC
-  /// kernels report no stats.
+  /// `weights` on the spot and counts that as pack time. `used` reports
+  /// the kernel that ran. FC kernels report no stats.
   ConvStats dispatch(const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
                      const nn::Tensor& weights, const PreparedConv* prepared,

@@ -1012,19 +1012,6 @@ ConvStats GemmEngine::run_conv_batch(
                                 layer, inputs, weights, spec, wides);
 }
 
-ConvStats GemmEngine::run_conv_batch(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const SliceSpec& spec,
-    std::span<nn::WideTensor* const> wides) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const PreparedConv prepared =
-      prepare_conv(layer, weights, spec.weight_precision);
-  const std::uint64_t prep_ns = ns_since(t0);
-  ConvStats stats = run_conv_batch(layer, inputs, prepared, spec, wides);
-  stats.pack_ns += prep_ns;
-  return stats;
-}
-
 void GemmEngine::run_fc_batch(const nn::Layer& layer,
                               std::span<const nn::Tensor* const> inputs,
                               const nn::Tensor& weights, int weight_precision,

@@ -63,10 +63,10 @@
 // weight tensor in place, masking Pw on the fly — no repacked copy of a
 // large weight matrix is ever made. Conv weights enter as a PreparedConv:
 // the padded planes of the layout conv_layout picks, built by the pure
-// prepare_conv. A model prepares them once (sim::WeightSet, built when a
-// serve::ModelRegistry registers it) and every call and thread reads the
-// same planes; a flat-tensor call prepares on the spot through the same
-// function and counts that as pack time.
+// prepare_conv. A model prepares them once (sim::WeightSet, built against
+// its network) and every call and thread reads the same planes; the
+// engine's flat run_conv calls prepare through the same function per call
+// and count that as pack time.
 //
 // SIMD tier: common::simd_level() (AMX, AVX-512, AVX2, scalar), so
 // LOOM_SIMD_LEVEL reaches every dispatch. All tiers
@@ -217,13 +217,6 @@ class GemmEngine {
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const PreparedConv& weights, const SliceSpec& spec,
-                           std::span<nn::WideTensor* const> wides);
-
-  /// The same from flat weights: prepare_conv on the spot, its time
-  /// counted in ConvStats::pack_ns, then the prepared overload.
-  ConvStats run_conv_batch(const nn::Layer& layer,
-                           std::span<const nn::Tensor* const> inputs,
-                           const nn::Tensor& weights, const SliceSpec& spec,
                            std::span<nn::WideTensor* const> wides);
 
   /// Batched fully-connected layer: signed 16-bit activations,

@@ -232,8 +232,10 @@ TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
     SCOPED_TRACE("backend gemm");
     GemmEngine gemm(ctx);
     Batch b(c.inputs, wide_shape);
-    const ConvStats st =
-        gemm.run_conv_batch(c.layer, b.in_ptrs, c.weights, spec, b.wide_ptrs);
+    const ConvStats st = gemm.run_conv_batch(
+        c.layer, b.in_ptrs,
+        prepare_conv(c.layer, c.weights, spec.weight_precision), spec,
+        b.wide_ptrs);
     for (std::size_t r = 0; r < batch; ++r) {
       EXPECT_EQ(b.wides[r], oracle[r]) << "request " << r;
     }
@@ -259,7 +261,10 @@ TEST(BackendDifferential, DeepConvGemmMatchesReference) {
     const nn::Shape wide_shape{c.layer.out.c, c.layer.out.h, c.layer.out.w};
     GemmEngine gemm(random_ctx(seed));
     Batch b(c.inputs, wide_shape);
-    (void)gemm.run_conv_batch(c.layer, b.in_ptrs, c.weights, spec, b.wide_ptrs);
+    (void)gemm.run_conv_batch(
+        c.layer, b.in_ptrs,
+        prepare_conv(c.layer, c.weights, spec.weight_precision), spec,
+        b.wide_ptrs);
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
       EXPECT_EQ(b.wides[r], nn::conv_forward(c.inputs[r], c.weights, c.layer))
           << "request " << r;
@@ -356,8 +361,10 @@ void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                             const nn::WideTensor& want) {
   const GridOptions ctx{.jobs = 1};
   GemmEngine gemm(ctx);
+  const PreparedConv prepared =
+      prepare_conv(layer, weights, spec.weight_precision);
   expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
-    (void)gemm.run_conv_batch(layer, in, weights, spec, out);
+    (void)gemm.run_conv_batch(layer, in, prepared, spec, out);
   });
   SipGridOracle scalar(ctx);
   expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
@@ -462,6 +469,7 @@ TEST(BackendDifferential, ConvStraddlesPlaneProductKBlockBound) {
         const nn::Tensor weights = filled(nn::Shape{layer.weight_count()},
                                           static_cast<std::uint16_t>(wv));
         const nn::WideTensor unit = nn::conv_forward(ones, weights, layer);
+        const PreparedConv prepared = prepare_conv(layer, weights, pw);
         for (const std::uint16_t act : {0xFFFFu, 0x00FFu}) {
           SCOPED_TRACE("inner " + std::to_string(inner) + " pw " +
                        std::to_string(pw) + " w " + std::to_string(wv) +
@@ -474,7 +482,7 @@ TEST(BackendDifferential, ConvStraddlesPlaneProductKBlockBound) {
                                .dynamic = true};
           expect_batch_and_solo("gemm", filled(in_shape, act), want,
                                 [&](auto in, auto out) {
-                                  (void)gemm.run_conv_batch(layer, in, weights,
+                                  (void)gemm.run_conv_batch(layer, in, prepared,
                                                             spec, out);
                                 });
         }

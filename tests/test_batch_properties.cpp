@@ -314,7 +314,8 @@ TEST(AutotunerView, DefaultEngineDecidesOneGemmCellPerWeightedLayer) {
 
   FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
   ASSERT_EQ(eng.backend_name(), "auto");
-  const FunctionalNetworkRun run = eng.run_network(net, input, weights);
+  const FunctionalNetworkRun run =
+      eng.run_network(net, input, WeightSet(net, weights));
   ASSERT_EQ(run.layers.size(), 2u);
   for (const FunctionalLayerRun& lr : run.layers) EXPECT_EQ(lr.backend, "gemm");
 

@@ -167,7 +167,8 @@ TEST(Functional, FcLayerMatchesGoldenModel) {
 TEST(Functional, WholeNetworkMatchesGoldenPipeline) {
   SmallNet s = make_small_net();
   FunctionalLoomEngine engine(FunctionalOptions{.rows = 8, .cols = 8});
-  const auto run = engine.run_network(s.net, s.input, s.weights);
+  const auto run =
+      engine.run_network(s.net, s.input, WeightSet(s.net, s.weights));
   ASSERT_EQ(run.layers.size(), 3u);
   EXPECT_EQ(run.output.elements(), 10);
   EXPECT_GT(run.total_cycles, 0u);
@@ -257,14 +258,14 @@ TEST(Functional, LayerCallsRejectMismatchedTensors) {
                ConfigError);
   std::vector<nn::Tensor> truncated = s.weights;
   truncated[2] = nn::Tensor(nn::Shape{truncated[2].elements() / 2});
-  EXPECT_THROW((void)engine.run_network(s.net, s.input, truncated), ConfigError);
+  EXPECT_THROW((void)WeightSet(s.net, truncated), ConfigError);
 }
 
 TEST(Functional, GoogLeNetIsAnalyticOnly) {
   // GoogLeNet's inception branches are flattened into one layer list, so
   // its layers do not chain (inception_3a/3x3_reduce reads the 192-channel
-  // module input, not its 64-channel predecessor): the engine refuses it
-  // before any kernel runs.
+  // module input, not its 64-channel predecessor): no weight set can be
+  // built for it, so it never reaches a kernel.
   nn::Network net = nn::zoo::make("googlenet");
   quant::apply_profile(net, quant::profile_for("googlenet",
                                                quant::AccuracyTarget::k100));
@@ -273,9 +274,7 @@ TEST(Functional, GoogLeNetIsAnalyticOnly) {
   for (const nn::Layer& l : net.layers()) {
     if (l.has_weights()) weights.emplace_back(nn::Shape{l.weight_count()});
   }
-  const nn::Tensor input(nn::Shape{3, 224, 224});
-  FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1});
-  EXPECT_THROW((void)engine.run_network(net, input, weights), ConfigError);
+  EXPECT_THROW((void)WeightSet(net, std::move(weights)), ConfigError);
 }
 
 TEST(Functional, LinearZooNetworksChain) {
@@ -310,7 +309,8 @@ TEST(CrossEngine, SerialAndParallelEnginesAgreeBitExactly) {
 
   FunctionalLoomEngine lm(FunctionalOptions{
       .rows = 8, .cols = 16, .dynamic_act_precision = false});
-  const FunctionalNetworkRun rl = lm.run_network(net, input, weights);
+  const FunctionalNetworkRun rl =
+      lm.run_network(net, input, WeightSet(net, weights));
   ASSERT_EQ(rl.layers.size(), 2u);
 
   // Reference chain: every layer's accumulators, byte for byte.

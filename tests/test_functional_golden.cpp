@@ -97,7 +97,8 @@ TEST(BitsliceGolden, DynamicRunMatchesPreChangeMain) {
   TestNet s = make_golden_net();
   FunctionalLoomEngine eng(FunctionalOptions{.rows = 8, .cols = 16});
   ASSERT_NE(eng.backend_name(), "scalar");
-  const auto run = eng.run_network(s.net, s.input, s.weights);
+  const auto run =
+      eng.run_network(s.net, s.input, WeightSet(s.net, s.weights));
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
 }
 
@@ -106,7 +107,8 @@ TEST(BitsliceGolden, DynamicRunScalarOracleMatchesPreChangeMain) {
   FunctionalLoomEngine eng(
       FunctionalOptions{.rows = 8, .cols = 16, .backend = "scalar"});
   ASSERT_EQ(eng.backend_name(), "scalar");
-  const auto run = eng.run_network(s.net, s.input, s.weights);
+  const auto run =
+      eng.run_network(s.net, s.input, WeightSet(s.net, s.weights));
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
 }
 
@@ -117,7 +119,8 @@ TEST(BitsliceGolden, StaticRunMatchesPreChangeMainBothBackends) {
                                                .cols = 8,
                                                .dynamic_act_precision = false,
                                                .backend = scalar ? "scalar" : ""});
-    const auto run = eng.run_network(s.net, s.input, s.weights);
+    const auto run =
+      eng.run_network(s.net, s.input, WeightSet(s.net, s.weights));
     EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenStatic) << scalar;
   }
 }
@@ -128,7 +131,8 @@ TEST(BitsliceGolden, JobsCountDoesNotChangeResults) {
     TestNet s = make_golden_net();
     FunctionalLoomEngine eng(
         FunctionalOptions{.rows = 8, .cols = 16, .jobs = jobs});
-    const auto run = eng.run_network(s.net, s.input, s.weights);
+    const auto run =
+      eng.run_network(s.net, s.input, WeightSet(s.net, s.weights));
     const std::uint64_t d = digest(s, run, eng.dispatcher());
     if (jobs == 1) {
       reference = d;

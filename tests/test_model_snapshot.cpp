@@ -138,10 +138,10 @@ TEST(ModelSnapshot, LoadedModelRegistersAndServes) {
 
 TEST(ModelSnapshot, RestoredModelPreparesTheSameWeights) {
   // The prepared conv planes are derived data: the snapshot carries only
-  // the flat tensors, and registering the loaded model rebuilds planes equal
-  // to the original's, so both serve byte-identical layers. c1 is shallow
-  // (inner 54) and c2 deep (inner 216, byte planes on the AMX tier), at
-  // Pa 9 / Pw 12.
+  // the flat tensors, decode rebuilds planes equal to the original's, and
+  // registering the loaded model shares them rather than building a second
+  // copy, so both serve byte-identical layers. c1 is shallow (inner 54) and
+  // c2 deep (inner 216, byte planes on the AMX tier), at Pa 9 / Pw 12.
   nn::Network net("deepnet", nn::Shape3{6, 12, 12});
   net.add_conv("c1", 24, 3, 1, 1).precision_group = 0;
   net.add_conv("c2", 20, 3, 1, 1).precision_group = 1;
@@ -163,13 +163,13 @@ TEST(ModelSnapshot, RestoredModelPreparesTheSameWeights) {
 
   ASSERT_EQ(handle->weights.size(), original->weights.size());
   for (std::size_t i = 0; i < original->weights.size(); ++i) {
-    EXPECT_EQ(loaded->weights.prepared(i), nullptr) << "weight tensor " << i;
     const sim::PreparedConv* a = original->weights.prepared(i);
-    const sim::PreparedConv* b = handle->weights.prepared(i);
+    const sim::PreparedConv* b = loaded->weights.prepared(i);
     ASSERT_EQ(a == nullptr, b == nullptr) << "weight tensor " << i;
     if (a != nullptr) {
       EXPECT_TRUE(*a == *b) << "weight tensor " << i;
     }
+    EXPECT_EQ(handle->weights.prepared(i), b) << "weight tensor " << i;
   }
   EXPECT_EQ(encode_snapshot(*handle), encode_snapshot(*original));
 
@@ -190,10 +190,15 @@ TEST(ModelSnapshot, RestoredModelPreparesTheSameWeights) {
 }
 
 TEST(ModelSnapshot, RegistryAddRejectsWeightMismatch) {
+  // A set holds exactly its own network's tensors, so a model can only
+  // carry too few through a set built for another network: here the same
+  // one without its FC layer.
   Model model = make_model();
   std::vector<nn::Tensor> weights(model.weights.begin(), model.weights.end());
   weights.pop_back();
-  model.weights = sim::WeightSet(std::move(weights));
+  nn::Network headless = model.net;
+  headless.layers().pop_back();
+  model.weights = sim::WeightSet(headless, std::move(weights));
   ModelRegistry registry;
   EXPECT_THROW(registry.add(std::move(model)), ConfigError);
 }
@@ -202,11 +207,32 @@ TEST(ModelSnapshot, RegistryAddRejectsTruncatedWeightTensor) {
   Model model = make_model();
   std::vector<nn::Tensor> weights(model.weights.begin(), model.weights.end());
   weights[0] = nn::Tensor(nn::Shape{weights[0].elements() - 1});
-  model.weights = sim::WeightSet(weights);
+  EXPECT_THROW((void)sim::WeightSet(model.net, weights), ConfigError);
   ModelRegistry registry;
-  EXPECT_THROW(registry.add(model), ConfigError);
   EXPECT_THROW(registry.add("convnet", model.net, model.profile, weights),
                ConfigError);
+  // A set built for c1 as a 1x1 conv (the same 12x12 output) holds a
+  // tensor too short for the 3x3 c1 of the model's network.
+  nn::Network pointwise = model.net;
+  pointwise.layers()[0].kernel_h = pointwise.layers()[0].kernel_w = 1;
+  pointwise.layers()[0].pad = 0;
+  weights[0] = nn::Tensor(nn::Shape{pointwise.layer(0).weight_count()});
+  model.weights = sim::WeightSet(pointwise, weights);
+  EXPECT_THROW(registry.add(model), ConfigError);
+}
+
+TEST(ModelSnapshot, RegistryAddRejectsWeightsPreparedAtAnotherPw) {
+  // The same topology and tensors, prepared for c1 at Pw 11 rather than the
+  // model's 9: the planes do not fit, so the registry refuses the model
+  // rather than serve stale planes.
+  Model model = make_model();
+  nn::Network other = model.net;
+  other.layers()[0].weight_precision = 11;
+  model.weights = sim::WeightSet(
+      other, std::vector<nn::Tensor>(model.weights.begin(), model.weights.end()));
+  ModelRegistry registry;
+  EXPECT_THROW(registry.add(model), ConfigError);
+  EXPECT_TRUE(registry.names().empty());
 }
 
 TEST(ModelSnapshot, RegistryAddRejectsBrokenLayerChain) {

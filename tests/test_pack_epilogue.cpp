@@ -123,8 +123,9 @@ void check_pack(const PackCase& pc, std::uint64_t seed) {
     wide_ptrs.push_back(&wides[r]);
   }
   GemmEngine gemm(pc.grid);
-  const ConvStats st =
-      gemm.run_conv_batch(layer, in_ptrs, weights, pc.spec, wide_ptrs);
+  const ConvStats st = gemm.run_conv_batch(
+      layer, in_ptrs, prepare_conv(layer, weights, pc.spec.weight_precision),
+      pc.spec, wide_ptrs);
   expect_stats_eq(st, gathered_stats(layer, pc.spec, pc.grid, inputs));
 
   SipGridOracle oracle(pc.grid);

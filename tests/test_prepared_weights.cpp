@@ -1,8 +1,9 @@
-// Prepared conv weights (sim::WeightSet, built once when a model is
-// registered) against the flat-tensor calls that prepare on the spot: every
+// Prepared conv weights (sim::WeightSet, built once against a model's
+// network) against the flat-tensor layer calls that prepare per call: every
 // conv layer of NiN and AlexNet, plus shallow and deep toy convs, must give
 // byte-identical accumulators, cycles and streaming statistics both ways,
-// layer by layer and through whole networks. The binary also reruns at the
+// layer by layer and through whole networks. The set's one constructor
+// also holds the weights-fit-network check. The binary also reruns at the
 // scalar, avx2 and avx512 tiers, so on an AMX host both operand layouts
 // (byte planes and int16 pairs) are covered.
 #include <gtest/gtest.h>
@@ -71,9 +72,9 @@ void expect_stats_eq(const ConvStats& a, const ConvStats& b) {
 }
 
 /// Every conv layer of `m`, on its own input, from the model's prepared
-/// weights and from its flat tensor: through GemmEngine (accumulators and
-/// every ConvStats field but the pack time) and through the engine's
-/// flat-tensor run_conv (accumulators and cycles).
+/// weights and from its flat tensor prepared on the spot: through
+/// GemmEngine (accumulators and every ConvStats field but the pack time)
+/// and through the engine's flat-tensor run_conv (accumulators and cycles).
 void check_layers(const serve::Model& m) {
   GemmEngine gemm(GridOptions{.jobs = 1});
   FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1, .backend = "gemm"});
@@ -107,9 +108,10 @@ void check_layers(const serve::Model& m) {
     nn::WideTensor* to_flat = &from_flat;
     const ConvStats a = gemm.run_conv_batch(
         layer, std::span(&in, 1), *prepared, spec, std::span(&to_prepared, 1));
-    const ConvStats b = gemm.run_conv_batch(layer, std::span(&in, 1),
-                                            m.weights[index], spec,
-                                            std::span(&to_flat, 1));
+    const ConvStats b = gemm.run_conv_batch(
+        layer, std::span(&in, 1),
+        prepare_conv(layer, m.weights[index], layer.weight_precision), spec,
+        std::span(&to_flat, 1));
     EXPECT_EQ(from_prepared, from_flat);
     expect_stats_eq(a, b);
 
@@ -121,39 +123,49 @@ void check_layers(const serve::Model& m) {
   EXPECT_GT(convs, 0);
 }
 
-/// The whole network from the prepared set and from its flat tensors, solo
-/// and as a batch of two: every layer's accumulators, shifts, cycles and
-/// streaming means, and the dispatcher's streamed-bit counters.
+void expect_layers_eq(const FunctionalBatchLayerRun& a,
+                      const FunctionalBatchLayerRun& b) {
+  SCOPED_TRACE(a.name);
+  EXPECT_EQ(a.wides, b.wides);
+  EXPECT_EQ(a.outputs, b.outputs);
+  EXPECT_EQ(a.requant_shifts, b.requant_shifts);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.mean_streamed_precision, b.mean_streamed_precision);
+  EXPECT_EQ(a.mean_plane_products, b.mean_plane_products);
+}
+
+/// The whole network from the prepared set against the same layers called
+/// one by one on flat tensors, a batch of two: every layer's accumulators,
+/// outputs, shifts, cycles and streaming means, and the dispatcher's
+/// streamed-bit counters; then the solo run against the batch's first
+/// request.
 void check_network(const serve::Model& m) {
+  SCOPED_TRACE(m.name);
   const std::vector<nn::Tensor> inputs{m.make_input(3, 0), m.make_input(3, 1)};
   FunctionalLoomEngine prepared(FunctionalOptions{.jobs = 1, .backend = "gemm"});
   FunctionalLoomEngine flat(FunctionalOptions{.jobs = 1, .backend = "gemm"});
-  const FunctionalNetworkRun a = prepared.run_network(m.net, inputs[0], m.weights);
-  const FunctionalNetworkRun b =
-      flat.run_network(m.net, inputs[0], m.weights.tensors());
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    SCOPED_TRACE(m.name + "/" + a.layers[i].name);
-    EXPECT_EQ(a.layers[i].wide, b.layers[i].wide);
-    EXPECT_EQ(a.layers[i].output, b.layers[i].output);
-    EXPECT_EQ(a.layers[i].cycles, b.layers[i].cycles);
-    EXPECT_EQ(a.layers[i].requant_shift, b.layers[i].requant_shift);
-    EXPECT_EQ(a.layers[i].mean_streamed_precision,
-              b.layers[i].mean_streamed_precision);
-    EXPECT_EQ(a.layers[i].mean_plane_products, b.layers[i].mean_plane_products);
-  }
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-
-  const FunctionalBatchNetworkRun ab =
+  const FunctionalBatchNetworkRun run =
       prepared.run_network_batch(m.net, inputs, m.weights);
-  const FunctionalBatchNetworkRun bb =
-      flat.run_network_batch(m.net, inputs, m.weights.tensors());
-  ASSERT_EQ(ab.layers.size(), bb.layers.size());
-  for (std::size_t i = 0; i < ab.layers.size(); ++i) {
-    EXPECT_EQ(ab.layers[i].wides, bb.layers[i].wides) << ab.layers[i].name;
-    EXPECT_EQ(ab.layers[i].cycles, bb.layers[i].cycles) << ab.layers[i].name;
+  std::vector<nn::Tensor> current = inputs;
+  std::size_t wi = 0;
+  for (std::size_t i = 0; i < m.net.size(); ++i) {
+    const nn::Layer& layer = m.net.layer(i);
+    if (!layer.has_weights()) {
+      for (nn::Tensor& t : current) t = pool_activations(t, layer);
+      continue;
+    }
+    ASSERT_LT(wi, run.layers.size());
+    const int out_bits = m.net.output_precision(i);
+    FunctionalBatchLayerRun called =
+        layer.kind == nn::LayerKind::kConv
+            ? flat.run_conv_batch(layer, current, m.weights[wi], out_bits)
+            : flat.run_fc_batch(layer, current, m.weights[wi], out_bits);
+    expect_layers_eq(run.layers[wi], called);
+    current = std::move(called.outputs);
+    ++wi;
   }
-  EXPECT_EQ(ab.outputs, bb.outputs);
+  EXPECT_EQ(wi, run.layers.size());
+  EXPECT_EQ(run.outputs, current);
 
   const arch::Dispatcher& da = prepared.dispatcher();
   const arch::Dispatcher& db = flat.dispatcher();
@@ -162,6 +174,15 @@ void check_network(const serve::Model& m) {
   EXPECT_EQ(da.detector().invocations(), db.detector().invocations());
   EXPECT_EQ(da.detector().values_inspected(),
             db.detector().values_inspected());
+
+  const FunctionalNetworkRun solo =
+      prepared.run_network(m.net, inputs[0], m.weights);
+  ASSERT_EQ(solo.layers.size(), run.layers.size());
+  for (std::size_t i = 0; i < solo.layers.size(); ++i) {
+    EXPECT_EQ(solo.layers[i].wide, run.layers[i].wides[0])
+        << solo.layers[i].name;
+  }
+  EXPECT_EQ(solo.output, run.outputs[0]);
 }
 
 TEST(PreparedWeights, ZooConvLayersMatchFlatCalls) {
@@ -202,10 +223,12 @@ TEST(PreparedWeights, SetsCompareByTensorsAndShareTheirPlanes) {
   serve::ModelRegistry registry;
   const auto m =
       register_toy(registry, "deep", nn::Shape3{32, 11, 9}, 36, 3, 1, 9, 12);
-  const WeightSet flat(std::vector<nn::Tensor>(m->weights.begin(),
-                                               m->weights.end()));
-  EXPECT_EQ(flat.prepared(0), nullptr);
-  EXPECT_TRUE(flat == m->weights);
+  const WeightSet rebuilt(
+      m->net, std::vector<nn::Tensor>(m->weights.begin(), m->weights.end()));
+  ASSERT_NE(rebuilt.prepared(0), nullptr);
+  EXPECT_NE(rebuilt.prepared(0), m->weights.prepared(0));
+  EXPECT_TRUE(*rebuilt.prepared(0) == *m->weights.prepared(0));
+  EXPECT_TRUE(rebuilt == m->weights);
   const WeightSet copy = m->weights;
   EXPECT_EQ(copy.prepared(0), m->weights.prepared(0));
 }
@@ -221,7 +244,52 @@ TEST(PreparedWeights, WeightsPreparedForAnotherLayerAreRejected) {
   FunctionalLoomEngine engine(FunctionalOptions{.jobs = 1, .backend = "gemm"});
   const nn::Tensor input = m->make_input(1, 0);
   EXPECT_THROW((void)engine.run_network(net, input, m->weights), ConfigError);
-  EXPECT_NO_THROW((void)engine.run_network(net, input, m->weights.tensors()));
+  const WeightSet rebuilt(
+      net, std::vector<nn::Tensor>(m->weights.begin(), m->weights.end()));
+  EXPECT_NO_THROW((void)engine.run_network(net, input, rebuilt));
+}
+
+/// The ConfigError message of building a set from `tensors` for `net`, or
+/// "" when it builds.
+std::string construction_error(const nn::Network& net,
+                               std::vector<nn::Tensor> tensors) {
+  try {
+    (void)WeightSet(net, std::move(tensors));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(PreparedWeights, ConstructorRejectsWeightsThatDoNotFitNamingTheLayer) {
+  // conv c1 -> pool p1 -> fc logits: every tensor-count or tensor-size
+  // fault is a ConfigError from the one fit check, naming the layer.
+  nn::Network net("fit", nn::Shape3{6, 12, 12});
+  net.add_conv("c1", 12, 3, 1, 1).precision_group = 0;
+  net.add_pool("p1", nn::PoolKind::kMax, 2, 2);
+  net.add_fc("logits", 9);
+  quant::PrecisionProfile p;
+  p.network = "fit";
+  p.conv_act = {8};
+  p.conv_weight = 9;
+  p.fc_weight = {8};
+  quant::apply_profile(net, p);
+  const std::vector<nn::Tensor> fit{
+      nn::Tensor(nn::Shape{net.layer(0).weight_count()}),
+      nn::Tensor(nn::Shape{net.layer(2).weight_count()})};
+  ASSERT_EQ(construction_error(net, fit), "");
+
+  const auto expect_names = [&](std::vector<nn::Tensor> tensors,
+                                const std::string& layer) {
+    const std::string what = construction_error(net, std::move(tensors));
+    EXPECT_NE(what.find("'" + layer + "'"), std::string::npos)
+        << layer << ": \"" << what << "\"";
+  };
+  expect_names({fit[0]}, "logits");                     // one tensor too few
+  expect_names({fit[0], fit[1], fit[1]}, "logits");     // one tensor too many
+  expect_names({nn::Tensor(nn::Shape{fit[0].elements() - 1}), fit[1]}, "c1");
+  expect_names({fit[0], nn::Tensor(nn::Shape{fit[1].elements() - 1})},
+               "logits");
 }
 
 }  // namespace

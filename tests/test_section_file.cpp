@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -68,10 +69,12 @@ TEST_F(SectionFile, FormatsRaiseTheirOwnErrorTypeOnSave) {
   const fs::path missing = dir_ / "missing";
   EXPECT_THROW(sim::save_autotune_cache((missing / "tune.bin").string()),
                AutotuneCacheError);
+  const nn::Network empty("empty", nn::Shape3{1, 1, 1});
+  sim::WeightSet no_weights(empty, {});
   serve::Model model{.name = "empty",
-                     .net = nn::Network("empty", nn::Shape3{1, 1, 1}),
+                     .net = empty,
                      .profile = {},
-                     .weights = {},
+                     .weights = std::move(no_weights),
                      .input_spec = {}};
   EXPECT_THROW(serve::save_snapshot(model, (missing / "snap.bin").string()),
                SnapshotError);

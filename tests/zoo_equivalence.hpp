@@ -39,11 +39,11 @@ struct ZooCase {
 using ReferenceChains = std::array<std::vector<nn::WideTensor>, 2>;
 
 inline ZooCase make_case(const std::string& name) {
-  ZooCase c{nn::zoo::make(name), {}, {}};
-  quant::apply_profile(c.net, quant::profile_for(name, quant::AccuracyTarget::k100));
+  nn::Network net = nn::zoo::make(name);
+  quant::apply_profile(net, quant::profile_for(name, quant::AccuracyTarget::k100));
   std::vector<nn::Tensor> weights;
   std::uint64_t layer_index = 0;
-  for (const nn::Layer& l : c.net.layers()) {
+  for (const nn::Layer& l : net.layers()) {
     if (l.has_weights()) {
       weights.push_back(nn::make_weight_tensor(
           l.weight_count(),
@@ -52,7 +52,8 @@ inline ZooCase make_case(const std::string& name) {
     }
     ++layer_index;
   }
-  c.weights = WeightSet(c.net, WeightSet(std::move(weights)));
+  WeightSet set(net, std::move(weights));
+  ZooCase c{std::move(net), std::move(set), {}};
   const nn::Layer& first = c.net.layer(0);
   const nn::SyntheticSpec act{.precision = first.act_precision, .alpha = 3.0,
                               .is_signed = false, .zero_fraction = 0.45};
