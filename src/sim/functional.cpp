@@ -45,13 +45,28 @@ void check_layer_io(const nn::Layer& layer, std::span<const nn::Tensor> inputs,
   }
 }
 
-/// Per-request requantization demux: each request picks its shift from its
-/// own accumulators, exactly as a solo run would.
-void requantize_batch(FunctionalBatchLayerRun& run, int out_bits, bool relu) {
+/// max |v| over `acc`: the scalar oracle reports no peak, so its route
+/// scans for it.
+Wide scanned_peak(const nn::WideTensor& acc) {
+  Wide lo = 0;
+  Wide hi = 0;
+  for (const Wide v : acc.data()) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // Accumulators stay far inside int64, so -lo cannot overflow.
+  return std::max(hi, -lo);
+}
+
+/// Per-request requantization demux: each request's shift comes from its
+/// own peak, exactly as a solo run's would.
+void requantize_batch(FunctionalBatchLayerRun& run, std::span<const Wide> peaks,
+                      int out_bits, bool relu) {
   run.outputs.reserve(run.wides.size());
   run.requant_shifts.reserve(run.wides.size());
-  for (const nn::WideTensor& wide : run.wides) {
-    Requantized q = requantize_accumulators(wide, out_bits, relu);
+  for (std::size_t r = 0; r < run.wides.size(); ++r) {
+    Requantized q =
+        requantize_accumulators(run.wides[r], peaks[r], out_bits, relu);
     run.requant_shifts.push_back(q.shift);
     run.outputs.push_back(std::move(q.output));
   }
@@ -85,18 +100,11 @@ FunctionalNetworkRun solo_network(FunctionalBatchNetworkRun&& batch) {
 
 }  // namespace
 
-Requantized requantize_accumulators(const nn::WideTensor& acc, int out_bits,
-                                    bool relu) {
+Requantized requantize_accumulators(const nn::WideTensor& acc, Wide peak,
+                                    int out_bits, bool relu) {
   LOOM_EXPECTS(out_bits >= 1 && out_bits <= kBasePrecision);
+  LOOM_EXPECTS(peak >= 0);
   const std::span<const Wide> in = acc.data();
-  Wide lo = 0;
-  Wide hi = 0;
-  for (const Wide v : in) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  // max |acc|; accumulators stay far inside int64, so -lo cannot overflow.
-  const Wide peak = std::max(hi, -lo);
   const Wide limit = (Wide{1} << (out_bits - 1)) - 1;
   Requantized q{nn::Tensor(acc.shape()), 0};
   while ((peak >> q.shift) > limit) ++q.shift;
@@ -208,7 +216,8 @@ std::uint64_t FunctionalLoomEngine::fc_cycles(const nn::Layer& layer) const {
 ConvStats FunctionalLoomEngine::dispatch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const PreparedConv* prepared,
-    std::span<nn::WideTensor* const> wides, std::string& used) {
+    std::span<nn::WideTensor* const> wides, std::span<Wide> peaks,
+    std::string& used) {
   const bool conv = layer.kind == nn::LayerKind::kConv;
   const SliceSpec spec{.act_precision = layer.act_precision,
                        .weight_precision = layer.weight_precision,
@@ -224,6 +233,9 @@ ConvStats FunctionalLoomEngine::dispatch(
     } else {
       sip_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
     }
+    for (std::size_t r = 0; r < wides.size(); ++r) {
+      peaks[r] = scanned_peak(*wides[r]);
+    }
   } else {
     LOOM_EXPECTS(used == "gemm");
     if (!gemm_) gemm_.emplace(grid_);
@@ -236,10 +248,11 @@ ConvStats FunctionalLoomEngine::dispatch(
             prepare_conv(layer, weights, spec.weight_precision));
         prep_ns = ns_between(tp, Clock::now());
       }
-      st = gemm_->run_conv_batch(layer, inputs, *prepared, spec, wides);
+      st = gemm_->run_conv_batch(layer, inputs, *prepared, spec, wides, peaks);
       st.pack_ns += prep_ns;
     } else {
-      gemm_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides);
+      gemm_->run_fc_batch(layer, inputs, weights, spec.weight_precision, wides,
+                          peaks);
     }
   }
   if (tuned) {
@@ -258,6 +271,7 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
     const nn::Tensor& weights, const PreparedConv* prepared, int out_bits) {
   LOOM_EXPECTS(!inputs.empty());
   check_layer_io(layer, inputs, weights);
+  const auto t_call = Clock::now();
   const bool conv = layer.kind == nn::LayerKind::kConv;
   FunctionalBatchLayerRun run;
   run.name = layer.name;
@@ -273,9 +287,11 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
     wide_ptrs[r] = &run.wides.emplace_back(out_shape);
   }
 
+  std::vector<Wide> peaks(batch);
+
   const auto t0 = Clock::now();
   const ConvStats st = dispatch(layer, in_ptrs, weights,
-                                conv ? prepared : nullptr, wide_ptrs,
+                                conv ? prepared : nullptr, wide_ptrs, peaks,
                                 run.backend);
   const auto t1 = Clock::now();
   run.phases.pack_ms = static_cast<double>(st.pack_ns) / 1e6;
@@ -295,8 +311,10 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_layer_batch(
     run.cycles = fc_cycles(layer) * batch;
     run.mean_streamed_precision = kBasePrecision;
   }
-  requantize_batch(run, out_bits, opts_.relu);
-  run.phases.epilogue_ms = ms_between(t1, Clock::now());
+  requantize_batch(run, peaks, out_bits, opts_.relu);
+  const auto t2 = Clock::now();
+  run.phases.epilogue_ms = ms_between(t1, t2);
+  run.phases.wall_ms = ms_between(t_call, t2);
   return run;
 }
 
@@ -355,7 +373,9 @@ FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
       pooled = std::move(next);
       current = pooled;
       if (!run.layers.empty()) {
-        run.layers.back().phases.epilogue_ms += ms_between(t0, Clock::now());
+        const double pool_ms = ms_between(t0, Clock::now());
+        run.layers.back().phases.epilogue_ms += pool_ms;
+        run.layers.back().phases.wall_ms += pool_ms;
       }
       continue;
     }

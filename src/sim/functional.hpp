@@ -68,11 +68,14 @@ struct FunctionalOptions {
 /// kept out of every golden digest and equality check. At jobs = 1 pack +
 /// kernel is the kernel call's wall clock; with more jobs `pack_ms` is the
 /// stripes' summed pack time and `kernel_ms` the rest of the call, floored
-/// at zero.
+/// at zero. `wall_ms` times the call from before its accumulators are
+/// allocated, so wall_ms - (pack + kernel + epilogue) is the time outside
+/// every phase (the allocation and its first-touch page faults).
 struct LayerPhases {
   double pack_ms = 0.0;      ///< im2col pack + streaming statistics
   double kernel_ms = 0.0;    ///< the multiply-accumulate kernel
   double epilogue_ms = 0.0;  ///< requantization, plus run_network's pooling
+  double wall_ms = 0.0;      ///< the layer call, plus run_network's pooling
 };
 
 struct FunctionalLayerRun {
@@ -128,12 +131,15 @@ struct Requantized {
 };
 
 /// The engine's epilogue for one request, in one pass over the exact
-/// accumulators: a min/max scan picks the shift exactly as
-/// nn::choose_requant_shift does, then each value shifts, ReLUs (when
-/// `relu`) and saturates to `out_bits` as nn::requantize does, narrowing
-/// straight into the output.
+/// accumulators. `peak` is max |v| over `acc`, as the gemm kernel reports
+/// it from its store (the scalar oracle's route scans for it): it picks
+/// the shift exactly as nn::choose_requant_shift does, then each value
+/// shifts, ReLUs (when `relu`) and saturates to `out_bits` as
+/// nn::requantize does, narrowing straight into the output. A `peak` below
+/// the true max |v| would wrap values instead of saturating them.
 [[nodiscard]] Requantized requantize_accumulators(const nn::WideTensor& acc,
-                                                  int out_bits, bool relu);
+                                                  Wide peak, int out_bits,
+                                                  bool relu);
 
 /// The engine's pooling: nn::pool_forward's results (ceil-mode edge
 /// windows, the average over real elements only, an empty window's max of
@@ -235,11 +241,13 @@ class FunctionalLoomEngine {
   /// under "auto" runs gemm and records its wall clock in the autotuner.
   /// A gemm conv reads `prepared` when it is given, else prepares
   /// `weights` on the spot and counts that as pack time. `used` reports
-  /// the kernel that ran. FC kernels report no stats.
+  /// the kernel that ran and `peaks[r]` max |v| over `wides[r]`. FC
+  /// kernels report no stats.
   ConvStats dispatch(const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
                      const nn::Tensor& weights, const PreparedConv* prepared,
-                     std::span<nn::WideTensor* const> wides, std::string& used);
+                     std::span<nn::WideTensor* const> wides,
+                     std::span<Wide> peaks, std::string& used);
 
   FunctionalOptions opts_;
   arch::Dispatcher dispatcher_;

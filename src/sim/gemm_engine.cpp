@@ -1,11 +1,13 @@
 #include "sim/gemm_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/cpuid.hpp"
@@ -41,8 +43,22 @@ constexpr std::int64_t kMinByteSteps = 3;
 /// Below this many int32 steps per K-block the widening would dominate, so
 /// the activation splits into bytes instead (see operand_plan).
 constexpr std::int64_t kMinBlockSteps = 16;
-/// FC streams (request x activation part) sharing one weight-row load.
+/// FC streams (request x activation part) sharing one weight load.
 constexpr int kFcStreams = 4;
+/// Weight rows an FC block streams at once. A batch-1 FC layer is bound by
+/// DRAM bandwidth, and one row in flight (one accumulator chain) reads at
+/// about 60% of what eight rows against the same activations reach.
+constexpr int kFcRows = 8;
+/// int32 accumulators an FC block holds in registers: rows x streams of
+/// them, plus the streams' activations and a weight vector, fit the 32 zmm
+/// and the 16 ymm registers.
+constexpr int kFcAvx512Accumulators = 16;
+constexpr int kFcAvx2Accumulators = 8;
+
+/// Rows per FC block at `streams` streams on a tier of `accumulators`.
+constexpr int fc_row_block(int accumulators, int streams) {
+  return std::min(kFcRows, accumulators / streams);
+}
 
 /// Inner-length cap: |product| <= 2^30, so the int64 sums stay exact far
 /// beyond it.
@@ -104,9 +120,13 @@ inline std::int32_t sext(Value raw, int precision) noexcept {
 // caller keeps `steps` within the K-block bound) and widening once.
 // conv_tile_amx: the same over `steps` K-steps of kAmxK bytes, for rows
 // r < kAmxRows, with k-quads a[q][x][0..3] in place of k-pairs.
-// fc_row: out[s] += sum over k < n of sext_pw(row[k]) * acts[s][k] for
-// streams s < streams (acts zero-padded to a multiple of 32), widening
-// every `block` vector steps.
+// fc_rows: out[r * ldo + s] += sum over k < n of sext_pw(w[r * ld + k]) *
+//   acts[s][k] for rows r < rows and streams s < streams (acts zero-padded
+//   to a multiple of 32): each activation load serves every row and each
+//   weight load every stream, and every int32 lane widens after at most
+//   `block` vector steps. The vector tiers run one Block<R, S> kernel per
+//   row and stream count (fc_rows_blocked).
+// store_peak: dst[0..n) = src[0..n), returning max(peak, max |src[i]|).
 
 void conv_tile_scalar(const std::int16_t* a, const std::int16_t* w,
                       std::int64_t ws, std::int64_t steps, int nv,
@@ -130,14 +150,66 @@ void conv_tile_scalar(const std::int16_t* a, const std::int16_t* w,
   }
 }
 
-void fc_row_scalar(const std::int16_t* row, std::int64_t n, int pw,
-                   const std::int16_t* const* acts, int streams,
-                   std::int64_t /*block*/, std::int64_t* out) {
+void fc_rows_scalar(const std::int16_t* w, std::int64_t ld, int rows,
+                    std::int64_t n, int pw, const std::int16_t* const* acts,
+                    int streams, std::int64_t /*block*/, std::int64_t* out,
+                    std::int64_t ldo) {
   // Every product widens straight to int64: no K-block needed.
   for (std::int64_t k = 0; k < n; ++k) {
-    const std::int64_t wv = sext(row[k], pw);
-    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+    for (int r = 0; r < rows; ++r) {
+      const std::int64_t wv = sext(w[r * ld + k], pw);
+      for (int s = 0; s < streams; ++s) out[r * ldo + s] += wv * acts[s][k];
+    }
   }
+}
+
+Wide store_peak_scalar(const Wide* src, std::int64_t n, Wide* dst, Wide peak) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const Wide v = src[i];
+    dst[i] = v;
+    peak = std::max(peak, v < 0 ? -v : v);
+  }
+  return peak;
+}
+
+/// The FC block kernels of one tier, Block<R, S>::run for R rows and S
+/// streams, share this signature (fc_rows without the two counts).
+using FcBlock = void (*)(const std::int16_t* w, std::int64_t ld,
+                         std::int64_t n, int pw,
+                         const std::int16_t* const* acts, std::int64_t block,
+                         std::int64_t* out, std::int64_t ldo);
+
+/// Block<R, S> for R = 1, 2, ..., sizeof...(I).
+template <template <int, int> class Block, int S, std::size_t... I>
+constexpr std::array<FcBlock, sizeof...(I)> fc_blocks(
+    std::index_sequence<I...>) {
+  return {&Block<static_cast<int>(I) + 1, S>::run...};
+}
+
+/// Block<rows, S>, for 1 <= rows <= fc_row_block(Acc, S).
+template <template <int, int> class Block, int Acc, int S>
+FcBlock fc_block(int rows) {
+  static constexpr auto kBlocks = fc_blocks<Block, S>(
+      std::make_index_sequence<fc_row_block(Acc, S)>{});
+  return kBlocks[static_cast<std::size_t>(rows - 1)];
+}
+
+/// fc_rows on a tier whose row blocks hold Acc vector accumulators: the
+/// block kernel for `streams` (a switch) at `rows` (a table), so every
+/// count, remainder rows included, runs with its accumulators in registers.
+template <template <int, int> class Block, int Acc>
+void fc_rows_blocked(const std::int16_t* w, std::int64_t ld, int rows,
+                     std::int64_t n, int pw, const std::int16_t* const* acts,
+                     int streams, std::int64_t block, std::int64_t* out,
+                     std::int64_t ldo) {
+  FcBlock run = nullptr;
+  switch (streams) {
+    case 1: run = fc_block<Block, Acc, 1>(rows); break;
+    case 2: run = fc_block<Block, Acc, 2>(rows); break;
+    case 3: run = fc_block<Block, Acc, 3>(rows); break;
+    default: run = fc_block<Block, Acc, 4>(rows); break;
+  }
+  run(w, ld, n, pw, acts, block, out, ldo);
 }
 
 #if defined(LOOM_GEMM_X86)
@@ -335,35 +407,66 @@ __attribute__((target("avx512f,avx512bw"))) inline std::int64_t hsum_avx512(
   return _mm512_reduce_add_epi64(_mm512_add_epi64(lo, hi));
 }
 
-__attribute__((target("avx512f,avx512bw"))) void fc_row_avx512(
-    const std::int16_t* row, std::int64_t n, int pw,
-    const std::int16_t* const* acts, int streams, std::int64_t block,
-    std::int64_t* out) {
-  const __m128i sh = _mm_cvtsi32_si128(16 - pw);
-  __m512i acc[kFcStreams];
-  for (int s = 0; s < kFcStreams; ++s) acc[s] = _mm512_setzero_si512();
-  const std::int64_t n32 = n & ~std::int64_t{31};
-  std::int64_t left = block;
-  for (std::int64_t k = 0; k < n32; k += 32) {
-    const __m512i wv =
-        _mm512_sra_epi16(_mm512_sll_epi16(_mm512_loadu_si512(row + k), sh), sh);
-    for (int s = 0; s < streams; ++s) {
-      acc[s] = _mm512_add_epi32(
-          acc[s], _mm512_madd_epi16(wv, _mm512_loadu_si512(acts[s] + k)));
-    }
-    if (--left == 0) {
-      for (int s = 0; s < streams; ++s) {
-        out[s] += hsum_avx512(acc[s]);
-        acc[s] = _mm512_setzero_si512();
+template <int R, int S>
+struct FcBlockAvx512 {
+  __attribute__((target("avx512f,avx512bw"))) static void run(
+      const std::int16_t* w, std::int64_t ld, std::int64_t n, int pw,
+      const std::int16_t* const* acts, std::int64_t block, std::int64_t* out,
+      std::int64_t ldo) {
+    const __m128i sh = _mm_cvtsi32_si128(16 - pw);
+    const std::int16_t* a[S];
+    for (int s = 0; s < S; ++s) a[s] = acts[s];
+    const std::int64_t n32 = n & ~std::int64_t{31};
+    for (std::int64_t k0 = 0; k0 < n32; k0 += block * 32) {
+      const std::int64_t k1 = std::min(n32, k0 + block * 32);
+      __m512i acc[R][S];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (int s = 0; s < S; ++s) acc[r][s] = _mm512_setzero_si512();
       }
-      left = block;
+      for (std::int64_t k = k0; k < k1; k += 32) {
+        __m512i av[S];
+#pragma GCC unroll 4
+        for (int s = 0; s < S; ++s) av[s] = _mm512_loadu_si512(a[s] + k);
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+          const __m512i wv = _mm512_sra_epi16(
+              _mm512_sll_epi16(_mm512_loadu_si512(w + r * ld + k), sh), sh);
+#pragma GCC unroll 4
+          for (int s = 0; s < S; ++s) {
+            acc[r][s] =
+                _mm512_add_epi32(acc[r][s], _mm512_madd_epi16(wv, av[s]));
+          }
+        }
+      }
+      for (int r = 0; r < R; ++r) {
+        for (int s = 0; s < S; ++s) out[r * ldo + s] += hsum_avx512(acc[r][s]);
+      }
     }
+    const std::int16_t* tail[S];
+    for (int s = 0; s < S; ++s) tail[s] = a[s] + n32;
+    fc_rows_scalar(w + n32, ld, R, n - n32, pw, tail, S, block, out, ldo);
   }
-  for (int s = 0; s < streams; ++s) out[s] += hsum_avx512(acc[s]);
-  for (std::int64_t k = n32; k < n; ++k) {
-    const std::int64_t wv = sext(row[k], pw);
-    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+};
+
+__attribute__((target("avx512f"))) Wide store_peak_avx512(const Wide* src,
+                                                         std::int64_t n,
+                                                         Wide* dst, Wide peak) {
+  __m512i m = _mm512_setzero_si512();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i v = _mm512_loadu_si512(src + i);
+    _mm512_storeu_si512(dst + i, v);
+    m = _mm512_max_epi64(m, _mm512_abs_epi64(v));
   }
+  if (i < n) {
+    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1);
+    const __m512i v = _mm512_maskz_loadu_epi64(tail, src + i);
+    _mm512_mask_storeu_epi64(dst + i, tail, v);
+    m = _mm512_max_epi64(m, _mm512_abs_epi64(v));
+  }
+  return std::max(peak, static_cast<Wide>(_mm512_reduce_max_epi64(m)));
 }
 
 __attribute__((target("avx2"))) inline std::int64_t hsum_avx2(__m256i acc) {
@@ -375,37 +478,71 @@ __attribute__((target("avx2"))) inline std::int64_t hsum_avx2(__m256i acc) {
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-__attribute__((target("avx2"))) void fc_row_avx2(
-    const std::int16_t* row, std::int64_t n, int pw,
-    const std::int16_t* const* acts, int streams, std::int64_t block,
-    std::int64_t* out) {
-  const __m128i sh = _mm_cvtsi32_si128(16 - pw);
-  __m256i acc[kFcStreams];
-  for (int s = 0; s < kFcStreams; ++s) acc[s] = _mm256_setzero_si256();
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  std::int64_t left = block;
-  for (std::int64_t k = 0; k < n16; k += 16) {
-    const __m256i raw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + k));
-    const __m256i wv = _mm256_sra_epi16(_mm256_sll_epi16(raw, sh), sh);
-    for (int s = 0; s < streams; ++s) {
-      const __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acts[s] + k));
-      acc[s] = _mm256_add_epi32(acc[s], _mm256_madd_epi16(wv, av));
-    }
-    if (--left == 0) {
-      for (int s = 0; s < streams; ++s) {
-        out[s] += hsum_avx2(acc[s]);
-        acc[s] = _mm256_setzero_si256();
+template <int R, int S>
+struct FcBlockAvx2 {
+  __attribute__((target("avx2"))) static void run(
+      const std::int16_t* w, std::int64_t ld, std::int64_t n, int pw,
+      const std::int16_t* const* acts, std::int64_t block, std::int64_t* out,
+      std::int64_t ldo) {
+    const __m128i sh = _mm_cvtsi32_si128(16 - pw);
+    const std::int16_t* a[S];
+    for (int s = 0; s < S; ++s) a[s] = acts[s];
+    const std::int64_t n16 = n & ~std::int64_t{15};
+    for (std::int64_t k0 = 0; k0 < n16; k0 += block * 16) {
+      const std::int64_t k1 = std::min(n16, k0 + block * 16);
+      __m256i acc[R][S];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (int s = 0; s < S; ++s) acc[r][s] = _mm256_setzero_si256();
       }
-      left = block;
+      for (std::int64_t k = k0; k < k1; k += 16) {
+        __m256i av[S];
+#pragma GCC unroll 4
+        for (int s = 0; s < S; ++s) {
+          av[s] =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a[s] + k));
+        }
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+          const __m256i raw = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(w + r * ld + k));
+          const __m256i wv = _mm256_sra_epi16(_mm256_sll_epi16(raw, sh), sh);
+#pragma GCC unroll 4
+          for (int s = 0; s < S; ++s) {
+            acc[r][s] =
+                _mm256_add_epi32(acc[r][s], _mm256_madd_epi16(wv, av[s]));
+          }
+        }
+      }
+      for (int r = 0; r < R; ++r) {
+        for (int s = 0; s < S; ++s) out[r * ldo + s] += hsum_avx2(acc[r][s]);
+      }
     }
+    const std::int16_t* tail[S];
+    for (int s = 0; s < S; ++s) tail[s] = a[s] + n16;
+    fc_rows_scalar(w + n16, ld, R, n - n16, pw, tail, S, block, out, ldo);
   }
-  for (int s = 0; s < streams; ++s) out[s] += hsum_avx2(acc[s]);
-  for (std::int64_t k = n16; k < n; ++k) {
-    const std::int64_t wv = sext(row[k], pw);
-    for (int s = 0; s < streams; ++s) out[s] += wv * acts[s][k];
+};
+
+__attribute__((target("avx2"))) Wide store_peak_avx2(const Wide* src,
+                                                    std::int64_t n, Wide* dst,
+                                                    Wide peak) {
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i m = zero;
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
+    const __m256i mag = _mm256_blendv_epi8(v, _mm256_sub_epi64(zero, v),
+                                           _mm256_cmpgt_epi64(zero, v));
+    m = _mm256_blendv_epi8(m, mag, _mm256_cmpgt_epi64(mag, m));
   }
+  alignas(32) Wide lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), m);
+  for (const Wide l : lanes) peak = std::max(peak, l);
+  return store_peak_scalar(src + i, n - i, dst + i, peak);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -426,22 +563,34 @@ struct GemmEngine::Kernels {
   void (*conv_bytes)(const std::uint8_t* a, const std::int8_t* w,
                      std::int64_t ws, std::int64_t steps, int nv,
                      std::int64_t* c, int shift);
-  void (*fc_row)(const std::int16_t* row, std::int64_t n, int pw,
-                 const std::int16_t* const* acts, int streams,
-                 std::int64_t block, std::int64_t* out);
+  /// FC row block (fc_rows): at most kFcStreams streams and
+  /// fc_row_block(fc_accumulators, streams) rows.
+  void (*fc_rows)(const std::int16_t* w, std::int64_t ld, int rows,
+                  std::int64_t n, int pw, const std::int16_t* const* acts,
+                  int streams, std::int64_t block, std::int64_t* out,
+                  std::int64_t ldo);
+  int fc_accumulators;  ///< int32 accumulators an FC row block holds
+  /// The demux store (store_peak).
+  Wide (*store_peak)(const Wide* src, std::int64_t n, Wide* dst, Wide peak);
 };
 
 namespace {
 
-constexpr GemmEngine::Kernels kScalarKernels{conv_tile_scalar, nullptr,
-                                             fc_row_scalar};
+constexpr GemmEngine::Kernels kScalarKernels{
+    conv_tile_scalar, nullptr, fc_rows_scalar, kFcRows, store_peak_scalar};
 #if defined(LOOM_GEMM_X86)
-constexpr GemmEngine::Kernels kAvx2Kernels{conv_tile_avx2, nullptr,
-                                           fc_row_avx2};
-constexpr GemmEngine::Kernels kAvx512Kernels{conv_tile_avx512, nullptr,
-                                             fc_row_avx512};
-constexpr GemmEngine::Kernels kAmxKernels{conv_tile_avx512, conv_tile_amx,
-                                          fc_row_avx512};
+constexpr GemmEngine::Kernels kAvx2Kernels{
+    conv_tile_avx2, nullptr,
+    fc_rows_blocked<FcBlockAvx2, kFcAvx2Accumulators>, kFcAvx2Accumulators,
+    store_peak_avx2};
+constexpr GemmEngine::Kernels kAvx512Kernels{
+    conv_tile_avx512, nullptr,
+    fc_rows_blocked<FcBlockAvx512, kFcAvx512Accumulators>,
+    kFcAvx512Accumulators, store_peak_avx512};
+constexpr GemmEngine::Kernels kAmxKernels{
+    conv_tile_avx512, conv_tile_amx,
+    fc_rows_blocked<FcBlockAvx512, kFcAvx512Accumulators>,
+    kFcAvx512Accumulators, store_peak_avx512};
 #endif
 
 const GemmEngine::Kernels* select_kernels() {
@@ -761,14 +910,38 @@ void conv_stream_stats(const nn::Layer& layer, const SliceSpec& spec,
 
 namespace {
 
+using StorePeak = Wide (*)(const Wide* src, std::int64_t n, Wide* dst,
+                          Wide peak);
+
+/// Each stripe's per-request peaks, [stripe][request], reduced to one peak
+/// per request once every stripe is done.
+class StripePeaks {
+ public:
+  StripePeaks(std::size_t stripes, std::size_t requests)
+      : requests_(requests), peaks_(stripes * requests, 0) {}
+  Wide* of(std::size_t stripe) { return peaks_.data() + stripe * requests_; }
+  void reduce(std::span<Wide> out) const {
+    std::fill(out.begin(), out.end(), Wide{0});
+    for (std::size_t i = 0; i < peaks_.size(); ++i) {
+      out[i % requests_] = std::max(out[i % requests_], peaks_[i]);
+    }
+  }
+
+ private:
+  std::size_t requests_;
+  std::vector<Wide> peaks_;
+};
+
 /// run_conv_batch on one operand layout: the pack, statistics, stripes and
 /// demux are shared; `tile` is the layout's block kernel.
 template <typename L>
 ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
-                     ConvTile<L> tile, const nn::Layer& layer,
+                     ConvTile<L> tile, StorePeak store_peak,
+                     const nn::Layer& layer,
                      std::span<const nn::Tensor* const> inputs,
                      const PreparedConv& weights, const SliceSpec& spec,
-                     std::span<nn::WideTensor* const> wides) {
+                     std::span<nn::WideTensor* const> wides,
+                     std::span<Wide> peaks) {
   using Act = typename L::Act;
   const std::int64_t inner = layer.inner_length();
   const std::int64_t ksteps = ceil_div(inner, L::kStep);
@@ -824,7 +997,8 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
   const std::uint64_t prep_ns = ns_since(t_prep);
 
   const auto conv_slab = [&](std::int64_t g, std::int64_t slab,
-                             ConvScratch<L>& sc, ConvStats& stats) {
+                             ConvScratch<L>& sc, ConvStats& stats,
+                             Wide* peaks) {
     const std::int64_t w0 = slab * slab_windows;
     const std::int64_t cu = std::min<std::int64_t>(
         slab_windows, windows * static_cast<std::int64_t>(inputs.size()) - w0);
@@ -895,16 +1069,21 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
           }
         }
       }
+      // ---- Demux: each request's segment of the slab into its sums, its
+      // largest magnitude into the request's peak in the same pass.
       const std::int64_t rows = std::min<std::int64_t>(L::kRows, cog - rb);
       for (std::int64_t c0 = 0; c0 < cu;) {
         const std::int64_t gw = w0 + c0;
         const std::int64_t win0 = gw % windows;
         const std::int64_t seg = std::min(cu - c0, windows - win0);
-        Wide* out = wides[static_cast<std::size_t>(gw / windows)]->data().data();
+        const auto req = static_cast<std::size_t>(gw / windows);
+        Wide* out = wides[req]->data().data();
+        Wide peak = peaks[req];
         for (std::int64_t r = 0; r < rows; ++r) {
-          std::copy_n(sc.c + r * kTile + c0, seg,
-                      out + (g * cog + rb + r) * windows + win0);
+          peak = store_peak(sc.c + r * kTile + c0, seg,
+                            out + (g * cog + rb + r) * windows + win0, peak);
         }
+        peaks[req] = peak;
         c0 += seg;
       }
     }
@@ -916,6 +1095,7 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
   const std::size_t stripes = std::min<std::size_t>(
       resolve_jobs(opts.jobs), static_cast<std::size_t>(tasks));
   std::vector<ConvStats> stripe_stats(std::max<std::size_t>(stripes, 1));
+  StripePeaks stripe_peaks(stripe_stats.size(), inputs.size());
   const auto run_stripe = [&](std::size_t s) {
     ConvScratch<L> sc;
     sc.a.assign(static_cast<std::size_t>(plan.act_parts * part_stride), 0);
@@ -924,20 +1104,22 @@ ConvStats conv_batch(const GridOptions& opts, std::int64_t slab_windows,
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * (s + 1)) / stripes);
     for (std::int64_t t = lo; t < hi; ++t) {
-      conv_slab(t / slab_count, t % slab_count, sc, stripe_stats[s]);
+      conv_slab(t / slab_count, t % slab_count, sc, stripe_stats[s],
+                stripe_peaks.of(s));
     }
   };
   if (stripes <= 1) {
     run_stripe(0);
   } else {
     // (group, slab) tasks write disjoint outputs; the integer-valued stats
-    // sum exactly in any order.
+    // sum exactly, and the peaks reduce to their maximum, in any order.
     shared_pool().parallel_for(stripes, run_stripe);
   }
 
   ConvStats total;
   for (const ConvStats& s : stripe_stats) total += s;
   total.pack_ns += prep_ns;
+  stripe_peaks.reduce(peaks);
   return total;
 }
 
@@ -990,9 +1172,10 @@ GemmEngine::GemmEngine(GridOptions grid)
 ConvStats GemmEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const PreparedConv& weights, const SliceSpec& spec,
-    std::span<nn::WideTensor* const> wides) {
+    std::span<nn::WideTensor* const> wides, std::span<Wide> peaks) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size() &&
+               inputs.size() == peaks.size());
   LOOM_EXPECTS(spec.act_precision >= 1 && spec.act_precision <= kBasePrecision);
   LOOM_EXPECTS(spec.weight_precision >= 1 &&
                spec.weight_precision <= kBasePrecision);
@@ -1005,19 +1188,23 @@ ConvStats GemmEngine::run_conv_batch(
 #if defined(LOOM_GEMM_X86)
   if (weights.layout == ConvLayout::kBytePlanes) {
     return conv_batch<BytePlanes>(opts_, slab_windows_, kernels_->conv_bytes,
-                                  layer, inputs, weights, spec, wides);
+                                  kernels_->store_peak, layer, inputs, weights,
+                                  spec, wides, peaks);
   }
 #endif
   return conv_batch<Int16Pairs>(opts_, slab_windows_, kernels_->conv_tile,
-                                layer, inputs, weights, spec, wides);
+                                kernels_->store_peak, layer, inputs, weights,
+                                spec, wides, peaks);
 }
 
 void GemmEngine::run_fc_batch(const nn::Layer& layer,
                               std::span<const nn::Tensor* const> inputs,
                               const nn::Tensor& weights, int weight_precision,
-                              std::span<nn::WideTensor* const> wides) {
+                              std::span<nn::WideTensor* const> wides,
+                              std::span<Wide> peaks) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+  LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size() &&
+               inputs.size() == peaks.size());
   LOOM_EXPECTS(weight_precision >= 1 && weight_precision <= kBasePrecision);
   LOOM_EXPECTS(layer.in.elements() < kMaxInner);
 
@@ -1048,29 +1235,43 @@ void GemmEngine::run_fc_batch(const nn::Layer& layer,
     }
   }
 
+  // Row blocks sized for a full group of streams; a smaller last group
+  // holds fewer accumulators.
+  const int row_block = fc_row_block(
+      kernels_->fc_accumulators,
+      static_cast<int>(std::min<std::int64_t>(kFcStreams, streams)));
   const std::size_t stripes = std::min<std::size_t>(
       resolve_jobs(opts_.jobs), static_cast<std::size_t>(layer.out.c));
+  StripePeaks stripe_peaks(stripes, inputs.size());
   const auto run_stripe = [&](std::size_t s) {
     const auto lo = static_cast<std::int64_t>(
         (static_cast<std::size_t>(layer.out.c) * s) / stripes);
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(layer.out.c) * (s + 1)) / stripes);
-    std::vector<std::int64_t> sums(static_cast<std::size_t>(streams));
-    for (std::int64_t co = lo; co < hi; ++co) {
+    Wide* peak = stripe_peaks.of(s);
+    std::vector<std::int64_t> sums(
+        static_cast<std::size_t>(row_block * streams));
+    for (std::int64_t co = lo; co < hi; co += row_block) {
+      const auto rows =
+          static_cast<int>(std::min<std::int64_t>(row_block, hi - co));
       std::fill(sums.begin(), sums.end(), std::int64_t{0});
-      const Value* row = weights.data().data() + co * inner;
+      const Value* w = weights.data().data() + co * inner;
       for (std::int64_t s0 = 0; s0 < streams; s0 += kFcStreams) {
-        kernels_->fc_row(row, inner, weight_precision, act_ptrs.data() + s0,
-                         static_cast<int>(std::min<std::int64_t>(
-                             kFcStreams, streams - s0)),
-                         plan.steps, sums.data() + s0);
+        kernels_->fc_rows(w, inner, rows, inner, weight_precision,
+                          act_ptrs.data() + s0,
+                          static_cast<int>(std::min<std::int64_t>(
+                              kFcStreams, streams - s0)),
+                          plan.steps, sums.data() + s0, streams);
       }
-      for (std::int64_t r = 0; r < batch; ++r) {
-        Wide v = sums[static_cast<std::size_t>(r * parts)];
-        if (parts == 2) {
-          v += sums[static_cast<std::size_t>(r * parts + 1)] * 256;
+      // The store: each request's sum, its magnitude folded into the peak.
+      for (int r = 0; r < rows; ++r) {
+        const std::int64_t* row = sums.data() + r * streams;
+        for (std::int64_t q = 0; q < batch; ++q) {
+          Wide v = row[q * parts];
+          if (parts == 2) v += row[q * parts + 1] * 256;
+          wides[static_cast<std::size_t>(q)]->set_flat(co + r, v);
+          peak[q] = std::max(peak[q], v < 0 ? -v : v);
         }
-        wides[static_cast<std::size_t>(r)]->set_flat(co, v);
       }
     }
   };
@@ -1079,6 +1280,7 @@ void GemmEngine::run_fc_batch(const nn::Layer& layer,
   } else {
     shared_pool().parallel_for(stripes, run_stripe);
   }
+  stripe_peaks.reduce(peaks);
 }
 
 }  // namespace loom::sim

@@ -61,7 +61,22 @@
 //
 // FC layers (and request-batched FC) run as a GEMV/GEMM that streams the
 // weight tensor in place, masking Pw on the fly — no repacked copy of a
-// large weight matrix is ever made. Conv weights enter as a PreparedConv:
+// large weight matrix is ever made. One kernel, fc_rows, computes a block
+// of R weight rows x S activation streams (request x part) per activation
+// load, R * S accumulators in registers: R = 8 at S = 1 and R * S <= 16 on
+// AVX-512, R * S <= 8 on AVX2, S <= 4, remainder rows at a smaller R. At
+// batch 1 an FC layer is bound by DRAM bandwidth: one row at a time left
+// about 40% of it idle, eight rows in flight use it. Every int32 lane
+// still widens within the operand plan's K-block bound.
+//
+// Every call reports each request's requantization peak, max |acc|, taken
+// where the sums are stored: the conv demux folds each register block's
+// magnitudes into the peak of the request its columns belong to (a slab
+// may span requests), the FC store each row block's, and stripes reduce
+// their own peaks afterwards. The epilogue then narrows in one pass
+// without reading the sums twice.
+//
+// Conv weights enter as a PreparedConv:
 // the padded planes of the layout conv_layout picks, built by the pure
 // prepare_conv. A model prepares them once (sim::WeightSet, built against
 // its network) and every call and thread reads the same planes; the
@@ -211,21 +226,24 @@ class GemmEngine {
   /// one global axis, so slabs and column groups may span request
   /// boundaries (dynamic detection then sees an upper bound of every value
   /// in the group, so the exact accumulators are unchanged); accumulators
-  /// demux into `wides[r]` (preallocated, one per input). A batch of one is
-  /// stats-identical to the scalar grid. Requires
-  /// weights.fits(layer, spec.weight_precision).
+  /// demux into `wides[r]` (preallocated, one per input) and `peaks[r]`
+  /// receives max |v| over them. A batch of one is stats-identical to the
+  /// scalar grid. Requires weights.fits(layer, spec.weight_precision).
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const PreparedConv& weights, const SliceSpec& spec,
-                           std::span<nn::WideTensor* const> wides);
+                           std::span<nn::WideTensor* const> wides,
+                           std::span<Wide> peaks);
 
   /// Batched fully-connected layer: signed 16-bit activations,
   /// `weight_precision` two's-complement weights read in place from
   /// `weights`; every weight row loaded once is applied to all requests.
+  /// `peaks[r]` receives max |v| over `wides[r]`.
   void run_fc_batch(const nn::Layer& layer,
                     std::span<const nn::Tensor* const> inputs,
                     const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides);
+                    std::span<nn::WideTensor* const> wides,
+                    std::span<Wide> peaks);
 
   [[nodiscard]] const GridOptions& options() const noexcept { return opts_; }
 

@@ -13,6 +13,7 @@
 // to replay just that case (iteration count drops to 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <optional>
@@ -185,6 +186,42 @@ struct Batch {
   }
 };
 
+/// max |v| over `t`, scanned.
+Wide scanned_peak(const nn::WideTensor& t) {
+  Wide peak = 0;
+  for (const Wide v : t.data()) peak = std::max(peak, v < 0 ? -v : v);
+  return peak;
+}
+
+/// Every peak gemm reported must be its request's scanned max |v|.
+void expect_peaks(std::span<nn::WideTensor* const> wides,
+                  const std::vector<Wide>& peaks) {
+  for (std::size_t r = 0; r < wides.size(); ++r) {
+    EXPECT_EQ(peaks[r], scanned_peak(*wides[r])) << "peak of request " << r;
+  }
+}
+
+/// Gemm's batched entry points, with the peaks they report checked.
+ConvStats gemm_conv(GemmEngine& gemm, const nn::Layer& layer,
+                    std::span<const nn::Tensor* const> inputs,
+                    const PreparedConv& weights, const SliceSpec& spec,
+                    std::span<nn::WideTensor* const> wides) {
+  std::vector<Wide> peaks(inputs.size(), -1);
+  const ConvStats st =
+      gemm.run_conv_batch(layer, inputs, weights, spec, wides, peaks);
+  expect_peaks(wides, peaks);
+  return st;
+}
+
+void gemm_fc(GemmEngine& gemm, const nn::Layer& layer,
+             std::span<const nn::Tensor* const> inputs,
+             const nn::Tensor& weights, int pw,
+             std::span<nn::WideTensor* const> wides) {
+  std::vector<Wide> peaks(inputs.size(), -1);
+  gemm.run_fc_batch(layer, inputs, weights, pw, wides, peaks);
+  expect_peaks(wides, peaks);
+}
+
 // ---- Conv: gemm vs scalar oracle vs reference ------------------------------
 
 TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
@@ -232,8 +269,8 @@ TEST(BackendDifferential, ConvGemmMatchesScalarOracle) {
     SCOPED_TRACE("backend gemm");
     GemmEngine gemm(ctx);
     Batch b(c.inputs, wide_shape);
-    const ConvStats st = gemm.run_conv_batch(
-        c.layer, b.in_ptrs,
+    const ConvStats st = gemm_conv(
+        gemm, c.layer, b.in_ptrs,
         prepare_conv(c.layer, c.weights, spec.weight_precision), spec,
         b.wide_ptrs);
     for (std::size_t r = 0; r < batch; ++r) {
@@ -261,10 +298,9 @@ TEST(BackendDifferential, DeepConvGemmMatchesReference) {
     const nn::Shape wide_shape{c.layer.out.c, c.layer.out.h, c.layer.out.w};
     GemmEngine gemm(random_ctx(seed));
     Batch b(c.inputs, wide_shape);
-    (void)gemm.run_conv_batch(
-        c.layer, b.in_ptrs,
-        prepare_conv(c.layer, c.weights, spec.weight_precision), spec,
-        b.wide_ptrs);
+    (void)gemm_conv(gemm, c.layer, b.in_ptrs,
+                    prepare_conv(c.layer, c.weights, spec.weight_precision),
+                    spec, b.wide_ptrs);
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
       EXPECT_EQ(b.wides[r], nn::conv_forward(c.inputs[r], c.weights, c.layer))
           << "request " << r;
@@ -309,15 +345,15 @@ TEST(BackendDifferential, FcGemmMatchesScalarOracle) {
     GemmEngine gemm(ctx);
     // Batched (covers the request-packing paths)...
     Batch b(c.inputs, wide_shape);
-    gemm.run_fc_batch(c.layer, b.in_ptrs, c.weights, pw, b.wide_ptrs);
+    gemm_fc(gemm, c.layer, b.in_ptrs, c.weights, pw, b.wide_ptrs);
     for (std::size_t r = 0; r < batch; ++r) {
       EXPECT_EQ(b.wides[r], oracle[r]) << "batched request " << r;
     }
     // ...and the first request alone.
     nn::WideTensor solo(wide_shape);
     nn::WideTensor* solo_ptr = &solo;
-    gemm.run_fc_batch(c.layer, std::span(b.in_ptrs.data(), 1), c.weights, pw,
-                      std::span(&solo_ptr, 1));
+    gemm_fc(gemm, c.layer, std::span(b.in_ptrs.data(), 1), c.weights, pw,
+            std::span(&solo_ptr, 1));
     EXPECT_EQ(solo, oracle[0]);
   }
 }
@@ -364,7 +400,7 @@ void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
   const PreparedConv prepared =
       prepare_conv(layer, weights, spec.weight_precision);
   expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
-    (void)gemm.run_conv_batch(layer, in, prepared, spec, out);
+    (void)gemm_conv(gemm, layer, in, prepared, spec, out);
   });
   SipGridOracle scalar(ctx);
   expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
@@ -372,15 +408,35 @@ void expect_conv_everywhere(const nn::Layer& layer, const nn::Tensor& input,
   });
 }
 
+/// Weight rows in the FC kernel's widest row block.
+constexpr int kFcBlockRows = 8;
+
+/// The FC extremes run at whole row blocks: `layer` has 2 * kFcBlockRows
+/// + 3 outputs (two full row blocks and a remainder), and gemm runs
+/// batches of 1, 2, 5 and 9 — past the four streams one weight load serves,
+/// and at Pw 12 and 16 two streams per request — at jobs 1 and 3, where a
+/// stripe boundary cuts through a row block. Every request's every output
+/// is `want`. The oracle runs a batch of two and the first request alone.
 void expect_fc_everywhere(const nn::Layer& layer, const nn::Tensor& input,
                           const nn::Tensor& weights, int pw,
                           const nn::WideTensor& want) {
-  const GridOptions ctx{.jobs = 1};
-  GemmEngine gemm(ctx);
-  expect_batch_and_solo("gemm", input, want, [&](auto in, auto out) {
-    gemm.run_fc_batch(layer, in, weights, pw, out);
-  });
-  SipGridOracle scalar(ctx);
+  ASSERT_EQ(layer.out.c, 2 * kFcBlockRows + 3);
+  for (const int jobs : {1, 3}) {
+    GemmEngine gemm(GridOptions{.jobs = jobs});
+    for (const std::size_t batch : {1, 2, 5, 9}) {
+      SCOPED_TRACE("backend gemm, jobs " + std::to_string(jobs) + ", batch " +
+                   std::to_string(batch));
+      std::vector<nn::WideTensor> wides = make_wides(want.shape(), batch);
+      const std::vector<const nn::Tensor*> in_ptrs(batch, &input);
+      std::vector<nn::WideTensor*> wide_ptrs;
+      for (nn::WideTensor& w : wides) wide_ptrs.push_back(&w);
+      gemm_fc(gemm, layer, in_ptrs, weights, pw, wide_ptrs);
+      for (std::size_t r = 0; r < batch; ++r) {
+        EXPECT_EQ(wides[r], want) << "request " << r;
+      }
+    }
+  }
+  SipGridOracle scalar(GridOptions{.jobs = 1});
   expect_batch_and_solo("scalar", input, want, [&](auto in, auto out) {
     scalar.run_fc_batch(layer, in, weights, pw, out);
   });
@@ -389,7 +445,8 @@ void expect_fc_everywhere(const nn::Layer& layer, const nn::Tensor& input,
 TEST(BackendDifferential, SignedFcAtFullWidthMinValues) {
   // Pa = Pw = 16, every input and weight -32768: each product is +2^30, so
   // one multiply-add pair already reaches 2^31 and wraps int32.
-  const nn::Layer layer = nn::make_fc("fc_min", nn::Shape3{300, 1, 1}, 5);
+  const nn::Layer layer =
+      nn::make_fc("fc_min", nn::Shape3{300, 1, 1}, 2 * kFcBlockRows + 3);
   const nn::Tensor input = filled(nn::Shape{300}, 0x8000);
   const nn::Tensor weights = filled(nn::Shape{layer.weight_count()}, 0x8000);
   const nn::WideTensor want = nn::fc_forward(input, weights, layer);
@@ -403,7 +460,8 @@ TEST(BackendDifferential, FcMaxMagnitudeOverLongInner) {
   // run int16 operands (Pw 11 at the shortest K-block, 31 steps); Pw 12
   // and 16 split the activation into bytes.
   constexpr std::int64_t kInner = std::int64_t{1} << 16;
-  const nn::Layer layer = nn::make_fc("fc_long", nn::Shape3{kInner, 1, 1}, 3);
+  const nn::Layer layer = nn::make_fc("fc_long", nn::Shape3{kInner, 1, 1},
+                                      2 * kFcBlockRows + 3);
   const nn::Tensor input = filled(nn::Shape{kInner}, 0x8000);
   for (const int pw : {10, 11, 12, 16}) {
     SCOPED_TRACE("pw " + std::to_string(pw));
@@ -482,8 +540,8 @@ TEST(BackendDifferential, ConvStraddlesPlaneProductKBlockBound) {
                                .dynamic = true};
           expect_batch_and_solo("gemm", filled(in_shape, act), want,
                                 [&](auto in, auto out) {
-                                  (void)gemm.run_conv_batch(layer, in, prepared,
-                                                            spec, out);
+                                  (void)gemm_conv(gemm, layer, in, prepared,
+                                                  spec, out);
                                 });
         }
       }

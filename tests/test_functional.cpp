@@ -189,6 +189,27 @@ TEST(Functional, WholeNetworkMatchesGoldenPipeline) {
   }
 }
 
+TEST(Functional, LayerWallClockCoversEveryPhase) {
+  // wall_ms times the whole layer call, so at jobs = 1, where pack + kernel
+  // is the kernel call's wall clock, it is at least the phases' sum; in
+  // run_network the pooling after c1 adds to both its epilogue and its wall
+  // clock.
+  SmallNet s = make_small_net();
+  FunctionalLoomEngine engine(
+      FunctionalOptions{.rows = 8, .cols = 8, .jobs = 1});
+  const auto net_run =
+      engine.run_network(s.net, s.input, WeightSet(s.net, s.weights));
+  std::vector<FunctionalLayerRun> runs = net_run.layers;
+  runs.push_back(engine.run_conv(s.net.layer(0), s.input, s.weights[0], 8));
+  runs.push_back(engine.run_fc(s.net.layer(3), net_run.layers[1].output,
+                               s.weights[2], 16));
+  for (const FunctionalLayerRun& run : runs) {
+    const LayerPhases& p = run.phases;
+    EXPECT_GT(p.wall_ms, 0.0) << run.name;
+    EXPECT_GE(p.wall_ms, p.pack_ms + p.kernel_ms + p.epilogue_ms) << run.name;
+  }
+}
+
 TEST(Functional, CyclesAgreeWithAnalyticModel) {
   // The chunk-counting simulator and the actually-driven datapath must
   // report the same cycles in static mode (up to the pipeline-fill

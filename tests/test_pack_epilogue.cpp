@@ -5,9 +5,12 @@
 //     through nn::im2col_input_index;
 //   * the engine's one-pass epilogue against nn::choose_requant_shift +
 //     nn::requantize at adversarial accumulator extremes;
+//   * the peak the gemm store reports per request against the scanned
+//     max |acc|, and the shift the epilogue takes from it;
 //   * the engine's pooling against nn::pool_forward.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -123,9 +126,10 @@ void check_pack(const PackCase& pc, std::uint64_t seed) {
     wide_ptrs.push_back(&wides[r]);
   }
   GemmEngine gemm(pc.grid);
+  std::vector<Wide> peaks(inputs.size());
   const ConvStats st = gemm.run_conv_batch(
       layer, in_ptrs, prepare_conv(layer, weights, pc.spec.weight_precision),
-      pc.spec, wide_ptrs);
+      pc.spec, wide_ptrs, peaks);
   expect_stats_eq(st, gathered_stats(layer, pc.spec, pc.grid, inputs));
 
   SipGridOracle oracle(pc.grid);
@@ -198,13 +202,21 @@ TEST(PackEpilogue, PackMatchesOracleAtEveryActivationPrecision) {
 
 // ---- Epilogue ---------------------------------------------------------------
 
+/// max |v| over `acc`, scanned.
+Wide scanned_peak(const nn::WideTensor& acc) {
+  Wide peak = 0;
+  for (const Wide v : acc.data()) peak = std::max(peak, v < 0 ? -v : v);
+  return peak;
+}
+
 void check_epilogue(const std::vector<Wide>& values, int out_bits, bool relu) {
   nn::WideTensor acc(nn::Shape{static_cast<std::int64_t>(values.size())});
   for (std::size_t i = 0; i < values.size(); ++i) {
     acc.set_flat(static_cast<std::int64_t>(i), values[i]);
   }
   const int shift = nn::choose_requant_shift(acc, out_bits);
-  const Requantized q = requantize_accumulators(acc, out_bits, relu);
+  const Requantized q =
+      requantize_accumulators(acc, scanned_peak(acc), out_bits, relu);
   EXPECT_EQ(q.shift, shift) << "out_bits " << out_bits << " relu " << relu;
   EXPECT_EQ(q.output, nn::requantize(acc, shift, out_bits, relu))
       << "out_bits " << out_bits << " relu " << relu;
@@ -245,6 +257,149 @@ TEST(PackEpilogue, EpilogueMatchesReferenceOnRandomAccumulators) {
     }
     check_epilogue(v, out_bits, t % 2 == 0);
   }
+}
+
+// ---- The store's peak ---------------------------------------------------------
+
+/// Run `layer` on gemm at jobs 1 and 4, `inputs` as one batch and each
+/// alone, and check every reported peak: it is the scanned max |acc| of its
+/// own request, a request alone reports the same one, and the epilogue
+/// takes nn::choose_requant_shift's shift and nn::requantize's output from
+/// it. Returns the batch's peaks.
+std::vector<Wide> check_store_peak(const nn::Layer& layer,
+                                   const std::vector<nn::Tensor>& inputs,
+                                   const nn::Tensor& weights, int out_bits) {
+  const bool conv = layer.kind == nn::LayerKind::kConv;
+  const nn::Shape out_shape{layer.out.c, conv ? layer.out.h : 1,
+                            conv ? layer.out.w : 1};
+  const SliceSpec spec{.act_precision = layer.act_precision,
+                       .weight_precision = layer.weight_precision,
+                       .dynamic = true};
+  std::vector<Wide> batch_peaks;
+  for (const int jobs : {1, 4}) {
+    GemmEngine gemm(GridOptions{.jobs = jobs});
+    const auto run = [&](std::span<const nn::Tensor* const> in,
+                         std::vector<nn::WideTensor>& wides) {
+      wides.assign(in.size(), nn::WideTensor(out_shape));
+      std::vector<nn::WideTensor*> wide_ptrs;
+      for (nn::WideTensor& w : wides) wide_ptrs.push_back(&w);
+      std::vector<Wide> peaks(in.size(), -1);
+      if (conv) {
+        (void)gemm.run_conv_batch(
+            layer, in, prepare_conv(layer, weights, spec.weight_precision),
+            spec, wide_ptrs, peaks);
+      } else {
+        gemm.run_fc_batch(layer, in, weights, spec.weight_precision, wide_ptrs,
+                          peaks);
+      }
+      return peaks;
+    };
+    std::vector<const nn::Tensor*> in_ptrs;
+    for (const nn::Tensor& t : inputs) in_ptrs.push_back(&t);
+    std::vector<nn::WideTensor> wides;
+    batch_peaks = run(in_ptrs, wides);
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + ", request " +
+                   std::to_string(r));
+      const nn::WideTensor& acc = wides[r];
+      EXPECT_EQ(batch_peaks[r], scanned_peak(acc));
+      const int shift = nn::choose_requant_shift(acc, out_bits);
+      const Requantized q =
+          requantize_accumulators(acc, batch_peaks[r], out_bits, true);
+      EXPECT_EQ(q.shift, shift);
+      EXPECT_EQ(q.output, nn::requantize(acc, shift, out_bits, true));
+      std::vector<nn::WideTensor> solo;
+      EXPECT_EQ(run(std::span(&in_ptrs[r], 1), solo)[0], batch_peaks[r]);
+    }
+  }
+  return batch_peaks;
+}
+
+TEST(PackEpilogue, StorePeakOfALoneNegativeSum) {
+  // One input pixel of 1000 and one filter of weight -3 on its channel:
+  // the largest magnitude is that filter's one sum at that window, -2997,
+  // while the largest positive sum is 1003. Conv at 4 input channels (the
+  // int16 kernel) and 160 (byte planes on the AMX tier), and FC.
+  for (const std::int64_t channels : {4, 160}) {
+    SCOPED_TRACE("channels " + std::to_string(channels));
+    nn::Layer layer = nn::make_conv("c", nn::Shape3{channels, 9, 9}, 8, 1, 1, 0);
+    layer.act_precision = 10;
+    layer.weight_precision = 3;
+    nn::Tensor input(nn::Shape{channels, 9, 9}, Value{0});
+    input.set_flat(4 * 9 + 4, 1000);
+    input.set_flat(9 * 9 + 4 * 9 + 4, 3);
+    nn::Tensor weights(nn::Shape{layer.weight_count()}, Value{1});
+    weights.set_flat(5 * channels, -3);
+    EXPECT_EQ(check_store_peak(layer, {input}, weights, 8),
+              std::vector<Wide>{2997});
+  }
+  nn::Layer fc = nn::make_fc("f", nn::Shape3{40, 1, 1}, 19);
+  fc.weight_precision = 12;
+  nn::Tensor weights(nn::Shape{fc.weight_count()}, Value{1});
+  for (std::int64_t k = 0; k < 40; ++k) weights.set_flat(17 * 40 + k, -1024);
+  EXPECT_EQ(check_store_peak(fc, {nn::Tensor(nn::Shape{40}, Value{1})},
+                             weights, 8),
+            std::vector<Wide>{40 * 1024});
+}
+
+TEST(PackEpilogue, StorePeakOfAllZeroSums) {
+  nn::Layer conv = nn::make_conv("c", nn::Shape3{6, 9, 9}, 7, 3, 1, 1);
+  conv.act_precision = 9;
+  conv.weight_precision = 5;
+  const nn::Tensor conv_weights = random_weights(conv.weight_count(), 3);
+  EXPECT_EQ(check_store_peak(conv, {nn::Tensor(nn::Shape{6, 9, 9})},
+                             conv_weights, 8),
+            std::vector<Wide>{0});
+  nn::Layer fc = nn::make_fc("f", nn::Shape3{50, 1, 1}, 11);
+  fc.weight_precision = 9;
+  EXPECT_EQ(check_store_peak(fc, {nn::Tensor(nn::Shape{50})},
+                             random_weights(fc.weight_count(), 4), 8),
+            std::vector<Wide>{0});
+}
+
+TEST(PackEpilogue, StorePeakInTheLastPartialColumnGroup) {
+  // 15x15 = 225 windows: four 64-window slabs, so at jobs 4 the last
+  // stripe holds the last slab, whose last column group has one window.
+  // Only that window's input pixel is large.
+  for (const std::int64_t channels : {4, 160}) {
+    SCOPED_TRACE("channels " + std::to_string(channels));
+    nn::Layer layer =
+        nn::make_conv("c", nn::Shape3{channels, 15, 15}, 9, 1, 1, 0);
+    layer.act_precision = 12;
+    layer.weight_precision = 6;
+    nn::Tensor input(nn::Shape{channels, 15, 15}, Value{1});
+    input.set_flat(15 * 15 - 1, 4000);
+    const nn::Tensor weights(nn::Shape{layer.weight_count()}, Value{31});
+    EXPECT_EQ(check_store_peak(layer, {input}, weights, 8),
+              std::vector<Wide>{31 * (4000 + channels - 1)});
+  }
+}
+
+TEST(PackEpilogue, StorePeaksOfRequestsSharingASlab) {
+  // 7x7 = 49 windows: the first slab holds request 0 and the first 15
+  // windows of request 1. Request 0's sums are small and request 1's large;
+  // each request keeps its own peak, so neither shift moves (the solo runs
+  // in check_store_peak).
+  nn::Layer conv = nn::make_conv("c", nn::Shape3{3, 7, 7}, 5, 3, 1, 1);
+  conv.act_precision = 12;
+  conv.weight_precision = 8;
+  const nn::Tensor conv_weights(nn::Shape{conv.weight_count()}, Value{-7});
+  const std::vector<Wide> conv_peaks = check_store_peak(
+      conv,
+      {nn::Tensor(nn::Shape{3, 7, 7}, Value{1}),
+       nn::Tensor(nn::Shape{3, 7, 7}, Value{3000})},
+      conv_weights, 8);
+  EXPECT_EQ(conv_peaks, (std::vector<Wide>{7 * 27, 7 * 27 * 3000}));
+
+  nn::Layer fc = nn::make_fc("f", nn::Shape3{64, 1, 1}, 21);
+  fc.weight_precision = 10;
+  const nn::Tensor fc_weights(nn::Shape{fc.weight_count()}, Value{-300});
+  const std::vector<Wide> fc_peaks = check_store_peak(
+      fc,
+      {nn::Tensor(nn::Shape{64}, Value{2}), nn::Tensor(nn::Shape{64}, Value{-20000}),
+       nn::Tensor(nn::Shape{64}, Value{-1})},
+      fc_weights, 8);
+  EXPECT_EQ(fc_peaks, (std::vector<Wide>{64 * 300 * 2, 64 * 300 * 20000, 64 * 300}));
 }
 
 // ---- Pool -------------------------------------------------------------------

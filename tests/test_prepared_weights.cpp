@@ -106,13 +106,17 @@ void check_layers(const serve::Model& m) {
     nn::WideTensor from_flat(out);
     nn::WideTensor* to_prepared = &from_prepared;
     nn::WideTensor* to_flat = &from_flat;
-    const ConvStats a = gemm.run_conv_batch(
-        layer, std::span(&in, 1), *prepared, spec, std::span(&to_prepared, 1));
+    Wide peak_prepared = 0;
+    Wide peak_flat = 0;
+    const ConvStats a =
+        gemm.run_conv_batch(layer, std::span(&in, 1), *prepared, spec,
+                            std::span(&to_prepared, 1), std::span(&peak_prepared, 1));
     const ConvStats b = gemm.run_conv_batch(
         layer, std::span(&in, 1),
         prepare_conv(layer, m.weights[index], layer.weight_precision), spec,
-        std::span(&to_flat, 1));
+        std::span(&to_flat, 1), std::span(&peak_flat, 1));
     EXPECT_EQ(from_prepared, from_flat);
+    EXPECT_EQ(peak_prepared, peak_flat);
     expect_stats_eq(a, b);
 
     const FunctionalLayerRun run =
